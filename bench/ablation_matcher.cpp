@@ -136,52 +136,6 @@ BENCHMARK(BM_SubgraphEmbedding)
     ->Args({8, 0})
     ->Unit(benchmark::kMillisecond);
 
-/// §5.4 extension ablation: candidate-ordering heuristics on an
-/// automorphism-heavy instance (K identical creat/unlink-like fragments,
-/// the scale-benchmark shape that blows up the naive search).
-void BM_CandidateOrdering(benchmark::State& state) {
-  int copies = static_cast<int>(state.range(0));
-  auto order = static_cast<matcher::CandidateOrder>(state.range(1));
-  graph::PropertyGraph g1, g2;
-  util::Rng rng(99);
-  int t = 0;
-  for (int k = 0; k < copies; ++k) {
-    std::string p = "p" + std::to_string(k);
-    // Identical fragments up to the timestamp property.
-    for (graph::PropertyGraph* g : {&g1, &g2}) {
-      g->add_node(p, "Process", {{"name", "bench"}});
-      g->add_node(p + "f", "Artifact",
-                  {{"path", "/tmp/scale"},
-                   {"time", std::to_string(1000 + t)}});
-      g->add_edge(p + "e", p, p + "f", "Used",
-                  {{"operation", "creat"},
-                   {"time", std::to_string(1000 + t)}});
-    }
-    g1.set_property(p + "f", "noise", std::to_string(rng.next_below(9)));
-    ++t;
-  }
-  matcher::SearchOptions options;
-  options.cost_model = matcher::CostModel::Symmetric;
-  options.candidate_order = order;
-  options.step_budget = 5'000'000;
-  for (auto _ : state) {
-    matcher::Stats stats;
-    auto result = matcher::best_isomorphism(g1, g2, options, &stats);
-    benchmark::DoNotOptimize(result);
-    if (stats.budget_exhausted) state.SkipWithError("budget exhausted");
-  }
-  const char* names[] = {"none", "property-cost", "timestamp-rank"};
-  state.SetLabel(util::format("%d copies, order=%s", copies,
-                              names[state.range(1)]));
-}
-BENCHMARK(BM_CandidateOrdering)
-    ->Args({6, 0})
-    ->Args({6, 1})
-    ->Args({6, 2})
-    ->Args({10, 1})
-    ->Args({10, 2})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -14,12 +14,8 @@ namespace provmark::core {
 struct CompareOptions {
   bool candidate_pruning = true;
   bool cost_bounding = true;
-  /// Search-step budget for the embedding problem (0 = unlimited).
-  std::size_t step_budget = 0;
-  /// Search-strategy knobs (ordering, decomposition, parallel workers)
-  /// forwarded into the matcher call; a non-zero config budget
-  /// overrides `step_budget`. The pipeline overlays its own
-  /// PipelineOptions::matcher config here.
+  /// Parallel-search knobs forwarded into the matcher call. The
+  /// pipeline overlays its own PipelineOptions::matcher config here.
   matcher::SearchConfig search;
 };
 

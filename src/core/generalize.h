@@ -39,9 +39,9 @@ struct GeneralizeOptions {
   /// Passed through to the matcher (ablation knobs).
   bool candidate_pruning = true;
   bool cost_bounding = true;
-  /// Search-strategy knobs (ordering, decomposition, parallel workers,
-  /// budget) forwarded into the generalization isomorphism. The
-  /// pipeline overlays its own PipelineOptions::matcher config here.
+  /// Parallel-search knobs forwarded into the generalization
+  /// isomorphism. The pipeline overlays its own PipelineOptions::matcher
+  /// config here.
   matcher::SearchConfig search;
 };
 

@@ -67,17 +67,10 @@ struct PipelineOptions {
   /// Checks sit between stages, never inside the matcher or Datalog
   /// inner loops, so cancellation can lag by one stage.
   const std::atomic<bool>* cancel = nullptr;
-  /// Matcher search strategy for the generalization and comparison
-  /// stages (candidate ordering, component decomposition, parallel
-  /// search workers, step budget). Overlaid onto `generalize.search`
-  /// and `compare.search` by run_benchmark — set it here, not on the
-  /// per-stage structs. The default reproduces the serial PropertyCost
-  /// engine bit-for-bit. For searches that *complete* (no step-budget
-  /// exhaustion — always the case with the default unlimited budget),
-  /// every setting preserves optimal costs and a fixed config yields
-  /// identical results at any `matcher.threads`; a search cut off by
-  /// `matcher.step_budget` returns a thread-count- and
-  /// scheduling-dependent partial best.
+  /// Matcher parallel-search workers for the generalization and
+  /// comparison stages. Overlaid onto `generalize.search` and
+  /// `compare.search` by run_benchmark — set it here, not on the
+  /// per-stage structs. Results are identical at any `matcher.threads`.
   matcher::SearchConfig matcher;
 };
 

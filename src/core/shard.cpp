@@ -30,7 +30,7 @@ namespace provmark::core {
 namespace {
 
 constexpr const char* kCellHeader = "provmark-cell v1";
-constexpr const char* kManifestHeader = "provmark-shard v2";
+constexpr const char* kManifestHeader = "provmark-shard v3";
 constexpr const char* kManifestName = "shard.manifest";
 
 // -- record syntax ------------------------------------------------------------
@@ -249,9 +249,7 @@ std::string manifest_text(const ShardSpec& spec,
   out += "result-type " + spec.result_type + "\n";
   out += util::format("deterministic-timings %d\n",
                       spec.deterministic_timings ? 1 : 0);
-  out += "matcher-order ";
-  append_quoted(out, spec.matcher_order);
-  out += util::format("\nmatrix %zu %llu\n", spec.matrix_cells,
+  out += util::format("matrix %zu %llu\n", spec.matrix_cells,
                       static_cast<unsigned long long>(spec.matrix_hash));
   out += util::format("cells %zu\n", spec.cells.size());
   for (const BatchCell& cell : spec.cells) {
@@ -316,7 +314,6 @@ ShardSpec parse_shard_manifest(const std::string& text, bool* complete,
   spec.result_type = reader.expect("result-type", 2)[1];
   spec.deterministic_timings =
       reader.expect("deterministic-timings", 2)[1] == "1";
-  spec.matcher_order = reader.expect("matcher-order", 2)[1];
   tokens = reader.expect("matrix", 3);
   spec.matrix_cells = parse_size(tokens[1]);
   spec.matrix_hash = parse_u64(tokens[2]);
@@ -358,7 +355,6 @@ ShardSpec ShardPlan::shard(int shard_id) const {
   spec.seed = seed;
   spec.result_type = result_type;
   spec.deterministic_timings = deterministic_timings;
-  spec.matcher_order = matcher_order;
   spec.matrix_cells = cells.size();
   spec.matrix_hash = matrix_hash;
   for (const BatchCell& cell : cells) {
@@ -373,8 +369,7 @@ ShardPlan plan_batch(const std::vector<std::string>& systems,
                      const std::vector<std::string>& benchmarks,
                      int shard_count, std::uint64_t seed,
                      const std::string& result_type,
-                     bool deterministic_timings,
-                     const std::string& matcher_order) {
+                     bool deterministic_timings) {
   if (shard_count < 1) {
     throw std::invalid_argument("shard count must be >= 1");
   }
@@ -386,7 +381,6 @@ ShardPlan plan_batch(const std::vector<std::string>& systems,
   plan.seed = seed;
   plan.result_type = result_type;
   plan.deterministic_timings = deterministic_timings;
-  plan.matcher_order = matcher_order;
   // The exact single-process sweep order: systems outer, benchmarks
   // inner. Cell index == position in that loop, the key every shard
   // layout and the merge step agree on.
@@ -777,7 +771,6 @@ std::vector<BenchmarkResult> read_shard_results(
     if (spec.shard_count != first.shard_count || spec.seed != first.seed ||
         spec.result_type != first.result_type ||
         spec.deterministic_timings != first.deterministic_timings ||
-        spec.matcher_order != first.matcher_order ||
         spec.matrix_cells != first.matrix_cells ||
         spec.matrix_hash != first.matrix_hash) {
       throw std::runtime_error(

@@ -107,20 +107,17 @@ struct BatchCell {
 ///
 /// Everything that can change the produced *bytes* is part of the spec
 /// and therefore of the resume/merge fingerprint: seed, result type,
-/// timing mode, the matcher ordering strategy (different orders report
-/// identical optimal costs but may select a different tied matching,
-/// i.e. different .dot/.datalog bytes), and the whole matrix (count +
-/// hash — so shards of two different sweeps can never merge, even when
-/// their per-shard cell lists are individually plausible). Thread
-/// counts are deliberately excluded: results are bit-identical at any
-/// pipeline or matcher worker count.
+/// timing mode, and the whole matrix (count + hash — so shards of two
+/// different sweeps can never merge, even when their per-shard cell
+/// lists are individually plausible). Thread counts are deliberately
+/// excluded: results are bit-identical at any pipeline or matcher
+/// worker count.
 struct ShardSpec {
   int shard_id = 0;
   int shard_count = 1;
   std::uint64_t seed = 42;
   std::string result_type = "rb";  ///< rb | rg | rh
   bool deterministic_timings = false;
-  std::string matcher_order;  ///< CLI spelling; "" = the default order
   std::size_t matrix_cells = 0;   ///< total cells in the sweep matrix
   std::uint64_t matrix_hash = 0;  ///< hash of every (index, cell) triple
   std::vector<BatchCell> cells;   ///< this shard's slice, ascending index
@@ -134,7 +131,6 @@ struct ShardPlan {
   std::uint64_t seed = 42;
   std::string result_type = "rb";
   bool deterministic_timings = false;
-  std::string matcher_order;
   std::uint64_t matrix_hash = 0;
   std::vector<BatchCell> cells;  ///< the whole matrix, ascending index
 
@@ -146,14 +142,11 @@ struct ShardPlan {
 /// Cell order matches the single-process batch loop exactly: for each
 /// system (in list order), every benchmark (in list order). Throws
 /// std::invalid_argument when shard_count < 1 or the matrix is empty.
-/// `matcher_order` is carried into every shard's fingerprint (see
-/// ShardSpec); pass the CLI spelling, or "" for the default.
 ShardPlan plan_batch(const std::vector<std::string>& systems,
                      const std::vector<std::string>& benchmarks,
                      int shard_count, std::uint64_t seed,
                      const std::string& result_type,
-                     bool deterministic_timings,
-                     const std::string& matcher_order = "");
+                     bool deterministic_timings);
 
 /// The Table-1 benchmark names in sweep order (the batch default).
 std::vector<std::string> table_benchmark_names();

@@ -1,17 +1,16 @@
-// Verbatim copy of the string-keyed engine that matcher.cpp replaced.
-// See legacy_matcher.h for why it is kept. Do not optimize this file:
-// its value is being the unchanged baseline.
+// Copy of the string-keyed engine that matcher.cpp replaced, pinned to
+// its historical PropertyCost candidate order. See legacy_matcher.h for
+// why it is kept. Do not optimize this file: its value is being the
+// unchanged baseline.
 #include "matcher/legacy_matcher.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 #include <set>
 #include <vector>
 
 #include "graph/algorithms.h"
-#include "util/rng.h"
 
 namespace provmark::matcher::legacy {
 
@@ -224,54 +223,20 @@ class SearchEngine {
     return true;
   }
 
-  /// Numeric-when-possible comparison value of the timestamp property.
-  static double timestamp_value(const Node* n, const std::string& key) {
-    auto it = n->props.find(key);
-    if (it == n->props.end()) return 0;
-    try {
-      return std::stod(it->second);
-    } catch (const std::exception&) {
-      return static_cast<double>(util::stable_hash(it->second) % 100000);
-    }
-  }
-
-  /// Apply the configured candidate-ordering heuristic: the search stays
-  /// exhaustive, but finding a near-optimal solution early lets the cost
-  /// bound prune the rest (§5.4 incremental-matching suggestion).
+  /// The historical PropertyCost candidate order: cheapest node-property
+  /// cost first. The search stays exhaustive, but finding a near-optimal
+  /// solution early lets the cost bound prune the rest.
   void order_candidates() {
-    if (options_.candidate_order == CandidateOrder::None) return;
-    if (options_.candidate_order == CandidateOrder::PropertyCost) {
-      for (std::size_t i = 0; i < candidates_.size(); ++i) {
-        const Node* pn = pattern_.nodes[i];
-        std::stable_sort(
-            candidates_[i].begin(), candidates_[i].end(),
-            [&](std::size_t a, std::size_t b) {
-              return property_cost(pn->props, target_.nodes[a]->props,
-                                   options_.cost_model) <
-                     property_cost(pn->props, target_.nodes[b]->props,
-                                   options_.cost_model);
-            });
-      }
-      return;
-    }
-    // TimestampRank: align by per-label rank of the timestamp property.
-    std::vector<double> pattern_time(pattern_.nodes.size());
-    std::vector<double> target_time(target_.nodes.size());
-    for (std::size_t i = 0; i < pattern_.nodes.size(); ++i) {
-      pattern_time[i] =
-          timestamp_value(pattern_.nodes[i], options_.timestamp_key);
-    }
-    for (std::size_t j = 0; j < target_.nodes.size(); ++j) {
-      target_time[j] =
-          timestamp_value(target_.nodes[j], options_.timestamp_key);
-    }
     for (std::size_t i = 0; i < candidates_.size(); ++i) {
-      double t = pattern_time[i];
-      std::stable_sort(candidates_[i].begin(), candidates_[i].end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return std::abs(target_time[a] - t) <
-                                std::abs(target_time[b] - t);
-                       });
+      const Node* pn = pattern_.nodes[i];
+      std::stable_sort(
+          candidates_[i].begin(), candidates_[i].end(),
+          [&](std::size_t a, std::size_t b) {
+            return property_cost(pn->props, target_.nodes[a]->props,
+                                 options_.cost_model) <
+                   property_cost(pn->props, target_.nodes[b]->props,
+                                 options_.cost_model);
+          });
     }
   }
 

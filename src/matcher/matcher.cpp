@@ -11,17 +11,14 @@
 // graphs — the similarity-classification pattern — pay the interning
 // cost once.
 //
-// Three search layers stack on the branch-and-bound core:
+// Two layers stack on the branch-and-bound core:
 //
-//  * Ordering (CandidateOrder): which pattern node is assigned next and
-//    in which order its candidates are tried. WlScarcity additionally
-//    prunes bijective candidate lists per WL colour class and tightens
-//    the cost bound with an admissible suffix lower bound.
-//  * Component decomposition (SearchOptions::component_decomposition):
-//    the bijective problem splits into independent weakly-connected
-//    components, matched up by WL-signature and solved separately; the
-//    optimal cost is identical but the cross-component candidate space
-//    becomes additive instead of multiplicative.
+//  * The WL-scarcity search order: bijective candidate lists are pruned
+//    to the pattern node's WL colour class and tried cheapest-first; the
+//    most constrained pattern node is assigned next, with candidate-count
+//    ties broken towards the rarer target colour class; and the cost
+//    bound is tightened with an admissible lower bound on the cost of
+//    the unassigned suffix.
 //  * Deterministic parallel search (SearchOptions::threads > 1): the
 //    root candidate space is partitioned into fixed prefix subtrees
 //    dispatched onto the runtime pool. Workers prune against their own
@@ -31,15 +28,13 @@
 //    winners in subtree order therefore reproduces the serial search's
 //    matching bit-for-bit (see docs/matcher.md "Search strategy").
 //
-// With the layers at their defaults the engine is bit-identical to the
-// string-keyed baseline preserved in legacy_matcher.cpp — same results,
-// same Stats.steps trace — which the equivalence test enforces.
+// The engine reports the same feasibility and optimal cost as the
+// string-keyed reference in legacy_matcher.cpp and the exhaustive
+// brute_force oracle, which the equivalence test enforces.
 #include "matcher/matcher.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <deque>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -204,8 +199,7 @@ class SearchEngine {
  public:
   SearchEngine(const InternedGraph& pattern, const InternedGraph& target,
                bool bijective, const SearchOptions& options, Stats* stats)
-      : symbols_(*pattern.g.symbols),
-        pattern_(pattern),
+      : pattern_(pattern),
         target_(target),
         bijective_(bijective),
         options_(options),
@@ -233,9 +227,7 @@ class SearchEngine {
 
     if (!compute_candidates()) return std::nullopt;
     order_pattern_nodes();
-    lb_pruning_ = options_.candidate_order == CandidateOrder::WlScarcity &&
-                  options_.cost_bounding;
-    if (lb_pruning_) compute_suffix_min();
+    if (options_.cost_bounding) compute_suffix_min();
 
     best_cost_ = kInfinity;
     have_best_ = false;
@@ -295,22 +287,16 @@ class SearchEngine {
     const std::uint32_t n = pattern_.g.node_count();
     candidates_.assign(n, {});
     scarcity_.assign(n, 0);
-    const bool scarcity =
-        options_.candidate_order == CandidateOrder::WlScarcity;
-    // WlScarcity prunes bijective candidate lists per colour class even
-    // with the generic pruning knob off: the colour filter is part of
-    // the ordering strategy (matched nodes of any label-preserving
-    // bijection have equal WL colours, so no valid matching is lost).
-    const bool wl_filter =
-        bijective_ && (options_.candidate_pruning || scarcity);
+    // Bijective candidate lists are pruned per colour class even with
+    // the generic pruning knob off: the colour filter is part of the
+    // search order (matched nodes of any label-preserving bijection have
+    // equal WL colours, so no valid matching is lost).
     std::vector<std::uint64_t> wl1, wl2;
     std::unordered_map<std::uint64_t, std::uint32_t> colour_freq;
-    if (wl_filter) {
+    if (bijective_) {
       wl1 = graph::compact_wl_colours(pattern_.g, 2);
       wl2 = graph::compact_wl_colours(target_.g, 2);
-      if (scarcity) {
-        for (std::uint64_t colour : wl2) ++colour_freq[colour];
-      }
+      for (std::uint64_t colour : wl2) ++colour_freq[colour];
     }
     for (std::uint32_t i = 0; i < n; ++i) {
       // Only same-label target nodes can match; the bucket is ascending,
@@ -331,87 +317,40 @@ class SearchEngine {
               }
             }
           }
-          if (wl_filter && wl1[i] != wl2[j]) continue;
+          if (bijective_ && wl1[i] != wl2[j]) continue;
           candidates_[i].push_back(Candidate{
               j, prop_cost(pattern_.g.node_props[i], target_.g.node_props[j],
                            options_.cost_model)});
         }
       }
       if (candidates_[i].empty()) return false;
-      if (scarcity) {
-        // Rarity of this node's colour class in the target; embedding
-        // problems (no comparable colours) fall back to candidate count.
-        scarcity_[i] = wl_filter
-                           ? colour_freq[wl1[i]]
-                           : static_cast<std::uint32_t>(candidates_[i].size());
-      }
-    }
-    order_candidates();
-    return true;
-  }
-
-  /// Numeric-when-possible comparison value of the timestamp property.
-  double timestamp_value(const InternedGraph& side, std::uint32_t v,
-                         Symbol key) const {
-    if (key == graph::kNoSymbol) return 0;
-    Symbol value = graph::find_prop(side.g.node_props[v], key);
-    if (value == graph::kNoSymbol) return 0;
-    try {
-      return std::stod(symbols_.resolve(value));
-    } catch (const std::exception&) {
-      return static_cast<double>(symbols_.hash(value) % 100000);
-    }
-  }
-
-  /// Apply the configured candidate-ordering heuristic: the search stays
-  /// exhaustive, but finding a near-optimal solution early lets the cost
-  /// bound prune the rest (§5.4 incremental-matching suggestion).
-  void order_candidates() {
-    if (options_.candidate_order == CandidateOrder::None) return;
-    if (options_.candidate_order == CandidateOrder::PropertyCost ||
-        options_.candidate_order == CandidateOrder::WlScarcity) {
-      // Cheapest candidate first; for WlScarcity this also makes the
-      // list head equal the per-node minimum used by the suffix bound,
+      // Rarity of this node's colour class in the target; embedding
+      // problems (no comparable colours) fall back to candidate count.
+      scarcity_[i] = bijective_
+                         ? colour_freq[wl1[i]]
+                         : static_cast<std::uint32_t>(candidates_[i].size());
+      // Cheapest candidate first: the search stays exhaustive, but the
+      // list head equals the per-node minimum used by the suffix bound,
       // so the greedy first descent realizes the bound when it can.
-      for (std::vector<Candidate>& list : candidates_) {
-        std::stable_sort(list.begin(), list.end(),
-                         [](const Candidate& a, const Candidate& b) {
-                           return a.cost < b.cost;
-                         });
-      }
-      return;
-    }
-    // TimestampRank: align by per-label rank of the timestamp property.
-    // The key is looked up, not interned: if no element carries it, every
-    // value is 0 and the order is unchanged.
-    Symbol key = symbols_.lookup(options_.timestamp_key);
-    std::vector<double> target_time(target_.g.node_count());
-    for (std::uint32_t j = 0; j < target_.g.node_count(); ++j) {
-      target_time[j] = timestamp_value(target_, j, key);
-    }
-    for (std::uint32_t i = 0; i < pattern_.g.node_count(); ++i) {
-      double t = timestamp_value(pattern_, i, key);
       std::stable_sort(candidates_[i].begin(), candidates_[i].end(),
-                       [&](const Candidate& a, const Candidate& b) {
-                         return std::abs(target_time[a.node] - t) <
-                                std::abs(target_time[b.node] - t);
+                       [](const Candidate& a, const Candidate& b) {
+                         return a.cost < b.cost;
                        });
     }
+    return true;
   }
 
   /// Most-constrained-first ordering, preferring nodes adjacent to already
   /// ordered ones (keeps the partial mapping connected, enabling early
-  /// adjacency checks). Under WlScarcity, ties on candidate count break
-  /// towards the rarer target colour class: after the colour filter the
-  /// candidate count is the *available* slice of a colour class, so
-  /// rarity is the scarcity signal that survives when counts tie — the
-  /// greedy descent stays on the most-constrained path (empirically the
-  /// optimum on provenance-shaped graphs) and the suffix bound then
-  /// prunes the proof-of-optimality phase.
+  /// adjacency checks). Ties on candidate count break towards the rarer
+  /// target colour class: after the colour filter the candidate count is
+  /// the *available* slice of a colour class, so rarity is the scarcity
+  /// signal that survives when counts tie — the greedy descent stays on
+  /// the most-constrained path (empirically the optimum on
+  /// provenance-shaped graphs) and the suffix bound then prunes the
+  /// proof-of-optimality phase.
   void order_pattern_nodes() {
     const std::uint32_t n = pattern_.g.node_count();
-    const bool scarcity =
-        options_.candidate_order == CandidateOrder::WlScarcity;
     order_.clear();
     order_.reserve(n);
     std::vector<bool> placed(n, false);
@@ -420,8 +359,8 @@ class SearchEngine {
     for (std::uint32_t step = 0; step < n; ++step) {
       std::uint32_t chosen = kUnmapped;
       // Prefer frontier nodes; among them, fewest candidates, with
-      // count ties broken towards the rarer colour class (WlScarcity
-      // only); remaining ties keep the lowest index.
+      // count ties broken towards the rarer colour class; remaining
+      // ties keep the lowest index.
       for (std::uint32_t i = 0; i < n; ++i) {
         if (placed[i]) continue;
         bool in_frontier = frontier.count(i) > 0;
@@ -438,7 +377,7 @@ class SearchEngine {
           if (candidates_[i].size() < candidates_[chosen].size()) chosen = i;
           continue;
         }
-        if (scarcity && scarcity_[i] < scarcity_[chosen]) chosen = i;
+        if (scarcity_[i] < scarcity_[chosen]) chosen = i;
       }
       placed[chosen] = true;
       order_.push_back(chosen);
@@ -451,7 +390,7 @@ class SearchEngine {
     }
   }
 
-  /// Admissible remaining-cost estimate for WlScarcity: suffix_min_[pos]
+  /// Admissible remaining-cost estimate: suffix_min_[pos]
   /// = sum over order positions >= pos of the node's minimum candidate
   /// cost, plus the minimum cost of every edge group decided at or after
   /// pos. A group's cost lands when its later endpoint is assigned
@@ -511,10 +450,6 @@ class SearchEngine {
       suffix_min_[pos] = saturating_add(
           suffix_min_[pos + 1], saturating_add(node_min, group_min_at[pos]));
     }
-  }
-
-  int suffix_lb(std::size_t pos) const {
-    return lb_pruning_ ? suffix_min_[pos] : 0;
   }
 
   /// Cost contribution of all edge groups that become fully mapped when
@@ -631,7 +566,7 @@ class SearchEngine {
       return;
     }
     if (options_.cost_bounding &&
-        bound_exceeded(s, acc_cost + suffix_lb(pos))) {
+        bound_exceeded(s, acc_cost + suffix_min_[pos])) {
       return;
     }
     if (pos == order_.size()) {
@@ -656,7 +591,7 @@ class SearchEngine {
       if (group_cost < kInfinity) {
         int next = acc_cost + candidate.cost + group_cost;
         if (!options_.cost_bounding ||
-            !bound_exceeded(s, next + suffix_lb(pos + 1))) {
+            !bound_exceeded(s, next + suffix_min_[pos + 1])) {
           search(s, pos + 1, next);
         }
       }
@@ -814,7 +749,6 @@ class SearchEngine {
     return m;
   }
 
-  const SymbolTable& symbols_;  // shared by both operands
   const InternedGraph& pattern_;
   const InternedGraph& target_;
   bool bijective_;
@@ -824,204 +758,11 @@ class SearchEngine {
   std::vector<std::vector<Candidate>> candidates_;
   std::vector<std::uint32_t> scarcity_;  // target colour-class size
   std::vector<std::uint32_t> order_;
-  std::vector<int> suffix_min_;
-  bool lb_pruning_ = false;
+  std::vector<int> suffix_min_;  // filled only when cost_bounding is on
   std::vector<std::uint32_t> best_node_mapping_;
   int best_cost_ = kInfinity;
   bool have_best_ = false;
 };
-
-// -- component decomposition --------------------------------------------------
-
-/// Weakly-connected component id per node, numbered in first-appearance
-/// (= source insertion) order; `count_out` receives the component count.
-std::vector<std::uint32_t> component_ids(const graph::CompactGraph& g,
-                                         std::uint32_t* count_out) {
-  const std::uint32_t n = g.node_count();
-  std::vector<std::uint32_t> parent(n);
-  for (std::uint32_t v = 0; v < n; ++v) parent[v] = v;
-  auto find = [&](std::uint32_t v) {
-    while (parent[v] != v) {
-      parent[v] = parent[parent[v]];
-      v = parent[v];
-    }
-    return v;
-  };
-  for (std::uint32_t e = 0; e < g.edge_count(); ++e) {
-    std::uint32_t a = find(g.edge_src[e]);
-    std::uint32_t b = find(g.edge_tgt[e]);
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  }
-  std::vector<std::uint32_t> ids(n, kUnmapped);
-  std::uint32_t count = 0;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    std::uint32_t root = find(v);
-    if (ids[root] == kUnmapped) ids[root] = count++;
-    ids[v] = ids[root];
-  }
-  *count_out = count;
-  return ids;
-}
-
-/// Order-independent structural signature of one component: the
-/// unordered hash of its nodes' whole-graph WL colours mixed with its
-/// edge count. Components do not interact under WL refinement, so
-/// whole-graph colours equal per-subgraph colours, and isomorphic
-/// components always share a signature (collisions merely merge
-/// assignment groups, which the exact search then disambiguates).
-std::vector<std::uint64_t> component_signatures(
-    const graph::CompactGraph& g, const std::vector<std::uint32_t>& comp,
-    std::uint32_t count) {
-  std::vector<std::uint64_t> colours = graph::compact_wl_colours(g, 2);
-  std::vector<graph::UnorderedHashSum> sums(count);
-  std::vector<std::uint64_t> edge_counts(count, 0);
-  for (std::uint32_t v = 0; v < g.node_count(); ++v) {
-    sums[comp[v]].add(colours[v]);
-  }
-  for (std::uint32_t e = 0; e < g.edge_count(); ++e) {
-    ++edge_counts[comp[g.edge_src[e]]];
-  }
-  std::vector<std::uint64_t> out(count);
-  for (std::uint32_t c = 0; c < count; ++c) {
-    out[c] = graph::hash_mix(sums[c].value(), edge_counts[c]);
-  }
-  return out;
-}
-
-/// Extract each component as its own PropertyGraph (ids and insertion
-/// order preserved), so per-component matchings speak source ids and
-/// merge trivially.
-std::vector<PropertyGraph> component_subgraphs(
-    const graph::CompactGraph& g, const std::vector<std::uint32_t>& comp,
-    std::uint32_t count) {
-  std::vector<PropertyGraph> subs(count);
-  const std::vector<graph::Node>& nodes = g.source->nodes();
-  const std::vector<graph::Edge>& edges = g.source->edges();
-  for (std::uint32_t v = 0; v < g.node_count(); ++v) {
-    subs[comp[v]].add_node(nodes[v].id, nodes[v].label, nodes[v].props);
-  }
-  for (std::uint32_t e = 0; e < g.edge_count(); ++e) {
-    const graph::Edge& edge = edges[e];
-    subs[comp[g.edge_src[e]]].add_edge(edge.id, edge.src, edge.tgt,
-                                       edge.label, edge.props);
-  }
-  return subs;
-}
-
-void merge_matching(Matching& total, const Matching& part) {
-  total.cost += part.cost;
-  total.node_map.insert(part.node_map.begin(), part.node_map.end());
-  total.edge_map.insert(part.edge_map.begin(), part.edge_map.end());
-}
-
-/// The decomposed bijective search: solve components independently and
-/// sum. Any isomorphism maps components onto components, and the cost is
-/// a sum of per-element costs, so the optimal total equals the best
-/// assignment of pattern components to signature-compatible target
-/// components, each pair solved at its own optimum. Returns std::nullopt
-/// when the components cannot be matched up (or the shared step budget
-/// runs out — a decomposed search does not report partial bests).
-std::optional<Matching> decomposed_isomorphism(const InternedGraph& g1,
-                                               const InternedGraph& g2,
-                                               const SearchOptions& options,
-                                               Stats* stats) {
-  if (g1.g.symbols != g2.g.symbols) {
-    throw std::invalid_argument(
-        "matcher: operands interned against different symbol tables");
-  }
-  SearchOptions sub = options;
-  sub.component_decomposition = false;
-
-  std::uint32_t count1 = 0, count2 = 0;
-  std::vector<std::uint32_t> comp1 = component_ids(g1.g, &count1);
-  std::vector<std::uint32_t> comp2 = component_ids(g2.g, &count2);
-  if (count1 <= 1 && count2 <= 1) {
-    return best_isomorphism(g1, g2, sub, stats);
-  }
-  if (count1 != count2) return std::nullopt;
-
-  std::vector<std::uint64_t> sig1 = component_signatures(g1.g, comp1, count1);
-  std::vector<std::uint64_t> sig2 = component_signatures(g2.g, comp2, count2);
-  // std::map: one fixed signature-ordered iteration, so the merged
-  // matching is deterministic.
-  std::map<std::uint64_t, std::pair<std::vector<std::uint32_t>,
-                                    std::vector<std::uint32_t>>>
-      groups;
-  for (std::uint32_t c = 0; c < count1; ++c) groups[sig1[c]].first.push_back(c);
-  for (std::uint32_t c = 0; c < count2; ++c) {
-    groups[sig2[c]].second.push_back(c);
-  }
-  for (const auto& [sig, group] : groups) {
-    if (group.first.size() != group.second.size()) return std::nullopt;
-  }
-
-  std::vector<PropertyGraph> subs1 = component_subgraphs(g1.g, comp1, count1);
-  std::vector<PropertyGraph> subs2 = component_subgraphs(g2.g, comp2, count2);
-  // One local table shared by every sub-snapshot, so each component is
-  // interned exactly once even when it appears in k*k pair searches.
-  SymbolTable local_symbols;
-  std::deque<InternedGraph> interned1, interned2;
-  std::vector<const InternedGraph*> by_comp1(count1), by_comp2(count2);
-  for (std::uint32_t c = 0; c < count1; ++c) {
-    interned1.emplace_back(subs1[c], local_symbols);
-    by_comp1[c] = &interned1.back();
-  }
-  for (std::uint32_t c = 0; c < count2; ++c) {
-    interned2.emplace_back(subs2[c], local_symbols);
-    by_comp2[c] = &interned2.back();
-  }
-
-  Matching total;
-  total.cost = 0;
-  for (const auto& [sig, group] : groups) {
-    const std::vector<std::uint32_t>& pat = group.first;
-    const std::vector<std::uint32_t>& tgt = group.second;
-    const std::size_t k = pat.size();
-    if (k == 1) {
-      std::optional<Matching> m =
-          best_isomorphism(*by_comp1[pat[0]], *by_comp2[tgt[0]], sub, stats);
-      if (stats->budget_exhausted) return std::nullopt;
-      if (!m.has_value()) return std::nullopt;
-      merge_matching(total, *m);
-      continue;
-    }
-    // Ambiguous signature group: solve every pairing once, then pick the
-    // cost-minimal assignment (lexicographically first on ties).
-    std::vector<std::vector<std::optional<Matching>>> cell(
-        k, std::vector<std::optional<Matching>>(k));
-    for (std::size_t p = 0; p < k; ++p) {
-      for (std::size_t t = 0; t < k; ++t) {
-        cell[p][t] =
-            best_isomorphism(*by_comp1[pat[p]], *by_comp2[tgt[t]], sub, stats);
-        if (stats->budget_exhausted) return std::nullopt;
-      }
-    }
-    int best = kInfinity;
-    std::vector<int> pick(k, -1), best_pick;
-    std::vector<bool> used(k, false);
-    auto dfs = [&](auto&& self, std::size_t row, int acc) -> void {
-      if (acc >= best) return;
-      if (row == k) {
-        best = acc;
-        best_pick = pick;
-        return;
-      }
-      for (std::size_t col = 0; col < k; ++col) {
-        if (used[col] || !cell[row][col].has_value()) continue;
-        used[col] = true;
-        pick[row] = static_cast<int>(col);
-        self(self, row + 1, acc + cell[row][col]->cost);
-        used[col] = false;
-      }
-    };
-    dfs(dfs, 0, 0);
-    if (best_pick.empty()) return std::nullopt;
-    for (std::size_t p = 0; p < k; ++p) {
-      merge_matching(total, *cell[p][static_cast<std::size_t>(best_pick[p])]);
-    }
-  }
-  return total;
-}
 
 }  // namespace
 
@@ -1030,11 +771,8 @@ std::optional<Matching> best_isomorphism(const InternedGraph& g1,
                                          const SearchOptions& options,
                                          Stats* stats) {
   Stats local;
-  Stats* effective = stats != nullptr ? stats : &local;
-  if (options.component_decomposition) {
-    return decomposed_isomorphism(g1, g2, options, effective);
-  }
-  SearchEngine engine(g1, g2, /*bijective=*/true, options, effective);
+  SearchEngine engine(g1, g2, /*bijective=*/true, options,
+                      stats != nullptr ? stats : &local);
   return engine.run();
 }
 

@@ -16,16 +16,21 @@
 //    remainder is the benchmark result.
 //
 // This module is a drop-in replacement for the ASP reduction: a dedicated
-// branch-and-bound search with the same semantics. Candidate pruning uses
-// label/degree signatures and (for the bijective problem) Weisfeiler-Leman
-// colours; optimization prunes on the accumulated property-mismatch cost.
-// Both knobs can be disabled for the ablation benchmark.
+// branch-and-bound search with the same semantics and one search order,
+// WL-colour scarcity. Candidate pruning uses label/degree signatures and
+// (for the bijective problem) Weisfeiler-Leman colour classes; candidates
+// are tried cheapest-first, the most constrained pattern node goes next
+// (ties towards the rarer target colour class), and optimization prunes
+// on the accumulated property-mismatch cost plus an admissible estimate
+// of the unassigned remainder. The search is exhaustive, so the optimum
+// does not depend on the order; the order only decides how soon it is
+// found and proven. Pruning and bounding can be disabled for the
+// ablation benchmark.
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <optional>
-#include <string>
 
 #include "graph/property_graph.h"
 
@@ -57,51 +62,17 @@ enum class CostModel {
   Symmetric,
 };
 
-/// In which order candidate target nodes are tried for each pattern node.
-/// The search is exhaustive either way — ordering only decides how soon a
-/// good solution is found, which determines how hard branch-and-bound can
-/// prune. Implements the paper's §5.4 suggestion that "if matched nodes
-/// are usually produced in the same order (according to timestamps) ...
-/// it may be possible to incrementally match" the graphs.
-enum class CandidateOrder {
-  /// Graph insertion order (the baseline behaviour).
-  None,
-  /// Cheapest node-property cost first: greedy best-first descent, no
-  /// domain knowledge needed.
-  PropertyCost,
-  /// Closest rank of a timestamp-like property first (see
-  /// `SearchOptions::timestamp_key`): provenance elements are appended
-  /// roughly monotonically, so temporally aligned candidates almost
-  /// always belong to the optimal matching.
-  TimestampRank,
-  /// WL-colour-scarcity strategy. Candidate lists are pruned to the
-  /// matching WL colour class (bijective problem) and sorted
-  /// cheapest-cost first; the most-constrained-first node order breaks
-  /// candidate-count ties towards the rarer target colour class; and
-  /// the cost bound is tightened with an admissible remaining-cost
-  /// estimate (the sum of per-node minimum candidate costs over the
-  /// unassigned suffix). Scarce colour classes have the fewest
-  /// candidates, so wrong turns are taken — and proven wrong — as
-  /// early as possible; the suffix bound then prunes any deviation
-  /// from a discovered optimum immediately. Exhaustive and
-  /// optimum-preserving like every other order.
-  WlScarcity,
-};
-
 struct SearchOptions {
   CostModel cost_model = CostModel::OneSided;
   /// Stop as soon as any structurally valid matching is found (the cost is
   /// still reported for that matching, but not optimized).
   bool first_solution_only = false;
-  /// Enable label/degree/WL candidate pruning (ablation knob).
+  /// Enable label/degree candidate pruning (ablation knob). The WL
+  /// colour-class filter of the bijective problem is part of the search
+  /// order and stays on either way.
   bool candidate_pruning = true;
   /// Enable branch-and-bound pruning on cost (ablation knob).
   bool cost_bounding = true;
-  /// Candidate ordering heuristic (see CandidateOrder).
-  CandidateOrder candidate_order = CandidateOrder::PropertyCost;
-  /// Property key carrying per-element recording order, used by
-  /// CandidateOrder::TimestampRank (numeric comparison when possible).
-  std::string timestamp_key = "time";
   /// Abort after this many search steps; 0 = unlimited. A hit produces
   /// std::nullopt with `budget_exhausted` set in Stats. Guards against the
   /// worst-case exponential behaviour the paper accepts as a risk (§5.4).
@@ -109,15 +80,6 @@ struct SearchOptions {
   /// enforced cooperatively (a worker that trips it cancels its
   /// siblings), accurate to one flush batch per worker.
   std::size_t step_budget = 0;
-  /// Solve independent weakly-connected components of the two graphs
-  /// separately and sum their costs (bijective problem only; the
-  /// embedding problem ignores it, since disjoint pattern components
-  /// may compete for overlapping target nodes). Components are matched
-  /// up by WL-colour-multiset signature; ambiguous groups solve every
-  /// pairing and pick the cost-minimal assignment, so the optimal cost
-  /// is identical to the joint search — but the multiplicative
-  /// cross-component candidate space becomes additive.
-  bool component_decomposition = false;
   /// Worker count for the deterministic parallel branch-and-bound;
   /// <= 1 searches serially on the calling thread. The root-level
   /// candidate space is partitioned into fixed prefix subtrees,
@@ -134,24 +96,17 @@ struct SearchOptions {
   runtime::ThreadPool* pool = nullptr;
 };
 
-/// The user-facing search knobs threaded from the CLI / pipeline down
-/// into every matcher call of a run (the ablation booleans stay on the
+/// The parallel-search knobs threaded from the CLI / pipeline down into
+/// every matcher call of a run (the ablation booleans stay on the
 /// per-stage option structs). apply() overlays these onto a fully
 /// populated SearchOptions.
 struct SearchConfig {
-  CandidateOrder order = CandidateOrder::PropertyCost;
-  bool decompose = false;
   int threads = 1;
-  /// 0 keeps the call site's own budget.
-  std::size_t step_budget = 0;
   runtime::ThreadPool* pool = nullptr;
 
   void apply(SearchOptions& options) const {
-    options.candidate_order = order;
-    options.component_decomposition = decompose;
     options.threads = threads;
     options.pool = pool;
-    if (step_budget > 0) options.step_budget = step_budget;
   }
 };
 

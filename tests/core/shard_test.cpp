@@ -292,18 +292,20 @@ TEST(ShardResume, CompletenessDetection) {
   write_shard_dir(tmp.str(), spec, results);
   EXPECT_TRUE(shard_complete(dir, spec));
 
-  // A different sweep configuration must not reuse these artifacts —
-  // including a different matcher ordering (same optimal costs, but
-  // possibly a different tied matching, so different bytes).
+  // A different sweep configuration must not reuse these artifacts:
+  // every byte-affecting field of the spec is in the fingerprint.
   ShardSpec other = spec;
   other.seed = 43;
   EXPECT_FALSE(shard_complete(dir, other));
   ShardSpec more_shards = plan_batch(systems, {"open"}, 2, 42, "rb", true)
                               .shard(0);
   EXPECT_FALSE(shard_complete(dir, more_shards));
-  ShardSpec other_order =
-      plan_batch(systems, {"open"}, 1, 42, "rb", true, "wl").shard(0);
-  EXPECT_FALSE(shard_complete(dir, other_order));
+  ShardSpec other_type =
+      plan_batch(systems, {"open"}, 1, 42, "rg", true).shard(0);
+  EXPECT_FALSE(shard_complete(dir, other_type));
+  ShardSpec measured_timings =
+      plan_batch(systems, {"open"}, 1, 42, "rb", false).shard(0);
+  EXPECT_FALSE(shard_complete(dir, measured_timings));
   ShardSpec other_matrix =
       plan_batch(systems, {"rename"}, 1, 42, "rb", true).shard(0);
   EXPECT_FALSE(shard_complete(dir, other_matrix));
@@ -314,6 +316,46 @@ TEST(ShardResume, CompletenessDetection) {
   std::ofstream(manifest, std::ios::binary | std::ios::trunc)
       << text.substr(0, text.size() - 10);
   EXPECT_FALSE(shard_complete(dir, spec));
+}
+
+TEST(ShardResume, PreviousManifestVersionIsRerunNotAccepted) {
+  // A shard written by an older build (format v2, which still carried a
+  // matcher-order line) must not be silently accepted: resume re-runs it
+  // and merge reports it as retryable damage (CLI exit 3).
+  ShardPlan plan = plan_batch({"spade"}, {"open", "fork"}, 2, 42, "rb", true);
+  TempDir tmp("v2");
+  std::vector<std::string> shard_dirs;
+  for (int k = 0; k < 2; ++k) {
+    ShardSpec spec = plan.shard(k);
+    CellRunOptions options;
+    options.seed = spec.seed;
+    options.deterministic_timings = spec.deterministic_timings;
+    write_shard_dir(tmp.str(), spec, run_batch_cells(spec.cells, options));
+    shard_dirs.push_back(shard_dir_path(tmp.str(), k));
+  }
+  ASSERT_EQ(read_shard_results(shard_dirs).size(), plan.cells.size());
+
+  // Rewrite shard 1's manifest in the v2 layout.
+  const fs::path manifest = fs::path(shard_dirs[1]) / "shard.manifest";
+  std::string text = slurp(manifest);
+  const std::string v3 = "provmark-shard v3\n";
+  ASSERT_EQ(text.rfind(v3, 0), 0u);
+  text = "provmark-shard v2\n" + text.substr(v3.size());
+  const std::size_t matrix = text.find("\nmatrix ");
+  ASSERT_NE(matrix, std::string::npos);
+  text.insert(matrix + 1, "matcher-order \"\"\n");
+  std::ofstream(manifest, std::ios::binary | std::ios::trunc) << text;
+
+  EXPECT_TRUE(shard_complete(shard_dirs[0], plan.shard(0)));
+  EXPECT_FALSE(shard_complete(shard_dirs[1], plan.shard(1)));
+  try {
+    read_shard_results(shard_dirs);
+    FAIL() << "v2 manifest merged";
+  } catch (const ShardRetryableError& e) {
+    EXPECT_EQ(e.dir, shard_dirs[1]);
+    EXPECT_NE(std::string(e.what()).find("not a shard manifest"),
+              std::string::npos);
+  }
 }
 
 TEST(ShardIntegrity, ManifestTruncationFuzzNeverParses) {

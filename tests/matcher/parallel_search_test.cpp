@@ -101,6 +101,30 @@ PropertyGraph transient_copy(const PropertyGraph& g, std::uint64_t seed) {
   return out;
 }
 
+/// A process with `artifacts` read artifacts, each carrying a distinct
+/// path. Embedding a small star into a large one has
+/// large!/(large-small)! structurally valid solutions, so with cost
+/// bounding off the search tree is as big as the budget tests need
+/// under any search order.
+PropertyGraph star(int artifacts, const std::string& prefix) {
+  PropertyGraph g;
+  g.add_node(prefix, "Process", {{"name", "reader"}});
+  for (int a = 0; a < artifacts; ++a) {
+    std::string aid = prefix + "a" + std::to_string(a);
+    g.add_node(aid, "Artifact", {{"path", "/tmp/" + std::to_string(a)}});
+    g.add_edge(aid + "e", prefix, aid, "Used", {{"operation", "read"}});
+  }
+  return g;
+}
+
+SearchOptions exhaustive_embedding() {
+  SearchOptions options;
+  options.cost_model = CostModel::OneSided;
+  options.candidate_pruning = false;
+  options.cost_bounding = false;
+  return options;
+}
+
 void expect_same_outcome(const std::optional<Matching>& serial,
                          const Stats& serial_stats,
                          const std::optional<Matching>& parallel,
@@ -121,38 +145,34 @@ class ParallelIdentityTest : public ::testing::TestWithParam<int> {};
 TEST_P(ParallelIdentityTest, MatchesSerialAtEveryThreadCount) {
   const int threads = GetParam();
   runtime::ThreadPool pool(threads);
-  for (CandidateOrder order :
-       {CandidateOrder::PropertyCost, CandidateOrder::WlScarcity}) {
-    for (int seed = 0; seed < 12; ++seed) {
-      util::Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 11);
-      PropertyGraph g1 = random_graph(3 + seed % 5, 2 + seed % 6, rng);
-      PropertyGraph g2 = transient_copy(g1, seed + 100);
-      SearchOptions serial;
-      serial.cost_model = CostModel::Symmetric;
-      serial.candidate_order = order;
-      SearchOptions par = serial;
-      par.threads = threads;
-      par.pool = &pool;
+  for (int seed = 0; seed < 12; ++seed) {
+    util::Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 11);
+    PropertyGraph g1 = random_graph(3 + seed % 5, 2 + seed % 6, rng);
+    PropertyGraph g2 = transient_copy(g1, seed + 100);
+    SearchOptions serial;
+    serial.cost_model = CostModel::Symmetric;
+    SearchOptions par = serial;
+    par.threads = threads;
+    par.pool = &pool;
 
-      Stats serial_stats, parallel_stats;
-      auto s = best_isomorphism(g1, g2, serial, &serial_stats);
-      auto p = best_isomorphism(g1, g2, par, &parallel_stats);
-      expect_same_outcome(s, serial_stats, p, parallel_stats,
-                          "iso seed " + std::to_string(seed) + " threads " +
-                              std::to_string(threads));
+    Stats serial_stats, parallel_stats;
+    auto s = best_isomorphism(g1, g2, serial, &serial_stats);
+    auto p = best_isomorphism(g1, g2, par, &parallel_stats);
+    expect_same_outcome(s, serial_stats, p, parallel_stats,
+                        "iso seed " + std::to_string(seed) + " threads " +
+                            std::to_string(threads));
 
-      PropertyGraph bg = random_graph(2 + seed % 3, seed % 3, rng);
-      SearchOptions embed_serial = serial;
-      embed_serial.cost_model = CostModel::OneSided;
-      SearchOptions embed_par = par;
-      embed_par.cost_model = CostModel::OneSided;
-      Stats es, ep;
-      auto se = best_subgraph_embedding(bg, g1, embed_serial, &es);
-      auto pe = best_subgraph_embedding(bg, g1, embed_par, &ep);
-      expect_same_outcome(se, es, pe, ep,
-                          "embed seed " + std::to_string(seed) + " threads " +
-                              std::to_string(threads));
-    }
+    PropertyGraph bg = random_graph(2 + seed % 3, seed % 3, rng);
+    SearchOptions embed_serial = serial;
+    embed_serial.cost_model = CostModel::OneSided;
+    SearchOptions embed_par = par;
+    embed_par.cost_model = CostModel::OneSided;
+    Stats es, ep;
+    auto se = best_subgraph_embedding(bg, g1, embed_serial, &es);
+    auto pe = best_subgraph_embedding(bg, g1, embed_par, &ep);
+    expect_same_outcome(se, es, pe, ep,
+                        "embed seed " + std::to_string(seed) + " threads " +
+                            std::to_string(threads));
   }
 }
 
@@ -161,74 +181,58 @@ TEST_P(ParallelIdentityTest, ProvenanceSpineIdenticalMapping) {
   runtime::ThreadPool pool(threads);
   PropertyGraph g1 = provenance_graph(8, 1);
   PropertyGraph g2 = transient_copy(g1, 2);
-  for (CandidateOrder order :
-       {CandidateOrder::PropertyCost, CandidateOrder::WlScarcity}) {
-    for (bool decompose : {false, true}) {
-      SearchOptions serial;
-      serial.cost_model = CostModel::Symmetric;
-      serial.candidate_order = order;
-      serial.component_decomposition = decompose;
-      SearchOptions par = serial;
-      par.threads = threads;
-      par.pool = &pool;
-      Stats ss, ps;
-      auto s = best_isomorphism(g1, g2, serial, &ss);
-      auto p = best_isomorphism(g1, g2, par, &ps);
-      expect_same_outcome(s, ss, p, ps,
-                          "spine threads " + std::to_string(threads));
-      ASSERT_TRUE(s.has_value());
-      EXPECT_FALSE(ss.budget_exhausted);
-      // Steps aggregate across workers: merged exactly once, so the
-      // total is at least the serial prefix enumeration and every
-      // solution is counted once.
-      EXPECT_GT(ps.steps, 0u);
-      EXPECT_GE(ps.solutions_found, 1u);
-    }
-  }
+  SearchOptions serial;
+  serial.cost_model = CostModel::Symmetric;
+  SearchOptions par = serial;
+  par.threads = threads;
+  par.pool = &pool;
+  Stats ss, ps;
+  auto s = best_isomorphism(g1, g2, serial, &ss);
+  auto p = best_isomorphism(g1, g2, par, &ps);
+  expect_same_outcome(s, ss, p, ps,
+                      "spine threads " + std::to_string(threads));
+  ASSERT_TRUE(s.has_value());
+  EXPECT_FALSE(ss.budget_exhausted);
+  // Steps aggregate across workers: merged exactly once, so the total
+  // is at least the serial prefix enumeration and every solution is
+  // counted once.
+  EXPECT_GT(ps.steps, 0u);
+  EXPECT_GE(ps.solutions_found, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelIdentityTest,
                          ::testing::Values(1, 4, 8));
 
 TEST(ParallelBudget, ExhaustionReportedAtAnyThreadCount) {
-  PropertyGraph g1 = provenance_graph(10, 3);
-  PropertyGraph g2 = transient_copy(g1, 4);
+  PropertyGraph bg = star(6, "b");
+  PropertyGraph fg = star(12, "f");
   runtime::ThreadPool pool(4);
   // A budget far below the instance's search needs: serial and parallel
   // must both report exhaustion.
   for (int threads : {1, 4}) {
-    SearchOptions options;
-    options.cost_model = CostModel::Symmetric;
-    options.candidate_order = CandidateOrder::None;  // uninformed = huge tree
+    SearchOptions options = exhaustive_embedding();
     options.step_budget = 50;
     options.threads = threads;
     options.pool = &pool;
     Stats stats;
-    best_isomorphism(g1, g2, options, &stats);
+    best_subgraph_embedding(bg, fg, options, &stats);
     EXPECT_TRUE(stats.budget_exhausted) << "threads " << threads;
   }
 }
 
 TEST(ParallelBudget, CooperativeCancellationIsPrompt) {
-  // Unpruned, this instance's tree runs to several hundred thousand
-  // steps (~2^16 artifact-swap automorphisms), so the shared budget is
-  // guaranteed to trip and the assertion below genuinely bounds how
-  // fast siblings notice.
-  PropertyGraph g1 = provenance_graph(16, 5);
-  PropertyGraph g2 = transient_copy(g1, 6);
+  // Unbounded, this instance's tree has 16!/8! (~5e8) leaves, so the
+  // shared budget is guaranteed to trip at every thread count and the
+  // assertion below genuinely bounds how fast siblings notice.
+  PropertyGraph bg = star(8, "b");
+  PropertyGraph fg = star(16, "f");
   runtime::ThreadPool pool(8);
-  SearchOptions options;
-  options.cost_model = CostModel::Symmetric;
-  options.candidate_order = CandidateOrder::None;
-  // No pruning at all: the joint tree is astronomically larger than the
-  // budget at every thread count, so exhaustion is guaranteed.
-  options.candidate_pruning = false;
-  options.cost_bounding = false;
+  SearchOptions options = exhaustive_embedding();
   options.step_budget = 20'000;
   options.threads = 8;
   options.pool = &pool;
   Stats stats;
-  best_isomorphism(g1, g2, options, &stats);
+  best_subgraph_embedding(bg, fg, options, &stats);
   ASSERT_TRUE(stats.budget_exhausted);
   // Budget enforcement is batched (one flush per 512 steps per worker):
   // siblings cancel within one batch each instead of running to a
@@ -245,15 +249,11 @@ TEST(ParallelBudget, SubBatchTasksStillEnforceTheBudget) {
   // flush must still publish their steps and check the budget —
   // otherwise a fleet of sub-batch tasks overruns step_budget with
   // budget_exhausted left false.
-  PropertyGraph g1 = provenance_graph(6, 9);
-  PropertyGraph g2 = transient_copy(g1, 10);
-  SearchOptions serial;
-  serial.cost_model = CostModel::Symmetric;
-  serial.candidate_order = CandidateOrder::None;
-  serial.candidate_pruning = false;
-  serial.cost_bounding = false;
+  PropertyGraph bg = star(3, "b");
+  PropertyGraph fg = star(6, "f");
+  SearchOptions serial = exhaustive_embedding();
   Stats full;
-  ASSERT_TRUE(best_isomorphism(g1, g2, serial, &full).has_value());
+  ASSERT_TRUE(best_subgraph_embedding(bg, fg, serial, &full).has_value());
   ASSERT_GT(full.steps, 64u);  // instance big enough to halve
 
   runtime::ThreadPool pool(8);
@@ -262,7 +262,7 @@ TEST(ParallelBudget, SubBatchTasksStillEnforceTheBudget) {
   par.pool = &pool;
   par.step_budget = full.steps / 2;
   Stats stats;
-  best_isomorphism(g1, g2, par, &stats);
+  best_subgraph_embedding(bg, fg, par, &stats);
   EXPECT_TRUE(stats.budget_exhausted);
 }
 
@@ -319,8 +319,7 @@ TEST(MemoConcurrency, EachPairStoredExactlyOnce) {
 
 TEST(PipelineSearchConfig, ResultsIdenticalAtAnyMatcherThreadCount) {
   // The SearchConfig plumbed through PipelineOptions must leave the
-  // benchmark result invariant across matcher thread counts (and the
-  // WL strategy must preserve statuses and costs end to end).
+  // benchmark result invariant across matcher thread counts.
   bench_suite::BenchmarkProgram program = bench_suite::benchmark_by_name(
       "rename");
   runtime::ThreadPool matcher_pool(8);
@@ -328,8 +327,6 @@ TEST(PipelineSearchConfig, ResultsIdenticalAtAnyMatcherThreadCount) {
   for (int threads : {1, 8}) {
     core::PipelineOptions options;
     options.system = "spade";
-    options.matcher.order = CandidateOrder::WlScarcity;
-    options.matcher.decompose = true;
     options.matcher.threads = threads;
     options.matcher.pool = threads > 1 ? &matcher_pool : nullptr;
     core::BenchmarkResult result = core::run_benchmark(program, options);
