@@ -65,7 +65,9 @@ class Generator {
     return out;
   }
 
-  std::string fresh_var() { return "v" + std::to_string(next_var_++); }
+  std::string fresh_var() {
+    return std::string("v").append(std::to_string(next_var_++));
+  }
 
   Op make(OpCode code, bool is_target) {
     Op o;

@@ -22,8 +22,6 @@ CompareResult compare_graphs(const matcher::InternedGraph& background,
 
   matcher::SearchOptions search;
   search.cost_model = matcher::CostModel::OneSided;
-  search.candidate_pruning = options.candidate_pruning;
-  search.cost_bounding = options.cost_bounding;
   options.search.apply(search);
   std::optional<matcher::Matching> matching = matcher::best_subgraph_embedding(
       background, foreground, search, &result.search_stats);

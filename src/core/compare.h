@@ -12,8 +12,6 @@
 namespace provmark::core {
 
 struct CompareOptions {
-  bool candidate_pruning = true;
-  bool cost_bounding = true;
   /// Parallel-search knobs forwarded into the matcher call. The
   /// pipeline overlays its own PipelineOptions::matcher config here.
   matcher::SearchConfig search;

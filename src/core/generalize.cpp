@@ -122,8 +122,6 @@ std::optional<graph::PropertyGraph> generalize_pair(
     const GeneralizeOptions& options, matcher::Stats* stats) {
   matcher::SearchOptions search;
   search.cost_model = matcher::CostModel::Symmetric;
-  search.candidate_pruning = options.candidate_pruning;
-  search.cost_bounding = options.cost_bounding;
   options.search.apply(search);
   std::optional<matcher::Matching> matching =
       matcher::best_isomorphism(a, b, search, stats);

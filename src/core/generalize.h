@@ -36,9 +36,6 @@ enum class PickStrategy { SmallestClass, LargestClass };
 
 struct GeneralizeOptions {
   PickStrategy pick = PickStrategy::SmallestClass;
-  /// Passed through to the matcher (ablation knobs).
-  bool candidate_pruning = true;
-  bool cost_bounding = true;
   /// Parallel-search knobs forwarded into the generalization
   /// isomorphism. The pipeline overlays its own PipelineOptions::matcher
   /// config here.

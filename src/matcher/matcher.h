@@ -24,8 +24,10 @@
 // on the accumulated property-mismatch cost plus an admissible estimate
 // of the unassigned remainder. The search is exhaustive, so the optimum
 // does not depend on the order; the order only decides how soon it is
-// found and proven. Pruning and bounding can be disabled for the
-// ablation benchmark.
+// found and proven. Pruning and bounding can be disabled per search
+// (SearchOptions only; the pipeline always runs with both on): the
+// unpruned search is the reference four matcher tests compare against,
+// and bench/ablation_matcher.cpp measures what each one saves.
 #pragma once
 
 #include <cstddef>

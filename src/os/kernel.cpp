@@ -292,7 +292,10 @@ SyscallResult Kernel::do_open(Pid pid, const std::string& call,
   if (error == Errno::None) {
     if ((flags & kO_TRUNC) != 0) vfs_.truncate(path, 0);
     int fd = p.next_fd++;
-    p.fds[fd] = OpenFile{lookup.ino, path, flags, false, false};
+    OpenFile& file = p.fds[fd] = OpenFile{};
+    file.ino = lookup.ino;
+    file.path = path;
+    file.flags = flags;
     result = SyscallResult::success(fd);
   } else {
     result = SyscallResult::fail(error);
@@ -875,7 +878,7 @@ SyscallResult Kernel::do_setid(
   emit_libc(pid, call, args, sys.ret, sys.error);
   std::map<std::string, std::string> fields;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    fields["a" + std::to_string(i)] = args[i];
+    fields[std::string("a").append(std::to_string(i))] = args[i];
   }
   emit_audit(pid, call, sys.ok(), sys.ret, {}, std::move(fields));
   if (sys.ok()) {
@@ -963,8 +966,14 @@ SyscallResult Kernel::do_pipe(Pid pid, const std::string& call,
   std::uint64_t ino = vfs_.allocate_anonymous(FileType::Fifo);
   int read_fd = p.next_fd++;
   int write_fd = p.next_fd++;
-  p.fds[read_fd] = OpenFile{ino, "", kO_RDONLY, true, false};
-  p.fds[write_fd] = OpenFile{ino, "", kO_WRONLY, false, true};
+  OpenFile& read_end = p.fds[read_fd] = OpenFile{};
+  read_end.ino = ino;
+  read_end.flags = kO_RDONLY;
+  read_end.pipe_read_end = true;
+  OpenFile& write_end = p.fds[write_fd] = OpenFile{};
+  write_end.ino = ino;
+  write_end.flags = kO_WRONLY;
+  write_end.pipe_write_end = true;
   if (pipe_fds != nullptr) *pipe_fds = {read_fd, write_fd};
   SyscallResult sys = SyscallResult::success(read_fd);
   emit_libc(pid, call,

@@ -1,6 +1,6 @@
 #include "serve/cluster.h"
 
-#include <poll.h>
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -12,7 +12,6 @@
 #include <cstring>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -21,6 +20,7 @@
 #include "core/supervise.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
+#include "serve/reactor.h"
 #include "serve/socket_util.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -32,48 +32,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-int g_signal_pipe_write = -1;
-
-void on_signal(int) {
-  // async-signal-safe: one byte wakes the poll loop.
-  const char byte = 1;
-  if (g_signal_pipe_write >= 0) {
-    [[maybe_unused]] ssize_t n = ::write(g_signal_pipe_write, &byte, 1);
-  }
-}
-
-/// One response slot on a client connection, filled in request order.
-/// Forwarded requests park unready; locally answered requests behind
-/// them park ready and wait their turn.
-struct RouterParked {
-  std::uint64_t slot = 0;
-  bool ready = false;
-  std::string line;  ///< response line, no newline
-};
-
-struct ClientConn {
-  int fd = -1;
-  std::uint64_t id = 0;  ///< generation id: fd numbers get reused
-  std::string inbuf;
-  std::string outbuf;
-  std::deque<RouterParked> parked;
-  std::uint64_t next_slot = 1;
-};
-
 /// A request forwarded to a member, awaiting its in-order response.
 struct Outstanding {
-  std::uint64_t conn_id = 0;
-  std::uint64_t slot = 0;
+  Reactor::Id conn = 0;
+  Reactor::Slot slot = 0;
 };
 
-/// The router's side of one member: proxy socket, heartbeat pipe, and
-/// the FIFO of in-flight requests (the member answers per-connection
-/// in request order, so front() always owns the next response line).
+/// The router's side of one member: proxy connection, heartbeat-pipe
+/// watch, and the FIFO of in-flight requests (the member answers
+/// per-connection in request order, so front() always owns the next
+/// response line).
 struct MemberLink {
-  int fd = -1;
-  int hb_fd = -1;
-  std::string inbuf;
-  std::string outbuf;
+  Reactor::Id conn = 0;
+  Reactor::Id beats = 0;
+  Reactor::Handler handler;
   std::deque<Outstanding> outstanding;
   Clock::time_point next_connect{};
   std::uint64_t routed = 0;
@@ -86,14 +58,17 @@ struct MemberLink {
 /// descriptor so connection lifetimes stay accurate.
 class RouterHost final : public core::DaemonHost {
  public:
-  RouterHost(const ClusterOptions& options, std::vector<MemberLink>& links)
-      : options_(options), links_(links) {}
+  RouterHost(const ClusterOptions& options, Reactor& reactor)
+      : options_(options), reactor_(reactor) {}
 
-  std::function<void()> close_inherited_in_child;
+  /// Takes the read end of a new incarnation's heartbeat pipe.
+  std::function<void(int member, int fd)> on_spawned;
 
   std::uint64_t spawn_member(int member, int incarnation) override {
+    // Non-blocking: a member whose router stops reading skips beats
+    // instead of stalling in write().
     int hb[2];
-    if (::pipe(hb) != 0) return 0;
+    if (::pipe2(hb, O_NONBLOCK) != 0) return 0;
     const pid_t pid = ::fork();
     if (pid < 0) {
       ::close(hb[0]);
@@ -102,7 +77,7 @@ class RouterHost final : public core::DaemonHost {
     }
     if (pid == 0) {
       ::close(hb[0]);
-      if (close_inherited_in_child) close_inherited_in_child();
+      reactor_.close_inherited();
       ::signal(SIGTERM, SIG_DFL);
       ::signal(SIGINT, SIG_DFL);
       ::signal(SIGPIPE, SIG_IGN);
@@ -133,9 +108,7 @@ class RouterHost final : public core::DaemonHost {
       ::_exit(code);
     }
     ::close(hb[1]);
-    MemberLink& link = links_[static_cast<std::size_t>(member)];
-    if (link.hb_fd >= 0) ::close(link.hb_fd);
-    link.hb_fd = hb[0];
+    on_spawned(member, hb[0]);
     note(util::format("member %d incarnation %d spawned (pid %d)", member,
                       incarnation, static_cast<int>(pid)));
     return static_cast<std::uint64_t>(pid);
@@ -159,7 +132,7 @@ class RouterHost final : public core::DaemonHost {
 
  private:
   const ClusterOptions& options_;
-  std::vector<MemberLink>& links_;
+  Reactor& reactor_;
 };
 
 }  // namespace
@@ -238,35 +211,10 @@ int run_cluster(const ClusterOptions& options) {
     std::fprintf(stderr, "cluster: %s\n", listen_error.c_str());
     return 1;
   }
-
-  int signal_pipe[2];
-  if (::pipe(signal_pipe) != 0) {
-    ::close(listener);
-    std::fprintf(stderr, "cluster: cannot create signal pipe\n");
-    return 1;
-  }
-  g_signal_pipe_write = signal_pipe[1];
-  struct sigaction action{};
-  action.sa_handler = on_signal;
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
+  Reactor reactor;
 
   std::vector<MemberLink> links(static_cast<std::size_t>(options.members));
-  std::map<int, ClientConn> connections;
-  std::uint64_t next_conn_id = 1;
-
-  RouterHost host(options, links);
-  host.close_inherited_in_child = [&] {
-    ::close(listener);
-    ::close(signal_pipe[0]);
-    ::close(signal_pipe[1]);
-    for (const auto& [fd, conn] : connections) ::close(fd);
-    for (const MemberLink& link : links) {
-      if (link.fd >= 0) ::close(link.fd);
-      if (link.hb_fd >= 0) ::close(link.hb_fd);
-    }
-  };
+  RouterHost host(options, reactor);
 
   core::DaemonPolicy policy;
   policy.seed = options.service.seed;
@@ -290,48 +238,60 @@ int run_cluster(const ClusterOptions& options) {
 
   const std::string busy_line = format_response(Response{Status::Busy, 0, ""});
 
-  auto flush_ready = [](ClientConn& conn) {
-    while (!conn.parked.empty() && conn.parked.front().ready) {
-      conn.outbuf += conn.parked.front().line;
-      conn.outbuf += '\n';
-      conn.parked.pop_front();
-    }
-  };
-
-  auto fill_slot = [&](const Outstanding& o, const std::string& line) {
-    for (auto& [fd, conn] : connections) {
-      if (conn.id != o.conn_id) continue;
-      for (RouterParked& parked : conn.parked) {
-        if (parked.slot != o.slot) continue;
-        parked.ready = true;
-        parked.line = line;
-        break;
+  host.on_spawned = [&](int member, int fd) {
+    MemberLink& link = links[static_cast<std::size_t>(member)];
+    reactor.close(link.beats);
+    link.beats = reactor.watch(fd, [&, member](int beat_fd) {
+      char beats[256];
+      ssize_t n;
+      do {
+        n = ::read(beat_fd, beats, sizeof(beats));
+      } while (n < 0 && errno == EINTR);
+      if (n > 0) {
+        heartbeats_seen += static_cast<std::uint64_t>(n);
+        for (ssize_t b = 0; b < n; ++b) supervisor.heartbeat(member);
+        return true;
       }
-      flush_ready(conn);
-      return;
-    }
-    // The client hung up while its request was in flight; nothing to
-    // deliver.
+      // EOF or error: the writer is gone; the corpse arrives via
+      // waitpid. A fresh spawn installs a fresh pipe.
+      return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    });
   };
 
   auto drop_member_link = [&](int member, const char* why) {
     MemberLink& link = links[static_cast<std::size_t>(member)];
-    if (link.fd >= 0) {
+    if (link.conn != 0) {
       host.note(util::format("member %d link closed (%s)", member, why));
-      ::close(link.fd);
-      link.fd = -1;
+      reactor.close(link.conn);
+      link.conn = 0;
     }
-    link.inbuf.clear();
-    link.outbuf.clear();
     // Never silently drop: every request in flight to the dead link is
     // answered busy — journaled-but-unacked is a valid history the
     // client's retry path owns (same contract as sync-mode failover).
-    while (!link.outstanding.empty()) {
-      fill_slot(link.outstanding.front(), busy_line);
-      link.outstanding.pop_front();
+    for (const Outstanding& o : link.outstanding) {
+      reactor.fill(o.conn, o.slot, busy_line);
     }
+    link.outstanding.clear();
     link.next_connect = Clock::now() + std::chrono::milliseconds(20);
   };
+
+  for (int m = 0; m < options.members; ++m) {
+    MemberLink& link = links[static_cast<std::size_t>(m)];
+    link.handler.on_line = [&, m](Reactor::Id, const std::string& line) {
+      MemberLink& owner = links[static_cast<std::size_t>(m)];
+      if (owner.outstanding.empty()) {
+        drop_member_link(m, "unsolicited response");
+        return;
+      }
+      const Outstanding o = owner.outstanding.front();
+      owner.outstanding.pop_front();
+      ++proxied_responses;
+      reactor.fill(o.conn, o.slot, line);
+    };
+    link.handler.on_close = [&, m](Reactor::Id) {
+      drop_member_link(m, "peer closed");
+    };
+  }
 
   auto collect_stats = [&]() {
     RouterStats stats;
@@ -355,64 +315,52 @@ int run_cluster(const ClusterOptions& options) {
     return stats;
   };
 
-  auto respond = [&](ClientConn& conn, const Response& response) {
-    if (conn.parked.empty()) {
-      conn.outbuf += format_response(response);
-      conn.outbuf += '\n';
-    } else {
-      RouterParked parked;
-      parked.slot = conn.next_slot++;
-      parked.ready = true;
-      parked.line = format_response(response);
-      conn.parked.push_back(std::move(parked));
-    }
+  auto respond = [&](Reactor::Id id, const Response& response) {
+    reactor.write(id, format_response(response) + '\n');
   };
 
-  auto handle_client_line = [&](ClientConn& conn, const std::string& line) {
+  Reactor::Handler clients;
+  clients.max_line = 2 * options.service.max_payload_bytes + 4096;
+  clients.on_line = [&](Reactor::Id id, const std::string& line) {
     Request request;
     try {
       request = parse_request(line);
     } catch (const std::exception& e) {
-      respond(conn, Response{Status::BadRequest, 0, e.what()});
+      respond(id, Response{Status::BadRequest, 0, e.what()});
       return;
     }
     if (!request.is_event) {
       if (request.query == QueryKind::Ping) {
-        respond(conn, Response{Status::Result, 0, "pong"});
+        respond(id, Response{Status::Result, 0, "pong"});
         return;
       }
       if (request.query == QueryKind::Stats) {
-        respond(conn,
-                Response{Status::Result, 0, collect_stats().to_text()});
+        respond(id, Response{Status::Result, 0, collect_stats().to_text()});
         return;
       }
       if (request.query == QueryKind::Promote) {
-        respond(conn, Response{Status::BadRequest, 0,
-                               "cluster members are primaries; promote "
-                               "targets a standby daemon"});
+        respond(id, Response{Status::BadRequest, 0,
+                             "cluster members are primaries; promote "
+                             "targets a standby daemon"});
         return;
       }
     }
     const int m = member_for(request.session, options.members);
     MemberLink& link = links[static_cast<std::size_t>(m)];
-    if (link.fd < 0) {
+    if (link.conn == 0) {
       // Down or mid-restart: busy until the new incarnation finishes
       // journal replay and binds its socket. Never a silent drop.
       ++busy_member_down;
-      respond(conn, Response{Status::Busy, 0, ""});
+      respond(id, Response{Status::Busy, 0, ""});
       return;
     }
     if (static_cast<int>(link.outstanding.size()) >= options.member_window) {
       ++busy_window_full;
-      respond(conn, Response{Status::Busy, 0, ""});
+      respond(id, Response{Status::Busy, 0, ""});
       return;
     }
-    link.outbuf += line;
-    link.outbuf += '\n';
-    RouterParked parked;
-    parked.slot = conn.next_slot++;
-    conn.parked.push_back(parked);
-    link.outstanding.push_back(Outstanding{conn.id, parked.slot});
+    reactor.write(link.conn, line + '\n');
+    link.outstanding.push_back(Outstanding{id, reactor.reserve(id)});
     ++link.routed;
     if (request.is_event) {
       ++routed_events;
@@ -424,16 +372,9 @@ int run_cluster(const ClusterOptions& options) {
       drop_member_link(m, "fault-injection: route-drop");
     }
   };
+  reactor.listen(listener, &clients);
 
-  std::printf("cluster: routing %s across %d members under %s\n",
-              options.socket_path.c_str(), options.members,
-              options.root.string().c_str());
-  std::fflush(stdout);
-
-  supervisor.start();
-
-  bool shutting_down = false;
-  while (!shutting_down) {
+  auto tick = [&]() -> int {
     // Reap member corpses; their deaths drive the restart schedule.
     for (;;) {
       int status = 0;
@@ -456,211 +397,43 @@ int run_cluster(const ClusterOptions& options) {
     for (int m = 0; m < options.members; ++m) {
       MemberLink& link = links[static_cast<std::size_t>(m)];
       const core::MemberState state = supervisor.state(m);
-      if (link.fd >= 0 ||
+      if (link.conn != 0 ||
           (state != core::MemberState::Starting &&
            state != core::MemberState::Up)) {
         continue;
       }
       connecting = true;
       if (now < link.next_connect) continue;
-      link.fd = connect_unix(member_socket_path(options.root, m));
-      if (link.fd < 0) {
+      const int fd = connect_unix(member_socket_path(options.root, m));
+      if (fd < 0) {
         link.next_connect = now + std::chrono::milliseconds(20);
       } else {
-        link.inbuf.clear();
-        link.outbuf.clear();
+        link.conn = reactor.add(fd, &link.handler);
         host.note(util::format("member %d routable", m));
       }
     }
 
-    std::vector<pollfd> fds;
-    std::vector<int> owners;  ///< parallel: member id, or -1 for client
-    std::vector<char> kinds;  ///< 'h' heartbeat, 'm' member link, 'c' client
-    fds.push_back({signal_pipe[0], POLLIN, 0});
-    owners.push_back(-1);
-    kinds.push_back('s');
-    fds.push_back({listener, POLLIN, 0});
-    owners.push_back(-1);
-    kinds.push_back('l');
-    for (int m = 0; m < options.members; ++m) {
-      MemberLink& link = links[static_cast<std::size_t>(m)];
-      if (link.hb_fd >= 0) {
-        fds.push_back({link.hb_fd, POLLIN, 0});
-        owners.push_back(m);
-        kinds.push_back('h');
-      }
-      if (link.fd >= 0) {
-        short events = POLLIN;
-        if (!link.outbuf.empty()) events |= POLLOUT;
-        fds.push_back({link.fd, events, 0});
-        owners.push_back(m);
-        kinds.push_back('m');
-      }
-    }
-    for (auto& [fd, conn] : connections) {
-      short events = POLLIN;
-      if (!conn.outbuf.empty()) events |= POLLOUT;
-      fds.push_back({fd, events, 0});
-      owners.push_back(-1);
-      kinds.push_back('c');
-    }
-
     std::int64_t timeout = supervisor.next_deadline_ms(200);
     if (connecting) timeout = std::min<std::int64_t>(timeout, 20);
-    if (::poll(fds.data(), fds.size(), static_cast<int>(timeout)) < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
+    return static_cast<int>(timeout);
+  };
 
-    if (fds[0].revents & POLLIN) {
-      shutting_down = true;
-      break;
-    }
-    if (fds[1].revents & POLLIN) {
-      int fd = ::accept(listener, nullptr, nullptr);
-      if (fd >= 0) {
-        ClientConn conn;
-        conn.fd = fd;
-        conn.id = next_conn_id++;
-        connections.emplace(fd, std::move(conn));
-      }
-    }
+  std::printf("cluster: routing %s across %d members under %s\n",
+              options.socket_path.c_str(), options.members,
+              options.root.string().c_str());
+  std::fflush(stdout);
 
-    std::vector<int> closed_clients;
-    for (std::size_t i = 2; i < fds.size(); ++i) {
-      const short revents = fds[i].revents;
-      if (revents == 0) continue;
-      if (kinds[i] == 'h') {
-        const int m = owners[i];
-        MemberLink& link = links[static_cast<std::size_t>(m)];
-        if (link.hb_fd != fds[i].fd) continue;  // replaced this iteration
-        if (revents & POLLIN) {
-          char beats[256];
-          ssize_t n;
-          do {
-            n = ::read(link.hb_fd, beats, sizeof(beats));
-          } while (n < 0 && errno == EINTR);
-          if (n > 0) {
-            heartbeats_seen += static_cast<std::uint64_t>(n);
-            for (ssize_t b = 0; b < n; ++b) supervisor.heartbeat(m);
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
-        }
-        // EOF or error: the writer is gone; the corpse arrives via
-        // waitpid. A fresh spawn installs a fresh pipe.
-        ::close(link.hb_fd);
-        link.hb_fd = -1;
-        continue;
-      }
-      if (kinds[i] == 'm') {
-        const int m = owners[i];
-        MemberLink& link = links[static_cast<std::size_t>(m)];
-        if (link.fd != fds[i].fd) continue;  // dropped this iteration
-        if (revents & (POLLERR | POLLNVAL)) {
-          drop_member_link(m, "socket error");
-          continue;
-        }
-        if (revents & POLLIN) {
-          if (!read_available(link.fd, link.inbuf)) {
-            drop_member_link(m, "peer closed");
-            continue;
-          }
-          std::string line;
-          while (link.fd >= 0 && next_line(link.inbuf, line)) {
-            if (line.empty()) continue;
-            if (link.outstanding.empty()) {
-              drop_member_link(m, "unsolicited response");
-              break;
-            }
-            const Outstanding o = link.outstanding.front();
-            link.outstanding.pop_front();
-            ++proxied_responses;
-            fill_slot(o, line);
-          }
-          if (link.fd < 0) continue;
-        } else if (revents & POLLHUP) {
-          drop_member_link(m, "peer closed");
-          continue;
-        }
-        if (!link.outbuf.empty() && !flush_buffer(link.fd, link.outbuf)) {
-          drop_member_link(m, "peer closed");
-        }
-        continue;
-      }
-      if (kinds[i] != 'c') continue;
-      auto conn_it = connections.find(fds[i].fd);
-      if (conn_it == connections.end()) continue;
-      ClientConn& conn = conn_it->second;
-      if (revents & (POLLERR | POLLNVAL)) {
-        closed_clients.push_back(conn.fd);
-        continue;
-      }
-      if (revents & POLLIN) {
-        if (!read_available(conn.fd, conn.inbuf)) {
-          closed_clients.push_back(conn.fd);
-          continue;
-        }
-        std::string line;
-        while (next_line(conn.inbuf, line)) {
-          if (line.empty()) continue;
-          handle_client_line(conn, line);
-        }
-      } else if (revents & POLLHUP) {
-        if (conn.outbuf.empty()) {
-          closed_clients.push_back(conn.fd);
-          continue;
-        }
-      }
-    }
-    for (int fd : closed_clients) {
-      auto it = connections.find(fd);
-      if (it != connections.end()) {
-        ::close(it->second.fd);
-        connections.erase(it);
-      }
-    }
-
-    // Flush whatever the member deliveries queued up.
-    std::vector<int> flush_failed;
-    for (auto& [fd, conn] : connections) {
-      if (!conn.outbuf.empty() && !flush_buffer(conn.fd, conn.outbuf)) {
-        flush_failed.push_back(fd);
-      }
-    }
-    for (int fd : flush_failed) {
-      auto it = connections.find(fd);
-      if (it != connections.end()) {
-        ::close(it->second.fd);
-        connections.erase(it);
-      }
-    }
-    for (int m = 0; m < options.members; ++m) {
-      MemberLink& link = links[static_cast<std::size_t>(m)];
-      if (link.fd >= 0 && !link.outbuf.empty() &&
-          !flush_buffer(link.fd, link.outbuf)) {
-        drop_member_link(m, "peer closed");
-      }
-    }
-  }
+  supervisor.start();
+  reactor.run(tick);
 
   std::fprintf(stderr, "cluster: shutting down\n");
-  ::close(listener);
 
   // In-flight proxied requests become busy; clients get their buffered
   // responses flushed best-effort before the sockets close.
   for (int m = 0; m < options.members; ++m) {
-    MemberLink& link = links[static_cast<std::size_t>(m)];
-    while (!link.outstanding.empty()) {
-      fill_slot(link.outstanding.front(), busy_line);
-      link.outstanding.pop_front();
-    }
+    drop_member_link(m, "router shutdown");
   }
-  for (auto& [fd, conn] : connections) {
-    flush_ready(conn);
-    flush_buffer(conn.fd, conn.outbuf);
-    ::close(fd);
-  }
+  reactor.shutdown();
 
   // Graceful member shutdown: SIGTERM (each drains + checkpoints),
   // SIGKILL whatever outlives the grace window, reap everything.
@@ -705,13 +478,6 @@ int run_cluster(const ClusterOptions& options) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
-  for (MemberLink& link : links) {
-    if (link.fd >= 0) ::close(link.fd);
-    if (link.hb_fd >= 0) ::close(link.hb_fd);
-  }
-  ::close(signal_pipe[0]);
-  ::close(signal_pipe[1]);
-  g_signal_pipe_write = -1;
   ::unlink(options.socket_path.c_str());
   std::fprintf(stderr, "cluster: clean shutdown\n");
   return 0;

@@ -1,9 +1,7 @@
 #include "serve/daemon.h"
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -11,15 +9,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <istream>
-#include <map>
 #include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/supervise.h"
+#include "serve/reactor.h"
 #include "serve/replicate.h"
 #include "serve/socket_util.h"
 #include "util/fault.h"
@@ -30,41 +27,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-int g_signal_pipe_write = -1;
-
-void on_signal(int) {
-  // async-signal-safe: one byte wakes the poll loop.
-  const char byte = 1;
-  if (g_signal_pipe_write >= 0) {
-    [[maybe_unused]] ssize_t n = ::write(g_signal_pipe_write, &byte, 1);
-  }
-}
-
-/// One response awaiting delivery on a connection. Responses go back
-/// in request order, so a sync-mode event ack parked behind the
-/// standby's fsync also parks every later response on that connection.
-struct Parked {
-  bool ready = false;
-  bool gated = false;  ///< waiting on the standby's cumulative ack
+/// A sync-mode event ack: journaled locally, waiting for the standby's
+/// cumulative ack before its reserved response slot is filled.
+struct GatedAck {
+  Reactor::Id conn = 0;
+  Reactor::Slot slot = 0;
   std::string session;
   std::uint64_t seq = 0;
-  std::string line;  ///< response line, no newline
+  std::string line;  ///< the `ok <seq>` response
 };
-
-struct Connection {
-  int fd = -1;
-  std::string inbuf;
-  std::string outbuf;
-  bool is_replica_link = false;  ///< inbound conn that sent repl-hello
-  std::deque<Parked> parked;
-};
-
-// Socket plumbing (listener with stale-socket probe, connects, line
-// framing) lives in serve/socket_util.h, shared with the cluster
-// router.
-bool flush_outbuf(Connection& conn) {
-  return flush_buffer(conn.fd, conn.outbuf);
-}
 
 }  // namespace
 
@@ -135,19 +106,7 @@ int run_daemon(const DaemonOptions& options) {
     std::fprintf(stderr, "serve: %s\n", listen_error.c_str());
     return 1;
   }
-
-  int signal_pipe[2];
-  if (::pipe(signal_pipe) != 0) {
-    ::close(listener);
-    std::fprintf(stderr, "serve: cannot create signal pipe\n");
-    return 1;
-  }
-  g_signal_pipe_write = signal_pipe[1];
-  struct sigaction action{};
-  action.sa_handler = on_signal;
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
+  Reactor reactor;
 
   std::printf("serve: listening on %s\n", options.socket_path.c_str());
   std::fflush(stdout);
@@ -175,13 +134,12 @@ int run_daemon(const DaemonOptions& options) {
   Clock::time_point last_member_heartbeat = Clock::now();
   send_heartbeat();
 
-  std::map<int, Connection> connections;
-  int replica_conn_fd = -1;  ///< primary: the inbound replication link
+  const std::string busy_line = format_response(Response{Status::Busy, 0, ""});
+  std::vector<GatedAck> gated;
+  Reactor::Id replica_conn = 0;  ///< primary: the inbound replication link
 
   // Standby link to the primary, with seeded-backoff reconnect.
-  int link_fd = -1;
-  std::string link_inbuf;
-  std::string link_outbuf;
+  Reactor::Id link = 0;
   int connect_attempt = 0;
   Clock::time_point next_connect = Clock::now();
   Clock::time_point last_heartbeat = Clock::now();
@@ -195,44 +153,58 @@ int run_daemon(const DaemonOptions& options) {
   backoff_opts.seed = repl_config.seed;
   backoff_opts.backoff_base_ms = repl_config.backoff_base_ms;
   backoff_opts.backoff_cap_ms = repl_config.backoff_cap_ms;
+  auto connect_later = [&](Clock::time_point now, int attempt) {
+    connect_attempt = attempt;
+    next_connect = now + std::chrono::milliseconds(core::backoff_ms(
+                             repl_config.seed, 0, attempt, backoff_opts));
+  };
 
-  auto fail_gated_parked = [&connections] {
-    // The standby is gone (or its stream died): every parked sync-mode
+  auto fail_gated = [&] {
+    // The standby is gone (or its stream died): every gated sync-mode
     // ack becomes `busy` — journaled but unacknowledged is a valid
     // history, and the client's retry path owns it from here.
-    for (auto& [fd, conn] : connections) {
-      for (Parked& parked : conn.parked) {
-        if (parked.gated && !parked.ready) {
-          parked.gated = false;
-          parked.ready = true;
-          parked.line = format_response(Response{Status::Busy, 0, ""});
-        }
-      }
+    for (const GatedAck& ack : gated) {
+      reactor.fill(ack.conn, ack.slot, busy_line);
     }
+    gated.clear();
+  };
+
+  auto resolve_gated = [&] {
+    std::erase_if(gated, [&](const GatedAck& ack) {
+      switch (primary.ack_state(ack.session, ack.seq)) {
+        case PrimaryReplicator::AckState::Acked:
+          reactor.fill(ack.conn, ack.slot, ack.line);
+          return true;
+        case PrimaryReplicator::AckState::Failed:
+          reactor.fill(ack.conn, ack.slot, busy_line);
+          return true;
+        case PrimaryReplicator::AckState::Pending:
+          break;
+      }
+      return false;
+    });
   };
 
   auto drop_replica_conn = [&](const char* why) {
-    if (replica_conn_fd < 0) return;
+    if (replica_conn == 0) return;
     std::fprintf(stderr, "serve: replication link closed (%s)\n", why);
-    auto it = connections.find(replica_conn_fd);
-    if (it != connections.end()) {
-      ::close(it->second.fd);
-      connections.erase(it);
-    }
-    replica_conn_fd = -1;
+    reactor.close(replica_conn);
+    replica_conn = 0;
     partitioned = false;
     primary.on_replica_disconnected();
-    fail_gated_parked();
+    fail_gated();
   };
 
   auto drop_link = [&](const char* why) {
-    if (link_fd < 0) return;
+    if (link == 0) return;
     std::fprintf(stderr, "serve: link to primary lost (%s)\n", why);
-    ::close(link_fd);
-    link_fd = -1;
-    link_inbuf.clear();
-    link_outbuf.clear();
+    reactor.close(link);
+    link = 0;
     replica.on_link_disconnected();
+  };
+  auto lose_link = [&](const char* why) {
+    drop_link(why);
+    connect_later(Clock::now(), 1);
   };
 
   auto promote = [&](const char* how) {
@@ -244,111 +216,13 @@ int run_daemon(const DaemonOptions& options) {
     std::fprintf(stderr, "serve: promoted to primary (%s)\n", how);
   };
 
-  auto resolve_parked = [&](Connection& conn) {
-    for (Parked& parked : conn.parked) {
-      if (!parked.gated || parked.ready) continue;
-      switch (primary.ack_state(parked.session, parked.seq)) {
-        case PrimaryReplicator::AckState::Acked:
-          parked.gated = false;
-          parked.ready = true;
-          break;
-        case PrimaryReplicator::AckState::Failed:
-          parked.gated = false;
-          parked.ready = true;
-          parked.line = format_response(Response{Status::Busy, 0, ""});
-          break;
-        case PrimaryReplicator::AckState::Pending:
-          break;
-      }
-    }
-    while (!conn.parked.empty() && conn.parked.front().ready) {
-      conn.outbuf += conn.parked.front().line;
-      conn.outbuf += '\n';
-      conn.parked.pop_front();
-    }
+  auto respond = [&](Reactor::Id id, const Response& response) {
+    reactor.write(id, format_response(response) + '\n');
   };
 
-  auto respond = [&](Connection& conn, const Response& response) {
-    if (conn.parked.empty()) {
-      conn.outbuf += format_response(response);
-      conn.outbuf += '\n';
-    } else {
-      Parked parked;
-      parked.ready = true;
-      parked.line = format_response(response);
-      conn.parked.push_back(std::move(parked));
-    }
-  };
-
-  auto handle_request_line = [&](Connection& conn, const std::string& line) {
-    Request request;
-    try {
-      request = parse_request(line);
-    } catch (const std::exception& e) {
-      respond(conn, Response{Status::BadRequest, 0, e.what()});
-      return;
-    }
-    if (!request.is_event && request.query == QueryKind::Promote) {
-      if (serving_as_replica.load()) {
-        promote("promote request");
-        respond(conn, Response{Status::Result, 0, "promoted"});
-      } else {
-        respond(conn, Response{Status::Result, 0, "already-primary"});
-      }
-      return;
-    }
-    if (request.is_event && serving_as_replica.load()) {
-      respond(conn,
-              Response{Status::Error, 0,
-                       "standby: events are refused until promotion; "
-                       "feed the primary or run `provmark promote`"});
-      return;
-    }
-    if (request.is_event && !serving_as_replica.load() &&
-        primary.sync_mode()) {
-      if (!primary.replica_connected()) {
-        // Nothing journaled: in sync mode an ack promises standby
-        // durability, which no standby can currently provide.
-        respond(conn, Response{Status::Busy, 0, ""});
-        return;
-      }
-      Response response = service.submit(request);
-      if (response.status == Status::Ok) {
-        Parked parked;
-        parked.gated = true;
-        parked.session = request.session;
-        parked.seq = response.seq;
-        parked.line = format_response(response);
-        conn.parked.push_back(std::move(parked));
-      } else {
-        respond(conn, response);
-      }
-      return;
-    }
-    respond(conn, service.submit(request));
-  };
-
-  auto handle_repl_line = [&](Connection& conn, const std::string& line) {
-    if (serving_as_replica.load()) {
-      respond(conn, Response{Status::Error, 0,
-                             "standby: cannot host a replication link"});
-      return;
-    }
-    if (!conn.is_replica_link) {
-      if (line.rfind("repl-hello ", 0) != 0) {
-        respond(conn, Response{Status::BadRequest, 0,
-                               "replication verbs require repl-hello first"});
-        return;
-      }
-      if (replica_conn_fd >= 0) {
-        // A newer standby supersedes the old link.
-        drop_replica_conn("superseded by a new standby");
-      }
-      conn.is_replica_link = true;
-      replica_conn_fd = conn.fd;
-      primary.on_replica_connected();
-      std::fprintf(stderr, "serve: replication link attached\n");
-    }
+  // Primary side of an attached standby's stream.
+  Reactor::Handler replica_link;
+  replica_link.on_line = [&](Reactor::Id, const std::string& line) {
     try {
       primary.handle_line(line);
     } catch (const std::exception& e) {
@@ -357,9 +231,100 @@ int run_daemon(const DaemonOptions& options) {
       drop_replica_conn("protocol error");
     }
   };
+  replica_link.on_close = [&](Reactor::Id) {
+    drop_replica_conn("peer closed");
+  };
 
-  bool shutting_down = false;
-  while (!shutting_down) {
+  auto handle_request_line = [&](Reactor::Id id, const std::string& line) {
+    Request request;
+    try {
+      request = parse_request(line);
+    } catch (const std::exception& e) {
+      respond(id, Response{Status::BadRequest, 0, e.what()});
+      return;
+    }
+    if (!request.is_event && request.query == QueryKind::Promote) {
+      if (serving_as_replica.load()) {
+        promote("promote request");
+        respond(id, Response{Status::Result, 0, "promoted"});
+      } else {
+        respond(id, Response{Status::Result, 0, "already-primary"});
+      }
+      return;
+    }
+    if (request.is_event && serving_as_replica.load()) {
+      respond(id,
+              Response{Status::Error, 0,
+                       "standby: events are refused until promotion; "
+                       "feed the primary or run `provmark promote`"});
+      return;
+    }
+    if (request.is_event && primary.sync_mode()) {
+      if (!primary.replica_connected()) {
+        // Nothing journaled: in sync mode an ack promises standby
+        // durability, which no standby can currently provide.
+        respond(id, Response{Status::Busy, 0, ""});
+        return;
+      }
+      Response response = service.submit(request);
+      if (response.status == Status::Ok) {
+        gated.push_back(GatedAck{id, reactor.reserve(id), request.session,
+                                 response.seq, format_response(response)});
+      } else {
+        respond(id, response);
+      }
+      return;
+    }
+    respond(id, service.submit(request));
+  };
+
+  // A client connection that opens with `repl-hello` becomes the
+  // replication link.
+  auto attach_replica = [&](Reactor::Id id, const std::string& line) {
+    if (serving_as_replica.load()) {
+      respond(id, Response{Status::Error, 0,
+                           "standby: cannot host a replication link"});
+      return;
+    }
+    if (line.rfind("repl-hello ", 0) != 0) {
+      respond(id, Response{Status::BadRequest, 0,
+                           "replication verbs require repl-hello first"});
+      return;
+    }
+    // A newer standby supersedes the old link.
+    drop_replica_conn("superseded by a new standby");
+    replica_conn = id;
+    reactor.set_handler(id, &replica_link);
+    primary.on_replica_connected();
+    std::fprintf(stderr, "serve: replication link attached\n");
+    replica_link.on_line(id, line);
+  };
+
+  Reactor::Handler clients;
+  clients.max_line = 2 * options.service.max_payload_bytes + 4096;
+  clients.on_line = [&](Reactor::Id id, const std::string& line) {
+    if (line.rfind("repl-", 0) == 0) {
+      attach_replica(id, line);
+    } else {
+      handle_request_line(id, line);
+    }
+  };
+  reactor.listen(listener, &clients);
+
+  // Standby side: the outbound link to the primary.
+  Reactor::Handler upstream;
+  upstream.on_line = [&](Reactor::Id, const std::string& line) {
+    try {
+      replica.handle_line(line);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "serve: replication protocol error: %s\n",
+                   e.what());
+      lose_link("peer closed");
+    }
+  };
+  upstream.on_close = [&](Reactor::Id) { lose_link("peer closed"); };
+
+  auto tick = [&]() -> int {
     const Clock::time_point now = Clock::now();
 
     if (options.heartbeat_fd >= 0 &&
@@ -371,34 +336,28 @@ int run_daemon(const DaemonOptions& options) {
     }
 
     // Standby link maintenance: (re)connect with seeded backoff.
-    if (serving_as_replica.load() && link_fd < 0 && now >= next_connect) {
-      link_fd = connect_unix(options.replica_of);
-      if (link_fd >= 0) {
+    if (serving_as_replica.load() && link == 0 && now >= next_connect) {
+      const int fd = connect_unix(options.replica_of);
+      if (fd >= 0) {
+        link = reactor.add(fd, &upstream);
         connect_attempt = 0;
-        link_inbuf.clear();
-        link_outbuf.clear();
         replica.on_link_connected();
-        link_outbuf += replica.take_output();
         last_heartbeat = now;
         std::fprintf(stderr, "serve: connected to primary %s\n",
                      options.replica_of.c_str());
       } else {
-        ++connect_attempt;
-        next_connect =
-            now + std::chrono::milliseconds(core::backoff_ms(
-                      repl_config.seed, 0, connect_attempt, backoff_opts));
+        connect_later(now, connect_attempt + 1);
       }
     }
 
     // Standby heartbeats: tick, then enforce the reconnect and
     // auto-promote budgets.
-    if (serving_as_replica.load() && link_fd >= 0 &&
+    if (serving_as_replica.load() && link != 0 &&
         now - last_heartbeat >=
             std::chrono::duration<double, std::milli>(
                 repl_config.heartbeat_ms)) {
       last_heartbeat = now;
       replica.heartbeat_tick();
-      link_outbuf += replica.take_output();
       const int missed = replica.missed_heartbeats();
       if (repl_config.promote_after_missed > 0 &&
           missed >= repl_config.promote_after_missed) {
@@ -408,10 +367,7 @@ int run_daemon(const DaemonOptions& options) {
         promote("missed-heartbeat budget");
       } else if (missed >= options.reconnect_after_missed) {
         drop_link("heartbeats unanswered");
-        connect_attempt = 1;
-        next_connect =
-            now + std::chrono::milliseconds(core::backoff_ms(
-                      repl_config.seed, 0, connect_attempt, backoff_opts));
+        connect_later(now, 1);
       }
     }
 
@@ -420,9 +376,35 @@ int run_daemon(const DaemonOptions& options) {
       drop_replica_conn("partition deadline");
     }
 
+    // Drain replicator output: worker-thread sinks (repl-check,
+    // repl-ack, repl-diverged) queue lines between poll wakes.
+    if (!serving_as_replica.load()) {
+      primary.flush_pending_resets();
+      if (replica_conn != 0) {
+        reactor.write(replica_conn, primary.take_output());
+        // Link faults fire at forwarded records; enact them here.
+        if (primary.take_link_drop_request()) {
+          drop_replica_conn("fault-injection: repl-link-drop");
+        } else {
+          const double ms = primary.take_partition_request_ms();
+          if (ms > 0 && !partitioned) {
+            partitioned = true;
+            partition_until =
+                Clock::now() +
+                std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double, std::milli>(ms));
+            reactor.hold(replica_conn);
+          }
+        }
+      }
+    }
+    if (link != 0) reactor.write(link, replica.take_output());
+
+    // Sync-mode acks: release what the standby has fsynced.
+    resolve_gated();
+
     const bool repl_active = serving_as_replica.load() ||
-                             replica_conn_fd >= 0 || partitioned ||
-                             link_fd >= 0;
+                             replica_conn != 0 || partitioned || link != 0;
     int timeout =
         repl_active
             ? std::max(10, static_cast<int>(repl_config.heartbeat_ms / 4))
@@ -434,195 +416,18 @@ int run_daemon(const DaemonOptions& options) {
           std::max(10, static_cast<int>(options.member_heartbeat_ms / 2));
       timeout = timeout < 0 ? beat : std::min(timeout, beat);
     }
+    return timeout;
+  };
 
-    std::vector<pollfd> fds;
-    fds.push_back({signal_pipe[0], POLLIN, 0});
-    fds.push_back({listener, POLLIN, 0});
-    for (auto& [fd, conn] : connections) {
-      short events = POLLIN;
-      const bool held = partitioned && fd == replica_conn_fd;
-      if (!conn.outbuf.empty() && !held) events |= POLLOUT;
-      fds.push_back({fd, events, 0});
-    }
-    const std::size_t link_index = fds.size();
-    if (link_fd >= 0) {
-      short events = POLLIN;
-      if (!link_outbuf.empty()) events |= POLLOUT;
-      fds.push_back({link_fd, events, 0});
-    }
-
-    if (::poll(fds.data(), fds.size(), timeout) < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-
-    if (fds[0].revents & POLLIN) {
-      shutting_down = true;
-      break;
-    }
-    if (fds[1].revents & POLLIN) {
-      int fd = ::accept(listener, nullptr, nullptr);
-      if (fd >= 0) {
-        Connection conn;
-        conn.fd = fd;
-        connections.emplace(fd, std::move(conn));
-      }
-    }
-
-    std::vector<int> closed;
-    for (std::size_t i = 2; i < fds.size() && i < link_index; ++i) {
-      auto conn_it = connections.find(fds[i].fd);
-      if (conn_it == connections.end()) continue;
-      Connection& conn = conn_it->second;
-      if (fds[i].revents & (POLLERR | POLLHUP | POLLNVAL)) {
-        if (conn.outbuf.empty() || !(fds[i].revents & POLLHUP)) {
-          closed.push_back(conn.fd);
-          continue;
-        }
-      }
-      const int cfd = conn.fd;
-      if (fds[i].revents & POLLIN) {
-        if (!read_available(conn.fd, conn.inbuf)) {
-          closed.push_back(conn.fd);
-          continue;
-        }
-        if (partitioned && conn.fd == replica_conn_fd) {
-          conn.inbuf.clear();  // black-hole: inbound bytes vanish
-        }
-        // handle_repl_line can drop this very connection (protocol
-        // error on the replication link), so re-find it per line.
-        std::string line;
-        while (true) {
-          auto alive = connections.find(cfd);
-          if (alive == connections.end()) break;
-          if (!next_line(alive->second.inbuf, line)) break;
-          if (line.empty()) continue;
-          if (alive->second.is_replica_link ||
-              line.rfind("repl-", 0) == 0) {
-            handle_repl_line(alive->second, line);
-          } else {
-            handle_request_line(alive->second, line);
-          }
-        }
-      }
-      auto alive = connections.find(cfd);
-      if (alive == connections.end()) continue;
-      const bool held = partitioned && cfd == replica_conn_fd;
-      if (!held && !alive->second.outbuf.empty() &&
-          !flush_outbuf(alive->second)) {
-        closed.push_back(cfd);
-      }
-    }
-    for (int fd : closed) {
-      if (fd == replica_conn_fd) {
-        drop_replica_conn("peer closed");
-      } else {
-        auto it = connections.find(fd);
-        if (it != connections.end()) {
-          ::close(it->second.fd);
-          connections.erase(it);
-        }
-      }
-    }
-
-    // Standby link I/O.
-    if (link_fd >= 0 && link_index < fds.size()) {
-      const pollfd& lp = fds[link_index];
-      bool lost = false;
-      if (lp.revents & (POLLERR | POLLHUP | POLLNVAL)) lost = true;
-      if (!lost && (lp.revents & POLLIN)) {
-        if (!read_available(link_fd, link_inbuf)) {
-          lost = true;
-        } else {
-          std::string line;
-          while (next_line(link_inbuf, line)) {
-            if (line.empty()) continue;
-            try {
-              replica.handle_line(line);
-            } catch (const std::exception& e) {
-              std::fprintf(stderr,
-                           "serve: replication protocol error: %s\n",
-                           e.what());
-              lost = true;
-              break;
-            }
-            if (!serving_as_replica.load()) break;  // promoted mid-batch
-          }
-        }
-      }
-      if (lost) {
-        drop_link("peer closed");
-        connect_attempt = 1;
-        next_connect = Clock::now() +
-                       std::chrono::milliseconds(core::backoff_ms(
-                           repl_config.seed, 0, connect_attempt,
-                           backoff_opts));
-      }
-    }
-
-    // Drain replicator output: worker-thread sinks (repl-check,
-    // repl-ack, repl-diverged) queue lines between poll wakes.
-    if (!serving_as_replica.load()) {
-      primary.flush_pending_resets();
-      if (replica_conn_fd >= 0) {
-        auto it = connections.find(replica_conn_fd);
-        if (it != connections.end()) {
-          it->second.outbuf += primary.take_output();
-          // Link faults fire at forwarded records; enact them here.
-          if (primary.take_link_drop_request()) {
-            drop_replica_conn("fault-injection: repl-link-drop");
-          } else {
-            const double ms = primary.take_partition_request_ms();
-            if (ms > 0 && !partitioned) {
-              partitioned = true;
-              partition_until =
-                  Clock::now() +
-                  std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double, std::milli>(ms));
-            }
-          }
-        }
-      }
-    }
-    if (link_fd >= 0) {
-      link_outbuf += replica.take_output();
-      if (!link_outbuf.empty()) {
-        Connection shim;
-        shim.fd = link_fd;
-        shim.outbuf = std::move(link_outbuf);
-        if (!flush_outbuf(shim)) {
-          drop_link("peer closed");
-        } else {
-          link_outbuf = std::move(shim.outbuf);
-        }
-      }
-    }
-
-    // Sync-mode acks: release what the standby has fsynced.
-    for (auto& [fd, conn] : connections) {
-      if (conn.parked.empty()) continue;
-      resolve_parked(conn);
-      const bool held = partitioned && fd == replica_conn_fd;
-      if (!held && !conn.outbuf.empty()) flush_outbuf(conn);
-    }
-  }
+  reactor.run(tick);
 
   // Graceful drain: finish queued applies, checkpoint + compact every
   // healthy session, then leave. Clients see their sockets close after
   // any buffered responses are flushed best-effort.
   std::fprintf(stderr, "serve: draining\n");
   service.drain();
-  fail_gated_parked();
-  for (auto& [fd, conn] : connections) {
-    resolve_parked(conn);
-    flush_outbuf(conn);
-    ::close(fd);
-  }
-  if (link_fd >= 0) ::close(link_fd);
-  ::close(listener);
-  ::close(signal_pipe[0]);
-  ::close(signal_pipe[1]);
-  g_signal_pipe_write = -1;
+  fail_gated();
+  reactor.shutdown();
   ::unlink(options.socket_path.c_str());
   std::fprintf(stderr, "serve: clean shutdown\n");
   return 0;
@@ -701,8 +506,8 @@ int run_feed(const std::string& socket_path, std::istream& in,
         continue;
       }
       // Synchronous request/response: one line back per line sent.
-      std::size_t nl;
-      while ((nl = response_buf.find('\n')) == std::string::npos) {
+      std::string response_line;
+      while (!next_line(response_buf, response_line)) {
         char buffer[4096];
         ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
         if (n <= 0) {
@@ -716,8 +521,6 @@ int run_feed(const std::string& socket_path, std::istream& in,
         if (connection_lost("connection closed by daemon") != 0) return 1;
         continue;
       }
-      const std::string response_line = response_buf.substr(0, nl);
-      response_buf.erase(0, nl + 1);
 
       bool retry = false;
       bool ok = true;

@@ -2,15 +2,11 @@
 // Service behind a stream socket; `provmark feed` streams request lines
 // to it and prints the responses.
 //
-// The daemon is a single poll loop — accept, buffered line reads,
-// buffered writes — because admission is O(1)+fsync and all heavy work
-// lives on the Service's apply workers. Responses go back in request
-// order per connection. SIGTERM/SIGINT reach the loop via a self-pipe;
-// the loop then stops accepting, drains the service (finish queued
-// applies, checkpoint + compact every healthy session) and exits 0 —
-// the graceful half of the crash-recovery story. The ungraceful half
-// (SIGKILL, serve-crash fault injection) is what the journal exists
-// for.
+// The daemon runs on serve::Reactor, one single-threaded event loop:
+// admission is O(1)+fsync and all heavy work lives on the Service's
+// apply workers. On SIGTERM/SIGINT it drains the service (finish
+// queued applies, checkpoint + compact every healthy session) and
+// exits 0; SIGKILL is what the journal exists for.
 //
 // Replication (docs/serve.md, "Replication & failover"): a primary
 // daemon hosts a PrimaryReplicator; an inbound connection that opens
@@ -20,8 +16,8 @@
 // through ReplicaReplicator, keeps warm sessions, answers read-only
 // queries locally, refuses events, and promotes to a full primary on
 // `provmark promote` or after `promote_after_missed` unanswered
-// heartbeats. In `repl_sync` mode the daemon parks each client event
-// ack until the standby's cumulative ack covers it — parked acks
+// heartbeats. In `repl_sync` mode the daemon holds each client event
+// ack until the standby's cumulative ack covers it — held acks
 // become `busy` if the standby drops (journaled-but-unacked is a valid
 // history; the client retries).
 #pragma once
@@ -59,7 +55,8 @@ struct DaemonOptions {
   /// Liveness control channel: when >= 0, the daemon writes one
   /// heartbeat byte to this fd (a pipe to the supervising router)
   /// every `member_heartbeat_ms`, starting the moment the listener is
-  /// bound — i.e. after journal replay completed. Silence past the
+  /// bound — i.e. after journal replay completed. The router opens the
+  /// pipe non-blocking, so a full pipe skips a beat. Silence past the
   /// router's deadline means a wedged event loop; the router kills and
   /// restarts the member.
   int heartbeat_fd = -1;

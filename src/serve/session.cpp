@@ -84,8 +84,8 @@ bool Session::apply(const JournalRecord& record,
         // run is a legitimate, deterministic outcome — it still lands
         // in the fixpoint so queries (and the recovery identity gates)
         // see it.
-        const std::string gid =
-            "r" + std::to_string(static_cast<unsigned long long>(record.seq));
+        const std::string gid = std::string("r").append(
+            std::to_string(static_cast<unsigned long long>(record.seq)));
         std::string facts = "runstatus(" + gid + "," +
                             core::status_name(result.status) + ").\n";
         facts += datalog::to_datalog(result.result, gid);

@@ -102,37 +102,12 @@ int make_unix_listener(const std::string& path, std::string* error) {
   return fd;
 }
 
-bool read_available(int fd, std::string& inbuf) {
-  char buffer[4096];
-  ssize_t n;
-  do {
-    n = ::recv(fd, buffer, sizeof(buffer), 0);
-  } while (n < 0 && errno == EINTR);
-  if (n == 0) return false;
-  if (n < 0) return errno == EAGAIN || errno == EWOULDBLOCK;
-  inbuf.append(buffer, static_cast<std::size_t>(n));
-  return true;
-}
-
 bool next_line(std::string& inbuf, std::string& line) {
   std::size_t nl = inbuf.find('\n');
   if (nl == std::string::npos) return false;
   line = inbuf.substr(0, nl);
   inbuf.erase(0, nl + 1);
   if (!line.empty() && line.back() == '\r') line.pop_back();
-  return true;
-}
-
-bool flush_buffer(int fd, std::string& outbuf) {
-  while (!outbuf.empty()) {
-    ssize_t n = ::send(fd, outbuf.data(), outbuf.size(), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-      return false;  // peer gone
-    }
-    outbuf.erase(0, static_cast<std::size_t>(n));
-  }
   return true;
 }
 

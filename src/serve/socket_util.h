@@ -1,6 +1,7 @@
-// AF_UNIX plumbing shared by the serve daemon and the cluster router:
-// listener creation with stale-socket recovery, client connects, and
-// the buffered line-framing helpers both poll loops are built on.
+// AF_UNIX plumbing shared by the serve daemon, the cluster router and
+// their clients: listener creation with stale-socket recovery, client
+// connects, and line splitting. The event loop itself is
+// serve/reactor.h.
 //
 // Stale sockets: a SIGKILLed daemon leaves its socket path behind, and
 // a blind unlink-before-bind would also steal the address out from
@@ -25,18 +26,8 @@ int make_unix_listener(const std::string& path, std::string* error = nullptr);
 /// fd, or -1 with errno set.
 int connect_unix(const std::string& path);
 
-/// Read whatever is available on `fd` into `inbuf`. Returns false when
-/// the peer is gone. EOF (n == 0) always closes — errno is stale there
-/// and must not be consulted.
-bool read_available(int fd, std::string& inbuf);
-
 /// Pop one complete line from `inbuf` ('\r' stripped); false when no
 /// full line is buffered.
 bool next_line(std::string& inbuf, std::string& line);
-
-/// Flush as much of `outbuf` as the socket will take (MSG_NOSIGNAL).
-/// Returns false when the peer is gone; EAGAIN leaves the remainder
-/// buffered and returns true.
-bool flush_buffer(int fd, std::string& outbuf);
 
 }  // namespace provmark::serve

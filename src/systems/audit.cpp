@@ -79,7 +79,9 @@ class AuditBuilder {
   }
 
  private:
-  std::string fresh_id() { return "a" + std::to_string(next_id_++); }
+  std::string fresh_id() {
+    return std::string("a").append(std::to_string(next_id_++));
+  }
 
   std::string process_vertex(const AuditEvent& event) {
     auto it = process_vertex_.find(event.pid);

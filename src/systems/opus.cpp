@@ -84,7 +84,9 @@ class OpusBuilder {
   }
 
  private:
-  std::string fresh_id() { return "o" + std::to_string(next_node_++); }
+  std::string fresh_id() {
+    return std::string("o").append(std::to_string(next_node_++));
+  }
 
   std::string event_props_id(const LibcEvent& event, graph::Properties* p) {
     (*p)["sys_time"] = std::to_string(event.seq * 131 +

@@ -33,7 +33,9 @@ class SpadeBuilder {
   }
 
  private:
-  std::string fresh_id() { return "v" + std::to_string(next_vertex_++); }
+  std::string fresh_id() {
+    return std::string("v").append(std::to_string(next_vertex_++));
+  }
 
   /// Process vertex for a pid, created on first sight.
   std::string process_vertex(const AuditEvent& event) {
@@ -141,8 +143,8 @@ class SpadeBuilder {
     if (event.fields.count("time")) {
       props["time"] = event.fields.at("time");  // transient
     }
-    graph_.add_edge("e" + std::to_string(next_vertex_++), src, tgt, label,
-                    std::move(props));
+    graph_.add_edge(std::string("e").append(std::to_string(next_vertex_++)),
+                    src, tgt, label, std::move(props));
   }
 
   void handle(const AuditEvent& event) {
