@@ -167,33 +167,19 @@ long parse_long(const std::string& value, std::size_t line_no,
 int parse_flags(const std::string& text, std::size_t line_no) {
   int flags = 0;
   for (const std::string& piece : util::split_nonempty(text, '+')) {
-    if (piece == "r") {
-      flags |= os::kO_RDONLY;
-    } else if (piece == "w") {
-      flags |= os::kO_WRONLY;
-    } else if (piece == "rw") {
-      flags |= os::kO_RDWR;
-    } else if (piece == "creat") {
-      flags |= os::kO_CREAT;
-    } else if (piece == "trunc") {
-      flags |= os::kO_TRUNC;
-    } else {
-      fail(line_no, "unknown flag '" + piece + "'");
-    }
+    const os::FlagName* flag =
+        os::find_flag(os::kOpenFlagNames, &os::FlagName::short_name, piece);
+    if (flag == nullptr) fail(line_no, "unknown flag '" + piece + "'");
+    flags |= flag->bits;
   }
   return flags;
 }
 
 std::string flags_to_text(int flags) {
-  std::string out;
-  switch (flags & 03) {
-    case os::kO_WRONLY: out = "w"; break;
-    case os::kO_RDWR: out = "rw"; break;
-    default: out = "r"; break;
-  }
-  if (flags & os::kO_CREAT) out += "+creat";
-  if (flags & os::kO_TRUNC) out += "+trunc";
-  return out;
+  // Access mode 03 has no program-text name and prints as "r".
+  if ((flags & os::kO_ACCMODE) == os::kO_ACCMODE) flags &= ~os::kO_ACCMODE;
+  return os::flag_names(os::kOpenFlagNames, flags, &os::FlagName::short_name,
+                        '+');
 }
 
 /// Parse `key=value` tokens into a map; bare tokens map to "".

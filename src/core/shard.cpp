@@ -219,14 +219,14 @@ ArtifactDigest digest_of(const std::string& content) {
 
 /// Publish one artifact into `dir`. On the shard-publish path
 /// (`digests` non-null) the *intended* content digest is recorded
-/// first and the fault-injection tear hook runs after — so an injected
+/// first and the fault-injection tear site runs after — so an injected
 /// torn write commits bytes that provably mismatch their manifest
 /// entry, exactly like a real torn write would.
 void publish_file(const std::filesystem::path& dir, const std::string& name,
                   std::string content, ArtifactDigests* digests) {
   if (digests != nullptr) {
     (*digests)[name] = digest_of(content);
-    util::fault::tear_content(name, &content);
+    util::fault::hit(util::fault::Site::ArtifactWrite, name, &content);
   }
   write_file_atomic(dir / name, content);
 }
@@ -433,9 +433,9 @@ std::vector<BenchmarkResult> run_batch_cells(
                 options.simulated_recording_latency;
             BenchmarkResult result = run_benchmark(
                 bench_suite::benchmark_by_name(cell.benchmark), pipeline);
-            // Fault-injection progress hook (no-op unless a crash rule
-            // is armed in this worker process).
-            util::fault::cell_completed();
+            // Fault-injection site (no-op unless a crash rule is
+            // armed in this worker process).
+            util::fault::hit(util::fault::Site::CellDone);
             return result;
           });
   if (options.deterministic_timings) {
@@ -686,7 +686,7 @@ std::string write_shard_dir(const std::string& output_dir,
                     manifest_text(spec, digests));
   sync_dir(staging);
 
-  util::fault::before_publish();  // hang hook (no-op unless armed)
+  util::fault::hit(util::fault::Site::Publish);  // hang (no-op unless armed)
 
   // First complete publish wins. A failed rename means the final name
   // is occupied: by a complete sibling publish (benign — discard the

@@ -195,7 +195,7 @@ std::string time_log_row(const BenchmarkResult& result);
 /// published atomically (tmp + fsync + rename). When `digests` is
 /// non-null (the shard-publish path), each file's intended content
 /// digest is recorded there *before* the bytes hit disk, and the
-/// fault-injection tear hook is applied — so an injected torn write
+/// fault-injection tear site is hit — so an injected torn write
 /// produces exactly the detectable state a real crash would.
 void write_batch_outputs(const std::string& dir,
                          const std::vector<BenchmarkResult>& results,

@@ -9,16 +9,9 @@ namespace provmark::os {
 namespace {
 
 std::string flags_to_string(int flags) {
-  std::string out;
-  switch (flags & 03) {
-    case kO_RDONLY: out = "O_RDONLY"; break;
-    case kO_WRONLY: out = "O_WRONLY"; break;
-    default: out = "O_RDWR"; break;
-  }
-  if (flags & kO_CREAT) out += "|O_CREAT";
-  if (flags & kO_TRUNC) out += "|O_TRUNC";
-  if (flags & kO_CLOEXEC) out += "|O_CLOEXEC";
-  return out;
+  // Access mode 03 has no name of its own and reads as O_RDWR.
+  if ((flags & kO_ACCMODE) == kO_ACCMODE) flags &= ~kO_WRONLY;
+  return flag_names(kOpenFlagNames, flags, &FlagName::name, '|');
 }
 
 const char* kind_for_type(FileType type) {
@@ -34,6 +27,26 @@ const char* kind_for_type(FileType type) {
 }
 
 }  // namespace
+
+std::string flag_names(std::span<const FlagName> table, int flags,
+                       std::string_view FlagName::*column, char separator) {
+  std::string out;
+  for (const FlagName& flag : table) {
+    if ((flags & flag.mask) != flag.bits || (flag.*column).empty()) continue;
+    if (!out.empty()) out += separator;
+    out += flag.*column;
+  }
+  return out;
+}
+
+const FlagName* find_flag(std::span<const FlagName> table,
+                          std::string_view FlagName::*column,
+                          std::string_view name) {
+  for (const FlagName& flag : table) {
+    if (!name.empty() && flag.*column == name) return &flag;
+  }
+  return nullptr;
+}
 
 const std::set<std::string>& Kernel::audit_rule_set() {
   // The syscalls covered by SPADE's default audit rules. Notable absences
@@ -1160,15 +1173,8 @@ const char* socket_type_name(int type) {
 }
 
 std::string prot_to_string(int prot) {
-  if (prot == 0) return "PROT_READ";
-  std::string out;
-  auto append = [&out](const char* name) {
-    if (!out.empty()) out += "|";
-    out += name;
-  };
-  if (prot & 1) append("PROT_READ");
-  if (prot & 2) append("PROT_WRITE");
-  if (prot & 4) append("PROT_EXEC");
+  if (prot == 0) prot = kProtNames[0].bits;  // 0 is treated as PROT_READ
+  std::string out = flag_names(kProtNames, prot, &FlagName::name, '|');
   return out.empty() ? "PROT_NONE" : out;
 }
 

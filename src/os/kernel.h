@@ -29,7 +29,9 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "os/events.h"
@@ -45,6 +47,46 @@ inline constexpr int kO_RDWR = 02;
 inline constexpr int kO_CREAT = 0100;
 inline constexpr int kO_TRUNC = 01000;
 inline constexpr int kO_CLOEXEC = 02000000;
+inline constexpr int kO_ACCMODE = 03;  ///< the access-mode bits
+
+/// One row of a flag vocabulary: a row is set in `flags` when
+/// `(flags & mask) == bits`. `short_name` is its program-text spelling
+/// ("" = not spellable there).
+struct FlagName {
+  std::string_view name;
+  int bits;
+  int mask;
+  std::string_view short_name;
+};
+
+/// open(2) flags, the access modes first. The one table behind the
+/// kernel's flag strings, the audit recorder's raw a1 value and the
+/// program-text `flags=` syntax.
+inline constexpr FlagName kOpenFlagNames[] = {
+    {"O_RDONLY", kO_RDONLY, kO_ACCMODE, "r"},
+    {"O_WRONLY", kO_WRONLY, kO_ACCMODE, "w"},
+    {"O_RDWR", kO_RDWR, kO_ACCMODE, "rw"},
+    {"O_CREAT", kO_CREAT, kO_CREAT, "creat"},
+    {"O_TRUNC", kO_TRUNC, kO_TRUNC, "trunc"},
+    {"O_CLOEXEC", kO_CLOEXEC, kO_CLOEXEC, ""},
+};
+
+/// mmap(2) PROT_* bits.
+inline constexpr FlagName kProtNames[] = {
+    {"PROT_READ", 1, 1, ""},
+    {"PROT_WRITE", 2, 2, ""},
+    {"PROT_EXEC", 4, 4, ""},
+};
+
+/// The `column` names of the rows set in `flags`, in table order,
+/// joined by `separator`; rows with an empty name are skipped.
+std::string flag_names(std::span<const FlagName> table, int flags,
+                       std::string_view FlagName::*column, char separator);
+
+/// The row whose `column` name is `name`, or nullptr.
+const FlagName* find_flag(std::span<const FlagName> table,
+                          std::string_view FlagName::*column,
+                          std::string_view name);
 
 /// Result of a syscall: return value plus errno on failure.
 struct SyscallResult {

@@ -367,9 +367,9 @@ int run_cluster(const ClusterOptions& options) {
     } else {
       ++routed_queries;
     }
-    if (fault::route_request_forwarded()) {
+    if (fault::hit(fault::Site::RequestForwarded).drop) {
       ++route_drops;
-      drop_member_link(m, "fault-injection: route-drop");
+      drop_member_link(m, "injected route fault");
     }
   };
   reactor.listen(listener, &clients);

@@ -124,7 +124,9 @@ int run_daemon(const DaemonOptions& options) {
   // silent here and lets the router's deadline machinery kill us.
   auto send_heartbeat = [&options] {
     if (options.heartbeat_fd < 0) return;
-    if (util::fault::member_heartbeats_suppressed()) return;
+    if (util::fault::fired_count(util::fault::FaultKind::MemberHang) > 0) {
+      return;
+    }
     const char byte = 'h';
     ssize_t n;
     do {
@@ -384,7 +386,7 @@ int run_daemon(const DaemonOptions& options) {
         reactor.write(replica_conn, primary.take_output());
         // Link faults fire at forwarded records; enact them here.
         if (primary.take_link_drop_request()) {
-          drop_replica_conn("fault-injection: repl-link-drop");
+          drop_replica_conn("injected link fault");
         } else {
           const double ms = primary.take_partition_request_ms();
           if (ms > 0 && !partitioned) {

@@ -126,20 +126,49 @@ void PrimaryReplicator::quarantine_locked(const std::string& session,
                session.c_str(), reason.c_str());
 }
 
+void PrimaryReplicator::forward_record_locked(const std::string& session,
+                                              Stream& stream,
+                                              const JournalRecord& record) {
+  emit_locked(util::format("repl-rec %s %s", session.c_str(),
+                           escape_field(format_record(record)).c_str()));
+  stream.sent = record.seq;
+  ++forwarded_records_;
+  // Link faults fire at forwarded records; the daemon loop enacts them.
+  const util::fault::Effect fault =
+      util::fault::hit(util::fault::Site::RecordForwarded);
+  if (fault.drop) link_drop_request_ = true;
+  if (fault.partition_ms > 0) partition_request_ms_ = fault.partition_ms;
+}
+
 void PrimaryReplicator::drain_pending_locked(const std::string& session,
                                              Stream& stream) {
   while (!stream.pending.empty()) {
     JournalRecord record = std::move(stream.pending.front());
     stream.pending.pop_front();
-    if (record.seq <= stream.sent) continue;  // already shipped in snapshot
-    emit_locked(util::format("repl-rec %s %s", session.c_str(),
-                             escape_field(format_record(record)).c_str()));
-    stream.sent = record.seq;
-    ++forwarded_records_;
-    util::fault::ReplLinkFault fault = util::fault::repl_record_forwarded();
-    if (fault.drop) link_drop_request_ = true;
-    if (fault.partition_ms > 0) partition_request_ms_ = fault.partition_ms;
+    // A record at or below sent was already shipped in the snapshot.
+    if (record.seq > stream.sent) {
+      forward_record_locked(session, stream, record);
+    }
   }
+  stream.state = StreamState::Streaming;
+}
+
+void PrimaryReplicator::reset_stream_locked(
+    const std::string& session, Stream& stream,
+    const Service::ResyncSnapshot& snapshot) {
+  emit_locked(util::format("repl-reset %s %" PRIu64 " %" PRIu64 " %s",
+                           session.c_str(), snapshot.seed, snapshot.base_seq,
+                           escape_field(snapshot.base_program).c_str()));
+  stream.sent = snapshot.base_seq;
+  stream.acked = snapshot.base_seq;
+  for (const JournalRecord& record : snapshot.records) {
+    if (record.seq > stream.sent) {
+      forward_record_locked(session, stream, record);
+    }
+  }
+  // Records admitted after the snapshot was cut buffered into pending
+  // (the sink kept running); the seq > sent guard dedups the overlap.
+  drain_pending_locked(session, stream);
 }
 
 void PrimaryReplicator::handle_line(const std::string& line) {
@@ -249,45 +278,16 @@ void PrimaryReplicator::finish_handshake() {
       stream.sent = entry->last;
       stream.acked = entry->last;
       for (const JournalRecord& record : missing) {
-        if (record.seq <= stream.sent) continue;
-        emit_locked(util::format(
-            "repl-rec %s %s", id.c_str(),
-            escape_field(format_record(record)).c_str()));
-        stream.sent = record.seq;
-        ++forwarded_records_;
-        util::fault::ReplLinkFault fault =
-            util::fault::repl_record_forwarded();
-        if (fault.drop) link_drop_request_ = true;
-        if (fault.partition_ms > 0) partition_request_ms_ = fault.partition_ms;
+        if (record.seq > stream.sent) forward_record_locked(id, stream, record);
       }
       drain_pending_locked(id, stream);
-      stream.state = StreamState::Streaming;
     } else {
       auto snapshot = service_.resync_snapshot(id);
       if (!snapshot) continue;
       std::lock_guard<std::mutex> lock(mu_);
       Stream& stream = streams_[id];
       if (stream.state == StreamState::Quarantined) continue;
-      emit_locked(util::format(
-          "repl-reset %s %" PRIu64 " %" PRIu64 " %s", id.c_str(),
-          snapshot->seed, snapshot->base_seq,
-          escape_field(snapshot->base_program).c_str()));
-      stream.sent = snapshot->base_seq;
-      stream.acked = snapshot->base_seq;
-      for (const JournalRecord& record : snapshot->records) {
-        if (record.seq <= stream.sent) continue;
-        emit_locked(util::format(
-            "repl-rec %s %s", id.c_str(),
-            escape_field(format_record(record)).c_str()));
-        stream.sent = record.seq;
-        ++forwarded_records_;
-        util::fault::ReplLinkFault fault =
-            util::fault::repl_record_forwarded();
-        if (fault.drop) link_drop_request_ = true;
-        if (fault.partition_ms > 0) partition_request_ms_ = fault.partition_ms;
-      }
-      drain_pending_locked(id, stream);
-      stream.state = StreamState::Streaming;
+      reset_stream_locked(id, stream, *snapshot);
     }
   }
 
@@ -332,17 +332,9 @@ void PrimaryReplicator::on_record(const std::string& session,
   switch (stream.state) {
     case StreamState::Quarantined:
       return;
-    case StreamState::Streaming: {
-      emit_locked(util::format(
-          "repl-rec %s %s", session.c_str(),
-          escape_field(format_record(record)).c_str()));
-      stream.sent = record.seq;
-      ++forwarded_records_;
-      util::fault::ReplLinkFault fault = util::fault::repl_record_forwarded();
-      if (fault.drop) link_drop_request_ = true;
-      if (fault.partition_ms > 0) partition_request_ms_ = fault.partition_ms;
+    case StreamState::Streaming:
+      forward_record_locked(session, stream, record);
       return;
-    }
     case StreamState::Idle:
     case StreamState::PendingReset:
       // Can't forward yet (handshake in flight or the stream needs a
@@ -393,28 +385,7 @@ bool PrimaryReplicator::flush_pending_resets() {
     if (!connected_) return emitted;
     Stream& stream = streams_[id];
     if (stream.state != StreamState::PendingReset) continue;
-    emit_locked(util::format(
-        "repl-reset %s %" PRIu64 " %" PRIu64 " %s", id.c_str(),
-        snapshot->seed, snapshot->base_seq,
-        escape_field(snapshot->base_program).c_str()));
-    stream.sent = snapshot->base_seq;
-    stream.acked = snapshot->base_seq;
-    for (const JournalRecord& record : snapshot->records) {
-      if (record.seq <= stream.sent) continue;
-      emit_locked(util::format(
-          "repl-rec %s %s", id.c_str(),
-          escape_field(format_record(record)).c_str()));
-      stream.sent = record.seq;
-      ++forwarded_records_;
-      util::fault::ReplLinkFault fault = util::fault::repl_record_forwarded();
-      if (fault.drop) link_drop_request_ = true;
-      if (fault.partition_ms > 0) partition_request_ms_ = fault.partition_ms;
-    }
-    // Records admitted after the snapshot was cut buffered into
-    // pending (the sink kept running); the seq > sent guard dedups the
-    // overlap with the snapshot.
-    drain_pending_locked(id, stream);
-    stream.state = StreamState::Streaming;
+    reset_stream_locked(id, stream, *snapshot);
     emitted = true;
   }
   return emitted;
@@ -678,7 +649,7 @@ void ReplicaReplicator::handle_line(const std::string& line) {
     if (response.status == Status::Ok) {
       // Journaled + fsynced, ack not yet sent — the hardest replication
       // crash point; the replica-crash fault rule fires exactly here.
-      util::fault::replica_record_journaled();
+      util::fault::hit(util::fault::Site::RecordJournaled);
       std::lock_guard<std::mutex> lock(mu_);
       auto it = streams_.find(session);
       if (it != streams_.end()) it->second.next = seq + 1;

@@ -132,7 +132,7 @@ class PrimaryReplicator {
   /// Service — safe as ServiceOptions::stats_extra).
   std::string stats_text() const;
 
-  /// Link faults requested by --fault-spec hooks at forwarded records;
+  /// Link faults requested by --fault-spec rules at forwarded records;
   /// the daemon polls and enacts them on the connection.
   bool take_link_drop_request();
   double take_partition_request_ms();
@@ -158,9 +158,18 @@ class PrimaryReplicator {
 
   void finish_handshake();
   void emit_locked(const std::string& line);
-  /// Drain stream.pending with seq > stream.sent into the output;
-  /// caller holds mu_.
+  // The *_locked helpers require mu_ held.
+  /// Emit one repl-rec, advance stream.sent and count it; a link fault
+  /// rule due at this record is left for the daemon loop to enact.
+  void forward_record_locked(const std::string& session, Stream& stream,
+                             const JournalRecord& record);
+  /// Forward stream.pending with seq > stream.sent, then mark the
+  /// stream Streaming.
   void drain_pending_locked(const std::string& session, Stream& stream);
+  /// Emit a repl-reset from `snapshot`, forward its records and the
+  /// pending ones, and mark the stream Streaming.
+  void reset_stream_locked(const std::string& session, Stream& stream,
+                           const Service::ResyncSnapshot& snapshot);
   void quarantine_locked(const std::string& session, Stream& stream,
                          const std::string& reason);
 

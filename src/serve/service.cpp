@@ -183,7 +183,7 @@ Response Service::submit(const Request& request) {
   }
   // The crash-injection point: the event is durable and about to be
   // acked — the hardest moment for recovery to get right.
-  util::fault::serve_event_admitted();
+  util::fault::hit(util::fault::Site::EventAdmitted);
   return Response{Status::Ok, seq, ""};
 }
 
@@ -282,7 +282,7 @@ bool Service::apply_one(std::unique_lock<std::mutex>& lock) {
   ++in_flight_;
   lock.unlock();
 
-  util::fault::serve_before_apply();
+  util::fault::hit(util::fault::Site::Apply);
   bool applied;
   {
     std::lock_guard<std::timed_mutex> apply_lock(state->apply_mutex);

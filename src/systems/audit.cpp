@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "formats/dot.h"
+#include "os/kernel.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -14,52 +15,18 @@ namespace {
 using graph::PropertyGraph;
 using os::AuditEvent;
 
-/// The open(2) flag vocabulary: symbolic name <-> octal value, the table
-/// an audit post-processor keeps to decode hex argument registers (and
-/// here to re-encode the kernel's textual flags into the raw a1 value a
-/// real SYSCALL record would carry).
-struct OpenFlag {
-  const char* name;
-  long value;
-};
-
-constexpr OpenFlag kOpenFlagTable[] = {
-    {"O_WRONLY", 01},     {"O_RDWR", 02},         {"O_CREAT", 0100},
-    {"O_TRUNC", 01000},   {"O_CLOEXEC", 02000000},
-};
-
-/// "O_RDWR|O_CREAT" -> 0102. Unknown names are ignored (forward
-/// compatibility with kernels emitting flags we do not tabulate).
-long encode_open_flags(const std::string& text) {
+/// Re-encode the kernel's textual flags as the raw argument register a
+/// real SYSCALL record would carry: "O_RDWR|O_CREAT" -> "0x42". Unknown
+/// names are ignored (forward compatibility with kernels emitting flags
+/// we do not tabulate).
+std::string encode_flags(std::span<const os::FlagName> table,
+                         const std::string& text) {
   long value = 0;
   for (const std::string& piece : util::split_nonempty(text, '|')) {
-    for (const OpenFlag& flag : kOpenFlagTable) {
-      if (piece == flag.name) {
-        value |= flag.value;
-        break;
-      }
-    }
+    const os::FlagName* flag = os::find_flag(table, &os::FlagName::name, piece);
+    if (flag != nullptr) value |= flag->bits;
   }
-  return value;
-}
-
-constexpr OpenFlag kProtTable[] = {
-    {"PROT_READ", 1},
-    {"PROT_WRITE", 2},
-    {"PROT_EXEC", 4},
-};
-
-long encode_prot(const std::string& text) {
-  long value = 0;
-  for (const std::string& piece : util::split_nonempty(text, '|')) {
-    for (const OpenFlag& flag : kProtTable) {
-      if (piece == flag.name) {
-        value |= flag.value;
-        break;
-      }
-    }
-  }
-  return value;
+  return util::format("0x%lx", value);
 }
 
 class AuditBuilder {
@@ -126,12 +93,12 @@ class AuditBuilder {
     for (const auto& [key, value] : event.fields) {
       if (key == "time") continue;  // transient; ids already carry noise
       if (key == "flags") {
-        props["a1"] = util::format("0x%lx", encode_open_flags(value));
+        props["a1"] = encode_flags(os::kOpenFlagNames, value);
         if (config_.decode_arguments) props["flags"] = value;
         continue;
       }
       if (key == "prot") {
-        props["a2"] = util::format("0x%lx", encode_prot(value));
+        props["a2"] = encode_flags(os::kProtNames, value);
         if (config_.decode_arguments) props["prot"] = value;
         continue;
       }

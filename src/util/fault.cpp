@@ -2,8 +2,11 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
@@ -15,8 +18,98 @@ namespace provmark::util::fault {
 
 namespace {
 
+/// Where a rule arms: shard and member rules only at their (id,
+/// attempt) coordinates, process-wide rules in every process that arms.
+enum class Scope { Shard, Member, Process };
+
+/// What a rule does when it is due at its site.
+enum class Action {
+  Exit,       ///< log, then _exit(kCrashExitCode)
+  Tear,       ///< cut the artifact named `file` to `amount` of its bytes
+  Stall,      ///< sleep `amount` seconds, once
+  Throttle,   ///< sleep `amount` ms at each hit in `window`; never fires
+  Drop,       ///< ask the caller to sever its link
+  Partition,  ///< ask the caller to black-hole its link for `amount` ms
+  Latch,      ///< only mark the rule fired
+};
+
+/// How an extra key's value is read and bounded. Text lands in `file`,
+/// Count in `window`, the numbers in `amount`.
+enum class Value { Text, Count, Number, NonNegative, Positive, Fraction };
+
+struct Key {
+  std::string_view name;
+  Value value = Value::Number;
+  double fallback = 0;  ///< default `amount`
+};
+
+struct KindRow {
+  FaultKind kind;
+  std::string_view name;
+  Site site;
+  Scope scope;
+  std::string_view threshold;  ///< key that sets `after`; "" = first hit
+  Action action;
+  std::array<Key, 2> keys;  ///< extra keys; unused slots are unnamed
+};
+
+// The one kind table. docs/robustness.md mirrors it.
+constexpr KindRow kKinds[] = {
+    {FaultKind::Crash, "crash", Site::CellDone, Scope::Shard, "after-cell",
+     Action::Exit, {}},
+    {FaultKind::TornWrite, "torn-write", Site::ArtifactWrite, Scope::Shard, "",
+     Action::Tear, {{{"file", Value::Text}, {"keep", Value::Fraction, 0.5}}}},
+    {FaultKind::Hang, "hang", Site::Publish, Scope::Shard, "", Action::Stall,
+     {{{"seconds", Value::Number, 3600}}}},
+    {FaultKind::ServeCrash, "serve-crash", Site::EventAdmitted, Scope::Process,
+     "after-events", Action::Exit, {}},
+    {FaultKind::SlowClient, "slow-client", Site::Apply, Scope::Process, "",
+     Action::Throttle,
+     {{{"ms", Value::NonNegative, 50}, {"events", Value::Count}}}},
+    {FaultKind::ReplLinkDrop, "repl-link-drop", Site::RecordForwarded,
+     Scope::Process, "after-records", Action::Drop, {}},
+    {FaultKind::ReplicaCrash, "replica-crash", Site::RecordJournaled,
+     Scope::Process, "after-records", Action::Exit, {}},
+    {FaultKind::ReplPartition, "repl-partition", Site::RecordForwarded,
+     Scope::Process, "after-records", Action::Partition,
+     {{{"ms", Value::Positive, 500}}}},
+    {FaultKind::ClusterMemberCrash, "cluster-member-crash",
+     Site::EventAdmitted, Scope::Member, "after-events", Action::Exit, {}},
+    {FaultKind::MemberHang, "member-hang", Site::EventAdmitted, Scope::Member,
+     "after-events", Action::Latch, {}},
+    {FaultKind::RouteDrop, "route-drop", Site::RequestForwarded,
+     Scope::Process, "after-requests", Action::Drop, {}},
+};
+
+constexpr bool rows_in_kind_order() {
+  for (std::size_t i = 0; i < std::size(kKinds); ++i) {
+    if (static_cast<std::size_t>(kKinds[i].kind) != i) return false;
+  }
+  return true;
+}
+static_assert(rows_in_kind_order(), "kKinds rows must follow FaultKind");
+
+const KindRow& row_of(FaultKind kind) {
+  return kKinds[static_cast<std::size_t>(kind)];
+}
+
+/// What one hit of each site is called in the log, in Site order.
+constexpr const char* kSiteNouns[] = {"cell",  "artifact", "publish",
+                                      "event", "apply",    "record",
+                                      "record", "request"};
+static_assert(std::size(kSiteNouns) ==
+                  static_cast<std::size_t>(Site::RequestForwarded) + 1,
+              "one noun per Site");
+
+/// The key naming each scope's coordinate, in Scope order.
+constexpr std::string_view kCoordinateKeys[] = {"shard", "member", ""};
+
+std::string coordinate_key(Scope scope) {
+  return std::string(kCoordinateKeys[static_cast<int>(scope)]);
+}
+
 /// Live (armed) rules plus their fire-once flags, guarded by a mutex;
-/// `g_armed` is the fast path every disarmed hook takes.
+/// `g_armed` is the fast path every disarmed hit takes.
 struct LiveRule {
   FaultRule rule;
   bool fired = false;
@@ -25,210 +118,166 @@ struct LiveRule {
 std::atomic<bool> g_armed{false};
 std::mutex g_mutex;
 std::vector<LiveRule> g_rules;
-std::atomic<int> g_cells_completed{0};
-std::atomic<int> g_events_admitted{0};
-std::atomic<int> g_applies_seen{0};
-std::atomic<int> g_records_forwarded{0};
-std::atomic<int> g_replica_records{0};
-std::atomic<int> g_requests_forwarded{0};
+std::array<std::atomic<int>, std::size(kSiteNouns)> g_hits{};
 
-bool is_serve_kind(FaultKind kind) {
-  return kind == FaultKind::ServeCrash || kind == FaultKind::SlowClient ||
-         kind == FaultKind::ReplLinkDrop || kind == FaultKind::ReplicaCrash ||
-         kind == FaultKind::ReplPartition;
+[[noreturn]] void reject(const std::string& message) {
+  throw std::invalid_argument("fault-spec: " + message);
 }
 
-/// Kinds that live in the cluster router process: no (shard, attempt)
-/// coordinates, armed unconditionally like the serve kinds.
-bool is_router_kind(FaultKind kind) {
-  return kind == FaultKind::RouteDrop;
-}
-
-/// Kinds that live in one cluster member process, targeted by
-/// `member=<id>` (the shard coordinate slot) + optional incarnation.
-bool is_member_kind(FaultKind kind) {
-  return kind == FaultKind::ClusterMemberCrash ||
-         kind == FaultKind::MemberHang;
-}
-
-double parse_number(const std::string& key, const std::string& value) {
-  try {
-    std::size_t end = 0;
-    double parsed = std::stod(value, &end);
-    if (end != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("fault-spec: " + key +
-                                " needs a number, got '" + value + "'");
+int parse_int(std::string_view key, std::string_view value) {
+  int parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc() || stop != end) {
+    reject(std::string(key) + " needs a decimal integer, got '" +
+           std::string(value) + "'");
   }
+  return parsed;
 }
 
-int parse_int(const std::string& key, const std::string& value) {
-  double parsed = parse_number(key, value);
-  int truncated = static_cast<int>(parsed);
-  if (static_cast<double>(truncated) != parsed) {
-    throw std::invalid_argument("fault-spec: " + key +
-                                " needs an integer, got '" + value + "'");
+double parse_number(std::string_view key, std::string_view value) {
+  double parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc() || stop != end || !std::isfinite(parsed)) {
+    reject(std::string(key) + " needs a finite number, got '" +
+           std::string(value) + "'");
   }
-  return truncated;
+  return parsed;
+}
+
+int parse_count(std::string_view key, std::string_view value) {
+  const int count = parse_int(key, value);
+  if (count < 1) reject(std::string(key) + " must be >= 1");
+  return count;
+}
+
+bool sets_amount(const Key& key) {
+  return !key.name.empty() && key.value != Value::Text &&
+         key.value != Value::Count;
+}
+
+void set_extra(FaultRule& rule, const Key& key, std::string_view value) {
+  const std::string name(key.name);
+  if (key.value == Value::Text) {
+    rule.file = value;
+    return;
+  }
+  if (key.value == Value::Count) {
+    rule.window = parse_count(name, value);
+    return;
+  }
+  const double number = parse_number(name, value);
+  if (key.value == Value::NonNegative && number < 0) {
+    reject(name + " must be >= 0");
+  }
+  if (key.value == Value::Positive && number <= 0) {
+    reject(name + " must be > 0");
+  }
+  if (key.value == Value::Fraction && (number < 0 || number >= 1)) {
+    reject(name + " must be in [0, 1)");
+  }
+  rule.amount = number;
 }
 
 FaultRule parse_rule(const std::string& clause) {
   const std::size_t colon = clause.find(':');
   if (colon == std::string::npos) {
-    throw std::invalid_argument(
-        "fault-spec: rule '" + clause +
-        "' needs the form kind:key=value[,key=value...]");
+    reject("rule '" + clause +
+           "' needs the form kind:key=value[,key=value...]");
   }
-  const std::string kind = std::string(util::trim(clause.substr(0, colon)));
+  const std::string name(util::trim(std::string_view(clause).substr(0, colon)));
+  const KindRow* row = nullptr;
+  std::string names;
+  for (const KindRow& candidate : kKinds) {
+    if (candidate.name == name) row = &candidate;
+    if (!names.empty()) names += " | ";
+    names += candidate.name;
+  }
+  if (row == nullptr) {
+    reject("unknown fault kind '" + name + "' (" + names + ")");
+  }
   FaultRule rule;
-  if (kind == "crash") {
-    rule.kind = FaultKind::Crash;
-  } else if (kind == "torn-write") {
-    rule.kind = FaultKind::TornWrite;
-  } else if (kind == "hang") {
-    rule.kind = FaultKind::Hang;
-  } else if (kind == "serve-crash") {
-    rule.kind = FaultKind::ServeCrash;
-  } else if (kind == "slow-client") {
-    rule.kind = FaultKind::SlowClient;
-  } else if (kind == "repl-link-drop") {
-    rule.kind = FaultKind::ReplLinkDrop;
-  } else if (kind == "replica-crash") {
-    rule.kind = FaultKind::ReplicaCrash;
-  } else if (kind == "repl-partition") {
-    rule.kind = FaultKind::ReplPartition;
-  } else if (kind == "cluster-member-crash") {
-    rule.kind = FaultKind::ClusterMemberCrash;
-  } else if (kind == "member-hang") {
-    rule.kind = FaultKind::MemberHang;
-  } else if (kind == "route-drop") {
-    rule.kind = FaultKind::RouteDrop;
-  } else {
-    throw std::invalid_argument(
-        "fault-spec: unknown fault kind '" + kind +
-        "' (crash | torn-write | hang | serve-crash | slow-client | "
-        "repl-link-drop | replica-crash | repl-partition | "
-        "cluster-member-crash | member-hang | route-drop)");
+  rule.kind = row->kind;
+  for (const Key& key : row->keys) {
+    if (sets_amount(key)) rule.amount = key.fallback;
   }
+  const std::string coordinate = coordinate_key(row->scope);
   for (const std::string& param :
        util::split_nonempty(clause.substr(colon + 1), ',')) {
     const std::size_t eq = param.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("fault-spec: parameter '" + param +
-                                  "' needs the form key=value");
+    const std::string key(util::trim(std::string_view(param).substr(0, eq)));
+    if (eq == std::string::npos || key.empty()) {
+      reject("parameter '" + param + "' needs the form key=value");
     }
-    const std::string key = std::string(util::trim(param.substr(0, eq)));
-    const std::string value = std::string(util::trim(param.substr(eq + 1)));
-    if (key == "shard" && !is_serve_kind(rule.kind) &&
-        !is_member_kind(rule.kind) && !is_router_kind(rule.kind)) {
+    const std::string_view value =
+        util::trim(std::string_view(param).substr(eq + 1));
+    const Key* extra = nullptr;
+    for (const Key& candidate : row->keys) {
+      if (candidate.name == key) extra = &candidate;
+    }
+    if (key == coordinate) {
       rule.shard = parse_int(key, value);
-    } else if (key == "member" && is_member_kind(rule.kind)) {
-      rule.shard = parse_int(key, value);
-    } else if (key == "after-events" &&
-               (rule.kind == FaultKind::ServeCrash ||
-                is_member_kind(rule.kind))) {
-      rule.after_events = parse_int(key, value);
-      if (rule.after_events < 1) {
-        throw std::invalid_argument("fault-spec: after-events must be >= 1");
-      }
-    } else if (key == "after-requests" &&
-               rule.kind == FaultKind::RouteDrop) {
-      rule.after_requests = parse_int(key, value);
-      if (rule.after_requests < 1) {
-        throw std::invalid_argument(
-            "fault-spec: after-requests must be >= 1");
-      }
-    } else if (key == "ms" && rule.kind == FaultKind::SlowClient) {
-      rule.stall_ms = parse_number(key, value);
-      if (rule.stall_ms < 0) {
-        throw std::invalid_argument("fault-spec: ms must be >= 0");
-      }
-    } else if (key == "after-records" &&
-               (rule.kind == FaultKind::ReplLinkDrop ||
-                rule.kind == FaultKind::ReplicaCrash ||
-                rule.kind == FaultKind::ReplPartition)) {
-      rule.after_records = parse_int(key, value);
-      if (rule.after_records < 1) {
-        throw std::invalid_argument("fault-spec: after-records must be >= 1");
-      }
-    } else if (key == "ms" && rule.kind == FaultKind::ReplPartition) {
-      rule.partition_ms = parse_number(key, value);
-      if (rule.partition_ms <= 0) {
-        throw std::invalid_argument("fault-spec: partition ms must be > 0");
-      }
-    } else if (key == "events" && rule.kind == FaultKind::SlowClient) {
-      rule.stall_events = parse_int(key, value);
-      if (rule.stall_events < 1) {
-        throw std::invalid_argument("fault-spec: events must be >= 1");
-      }
-    } else if (key == "attempt" && !is_serve_kind(rule.kind) &&
-               !is_router_kind(rule.kind)) {
+    } else if (key == "attempt" && row->scope != Scope::Process) {
       rule.attempt = value == "any" ? -1 : parse_int(key, value);
-    } else if (key == "after-cell" && rule.kind == FaultKind::Crash) {
-      rule.after_cell = parse_int(key, value);
-      if (rule.after_cell < 1) {
-        throw std::invalid_argument("fault-spec: after-cell must be >= 1");
-      }
-    } else if (key == "file" && rule.kind == FaultKind::TornWrite) {
-      rule.file = value;
-    } else if (key == "keep" && rule.kind == FaultKind::TornWrite) {
-      rule.keep_fraction = parse_number(key, value);
-      if (rule.keep_fraction < 0 || rule.keep_fraction >= 1) {
-        throw std::invalid_argument(
-            "fault-spec: keep must be in [0, 1) — a torn file is a "
-            "strict prefix");
-      }
-    } else if (key == "seconds" && rule.kind == FaultKind::Hang) {
-      rule.hang_seconds = parse_number(key, value);
+    } else if (key == row->threshold) {
+      rule.after = parse_count(key, value);
+    } else if (extra != nullptr) {
+      set_extra(rule, *extra, value);
     } else {
-      throw std::invalid_argument("fault-spec: unknown key '" + key +
-                                  "' for " + kind_name(rule.kind));
+      reject("unknown key '" + key + "' for " + name);
     }
   }
-  if (rule.shard < 0 && is_member_kind(rule.kind)) {
-    throw std::invalid_argument("fault-spec: every cluster-member rule "
-                                "needs member=<id>");
+  if (row->scope != Scope::Process && rule.shard < 0) {
+    reject(name + " needs " + coordinate + "=<id>");
   }
-  if (rule.shard < 0 && !is_serve_kind(rule.kind) &&
-      !is_member_kind(rule.kind) && !is_router_kind(rule.kind)) {
-    throw std::invalid_argument("fault-spec: every shard-side rule needs "
-                                "shard=<id>");
-  }
-  if (rule.kind == FaultKind::TornWrite && rule.file.empty()) {
-    throw std::invalid_argument("fault-spec: torn-write needs file=<name>");
+  for (const Key& key : row->keys) {
+    if (key.value == Value::Text && rule.file.empty()) {
+      reject(name + " needs " + std::string(key.name) + "=<name>");
+    }
   }
   return rule;
 }
 
+/// The log line of a fired rule: `fault-injection: <kind> at <site
+/// noun> <count>`, its coordinates, then what it did.
+void log_fired(const KindRow& row, const FaultRule& rule, int count,
+               const std::string& what) {
+  const std::string where =
+      row.scope == Scope::Process
+          ? ""
+          : util::format(" (%s %d)", coordinate_key(row.scope).c_str(),
+                         rule.shard);
+  std::fprintf(stderr, "fault-injection: %s at %s %d%s — %s\n",
+               row.name.data(), kSiteNouns[static_cast<int>(row.site)],
+               count, where.c_str(), what.c_str());
+  std::fflush(stderr);
+}
+
 }  // namespace
 
-const char* kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::Crash:
-      return "crash";
-    case FaultKind::TornWrite:
-      return "torn-write";
-    case FaultKind::Hang:
-      return "hang";
-    case FaultKind::ServeCrash:
-      return "serve-crash";
-    case FaultKind::SlowClient:
-      return "slow-client";
-    case FaultKind::ReplLinkDrop:
-      return "repl-link-drop";
-    case FaultKind::ReplicaCrash:
-      return "replica-crash";
-    case FaultKind::ReplPartition:
-      return "repl-partition";
-    case FaultKind::ClusterMemberCrash:
-      return "cluster-member-crash";
-    case FaultKind::MemberHang:
-      return "member-hang";
-    case FaultKind::RouteDrop:
-      return "route-drop";
+const char* kind_name(FaultKind kind) { return row_of(kind).name.data(); }
+
+std::string grammar(std::string_view indent) {
+  std::string out;
+  for (const KindRow& row : kKinds) {
+    std::string keys;
+    auto add = [&keys](std::string_view key, const std::string& value) {
+      if (!keys.empty()) keys += ',';
+      keys.append(key).append("=").append(value);
+    };
+    const std::string coordinate = coordinate_key(row.scope);
+    if (!coordinate.empty()) add(coordinate, "K");
+    if (!row.threshold.empty()) add(row.threshold, "1");
+    for (const Key& key : row.keys) {
+      if (key.value == Value::Text) add(key.name, "NAME");
+      if (key.value == Value::Count) add(key.name, "N");
+      if (sets_amount(key)) add(key.name, util::format("%g", key.fallback));
+    }
+    if (!coordinate.empty()) add("attempt", "0");
+    out += std::string(indent) + std::string(row.name) + ":" + keys + "\n";
   }
-  return "unknown";
+  return out;
 }
 
 FaultSpec parse_fault_spec(const std::string& text) {
@@ -236,23 +285,16 @@ FaultSpec parse_fault_spec(const std::string& text) {
   for (const std::string& clause : util::split_nonempty(text, ';')) {
     spec.rules.push_back(parse_rule(clause));
   }
-  if (spec.rules.empty()) {
-    throw std::invalid_argument("fault-spec: no rules in '" + text + "'");
-  }
+  if (spec.rules.empty()) reject("no rules in '" + text + "'");
   return spec;
 }
 
 void arm(const FaultSpec& spec, int shard_id, int attempt) {
   std::lock_guard<std::mutex> lock(g_mutex);
   g_rules.clear();
-  g_cells_completed.store(0);
-  g_events_admitted.store(0);
-  g_applies_seen.store(0);
-  g_records_forwarded.store(0);
-  g_replica_records.store(0);
-  g_requests_forwarded.store(0);
+  for (std::atomic<int>& hits : g_hits) hits.store(0);
   for (const FaultRule& rule : spec.rules) {
-    if (is_serve_kind(rule.kind) || is_router_kind(rule.kind) ||
+    if (row_of(rule.kind).scope == Scope::Process ||
         (rule.shard == shard_id &&
          (rule.attempt < 0 || rule.attempt == attempt))) {
       g_rules.push_back(LiveRule{rule, false});
@@ -269,180 +311,72 @@ void disarm() {
 
 bool armed() { return g_armed.load(); }
 
-void cell_completed() {
-  if (!g_armed.load()) return;
-  const int done = g_cells_completed.fetch_add(1) + 1;
-  std::lock_guard<std::mutex> lock(g_mutex);
-  for (LiveRule& live : g_rules) {
-    if (live.rule.kind != FaultKind::Crash || live.fired) continue;
-    if (done < live.rule.after_cell) continue;
-    live.fired = true;
-    std::fprintf(stderr,
-                 "fault-injection: crash after cell %d (shard %d) — "
-                 "_exit(%d)\n",
-                 done, live.rule.shard, kCrashExitCode);
-    std::fflush(stderr);
-    ::_exit(kCrashExitCode);
-  }
-}
-
-void before_publish() {
-  if (!g_armed.load()) return;
+Effect hit(Site site, std::string_view artifact, std::string* content) {
+  Effect effect;
+  if (!g_armed.load()) return effect;
+  const int count = g_hits[static_cast<int>(site)].fetch_add(1) + 1;
   double stall_seconds = 0;
   {
     std::lock_guard<std::mutex> lock(g_mutex);
     for (LiveRule& live : g_rules) {
-      if (live.rule.kind != FaultKind::Hang || live.fired) continue;
-      live.fired = true;
-      stall_seconds = live.rule.hang_seconds;
-    }
-  }
-  if (stall_seconds <= 0) return;
-  std::fprintf(stderr,
-               "fault-injection: hanging %.0fs before publish "
-               "(waiting for the supervisor)\n",
-               stall_seconds);
-  std::fflush(stderr);
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(stall_seconds));
-}
-
-bool tear_content(std::string_view file_name, std::string* content) {
-  if (!g_armed.load()) return false;
-  std::lock_guard<std::mutex> lock(g_mutex);
-  for (LiveRule& live : g_rules) {
-    if (live.rule.kind != FaultKind::TornWrite || live.fired) continue;
-    if (live.rule.file != file_name) continue;
-    live.fired = true;
-    const std::size_t keep = static_cast<std::size_t>(
-        static_cast<double>(content->size()) * live.rule.keep_fraction);
-    content->resize(keep);
-    std::fprintf(stderr,
-                 "fault-injection: torn write of %s (%zu bytes kept)\n",
-                 std::string(file_name).c_str(), keep);
-    std::fflush(stderr);
-    return true;
-  }
-  return false;
-}
-
-void serve_event_admitted() {
-  if (!g_armed.load()) return;
-  const int admitted = g_events_admitted.fetch_add(1) + 1;
-  std::lock_guard<std::mutex> lock(g_mutex);
-  for (LiveRule& live : g_rules) {
-    if (live.fired || admitted < live.rule.after_events) continue;
-    if (live.rule.kind == FaultKind::ServeCrash ||
-        live.rule.kind == FaultKind::ClusterMemberCrash) {
-      live.fired = true;
-      std::fprintf(stderr,
-                   "fault-injection: %s after event %d — _exit(%d)\n",
-                   kind_name(live.rule.kind), admitted, kCrashExitCode);
-      std::fflush(stderr);
-      ::_exit(kCrashExitCode);
-    }
-    if (live.rule.kind == FaultKind::MemberHang) {
-      live.fired = true;
-      std::fprintf(stderr,
-                   "fault-injection: member-hang after event %d — "
-                   "heartbeats suppressed (member %d)\n",
-                   admitted, live.rule.shard);
-      std::fflush(stderr);
-    }
-  }
-}
-
-bool member_heartbeats_suppressed() {
-  if (!g_armed.load()) return false;
-  std::lock_guard<std::mutex> lock(g_mutex);
-  for (const LiveRule& live : g_rules) {
-    if (live.rule.kind == FaultKind::MemberHang && live.fired) return true;
-  }
-  return false;
-}
-
-bool route_request_forwarded() {
-  if (!g_armed.load()) return false;
-  const int forwarded = g_requests_forwarded.fetch_add(1) + 1;
-  std::lock_guard<std::mutex> lock(g_mutex);
-  for (LiveRule& live : g_rules) {
-    if (live.rule.kind != FaultKind::RouteDrop || live.fired) continue;
-    if (forwarded < live.rule.after_requests) continue;
-    live.fired = true;
-    std::fprintf(stderr,
-                 "fault-injection: route-drop after request %d\n",
-                 forwarded);
-    std::fflush(stderr);
-    return true;
-  }
-  return false;
-}
-
-void serve_before_apply() {
-  if (!g_armed.load()) return;
-  const int seen = g_applies_seen.fetch_add(1) + 1;
-  double stall_ms = 0;
-  {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    for (const LiveRule& live : g_rules) {
-      if (live.rule.kind != FaultKind::SlowClient) continue;
-      if (live.rule.stall_events >= 0 && seen > live.rule.stall_events) {
+      const KindRow& row = row_of(live.rule.kind);
+      const FaultRule& rule = live.rule;
+      if (row.site != site || live.fired || count < rule.after) continue;
+      if (row.action == Action::Tear &&
+          (content == nullptr || rule.file != artifact)) {
         continue;
       }
-      stall_ms = live.rule.stall_ms;
-    }
-  }
-  if (stall_ms <= 0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double>(stall_ms / 1e3));
-}
-
-ReplLinkFault repl_record_forwarded() {
-  ReplLinkFault result;
-  if (!g_armed.load()) return result;
-  const int forwarded = g_records_forwarded.fetch_add(1) + 1;
-  std::lock_guard<std::mutex> lock(g_mutex);
-  for (LiveRule& live : g_rules) {
-    if (live.fired) continue;
-    if (live.rule.kind == FaultKind::ReplLinkDrop &&
-        forwarded >= live.rule.after_records) {
+      if (row.action == Action::Throttle) {
+        if (rule.window < 0 || count <= rule.window) {
+          stall_seconds = rule.amount / 1e3;
+        }
+        continue;
+      }
       live.fired = true;
-      result.drop = true;
-      std::fprintf(stderr,
-                   "fault-injection: repl-link-drop after record %d\n",
-                   forwarded);
-      std::fflush(stderr);
-      return result;
-    }
-    if (live.rule.kind == FaultKind::ReplPartition &&
-        forwarded >= live.rule.after_records) {
-      live.fired = true;
-      result.partition_ms = live.rule.partition_ms;
-      std::fprintf(stderr,
-                   "fault-injection: repl-partition for %.0fms after "
-                   "record %d\n",
-                   result.partition_ms, forwarded);
-      std::fflush(stderr);
-      return result;
+      effect.fired = true;
+      std::string what = "latched";
+      switch (row.action) {
+        case Action::Exit:
+          log_fired(row, rule, count,
+                    util::format("_exit(%d)", kCrashExitCode));
+          ::_exit(kCrashExitCode);
+        case Action::Tear: {
+          const std::size_t size = content->size();
+          content->resize(static_cast<std::size_t>(
+              static_cast<double>(size) * rule.amount));
+          what = util::format("%s torn to %zu of %zu bytes",
+                              rule.file.c_str(), content->size(), size);
+          break;
+        }
+        case Action::Stall:
+          stall_seconds = rule.amount;
+          what = util::format("stalling %gs", rule.amount);
+          break;
+        case Action::Drop:
+          effect.drop = true;
+          what = "link dropped";
+          break;
+        case Action::Partition:
+          effect.partition_ms = rule.amount;
+          what = util::format("link black-holed for %gms", rule.amount);
+          break;
+        case Action::Latch:
+        case Action::Throttle:  // handled above: a throttle never fires
+          break;
+      }
+      log_fired(row, rule, count, what);
+      // At most one tear or link fault per hit; the next due rule
+      // fires at the next hit.
+      if (row.action == Action::Tear || row.action == Action::Drop ||
+          row.action == Action::Partition) {
+        break;
+      }
     }
   }
-  return result;
-}
-
-void replica_record_journaled() {
-  if (!g_armed.load()) return;
-  const int journaled = g_replica_records.fetch_add(1) + 1;
-  std::lock_guard<std::mutex> lock(g_mutex);
-  for (LiveRule& live : g_rules) {
-    if (live.rule.kind != FaultKind::ReplicaCrash || live.fired) continue;
-    if (journaled < live.rule.after_records) continue;
-    live.fired = true;
-    std::fprintf(stderr,
-                 "fault-injection: replica-crash after record %d — "
-                 "_exit(%d)\n",
-                 journaled, kCrashExitCode);
-    std::fflush(stderr);
-    ::_exit(kCrashExitCode);
+  if (stall_seconds > 0) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(stall_seconds));
   }
+  return effect;
 }
 
 int fired_count(FaultKind kind) {

@@ -1,104 +1,16 @@
-// Deterministic fault injection for the crash-tolerance subsystem.
+// Deterministic fault injection for the crash-tolerance gates.
 //
-// The sharded sweep orchestrator (docs/robustness.md) promises to
-// survive worker crashes, torn artifact writes, and hangs. Promises
-// about failure paths rot unless the failures are cheap to produce on
-// demand, so this module turns a textual fault specification
-// (`provmark --fault-spec ...`) into hooks the shard writer and worker
-// loop call at the exact moments real faults would strike:
+// `--fault-spec` turns ';'-joined rules into faults at the exact points
+// real ones would strike. Every kind is one row of the table in
+// fault.cpp — name, trigger site, scope, threshold and extra keys with
+// their defaults, action — and docs/robustness.md ("Deterministic fault
+// injection") mirrors that table. Rules have no clocks and no
+// randomness, so every chaos run reproduces bit-for-bit.
 //
-//   crash:shard=1,after-cell=3    worker for shard 1 calls _exit(70)
-//                                 once its 3rd matrix cell completes
-//   torn-write:shard=2,file=validation.txt
-//                                 shard 2 publishes validation.txt
-//                                 truncated (the manifest still records
-//                                 the intended content hash, so the
-//                                 tear is detectable downstream)
-//   hang:shard=0                  shard 0 stalls before publishing its
-//                                 artifacts (a straggler with all work
-//                                 done), until the supervisor kills it
-//
-// The streaming service (docs/serve.md) makes the same kind of promise
-// — recover bit-identically after SIGKILL, shed load instead of
-// corrupting sessions — so it gets serve-side kinds:
-//
-//   serve-crash:after-events=5    the daemon calls _exit(70) right
-//                                 after journaling+acking its 5th
-//                                 admitted event (SIGKILL-equivalent:
-//                                 no drain, no checkpoint)
-//   slow-client:ms=50             every worker apply stalls 50ms, so a
-//                                 normal feed rate overruns the queues
-//                                 and exercises the shedding path
-//                                 (`events=N` limits the stall to the
-//                                 first N applies)
-//
-// The replication layer (primary + hot standby, docs/serve.md) adds
-// link- and replica-level failures:
-//
-//   repl-link-drop:after-records=5
-//                                 the primary severs the replication
-//                                 connection right after forwarding its
-//                                 5th record — the standby must
-//                                 reconnect with seeded backoff and
-//                                 resync from the last common prefix
-//   replica-crash:after-records=5
-//                                 the *standby* calls _exit(70) after
-//                                 journaling its 5th replicated record,
-//                                 before sending the ack — the hardest
-//                                 replication crash point (durable but
-//                                 unacknowledged)
-//   repl-partition:after-records=5[,ms=300]
-//                                 the primary black-holes the
-//                                 replication link (both directions)
-//                                 for ms after forwarding its 5th
-//                                 record, then drops it — heartbeats go
-//                                 unanswered, so the standby's
-//                                 missed-heartbeat machinery fires
-//
-// The cluster router (a fleet of supervised serve daemons behind one
-// routing front end, docs/serve.md "Cluster sharding") adds member-
-// and route-level failures:
-//
-//   cluster-member-crash:member=1,after-events=5
-//                                 cluster member 1 calls _exit(70)
-//                                 right after journaling+acking its 5th
-//                                 admitted event — the router must
-//                                 answer `busy` for its sessions until
-//                                 the restarted incarnation finishes
-//                                 journal replay
-//   member-hang:member=2,after-events=3
-//                                 member 2 silently stops sending
-//                                 liveness heartbeats after its 3rd
-//                                 admitted event (a wedged event loop);
-//                                 the supervisor's heartbeat deadline
-//                                 must kill and restart it
-//   route-drop:after-requests=7   the *router* severs its proxy
-//                                 connection to a member right after
-//                                 forwarding its 7th request;
-//                                 outstanding requests on that link
-//                                 become `busy` and the router
-//                                 reconnects
-//
-// Rules are joined with ';'. Shard-side kinds target exactly one
-// (shard, attempt) pair: `attempt=K` defaults to 0 — the first try —
-// so retries and straggler re-dispatches run fault-free and the sweep
-// converges; `attempt=any` keeps a rule armed on every attempt (how
-// tests produce a shard that fails until quarantined). Serve-side
-// kinds live in a single long-running daemon with no shard or attempt
-// coordinates, so they take neither key and arm unconditionally.
-// Cluster member kinds take `member=<id>` (the same coordinate slot as
-// shard) plus an optional `attempt=<incarnation>` defaulting to 0 —
-// the first incarnation — so a restarted member runs fault-free and
-// the fleet converges; `route-drop` runs in the router process and
-// arms unconditionally like the serve kinds.
-// Everything is deterministic: a rule either fires at its trigger
-// point or it does not — no clocks, no randomness — so the chaos bench
-// and CI gate reproduce bit-for-bit. (slow-client stalls wall-clock
-// time but fires on deterministic event counts.)
-//
-// The injector is process-global and disarmed by default; every hook
-// is a no-op (one relaxed atomic load) until arm() is called, which
-// only ever happens inside shard worker processes.
+// The injector is process-global and disarmed by default: every hit()
+// is one atomic load until arm() is called. Shard workers arm with
+// their (shard, attempt), cluster members with (member, incarnation),
+// serve daemons with (0, 0) and the router with (-1, -1).
 #pragma once
 
 #include <string>
@@ -107,6 +19,7 @@
 
 namespace provmark::util::fault {
 
+/// One per row of the kind table, in table order.
 enum class FaultKind {
   Crash,
   TornWrite,
@@ -121,45 +34,53 @@ enum class FaultKind {
   RouteDrop,
 };
 
+/// The points in the program where rules can fire. Each site counts
+/// its own hits; a rule's threshold is a count at its kind's site.
+enum class Site {
+  CellDone,          ///< shard worker: one matrix cell finished
+  ArtifactWrite,     ///< shard writer: an artifact is about to be written
+  Publish,           ///< shard writer: artifacts staged, about to publish
+  EventAdmitted,     ///< serve: an event was journaled and acked
+  Apply,             ///< serve worker: an event is about to be applied
+  RecordForwarded,   ///< primary: a journal record went to the standby
+  RecordJournaled,   ///< standby: a record is fsynced, its ack not sent
+  RequestForwarded,  ///< router: a request went to a member
+};
+
 const char* kind_name(FaultKind kind);
 
-/// Exit code of a `crash:` rule, chosen to be recognizable in worker
+/// One line per kind, `indent` first: the rule with every key it takes,
+/// required keys as placeholders and optional keys at their defaults.
+std::string grammar(std::string_view indent);
+
+/// Exit code of the exit actions, chosen to be recognizable in worker
 /// fate diagnostics (BSD sysexits' EX_SOFTWARE).
 constexpr int kCrashExitCode = 70;
 
 struct FaultRule {
   FaultKind kind = FaultKind::Crash;
-  int shard = -1;    ///< target shard id (required for shard-side kinds)
-  int attempt = 0;   ///< target attempt; -1 = every attempt ("any")
-  int after_cell = 1;          ///< crash: fire after this many cells
-  std::string file;            ///< torn-write: artifact name to tear
-  double keep_fraction = 0.5;  ///< torn-write: prefix fraction kept
-  double hang_seconds = 3600;  ///< hang: stall duration before publish
-  int after_events = 1;   ///< serve-crash: fire after this many admits
-  double stall_ms = 50;   ///< slow-client: stall per worker apply
-  int stall_events = -1;  ///< slow-client: applies stalled; -1 = all
-  /// repl-link-drop / repl-partition: fire after this many records
-  /// forwarded by the primary; replica-crash: after this many records
-  /// journaled by the standby.
-  int after_records = 1;
-  double partition_ms = 500;  ///< repl-partition: black-hole duration
-  /// route-drop: fire after this many requests the router forwarded.
-  int after_requests = 1;
+  int shard = -1;    ///< target shard, or member id for member kinds
+  int attempt = 0;   ///< target attempt or incarnation; -1 = any
+  int after = 1;     ///< fire at this hit of the kind's site, or later
+  std::string file;  ///< torn-write: artifact name to tear
+  /// The kind's amount: keep fraction (torn-write), seconds (hang) or
+  /// milliseconds (slow-client, repl-partition).
+  double amount = 0;
+  int window = -1;  ///< slow-client: applies stalled; -1 = all
 };
 
 struct FaultSpec {
   std::vector<FaultRule> rules;
 };
 
-/// Parse the `--fault-spec` grammar (see module comment). Throws
-/// std::invalid_argument with a pointed message on any malformed rule,
-/// unknown kind, unknown key, or missing required key.
+/// Parse the `--fault-spec` grammar. Throws std::invalid_argument with a
+/// pointed message on a malformed rule or number, an unknown kind, a key
+/// the kind's row does not list, or a missing required key.
 FaultSpec parse_fault_spec(const std::string& text);
 
-/// Arm `spec` for this process: shard-side rules whose (shard, attempt)
-/// match the given pair become live; serve-side rules (serve-crash,
-/// slow-client) are always live — the daemon arms with (0, 0). Resets
-/// all fire-once state.
+/// Arm `spec` for this process: shard and member rules whose (shard,
+/// attempt) match the given pair become live, process-wide rules are
+/// always live. Resets every site counter and all fire-once state.
 void arm(const FaultSpec& spec, int shard_id, int attempt);
 
 /// Disarm every rule (tests call this between scenarios).
@@ -168,70 +89,23 @@ void disarm();
 /// True when any rule is live in this process.
 bool armed();
 
-// -- hooks (no-ops while disarmed) -------------------------------------------
-
-/// Worker loop hook: one matrix cell finished in this process. A live
-/// crash rule whose after-cell count is reached calls _exit(70).
-void cell_completed();
-
-/// Shard writer hook: the artifact directory is fully staged and about
-/// to be published. A live hang rule stalls here for hang_seconds.
-void before_publish();
-
-/// Shard writer hook: `content` is about to be written as artifact
-/// `file_name` (no directory components). A live torn-write rule for
-/// that name truncates `content` in place (fires once) and returns
-/// true; the caller must have recorded the intended content hash
-/// *before* this call, so the tear is detectable.
-bool tear_content(std::string_view file_name, std::string* content);
-
-/// Serve admission hook: one event was journaled and acked. A live
-/// serve-crash or cluster-member-crash rule whose after-events count is
-/// reached calls _exit(70) — the moment an unclean death is hardest on
-/// the journal (the client believes the event durable; recovery must
-/// agree). A member-hang rule latches here instead (see
-/// member_heartbeats_suppressed).
-void serve_event_admitted();
-
-/// Serve worker hook: an admitted event is about to be applied to its
-/// session. A live slow-client rule stalls here for stall_ms (the first
-/// stall_events applies, or every apply when -1), backing the queues up
-/// so overload shedding fires under test control.
-void serve_before_apply();
-
-/// What a repl-link-drop / repl-partition rule decided at a forwarded
-/// record. At most one fires per call (drop wins over partition).
-struct ReplLinkFault {
-  bool drop = false;         ///< sever the replication connection now
-  double partition_ms = 0;   ///< >0: black-hole the link this long
+/// What the rule that fired at a hit asks its caller to do. Exits,
+/// stalls and tears happen inside hit().
+struct Effect {
+  bool fired = false;       ///< a rule fired at this hit
+  bool drop = false;        ///< sever the connection now
+  double partition_ms = 0;  ///< >0: black-hole the link this long
 };
 
-/// Primary replicator hook: one journal record was forwarded to the
-/// standby. A live repl-link-drop or repl-partition rule whose
-/// after-records count is reached fires (once) and is reported in the
-/// result; the daemon enacts it on the connection.
-ReplLinkFault repl_record_forwarded();
-
-/// Cluster member hook: consulted by the member daemon before each
-/// liveness heartbeat. True once a member-hang rule has fired (at its
-/// after-events admission count, reported by serve_event_admitted) —
-/// the daemon then stays silent on the control channel, simulating a
-/// wedged event loop, until the supervisor's deadline kills it.
-bool member_heartbeats_suppressed();
-
-/// Router hook: one request was forwarded to a cluster member. Returns
-/// true when a live route-drop rule's after-requests count is reached
-/// (fires once); the router severs that member connection.
-bool route_request_forwarded();
-
-/// Standby hook: one replicated record was journaled and fsynced, the
-/// ack not yet sent. A live replica-crash rule whose after-records
-/// count is reached calls _exit(70) — durable-but-unacknowledged, the
-/// hardest point for resync to get right.
-void replica_record_journaled();
+/// Counts one hit of `site` and applies the live rules due there, in
+/// spec order. At ArtifactWrite, pass the artifact's name and content:
+/// a torn-write rule for that name truncates `content` in place, so the
+/// caller must record the intended digest before the call.
+Effect hit(Site site, std::string_view artifact = {},
+           std::string* content = nullptr);
 
 /// How many live rules of `kind` have fired in this process since
-/// arm(). The chaos gates assert every injected fault actually fired.
+/// arm(). A fired member-hang rule silences the member's heartbeats.
 int fired_count(FaultKind kind);
 
 }  // namespace provmark::util::fault

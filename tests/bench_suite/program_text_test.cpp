@@ -103,6 +103,23 @@ TEST(ProgramText, ErrorsCarryLineNumbers) {
       std::invalid_argument);
 }
 
+TEST(ProgramText, FlagsUseTheShortNamesOfTheFlagTable) {
+  BenchmarkProgram p = parse_program(
+      "name flags\n"
+      "target open path=a flags=trunc+w+creat out=fd\n");
+  ASSERT_EQ(p.ops.size(), 1u);
+  EXPECT_EQ(p.ops[0].flags, os::kO_WRONLY | os::kO_CREAT | os::kO_TRUNC);
+  EXPECT_NE(format_program(p).find(" flags=w+creat+trunc"), std::string::npos);
+  // Access mode 03 has no short name and prints as r; O_CLOEXEC has
+  // none either and is left out.
+  p.ops[0].flags = 03 | os::kO_CREAT | os::kO_CLOEXEC;
+  EXPECT_NE(format_program(p).find(" flags=r+creat"), std::string::npos);
+  // Long names are not program text.
+  EXPECT_THROW(
+      parse_program("name x\ntarget open path=a flags=O_RDWR out=fd\n"),
+      std::invalid_argument);
+}
+
 TEST(ProgramText, RoundTripAllTableBenchmarks) {
   for (const BenchmarkProgram& original : table_benchmarks()) {
     BenchmarkProgram round = parse_program(format_program(original));

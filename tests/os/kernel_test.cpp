@@ -39,6 +39,28 @@ TEST(Kernel, LaunchProgramRecordsBoilerplate) {
   EXPECT_TRUE(saw_task_alloc);
 }
 
+TEST(Kernel, FlagStringsComeFromTheFlagTable) {
+  Kernel kernel = recording_kernel();
+  Pid pid = kernel.launch_program("/usr/bin/bench", "bench");
+  kernel.start_recording();
+  // Access mode 03 has no name and reads as O_RDWR.
+  kernel.sys_open(pid, "/etc/passwd", 03 | kO_TRUNC | kO_CLOEXEC);
+  kernel.sys_open(pid, "/etc/passwd", kO_RDONLY);
+  kernel.sys_mmap(pid, -1, 4096, 0);  // 0 is treated as PROT_READ
+  kernel.sys_mmap(pid, -1, 4096, 8);  // no known bit
+  kernel.sys_mmap(pid, -1, 4096, 7);
+  std::vector<std::string> open_flags, prot;
+  for (const LibcEvent& e : kernel.trace().libc) {
+    if (e.function == "open") open_flags.push_back(e.args.at(1));
+    if (e.function == "mmap") prot.push_back(e.args.at(2));
+  }
+  EXPECT_EQ(open_flags, (std::vector<std::string>{"O_RDWR|O_TRUNC|O_CLOEXEC",
+                                                  "O_RDONLY"}));
+  EXPECT_EQ(prot, (std::vector<std::string>{
+                      "PROT_READ", "PROT_NONE",
+                      "PROT_READ|PROT_WRITE|PROT_EXEC"}));
+}
+
 TEST(Kernel, NothingRecordedWhileStopped) {
   Kernel kernel = recording_kernel();
   Pid pid = kernel.launch_program("/usr/bin/bench", "bench");

@@ -1,19 +1,17 @@
 // Cluster routing unit tests (src/serve/cluster.h): session-to-member
-// hashing, the member path layout, router stats text, and the parsing
-// rules for the three cluster fault kinds. The end-to-end router —
-// SIGKILL recovery, busy windows, digest identity — lives in
+// hashing, the member path layout and router stats text. The cluster
+// fault kinds are covered in tests/util/fault_test.cpp. The end-to-end
+// router — SIGKILL recovery, busy windows, digest identity — lives in
 // bench/perf_serve_cluster.cpp (real processes are too heavy for unit
 // scope).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "serve/cluster.h"
-#include "util/fault.h"
 
 namespace provmark::serve {
 namespace {
@@ -88,105 +86,6 @@ TEST(ClusterRouting, RouterStatsRendersValuesAndMemberRows) {
   EXPECT_NE(text.find("member0_routed=25\n"), std::string::npos);
   EXPECT_NE(text.find("member1_state=backoff\n"), std::string::npos);
   EXPECT_NE(text.find("member1_routed=15\n"), std::string::npos);
-}
-
-TEST(ClusterFaults, MemberRulesParseAndTargetByMemberAndIncarnation) {
-  namespace fault = util::fault;
-  const fault::FaultSpec spec = fault::parse_fault_spec(
-      "cluster-member-crash:member=1,after-events=5;"
-      "member-hang:member=2,after-events=3,attempt=any;"
-      "route-drop:after-requests=7");
-  ASSERT_EQ(spec.rules.size(), 3u);
-
-  EXPECT_EQ(spec.rules[0].kind, fault::FaultKind::ClusterMemberCrash);
-  EXPECT_EQ(spec.rules[0].shard, 1);  // member id rides the shard slot
-  EXPECT_EQ(spec.rules[0].after_events, 5);
-  EXPECT_EQ(spec.rules[0].attempt, 0);  // incarnation 0 only, by default
-
-  EXPECT_EQ(spec.rules[1].kind, fault::FaultKind::MemberHang);
-  EXPECT_EQ(spec.rules[1].shard, 2);
-  EXPECT_EQ(spec.rules[1].attempt, -1);  // attempt=any
-
-  EXPECT_EQ(spec.rules[2].kind, fault::FaultKind::RouteDrop);
-  EXPECT_EQ(spec.rules[2].after_requests, 7);
-}
-
-TEST(ClusterFaults, ArmingSelectsByProcessCoordinates) {
-  namespace fault = util::fault;
-  const fault::FaultSpec spec = fault::parse_fault_spec(
-      "cluster-member-crash:member=1,after-events=5;"
-      "route-drop:after-requests=100000");
-
-  // The router arms with (-1, -1): member rules stay dormant there,
-  // router rules arm. (after-requests is huge so nothing fires here.)
-  fault::arm(spec, -1, -1);
-  EXPECT_TRUE(fault::armed());
-  EXPECT_EQ(fault::fired_count(fault::FaultKind::ClusterMemberCrash), 0);
-
-  // Member 0 incarnation 0: the member=1 rule must not arm — hammering
-  // events through the hook fires nothing.
-  fault::arm(spec, 0, 0);
-  for (int i = 0; i < 10; ++i) fault::serve_event_admitted();
-  EXPECT_EQ(fault::fired_count(fault::FaultKind::ClusterMemberCrash), 0);
-
-  // Member 1 incarnation 1 (the restarted incarnation): default
-  // attempt targeting is incarnation 0, so the crash rule stays
-  // dormant — the member recovers fault-free.
-  fault::arm(spec, 1, 1);
-  for (int i = 0; i < 10; ++i) fault::serve_event_admitted();
-  EXPECT_EQ(fault::fired_count(fault::FaultKind::ClusterMemberCrash), 0);
-
-  fault::disarm();
-  EXPECT_FALSE(fault::armed());
-}
-
-TEST(ClusterFaults, MalformedClusterRulesAreRejected) {
-  namespace fault = util::fault;
-  // member= is mandatory for member-targeted kinds.
-  EXPECT_THROW(fault::parse_fault_spec("cluster-member-crash:after-events=5"),
-               std::invalid_argument);
-  EXPECT_THROW(fault::parse_fault_spec("member-hang:after-events=2"),
-               std::invalid_argument);
-  // route-drop has no member/attempt coordinates.
-  EXPECT_THROW(fault::parse_fault_spec("route-drop:member=1"),
-               std::invalid_argument);
-  EXPECT_THROW(
-      fault::parse_fault_spec("route-drop:after-requests=3,attempt=any"),
-      std::invalid_argument);
-  // after-requests must be positive.
-  EXPECT_THROW(fault::parse_fault_spec("route-drop:after-requests=0"),
-               std::invalid_argument);
-  // member kinds use after-events, not after-requests.
-  EXPECT_THROW(
-      fault::parse_fault_spec("member-hang:member=1,after-requests=3"),
-      std::invalid_argument);
-}
-
-TEST(ClusterFaults, RouteDropFiresOnceAtTheConfiguredRequest) {
-  namespace fault = util::fault;
-  fault::arm(fault::parse_fault_spec("route-drop:after-requests=3"), -1, -1);
-  EXPECT_FALSE(fault::route_request_forwarded());  // request 1
-  EXPECT_FALSE(fault::route_request_forwarded());  // request 2
-  EXPECT_TRUE(fault::route_request_forwarded());   // request 3: fires
-  EXPECT_FALSE(fault::route_request_forwarded());  // fire-once
-  EXPECT_EQ(fault::fired_count(fault::FaultKind::RouteDrop), 1);
-  fault::disarm();
-}
-
-TEST(ClusterFaults, MemberHangSuppressesHeartbeatsOnceFired) {
-  namespace fault = util::fault;
-  fault::arm(fault::parse_fault_spec("member-hang:member=0,after-events=2"),
-             0, 0);
-  EXPECT_FALSE(fault::member_heartbeats_suppressed());
-  fault::serve_event_admitted();  // event 1
-  EXPECT_FALSE(fault::member_heartbeats_suppressed());
-  fault::serve_event_admitted();  // event 2: the hang latches
-  EXPECT_TRUE(fault::member_heartbeats_suppressed());
-  // Latched for the life of the process (until disarm): the daemon
-  // keeps serving but goes silent on the control channel.
-  EXPECT_TRUE(fault::member_heartbeats_suppressed());
-  fault::disarm();
-  EXPECT_FALSE(fault::member_heartbeats_suppressed());
 }
 
 }  // namespace

@@ -481,59 +481,6 @@ TEST(Replication, ApplyReplicatedDupIsIdempotentGapAndSeedMismatchRefuse) {
 }
 
 // ---------------------------------------------------------------------------
-// Replication fault rules
-
-TEST(ReplicationFaults, LinkDropRuleFiresAtTheConfiguredRecord) {
-  util::fault::arm(
-      util::fault::parse_fault_spec("repl-link-drop:after-records=2"), 0, 0);
-  EXPECT_FALSE(util::fault::repl_record_forwarded().drop);
-  util::fault::ReplLinkFault second = util::fault::repl_record_forwarded();
-  EXPECT_TRUE(second.drop);
-  EXPECT_EQ(second.partition_ms, 0);
-  // Fire-once: the third forwarded record is clean.
-  EXPECT_FALSE(util::fault::repl_record_forwarded().drop);
-  EXPECT_EQ(util::fault::fired_count(util::fault::FaultKind::ReplLinkDrop), 1);
-  util::fault::disarm();
-}
-
-TEST(ReplicationFaults, PartitionRuleCarriesItsDuration) {
-  util::fault::arm(util::fault::parse_fault_spec(
-                       "repl-partition:after-records=1,ms=123"),
-                   0, 0);
-  util::fault::ReplLinkFault fault = util::fault::repl_record_forwarded();
-  EXPECT_FALSE(fault.drop);
-  EXPECT_EQ(fault.partition_ms, 123);
-  EXPECT_EQ(util::fault::fired_count(util::fault::FaultKind::ReplPartition),
-            1);
-  util::fault::disarm();
-}
-
-TEST(ReplicationFaults, ReplicaCrashRuleExitsWithTheCrashCode) {
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    util::fault::arm(
-        util::fault::parse_fault_spec("replica-crash:after-records=2"), 0, 0);
-    util::fault::replica_record_journaled();  // 1st: survives
-    util::fault::replica_record_journaled();  // 2nd: _exit(70)
-    ::_exit(1);                               // unreachable
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), util::fault::kCrashExitCode);
-}
-
-TEST(ReplicationFaults, MalformedRulesAreRejected) {
-  EXPECT_THROW(util::fault::parse_fault_spec("repl-link-drop:after-records=0"),
-               std::invalid_argument);
-  EXPECT_THROW(util::fault::parse_fault_spec("repl-partition:ms=-1"),
-               std::invalid_argument);
-  EXPECT_THROW(util::fault::parse_fault_spec("replica-crash:shard=1"),
-               std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
 // Real two-daemon failover
 
 pid_t spawn_daemon(const fs::path& root, const std::string& socket_path,

@@ -78,6 +78,20 @@ TEST(Audit, FlagVocabularyDecodedNextToRawRegister) {
   EXPECT_EQ(creat_record->props.at("a1"), "0x241");
 }
 
+TEST(Audit, UnknownFlagNamesAddNoBits) {
+  os::EventTrace trace = trace_for("creat", true);
+  for (os::AuditEvent& e : trace.audit) {
+    if (e.syscall != "creat") continue;
+    e.fields["flags"] = "O_RDWR|O_BOGUS|O_CREAT";
+    e.fields["prot"] = "PROT_NONE|PROT_EXEC";
+  }
+  graph::PropertyGraph g = build_audit_graph(trace, {}, 1);
+  const graph::Node* record = find_syscall_node(g, "creat");
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->props.at("a1"), "0x42");  // 02 | 0100
+  EXPECT_EQ(record->props.at("a2"), "0x4");
+}
+
 TEST(Audit, DecodeArgumentsOffKeepsRawRegistersOnly) {
   AuditConfig config;
   config.decode_arguments = false;

@@ -75,7 +75,9 @@ using namespace provmark;
 
 namespace {
 
-constexpr const char* kUsage =
+// The usage text around the --fault-spec grammar, which comes from the
+// fault kind table (util::fault::grammar).
+constexpr const char* kUsageHead =
     "usage:\n"
     "  provmark [options] run <system> <benchmark> [trials]\n"
     "  provmark [options] batch <systems> <rb|rg|rh> [output-dir]\n"
@@ -216,24 +218,15 @@ constexpr const char* kUsage =
     "               which --fault-spec rules arm (default 0)\n"
     "  --fault-spec SPEC\n"
     "               deterministic fault injection for crash-tolerance\n"
-    "               testing: ';'-joined rules of\n"
-    "                 crash:shard=K,after-cell=M\n"
-    "                 torn-write:shard=K,file=NAME[,keep=F]\n"
-    "                 hang:shard=K[,seconds=S]\n"
-    "                 serve-crash:after-events=M\n"
-    "                 slow-client:ms=T[,events=M]\n"
-    "                 repl-link-drop:after-records=M\n"
-    "                 replica-crash:after-records=M\n"
-    "                 repl-partition:after-records=M[,ms=T]\n"
-    "                 cluster-member-crash:member=K,after-events=M\n"
-    "                 member-hang:member=K,after-events=M\n"
-    "                 route-drop:after-requests=M\n"
-    "               each shard rule arms on attempt 0 only unless\n"
-    "               attempt=N|any is given, so retried attempts run\n"
-    "               fault-free and the sweep converges; serve rules arm\n"
-    "               unconditionally in the daemon, and member rules arm\n"
-    "               in the targeted member's incarnation (see\n"
-    "               docs/robustness.md for the full grammar)\n"
+    "               testing: ';'-joined rules of\n";
+constexpr const char* kUsageTail =
+    "               K and NAME are required, the other values shown are\n"
+    "               defaults, and events=N stalls only the first N\n"
+    "               applies; attempt=N|any picks the shard attempt or\n"
+    "               member incarnation a rule arms on (default 0, so\n"
+    "               retries run fault-free and the sweep converges);\n"
+    "               rules without shard/member arm in every process\n"
+    "               (see docs/robustness.md for the kind table)\n"
     "  --max-input-bytes N\n"
     "               size ceiling for parsed inputs — @file.prog programs,\n"
     "               query documents, serve event payloads (default 64 MiB\n"
@@ -255,8 +248,12 @@ constexpr const char* kUsage =
     "            rename-fail, failure-case names, @file.prog,\n"
     "            gen<seed>x<scale> (seeded adversarial programs)\n";
 
+std::string usage_text() {
+  return kUsageHead + util::fault::grammar("                 ") + kUsageTail;
+}
+
 int usage() {
-  std::fprintf(stderr, "%s", kUsage);
+  std::fprintf(stderr, "%s", usage_text().c_str());
   return 2;
 }
 
@@ -864,7 +861,7 @@ int main(int argc, char** argv) {
   try {
     while (!args.empty() && args[0].rfind("--", 0) == 0) {
       if (args[0] == "--help") {
-        std::printf("%s", kUsage);
+        std::printf("%s", usage_text().c_str());
         return 0;
       }
       if (args[0] == "--threads" && args.size() >= 2) {
