@@ -23,7 +23,8 @@
 // torn tails, restores each session's checkpoint and replays the
 // journal tail through Session::apply — the same function the live
 // path uses — so a SIGKILL'd service restarts into bit-identical
-// per-session fixpoints (enforced by tests/serve/ and BENCH_serve).
+// per-session fixpoints (enforced by tests/serve/, e.g.
+// ReplayFuzz.RealSigkillMidStreamRecoversBitIdentically).
 #pragma once
 
 #include <atomic>

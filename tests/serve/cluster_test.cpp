@@ -1,9 +1,8 @@
 // Cluster routing unit tests (src/serve/cluster.h): session-to-member
 // hashing, the member path layout and router stats text. The cluster
 // fault kinds are covered in tests/util/fault_test.cpp. The end-to-end
-// router — SIGKILL recovery, busy windows, digest identity — lives in
-// bench/perf_serve_cluster.cpp (real processes are too heavy for unit
-// scope).
+// router — SIGKILL recovery, busy windows, digest identity — is
+// tests/serve/router_test.cpp, over real forked processes.
 #include <gtest/gtest.h>
 
 #include <map>

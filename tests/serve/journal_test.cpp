@@ -2,13 +2,13 @@
 // torn-tail truncation at every byte offset, and the checkpoint +
 // compaction cycle.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "harness.h"
 #include "serve/journal.h"
 
 namespace provmark::serve {
@@ -16,17 +16,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string& tag)
-      : path(fs::temp_directory_path() /
-             ("provmark_serve_journal_" + tag + "_" +
-              std::to_string(::getpid()))) {
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-};
+using harness::TempDir;
 
 std::string slurp(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);

@@ -11,27 +11,24 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <filesystem>
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "serve/cluster.h"
-#include "serve/daemon.h"
+#include "harness.h"
 #include "serve/reactor.h"
-#include "serve/socket_util.h"
 
 namespace provmark::serve {
 namespace {
 
-namespace fs = std::filesystem;
+using namespace harness;
 using Clock = std::chrono::steady_clock;
 
 /// A socketpair: `ours` goes to the reactor, `peer` is the test's end
@@ -249,20 +246,6 @@ TEST(Reactor, SelfPipeByteEndsRun) {
 // ---------------------------------------------------------------------------
 // Real daemons and routers
 
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string& name)
-      : path(fs::temp_directory_path() /
-             ("pm-reactor-" + name + "-" + std::to_string(::getpid()))) {
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
-
 /// Connect, send `request`, and return the first response line, or ""
 /// when none arrives within `budget_ms`. `request` may lack the
 /// newline; `*eof_after` reports whether the server then closed.
@@ -322,23 +305,6 @@ int flood(const std::string& socket, int lines) {
   return fd;
 }
 
-/// SIGTERM, then the exit code if the process ends within `budget_ms`;
-/// otherwise SIGKILL and -1.
-int terminate(pid_t pid, int budget_ms) {
-  ::kill(pid, SIGTERM);
-  const auto deadline = Clock::now() + std::chrono::milliseconds(budget_ms);
-  int status = 0;
-  while (Clock::now() < deadline) {
-    if (::waitpid(pid, &status, WNOHANG) == pid) {
-      return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ::kill(pid, SIGKILL);
-  ::waitpid(pid, &status, 0);
-  return -1;
-}
-
 /// Which front end a case forks, and how.
 struct Server {
   const char* name;
@@ -374,22 +340,19 @@ class ServeFrontEnd : public ::testing::TestWithParam<Server> {
  protected:
   void start(std::size_t max_payload = std::size_t{1} << 20) {
     socket_ = (dir_.path / "s.sock").string();
-    pid_ = ::fork();
-    ASSERT_GE(pid_, 0);
-    if (pid_ == 0) ::_exit(GetParam().run(dir_.path, socket_, max_payload));
+    server_.emplace(fork_child(
+        [&] { return GetParam().run(dir_.path, socket_, max_payload); }));
+    ASSERT_TRUE(server_->running());
     const auto deadline = Clock::now() + std::chrono::seconds(15);
     while (ask(socket_, "ping\n", 200) != "result pong") {
       ASSERT_LT(Clock::now(), deadline) << "front end never answered ping";
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   }
-  void TearDown() override {
-    if (pid_ > 0) terminate(pid_, 5000);
-  }
 
-  TempDir dir_{GetParam().name};
+  TempDir dir_{std::string("reactor_") + GetParam().name};
   std::string socket_;
-  pid_t pid_ = -1;
+  std::optional<Child> server_;
 };
 
 TEST_P(ServeFrontEnd, NonReadingClientStallsNeitherOthersNorShutdown) {
@@ -397,8 +360,7 @@ TEST_P(ServeFrontEnd, NonReadingClientStallsNeitherOthersNorShutdown) {
   const int flooder = flood(socket_, 60000);
   ASSERT_GE(flooder, 0);
   EXPECT_EQ(ask(socket_, "ping\n", 1000), "result pong");
-  EXPECT_EQ(terminate(pid_, 5000), 0);
-  pid_ = -1;
+  EXPECT_EQ(server_->terminate(), 0);
   ::close(flooder);
 }
 

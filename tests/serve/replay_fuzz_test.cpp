@@ -22,30 +22,14 @@
 #include <fstream>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "bench_suite/generator.h"
-#include "bench_suite/program_text.h"
-#include "serve/journal.h"
-#include "serve/service.h"
+#include "harness.h"
 
 namespace provmark::serve {
 namespace {
 
-namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string& tag)
-      : path(fs::temp_directory_path() /
-             ("provmark_serve_fuzz_" + tag + "_" +
-              std::to_string(::getpid()))) {
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-};
+using namespace harness;
 
 std::string slurp(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -57,63 +41,6 @@ std::string slurp(const fs::path& path) {
 void spit(const fs::path& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << bytes;
-}
-
-ServiceOptions test_options(const fs::path& root) {
-  ServiceOptions options;
-  options.root = root;
-  options.workers = 0;
-  options.checkpoint_every = 0;  // keep every record replayable
-  options.pipeline.trials = 2;
-  return options;
-}
-
-Request event_request(const std::string& session, EventKind kind,
-                      const std::string& payload) {
-  Request request;
-  request.is_event = true;
-  request.event = kind;
-  request.session = session;
-  request.priority = Priority::Normal;
-  request.payload = payload;
-  return request;
-}
-
-std::string digest_of(Service& service, const std::string& session) {
-  Request request;
-  request.is_event = false;
-  request.query = QueryKind::Digest;
-  request.session = session;
-  Response response = service.submit(request);
-  EXPECT_EQ(response.status, Status::Result) << response.body;
-  return response.body;
-}
-
-const char* kRecorders[] = {"spade",         "opus",  "camflow",
-                            "spade-camflow", "audit", "ebpf"};
-
-/// One generator-seeded stream: facts, a recursive rule, a pipeline run
-/// on the stream's recorder, and a post-run fact (so replay must get
-/// the run's asserted facts right *and* keep appending after them).
-std::vector<std::pair<EventKind, std::string>> make_stream(
-    std::uint64_t seed) {
-  const char* recorder = kRecorders[seed % 6];
-  bench_suite::GeneratorOptions gen;
-  gen.seed = seed;
-  gen.scale = 3;
-  gen.depth = 1;
-  gen.fan_out = 1;
-  const std::string program =
-      bench_suite::format_program(bench_suite::generate_program(gen));
-  const std::string s = std::to_string(seed);
-  return {
-      {EventKind::Fact, "edge(a" + s + ",b" + s + ")."},
-      {EventKind::Fact, "edge(b" + s + ",c" + s + ")."},
-      {EventKind::Rule,
-       "path(X,Y) :- edge(X,Y).\npath(X,Z) :- path(X,Y), edge(Y,Z)."},
-      {EventKind::Run, std::string(recorder) + "\n" + program},
-      {EventKind::Fact, "edge(c" + s + ",a" + s + ")."},
-  };
 }
 
 TEST(ReplayFuzz, KillAtEveryRecordBoundaryOver25SeededStreams) {
@@ -223,33 +150,20 @@ TEST(ReplayFuzz, RealSigkillMidStreamRecoversBitIdentically) {
   ASSERT_TRUE(WIFSIGNALED(status));
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  // Recover the kill site.
+  // Recover the kill site: no checkpoint was taken, so every acked
+  // event replays.
   Service recovered(test_options(root.path));
   ASSERT_EQ(recovered.session_ids().size(), clients.size());
-  EXPECT_GT(recovered.stats().replayed_events, 0u);
+  EXPECT_EQ(recovered.stats().replayed_events, 41u * clients.size());
   std::map<std::string, std::string> digests =
       recovered.session_digests();
 
   // Reference: a fresh service fed exactly the journaled records, in
   // seq order per session — "recovered state == live state" for the
   // acked prefix of every client's stream.
-  ServiceOptions ref_options = test_options(ref_root.path);
-  Service reference(ref_options);
+  Service reference(test_options(ref_root.path));
   for (const std::string& client : clients) {
-    Journal journal(root.path, client, 0);
-    RecoveredSession from_disk = journal.recover();
-    EXPECT_EQ(from_disk.checkpoint_seq, 0u);
-    for (const JournalRecord& record : from_disk.records) {
-      Request request;
-      request.is_event = true;
-      request.event = record.kind;
-      request.session = client;
-      request.priority = record.priority;
-      request.payload = record.payload;
-      Response response = reference.submit(request);
-      ASSERT_EQ(response.status, Status::Ok) << response.body;
-      ASSERT_EQ(response.seq, record.seq);
-    }
+    ASSERT_TRUE(replay_journal(reference, root.path, client)) << client;
   }
   reference.pump();
   for (const std::string& client : clients) {

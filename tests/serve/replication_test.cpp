@@ -20,111 +20,20 @@
 //     `busy`, yet both journals hold the record, and the restarted
 //     standby resyncs to identity.
 #include <gtest/gtest.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <atomic>
-#include <chrono>
-#include <filesystem>
 #include <functional>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
-#include "bench_suite/generator.h"
-#include "bench_suite/program_text.h"
-#include "serve/daemon.h"
-#include "serve/journal.h"
+#include "harness.h"
 #include "serve/replicate.h"
-#include "serve/service.h"
-#include "util/fault.h"
 
 namespace provmark::serve {
 namespace {
 
-namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string& tag)
-      : path(fs::temp_directory_path() /
-             ("provmark_serve_repl_" + tag + "_" +
-              std::to_string(::getpid()))) {
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-};
-
-ServiceOptions test_options(const fs::path& root) {
-  ServiceOptions options;
-  options.root = root;
-  options.workers = 0;
-  options.checkpoint_every = 0;
-  options.pipeline.trials = 2;
-  return options;
-}
-
-Request event_request(const std::string& session, EventKind kind,
-                      const std::string& payload) {
-  Request request;
-  request.is_event = true;
-  request.event = kind;
-  request.session = session;
-  request.priority = Priority::Normal;
-  request.payload = payload;
-  return request;
-}
-
-std::string digest_of(Service& service, const std::string& session) {
-  Request request;
-  request.is_event = false;
-  request.query = QueryKind::Digest;
-  request.session = session;
-  Response response = service.submit(request);
-  EXPECT_EQ(response.status, Status::Result) << response.body;
-  return response.body;
-}
-
-bool next_line(std::string& buf, std::string& line) {
-  std::size_t nl = buf.find('\n');
-  if (nl == std::string::npos) return false;
-  line = buf.substr(0, nl);
-  buf.erase(0, nl + 1);
-  return true;
-}
-
-const char* kRecorders[] = {"spade",         "opus",  "camflow",
-                            "spade-camflow", "audit", "ebpf"};
-
-/// Generator-seeded stream: facts, a recursive rule, a pipeline run on
-/// the stream's recorder, and a post-run fact (replication must get the
-/// run's asserted facts right AND keep streaming after them).
-std::vector<std::pair<EventKind, std::string>> make_stream(
-    std::uint64_t seed) {
-  const char* recorder = kRecorders[seed % 6];
-  bench_suite::GeneratorOptions gen;
-  gen.seed = seed;
-  gen.scale = 3;
-  gen.depth = 1;
-  gen.fan_out = 1;
-  const std::string program =
-      bench_suite::format_program(bench_suite::generate_program(gen));
-  const std::string s = std::to_string(seed);
-  return {
-      {EventKind::Fact, "edge(a" + s + ",b" + s + ")."},
-      {EventKind::Fact, "edge(b" + s + ",c" + s + ")."},
-      {EventKind::Rule,
-       "path(X,Y) :- edge(X,Y).\npath(X,Z) :- path(X,Y), edge(Y,Z)."},
-      {EventKind::Run, std::string(recorder) + "\n" + program},
-      {EventKind::Fact, "edge(c" + s + ",a" + s + ")."},
-  };
-}
+using namespace harness;
 
 /// A primary Service + replica Service wired through the replicators,
 /// with the wire shuttled in-process by the test — the deterministic
@@ -483,58 +392,15 @@ TEST(Replication, ApplyReplicatedDupIsIdempotentGapAndSeedMismatchRefuse) {
 // ---------------------------------------------------------------------------
 // Real two-daemon failover
 
-pid_t spawn_daemon(const fs::path& root, const std::string& socket_path,
+/// A daemon over `root` at `socket`, a standby of `replica_of` when
+/// set, holding acks for the standby when `sync`.
+Child spawn_daemon(const fs::path& root, const std::string& socket,
                    const std::string& replica_of, bool sync,
                    const std::string& fault_spec) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  DaemonOptions options;
-  options.service.root = root;
-  options.service.workers = 1;
-  options.service.checkpoint_every = 0;  // keep journals fully replayable
-  options.service.pipeline.trials = 2;
-  options.socket_path = socket_path;
+  DaemonOptions options = daemon_options(root, socket);
   options.replica_of = replica_of;
   options.repl_sync = sync;
-  options.heartbeat_ms = 50;
-  if (!fault_spec.empty()) {
-    util::fault::arm(util::fault::parse_fault_spec(fault_spec), 0, 0);
-  }
-  ::_exit(run_daemon(options));
-}
-
-/// Feed one request line, return the raw response line ("" on
-/// connection failure).
-std::string feed_one(const std::string& socket_path,
-                     const std::string& request) {
-  std::istringstream in(request + "\n");
-  std::ostringstream out;
-  if (run_feed(socket_path, in, out) == 1) return "";
-  std::string line = out.str();
-  if (!line.empty() && line.back() == '\n') line.pop_back();
-  return line;
-}
-
-bool wait_until(const std::function<bool()>& predicate, int budget_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(budget_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (predicate()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return false;
-}
-
-bool stats_show(const std::string& socket_path, const std::string& needle) {
-  const std::string line = feed_one(socket_path, "stats");
-  if (line.empty()) return false;
-  try {
-    Response response = parse_response(line);
-    return response.status == Status::Result &&
-           response.body.find(needle) != std::string::npos;
-  } catch (const std::exception&) {
-    return false;
-  }
+  return fork_daemon(options, fault_spec);
 }
 
 TEST(ReplicationDaemon, SigkillPrimaryPromoteStandbyServesIdentically) {
@@ -544,19 +410,17 @@ TEST(ReplicationDaemon, SigkillPrimaryPromoteStandbyServesIdentically) {
   const fs::path p_root = dir.path / "pj";
   const fs::path r_root = dir.path / "rj";
 
-  const pid_t primary = spawn_daemon(p_root, p_sock, "", false, "");
-  ASSERT_GE(primary, 0);
-  ASSERT_TRUE(wait_until(
-      [&] { return feed_one(p_sock, "ping") == "result pong"; }, 10000));
-  const pid_t replica = spawn_daemon(r_root, r_sock, p_sock, false, "");
-  ASSERT_GE(replica, 0);
-  ASSERT_TRUE(wait_until(
-      [&] { return feed_one(r_sock, "ping") == "result pong"; }, 10000));
+  Child primary = spawn_daemon(p_root, p_sock, "", false, "");
+  ASSERT_TRUE(primary.running());
+  ASSERT_TRUE(wait_until([&] { return daemon_ready(p_sock); }, 10000));
+  Child replica = spawn_daemon(r_root, r_sock, p_sock, false, "");
+  ASSERT_TRUE(replica.running());
+  ASSERT_TRUE(wait_until([&] { return daemon_ready(r_sock); }, 10000));
 
   // Two generator-seeded streams, mid-replication: the primary dies
   // while the standby is still tailing.
-  const std::vector<std::uint64_t> seeds = {3, 4};
-  for (std::uint64_t seed : seeds) {
+  const std::vector<std::string> sessions = {"s3", "s4"};
+  for (std::uint64_t seed : {3, 4}) {
     const std::string session = "s" + std::to_string(seed);
     for (const auto& [kind, payload] : make_stream(seed)) {
       const std::string line =
@@ -566,54 +430,30 @@ TEST(ReplicationDaemon, SigkillPrimaryPromoteStandbyServesIdentically) {
     }
   }
   // Health-gated catch-up: assert lag, never sleep.
-  ASSERT_TRUE(wait_until(
-      [&] {
-        return stats_show(p_sock, "repl_connected=1") &&
-               stats_show(p_sock, "repl_lag_events=0");
-      },
-      15000));
+  ASSERT_TRUE(wait_until([&] { return caught_up(p_sock); }, 15000));
 
-  ASSERT_EQ(::kill(primary, SIGKILL), 0);
-  int status = 0;
-  ASSERT_EQ(::waitpid(primary, &status, 0), primary);
+  const int status = primary.kill();
   ASSERT_TRUE(WIFSIGNALED(status));
 
   ASSERT_EQ(feed_one(r_sock, "promote"), "result promoted");
   ASSERT_EQ(feed_one(r_sock, "promote"), "result already-primary");
 
   // Reference: a fresh service fed exactly the dead primary's journal.
-  TempDir ref_dir("daemon_ref");
-  Service reference(test_options(ref_dir.path));
-  for (std::uint64_t seed : seeds) {
-    const std::string session = "s" + std::to_string(seed);
-    Journal journal(p_root, session, 0);
-    RecoveredSession from_disk = journal.recover();
-    ASSERT_FALSE(from_disk.records.empty());
-    for (const JournalRecord& record : from_disk.records) {
-      Request request;
-      request.is_event = true;
-      request.event = record.kind;
-      request.session = session;
-      request.priority = record.priority;
-      request.payload = record.payload;
-      ASSERT_EQ(reference.submit(request).status, Status::Ok);
+  {
+    TempDir ref_dir("daemon_ref");
+    Service reference(test_options(ref_dir.path));
+    ASSERT_EQ(list_sessions(p_root), sessions);
+    for (const std::string& session : sessions) {
+      ASSERT_TRUE(replay_journal(reference, p_root, session)) << session;
     }
-  }
-  reference.pump();
-  for (std::uint64_t seed : seeds) {
-    const std::string session = "s" + std::to_string(seed);
-    const std::string line = feed_one(r_sock, "digest " + session + " 5000");
-    ASSERT_EQ(line, "result " + digest_of(reference, session))
-        << "session " << session;
+    reference.pump();
+    expect_digests_match(reference, sessions, r_sock);
   }
   // The promoted daemon accepts new events.
   EXPECT_EQ(feed_one(r_sock, "event s3 fact normal edge(post,kill)."),
             "ok 6");
 
-  ASSERT_EQ(::kill(replica, SIGTERM), 0);
-  ASSERT_EQ(::waitpid(replica, &status, 0), replica);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(replica.terminate(), 0);
 }
 
 TEST(ReplicationDaemon, SyncModeTornAckIsBusyYetDurableOnBothSides) {
@@ -623,21 +463,20 @@ TEST(ReplicationDaemon, SyncModeTornAckIsBusyYetDurableOnBothSides) {
   const fs::path p_root = dir.path / "pj";
   const fs::path r_root = dir.path / "rj";
 
-  const pid_t primary = spawn_daemon(p_root, p_sock, "", /*sync=*/true, "");
-  ASSERT_GE(primary, 0);
-  ASSERT_TRUE(wait_until(
-      [&] { return feed_one(p_sock, "ping") == "result pong"; }, 10000));
+  Child primary = spawn_daemon(p_root, p_sock, "", /*sync=*/true, "");
+  ASSERT_TRUE(primary.running());
+  ASSERT_TRUE(wait_until([&] { return daemon_ready(p_sock); }, 10000));
 
   // Sync mode with no standby: events are refused un-journaled.
   ASSERT_EQ(feed_one(p_sock, "event s fact normal edge(x,y)."), "busy");
 
   // Standby crashes after journaling its 3rd record, BEFORE acking it —
   // the torn-ack point.
-  const pid_t replica = spawn_daemon(r_root, r_sock, p_sock, false,
-                                     "replica-crash:after-records=3");
-  ASSERT_GE(replica, 0);
+  Child replica = spawn_daemon(r_root, r_sock, p_sock, false,
+                               "replica-crash:after-records=3");
+  ASSERT_TRUE(replica.running());
   ASSERT_TRUE(wait_until(
-      [&] { return stats_show(p_sock, "repl_connected=1"); }, 10000));
+      [&] { return stat(stats_of(p_sock), "repl_connected") == 1; }, 10000));
 
   ASSERT_EQ(feed_one(p_sock, "event s fact normal edge(a,b)."), "ok 1");
   ASSERT_EQ(feed_one(p_sock, "event s fact normal edge(b,c)."), "ok 2");
@@ -645,8 +484,7 @@ TEST(ReplicationDaemon, SyncModeTornAckIsBusyYetDurableOnBothSides) {
   // `busy`, which is a valid history (journaled-but-unacked).
   ASSERT_EQ(feed_one(p_sock, "event s fact normal edge(c,d)."), "busy");
 
-  int status = 0;
-  ASSERT_EQ(::waitpid(replica, &status, 0), replica);
+  const int status = replica.wait();
   ASSERT_TRUE(WIFEXITED(status));
   ASSERT_EQ(WEXITSTATUS(status), util::fault::kCrashExitCode);
 
@@ -663,22 +501,13 @@ TEST(ReplicationDaemon, SyncModeTornAckIsBusyYetDurableOnBothSides) {
 
   // A restarted standby resyncs from its own journal and sync mode
   // acks again.
-  const pid_t replica2 = spawn_daemon(r_root, r_sock, p_sock, false, "");
-  ASSERT_GE(replica2, 0);
-  ASSERT_TRUE(wait_until(
-      [&] {
-        return stats_show(p_sock, "repl_connected=1") &&
-               stats_show(p_sock, "repl_lag_events=0");
-      },
-      15000));
+  Child replica2 = spawn_daemon(r_root, r_sock, p_sock, false, "");
+  ASSERT_TRUE(replica2.running());
+  ASSERT_TRUE(wait_until([&] { return caught_up(p_sock); }, 15000));
   ASSERT_EQ(feed_one(p_sock, "event s fact normal edge(d,e)."), "ok 4");
 
-  ASSERT_EQ(::kill(primary, SIGTERM), 0);
-  ASSERT_EQ(::waitpid(primary, &status, 0), primary);
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-  ASSERT_EQ(::kill(replica2, SIGTERM), 0);
-  ASSERT_EQ(::waitpid(replica2, &status, 0), replica2);
-  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(primary.terminate(), 0);
+  EXPECT_EQ(replica2.terminate(), 0);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 // queue depths — and therefore every shed/busy decision — are exact and
 // deterministic, no scheduling involved.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -14,6 +13,7 @@
 
 #include "bench_suite/generator.h"
 #include "bench_suite/program_text.h"
+#include "harness.h"
 #include "serve/service.h"
 
 namespace provmark::serve {
@@ -21,17 +21,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string& tag)
-      : path(fs::temp_directory_path() /
-             ("provmark_serve_service_" + tag + "_" +
-              std::to_string(::getpid()))) {
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-};
+using harness::TempDir;
 
 ServiceOptions test_options(const fs::path& root) {
   ServiceOptions options;
@@ -120,8 +110,20 @@ TEST(ServiceShedding, DeterministicWatermarksByPriority) {
   EXPECT_EQ(stats.shed_normal, 1u);
   EXPECT_EQ(stats.busy, 1u);
 
-  // Shedding never corrupts the survivors: everything admitted applies.
+  // Shedding never corrupts the survivors: everything admitted applies,
+  // to exactly the fixpoint a clean run of only those events reaches.
   EXPECT_EQ(service.pump(), 4u);
+  TempDir clean_tmp("shed_clean");
+  Service clean(test_options(clean_tmp.path));
+  EXPECT_EQ(clean.submit(event("a", "e(1,2).", Priority::Low)).status,
+            Status::Ok);
+  EXPECT_EQ(clean.submit(event("a", "e(2,3).")).status, Status::Ok);
+  EXPECT_EQ(clean.submit(event("a", "e(4,5).")).status, Status::Ok);
+  EXPECT_EQ(clean.submit(event("a", "e(5,6).", Priority::High)).status,
+            Status::Ok);
+  EXPECT_EQ(clean.pump(), 4u);
+  EXPECT_EQ(service.submit(query("a", QueryKind::Digest)).body,
+            clean.submit(query("a", QueryKind::Digest)).body);
   EXPECT_EQ(service.submit(event("a", "e(8,9).", Priority::Low)).status,
             Status::Ok);
 }

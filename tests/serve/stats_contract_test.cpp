@@ -1,16 +1,16 @@
 // Health-key contract tests: the `stats` response body is a published
-// monitoring interface — docs/serve.md documents the keys, CI gate
-// scripts and external health pollers grep them by name and rely on
-// their order. Each daemon role has a golden key list here; renaming,
+// monitoring interface — docs/serve.md documents the keys, the
+// forked-daemon tests and external health pollers read them by name and
+// rely on their order. Each daemon role has a golden key list here; renaming,
 // dropping or reordering a key is a breaking change and must fail this
 // test (and then be made deliberately, updating docs + scripts).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "harness.h"
 #include "serve/cluster.h"
 #include "serve/replicate.h"
 #include "serve/service.h"
@@ -20,17 +20,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string& tag)
-      : path(fs::temp_directory_path() /
-             ("provmark_stats_contract_" + tag + "_" +
-              std::to_string(::getpid()))) {
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-};
+using harness::TempDir;
 
 /// The keys of `text`, one per `key=value` line, in order.
 std::vector<std::string> keys_of(const std::string& text) {

@@ -1,7 +1,8 @@
 // Fault injection (src/util/fault.h): the --fault-spec grammar of every
 // kind, arming by (shard, attempt) coordinates, and each site's trigger
-// point, fire-once state and log line. The end-to-end chaos gates run in
-// the bench_perf_shard_faults / bench_perf_serve* benches.
+// point, fire-once state and log line. The end-to-end chaos gates are
+// bench_perf_shard_faults, core_shard_cli_test and the forked-daemon
+// suites under tests/serve/ (standby_test, router_test, admission_test).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
