@@ -1,6 +1,7 @@
 #include "bench_suite/executor.h"
 
 #include <map>
+#include <utility>
 
 #include "util/rng.h"
 #include "util/strings.h"
@@ -221,7 +222,7 @@ ExecutionResult execute_program(
   options.seed = seed;
   options.extra_audit_rules = extra_audit_rules;
   if (program.creds.has_value()) options.initial_creds = *program.creds;
-  Kernel kernel(options);
+  Kernel kernel(std::move(options));
 
   // Staging: prepare the filesystem before recording starts.
   auto absolute = [](const std::string& path) {
@@ -286,7 +287,7 @@ ExecutionResult execute_program(
   }
   kernel.finish_process(pid);
   kernel.stop_recording();
-  result.trace = kernel.trace();
+  result.trace = kernel.take_trace();
   return result;
 }
 

@@ -8,7 +8,8 @@ namespace provmark::core {
 
 graph::PropertyGraph transform_native(std::string_view native_output,
                                       const TransformOptions& options) {
-  if (formats::detect_format(native_output) == formats::Format::Neo4jJson) {
+  const formats::Format format = formats::detect_format(native_output);
+  if (format == formats::Format::Neo4jJson) {
     // OPUS stores provenance in Neo4j; extraction loads the database
     // (expensive) and queries the nodes and relationships back out.
     formats::Neo4jStore::Options store_options;
@@ -17,7 +18,7 @@ graph::PropertyGraph transform_native(std::string_view native_output,
     store.open(native_output);
     return store.export_graph();
   }
-  return formats::parse_any(native_output);
+  return formats::parse_as(format, native_output);
 }
 
 std::string transform_to_datalog(std::string_view native_output,

@@ -6,6 +6,7 @@
 #include "formats/dot.h"
 #include "formats/neo4j.h"
 #include "formats/prov_json.h"
+#include "util/json.h"
 #include "util/strings.h"
 
 namespace provmark::formats {
@@ -14,12 +15,25 @@ Format detect_format(std::string_view text) {
   std::string_view t = util::trim(text);
   if (util::starts_with(t, "digraph")) return Format::Dot;
   if (util::starts_with(t, "{")) {
-    // Distinguish PROV-JSON from Neo4j export by their top-level keys.
-    if (t.find("\"nodes\"") != std::string_view::npos &&
-        t.find("\"relationships\"") != std::string_view::npos) {
-      return Format::Neo4jJson;
+    // Distinguish PROV-JSON from Neo4j export by their top-level keys:
+    // an export has both `nodes` and `relationships`, and reading stops
+    // once both are seen. JSON that breaks before then reads as
+    // PROV-JSON, whose reader rejects it.
+    bool nodes = false, relationships = false;
+    try {
+      util::JsonReader reader(t);
+      std::string key;
+      reader.begin_object();
+      while (reader.next_key(key)) {
+        nodes |= key == "nodes";
+        relationships |= key == "relationships";
+        if (nodes && relationships) break;
+        reader.skip();
+      }
+    } catch (const util::JsonParseError&) {
+      return Format::ProvJson;
     }
-    return Format::ProvJson;
+    return nodes && relationships ? Format::Neo4jJson : Format::ProvJson;
   }
   if (util::starts_with(t, "n") || util::starts_with(t, "e") ||
       util::starts_with(t, "p") || util::starts_with(t, "%")) {
@@ -39,8 +53,8 @@ const char* format_name(Format f) {
   return "unknown";
 }
 
-graph::PropertyGraph parse_any(std::string_view text) {
-  switch (detect_format(text)) {
+graph::PropertyGraph parse_as(Format format, std::string_view text) {
+  switch (format) {
     case Format::Dot: return from_dot(text);
     case Format::ProvJson: return from_prov_json(text);
     case Format::Neo4jJson: return from_neo4j_json(text);
@@ -56,6 +70,10 @@ graph::PropertyGraph parse_any(std::string_view text) {
     case Format::Unknown: break;
   }
   throw std::runtime_error("unrecognized provenance output format");
+}
+
+graph::PropertyGraph parse_any(std::string_view text) {
+  return parse_as(detect_format(text), text);
 }
 
 }  // namespace provmark::formats

@@ -14,8 +14,12 @@ Format detect_format(std::string_view text);
 
 const char* format_name(Format f);
 
-/// Parse any supported format into a property graph (Datalog documents must
-/// contain a single graph). Throws std::runtime_error for Unknown.
+/// Parse a document of a known format into a property graph (Datalog
+/// documents must contain a single graph). Throws std::runtime_error for
+/// Unknown.
+graph::PropertyGraph parse_as(Format format, std::string_view text);
+
+/// parse_as(detect_format(text), text).
 graph::PropertyGraph parse_any(std::string_view text);
 
 }  // namespace provmark::formats

@@ -9,19 +9,21 @@ namespace provmark::formats {
 
 namespace {
 
-std::string dot_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+void append_dot_escaped(std::string& out, std::string_view s) {
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] != '"' && s[i] != '\\') continue;
+    out.append(s.data() + run, i - run);
+    out += '\\';
+    run = i;
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
 }
 
 /// Shape per element type, echoing the paper's figure conventions.
-std::string shape_for(const graph::Node& n) {
+std::string_view shape_for(const graph::Node& n) {
   auto it = n.props.find("type");
-  std::string type = it != n.props.end() ? it->second : n.label;
+  std::string_view type = it != n.props.end() ? it->second : n.label;
   if (type == "Process" || type == "Activity" || type == "activity" ||
       type == "task") {
     return "box";
@@ -29,6 +31,17 @@ std::string shape_for(const graph::Node& n) {
   if (type == "Agent" || type == "agent") return "octagon";
   if (type == "dummy") return "ellipse";
   return "ellipse";
+}
+
+/// `, key="value"` for each property.
+void append_attributes(std::string& out, const graph::Properties& props) {
+  for (const auto& [k, v] : props) {
+    out += ", ";
+    out += k;
+    out += "=\"";
+    append_dot_escaped(out, v);
+    out += '"';
+  }
 }
 
 class DotParser {
@@ -148,15 +161,17 @@ class DotParser {
     expect('"');
     std::string out;
     while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("bad escape");
-        out += text_[pos_++];
-      } else {
-        out += c;
+      // Copy the run up to the next quote or backslash in one append.
+      std::size_t end = text_.find_first_of("\"\\", pos_);
+      if (end == std::string_view::npos) {
+        pos_ = text_.size();
+        fail("unterminated string");
       }
+      out.append(text_.data() + pos_, end - pos_);
+      pos_ = end + 1;
+      if (text_[end] == '"') return out;
+      if (pos_ >= text_.size()) fail("bad escape");
+      out += text_[pos_++];
     }
   }
 
@@ -175,7 +190,7 @@ class DotParser {
       skip_space();
       expect('=');
       std::string value = name();
-      attrs[key] = value;
+      attrs.insert_or_assign(std::move(key), std::move(value));
       skip_space();
       if (pos_ < text_.size() && text_[pos_] == ',') ++pos_;
     }
@@ -189,21 +204,30 @@ class DotParser {
 
 std::string to_dot(const graph::PropertyGraph& g,
                    std::string_view graph_name) {
-  std::string out = "digraph " + std::string(graph_name) + " {\n";
+  std::string out;
+  out.reserve(160 * (g.node_count() + g.edge_count()) + 64);
+  out += "digraph ";
+  out += graph_name;
+  out += " {\n";
   for (const graph::Node& n : g.nodes()) {
-    out += "  \"" + dot_escape(n.id) + "\" [label=\"" + dot_escape(n.label) +
-           "\", shape=" + shape_for(n);
-    for (const auto& [k, v] : n.props) {
-      out += ", " + k + "=\"" + dot_escape(v) + "\"";
-    }
+    out += "  \"";
+    append_dot_escaped(out, n.id);
+    out += "\" [label=\"";
+    append_dot_escaped(out, n.label);
+    out += "\", shape=";
+    out += shape_for(n);
+    append_attributes(out, n.props);
     out += "];\n";
   }
   for (const graph::Edge& e : g.edges()) {
-    out += "  \"" + dot_escape(e.src) + "\" -> \"" + dot_escape(e.tgt) +
-           "\" [label=\"" + dot_escape(e.label) + "\"";
-    for (const auto& [k, v] : e.props) {
-      out += ", " + k + "=\"" + dot_escape(v) + "\"";
-    }
+    out += "  \"";
+    append_dot_escaped(out, e.src);
+    out += "\" -> \"";
+    append_dot_escaped(out, e.tgt);
+    out += "\" [label=\"";
+    append_dot_escaped(out, e.label);
+    out += '"';
+    append_attributes(out, e.props);
     out += "];\n";
   }
   out += "}\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/json.h"
 #include "util/rng.h"
@@ -12,75 +13,188 @@ namespace {
 
 using util::Json;
 
-Json properties_to_json(const graph::Properties& props) {
-  Json obj = Json::object();
-  for (const auto& [k, v] : props) obj.set(k, Json(v));
-  return obj;
+void write_properties(util::JsonWriter& w, const graph::Properties& props) {
+  w.key("properties");
+  w.begin_object();
+  for (const auto& [k, v] : props) {
+    w.key(k);
+    w.string(v);
+  }
+  w.end_object();
 }
 
-graph::Properties json_to_properties(const Json& obj) {
+/// A `properties` value: an object's members as strings (a non-string
+/// value keeps its compact JSON text); any other value means none.
+graph::Properties read_properties(util::JsonReader& r) {
   graph::Properties props;
-  if (!obj.is_object()) return props;
-  for (const auto& [k, v] : obj.as_object()) {
-    props[k] = v.is_string() ? v.as_string() : v.dump();
+  if (r.peek() != Json::Type::Object) {
+    r.skip();
+    return props;
+  }
+  std::string key;
+  r.begin_object();
+  while (r.next_key(key)) {
+    props.insert_or_assign(std::move(key), r.read_text());
   }
   return props;
+}
+
+/// The fields of one export record. Only the first occurrence of a key
+/// counts; later duplicates are checked and skipped, and so are keys the
+/// record's kind does not use.
+struct Record {
+  std::string id, start, end, type, label;
+  graph::Properties props;
+  bool has_id = false, has_start = false, has_end = false, has_type = false,
+       has_labels = false, has_props = false;
+};
+
+void read_string_field(util::JsonReader& r, bool& seen, std::string& out) {
+  if (seen) {
+    r.skip();
+    return;
+  }
+  if (r.peek() != Json::Type::String) {
+    throw std::runtime_error("neo4j export field must be a string");
+  }
+  r.read_string(out);
+  seen = true;
+}
+
+/// The first label names the node; a value that is not an array, or an
+/// empty array, means no label.
+void read_labels(util::JsonReader& r, Record& rec) {
+  rec.has_labels = true;
+  if (r.peek() != Json::Type::Array) {
+    r.skip();
+    return;
+  }
+  r.begin_array();
+  bool seen = false;
+  while (r.next_element()) {
+    if (seen) {
+      r.skip();
+    } else {
+      read_string_field(r, seen, rec.label);
+    }
+  }
+}
+
+Record read_record(util::JsonReader& r, bool relationship) {
+  if (r.peek() != Json::Type::Object) {
+    throw std::runtime_error("neo4j export record must be an object");
+  }
+  Record rec;
+  std::string key;
+  r.begin_object();
+  while (r.next_key(key)) {
+    if (key == "id") {
+      read_string_field(r, rec.has_id, rec.id);
+    } else if (key == "properties" && !rec.has_props) {
+      rec.props = read_properties(r);
+      rec.has_props = true;
+    } else if (!relationship && key == "labels" && !rec.has_labels) {
+      read_labels(r, rec);
+    } else if (relationship && key == "start") {
+      read_string_field(r, rec.has_start, rec.start);
+    } else if (relationship && key == "end") {
+      read_string_field(r, rec.has_end, rec.end);
+    } else if (relationship && key == "type") {
+      read_string_field(r, rec.has_type, rec.type);
+    } else {
+      r.skip();
+    }
+  }
+  if (relationship ? !(rec.has_id && rec.has_start && rec.has_end &&
+                       rec.has_type)
+                   : !(rec.has_id && rec.has_labels)) {
+    throw std::runtime_error("neo4j export record lacks a field");
+  }
+  return rec;
 }
 
 }  // namespace
 
 std::string to_neo4j_json(const graph::PropertyGraph& g) {
-  Json nodes = Json::array();
+  std::string out;
+  out.reserve(256 * (g.node_count() + g.edge_count()) + 64);
+  util::JsonWriter w(out, 2);
+  w.begin_object();
+  w.key("nodes");
+  w.begin_array();
   for (const graph::Node& n : g.nodes()) {
-    Json record = Json::object();
-    record.set("id", Json(n.id));
-    Json labels = Json::array();
-    labels.push_back(Json(n.label));
-    record.set("labels", std::move(labels));
-    record.set("properties", properties_to_json(n.props));
-    nodes.push_back(std::move(record));
+    w.begin_object();
+    w.key("id");
+    w.string(n.id);
+    w.key("labels");
+    w.begin_array();
+    w.string(n.label);
+    w.end_array();
+    write_properties(w, n.props);
+    w.end_object();
   }
-  Json rels = Json::array();
+  w.end_array();
+  w.key("relationships");
+  w.begin_array();
   for (const graph::Edge& e : g.edges()) {
-    Json record = Json::object();
-    record.set("id", Json(e.id));
-    record.set("start", Json(e.src));
-    record.set("end", Json(e.tgt));
-    record.set("type", Json(e.label));
-    record.set("properties", properties_to_json(e.props));
-    rels.push_back(std::move(record));
+    w.begin_object();
+    w.key("id");
+    w.string(e.id);
+    w.key("start");
+    w.string(e.src);
+    w.key("end");
+    w.string(e.tgt);
+    w.key("type");
+    w.string(e.label);
+    write_properties(w, e.props);
+    w.end_object();
   }
-  Json doc = Json::object();
-  doc.set("nodes", std::move(nodes));
-  doc.set("relationships", std::move(rels));
-  return doc.dump(2);
+  w.end_array();
+  w.end_object();
+  return out;
 }
 
 graph::PropertyGraph from_neo4j_json(std::string_view text) {
-  Json doc = Json::parse(text);
-  graph::PropertyGraph g;
-  const Json* nodes = doc.find("nodes");
-  if (nodes == nullptr || !nodes->is_array()) {
+  util::JsonReader r(text);
+  if (r.peek() != Json::Type::Object) {
     throw std::runtime_error("neo4j export lacks a nodes array");
   }
-  for (const Json& record : nodes->as_array()) {
-    const Json& labels = record.at("labels");
-    std::string label;
-    if (labels.is_array() && !labels.as_array().empty()) {
-      label = labels.as_array().front().as_string();
+  graph::PropertyGraph g;
+  // Nodes are added as the first `nodes` array streams past;
+  // relationships wait for the end of the document, since they may come
+  // first. Later duplicates of either key are ignored.
+  bool has_nodes = false, has_relationships = false;
+  std::vector<Record> relationships;
+  std::string key;
+  r.begin_object();
+  while (r.next_key(key)) {
+    const bool nodes = key == "nodes" && !has_nodes;
+    const bool rels = key == "relationships" && !has_relationships;
+    if (!nodes && !rels) {
+      r.skip();
+      continue;
     }
-    const Json* props = record.find("properties");
-    g.add_node(record.at("id").as_string(), label,
-               props ? json_to_properties(*props) : graph::Properties{});
+    if (r.peek() != Json::Type::Array) {
+      throw std::runtime_error(nodes ? "neo4j export lacks a nodes array"
+                                     : "neo4j relationships must be an array");
+    }
+    (nodes ? has_nodes : has_relationships) = true;
+    r.begin_array();
+    while (r.next_element()) {
+      Record rec = read_record(r, rels);
+      if (rels) {
+        relationships.push_back(std::move(rec));
+      } else {
+        g.add_node(std::move(rec.id), std::move(rec.label),
+                   std::move(rec.props));
+      }
+    }
   }
-  const Json* rels = doc.find("relationships");
-  if (rels != nullptr) {
-    for (const Json& record : rels->as_array()) {
-      const Json* props = record.find("properties");
-      g.add_edge(record.at("id").as_string(), record.at("start").as_string(),
-                 record.at("end").as_string(), record.at("type").as_string(),
-                 props ? json_to_properties(*props) : graph::Properties{});
-    }
+  r.finish();
+  if (!has_nodes) throw std::runtime_error("neo4j export lacks a nodes array");
+  for (Record& rec : relationships) {
+    g.add_edge(std::move(rec.id), std::move(rec.start), std::move(rec.end),
+               std::move(rec.type), std::move(rec.props));
   }
   return g;
 }
@@ -154,12 +268,14 @@ std::vector<graph::Node> Neo4jStore::match_nodes_by_label(
 }
 
 graph::PropertyGraph Neo4jStore::export_graph() const {
+  // The query results are copies; the graph takes them over.
   graph::PropertyGraph g;
-  for (const graph::Node& n : match_all_nodes()) {
-    g.add_node(n.id, n.label, n.props);
+  for (graph::Node& n : match_all_nodes()) {
+    g.add_node(std::move(n.id), std::move(n.label), std::move(n.props));
   }
-  for (const graph::Edge& e : match_all_relationships()) {
-    g.add_edge(e.id, e.src, e.tgt, e.label, e.props);
+  for (graph::Edge& e : match_all_relationships()) {
+    g.add_edge(std::move(e.id), std::move(e.src), std::move(e.tgt),
+               std::move(e.label), std::move(e.props));
   }
   return g;
 }

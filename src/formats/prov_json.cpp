@@ -1,7 +1,11 @@
 #include "formats/prov_json.h"
 
+#include <algorithm>
 #include <array>
+#include <map>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "util/json.h"
 
@@ -47,89 +51,159 @@ bool is_node_kind(std::string_view name) {
   return false;
 }
 
+/// One relation section: each edge's endpoint keys first, then its
+/// properties. A property named like an endpoint key takes that key's
+/// place (PROV-JSON has one value per attribute name).
+void write_relation(util::JsonWriter& w, std::string_view relation,
+                    const std::vector<const graph::Edge*>& edges) {
+  const RelationKeys* keys = known_relation(relation);
+  std::string_view src_key = keys ? keys->src_key : "prov:from";
+  std::string_view tgt_key = keys ? keys->tgt_key : "prov:to";
+  w.begin_object();
+  for (const graph::Edge* e : edges) {
+    w.key(e->id);
+    w.begin_object();
+    auto endpoint = [&](std::string_view key, const std::string& id) {
+      auto it = e->props.find(std::string(key));
+      w.key(key);
+      w.string(it != e->props.end() ? it->second : id);
+    };
+    endpoint(src_key, e->src);
+    endpoint(tgt_key, e->tgt);
+    for (const auto& [k, v] : e->props) {
+      if (k == src_key || k == tgt_key) continue;
+      w.key(k);
+      w.string(v);
+    }
+    w.end_object();
+  }
+  w.end_object();
+}
+
 }  // namespace
 
 std::string to_prov_json(const graph::PropertyGraph& g) {
-  Json doc = Json::object();
+  // Edges grouped by relation label, sections in label order.
+  std::map<std::string_view, std::vector<const graph::Edge*>> relations;
+  for (const graph::Edge& e : g.edges()) relations[e.label].push_back(&e);
+
+  std::string out;
+  out.reserve(256 * (g.node_count() + g.edge_count()) + 64);
+  util::JsonWriter w(out, 2);
+  w.begin_object();
   for (std::string_view kind : kNodeKinds) {
-    Json section = Json::object();
+    auto in_kind = [&](const graph::Node& n) { return n.label == kind; };
+    if (std::none_of(g.nodes().begin(), g.nodes().end(), in_kind)) continue;
+    w.key(kind);
+    // A relation labelled like a node kind takes over that kind's
+    // section: a PROV-JSON object has one member per name.
+    if (auto relation = relations.find(kind); relation != relations.end()) {
+      write_relation(w, kind, relation->second);
+      relations.erase(relation);
+      continue;
+    }
+    w.begin_object();
     for (const graph::Node& n : g.nodes()) {
-      if (n.label != kind) continue;
-      Json attrs = Json::object();
-      for (const auto& [k, v] : n.props) attrs.set(k, Json(v));
-      section.set(n.id, std::move(attrs));
+      if (!in_kind(n)) continue;
+      w.key(n.id);
+      w.begin_object();
+      for (const auto& [k, v] : n.props) {
+        w.key(k);
+        w.string(v);
+      }
+      w.end_object();
     }
-    if (!section.as_object().empty()) doc.set(kind, std::move(section));
+    w.end_object();
   }
-  // Group edges by relation label.
-  std::map<std::string, std::vector<const graph::Edge*>> by_relation;
-  for (const graph::Edge& e : g.edges()) {
-    by_relation[e.label].push_back(&e);
+  for (const auto& [relation, edges] : relations) {
+    w.key(relation);
+    write_relation(w, relation, edges);
   }
-  for (const auto& [relation, edges] : by_relation) {
-    const RelationKeys* keys = known_relation(relation);
-    std::string src_key = keys ? std::string(keys->src_key) : "prov:from";
-    std::string tgt_key = keys ? std::string(keys->tgt_key) : "prov:to";
-    Json section = Json::object();
-    for (const graph::Edge* e : edges) {
-      Json attrs = Json::object();
-      attrs.set(src_key, Json(e->src));
-      attrs.set(tgt_key, Json(e->tgt));
-      for (const auto& [k, v] : e->props) attrs.set(k, Json(v));
-      section.set(e->id, std::move(attrs));
-    }
-    doc.set(relation, std::move(section));
-  }
-  return doc.dump(2);
+  w.end_object();
+  return out;
 }
 
 graph::PropertyGraph from_prov_json(std::string_view text) {
-  Json doc = Json::parse(text);
-  if (!doc.is_object()) {
+  util::JsonReader r(text);
+  if (r.peek() != Json::Type::Object) {
     throw std::runtime_error("PROV-JSON document must be an object");
   }
   graph::PropertyGraph g;
-  // First pass: node sections.
-  for (const auto& [section_name, section] : doc.as_object()) {
-    if (!is_node_kind(section_name)) continue;
-    if (!section.is_object()) {
+  // Nodes are added as their sections stream past; relations wait until
+  // the whole document is read, since a relation section may precede the
+  // nodes it links.
+  struct PendingEdge {
+    std::string id, src, tgt, label;
+    graph::Properties props;
+  };
+  std::vector<PendingEdge> pending;
+  std::string section_name, id, key;
+  r.begin_object();
+  while (r.next_key(section_name)) {
+    if (section_name == "prefix") {
+      r.skip();
+      continue;
+    }
+    const bool node_section = is_node_kind(section_name);
+    if (r.peek() != Json::Type::Object) {
       throw std::runtime_error("PROV-JSON section " + section_name +
                                " must be an object");
     }
-    for (const auto& [id, attrs] : section.as_object()) {
-      graph::Properties props;
-      for (const auto& [k, v] : attrs.as_object()) {
-        props[k] = v.is_string() ? v.as_string() : v.dump();
-      }
-      g.add_node(id, section_name, std::move(props));
-    }
-  }
-  // Second pass: relation sections.
-  for (const auto& [section_name, section] : doc.as_object()) {
-    if (is_node_kind(section_name) || section_name == "prefix") continue;
     const RelationKeys* keys = known_relation(section_name);
-    for (const auto& [id, attrs] : section.as_object()) {
-      std::string src_key = keys ? std::string(keys->src_key) : "prov:from";
-      std::string tgt_key = keys ? std::string(keys->tgt_key) : "prov:to";
-      const Json* src = attrs.find(src_key);
-      const Json* tgt = attrs.find(tgt_key);
-      if (src == nullptr || tgt == nullptr) {
-        throw std::runtime_error("PROV-JSON relation " + id +
+    std::string_view src_key = keys ? keys->src_key : "prov:from";
+    std::string_view tgt_key = keys ? keys->tgt_key : "prov:to";
+    r.begin_object();
+    while (r.next_key(id)) {
+      if (r.peek() != Json::Type::Object) {
+        throw std::runtime_error("PROV-JSON record " + id +
+                                 " must be an object");
+      }
+      r.begin_object();
+      if (node_section) {
+        graph::Properties props;
+        while (r.next_key(key)) {
+          props.insert_or_assign(std::move(key), r.read_text());
+        }
+        g.add_node(std::move(id), section_name, std::move(props));
+        continue;
+      }
+      // The first occurrence of each endpoint key names the endpoint;
+      // every occurrence is left out of the properties.
+      PendingEdge edge{std::move(id), {}, {}, section_name, {}};
+      bool have_src = false, have_tgt = false;
+      while (r.next_key(key)) {
+        const bool is_src = key == src_key, is_tgt = key == tgt_key;
+        if (!is_src && !is_tgt) {
+          edge.props.insert_or_assign(std::move(key), r.read_text());
+          continue;
+        }
+        bool& have = is_src ? have_src : have_tgt;
+        if (have) {
+          r.skip();
+          continue;
+        }
+        if (r.peek() != Json::Type::String) {
+          throw std::runtime_error("PROV-JSON relation " + edge.id +
+                                   " has a non-string endpoint");
+        }
+        r.read_string(is_src ? edge.src : edge.tgt);
+        have = true;
+      }
+      if (!have_src || !have_tgt) {
+        throw std::runtime_error("PROV-JSON relation " + edge.id +
                                  " lacks endpoint attributes");
       }
-      graph::Properties props;
-      for (const auto& [k, v] : attrs.as_object()) {
-        if (k == src_key || k == tgt_key) continue;
-        props[k] = v.is_string() ? v.as_string() : v.dump();
-      }
-      if (g.find_node(src->as_string()) == nullptr ||
-          g.find_node(tgt->as_string()) == nullptr) {
-        throw std::runtime_error("PROV-JSON relation " + id +
-                                 " references missing node");
-      }
-      g.add_edge(id, src->as_string(), tgt->as_string(), section_name,
-                 std::move(props));
+      pending.push_back(std::move(edge));
     }
+  }
+  r.finish();
+  for (PendingEdge& e : pending) {
+    if (g.find_node(e.src) == nullptr || g.find_node(e.tgt) == nullptr) {
+      throw std::runtime_error("PROV-JSON relation " + e.id +
+                               " references missing node");
+    }
+    g.add_edge(std::move(e.id), std::move(e.src), std::move(e.tgt),
+               std::move(e.label), std::move(e.props));
   }
   return g;
 }

@@ -6,11 +6,12 @@
 namespace provmark::graph {
 
 Node& PropertyGraph::add_node(Id id, Label label, Properties props) {
-  if (has_element(id)) {
+  NodeSlot slot;
+  slot.pos = nodes_.size();
+  if (edge_index_.count(id) != 0 ||
+      !node_index_.try_emplace(id, std::move(slot)).second) {
     throw std::invalid_argument("duplicate element id: " + id);
   }
-  node_index_[id] = nodes_.size();
-  adjacency_[id];
   node_dead_.push_back(0);
   nodes_.push_back(Node{std::move(id), std::move(label), std::move(props)});
   return nodes_.back();
@@ -18,20 +19,24 @@ Node& PropertyGraph::add_node(Id id, Label label, Properties props) {
 
 Edge& PropertyGraph::add_edge(Id id, Id src, Id tgt, Label label,
                               Properties props) {
-  if (has_element(id)) {
+  if (node_index_.count(id) != 0) {
     throw std::invalid_argument("duplicate element id: " + id);
   }
-  if (find_node(src) == nullptr) {
-    throw std::invalid_argument("edge " + id + ": missing source node " + src);
+  auto [edge_it, inserted] = edge_index_.try_emplace(id, edges_.size());
+  if (!inserted) throw std::invalid_argument("duplicate element id: " + id);
+  auto src_it = node_index_.find(src);
+  auto tgt_it = node_index_.find(tgt);
+  if (src_it == node_index_.end() || tgt_it == node_index_.end()) {
+    edge_index_.erase(edge_it);
+    throw std::invalid_argument(
+        "edge " + id + ": missing " +
+        (src_it == node_index_.end() ? "source node " + src
+                                     : "target node " + tgt));
   }
-  if (find_node(tgt) == nullptr) {
-    throw std::invalid_argument("edge " + id + ": missing target node " + tgt);
-  }
-  edge_index_[id] = edges_.size();
-  adjacency_.at(src).incident.push_back(id);
-  if (tgt != src) adjacency_.at(tgt).incident.push_back(id);
-  ++adjacency_.at(src).out;
-  ++adjacency_.at(tgt).in;
+  src_it->second.incident.push_back(id);
+  if (tgt_it != src_it) tgt_it->second.incident.push_back(id);
+  ++src_it->second.out;
+  ++tgt_it->second.in;
   edge_dead_.push_back(0);
   edges_.push_back(Edge{std::move(id), std::move(src), std::move(tgt),
                         std::move(label), std::move(props)});
@@ -52,17 +57,16 @@ bool PropertyGraph::remove_node(const Id& id) {
   if (it == node_index_.end()) return false;
   // Remove incident edges first; the adjacency list makes this O(degree)
   // instead of an O(E) edge scan. Copy it because remove_edge mutates it.
-  std::vector<Id> incident = adjacency_.at(id).incident;
+  std::vector<Id> incident = it->second.incident;
   for (const Id& edge_id : incident) {
     remove_edge(edge_id);
   }
   // Tombstone instead of erasing: no element moves, so every index
   // position stays valid and no per-removal position-shift pass runs.
   // The next accessor call compacts the whole batch in one pass.
-  node_dead_[it->second] = 1;
+  node_dead_[it->second.pos] = 1;
   ++dead_nodes_;
   node_index_.erase(it);
-  adjacency_.erase(id);
   return true;
 }
 
@@ -71,14 +75,16 @@ bool PropertyGraph::remove_edge(const Id& id) {
   if (it == edge_index_.end()) return false;
   std::size_t pos = it->second;
   const Edge& edge = edges_[pos];
-  auto unlink = [&](const Id& node_id) {
-    std::vector<Id>& incident = adjacency_.at(node_id).incident;
-    incident.erase(std::find(incident.begin(), incident.end(), id));
+  NodeSlot& src = node_index_.at(edge.src);
+  NodeSlot& tgt = node_index_.at(edge.tgt);
+  auto unlink = [&](NodeSlot& slot) {
+    slot.incident.erase(
+        std::find(slot.incident.begin(), slot.incident.end(), id));
   };
-  unlink(edge.src);
-  if (edge.tgt != edge.src) unlink(edge.tgt);
-  --adjacency_.at(edge.src).out;
-  --adjacency_.at(edge.tgt).in;
+  unlink(src);
+  if (&tgt != &src) unlink(tgt);
+  --src.out;
+  --tgt.in;
   edge_dead_[pos] = 1;
   ++dead_edges_;
   edge_index_.erase(it);
@@ -109,7 +115,7 @@ void PropertyGraph::compact() const {
       if (node_dead_[r]) continue;
       if (w != r) {
         nodes_[w] = std::move(nodes_[r]);
-        node_index_.find(nodes_[w].id)->second = w;
+        node_index_.find(nodes_[w].id)->second.pos = w;
       }
       ++w;
     }
@@ -121,12 +127,12 @@ void PropertyGraph::compact() const {
 
 const Node* PropertyGraph::find_node(const Id& id) const {
   auto it = node_index_.find(id);
-  return it == node_index_.end() ? nullptr : &nodes_[it->second];
+  return it == node_index_.end() ? nullptr : &nodes_[it->second.pos];
 }
 
 Node* PropertyGraph::find_node(const Id& id) {
   auto it = node_index_.find(id);
-  return it == node_index_.end() ? nullptr : &nodes_[it->second];
+  return it == node_index_.end() ? nullptr : &nodes_[it->second.pos];
 }
 
 const Edge* PropertyGraph::find_edge(const Id& id) const {
@@ -149,19 +155,19 @@ std::optional<std::string> PropertyGraph::property(
 }
 
 std::vector<Id> PropertyGraph::incident_edges(const Id& node_id) const {
-  auto it = adjacency_.find(node_id);
-  if (it == adjacency_.end()) return {};
+  auto it = node_index_.find(node_id);
+  if (it == node_index_.end()) return {};
   return it->second.incident;
 }
 
 std::size_t PropertyGraph::out_degree(const Id& node_id) const {
-  auto it = adjacency_.find(node_id);
-  return it == adjacency_.end() ? 0 : it->second.out;
+  auto it = node_index_.find(node_id);
+  return it == node_index_.end() ? 0 : it->second.out;
 }
 
 std::size_t PropertyGraph::in_degree(const Id& node_id) const {
-  auto it = adjacency_.find(node_id);
-  return it == adjacency_.end() ? 0 : it->second.in;
+  auto it = node_index_.find(node_id);
+  return it == node_index_.end() ? 0 : it->second.in;
 }
 
 bool PropertyGraph::operator==(const PropertyGraph& other) const {

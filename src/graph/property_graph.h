@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace provmark::graph {
@@ -145,25 +146,25 @@ class PropertyGraph {
   // observable state — hence mutable members behind const accessors.
   mutable std::vector<Node> nodes_;
   mutable std::vector<Edge> edges_;
-  // Index from id to position in nodes_/edges_ (value < node size => node).
-  // Positions stay valid while tombstones are pending: nothing moves
-  // until compact().
-  mutable std::map<Id, std::size_t> node_index_;
-  mutable std::map<Id, std::size_t> edge_index_;
+  // Index from id to position in nodes_/edges_. Positions stay valid
+  // while tombstones are pending: nothing moves until compact(). Each
+  // node's entry also holds its incremental adjacency, maintained by
+  // add_edge/remove_edge: incident edge ids in insertion order
+  // (self-loops once) plus degree counters. Hashed, because nothing
+  // iterates these maps: iteration order comes from nodes_/edges_.
+  struct NodeSlot {
+    std::size_t pos = 0;
+    std::vector<Id> incident;
+    std::size_t in = 0;
+    std::size_t out = 0;
+  };
+  mutable std::unordered_map<Id, NodeSlot> node_index_;
+  mutable std::unordered_map<Id, std::size_t> edge_index_;
   // Tombstone flags parallel to nodes_/edges_, plus pending counts.
   mutable std::vector<char> node_dead_;
   mutable std::vector<char> edge_dead_;
   mutable std::size_t dead_nodes_ = 0;
   mutable std::size_t dead_edges_ = 0;
-  // Incremental adjacency, maintained by add_edge/remove_edge: per node,
-  // incident edge ids in insertion order (self-loops once) plus degree
-  // counters. Keyed by id so node removals never invalidate entries.
-  struct NodeAdjacency {
-    std::vector<Id> incident;
-    std::size_t in = 0;
-    std::size_t out = 0;
-  };
-  std::map<Id, NodeAdjacency> adjacency_;
 };
 
 /// A renaming applied to every node/edge id (used to namespace trials).

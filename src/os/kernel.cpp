@@ -1,6 +1,7 @@
 #include "os/kernel.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "util/strings.h"
 
@@ -39,6 +40,22 @@ std::string flag_names(std::span<const FlagName> table, int flags,
   return out;
 }
 
+std::string time_field(double seconds) {
+  // Fixed notation of any finite double fits: 309 integer digits, sign,
+  // point and four decimals.
+  char buf[320];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, seconds,
+                                 std::chars_format::fixed, 4);
+  return std::string(buf, end);
+}
+
+std::string octal_field(int mode) {
+  char buf[16];
+  auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, static_cast<unsigned>(mode), 8);
+  return std::string(buf, end);
+}
+
 const FlagName* find_flag(std::span<const FlagName> table,
                           std::string_view FlagName::*column,
                           std::string_view name) {
@@ -66,7 +83,10 @@ const std::set<std::string>& Kernel::audit_rule_set() {
 Kernel::Kernel() : Kernel(Options{}) {}
 
 Kernel::Kernel(Options options)
-    : options_(options), rng_(options.seed), next_pid_(0), clock_(0) {
+    : options_(std::move(options)),
+      rng_(options_.seed),
+      next_pid_(0),
+      clock_(0) {
   next_pid_ = static_cast<Pid>(2000 + rng_.next_below(5000));
   clock_ = 1.6e9 + static_cast<double>(rng_.next_below(1000000));
   next_audit_serial_ = 10000 + rng_.next_below(80000);
@@ -157,7 +177,7 @@ void Kernel::emit_audit(Pid pid, const std::string& syscall, bool success,
   event.cwd = p.cwd;
   event.paths = std::move(paths);
   event.fields = std::move(fields);
-  event.fields["time"] = util::format("%.4f", now());
+  event.fields["time"] = time_field(now());
   event.serial = next_audit_serial_++;
   event.seq = next_seq_++;
   // Defer the parent's records while it has a live vforked child (audit
@@ -187,7 +207,7 @@ void Kernel::emit_lsm(Pid pid, const std::string& hook,
   event.object = std::move(object);
   event.object2 = std::move(object2);
   event.fields = std::move(fields);
-  event.fields["time"] = util::format("%.4f", now());
+  event.fields["time"] = time_field(now());
   event.permission_denied = permission_denied;
   event.seq = next_seq_++;
   trace_.lsm.push_back(std::move(event));
@@ -549,13 +569,12 @@ SyscallResult Kernel::do_mknod(Pid pid, const std::string& call,
       vfs_.create(path, FileType::Fifo, mode, p.creds.euid, p.creds.egid);
   SyscallResult sys = result.ok() ? SyscallResult::success(0)
                                   : SyscallResult::fail(result.error);
-  emit_libc(pid, call, {raw_path, util::format("%o", mode)}, sys.ret,
-            sys.error);
+  emit_libc(pid, call, {raw_path, octal_field(mode)}, sys.ret, sys.error);
   // mknod / mknodat are not in the default audit rule set (SPADE: NR).
   emit_audit(pid, call, sys.ok(), sys.ret, {});
   if (sys.ok()) {
     emit_lsm(pid, "inode_mknod", object_for_inode(result.ino, path),
-             std::nullopt, {{"mode", util::format("%o", mode)}});
+             std::nullopt, {{"mode", octal_field(mode)}});
   }
   return sys;
 }
@@ -752,12 +771,11 @@ SyscallResult Kernel::do_chmod_path(Pid pid, const std::string& call,
   }
   SyscallResult sys = error == Errno::None ? SyscallResult::success(0)
                                            : SyscallResult::fail(error);
-  emit_libc(pid, call, {raw_path, util::format("%o", mode)}, sys.ret,
-            sys.error);
+  emit_libc(pid, call, {raw_path, octal_field(mode)}, sys.ret, sys.error);
   std::vector<AuditPathRecord> paths;
   if (sys.ok()) paths.push_back(AuditPathRecord{path, lookup.ino, "NORMAL"});
   emit_audit(pid, call, sys.ok(), sys.ret, std::move(paths),
-             {{"mode", util::format("%o", mode)}});
+             {{"mode", octal_field(mode)}});
   if (sys.ok()) {
     emit_lsm(pid, "inode_setattr", object_for_inode(lookup.ino, path),
              std::nullopt, {{"attr", "mode"}});
@@ -782,12 +800,12 @@ SyscallResult Kernel::sys_fchmod(Pid pid, int fd, int mode) {
   Inode* inode = vfs_.inode(ino);
   if (inode != nullptr) inode->mode = mode;
   SyscallResult sys = SyscallResult::success(0);
-  emit_libc(pid, "fchmod", {std::to_string(fd), util::format("%o", mode)},
+  emit_libc(pid, "fchmod", {std::to_string(fd), octal_field(mode)},
             sys.ret, sys.error);
   std::vector<AuditPathRecord> paths;
   if (!path.empty()) paths.push_back(AuditPathRecord{path, ino, "NORMAL"});
   emit_audit(pid, "fchmod", true, 0, std::move(paths),
-             {{"mode", util::format("%o", mode)}});
+             {{"mode", octal_field(mode)}});
   emit_lsm(pid, "inode_setattr",
            object_for_inode(ino, path.empty()
                                      ? std::optional<std::string>{}
@@ -1078,7 +1096,7 @@ SyscallResult Kernel::do_fork(Pid pid, const std::string& call) {
     event.comm = p.comm;
     event.exe = p.exe;
     event.cwd = p.cwd;
-    event.fields["time"] = util::format("%.4f", now());
+    event.fields["time"] = time_field(now());
     event.serial = next_audit_serial_++;
     if (recording_) deferred_audit_[child_pid].push_back(std::move(event));
   } else {

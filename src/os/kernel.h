@@ -32,6 +32,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "os/events.h"
@@ -87,6 +88,14 @@ std::string flag_names(std::span<const FlagName> table, int flags,
 const FlagName* find_flag(std::span<const FlagName> table,
                           std::string_view FlagName::*column,
                           std::string_view name);
+
+/// The audit/LSM `time` field: `seconds` with four decimals, the bytes
+/// printf("%.4f") writes.
+std::string time_field(double seconds);
+
+/// A mode as printf("%o") writes an int (a negative value prints its
+/// unsigned bits).
+std::string octal_field(int mode);
 
 /// Result of a syscall: return value plus errno on failure.
 struct SyscallResult {
@@ -162,6 +171,8 @@ class Kernel {
   void start_recording() { recording_ = true; }
   void stop_recording() { recording_ = false; }
   const EventTrace& trace() const { return trace_; }
+  /// Hand the recorded trace to the caller, leaving the kernel's empty.
+  EventTrace take_trace() { return std::exchange(trace_, {}); }
 
   // -- process lifecycle ----------------------------------------------------
 

@@ -1,5 +1,6 @@
 #include "systems/audit.h"
 
+#include <charconv>
 #include <utility>
 #include <vector>
 
@@ -26,7 +27,10 @@ std::string encode_flags(std::span<const os::FlagName> table,
     const os::FlagName* flag = os::find_flag(table, &os::FlagName::name, piece);
     if (flag != nullptr) value |= flag->bits;
   }
-  return util::format("0x%lx", value);
+  char buf[2 + 16] = {'0', 'x'};
+  auto [end, ec] = std::to_chars(buf + 2, buf + sizeof buf,
+                                 static_cast<unsigned long>(value), 16);
+  return std::string(buf, end);
 }
 
 class AuditBuilder {

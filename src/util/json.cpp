@@ -82,10 +82,16 @@ bool Json::operator==(const Json& other) const {
   return false;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
+namespace {
+
+/// json_escape(s) appended to `out`.
+void append_json_escaped(std::string& out, std::string_view s) {
+  std::size_t run = 0;  // start of the pending run of plain characters
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -94,17 +100,78 @@ std::string json_escape(std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_json_escaped(out, s);
   return out;
+}
+
+// -- writer -------------------------------------------------------------------
+
+void JsonWriter::newline(std::size_t depth) {
+  if (indent_ <= 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
+}
+
+void JsonWriter::before_value() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (empty_.empty()) return;  // the document's top-level value
+  if (!empty_.back()) out_ += ',';
+  empty_.back() = false;
+  newline(empty_.size());
+}
+
+void JsonWriter::open(char bracket) {
+  before_value();
+  out_ += bracket;
+  empty_.push_back(true);
+}
+
+void JsonWriter::close(char bracket) {
+  bool was_empty = empty_.back();
+  empty_.pop_back();
+  if (!was_empty) newline(empty_.size());
+  out_ += bracket;
+}
+
+void JsonWriter::key(std::string_view k) {
+  if (!empty_.back()) out_ += ',';
+  empty_.back() = false;
+  newline(empty_.size());
+  out_ += '"';
+  append_json_escaped(out_, k);
+  out_ += indent_ > 0 ? "\": " : "\":";
+  after_key_ = true;
+}
+
+void JsonWriter::string(std::string_view s) {
+  before_value();
+  out_ += '"';
+  append_json_escaped(out_, s);
+  out_ += '"';
+}
+
+void JsonWriter::literal(std::string_view text) {
+  before_value();
+  out_ += text;
 }
 
 namespace {
@@ -119,292 +186,321 @@ std::string number_text(double value, const std::string& original) {
   return buf;
 }
 
-void newline_indent(std::string& out, int indent, int depth) {
-  if (indent <= 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent) * depth, ' ');
-}
-
 }  // namespace
 
-void Json::dump_to(std::string& out, int indent, int depth) const {
+void Json::write_to(JsonWriter& w) const {
   switch (type()) {
-    case Type::Null: out += "null"; break;
-    case Type::Bool: out += as_bool() ? "true" : "false"; break;
+    case Type::Null: w.literal("null"); break;
+    case Type::Bool: w.literal(as_bool() ? "true" : "false"); break;
     case Type::Number:
-      out += number_text(as_double(), std::get<Number>(value_).text);
+      w.literal(number_text(as_double(), std::get<Number>(value_).text));
       break;
-    case Type::String:
-      out += '"';
-      out += json_escape(as_string());
-      out += '"';
+    case Type::String: w.string(as_string()); break;
+    case Type::Array:
+      w.begin_array();
+      for (const Json& element : as_array()) element.write_to(w);
+      w.end_array();
       break;
-    case Type::Array: {
-      const Array& a = as_array();
-      if (a.empty()) {
-        out += "[]";
-        break;
+    case Type::Object:
+      w.begin_object();
+      for (const auto& [k, v] : as_object()) {
+        w.key(k);
+        v.write_to(w);
       }
-      out += '[';
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        if (i > 0) out += ',';
-        newline_indent(out, indent, depth + 1);
-        a[i].dump_to(out, indent, depth + 1);
-      }
-      newline_indent(out, indent, depth);
-      out += ']';
+      w.end_object();
       break;
-    }
-    case Type::Object: {
-      const Object& o = as_object();
-      if (o.empty()) {
-        out += "{}";
-        break;
-      }
-      out += '{';
-      bool first = true;
-      for (const auto& [k, v] : o) {
-        if (!first) out += ',';
-        first = false;
-        newline_indent(out, indent, depth + 1);
-        out += '"';
-        out += json_escape(k);
-        out += "\":";
-        if (indent > 0) out += ' ';
-        v.dump_to(out, indent, depth + 1);
-      }
-      newline_indent(out, indent, depth);
-      out += '}';
-      break;
-    }
   }
 }
 
 std::string Json::dump(int indent) const {
   std::string out;
-  dump_to(out, indent, 0);
+  JsonWriter writer(out, indent);
+  write_to(writer);
   return out;
+}
+
+// -- reader -------------------------------------------------------------------
+
+void JsonReader::fail(const std::string& message) const {
+  throw JsonParseError(message, pos_);
+}
+
+void JsonReader::skip_ws() {
+  while (pos_ < text_.size() &&
+         (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
+          text_[pos_] == '\r')) {
+    ++pos_;
+  }
+}
+
+char JsonReader::peek_char() {
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_];
+}
+
+char JsonReader::take() {
+  char c = peek_char();
+  ++pos_;
+  return c;
+}
+
+void JsonReader::expect(char c) {
+  if (take() != c) {
+    --pos_;
+    fail(std::string("expected '") + c + "'");
+  }
+}
+
+Json::Type JsonReader::peek() {
+  skip_ws();
+  switch (peek_char()) {
+    case '{': return Json::Type::Object;
+    case '[': return Json::Type::Array;
+    case '"': return Json::Type::String;
+    case 't':
+    case 'f': return Json::Type::Bool;
+    case 'n': return Json::Type::Null;
+    default: return Json::Type::Number;
+  }
+}
+
+void JsonReader::begin_object() {
+  skip_ws();
+  expect('{');
+  first_ = true;
+}
+
+bool JsonReader::next_key(std::string& key) {
+  skip_ws();
+  if (first_) {
+    first_ = false;
+    if (peek_char() == '}') {
+      ++pos_;
+      return false;
+    }
+  } else {
+    char c = take();
+    if (c == '}') return false;
+    if (c != ',') {
+      --pos_;
+      fail("expected ',' or '}'");
+    }
+    skip_ws();
+  }
+  read_string(key);
+  skip_ws();
+  expect(':');
+  return true;
+}
+
+void JsonReader::begin_array() {
+  skip_ws();
+  expect('[');
+  first_ = true;
+}
+
+bool JsonReader::next_element() {
+  skip_ws();
+  if (first_) {
+    first_ = false;
+    if (peek_char() == ']') {
+      ++pos_;
+      return false;
+    }
+    return true;
+  }
+  char c = take();
+  if (c == ']') return false;
+  if (c != ',') {
+    --pos_;
+    fail("expected ',' or ']'");
+  }
+  return true;
 }
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Json parse_document() {
-    Json v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content");
-    return v;
+void append_utf8(std::string& out, unsigned code) {
+  if (code < 0x80) {
+    out += static_cast<char>(code);
+  } else if (code < 0x800) {
+    out += static_cast<char>(0xC0 | (code >> 6));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  } else if (code < 0x10000) {
+    out += static_cast<char>(0xE0 | (code >> 12));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (code >> 18));
+    out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (code & 0x3F));
   }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw JsonParseError(message, pos_);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  char take() {
-    char c = peek();
-    ++pos_;
-    return c;
-  }
-
-  void expect(char c) {
-    if (take() != c) {
-      --pos_;
-      fail(std::string("expected '") + c + "'");
-    }
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json(parse_string());
-      case 't':
-        if (consume_literal("true")) return Json(true);
-        fail("invalid literal");
-      case 'f':
-        if (consume_literal("false")) return Json(false);
-        fail("invalid literal");
-      case 'n':
-        if (consume_literal("null")) return Json(nullptr);
-        fail("invalid literal");
-      default: return parse_number();
-    }
-  }
-
-  Json parse_object() {
-    expect('{');
-    Json obj = Json::object();
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return obj;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      obj.as_object().emplace_back(std::move(key), parse_value());
-      skip_ws();
-      char c = take();
-      if (c == '}') return obj;
-      if (c != ',') {
-        --pos_;
-        fail("expected ',' or '}'");
-      }
-    }
-  }
-
-  Json parse_array() {
-    expect('[');
-    Json arr = Json::array();
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return arr;
-    }
-    while (true) {
-      arr.as_array().push_back(parse_value());
-      skip_ws();
-      char c = take();
-      if (c == ']') return arr;
-      if (c != ',') {
-        --pos_;
-        fail("expected ',' or ']'");
-      }
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      char c = take();
-      if (c == '"') return out;
-      if (c == '\\') {
-        char e = take();
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            unsigned code = parse_hex4();
-            if (code >= 0xD800 && code <= 0xDBFF) {
-              // Surrogate pair.
-              if (take() != '\\' || take() != 'u') fail("bad surrogate pair");
-              unsigned low = parse_hex4();
-              if (low < 0xDC00 || low > 0xDFFF) fail("bad low surrogate");
-              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-            }
-            append_utf8(out, code);
-            break;
-          }
-          default: fail("bad escape");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character");
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  unsigned parse_hex4() {
-    unsigned code = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = take();
-      code <<= 4;
-      if (c >= '0' && c <= '9') {
-        code += static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        code += static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        code += static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        fail("bad hex digit");
-      }
-    }
-    return code;
-  }
-
-  static void append_utf8(std::string& out, unsigned code) {
-    if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xC0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else if (code < 0x10000) {
-      out += static_cast<char>(0xE0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (code >> 18));
-      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    }
-  }
-
-  Json parse_number() {
-    std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("invalid number");
-    std::string_view lit = text_.substr(start, pos_ - start);
-    double value = 0;
-    auto [ptr, ec] = std::from_chars(lit.data(), lit.data() + lit.size(),
-                                     value);
-    if (ec != std::errc() || ptr != lit.data() + lit.size()) {
-      pos_ = start;
-      fail("invalid number");
-    }
-    // Preserve the literal for exact round-tripping of identifiers.
-    return Json::number_with_text(value, std::string(lit));
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+}
 
 }  // namespace
 
-Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
+void JsonReader::read_string(std::string& out) {
+  skip_ws();
+  expect('"');
+  out.clear();
+  while (true) {
+    // Copy the run of plain characters up to the next quote, escape or
+    // control character in one append.
+    std::size_t end = pos_;
+    while (end < text_.size()) {
+      unsigned char c = static_cast<unsigned char>(text_[end]);
+      if (c == '"' || c == '\\' || c < 0x20) break;
+      ++end;
+    }
+    out.append(text_.data() + pos_, end - pos_);
+    pos_ = end;
+    char c = take();
+    if (c == '"') return;
+    if (c != '\\') fail("unescaped control character");
+    char e = take();
+    switch (e) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        unsigned code = hex4();
+        if (code >= 0xD800 && code <= 0xDBFF) {
+          // Surrogate pair.
+          if (take() != '\\' || take() != 'u') fail("bad surrogate pair");
+          unsigned low = hex4();
+          if (low < 0xDC00 || low > 0xDFFF) fail("bad low surrogate");
+          code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+        append_utf8(out, code);
+        break;
+      }
+      default: fail("bad escape");
+    }
+  }
+}
+
+unsigned JsonReader::hex4() {
+  unsigned code = 0;
+  for (int i = 0; i < 4; ++i) {
+    char c = take();
+    code <<= 4;
+    if (c >= '0' && c <= '9') {
+      code += static_cast<unsigned>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      code += static_cast<unsigned>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      code += static_cast<unsigned>(c - 'A' + 10);
+    } else {
+      fail("bad hex digit");
+    }
+  }
+  return code;
+}
+
+void JsonReader::literal(std::string_view lit) {
+  if (text_.substr(pos_, lit.size()) != lit) fail("invalid literal");
+  pos_ += lit.size();
+}
+
+std::string_view JsonReader::number(double& value) {
+  std::size_t start = pos_;
+  if (peek_char() == '-') ++pos_;
+  while (pos_ < text_.size() &&
+         (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
+          text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
+          text_[pos_] == '+' || text_[pos_] == '-')) {
+    ++pos_;
+  }
+  if (pos_ == start) fail("invalid number");
+  std::string_view lit = text_.substr(start, pos_ - start);
+  auto [ptr, ec] = std::from_chars(lit.data(), lit.data() + lit.size(), value);
+  if (ec != std::errc() || ptr != lit.data() + lit.size()) {
+    pos_ = start;
+    fail("invalid number");
+  }
+  return lit;
+}
+
+Json JsonReader::read_value() {
+  switch (peek()) {
+    case Json::Type::Object: {
+      begin_object();
+      Json obj = Json::object();
+      std::string key;
+      while (next_key(key)) {
+        obj.as_object().emplace_back(std::move(key), read_value());
+      }
+      return obj;
+    }
+    case Json::Type::Array: {
+      begin_array();
+      Json arr = Json::array();
+      while (next_element()) arr.as_array().push_back(read_value());
+      return arr;
+    }
+    case Json::Type::String: return Json(read_string());
+    case Json::Type::Bool:
+      if (peek_char() == 't') {
+        literal("true");
+        return Json(true);
+      }
+      literal("false");
+      return Json(false);
+    case Json::Type::Null: literal("null"); return Json(nullptr);
+    case Json::Type::Number: {
+      double value = 0;
+      std::string_view lit = number(value);
+      // Preserve the literal for exact round-tripping of identifiers.
+      return Json::number_with_text(value, std::string(lit));
+    }
+  }
+  return Json();
+}
+
+std::string JsonReader::read_text() {
+  if (peek() == Json::Type::String) return read_string();
+  return read_value().dump();
+}
+
+void JsonReader::skip() {
+  switch (peek()) {
+    case Json::Type::Object:
+      begin_object();
+      while (next_key(scratch_)) skip();
+      break;
+    case Json::Type::Array:
+      begin_array();
+      while (next_element()) skip();
+      break;
+    case Json::Type::String: read_string(scratch_); break;
+    case Json::Type::Bool:
+      literal(peek_char() == 't' ? "true" : "false");
+      break;
+    case Json::Type::Null: literal("null"); break;
+    case Json::Type::Number: {
+      double value = 0;
+      number(value);
+      break;
+    }
+  }
+}
+
+void JsonReader::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) fail("trailing content");
+}
+
+Json Json::parse(std::string_view text) {
+  JsonReader reader(text);
+  Json value = reader.read_value();
+  reader.finish();
+  return value;
+}
 
 }  // namespace provmark::util

@@ -1,9 +1,15 @@
-// Minimal JSON value type, parser and printer.
+// Minimal JSON: a streaming writer, a pull reader, and a value type
+// built on both.
 //
 // ProvMark's transformation stage consumes recorder output in PROV-JSON
 // (CamFlow) and Neo4j-export JSON (OPUS).  Nothing beyond RFC 8259 scalars,
 // arrays and objects is needed, so this is a small self-contained
 // implementation rather than an external dependency.
+//
+// The recorder formats write through JsonWriter and read through
+// JsonReader in one pass, so no Json tree is built per trial; Json::dump
+// and Json::parse use the same two classes, so the 2-space layout and
+// the grammar each exist once.
 //
 // Object member order is preserved (insertion order) so that serialized
 // recorder output is stable across runs given stable input; ProvMark's
@@ -25,6 +31,7 @@
 namespace provmark::util {
 
 class Json;
+class JsonWriter;
 
 /// Error thrown by the JSON parser on malformed input, with byte offset.
 class JsonParseError : public std::runtime_error {
@@ -114,9 +121,100 @@ class Json {
   using Value =
       std::variant<std::nullptr_t, bool, Number, std::string, Array, Object>;
 
-  void dump_to(std::string& out, int indent, int depth) const;
+  void write_to(JsonWriter& writer) const;
 
   Value value_;
+};
+
+/// Appends JSON text to a string as the caller writes values, in one
+/// layout: compact when `indent` <= 0, otherwise one member or element
+/// per line, `indent` spaces per level, `"key": value`, and empty
+/// containers as `{}` / `[]`. Inside an object each value follows a
+/// key(); the caller keeps begin/end calls balanced.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out, int indent = 0)
+      : out_(out), indent_(indent) {}
+
+  void begin_object() { open('{'); }
+  void end_object() { close('}'); }
+  void begin_array() { open('['); }
+  void end_array() { close(']'); }
+  void key(std::string_view k);
+  void string(std::string_view s);
+  /// A value written verbatim: a number literal, true, false or null.
+  void literal(std::string_view text);
+
+ private:
+  void open(char bracket);
+  void close(char bracket);
+  /// Separator and line break before an array element; nothing after a
+  /// key.
+  void before_value();
+  void newline(std::size_t depth);
+
+  std::string& out_;
+  int indent_;
+  /// Per open container: true until its first member or element.
+  std::vector<bool> empty_;
+  bool after_key_ = false;
+};
+
+/// A pull reader over one JSON document. The caller asks for the value
+/// it expects next (peek() says what comes); the reader checks the text
+/// as it goes and throws JsonParseError on malformed input, with the
+/// messages and offsets Json::parse reports (Json::parse is
+/// read_value() plus finish()).
+///
+///   reader.begin_object();
+///   while (reader.next_key(key)) { ...read or skip() the value... }
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// Type of the next value, without consuming it.
+  Json::Type peek();
+  /// Enter an object; then next_key() until it returns false at `}`.
+  void begin_object();
+  bool next_key(std::string& key);
+  /// Enter an array; then next_element() until it returns false at `]`.
+  void begin_array();
+  bool next_element();
+  /// A string value, replacing the contents of `out`.
+  void read_string(std::string& out);
+  std::string read_string() {
+    std::string out;
+    read_string(out);
+    return out;
+  }
+  /// Any value, as a tree.
+  Json read_value();
+  /// A string value's contents, or the compact JSON text of any other
+  /// value (how the recorder formats read a property).
+  std::string read_text();
+  /// Consume one value, checking it exactly as read_value() would.
+  void skip();
+  /// The document must end here (trailing whitespace only).
+  void finish();
+
+ private:
+  [[noreturn]] void fail(const std::string& message) const;
+  void skip_ws();
+  char peek_char();
+  char take();
+  void expect(char c);
+  void literal(std::string_view lit);
+  /// A number literal, checked and converted into `value`.
+  std::string_view number(double& value);
+  unsigned hex4();
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  /// True right after begin_object/begin_array, before the first
+  /// next_key/next_element: one flag serves every depth, because a
+  /// nested container is always finished before its parent moves on.
+  bool first_ = false;
+  std::string scratch_;  ///< skip()'s string buffer
 };
 
 /// Escape a string for embedding in JSON output (without the quotes).

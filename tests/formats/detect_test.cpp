@@ -26,6 +26,32 @@ TEST(Detect, ProvJsonVsNeo4j) {
   EXPECT_EQ(detect_format(to_neo4j_json(tiny())), Format::Neo4jJson);
 }
 
+// Only top-level keys decide: a PROV-JSON document that mentions
+// "nodes" and "relationships" as property names or values is PROV-JSON.
+TEST(Detect, ProvJsonMentioningNeo4jKeysIsProvJson) {
+  graph::PropertyGraph g;
+  g.add_node("a", "entity", {{"nodes", "relationships"}});
+  g.add_node("b", "entity", {{"k", "nodes"}, {"relationships", "x"}});
+  g.add_edge("r", "a", "b", "wasDerivedFrom", {{"v", "relationships"}});
+  const std::string doc = to_prov_json(g);
+  EXPECT_EQ(detect_format(doc), Format::ProvJson);
+  EXPECT_EQ(parse_any(doc), g);
+}
+
+TEST(Detect, Neo4jByTopLevelKeysInAnyOrder) {
+  EXPECT_EQ(detect_format(R"({"meta": {}, "relationships": [], "nodes": []})"),
+            Format::Neo4jJson);
+  EXPECT_EQ(detect_format(R"({"nodes": []})"), Format::ProvJson);
+  EXPECT_EQ(detect_format(R"({"x": {"nodes": [], "relationships": []}})"),
+            Format::ProvJson);
+  // Detection stops once both keys are read; JSON that breaks before
+  // then reads as PROV-JSON, whose reader rejects it.
+  EXPECT_EQ(detect_format(R"({"nodes": [], "relationships": [)"),
+            Format::Neo4jJson);
+  EXPECT_EQ(detect_format(R"({"nodes": [, "relationships": []})"),
+            Format::ProvJson);
+}
+
 TEST(Detect, Datalog) {
   EXPECT_EQ(detect_format("ng(a,\"X\").\n"), Format::Datalog);
   EXPECT_EQ(detect_format("% comment\nng(a,\"X\").\n"), Format::Datalog);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "util/rng.h"
+#include "util/strings.h"
+
 namespace provmark::os {
 namespace {
 
@@ -338,6 +343,44 @@ TEST(Kernel, SameSeedGivesIdenticalTraces) {
       EXPECT_EQ(a.trace().audit[i].syscall, b.trace().audit[i].syscall);
     }
   }
+}
+
+// The time field is written with std::to_chars; it must keep the bytes
+// of printf("%.4f") over the kernel's clock range (1.6e9 plus up to
+// ~2e6 s of boot offset and ticks), including exact binary ties, where
+// both round half to even.
+TEST(KernelFields, TimeFieldMatchesPrintf) {
+  util::Rng rng(20261017);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double x = 1.6e9 + static_cast<double>(rng.next_below(2'000'000)) +
+                     static_cast<double>(rng.next_below(1u << 30)) /
+                         static_cast<double>(1u << 30);
+    ASSERT_EQ(time_field(x), util::format("%.4f", x)) << i;
+  }
+  // The kernel's own walk: ticks of 0.0001 * [1, 50] s from a boot time.
+  double clock = 1.6e9 + static_cast<double>(rng.next_below(1'000'000));
+  for (int i = 0; i < 200'000; ++i) {
+    clock += 0.0001 * static_cast<double>(1 + rng.next_below(50));
+    ASSERT_EQ(time_field(clock), util::format("%.4f", clock)) << i;
+  }
+  for (int k = 0; k < 32 * 64; ++k) {
+    const double x = 1.6e9 + static_cast<double>(k) / 32;
+    ASSERT_EQ(time_field(x), util::format("%.4f", x)) << k << "/32";
+  }
+  for (double x : {0.0, -0.0, 0.00005, 0.00015, -1.25, 1e20, 123.45675}) {
+    EXPECT_EQ(time_field(x), util::format("%.4f", x)) << x;
+  }
+}
+
+TEST(KernelFields, OctalFieldMatchesPrintf) {
+  for (int mode = 0; mode <= 07777; ++mode) {
+    ASSERT_EQ(octal_field(mode), util::format("%o", mode)) << mode;
+  }
+  for (int mode : {-1, -0644, -07777, std::numeric_limits<int>::min()}) {
+    EXPECT_EQ(octal_field(mode), util::format("%o", mode)) << mode;
+  }
+  EXPECT_EQ(octal_field(std::numeric_limits<int>::max()),
+            util::format("%o", std::numeric_limits<int>::max()));
 }
 
 }  // namespace
