@@ -1,6 +1,8 @@
 #include "core/compare.h"
 
-#include <set>
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "matcher/interned.h"
 
@@ -31,40 +33,55 @@ CompareResult compare_graphs(const matcher::InternedGraph& background,
   }
   result.embedding_cost = matching->cost;
 
-  const graph::PropertyGraph& fg = *foreground.g.source;
+  const graph::CompactGraph& fg = foreground.g;
+  const graph::SymbolTable& symbols = *fg.symbols;
 
   // Matched foreground elements correspond to background activity.
-  std::set<graph::Id> matched_nodes;
-  std::set<graph::Id> matched_edges;
-  for (const auto& [bg, fgid] : matching->node_map) matched_nodes.insert(fgid);
-  for (const auto& [bg, fgid] : matching->edge_map) matched_edges.insert(fgid);
+  std::vector<char> matched_node(fg.node_count(), 0);
+  std::vector<char> matched_edge(fg.edge_count(), 0);
+  for (std::uint32_t v : matching->node_index) matched_node[v] = 1;
+  for (std::uint32_t e : matching->edge_index) matched_edge[e] = 1;
 
   // Survivors: foreground edges not matched, and their endpoints.
-  std::set<graph::Id> needed_nodes;
-  for (const graph::Node& n : fg.nodes()) {
-    if (matched_nodes.count(n.id) == 0) needed_nodes.insert(n.id);
+  std::vector<char> needed(fg.node_count(), 0);
+  for (std::uint32_t v = 0; v < fg.node_count(); ++v) {
+    if (!matched_node[v]) needed[v] = 1;
   }
-  std::vector<const graph::Edge*> surviving_edges;
-  for (const graph::Edge& e : fg.edges()) {
-    if (matched_edges.count(e.id) > 0) continue;
-    surviving_edges.push_back(&e);
-    needed_nodes.insert(e.src);
-    needed_nodes.insert(e.tgt);
+  std::vector<std::uint32_t> surviving_edges;
+  for (std::uint32_t e = 0; e < fg.edge_count(); ++e) {
+    if (matched_edge[e]) continue;
+    surviving_edges.push_back(e);
+    needed[fg.edge_src[e]] = 1;
+    needed[fg.edge_tgt[e]] = 1;
   }
 
-  for (const graph::Id& id : needed_nodes) {
-    const graph::Node* n = fg.find_node(id);
-    if (matched_nodes.count(id) > 0) {
+  // Result nodes go in id order.
+  std::vector<std::uint32_t> nodes;
+  for (std::uint32_t v = 0; v < fg.node_count(); ++v) {
+    if (needed[v]) nodes.push_back(v);
+  }
+  std::sort(nodes.begin(), nodes.end(), [&fg](std::uint32_t a, std::uint32_t b) {
+    return fg.node_id[a] < fg.node_id[b];
+  });
+  for (std::uint32_t v : nodes) {
+    std::string id(fg.node_id[v]);
+    const std::string& label = symbols.resolve(fg.node_label[v]);
+    if (matched_node[v]) {
       // A pre-existing endpoint: keep it as a dummy placeholder so the
       // result stays a complete graph (green/gray nodes in the figures).
-      result.benchmark.add_node(n->id, n->label, {{"dummy", "true"}});
-      result.dummy_nodes.push_back(n->id);
+      result.dummy_nodes.push_back(id);
+      result.benchmark.add_node(std::move(id), label, {{"dummy", "true"}});
     } else {
-      result.benchmark.add_node(n->id, n->label, n->props);
+      result.benchmark.add_node(std::move(id), label,
+                                graph::resolve_props(fg.node_props[v], symbols));
     }
   }
-  for (const graph::Edge* e : surviving_edges) {
-    result.benchmark.add_edge(e->id, e->src, e->tgt, e->label, e->props);
+  for (std::uint32_t e : surviving_edges) {
+    result.benchmark.add_edge(std::string(fg.edge_id[e]),
+                              std::string(fg.node_id[fg.edge_src[e]]),
+                              std::string(fg.node_id[fg.edge_tgt[e]]),
+                              symbols.resolve(fg.edge_label[e]),
+                              graph::resolve_props(fg.edge_props[e], symbols));
   }
   return result;
 }

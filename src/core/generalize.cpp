@@ -127,29 +127,35 @@ std::optional<graph::PropertyGraph> generalize_pair(
       matcher::best_isomorphism(a, b, search, stats);
   if (!matching.has_value()) return std::nullopt;
 
-  const graph::PropertyGraph& ga = *a.g.source;
-  const graph::PropertyGraph& gb = *b.g.source;
+  const graph::CompactGraph& ga = a.g;
+  const graph::CompactGraph& gb = b.g;
+  const graph::SymbolTable& symbols = *ga.symbols;
 
   // Keep exactly the properties equal under the optimal matching; values
   // that differ (timestamps, serials, pids) are transient and dropped.
+  // Both graphs share one symbol table, so equal symbols are equal
+  // strings.
+  auto kept = [&symbols](const graph::CompactProps& mine,
+                         const graph::CompactProps& other) {
+    graph::Properties out;
+    for (const auto& [k, v] : mine) {
+      if (graph::find_prop(other, k) == v) {
+        out.emplace(symbols.resolve(k), symbols.resolve(v));
+      }
+    }
+    return out;
+  };
   graph::PropertyGraph out;
-  for (const graph::Node& n : ga.nodes()) {
-    const graph::Node* other = gb.find_node(matching->node_map.at(n.id));
-    graph::Properties kept;
-    for (const auto& [k, v] : n.props) {
-      auto it = other->props.find(k);
-      if (it != other->props.end() && it->second == v) kept[k] = v;
-    }
-    out.add_node(n.id, n.label, std::move(kept));
+  for (std::uint32_t i = 0; i < ga.node_count(); ++i) {
+    out.add_node(std::string(ga.node_id[i]), symbols.resolve(ga.node_label[i]),
+                 kept(ga.node_props[i], gb.node_props[matching->node_index[i]]));
   }
-  for (const graph::Edge& e : ga.edges()) {
-    const graph::Edge* other = gb.find_edge(matching->edge_map.at(e.id));
-    graph::Properties kept;
-    for (const auto& [k, v] : e.props) {
-      auto it = other->props.find(k);
-      if (it != other->props.end() && it->second == v) kept[k] = v;
-    }
-    out.add_edge(e.id, e.src, e.tgt, e.label, std::move(kept));
+  for (std::uint32_t e = 0; e < ga.edge_count(); ++e) {
+    out.add_edge(std::string(ga.edge_id[e]),
+                 std::string(ga.node_id[ga.edge_src[e]]),
+                 std::string(ga.node_id[ga.edge_tgt[e]]),
+                 symbols.resolve(ga.edge_label[e]),
+                 kept(ga.edge_props[e], gb.edge_props[matching->edge_index[e]]));
   }
   return out;
 }
@@ -195,7 +201,8 @@ std::optional<GeneralizeResult> generalize_trials(
 
   // Among the surviving classes, choose by representative graph size.
   auto size_of = [&](const std::vector<std::size_t>& cls) {
-    return trials[cls.front()]->g.source->size();
+    const graph::CompactGraph& g = trials[cls.front()]->g;
+    return g.node_count() + g.edge_count();
   };
   const std::vector<std::size_t>* chosen = &viable.front();
   for (const std::vector<std::size_t>& cls : viable) {
@@ -212,11 +219,11 @@ std::optional<GeneralizeResult> generalize_trials(
   if (!generalized.has_value()) return std::nullopt;  // unreachable in theory
 
   int before = 0, after = 0;
-  for (const graph::Node& n : a.g.source->nodes()) {
-    before += static_cast<int>(n.props.size());
+  for (const graph::CompactProps& props : a.g.node_props) {
+    before += static_cast<int>(props.size());
   }
-  for (const graph::Edge& e : a.g.source->edges()) {
-    before += static_cast<int>(e.props.size());
+  for (const graph::CompactProps& props : a.g.edge_props) {
+    before += static_cast<int>(props.size());
   }
   for (const graph::Node& n : generalized->nodes()) {
     after += static_cast<int>(n.props.size());

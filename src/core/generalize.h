@@ -102,8 +102,8 @@ std::vector<std::vector<std::size_t>> similarity_classes(
     runtime::ThreadPool* pool = nullptr);
 
 /// Generalize two similar interned trials (see generalize_pair above);
-/// reads properties back through the snapshots' source graphs. `stats`,
-/// when supplied, receives the isomorphism search statistics.
+/// reads ids, labels and properties back through the interned graphs.
+/// `stats`, when supplied, receives the isomorphism search statistics.
 std::optional<graph::PropertyGraph> generalize_pair(
     const matcher::InternedGraph& a, const matcher::InternedGraph& b,
     const GeneralizeOptions& options = {}, matcher::Stats* stats = nullptr);

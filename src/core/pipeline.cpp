@@ -7,7 +7,7 @@
 #include <thread>
 
 #include "bench_suite/executor.h"
-#include "graph/algorithms.h"
+#include "graph/graph_view.h"
 #include "matcher/interned.h"
 #include "matcher/memo.h"
 #include "runtime/thread_pool.h"
@@ -74,12 +74,15 @@ std::uint64_t trial_seed(std::uint64_t run_seed,
 
 namespace {
 
-/// One variant's trials, carried across retry rounds: the raw graphs
-/// (std::deque — interned snapshots hold pointers into it), each trial's
-/// interned snapshot (built exactly once, against the run-wide symbol
-/// table), and its WL structural digest.
+/// One variant's trials, carried across retry rounds: every native
+/// document recorded (garbled ones too), and per readable trial its view
+/// of the document, its interned graph (built exactly once, against the
+/// run-wide symbol table) and its WL structural digest. std::deque keeps
+/// documents and views at stable addresses: views point into documents,
+/// and interned graphs' ids point into both.
 struct TrialSet {
-  std::deque<graph::PropertyGraph> graphs;
+  std::deque<std::string> documents;
+  std::deque<graph::GraphView> views;
   std::deque<matcher::InternedGraph> interned;
   std::vector<std::uint64_t> digests;
 
@@ -89,12 +92,6 @@ struct TrialSet {
     for (const matcher::InternedGraph& g : interned) out.push_back(&g);
     return out;
   }
-};
-
-/// A freshly recorded-and-parsed trial, before it joins a TrialSet.
-struct ParsedTrial {
-  std::optional<graph::PropertyGraph> graph;  ///< nullopt: garbled output
-  std::uint64_t digest = 0;
 };
 
 }  // namespace
@@ -177,7 +174,8 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
     // self-contained (own seed, own recorder trial context), writing its
     // native document into an index-addressed slot.
     util::Stopwatch watch;
-    std::vector<std::string> new_bg(want), new_fg(want);
+    bg_trials.documents.resize(already + want);
+    fg_trials.documents.resize(already + want);
     std::vector<std::string> fg_failures(want);
     pool.parallel_for(tasks, [&](std::size_t t) {
       bool foreground = t >= static_cast<std::size_t>(want);
@@ -194,7 +192,8 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
         fg_failures[i] = run.failure_reason;
       }
       systems::TrialContext trial{seed ^ 0xC0FFEEULL};
-      (foreground ? new_fg : new_bg)[i] = recorder->record(run.trace, trial);
+      (foreground ? fg_trials : bg_trials).documents[already + i] =
+          recorder->record(run.trace, trial);
     });
     if (behaviour_error.empty()) {
       for (const std::string& failure : fg_failures) {
@@ -209,34 +208,34 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
     if (cancelled()) return result;
 
     // -- (2) transformation (new trials only) -------------------------------
-    // Parsing and digesting are per-trial pure work and run on the pool;
-    // interning is a short serial tail (the symbol table is shared by
-    // the whole run so every later matcher call can compare any pair).
+    // Reading each document into a view is per-trial pure work and runs
+    // on the pool; interning (with the digest and the matcher's per-graph
+    // invariants) is a short serial tail, since the symbol table is shared
+    // by the whole run so every later matcher call can compare any pair.
     watch.reset();
-    std::vector<ParsedTrial> parsed(tasks);
+    std::vector<std::optional<graph::GraphView>> parsed(tasks);
     pool.parallel_for(tasks, [&](std::size_t t) {
       bool foreground = t >= static_cast<std::size_t>(want);
-      const std::string& native =
-          foreground ? new_fg[t - want] : new_bg[t];
+      const TrialSet& set = foreground ? fg_trials : bg_trials;
       try {
-        graph::PropertyGraph g = transform_native(native, options.transform);
-        parsed[t].digest = graph::structural_digest(g);
-        parsed[t].graph = std::move(g);
+        parsed[t] = read_native(
+            set.documents[already + (foreground ? t - want : t)],
+            options.transform);
       } catch (const std::exception&) {
         // Garbled (truncated) output: the trial is a failed run and is
         // excluded before similarity classification.
       }
     });
     for (std::size_t t = 0; t < tasks; ++t) {
-      if (!parsed[t].graph.has_value()) {
+      if (!parsed[t].has_value()) {
         ++unparseable;
         continue;
       }
       TrialSet& set =
           t < static_cast<std::size_t>(want) ? bg_trials : fg_trials;
-      set.graphs.push_back(std::move(*parsed[t].graph));
-      set.interned.emplace_back(set.graphs.back(), symbols);
-      set.digests.push_back(parsed[t].digest);
+      set.views.push_back(std::move(*parsed[t]));
+      set.interned.emplace_back(set.views.back(), symbols);
+      set.digests.push_back(set.interned.back().structural_digest());
     }
     result.timings.transformation += watch.elapsed_seconds();
     if (cancelled()) return result;

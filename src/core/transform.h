@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 
 namespace provmark::core {
@@ -23,8 +24,14 @@ struct TransformOptions {
   int neo4j_startup_rounds = 400;
 };
 
-/// Parse a native recorder document (format auto-detected) into a
-/// property graph. Throws std::runtime_error on malformed input.
+/// Read a native recorder document (format auto-detected) into a view
+/// over it; `native_output` must outlive the view. Throws
+/// std::runtime_error (or std::invalid_argument on an id clash or a
+/// dangling edge) on malformed input.
+graph::GraphView read_native(std::string_view native_output,
+                             const TransformOptions& options = {});
+
+/// read_native(), materialized into a property graph.
 graph::PropertyGraph transform_native(std::string_view native_output,
                                       const TransformOptions& options = {});
 

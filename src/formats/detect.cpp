@@ -53,23 +53,34 @@ const char* format_name(Format f) {
   return "unknown";
 }
 
-graph::PropertyGraph parse_as(Format format, std::string_view text) {
+namespace {
+
+graph::PropertyGraph single_datalog_graph(std::string_view text) {
+  auto graphs = datalog::from_datalog(text);
+  if (graphs.size() != 1) {
+    throw std::runtime_error(
+        "expected a single graph in datalog document, found " +
+        std::to_string(graphs.size()));
+  }
+  return std::move(graphs.begin()->second);
+}
+
+}  // namespace
+
+graph::GraphView view_as(Format format, std::string_view text) {
   switch (format) {
-    case Format::Dot: return from_dot(text);
-    case Format::ProvJson: return from_prov_json(text);
-    case Format::Neo4jJson: return from_neo4j_json(text);
-    case Format::Datalog: {
-      auto graphs = datalog::from_datalog(text);
-      if (graphs.size() != 1) {
-        throw std::runtime_error(
-            "expected a single graph in datalog document, found " +
-            std::to_string(graphs.size()));
-      }
-      return std::move(graphs.begin()->second);
-    }
+    case Format::Dot: return dot_view(text);
+    case Format::ProvJson: return prov_json_view(text);
+    case Format::Neo4jJson: return neo4j_json_view(text);
+    case Format::Datalog: return graph::copy_of(single_datalog_graph(text));
     case Format::Unknown: break;
   }
   throw std::runtime_error("unrecognized provenance output format");
+}
+
+graph::PropertyGraph parse_as(Format format, std::string_view text) {
+  if (format == Format::Datalog) return single_datalog_graph(text);
+  return view_as(format, text).materialize();
 }
 
 graph::PropertyGraph parse_any(std::string_view text) {

@@ -3,6 +3,7 @@
 
 #include <string_view>
 
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 
 namespace provmark::formats {
@@ -13,6 +14,12 @@ enum class Format { Dot, ProvJson, Neo4jJson, Datalog, Unknown };
 Format detect_format(std::string_view text);
 
 const char* format_name(Format f);
+
+/// Read a document of a known format into a view (Datalog documents
+/// must contain a single graph, which the view owns a copy of; every
+/// other format is viewed in place, so `text` must outlive the view).
+/// Throws std::runtime_error for Unknown.
+graph::GraphView view_as(Format format, std::string_view text);
 
 /// Parse a document of a known format into a property graph (Datalog
 /// documents must contain a single graph). Throws std::runtime_error for

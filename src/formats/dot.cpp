@@ -1,7 +1,9 @@
 #include "formats/dot.h"
 
-#include <cctype>
+#include <charconv>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "util/strings.h"
 
@@ -44,66 +46,121 @@ void append_attributes(std::string& out, const graph::Properties& props) {
   }
 }
 
-class DotParser {
+/// Reads the DOT subset into a GraphView over the document.
+class DotReader {
  public:
-  explicit DotParser(std::string_view text) : text_(text) {}
+  explicit DotReader(std::string_view text) : text_(text) {}
 
-  graph::PropertyGraph parse() {
+  graph::GraphView read() {
+    graph::GraphView view;
+    view.reserve_for(text_.size());
+    graph::GraphViewBuilder builder(view);
     expect_keyword("digraph");
-    name();  // graph name, discarded
+    name(view.arena);  // graph name, discarded
     expect('{');
-    graph::PropertyGraph g;
-    int synthetic_edge_id = 0;
+    // DOT edges have no ids; edge k is named "dot_e<k>". Every name the
+    // document can need (one per "->" in it) is laid out in one arena
+    // string, so each edge id is a view into it.
+    const std::string_view edge_names = view.arena.keep(synthetic_edge_ids());
+    std::size_t edge_name_at = 0;
+    // Node statements may declare a node more than once: its label is the
+    // last declaration's, its properties every declaration's attributes
+    // in document order (the last value of a key wins). They are gathered
+    // here and laid out per node at the end.
+    std::vector<std::pair<std::uint32_t, graph::GraphView::Prop>> node_attrs;
+    std::vector<graph::GraphView::Prop> attrs;
     while (true) {
       skip_space();
       if (peek() == '}') {
         ++pos_;
         break;
       }
-      std::string first = name();
+      std::string_view first = name(view.arena);
       skip_space();
       if (pos_ + 1 < text_.size() && text_[pos_] == '-' &&
           text_[pos_ + 1] == '>') {
         pos_ += 2;
-        std::string second = name();
-        graph::Properties attrs = attributes();
+        std::string_view second = name(view.arena);
+        const auto first_prop = static_cast<std::uint32_t>(view.props.size());
+        std::string_view label = attributes(view.arena, view.props, false);
         expect(';');
-        std::string label;
-        if (auto it = attrs.find("label"); it != attrs.end()) {
-          label = it->second;
-          attrs.erase(it);
-        }
-        ensure_node(g, first);
-        ensure_node(g, second);
-        std::string edge_id =
-            "dot_e" + std::to_string(synthetic_edge_id++);
-        g.add_edge(edge_id, first, second, label, std::move(attrs));
+        std::uint32_t src = ensure_node(builder, first);
+        std::uint32_t tgt = ensure_node(builder, second);
+        // This edge's name runs up to the next name's leading 'd'.
+        std::size_t next = edge_names.find('d', edge_name_at + 1);
+        std::string_view id = edge_names.substr(
+            edge_name_at, next == std::string_view::npos ? next
+                                                         : next - edge_name_at);
+        edge_name_at = next;
+        builder.add_edge(id, src, tgt, label, first_prop,
+                         static_cast<std::uint32_t>(view.props.size()) -
+                             first_prop);
       } else {
-        graph::Properties attrs = attributes();
+        attrs.clear();
+        std::string_view label = attributes(view.arena, attrs, true);
         expect(';');
-        std::string label;
-        if (auto it = attrs.find("label"); it != attrs.end()) {
-          label = it->second;
-          attrs.erase(it);
-        }
-        // Drop pure styling attributes the writer adds.
-        attrs.erase("shape");
-        if (graph::Node* existing = g.find_node(first)) {
-          existing->label = label;
-          for (auto& [k, v] : attrs) existing->props[k] = v;
+        std::uint32_t node = builder.find_node(first);
+        if (node == graph::GraphViewBuilder::kNoNode) {
+          node = builder.add_node(first, label, 0, 0);
         } else {
-          g.add_node(first, label, std::move(attrs));
+          view.nodes[node].label = label;
+        }
+        for (const graph::GraphView::Prop& attr : attrs) {
+          node_attrs.emplace_back(node, attr);
         }
       }
     }
     skip_space();
     if (pos_ != text_.size()) fail("trailing content after digraph");
-    return g;
+    lay_out_node_props(view, node_attrs);
+    return view;
   }
 
  private:
-  void ensure_node(graph::PropertyGraph& g, const std::string& id) {
-    if (g.find_node(id) == nullptr) g.add_node(id, "");
+  std::uint32_t ensure_node(graph::GraphViewBuilder& builder,
+                            std::string_view id) {
+    std::uint32_t node = builder.find_node(id);
+    return node != graph::GraphViewBuilder::kNoNode
+               ? node
+               : builder.add_node(id, "", 0, 0);
+  }
+
+  /// "dot_e0dot_e1...", one name per "->" in the document.
+  std::string synthetic_edge_ids() const {
+    std::size_t arrows = 0;
+    for (std::size_t at = text_.find("->"); at != std::string_view::npos;
+         at = text_.find("->", at + 2)) {
+      ++arrows;
+    }
+    std::string names;
+    names.reserve(arrows * 9);
+    char digits[16];
+    for (std::size_t k = 0; k < arrows; ++k) {
+      names += "dot_e";
+      auto [end, ec] = std::to_chars(digits, digits + sizeof digits, k);
+      names.append(digits, end);
+    }
+    return names;
+  }
+
+  static void lay_out_node_props(
+      graph::GraphView& view,
+      const std::vector<std::pair<std::uint32_t, graph::GraphView::Prop>>&
+          node_attrs) {
+    // Counting sort by node keeps each node's attributes in document
+    // order.
+    for (const auto& [node, attr] : node_attrs) ++view.nodes[node].prop_count;
+    auto at = static_cast<std::uint32_t>(view.props.size());
+    for (graph::GraphView::NodeRef& node : view.nodes) {
+      node.first_prop = at;
+      at += node.prop_count;
+      node.prop_count = 0;
+    }
+    view.props.resize(at);
+    for (const auto& [node, attr] : node_attrs) {
+      graph::GraphView::NodeRef& ref = view.nodes[node];
+      view.props[ref.first_prop + ref.prop_count++] = attr;
+    }
   }
 
   [[noreturn]] void fail(const std::string& message) {
@@ -144,53 +201,81 @@ class DotParser {
     pos_ += kw.size();
   }
 
-  std::string name() {
+  std::string_view name(util::StringArena& arena) {
     skip_space();
-    if (pos_ < text_.size() && text_[pos_] == '"') return quoted();
+    if (pos_ < text_.size() && text_[pos_] == '"') return quoted(arena);
     std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_' || text_[pos_] == '.' || text_[pos_] == ':')) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && is_name_char(text_[pos_])) ++pos_;
     if (pos_ == start) fail("expected a name");
-    return std::string(text_.substr(start, pos_ - start));
+    return text_.substr(start, pos_ - start);
   }
 
-  std::string quoted() {
+  /// An unquoted name's characters: ASCII letters and digits (what
+  /// std::isalnum accepts in the C locale), '_', '.' and ':'.
+  static bool is_name_char(char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+           (c >= '0' && c <= '9') || c == '_' || c == '.' || c == ':';
+  }
+
+  /// Position of the next quote or backslash at or after `from`, or npos.
+  std::size_t quote_or_escape(std::size_t from) const {
+    for (std::size_t i = from; i < text_.size(); ++i) {
+      if (text_[i] == '"' || text_[i] == '\\') return i;
+    }
+    return std::string_view::npos;
+  }
+
+  /// A quoted string: a view of the document unless it holds an escape,
+  /// in which case the unescaped text goes in `arena`.
+  std::string_view quoted(util::StringArena& arena) {
     expect('"');
+    std::size_t end = quote_or_escape(pos_);
+    if (end != std::string_view::npos && text_[end] == '"') {
+      std::string_view plain = text_.substr(pos_, end - pos_);
+      pos_ = end + 1;
+      return plain;
+    }
     std::string out;
     while (true) {
       // Copy the run up to the next quote or backslash in one append.
-      std::size_t end = text_.find_first_of("\"\\", pos_);
+      end = quote_or_escape(pos_);
       if (end == std::string_view::npos) {
         pos_ = text_.size();
         fail("unterminated string");
       }
       out.append(text_.data() + pos_, end - pos_);
       pos_ = end + 1;
-      if (text_[end] == '"') return out;
+      if (text_[end] == '"') return arena.keep(std::move(out));
       if (pos_ >= text_.size()) fail("bad escape");
       out += text_[pos_++];
     }
   }
 
-  graph::Properties attributes() {
-    graph::Properties attrs;
+  /// An optional `[key=value, ...]` list. Appends every attribute but
+  /// `label` (and, on a node, `shape`, which only styles it) to `out`,
+  /// and returns the last `label` value, or "" when there is none.
+  std::string_view attributes(util::StringArena& arena,
+                              std::vector<graph::GraphView::Prop>& out,
+                              bool node) {
+    std::string_view label;
     skip_space();
-    if (pos_ >= text_.size() || text_[pos_] != '[') return attrs;
+    if (pos_ >= text_.size() || text_[pos_] != '[') return label;
     ++pos_;
     while (true) {
       skip_space();
       if (peek() == ']') {
         ++pos_;
-        return attrs;
+        return label;
       }
-      std::string key = name();
+      std::string_view key = name(arena);
       skip_space();
       expect('=');
-      std::string value = name();
-      attrs.insert_or_assign(std::move(key), std::move(value));
+      std::string_view value = name(arena);
+      if (key == "label") {
+        label = value;
+      } else if (!(node && key == "shape")) {
+        out.push_back({key, value});
+      }
       skip_space();
       if (pos_ < text_.size() && text_[pos_] == ',') ++pos_;
     }
@@ -234,8 +319,12 @@ std::string to_dot(const graph::PropertyGraph& g,
   return out;
 }
 
+graph::GraphView dot_view(std::string_view text) {
+  return DotReader(text).read();
+}
+
 graph::PropertyGraph from_dot(std::string_view text) {
-  return DotParser(text).parse();
+  return dot_view(text).materialize();
 }
 
 }  // namespace provmark::formats

@@ -15,6 +15,7 @@
 #include <string>
 #include <string_view>
 
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 
 namespace provmark::formats {
@@ -25,9 +26,15 @@ namespace provmark::formats {
 std::string to_dot(const graph::PropertyGraph& g,
                    std::string_view graph_name = "provenance");
 
-/// Parse the DOT subset described above. Nodes referenced only in edge
-/// statements are created implicitly with an empty label, matching
-/// Graphviz semantics. Throws std::runtime_error on syntax errors.
+/// Read the DOT subset described above into a view over `text`. Nodes
+/// referenced only in edge statements are created implicitly with an
+/// empty label, matching Graphviz semantics; a node declared again takes
+/// the new label and merges the new attributes. Edge k is named
+/// "dot_e<k>". Throws std::runtime_error on syntax errors and
+/// std::invalid_argument on an id clash.
+graph::GraphView dot_view(std::string_view text);
+
+/// dot_view(text), materialized.
 graph::PropertyGraph from_dot(std::string_view text);
 
 }  // namespace provmark::formats

@@ -1,7 +1,9 @@
 #include "formats/neo4j.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "util/json.h"
@@ -24,32 +26,32 @@ void write_properties(util::JsonWriter& w, const graph::Properties& props) {
 }
 
 /// A `properties` value: an object's members as strings (a non-string
-/// value keeps its compact JSON text); any other value means none.
-graph::Properties read_properties(util::JsonReader& r) {
-  graph::Properties props;
+/// value keeps its compact JSON text), appended to `view.props`; any
+/// other value means none.
+void read_properties(util::JsonReader& r, graph::GraphView& view) {
   if (r.peek() != Json::Type::Object) {
     r.skip();
-    return props;
+    return;
   }
-  std::string key;
+  std::string_view key;
   r.begin_object();
-  while (r.next_key(key)) {
-    props.insert_or_assign(std::move(key), r.read_text());
+  while (r.next_key_view(key, view.arena)) {
+    view.props.push_back({key, r.read_text_view(view.arena)});
   }
-  return props;
 }
 
 /// The fields of one export record. Only the first occurrence of a key
 /// counts; later duplicates are checked and skipped, and so are keys the
 /// record's kind does not use.
 struct Record {
-  std::string id, start, end, type, label;
-  graph::Properties props;
+  std::string_view id, start, end, type, label;
+  std::uint32_t first_prop = 0, prop_count = 0;
   bool has_id = false, has_start = false, has_end = false, has_type = false,
        has_labels = false, has_props = false;
 };
 
-void read_string_field(util::JsonReader& r, bool& seen, std::string& out) {
+void read_string_field(util::JsonReader& r, util::StringArena& arena,
+                       bool& seen, std::string_view& out) {
   if (seen) {
     r.skip();
     return;
@@ -57,13 +59,14 @@ void read_string_field(util::JsonReader& r, bool& seen, std::string& out) {
   if (r.peek() != Json::Type::String) {
     throw std::runtime_error("neo4j export field must be a string");
   }
-  r.read_string(out);
+  out = r.read_string_view(arena);
   seen = true;
 }
 
 /// The first label names the node; a value that is not an array, or an
 /// empty array, means no label.
-void read_labels(util::JsonReader& r, Record& rec) {
+void read_labels(util::JsonReader& r, util::StringArena& arena,
+                 Record& rec) {
   rec.has_labels = true;
   if (r.peek() != Json::Type::Array) {
     r.skip();
@@ -72,35 +75,36 @@ void read_labels(util::JsonReader& r, Record& rec) {
   r.begin_array();
   bool seen = false;
   while (r.next_element()) {
-    if (seen) {
-      r.skip();
-    } else {
-      read_string_field(r, seen, rec.label);
-    }
+    read_string_field(r, arena, seen, rec.label);
   }
 }
 
-Record read_record(util::JsonReader& r, bool relationship) {
+Record read_record(util::JsonReader& r, graph::GraphView& view,
+                   bool relationship) {
   if (r.peek() != Json::Type::Object) {
     throw std::runtime_error("neo4j export record must be an object");
   }
+  util::StringArena& arena = view.arena;
   Record rec;
-  std::string key;
+  std::string_view key;
   r.begin_object();
-  while (r.next_key(key)) {
+  while (r.next_key_view(key, arena)) {
     if (key == "id") {
-      read_string_field(r, rec.has_id, rec.id);
+      read_string_field(r, arena, rec.has_id, rec.id);
     } else if (key == "properties" && !rec.has_props) {
-      rec.props = read_properties(r);
+      rec.first_prop = static_cast<std::uint32_t>(view.props.size());
+      read_properties(r, view);
+      rec.prop_count =
+          static_cast<std::uint32_t>(view.props.size()) - rec.first_prop;
       rec.has_props = true;
     } else if (!relationship && key == "labels" && !rec.has_labels) {
-      read_labels(r, rec);
+      read_labels(r, arena, rec);
     } else if (relationship && key == "start") {
-      read_string_field(r, rec.has_start, rec.start);
+      read_string_field(r, arena, rec.has_start, rec.start);
     } else if (relationship && key == "end") {
-      read_string_field(r, rec.has_end, rec.end);
+      read_string_field(r, arena, rec.has_end, rec.end);
     } else if (relationship && key == "type") {
-      read_string_field(r, rec.has_type, rec.type);
+      read_string_field(r, arena, rec.has_type, rec.type);
     } else {
       r.skip();
     }
@@ -154,20 +158,22 @@ std::string to_neo4j_json(const graph::PropertyGraph& g) {
   return out;
 }
 
-graph::PropertyGraph from_neo4j_json(std::string_view text) {
+graph::GraphView neo4j_json_view(std::string_view text) {
   util::JsonReader r(text);
   if (r.peek() != Json::Type::Object) {
     throw std::runtime_error("neo4j export lacks a nodes array");
   }
-  graph::PropertyGraph g;
+  graph::GraphView view;
+  view.reserve_for(text.size());
+  graph::GraphViewBuilder builder(view);
   // Nodes are added as the first `nodes` array streams past;
   // relationships wait for the end of the document, since they may come
   // first. Later duplicates of either key are ignored.
   bool has_nodes = false, has_relationships = false;
   std::vector<Record> relationships;
-  std::string key;
+  std::string_view key;
   r.begin_object();
-  while (r.next_key(key)) {
+  while (r.next_key_view(key, view.arena)) {
     const bool nodes = key == "nodes" && !has_nodes;
     const bool rels = key == "relationships" && !has_relationships;
     if (!nodes && !rels) {
@@ -181,31 +187,35 @@ graph::PropertyGraph from_neo4j_json(std::string_view text) {
     (nodes ? has_nodes : has_relationships) = true;
     r.begin_array();
     while (r.next_element()) {
-      Record rec = read_record(r, rels);
+      Record rec = read_record(r, view, rels);
       if (rels) {
-        relationships.push_back(std::move(rec));
+        relationships.push_back(rec);
       } else {
-        g.add_node(std::move(rec.id), std::move(rec.label),
-                   std::move(rec.props));
+        builder.add_node(rec.id, rec.label, rec.first_prop, rec.prop_count);
       }
     }
   }
   r.finish();
   if (!has_nodes) throw std::runtime_error("neo4j export lacks a nodes array");
-  for (Record& rec : relationships) {
-    g.add_edge(std::move(rec.id), std::move(rec.start), std::move(rec.end),
-               std::move(rec.type), std::move(rec.props));
+  for (const Record& rec : relationships) {
+    builder.add_edge(rec.id, rec.start, rec.end, rec.type, rec.first_prop,
+                     rec.prop_count);
   }
-  return g;
+  return view;
+}
+
+graph::PropertyGraph from_neo4j_json(std::string_view text) {
+  return neo4j_json_view(text).materialize();
 }
 
 void Neo4jStore::open(std::string_view export_json) {
-  graph_ = from_neo4j_json(export_json);
+  view_ = neo4j_json_view(export_json);
   // Model the one-time database startup cost: repeated full index builds.
   // The checksum keeps the optimizer from eliding the work and doubles as
-  // an internal consistency check across rounds.
+  // an internal consistency check across rounds. The index is built at
+  // least once, whatever the round count.
   std::uint64_t first_round = 0;
-  for (int round = 0; round < options_.startup_rounds; ++round) {
+  for (int round = 0; round < std::max(1, options_.startup_rounds); ++round) {
     build_indices();
     if (round == 0) {
       first_round = index_checksum_;
@@ -213,24 +223,61 @@ void Neo4jStore::open(std::string_view export_json) {
       throw std::logic_error("neo4j index build is not deterministic");
     }
   }
+  // Hand nodes out in the label index's order, labels ascending and ids
+  // ascending within a label: the order MATCH (n) RETURN n walks it.
+  std::vector<graph::GraphView::NodeRef>& nodes = view_.nodes;
+  std::vector<std::uint32_t> order(nodes.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&nodes](std::uint32_t a,
+                                                 std::uint32_t b) {
+    return std::tie(nodes[a].label, nodes[a].id) <
+           std::tie(nodes[b].label, nodes[b].id);
+  });
+  std::vector<graph::GraphView::NodeRef> ordered;
+  ordered.reserve(nodes.size());
+  std::vector<std::uint32_t> position(nodes.size());
+  for (std::uint32_t old : order) {
+    position[old] = static_cast<std::uint32_t>(ordered.size());
+    ordered.push_back(nodes[old]);
+  }
+  nodes = std::move(ordered);
+  for (graph::GraphView::EdgeRef& e : view_.edges) {
+    e.src = position[e.src];
+    e.tgt = position[e.tgt];
+  }
 }
+
+namespace {
+
+/// index[key], creating the entry (and its key string) only when absent.
+std::vector<graph::Id>& entry(
+    std::map<std::string, std::vector<graph::Id>, std::less<>>& index,
+    std::string_view key) {
+  auto it = index.lower_bound(key);
+  if (it == index.end() || it->first != key) {
+    it = index.emplace_hint(it, std::string(key), std::vector<graph::Id>());
+  }
+  return it->second;
+}
+
+}  // namespace
 
 void Neo4jStore::build_indices() {
   label_index_.clear();
   property_key_index_.clear();
   std::uint64_t checksum = 0;
-  for (const graph::Node& n : graph_.nodes()) {
-    label_index_[n.label].push_back(n.id);
+  for (const graph::GraphView::NodeRef& n : view_.nodes) {
+    entry(label_index_, n.label).emplace_back(n.id);
     checksum ^= util::stable_hash(n.label) * util::stable_hash(n.id);
-    for (const auto& [k, v] : n.props) {
-      property_key_index_[k].push_back(n.id);
+    for (const auto& [k, v] : view_.props_of(n)) {
+      entry(property_key_index_, k).emplace_back(n.id);
       checksum += util::stable_hash(k) ^ util::stable_hash(v);
     }
   }
-  for (const graph::Edge& e : graph_.edges()) {
+  for (const graph::GraphView::EdgeRef& e : view_.edges) {
     checksum ^= util::stable_hash(e.label) * util::stable_hash(e.id);
-    for (const auto& [k, v] : e.props) {
-      property_key_index_[k].push_back(e.id);
+    for (const auto& [k, v] : view_.props_of(e)) {
+      entry(property_key_index_, k).emplace_back(e.id);
       checksum += util::stable_hash(k) ^ util::stable_hash(v);
     }
   }
@@ -243,41 +290,39 @@ void Neo4jStore::build_indices() {
 
 std::vector<graph::Node> Neo4jStore::match_all_nodes() const {
   std::vector<graph::Node> out;
-  out.reserve(graph_.node_count());
-  for (const auto& [label, ids] : label_index_) {
-    for (const graph::Id& id : ids) {
-      out.push_back(*graph_.find_node(id));
-    }
+  out.reserve(view_.nodes.size());
+  for (const graph::GraphView::NodeRef& n : view_.nodes) {
+    out.push_back(graph::Node{std::string(n.id), std::string(n.label),
+                              view_.properties(n)});
   }
   return out;
 }
 
 std::vector<graph::Edge> Neo4jStore::match_all_relationships() const {
-  return graph_.edges();
+  std::vector<graph::Edge> out;
+  out.reserve(view_.edges.size());
+  for (const graph::GraphView::EdgeRef& e : view_.edges) {
+    out.push_back(graph::Edge{std::string(e.id),
+                              std::string(view_.nodes[e.src].id),
+                              std::string(view_.nodes[e.tgt].id),
+                              std::string(e.label), view_.properties(e)});
+  }
+  return out;
 }
 
 std::vector<graph::Node> Neo4jStore::match_nodes_by_label(
     const std::string& label) const {
   std::vector<graph::Node> out;
-  auto it = label_index_.find(label);
-  if (it == label_index_.end()) return out;
-  for (const graph::Id& id : it->second) {
-    out.push_back(*graph_.find_node(id));
+  for (const graph::GraphView::NodeRef& n : view_.nodes) {
+    if (n.label != label) continue;
+    out.push_back(graph::Node{std::string(n.id), std::string(n.label),
+                              view_.properties(n)});
   }
   return out;
 }
 
 graph::PropertyGraph Neo4jStore::export_graph() const {
-  // The query results are copies; the graph takes them over.
-  graph::PropertyGraph g;
-  for (graph::Node& n : match_all_nodes()) {
-    g.add_node(std::move(n.id), std::move(n.label), std::move(n.props));
-  }
-  for (graph::Edge& e : match_all_relationships()) {
-    g.add_edge(std::move(e.id), std::move(e.src), std::move(e.tgt),
-               std::move(e.label), std::move(e.props));
-  }
-  return g;
+  return view_.materialize();
 }
 
 }  // namespace provmark::formats

@@ -20,11 +20,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 
 namespace provmark::formats {
@@ -32,8 +34,12 @@ namespace provmark::formats {
 /// Serialize a property graph as a Neo4j export document.
 std::string to_neo4j_json(const graph::PropertyGraph& g);
 
-/// Parse a Neo4j export document. Throws std::runtime_error on missing
-/// endpoints or malformed records.
+/// Read a Neo4j export document into a view over `text`. Throws
+/// std::runtime_error on malformed records and std::invalid_argument on
+/// missing endpoints or an id clash.
+graph::GraphView neo4j_json_view(std::string_view text);
+
+/// neo4j_json_view(text), materialized.
 graph::PropertyGraph from_neo4j_json(std::string_view text);
 
 /// In-memory emulation of a Neo4j store with the OPUS access pattern.
@@ -50,10 +56,12 @@ class Neo4jStore {
   explicit Neo4jStore(Options options) : options_(options) {}
 
   /// Load a Neo4j export document into the store and build indices
-  /// (the expensive step).
+  /// (the expensive step). The store reads the document in place: it
+  /// must outlive the store and any view taken from it.
   void open(std::string_view export_json);
 
-  /// Cypher-lite: `MATCH (n) RETURN n` — all nodes via the label index.
+  /// Cypher-lite: `MATCH (n) RETURN n` — all nodes in label-index order
+  /// (labels ascending, ids ascending within a label).
   std::vector<graph::Node> match_all_nodes() const;
 
   /// Cypher-lite: `MATCH ()-[r]->() RETURN r` — all relationships.
@@ -63,19 +71,30 @@ class Neo4jStore {
   std::vector<graph::Node> match_nodes_by_label(
       const std::string& label) const;
 
+  /// The stored graph as a view over the export document: nodes in
+  /// match_all_nodes() order, relationships in match_all_relationships()
+  /// order. No string is copied.
+  const graph::GraphView& view() const& { return view_; }
+  /// Moves the view out, for a caller that outlives the store.
+  graph::GraphView view() && { return std::move(view_); }
+
   /// Full reconstruction of the stored graph through the query interface.
   graph::PropertyGraph export_graph() const;
 
-  std::size_t node_count() const { return graph_.node_count(); }
-  std::size_t relationship_count() const { return graph_.edge_count(); }
+  std::size_t node_count() const { return view_.nodes.size(); }
+  std::size_t relationship_count() const { return view_.edges.size(); }
 
  private:
   void build_indices();
 
   Options options_;
-  graph::PropertyGraph graph_;
-  std::map<std::string, std::vector<graph::Id>> label_index_;
-  std::map<std::string, std::vector<graph::Id>> property_key_index_;
+  graph::GraphView view_;
+  // Transparent comparators: looking a label or key up by view creates
+  // no string, exactly as the lookups by std::string these maps were
+  // calibrated with.
+  std::map<std::string, std::vector<graph::Id>, std::less<>> label_index_;
+  std::map<std::string, std::vector<graph::Id>, std::less<>>
+      property_key_index_;
   std::uint64_t index_checksum_ = 0;  // forces the index work to be kept
 };
 

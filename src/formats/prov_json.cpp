@@ -123,58 +123,68 @@ std::string to_prov_json(const graph::PropertyGraph& g) {
   return out;
 }
 
-graph::PropertyGraph from_prov_json(std::string_view text) {
+graph::GraphView prov_json_view(std::string_view text, bool* neo4j_keys) {
   util::JsonReader r(text);
   if (r.peek() != Json::Type::Object) {
     throw std::runtime_error("PROV-JSON document must be an object");
   }
-  graph::PropertyGraph g;
+  graph::GraphView view;
+  view.reserve_for(text.size());
+  graph::GraphViewBuilder builder(view);
+  util::StringArena& arena = view.arena;
   // Nodes are added as their sections stream past; relations wait until
   // the whole document is read, since a relation section may precede the
   // nodes it links.
   struct PendingEdge {
-    std::string id, src, tgt, label;
-    graph::Properties props;
+    std::string_view id, src, tgt, label;
+    std::uint32_t first_prop = 0, prop_count = 0;
   };
   std::vector<PendingEdge> pending;
-  std::string section_name, id, key;
+  bool nodes_key = false, relationships_key = false;
+  std::string_view section_name, id, key;
   r.begin_object();
-  while (r.next_key(section_name)) {
+  while (r.next_key_view(section_name, arena)) {
+    nodes_key |= section_name == "nodes";
+    relationships_key |= section_name == "relationships";
     if (section_name == "prefix") {
       r.skip();
       continue;
     }
     const bool node_section = is_node_kind(section_name);
     if (r.peek() != Json::Type::Object) {
-      throw std::runtime_error("PROV-JSON section " + section_name +
+      throw std::runtime_error("PROV-JSON section " +
+                               std::string(section_name) +
                                " must be an object");
     }
     const RelationKeys* keys = known_relation(section_name);
     std::string_view src_key = keys ? keys->src_key : "prov:from";
     std::string_view tgt_key = keys ? keys->tgt_key : "prov:to";
     r.begin_object();
-    while (r.next_key(id)) {
+    while (r.next_key_view(id, arena)) {
       if (r.peek() != Json::Type::Object) {
-        throw std::runtime_error("PROV-JSON record " + id +
+        throw std::runtime_error("PROV-JSON record " + std::string(id) +
                                  " must be an object");
       }
       r.begin_object();
+      const auto first_prop = static_cast<std::uint32_t>(view.props.size());
+      auto prop_count = [&] {
+        return static_cast<std::uint32_t>(view.props.size()) - first_prop;
+      };
       if (node_section) {
-        graph::Properties props;
-        while (r.next_key(key)) {
-          props.insert_or_assign(std::move(key), r.read_text());
+        while (r.next_key_view(key, arena)) {
+          view.props.push_back({key, r.read_text_view(arena)});
         }
-        g.add_node(std::move(id), section_name, std::move(props));
+        builder.add_node(id, section_name, first_prop, prop_count());
         continue;
       }
       // The first occurrence of each endpoint key names the endpoint;
       // every occurrence is left out of the properties.
-      PendingEdge edge{std::move(id), {}, {}, section_name, {}};
+      PendingEdge edge{id, {}, {}, section_name, first_prop, 0};
       bool have_src = false, have_tgt = false;
-      while (r.next_key(key)) {
+      while (r.next_key_view(key, arena)) {
         const bool is_src = key == src_key, is_tgt = key == tgt_key;
         if (!is_src && !is_tgt) {
-          edge.props.insert_or_assign(std::move(key), r.read_text());
+          view.props.push_back({key, r.read_text_view(arena)});
           continue;
         }
         bool& have = is_src ? have_src : have_tgt;
@@ -183,29 +193,38 @@ graph::PropertyGraph from_prov_json(std::string_view text) {
           continue;
         }
         if (r.peek() != Json::Type::String) {
-          throw std::runtime_error("PROV-JSON relation " + edge.id +
+          throw std::runtime_error("PROV-JSON relation " +
+                                   std::string(edge.id) +
                                    " has a non-string endpoint");
         }
-        r.read_string(is_src ? edge.src : edge.tgt);
+        (is_src ? edge.src : edge.tgt) = r.read_string_view(arena);
         have = true;
       }
       if (!have_src || !have_tgt) {
-        throw std::runtime_error("PROV-JSON relation " + edge.id +
+        throw std::runtime_error("PROV-JSON relation " + std::string(edge.id) +
                                  " lacks endpoint attributes");
       }
-      pending.push_back(std::move(edge));
+      edge.prop_count = prop_count();
+      pending.push_back(edge);
     }
   }
   r.finish();
-  for (PendingEdge& e : pending) {
-    if (g.find_node(e.src) == nullptr || g.find_node(e.tgt) == nullptr) {
-      throw std::runtime_error("PROV-JSON relation " + e.id +
+  for (const PendingEdge& e : pending) {
+    const std::uint32_t src = builder.find_node(e.src);
+    const std::uint32_t tgt = builder.find_node(e.tgt);
+    if (src == graph::GraphViewBuilder::kNoNode ||
+        tgt == graph::GraphViewBuilder::kNoNode) {
+      throw std::runtime_error("PROV-JSON relation " + std::string(e.id) +
                                " references missing node");
     }
-    g.add_edge(std::move(e.id), std::move(e.src), std::move(e.tgt),
-               std::move(e.label), std::move(e.props));
+    builder.add_edge(e.id, src, tgt, e.label, e.first_prop, e.prop_count);
   }
-  return g;
+  if (neo4j_keys != nullptr) *neo4j_keys = nodes_key && relationships_key;
+  return view;
+}
+
+graph::PropertyGraph from_prov_json(std::string_view text) {
+  return prov_json_view(text).materialize();
 }
 
 }  // namespace provmark::formats

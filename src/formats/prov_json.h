@@ -15,6 +15,7 @@
 #include <string>
 #include <string_view>
 
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 
 namespace provmark::formats {
@@ -25,9 +26,16 @@ namespace provmark::formats {
 /// which PROV-JSON tolerates as an extension.
 std::string to_prov_json(const graph::PropertyGraph& g);
 
-/// Parse PROV-JSON into a property graph. Unknown top-level sections are
-/// treated as relation sections. Throws std::runtime_error when a relation
-/// references a missing endpoint.
+/// Read PROV-JSON into a view over `text`. Unknown top-level sections
+/// are treated as relation sections. Throws std::runtime_error when a
+/// relation references a missing endpoint. When `neo4j_keys` is given it
+/// is set to whether the document has both a `nodes` and a
+/// `relationships` top-level key (what detect_format takes for a Neo4j
+/// export).
+graph::GraphView prov_json_view(std::string_view text,
+                                bool* neo4j_keys = nullptr);
+
+/// prov_json_view(text), materialized.
 graph::PropertyGraph from_prov_json(std::string_view text);
 
 }  // namespace provmark::formats

@@ -12,11 +12,11 @@
 namespace provmark::graph {
 
 std::map<Id, std::uint64_t> wl_colours(const PropertyGraph& g, int rounds) {
-  // Refinement runs on the CSR snapshot (O(V+E) per round instead of the
+  // Refinement runs on the CSR form (O(V+E) per round instead of the
   // naive O(V*E) edge rescans); the colour values are unchanged.
   SymbolTable symbols;
   CompactGraph cg =
-      CompactGraph::build(g, symbols, /*topology_only=*/true);
+      CompactGraph::build(view_of(g), symbols, /*topology_only=*/true);
   std::vector<std::uint64_t> colour = compact_wl_colours(cg, rounds);
   std::map<Id, std::uint64_t> out;
   for (std::size_t i = 0; i < g.nodes().size(); ++i) {
@@ -30,20 +30,8 @@ std::uint64_t structural_digest(const PropertyGraph& g) {
   // see in practice; collisions only cost matcher time, never correctness.
   SymbolTable symbols;
   CompactGraph cg =
-      CompactGraph::build(g, symbols, /*topology_only=*/true);
-  std::vector<std::uint64_t> colour = compact_wl_colours(cg, 3);
-  UnorderedHashSum node_hashes;
-  for (std::uint64_t c : colour) node_hashes.add(c);
-  UnorderedHashSum edge_hashes;
-  for (std::uint32_t e = 0; e < cg.edge_count(); ++e) {
-    std::uint64_t h = symbols.hash(cg.edge_label[e]);
-    h = hash_mix(h, colour[cg.edge_src[e]]);
-    h = hash_mix(hash_mix(h, 0x77ULL), colour[cg.edge_tgt[e]]);
-    edge_hashes.add(h);
-  }
-  return hash_mix(node_hashes.value(),
-                  hash_mix(edge_hashes.value(),
-                           hash_mix(g.node_count(), g.edge_count())));
+      CompactGraph::build(view_of(g), symbols, /*topology_only=*/true);
+  return structural_digest(cg, compact_wl_colours(cg, kDigestWlRounds));
 }
 
 std::uint64_t full_digest(const PropertyGraph& g) {

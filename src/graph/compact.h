@@ -1,21 +1,26 @@
-// Interned, cache-friendly snapshot of a PropertyGraph.
+// Interned, cache-friendly form of one trial graph.
 //
 // The matcher's inner loop compares labels, degrees and property sets
 // millions of times; doing that through string-keyed std::maps dominates
 // the generalization and comparison stages (Figures 5-10). This layer
 // interns every label, property key and property value into a dense
 // uint32 Symbol via a SymbolTable shared between the graphs being
-// matched, and freezes a PropertyGraph into a CompactGraph:
+// matched, and builds a CompactGraph from a graph::GraphView:
 //
 //   * node/edge labels as Symbols,
 //   * per-element properties as (key,value) Symbol pairs sorted by key,
 //     so a property-mismatch count is a linear merge with no allocation,
 //   * CSR in/out adjacency with O(1) degree lookup,
-//   * label-bucketed node lists for candidate generation.
+//   * label-bucketed node lists for candidate generation,
+//   * element ids as string views, for naming elements in results.
 //
-// A CompactGraph is a read-only snapshot: it keeps a pointer to its
-// source PropertyGraph (for reconstructing string ids in final results)
-// and is invalidated by any mutation of the source.
+// build() is the only builder. The pipeline hands it the view a reader
+// made of a native document; graph::view_of(PropertyGraph) routes a
+// string graph through it. A CompactGraph is read-only. Its labels and
+// properties live in the SymbolTable, which must outlive it. Its id views
+// point where the GraphView's ids point (the native document, the view's
+// arena, or a PropertyGraph's strings), so that storage must outlive it
+// too; the GraphView object itself may go.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 
 namespace provmark::graph {
@@ -58,7 +64,8 @@ class UnorderedHashSum {
 // -- symbol table -------------------------------------------------------------
 
 /// Interns strings to dense Symbols. Each symbol also caches the FNV-1a
-/// hash of its string so WL refinement never touches the characters.
+/// hash of its string so WL refinement never touches the characters; the
+/// same hash places the symbol in the table's index.
 class SymbolTable {
  public:
   /// Get-or-create the symbol for `s`.
@@ -75,10 +82,16 @@ class SymbolTable {
   std::size_t size() const { return strings_.size(); }
 
  private:
-  // deque keeps references stable so index_ can key on views into it.
+  /// The index slot holding `s` (whose hash is `h`), or the empty slot
+  /// where it would go.
+  std::size_t find_slot(std::string_view s, std::uint64_t h) const;
+
+  // deque keeps resolve()'s references stable as the table grows.
   std::deque<std::string> strings_;
   std::vector<std::uint64_t> hashes_;
-  std::unordered_map<std::string_view, Symbol> index_;
+  /// Open addressing over symbols (kNoSymbol = empty), power-of-two
+  /// size, kept at most half full.
+  std::vector<Symbol> index_ = std::vector<Symbol>(64, kNoSymbol);
 };
 
 /// An element's properties: (key,value) symbols sorted by key (keys are
@@ -97,17 +110,24 @@ Symbol find_prop(const CompactProps& props, Symbol key);
 
 // -- compact graph ------------------------------------------------------------
 
-/// Frozen integer view of a PropertyGraph. Node/edge indices follow the
-/// source graph's insertion order (`source->nodes()[i]` etc.).
+/// The properties of `props` as strings.
+Properties resolve_props(const CompactProps& props, const SymbolTable& symbols);
+
+/// Frozen integer form of a graph. Node/edge indices follow the view's
+/// order (a PropertyGraph's insertion order).
 struct CompactGraph {
-  const PropertyGraph* source = nullptr;
   const SymbolTable* symbols = nullptr;
 
-  // Nodes, indexed 0..node_count-1 in source order.
+  /// Element ids by index, viewing the GraphView's id strings; empty in a
+  /// topology-only build.
+  std::vector<std::string_view> node_id;
+  std::vector<std::string_view> edge_id;
+
+  // Nodes, indexed 0..node_count-1 in view order.
   std::vector<Symbol> node_label;
   std::vector<CompactProps> node_props;
 
-  // Edges, indexed 0..edge_count-1 in source order.
+  // Edges, indexed 0..edge_count-1 in view order.
   std::vector<std::uint32_t> edge_src;
   std::vector<std::uint32_t> edge_tgt;
   std::vector<Symbol> edge_label;
@@ -135,18 +155,31 @@ struct CompactGraph {
     return in_offsets[v + 1] - in_offsets[v];
   }
 
-  /// Snapshot `g`, interning into `symbols` (shared across the graphs of
-  /// one matching problem so their Symbols are comparable). With
-  /// `topology_only`, properties and label buckets are skipped — all WL
-  /// refinement and the structural digest need are labels and CSR
-  /// adjacency, so they avoid interning every property string.
-  static CompactGraph build(const PropertyGraph& g, SymbolTable& symbols,
+  /// Intern `view` into `symbols` (shared across the graphs of one
+  /// matching problem so their Symbols are comparable). A property key
+  /// repeated on one element keeps its last value. With `topology_only`,
+  /// ids, properties and label buckets are skipped: WL refinement and the
+  /// structural digest need only labels and CSR adjacency.
+  static CompactGraph build(const GraphView& view, SymbolTable& symbols,
                             bool topology_only = false);
 };
 
 /// Weisfeiler-Leman refinement colours after `rounds` iterations, indexed
-/// by node. Bit-identical to graph::wl_colours on the source graph.
+/// by node. Bit-identical to graph::wl_colours on the same graph.
 std::vector<std::uint64_t> compact_wl_colours(const CompactGraph& g,
                                               int rounds);
+
+/// `rounds` more WL rounds over colours already refined k times, giving
+/// the colours after k + rounds.
+void wl_refine(const CompactGraph& g, std::vector<std::uint64_t>& colour,
+               int rounds);
+
+/// WL rounds behind the structural digest.
+inline constexpr int kDigestWlRounds = 3;
+
+/// graph::structural_digest, from the graph's colours after
+/// kDigestWlRounds rounds.
+std::uint64_t structural_digest(const CompactGraph& g,
+                                const std::vector<std::uint64_t>& colour);
 
 }  // namespace provmark::graph

@@ -1,0 +1,161 @@
+#include "graph/graph_view.h"
+
+#include <functional>
+#include <stdexcept>
+#include <string>
+
+namespace provmark::graph {
+
+PropertyGraph GraphView::materialize() const {
+  PropertyGraph g;
+  for (const NodeRef& n : nodes) {
+    g.add_node(std::string(n.id), std::string(n.label), properties(n));
+  }
+  for (const EdgeRef& e : edges) {
+    g.add_edge(std::string(e.id), std::string(nodes[e.src].id),
+               std::string(nodes[e.tgt].id), std::string(e.label),
+               properties(e));
+  }
+  return g;
+}
+
+GraphView view_of(const PropertyGraph& g) {
+  GraphView view;
+  const std::vector<Node>& nodes = g.nodes();
+  view.nodes.reserve(nodes.size());
+  view.edges.reserve(g.edge_count());
+  auto add_props = [&view](const Properties& props) {
+    for (const auto& [k, v] : props) view.props.push_back({k, v});
+    return static_cast<std::uint32_t>(props.size());
+  };
+  for (const Node& n : nodes) {
+    const auto first = static_cast<std::uint32_t>(view.props.size());
+    view.nodes.push_back({n.id, n.label, first, add_props(n.props)});
+  }
+  auto index_of = [&](const Id& id) {
+    return static_cast<std::uint32_t>(g.find_node(id) - nodes.data());
+  };
+  for (const Edge& e : g.edges()) {
+    const auto first = static_cast<std::uint32_t>(view.props.size());
+    view.edges.push_back({e.id, index_of(e.src), index_of(e.tgt), e.label,
+                          first, add_props(e.props)});
+  }
+  return view;
+}
+
+GraphView copy_of(const PropertyGraph& g) {
+  GraphView view = view_of(g);
+  auto own = [&view](std::string_view& s) {
+    s = view.arena.keep(std::string(s));
+  };
+  for (GraphView::NodeRef& n : view.nodes) {
+    own(n.id);
+    own(n.label);
+  }
+  for (GraphView::EdgeRef& e : view.edges) {
+    own(e.id);
+    own(e.label);
+  }
+  for (GraphView::Prop& p : view.props) {
+    own(p.key);
+    own(p.value);
+  }
+  return view;
+}
+
+// -- builder ------------------------------------------------------------------
+
+namespace {
+
+std::uint32_t hash_id(std::string_view id) {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(id));
+}
+
+}  // namespace
+
+GraphViewBuilder::GraphViewBuilder(GraphView& view)
+    : view_(view), slots_(64) {}
+
+std::string_view GraphViewBuilder::id_of(std::uint32_t element) const {
+  return (element & kEdgeBit) != 0
+             ? view_.edges[(element & ~kEdgeBit) - 1].id
+             : view_.nodes[element - 1].id;
+}
+
+std::size_t GraphViewBuilder::probe(std::string_view id,
+                                    std::uint32_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.element == 0) return i;
+    if (slot.hash == hash && id_of(slot.element) == id) return i;
+  }
+}
+
+std::uint32_t GraphViewBuilder::find_node(std::string_view id) const {
+  const Slot& slot = slots_[probe(id, hash_id(id))];
+  if (slot.element == 0 || (slot.element & kEdgeBit) != 0) return kNoNode;
+  return slot.element - 1;
+}
+
+void GraphViewBuilder::claim(std::string_view id, std::uint32_t element) {
+  if ((used_ + 1) * 2 > slots_.size()) {
+    // Grow at half load; the stored hashes place every entry again.
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.element == 0) continue;
+      std::size_t i = slot.hash & mask;
+      while (slots_[i].element != 0) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+  const std::uint32_t hash = hash_id(id);
+  Slot& slot = slots_[probe(id, hash)];
+  if (slot.element != 0) {
+    throw std::invalid_argument("duplicate element id: " + std::string(id));
+  }
+  slot = Slot{element, hash};
+  ++used_;
+}
+
+std::uint32_t GraphViewBuilder::add_node(std::string_view id,
+                                         std::string_view label,
+                                         std::uint32_t first_prop,
+                                         std::uint32_t prop_count) {
+  const auto index = static_cast<std::uint32_t>(view_.nodes.size());
+  claim(id, index + 1);
+  view_.nodes.push_back({id, label, first_prop, prop_count});
+  return index;
+}
+
+void GraphViewBuilder::add_edge(std::string_view id, std::uint32_t src,
+                                std::uint32_t tgt, std::string_view label,
+                                std::uint32_t first_prop,
+                                std::uint32_t prop_count) {
+  const auto index = static_cast<std::uint32_t>(view_.edges.size());
+  claim(id, (index + 1) | kEdgeBit);
+  view_.edges.push_back({id, src, tgt, label, first_prop, prop_count});
+}
+
+void GraphViewBuilder::add_edge(std::string_view id, std::string_view src,
+                                std::string_view tgt, std::string_view label,
+                                std::uint32_t first_prop,
+                                std::uint32_t prop_count) {
+  const Slot& taken = slots_[probe(id, hash_id(id))];
+  if (taken.element != 0) {
+    throw std::invalid_argument("duplicate element id: " + std::string(id));
+  }
+  const std::uint32_t s = find_node(src);
+  const std::uint32_t t = find_node(tgt);
+  if (s == kNoNode || t == kNoNode) {
+    throw std::invalid_argument(
+        "edge " + std::string(id) + ": missing " +
+        (s == kNoNode ? "source node " + std::string(src)
+                      : "target node " + std::string(tgt)));
+  }
+  add_edge(id, s, t, label, first_prop, prop_count);
+}
+
+}  // namespace provmark::graph

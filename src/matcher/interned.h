@@ -14,6 +14,15 @@
 // only comparable when built against the same SymbolTable (symbols are
 // table-relative); the matcher entry points check this.
 //
+// The pipeline builds each trial's InternedGraph straight from the
+// GraphView its reader made of the native document; the PropertyGraph
+// constructor routes a string graph (a generalized graph, a test's
+// graph) through the same builder.
+//
+// The builder also computes what the similarity search would otherwise
+// recompute on every call: the label histograms, 2-round WL colours and
+// colour-class sizes.
+//
 // Matching results are independent of interning order: the engine only
 // ever compares symbols for equality and hashes them via the cached
 // per-string FNV-1a hash, so a trial interned first or twentieth matches
@@ -25,6 +34,7 @@
 #include <vector>
 
 #include "graph/compact.h"
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 
 namespace provmark::matcher {
@@ -42,8 +52,9 @@ struct EdgeGroup {
 };
 
 /// CompactGraph plus the group-level adjacency the search operates on.
-/// Snapshot semantics follow CompactGraph: the source PropertyGraph (and
-/// the SymbolTable) must outlive this object and stay unmutated.
+/// Lifetimes follow CompactGraph: the SymbolTable and the storage the
+/// view's ids point into (native document and view arena, or the source
+/// PropertyGraph) must outlive this object.
 struct InternedGraph {
   graph::CompactGraph g;
   std::vector<EdgeGroup> groups;
@@ -53,8 +64,22 @@ struct InternedGraph {
   /// Per node: groups whose src or tgt is that node.
   std::vector<std::vector<std::uint32_t>> groups_of_node;
 
+  /// (label, count) over nodes and over edges, sorted by label symbol:
+  /// two graphs can only be similar when both histograms are equal.
+  std::vector<std::pair<graph::Symbol, std::uint32_t>> node_label_counts;
+  std::vector<std::pair<graph::Symbol, std::uint32_t>> edge_label_counts;
+  /// Per node: its colour after two WL rounds, and how many nodes of this
+  /// graph share that colour.
+  std::vector<std::uint64_t> wl2;
+  std::vector<std::uint32_t> colour_class_size;
+
+  InternedGraph(const graph::GraphView& view, graph::SymbolTable& symbols);
+  /// Through view_of(graph); `graph` must outlive this object unmutated.
   InternedGraph(const graph::PropertyGraph& graph,
                 graph::SymbolTable& symbols);
+
+  /// graph::structural_digest of the graph: one more WL round over wl2.
+  std::uint64_t structural_digest() const;
 
   static std::uint64_t pair_key(std::uint32_t s, std::uint32_t t) {
     return (static_cast<std::uint64_t>(s) << 32) | t;

@@ -211,21 +211,28 @@ class SearchEngine {
   }
 
   std::optional<Matching> run() {
+    if (!search_best()) return std::nullopt;
+    return build_matching();
+  }
+
+  /// Run the search; true when a matching was found (its node mapping is
+  /// then in best_node_mapping_).
+  bool search_best() {
     if (bijective_) {
       // Cheap necessary conditions first.
       if (pattern_.g.node_count() != target_.g.node_count() ||
           pattern_.g.edge_count() != target_.g.edge_count()) {
-        return std::nullopt;
+        return false;
       }
       if (options_.candidate_pruning && !label_histograms_match()) {
-        return std::nullopt;
+        return false;
       }
     } else if (pattern_.g.node_count() > target_.g.node_count() ||
                pattern_.g.edge_count() > target_.g.edge_count()) {
-      return std::nullopt;
+      return false;
     }
 
-    if (!compute_candidates()) return std::nullopt;
+    if (!compute_candidates()) return false;
     order_pattern_nodes();
     if (options_.cost_bounding) compute_suffix_min();
 
@@ -248,10 +255,7 @@ class SearchEngine {
         have_best_ = true;
       }
     }
-    if (have_best_) {
-      return build_matching();
-    }
-    return std::nullopt;
+    return have_best_;
   }
 
  private:
@@ -263,22 +267,11 @@ class SearchEngine {
   };
 
   /// Multisets of node labels and edge labels must agree for the graphs
-  /// to be similar. Symbols are shared, so this is integer counting.
+  /// to be similar. Symbols are shared, so the interned histograms
+  /// compare directly.
   bool label_histograms_match() const {
-    if (pattern_.g.label_buckets.size() != target_.g.label_buckets.size()) {
-      return false;
-    }
-    for (const auto& [label, bucket] : pattern_.g.label_buckets) {
-      auto it = target_.g.label_buckets.find(label);
-      if (it == target_.g.label_buckets.end() ||
-          it->second.size() != bucket.size()) {
-        return false;
-      }
-    }
-    std::unordered_map<Symbol, std::size_t> pattern_edges, target_edges;
-    for (Symbol label : pattern_.g.edge_label) ++pattern_edges[label];
-    for (Symbol label : target_.g.edge_label) ++target_edges[label];
-    return pattern_edges == target_edges;
+    return pattern_.node_label_counts == target_.node_label_counts &&
+           pattern_.edge_label_counts == target_.edge_label_counts;
   }
 
   /// Candidate target nodes per pattern node. Returns false when some
@@ -290,14 +283,10 @@ class SearchEngine {
     // Bijective candidate lists are pruned per colour class even with
     // the generic pruning knob off: the colour filter is part of the
     // search order (matched nodes of any label-preserving bijection have
-    // equal WL colours, so no valid matching is lost).
-    std::vector<std::uint64_t> wl1, wl2;
-    std::unordered_map<std::uint64_t, std::uint32_t> colour_freq;
-    if (bijective_) {
-      wl1 = graph::compact_wl_colours(pattern_.g, 2);
-      wl2 = graph::compact_wl_colours(target_.g, 2);
-      for (std::uint64_t colour : wl2) ++colour_freq[colour];
-    }
+    // equal WL colours, so no valid matching is lost). Both operands
+    // carry their 2-round colours from interning.
+    const std::vector<std::uint64_t>& wl1 = pattern_.wl2;
+    const std::vector<std::uint64_t>& wl2 = target_.wl2;
     for (std::uint32_t i = 0; i < n; ++i) {
       // Only same-label target nodes can match; the bucket is ascending,
       // preserving the baseline's candidate order.
@@ -324,11 +313,13 @@ class SearchEngine {
         }
       }
       if (candidates_[i].empty()) return false;
-      // Rarity of this node's colour class in the target; embedding
-      // problems (no comparable colours) fall back to candidate count.
-      scarcity_[i] = bijective_
-                         ? colour_freq[wl1[i]]
-                         : static_cast<std::uint32_t>(candidates_[i].size());
+      // Rarity of this node's colour class in the target (every
+      // candidate is in that class); embedding problems (no comparable
+      // colours) fall back to candidate count.
+      scarcity_[i] =
+          bijective_
+              ? target_.colour_class_size[candidates_[i].front().node]
+              : static_cast<std::uint32_t>(candidates_[i].size());
       // Cheapest candidate first: the search stays exhaustive, but the
       // list head equals the per-node minimum used by the suffix bound,
       // so the greedy first descent realizes the bound when it can.
@@ -720,30 +711,28 @@ class SearchEngine {
   Matching build_matching() {
     Matching m;
     m.cost = 0;
-    const std::vector<graph::Node>& pattern_nodes =
-        pattern_.g.source->nodes();
-    const std::vector<graph::Node>& target_nodes = target_.g.source->nodes();
+    const graph::CompactGraph& p = pattern_.g;
+    const graph::CompactGraph& t = target_.g;
+    m.node_index = best_node_mapping_;
     for (std::uint32_t i = 0; i < best_node_mapping_.size(); ++i) {
-      m.node_map[pattern_nodes[i].id] =
-          target_nodes[best_node_mapping_[i]].id;
-      m.cost += prop_cost(pattern_.g.node_props[i],
-                          target_.g.node_props[best_node_mapping_[i]],
+      m.node_map.emplace(p.node_id[i], t.node_id[best_node_mapping_[i]]);
+      m.cost += prop_cost(p.node_props[i], t.node_props[best_node_mapping_[i]],
                           options_.cost_model);
     }
-    const std::vector<graph::Edge>& pattern_edges =
-        pattern_.g.source->edges();
-    const std::vector<graph::Edge>& target_edges = target_.g.source->edges();
+    m.edge_index.assign(p.edge_count(), kUnmapped);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
     for (const EdgeGroup& group : pattern_.groups) {
       std::uint32_t tsrc = best_node_mapping_[group.src];
       std::uint32_t ttgt = best_node_mapping_[group.tgt];
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+      pairs.clear();
       int cost = min_group_assignment(
           pattern_, group.edges, target_,
           target_.group_edges(tsrc, ttgt, group.label), options_.cost_model,
           bijective_, &pairs);
       m.cost += cost;
       for (const auto& [pe, te] : pairs) {
-        m.edge_map[pattern_edges[pe].id] = target_edges[te].id;
+        m.edge_index[pe] = te;
+        m.edge_map.emplace(p.edge_id[pe], t.edge_id[te]);
       }
     }
     return m;
@@ -790,7 +779,10 @@ bool similar(const InternedGraph& g1, const InternedGraph& g2) {
   SearchOptions options;
   options.cost_model = CostModel::None;
   options.first_solution_only = true;
-  return best_isomorphism(g1, g2, options).has_value();
+  Stats stats;
+  // Only feasibility is asked for, so no Matching is built.
+  return SearchEngine(g1, g2, /*bijective=*/true, options, &stats)
+      .search_best();
 }
 
 std::optional<Matching> best_isomorphism(const PropertyGraph& g1,

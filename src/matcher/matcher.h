@@ -31,8 +31,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "graph/property_graph.h"
 
@@ -48,6 +50,11 @@ struct InternedGraph;  // matcher/interned.h: a reusable interned operand
 struct Matching {
   std::map<graph::Id, graph::Id> node_map;
   std::map<graph::Id, graph::Id> edge_map;
+  /// The same correspondences by element index (CompactGraph order):
+  /// G1's node i is matched to G2's node node_index[i], and likewise for
+  /// edges.
+  std::vector<std::uint32_t> node_index;
+  std::vector<std::uint32_t> edge_index;
   /// Property-mismatch cost of this matching (see CostModel).
   int cost = 0;
 };

@@ -270,7 +270,7 @@ void JsonReader::begin_object() {
   first_ = true;
 }
 
-bool JsonReader::next_key(std::string& key) {
+bool JsonReader::next_member() {
   skip_ws();
   if (first_) {
     first_ = false;
@@ -287,7 +287,20 @@ bool JsonReader::next_key(std::string& key) {
     }
     skip_ws();
   }
+  return true;
+}
+
+bool JsonReader::next_key(std::string& key) {
+  if (!next_member()) return false;
   read_string(key);
+  skip_ws();
+  expect(':');
+  return true;
+}
+
+bool JsonReader::next_key_view(std::string_view& key, StringArena& arena) {
+  if (!next_member()) return false;
+  key = read_string_view(arena);
   skip_ws();
   expect(':');
   return true;
@@ -385,6 +398,29 @@ void JsonReader::read_string(std::string& out) {
   }
 }
 
+std::string_view JsonReader::read_string_view(StringArena& arena) {
+  skip_ws();
+  const std::size_t quote = pos_;
+  expect('"');
+  std::size_t end = pos_;
+  while (end < text_.size()) {
+    unsigned char c = static_cast<unsigned char>(text_[end]);
+    if (c == '"' || c == '\\' || c < 0x20) break;
+    ++end;
+  }
+  if (end < text_.size() && text_[end] == '"') {
+    std::string_view plain = text_.substr(pos_, end - pos_);
+    pos_ = end + 1;
+    return plain;
+  }
+  // An escape, a control character or the end of input: read_string
+  // decodes (or rejects) it from the opening quote.
+  pos_ = quote;
+  std::string decoded;
+  read_string(decoded);
+  return arena.keep(std::move(decoded));
+}
+
 unsigned JsonReader::hex4() {
   unsigned code = 0;
   for (int i = 0; i < 4; ++i) {
@@ -466,6 +502,11 @@ Json JsonReader::read_value() {
 std::string JsonReader::read_text() {
   if (peek() == Json::Type::String) return read_string();
   return read_value().dump();
+}
+
+std::string_view JsonReader::read_text_view(StringArena& arena) {
+  if (peek() == Json::Type::String) return read_string_view(arena);
+  return arena.keep(read_value().dump());
 }
 
 void JsonReader::skip() {

@@ -28,6 +28,8 @@
 #include <variant>
 #include <vector>
 
+#include "util/strings.h"
+
 namespace provmark::util {
 
 class Json;
@@ -180,8 +182,14 @@ class JsonReader {
   /// Enter an array; then next_element() until it returns false at `]`.
   void begin_array();
   bool next_element();
+  /// next_key(), with the key read as read_string_view() reads it.
+  bool next_key_view(std::string_view& key, StringArena& arena);
   /// A string value, replacing the contents of `out`.
   void read_string(std::string& out);
+  /// A string value as a view: of the document when the string holds no
+  /// escape, otherwise of its decoded text, kept in `arena`. Same checks
+  /// and errors as read_string().
+  std::string_view read_string_view(StringArena& arena);
   std::string read_string() {
     std::string out;
     read_string(out);
@@ -192,6 +200,9 @@ class JsonReader {
   /// A string value's contents, or the compact JSON text of any other
   /// value (how the recorder formats read a property).
   std::string read_text();
+  /// read_text() as a view: a string as read_string_view() reads it, any
+  /// other value's compact text kept in `arena`.
+  std::string_view read_text_view(StringArena& arena);
   /// Consume one value, checking it exactly as read_value() would.
   void skip();
   /// The document must end here (trailing whitespace only).
@@ -199,6 +210,9 @@ class JsonReader {
 
  private:
   [[noreturn]] void fail(const std::string& message) const;
+  /// The separator before an object member: false at `}`, true when a
+  /// key follows.
+  bool next_member();
   void skip_ws();
   char peek_char();
   char take();

@@ -1,6 +1,7 @@
 // Small string utilities shared across the library.
 #pragma once
 
+#include <forward_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,20 @@ std::string join(const std::vector<std::string>& pieces,
 /// Replace every occurrence of `from` with `to`.
 std::string replace_all(std::string_view s, std::string_view from,
                         std::string_view to);
+
+/// Owns strings that views elsewhere point into. Keeping a string never
+/// moves the ones kept before it, and moving the arena moves none of them,
+/// so a view into an arena stays valid as long as the arena (or the arena
+/// it was moved into) lives.
+class StringArena {
+ public:
+  std::string_view keep(std::string s) {
+    return strings_.emplace_front(std::move(s));
+  }
+
+ private:
+  std::forward_list<std::string> strings_;
+};
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

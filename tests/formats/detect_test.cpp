@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
+#include "core/transform.h"
 #include "datalog/fact_io.h"
 #include "formats/dot.h"
 #include "formats/neo4j.h"
@@ -50,6 +54,49 @@ TEST(Detect, Neo4jByTopLevelKeysInAnyOrder) {
             Format::Neo4jJson);
   EXPECT_EQ(detect_format(R"({"nodes": [, "relationships": []})"),
             Format::ProvJson);
+}
+
+/// transform_native must land where detect_format -> parse_as lands:
+/// both throw, or both read the same graph.
+void expect_transform_matches_detection(const std::string& doc) {
+  std::optional<graph::PropertyGraph> detected, transformed;
+  try {
+    detected = parse_any(doc);
+  } catch (const std::exception&) {
+  }
+  try {
+    core::TransformOptions options;
+    options.neo4j_startup_rounds = 1;
+    transformed = core::transform_native(doc, options);
+  } catch (const std::exception&) {
+  }
+  EXPECT_EQ(detected.has_value(), transformed.has_value()) << doc;
+  if (detected && transformed) {
+    EXPECT_EQ(*detected, *transformed) << doc;
+  }
+}
+
+// transform_native reads a JSON document as PROV-JSON first and keeps
+// that read only when detection would have chosen PROV-JSON too.
+TEST(Detect, ProvJsonWithObjectNodesAndRelationshipsIsAnExport) {
+  const std::string doc =
+      R"({"entity": {"e": {}}, "nodes": {}, "relationships": {}})";
+  EXPECT_EQ(detect_format(doc), Format::Neo4jJson);
+  EXPECT_NO_THROW(from_prov_json(doc));  // a valid PROV-JSON document
+  EXPECT_THROW(parse_any(doc), std::runtime_error);
+  expect_transform_matches_detection(doc);
+  // One of the two keys alone leaves it PROV-JSON.
+  expect_transform_matches_detection(
+      R"({"entity": {"e": {}}, "nodes": {}})");
+}
+
+TEST(Detect, TruncatedNeo4jExport) {
+  const std::string doc = to_neo4j_json(tiny());
+  for (std::size_t cut : {doc.size() / 3, doc.size() / 2, doc.size() - 2}) {
+    expect_transform_matches_detection(doc.substr(0, cut));
+  }
+  expect_transform_matches_detection(doc);
+  EXPECT_EQ(core::transform_native(doc).node_count(), 1u);
 }
 
 TEST(Detect, Datalog) {

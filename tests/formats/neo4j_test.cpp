@@ -39,11 +39,15 @@ TEST(Neo4j, RejectsDanglingRelationship) {
   EXPECT_THROW(from_neo4j_json(text), std::invalid_argument);
 }
 
+// The store reads its export document in place, so each test keeps the
+// document alive as long as the store.
+
 TEST(Neo4jStore, OpenAndExportReproducesGraph) {
   Neo4jStore::Options options;
   options.startup_rounds = 3;
   Neo4jStore store(options);
-  store.open(to_neo4j_json(sample()));
+  const std::string doc = to_neo4j_json(sample());
+  store.open(doc);
   EXPECT_EQ(store.node_count(), 3u);
   EXPECT_EQ(store.relationship_count(), 2u);
   graph::PropertyGraph exported = store.export_graph();
@@ -56,7 +60,8 @@ TEST(Neo4jStore, LabelIndexQuery) {
   Neo4jStore::Options options;
   options.startup_rounds = 1;
   Neo4jStore store(options);
-  store.open(to_neo4j_json(sample()));
+  const std::string doc = to_neo4j_json(sample());
+  store.open(doc);
   EXPECT_EQ(store.match_nodes_by_label("Process").size(), 1u);
   EXPECT_EQ(store.match_nodes_by_label("Global").size(), 1u);
   EXPECT_TRUE(store.match_nodes_by_label("Nope").empty());
@@ -71,9 +76,56 @@ TEST(Neo4jStore, StartupRoundsScaleWork) {
   Neo4jStore::Options expensive;
   expensive.startup_rounds = 50;
   Neo4jStore a(cheap), b(expensive);
-  a.open(to_neo4j_json(sample()));
-  b.open(to_neo4j_json(sample()));
+  const std::string doc = to_neo4j_json(sample());
+  a.open(doc);
+  b.open(doc);
   EXPECT_EQ(a.export_graph(), b.export_graph());
+}
+
+TEST(Neo4jStore, ZeroStartupRoundsExportsTheSameGraphAsOne) {
+  // The label index is built at least once: with no modeled startup
+  // rounds the store still answers every query.
+  Neo4jStore::Options none;
+  none.startup_rounds = 0;
+  Neo4jStore::Options one;
+  one.startup_rounds = 1;
+  Neo4jStore a(none), b(one);
+  const std::string doc = to_neo4j_json(sample());
+  a.open(doc);
+  b.open(doc);
+  EXPECT_EQ(a.node_count(), 3u);
+  EXPECT_EQ(a.match_all_nodes().size(), 3u);
+  EXPECT_EQ(a.match_nodes_by_label("Local").size(), 1u);
+  EXPECT_EQ(a.export_graph(), b.export_graph());
+  EXPECT_EQ(a.export_graph().edge_count(), 2u);
+}
+
+TEST(Neo4jStore, ExportsNodesInLabelIndexOrder) {
+  // MATCH (n) RETURN n walks the label index: labels ascending, ids
+  // ascending within a label; relationships keep document order.
+  graph::PropertyGraph g;
+  g.add_node("z", "B");
+  g.add_node("y", "A", {{"k", "1"}});
+  g.add_node("x", "B");
+  g.add_node("w", "A");
+  g.add_edge("r2", "z", "y", "T");
+  g.add_edge("r1", "w", "x", "T", {{"p", "q"}});
+  Neo4jStore store(Neo4jStore::Options{1});
+  const std::string doc = to_neo4j_json(g);
+  store.open(doc);
+  graph::PropertyGraph expected;
+  expected.add_node("w", "A");
+  expected.add_node("y", "A", {{"k", "1"}});
+  expected.add_node("x", "B");
+  expected.add_node("z", "B");
+  expected.add_edge("r2", "z", "y", "T");
+  expected.add_edge("r1", "w", "x", "T", {{"p", "q"}});
+  EXPECT_EQ(store.export_graph(), expected);
+  EXPECT_EQ(store.view().materialize(), expected);
+  std::vector<graph::Node> b_nodes = store.match_nodes_by_label("B");
+  ASSERT_EQ(b_nodes.size(), 2u);
+  EXPECT_EQ(b_nodes[0].id, "x");
+  EXPECT_EQ(b_nodes[1].id, "z");
 }
 
 }  // namespace

@@ -131,7 +131,7 @@ TEST(CompactGraph, RoundTripsLabelsAndProps) {
   g.add_node("b", "Artifact", {{"path", "/tmp/x"}});
   g.add_edge("e", "a", "b", "Used", {{"op", "read"}});
   SymbolTable table;
-  CompactGraph cg = CompactGraph::build(g, table);
+  CompactGraph cg = CompactGraph::build(view_of(g), table);
 
   ASSERT_EQ(cg.node_count(), 2u);
   ASSERT_EQ(cg.edge_count(), 1u);
@@ -160,7 +160,7 @@ TEST(CompactGraph, CsrMatchesNaiveAdjacencyOnRandomGraphs) {
     util::Rng rng(static_cast<std::uint64_t>(seed) * 17 + 1);
     PropertyGraph g = random_graph(2 + seed % 8, seed % 12, rng);
     SymbolTable table;
-    CompactGraph cg = CompactGraph::build(g, table);
+    CompactGraph cg = CompactGraph::build(view_of(g), table);
 
     for (std::uint32_t v = 0; v < cg.node_count(); ++v) {
       const Id& id = g.nodes()[v].id;
@@ -206,8 +206,8 @@ TEST(CompactGraph, SharedTableMakesSymbolsComparable) {
   g1.add_node("a", "Process");
   g2.add_node("z", "Process");
   SymbolTable table;
-  CompactGraph c1 = CompactGraph::build(g1, table);
-  CompactGraph c2 = CompactGraph::build(g2, table);
+  CompactGraph c1 = CompactGraph::build(view_of(g1), table);
+  CompactGraph c2 = CompactGraph::build(view_of(g2), table);
   EXPECT_EQ(c1.node_label[0], c2.node_label[0]);
 }
 
@@ -216,7 +216,7 @@ TEST(CompactWl, MatchesStringWlColours) {
     util::Rng rng(static_cast<std::uint64_t>(seed) * 31 + 5);
     PropertyGraph g = random_graph(2 + seed % 7, seed % 10, rng);
     SymbolTable table;
-    CompactGraph cg = CompactGraph::build(g, table);
+    CompactGraph cg = CompactGraph::build(view_of(g), table);
     for (int rounds : {0, 1, 2, 3}) {
       std::vector<std::uint64_t> compact = compact_wl_colours(cg, rounds);
       std::map<Id, std::uint64_t> reference = wl_colours(g, rounds);
@@ -232,7 +232,7 @@ TEST(CompactWl, MatchesStringWlColours) {
 TEST(CompactGraph, EmptyGraph) {
   PropertyGraph g;
   SymbolTable table;
-  CompactGraph cg = CompactGraph::build(g, table);
+  CompactGraph cg = CompactGraph::build(view_of(g), table);
   EXPECT_EQ(cg.node_count(), 0u);
   EXPECT_EQ(cg.edge_count(), 0u);
   EXPECT_TRUE(cg.label_buckets.empty());
@@ -243,7 +243,7 @@ TEST(CompactGraph, SelfLoopCountsBothDirections) {
   g.add_node("a", "X");
   g.add_edge("e", "a", "a", "self");
   SymbolTable table;
-  CompactGraph cg = CompactGraph::build(g, table);
+  CompactGraph cg = CompactGraph::build(view_of(g), table);
   EXPECT_EQ(cg.out_degree(0), 1u);
   EXPECT_EQ(cg.in_degree(0), 1u);
 }
