@@ -429,8 +429,6 @@ std::vector<BenchmarkResult> run_batch_cells(
             pipeline.seed = options.seed;
             pipeline.pool = &pool;
             pipeline.matcher = options.matcher;
-            pipeline.simulated_recording_latency =
-                options.simulated_recording_latency;
             BenchmarkResult result = run_benchmark(
                 bench_suite::benchmark_by_name(cell.benchmark), pipeline);
             // Fault-injection site (no-op unless a crash rule is

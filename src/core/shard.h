@@ -157,9 +157,6 @@ struct CellRunOptions {
   std::uint64_t seed = 42;
   runtime::ThreadPool* pool = nullptr;  ///< nullptr = default pool
   matcher::SearchConfig matcher;
-  /// See PipelineOptions::simulated_recording_latency (0 = off, > 0 =
-  /// per-trial seconds, < 0 = the per-system calibrated table).
-  double simulated_recording_latency = 0;
   /// Replace measured stage timings with deterministic_timings() so
   /// time.log is byte-reproducible (the shard identity gates run with
   /// this on).
@@ -167,9 +164,9 @@ struct CellRunOptions {
 };
 
 /// Run a set of cells (benchmarks resolved by Table-1 name) across the
-/// pool, results in cell order. Used by the single-process batch path,
-/// shard workers, and the shard benchmark — one executor, so sharded and
-/// unsharded sweeps cannot drift.
+/// pool, results in cell order. Used by the single-process batch path
+/// and shard workers — one executor, so sharded and unsharded sweeps
+/// cannot drift.
 std::vector<BenchmarkResult> run_batch_cells(
     const std::vector<BatchCell>& cells, const CellRunOptions& options);
 

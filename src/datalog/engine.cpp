@@ -613,7 +613,7 @@ bool Engine::negation_holds(const CompiledAtom& neg,
     }
     return true;
   };
-  if (mask != 0 && eval_.use_indexes) {
+  if (mask != 0) {
     const Index* index = nullptr;
     for (const Index& candidate : rel.indexes) {
       if (candidate.mask == mask && candidate.rows_indexed >= rel.rows) {
@@ -722,7 +722,7 @@ void Engine::eval_level(const CompiledRule& rule, const JoinPlan& plan,
     return;
   }
   const std::uint64_t mask = plan.masks[level];
-  if (mask != 0 && eval_.use_indexes) {
+  if (mask != 0) {
     const Index* index = nullptr;
     for (const Index& candidate : rel.indexes) {
       if (candidate.mask == mask) {
@@ -796,26 +796,24 @@ void Engine::run_stratum(const std::vector<std::size_t>& rule_indices,
     // Index prepass (serial): every probe the parallel phase will make —
     // join levels and negation filters — gets its index built or
     // extended here, so evaluation is strictly read-only.
-    if (eval_.use_indexes) {
-      for (const JoinPlan& plan : plans) {
-        const CompiledRule& rule = rules_[plan.rule];
-        for (std::size_t level = 1; level < plan.order.size(); ++level) {
-          if (plan.masks[level] != 0) {
-            ensure_index(relations_[rule.atoms[plan.order[level]].rel],
-                         plan.masks[level]);
+    for (const JoinPlan& plan : plans) {
+      const CompiledRule& rule = rules_[plan.rule];
+      for (std::size_t level = 1; level < plan.order.size(); ++level) {
+        if (plan.masks[level] != 0) {
+          ensure_index(relations_[rule.atoms[plan.order[level]].rel],
+                       plan.masks[level]);
+        }
+      }
+      for (const CompiledAtom& neg : rule.negs) {
+        const Relation& rel = relations_[neg.rel];
+        if (rel.rows == 0 || rel.arity != neg.slots.size()) continue;
+        std::uint64_t mask = 0;
+        for (std::size_t p = 0; p < neg.slots.size() && p < 64; ++p) {
+          if (!neg.slots[p].is_var || neg.slots[p].var >= 0) {
+            mask |= 1ull << p;
           }
         }
-        for (const CompiledAtom& neg : rule.negs) {
-          const Relation& rel = relations_[neg.rel];
-          if (rel.rows == 0 || rel.arity != neg.slots.size()) continue;
-          std::uint64_t mask = 0;
-          for (std::size_t p = 0; p < neg.slots.size() && p < 64; ++p) {
-            if (!neg.slots[p].is_var || neg.slots[p].var >= 0) {
-              mask |= 1ull << p;
-            }
-          }
-          if (mask != 0) ensure_index(relations_[neg.rel], mask);
-        }
+        if (mask != 0) ensure_index(relations_[neg.rel], mask);
       }
     }
 
@@ -861,7 +859,7 @@ void Engine::run() {
   // Incremental delta reuse applies when only facts arrived since the
   // last fixpoint; a changed rule set re-derives from scratch (the new
   // rules never saw the old rows).
-  const bool incremental = eval_.incremental && !rules_dirty_;
+  const bool incremental = !rules_dirty_;
   // Evaluate stratum by stratum: every relation a negated atom refers to
   // is fully computed before the stratum that negates it runs.
   for (const std::vector<std::size_t>& stratum : stratify()) {
@@ -939,7 +937,7 @@ std::vector<std::map<std::string, std::string>> Engine::query(
     if (!atom.slots[p].is_var) mask |= 1ull << p;
   }
   std::vector<std::uint32_t> rows;
-  if (mask != 0 && eval_.use_indexes) {
+  if (mask != 0) {
     rel->full_end = rel->rows;
     Index& index = ensure_index(*rel, mask);
     // The mask covers constant positions only, so no binding is needed.

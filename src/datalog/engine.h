@@ -21,9 +21,22 @@
 //
 // Supported language (unchanged): positive Datalog plus stratified
 // negation (`not rel(...)`) and built-in disequality `X != Y`. The
-// pre-rewrite evaluator survives as datalog::legacy::Engine; the
-// equivalence tests and bench/perf_datalog_scaling.cpp assert both
-// engines derive bit-identical relation contents and query results.
+// pre-rewrite evaluator survives as datalog::legacy::Engine;
+// datalog_engine_equivalence_test asserts both engines derive
+// bit-identical relation contents and query results, and
+// datalog_index_speedup_test keeps this engine at least 2x faster than
+// it on a 16-process transitive closure.
+//
+// A run() that follows only add_fact batches reuses the previous
+// fixpoint: each stratum's first semi-naive delta holds just the rows
+// appended since the last saturation, instead of the whole store.
+// This is sound because the store is append-only and the prior run()
+// saturated the same rule set over the old rows: every fact a
+// from-scratch re-run could derive either is already in a pool or needs
+// at least one new row in a positive body atom, and negation only
+// shrinks as lower strata grow, so no old-rows-only derivation can newly
+// appear. Adding a *rule* always falls back to a full re-derivation (its
+// old-rows derivations were never tried).
 #pragma once
 
 #include <cstddef>
@@ -95,15 +108,10 @@ using Tuple = std::vector<std::string>;
 /// The engine: a fact store plus rules, evaluated to fixpoint on demand.
 class Engine {
  public:
-  /// Evaluation knobs. The defaults (indexed, serial) are what library
-  /// users want; the ablation benchmark flips them to isolate the
-  /// contribution of each layer. Results are identical under every
-  /// combination — only the work to reach them changes.
+  /// Evaluation threading. The default evaluates serially on the
+  /// calling thread. Results are identical at any thread count; only
+  /// the work to reach them changes.
   struct EvalOptions {
-    /// Resolve body atoms through bound-signature hash indexes; false
-    /// falls back to interned full-pool scans (the "interning only"
-    /// ablation column).
-    bool use_indexes = true;
     /// Worker count for per-stratum parallel rule evaluation; <= 1 runs
     /// serially on the calling thread. Rules evaluate against an
     /// immutable snapshot and merge in rule order, so derived facts are
@@ -111,20 +119,6 @@ class Engine {
     int threads = 1;
     /// Pool for parallel evaluation; nullptr = runtime::default_pool().
     runtime::ThreadPool* pool = nullptr;
-    /// Reuse the previous fixpoint across add_fact batches: a run()
-    /// following only fact insertions seeds each stratum's first
-    /// semi-naive delta with just the rows appended since the last
-    /// saturation, instead of re-deriving from the whole store. Sound
-    /// because the store is append-only and the prior run() saturated
-    /// the same rule set over the old rows: every fact the from-scratch
-    /// re-run could derive either is already in a pool or needs at
-    /// least one new row in a positive body atom — and negation only
-    /// shrinks as lower strata grow, so no old-rows-only derivation can
-    /// newly appear. Adding a *rule* always falls back to a full
-    /// re-derivation (its old-rows derivations were never tried).
-    /// False = always re-derive from scratch (the benchmark's ablation
-    /// baseline). Derived stores are identical either way.
-    bool incremental = true;
   };
 
   /// Add a ground fact; throws std::invalid_argument on arity conflicts.

@@ -4,10 +4,11 @@
 // Storage is string tuples in std::map<std::string, std::set<Tuple>>,
 // bindings are std::map<std::string, std::string>, and every body atom
 // unifies against a full relation scan — the layout and join strategy the
-// rewrite replaced. bench/perf_datalog_scaling.cpp and the engine
-// equivalence tests run both engines over identical programs and assert
-// bit-identical relation contents and query results, so any semantic
-// drift in the new engine fails loudly instead of silently.
+// rewrite replaced. datalog_engine_equivalence_test runs both engines
+// over identical programs and asserts bit-identical relation contents and
+// query results, so any semantic drift in the new engine fails loudly
+// instead of silently; datalog_index_speedup_test times the two on a
+// 16-process transitive closure.
 //
 // Shares the AST (Term/Atom/Rule) and the parser with the production
 // engine; only the evaluator differs.

@@ -156,11 +156,10 @@ class SearchEngine {
           pattern_.g->edge_count() != target_.g->edge_count()) {
         return std::nullopt;
       }
-      if (options_.candidate_pruning &&
-          (graph::node_label_histogram(*pattern_.g) !=
-               graph::node_label_histogram(*target_.g) ||
-           graph::edge_label_histogram(*pattern_.g) !=
-               graph::edge_label_histogram(*target_.g))) {
+      if (graph::node_label_histogram(*pattern_.g) !=
+              graph::node_label_histogram(*target_.g) ||
+          graph::edge_label_histogram(*pattern_.g) !=
+              graph::edge_label_histogram(*target_.g)) {
         return std::nullopt;
       }
     } else if (pattern_.g->node_count() > target_.g->node_count() ||
@@ -192,7 +191,7 @@ class SearchEngine {
     const std::size_t n = pattern_.nodes.size();
     candidates_.assign(n, {});
     std::map<Id, std::uint64_t> wl1, wl2;
-    if (bijective_ && options_.candidate_pruning) {
+    if (bijective_) {
       wl1 = graph::wl_colours(*pattern_.g, 2);
       wl2 = graph::wl_colours(*target_.g, 2);
     }
@@ -201,19 +200,15 @@ class SearchEngine {
       for (std::size_t j = 0; j < target_.nodes.size(); ++j) {
         const Node* tn = target_.nodes[j];
         if (pn->label != tn->label) continue;
-        if (options_.candidate_pruning) {
-          if (bijective_) {
-            if (pattern_.in_degree[i] != target_.in_degree[j] ||
-                pattern_.out_degree[i] != target_.out_degree[j]) {
-              continue;
-            }
-            if (wl1.at(pn->id) != wl2.at(tn->id)) continue;
-          } else {
-            if (pattern_.in_degree[i] > target_.in_degree[j] ||
-                pattern_.out_degree[i] > target_.out_degree[j]) {
-              continue;
-            }
+        if (bijective_) {
+          if (pattern_.in_degree[i] != target_.in_degree[j] ||
+              pattern_.out_degree[i] != target_.out_degree[j]) {
+            continue;
           }
+          if (wl1.at(pn->id) != wl2.at(tn->id)) continue;
+        } else if (pattern_.in_degree[i] > target_.in_degree[j] ||
+                   pattern_.out_degree[i] > target_.out_degree[j]) {
+          continue;
         }
         candidates_[i].push_back(j);
       }
@@ -333,7 +328,7 @@ class SearchEngine {
       stats_->budget_exhausted = true;
       return;
     }
-    if (options_.cost_bounding && acc_cost >= best_cost_) return;
+    if (acc_cost >= best_cost_) return;
     if (pos == order_.size()) {
       if (acc_cost < best_cost_ || !have_best_) {
         best_cost_ = acc_cost;
@@ -356,7 +351,7 @@ class SearchEngine {
       int group_cost = edge_groups_cost(i);
       if (group_cost < kInfinity) {
         int next = acc_cost + node_cost + group_cost;
-        if (!options_.cost_bounding || next < best_cost_) {
+        if (next < best_cost_) {
           search(pos + 1, next);
         }
       }

@@ -3,17 +3,16 @@
 //
 // The production engine in matcher.h was rewritten to run on the interned
 // CompactGraph representation with the WL-scarcity search order; this is
-// the implementation it replaced. It exists for two reasons:
-//
-//  * the equivalence test asserts the production engine agrees with it
-//    on feasibility, optimal cost and budget exhaustion across the
-//    ablation configurations;
-//  * bench/perf_matcher_scaling.cpp measures old-vs-new wall-clock to
-//    track the speedup over time.
+// the implementation it replaced. matcher_compact_equivalence_test
+// asserts the production engine agrees with it on feasibility, optimal
+// cost and budget exhaustion, on random graphs under every cost model
+// and on the provenance-spine graphs (p=4 and p=8, isomorphism and
+// embedding) that are too big for brute_force; matcher_ordering_test
+// compares step counts against it.
 //
 // Like brute_force.h, nothing in the pipeline should call this. It is
-// compiled into the test/bench-only provmark_legacy archive, not into
-// the provmark library.
+// compiled into the test-only provmark_legacy archive, not into the
+// provmark library.
 #pragma once
 
 #include <optional>

@@ -224,9 +224,7 @@ class SearchEngine {
           pattern_.g.edge_count() != target_.g.edge_count()) {
         return false;
       }
-      if (options_.candidate_pruning && !label_histograms_match()) {
-        return false;
-      }
+      if (!label_histograms_match()) return false;
     } else if (pattern_.g.node_count() > target_.g.node_count() ||
                pattern_.g.edge_count() > target_.g.edge_count()) {
       return false;
@@ -234,7 +232,7 @@ class SearchEngine {
 
     if (!compute_candidates()) return false;
     order_pattern_nodes();
-    if (options_.cost_bounding) compute_suffix_min();
+    compute_suffix_min();
 
     best_cost_ = kInfinity;
     have_best_ = false;
@@ -280,11 +278,10 @@ class SearchEngine {
     const std::uint32_t n = pattern_.g.node_count();
     candidates_.assign(n, {});
     scarcity_.assign(n, 0);
-    // Bijective candidate lists are pruned per colour class even with
-    // the generic pruning knob off: the colour filter is part of the
-    // search order (matched nodes of any label-preserving bijection have
-    // equal WL colours, so no valid matching is lost). Both operands
-    // carry their 2-round colours from interning.
+    // Bijective candidate lists are pruned per colour class (matched
+    // nodes of any label-preserving bijection have equal WL colours, so
+    // no valid matching is lost). Both operands carry their 2-round
+    // colours from interning.
     const std::vector<std::uint64_t>& wl1 = pattern_.wl2;
     const std::vector<std::uint64_t>& wl2 = target_.wl2;
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -293,18 +290,14 @@ class SearchEngine {
       auto bucket = target_.g.label_buckets.find(pattern_.g.node_label[i]);
       if (bucket != target_.g.label_buckets.end()) {
         for (std::uint32_t j : bucket->second) {
-          if (options_.candidate_pruning) {
-            if (bijective_) {
-              if (pattern_.g.in_degree(i) != target_.g.in_degree(j) ||
-                  pattern_.g.out_degree(i) != target_.g.out_degree(j)) {
-                continue;
-              }
-            } else {
-              if (pattern_.g.in_degree(i) > target_.g.in_degree(j) ||
-                  pattern_.g.out_degree(i) > target_.g.out_degree(j)) {
-                continue;
-              }
+          if (bijective_) {
+            if (pattern_.g.in_degree(i) != target_.g.in_degree(j) ||
+                pattern_.g.out_degree(i) != target_.g.out_degree(j)) {
+              continue;
             }
+          } else if (pattern_.g.in_degree(i) > target_.g.in_degree(j) ||
+                     pattern_.g.out_degree(i) > target_.g.out_degree(j)) {
+            continue;
           }
           if (bijective_ && wl1[i] != wl2[j]) continue;
           candidates_[i].push_back(Candidate{
@@ -556,10 +549,7 @@ class SearchEngine {
         s.shared->cancelled.load(std::memory_order_relaxed)) {
       return;
     }
-    if (options_.cost_bounding &&
-        bound_exceeded(s, acc_cost + suffix_min_[pos])) {
-      return;
-    }
+    if (bound_exceeded(s, acc_cost + suffix_min_[pos])) return;
     if (pos == order_.size()) {
       if (acc_cost < s.best_cost || !s.have_best) {
         s.best_cost = acc_cost;
@@ -581,8 +571,7 @@ class SearchEngine {
       int group_cost = edge_groups_cost(s.mapping, i);
       if (group_cost < kInfinity) {
         int next = acc_cost + candidate.cost + group_cost;
-        if (!options_.cost_bounding ||
-            !bound_exceeded(s, next + suffix_min_[pos + 1])) {
+        if (!bound_exceeded(s, next + suffix_min_[pos + 1])) {
           search(s, pos + 1, next);
         }
       }
@@ -747,7 +736,7 @@ class SearchEngine {
   std::vector<std::vector<Candidate>> candidates_;
   std::vector<std::uint32_t> scarcity_;  // target colour-class size
   std::vector<std::uint32_t> order_;
-  std::vector<int> suffix_min_;  // filled only when cost_bounding is on
+  std::vector<int> suffix_min_;
   std::vector<std::uint32_t> best_node_mapping_;
   int best_cost_ = kInfinity;
   bool have_best_ = false;

@@ -24,10 +24,11 @@
 // on the accumulated property-mismatch cost plus an admissible estimate
 // of the unassigned remainder. The search is exhaustive, so the optimum
 // does not depend on the order; the order only decides how soon it is
-// found and proven. Pruning and bounding can be disabled per search
-// (SearchOptions only; the pipeline always runs with both on): the
-// unpruned search is the reference four matcher tests compare against,
-// and bench/ablation_matcher.cpp measures what each one saves.
+// found and proven. Pruning and bounding are always on. The tests check
+// the search against two independent references, the exhaustive
+// brute_force oracle and the string-keyed matcher::legacy engine
+// (matcher_compact_equivalence_test, matcher_matcher_property_test),
+// and serial against parallel (matcher_parallel_search_test).
 #pragma once
 
 #include <cstddef>
@@ -76,12 +77,6 @@ struct SearchOptions {
   /// Stop as soon as any structurally valid matching is found (the cost is
   /// still reported for that matching, but not optimized).
   bool first_solution_only = false;
-  /// Enable label/degree candidate pruning (ablation knob). The WL
-  /// colour-class filter of the bijective problem is part of the search
-  /// order and stays on either way.
-  bool candidate_pruning = true;
-  /// Enable branch-and-bound pruning on cost (ablation knob).
-  bool cost_bounding = true;
   /// Abort after this many search steps; 0 = unlimited. A hit produces
   /// std::nullopt with `budget_exhausted` set in Stats. Guards against the
   /// worst-case exponential behaviour the paper accepts as a risk (§5.4).
@@ -106,8 +101,7 @@ struct SearchOptions {
 };
 
 /// The parallel-search knobs threaded from the CLI / pipeline down into
-/// every matcher call of a run (the ablation booleans stay on the
-/// per-stage option structs). apply() overlays these onto a fully
+/// every matcher call of a run. apply() overlays these onto a fully
 /// populated SearchOptions.
 struct SearchConfig {
   int threads = 1;
@@ -119,7 +113,7 @@ struct SearchConfig {
   }
 };
 
-/// Search statistics, used by tests and the ablation benchmark.
+/// Search statistics, used by tests and the pipeline's step counters.
 struct Stats {
   std::size_t steps = 0;            ///< node-assignment attempts
   std::size_t solutions_found = 0;  ///< complete matchings encountered

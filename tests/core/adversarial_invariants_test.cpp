@@ -180,7 +180,7 @@ TEST(AdversarialParallelism, PipelinePoolWidthNeverChangesResults) {
 TEST(AdversarialParallelism, MatcherWorkersNeverChangeResults) {
   // Parallel branch-and-bound search inside generalization/comparison:
   // optimal costs are preserved, so results match the serial matcher.
-  for (const char* system : {"spade", "audit"}) {
+  for (const char* system : {"spade", "audit", "ebpf", "camflow"}) {
     BenchmarkResult serial = run_generated(system, 9, 1, 1);
     BenchmarkResult parallel = run_generated(system, 9, 4, 4);
     expect_identical(serial, parallel,
@@ -191,7 +191,7 @@ TEST(AdversarialParallelism, MatcherWorkersNeverChangeResults) {
 TEST(AdversarialParallelism, DatalogEvaluationIdenticalSerialAndParallel) {
   // Load a generated workload's recorded graph as facts, saturate a
   // recursive reachability program, and compare the derived relations
-  // under serial, parallel, and unindexed evaluation.
+  // under serial and parallel evaluation.
   bench_suite::BenchmarkProgram program = program_for_seed(11);
   std::unique_ptr<systems::Recorder> recorder =
       systems::make_recorder("ebpf");
@@ -220,10 +220,6 @@ TEST(AdversarialParallelism, DatalogEvaluationIdenticalSerialAndParallel) {
   datalog::Engine::EvalOptions parallel;
   parallel.threads = 4;
   EXPECT_EQ(saturate(parallel), reference);
-
-  datalog::Engine::EvalOptions unindexed;
-  unindexed.use_indexes = false;
-  EXPECT_EQ(saturate(unindexed), reference);
 }
 
 // -- invariant 4: sharded sweeps over generated programs merge exactly ------

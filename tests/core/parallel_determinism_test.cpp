@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_suite/program.h"
 #include "core/pipeline.h"
@@ -60,6 +62,40 @@ TEST(ParallelDeterminism, CamflowSixteenTrialsIdenticalAt148Threads) {
         run_with_threads("camflow", "open", threads, 42);
     expect_identical(serial, parallel,
                      "camflow threads=" + std::to_string(threads));
+  }
+}
+
+TEST(ParallelDeterminism, CamflowSweepOverThePoolIdenticalAt148Threads) {
+  // The batch shape: six programs swept over the pool while each
+  // pipeline's own trial fan-out shares the same workers (a nested
+  // parallel_for runs inline), with a simulated recording wait per trial
+  // so trials overlap the way real recorder waits do.
+  std::vector<bench_suite::BenchmarkProgram> programs;
+  for (const char* name : {"open", "execve", "fork", "setuid", "rename"}) {
+    programs.push_back(bench_suite::benchmark_by_name(name));
+  }
+  programs.push_back(bench_suite::scale_benchmark(2));
+  auto sweep = [&](int threads) {
+    runtime::ThreadPool pool(threads);
+    PipelineOptions options;
+    options.system = "camflow";
+    options.trials = 16;
+    options.seed = 42;
+    options.pool = &pool;
+    options.simulated_recording_latency = 0.001;
+    return pool.parallel_map<BenchmarkResult>(
+        programs, [&](const bench_suite::BenchmarkProgram& program,
+                      std::size_t) { return run_benchmark(program, options); });
+  };
+  const std::vector<BenchmarkResult> serial = sweep(1);
+  for (int threads : {4, 8}) {
+    const std::vector<BenchmarkResult> parallel = sweep(threads);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      expect_identical(serial[i], parallel[i],
+                       programs[i].name + " threads=" +
+                           std::to_string(threads));
+    }
   }
 }
 

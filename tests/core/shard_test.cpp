@@ -13,6 +13,7 @@
 
 #include "core/pipeline.h"
 #include "core/shard.h"
+#include "runtime/thread_pool.h"
 
 namespace provmark::core {
 namespace {
@@ -245,6 +246,60 @@ TEST(ShardMerge, AnyShardOrderReproducesSingleProcessBytes) {
 
   // A missing shard is a hard error, not a silent gap.
   EXPECT_THROW(read_shard_results({shard_dirs[0]}), std::runtime_error);
+}
+
+TEST(ShardMerge, ConcurrentShardWorkersReproduceSingleProcessBytes) {
+  // The multi-process flow in one process: for N in {1, 2, 4}, N
+  // concurrent shard workers, each on a private 1-thread pool as a
+  // worker process would be. Three CamFlow cells leave shard 3 of 4
+  // empty; every merged file must still equal the single-process sweep.
+  const std::vector<std::string> systems = {"camflow"};
+  const std::vector<std::string> benchmarks = {"open", "rename", "fork"};
+  TempDir tmp("concurrent");
+  auto run_cells = [](const std::vector<BatchCell>& cells) {
+    runtime::ThreadPool pool(1);
+    CellRunOptions options;
+    options.pool = &pool;
+    options.deterministic_timings = true;
+    return run_batch_cells(cells, options);
+  };
+
+  const fs::path single_dir = tmp.path / "single";
+  ShardPlan single = plan_batch(systems, benchmarks, 1, 42, "rg", true);
+  write_batch_outputs(single_dir.string(), run_cells(single.cells), "rg");
+
+  for (int shards : {1, 2, 4}) {
+    ShardPlan plan = plan_batch(systems, benchmarks, shards, 42, "rg", true);
+    const std::string sweep_dir =
+        tmp.str() + "/sweep" + std::to_string(shards);
+    {
+      runtime::ThreadPool workers(shards);
+      workers.parallel_for(static_cast<std::size_t>(shards),
+                           [&](std::size_t k) {
+                             ShardSpec spec = plan.shard(static_cast<int>(k));
+                             write_shard_dir(sweep_dir, spec,
+                                             run_cells(spec.cells));
+                           });
+    }
+    std::vector<std::string> shard_dirs;
+    for (int k = 0; k < shards; ++k) {
+      shard_dirs.push_back(shard_dir_path(sweep_dir, k));
+    }
+    std::string result_type;
+    const fs::path merged_dir =
+        tmp.path / ("merged" + std::to_string(shards));
+    write_batch_outputs(merged_dir.string(),
+                        read_shard_results(shard_dirs, &result_type),
+                        result_type);
+    std::size_t compared = 0;
+    for (const auto& entry : fs::directory_iterator(single_dir)) {
+      EXPECT_EQ(slurp(merged_dir / entry.path().filename()),
+                slurp(entry.path()))
+          << entry.path().filename() << " shards=" << shards;
+      ++compared;
+    }
+    EXPECT_EQ(compared, 2u + 2 * benchmarks.size());  // + .dot, .datalog
+  }
 }
 
 TEST(ShardMerge, RejectsShardsOfDifferentSweeps) {

@@ -1,8 +1,10 @@
 // The worker supervision engine, driven by a scripted host with a
 // virtual clock: retry-until-success, quarantine after the attempt
 // budget, straggler re-dispatch winner identity, and backoff
-// determinism. No real processes, no real sleeps — every millisecond
-// below is simulated, so these tests are exact and instant.
+// determinism. Those tests use no real processes and no real sleeps —
+// every millisecond is simulated, so they are exact and instant. Two
+// tests at the end fork real workers: signal forwarding on shutdown, and
+// a sharded sweep under crash, torn-write and hang faults at once.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -12,13 +14,17 @@
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/shard.h"
 #include "core/supervise.h"
+#include "runtime/thread_pool.h"
+#include "util/fault.h"
 
 namespace provmark::core {
 namespace {
@@ -409,6 +415,84 @@ TEST(ProcessWorkerHostSignals, SigtermForwardsToLiveWorkersThenDies) {
   if (!worker_dead) ::kill(worker, SIGKILL);  // don't leak it past the test
   EXPECT_TRUE(worker_dead) << "worker outlived the orchestrator";
   fs::remove(pid_file);
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(ForkModeChaos, CrashTornWriteAndHangConvergeByteIdentical) {
+  // A real 3-shard sweep on forked workers under all three shard faults
+  // at once: shard 1's worker exits 70 after its first cell, shard 0
+  // publishes a torn validation.txt, and shard 2 stalls before publish
+  // until a straggler re-dispatch supersedes it. Every shard must end up
+  // published after more than one launch, and the merged files must
+  // equal the fault-free single-process sweep byte for byte.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() /
+                        ("provmark_fork_chaos_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  const std::string sweep_dir = (root / "sweep").string();
+  const std::string spec_text =
+      "crash:shard=1,after-cell=1;"
+      "torn-write:shard=0,file=validation.txt;"
+      "hang:shard=2,seconds=60";
+  const std::vector<std::string> benchmarks = {"open", "rename", "fork",
+                                               "unlink", "chmod", "pipe"};
+  ShardPlan plan = plan_batch({"spade"}, benchmarks, 3, 42, "rg", true);
+  auto run_cells = [](const std::vector<BatchCell>& cells) {
+    runtime::ThreadPool pool(1);  // no worker threads: fork stays safe
+    CellRunOptions options;
+    options.pool = &pool;
+    options.deterministic_timings = true;
+    return run_batch_cells(cells, options);
+  };
+
+  auto host = ProcessWorkerHost::fork_mode(
+      [&](int shard, int attempt) -> int {
+        util::fault::disarm();
+        util::fault::arm(util::fault::parse_fault_spec(spec_text), shard,
+                         attempt);
+        const ShardSpec spec = plan.shard(shard);
+        write_shard_dir(sweep_dir, spec, run_cells(spec.cells));
+        return 0;
+      },
+      [&](int shard) {
+        return shard_complete(shard_dir_path(sweep_dir, shard),
+                              plan.shard(shard));
+      });
+  SuperviseOptions options;
+  options.backoff_base_ms = 50;
+  options.backoff_cap_ms = 500;
+  options.straggler_min_ms = 500;
+  options.poll_ms = 10;
+  SuperviseReport report = supervise(3, host, options);
+  ASSERT_TRUE(report.all_published);
+  std::vector<std::string> shard_dirs;
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_GT(report.tasks[static_cast<std::size_t>(k)].launches, 1)
+        << "the fault in shard " << k << " never fired";
+    shard_dirs.push_back(shard_dir_path(sweep_dir, k));
+  }
+  std::string result_type;
+  write_batch_outputs((root / "merged").string(),
+                      read_shard_results(shard_dirs, &result_type),
+                      result_type);
+
+  // The baseline runs after every fork, in the same threadless parent.
+  write_batch_outputs((root / "single").string(), run_cells(plan.cells),
+                      "rg");
+  std::size_t compared = 0;
+  for (const auto& entry : fs::directory_iterator(root / "single")) {
+    EXPECT_EQ(slurp(root / "merged" / entry.path().filename()),
+              slurp(entry.path()))
+        << entry.path().filename();
+    ++compared;
+  }
+  EXPECT_GT(compared, 2u);
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // The production engine (interned graphs, WL-scarcity search order)
 // must solve the same problems as two independent references: the
 // string-keyed engine it replaced (legacy_matcher.cpp, PropertyCost
-// order) and the exhaustive brute_force oracle. On every ablation
-// configuration all three agree on feasibility and optimal cost, the
-// returned matching is structurally valid and priced correctly, and
-// the engines agree on step-budget exhaustion. Step counts are not
+// order) and the exhaustive brute_force oracle. Under every cost model
+// all three agree on feasibility and optimal cost, the returned matching
+// is structurally valid and priced correctly, and the engines agree on
+// step-budget exhaustion. On the provenance-spine graphs, too big for
+// brute force, production and legacy still agree. Step counts are not
 // compared: the search orders differ, so the trees they visit do too.
 #include <gtest/gtest.h>
 
@@ -16,71 +17,24 @@
 #include "matcher/brute_force.h"
 #include "matcher/legacy_matcher.h"
 #include "matcher/matcher.h"
+#include "test_graphs.h"
 #include "util/rng.h"
 
 namespace provmark::matcher {
 namespace {
 
 using graph::PropertyGraph;
+using test_graphs::random_graph;
+using test_graphs::shuffled_copy;
 
-PropertyGraph random_graph(int nodes, int edges, util::Rng& rng) {
-  static const char* kNodeLabels[] = {"Process", "Artifact", "Agent"};
-  static const char* kEdgeLabels[] = {"Used", "WasGeneratedBy", "Was"};
-  static const char* kKeys[] = {"pid", "path", "time"};
-  PropertyGraph g;
-  for (int i = 0; i < nodes; ++i) {
-    graph::Properties props;
-    int prop_count = static_cast<int>(rng.next_below(3));
-    for (int p = 0; p < prop_count; ++p) {
-      props[kKeys[rng.next_below(3)]] = std::to_string(rng.next_below(4));
-    }
-    g.add_node("n" + std::to_string(i), kNodeLabels[rng.next_below(3)],
-               std::move(props));
-  }
-  for (int i = 0; i < edges; ++i) {
-    graph::Properties props;
-    if (rng.chance(0.5)) props["op"] = std::to_string(rng.next_below(3));
-    g.add_edge("e" + std::to_string(i),
-               "n" + std::to_string(
-                         rng.next_below(static_cast<std::uint64_t>(nodes))),
-               "n" + std::to_string(
-                         rng.next_below(static_cast<std::uint64_t>(nodes))),
-               kEdgeLabels[rng.next_below(3)], std::move(props));
-  }
-  return g;
-}
-
-PropertyGraph shuffled_copy(const PropertyGraph& g, util::Rng& rng) {
-  std::vector<const graph::Node*> nodes;
-  for (const graph::Node& n : g.nodes()) nodes.push_back(&n);
-  for (std::size_t i = nodes.size(); i > 1; --i) {
-    std::swap(nodes[i - 1], nodes[rng.next_below(i)]);
-  }
-  PropertyGraph out;
-  for (const graph::Node* n : nodes) {
-    out.add_node("s_" + n->id, n->label, n->props);
-  }
-  for (const graph::Edge& e : g.edges()) {
-    out.add_edge("s_" + e.id, "s_" + e.src, "s_" + e.tgt, e.label, e.props);
-  }
-  return out;
-}
-
-/// The ablation grid the seed benchmarks exercise: every combination of
-/// pruning/bounding knobs and cost models.
-std::vector<SearchOptions> ablation_configs() {
+/// Every cost model the matcher supports, each with default options.
+std::vector<SearchOptions> cost_models() {
   std::vector<SearchOptions> configs;
   for (CostModel model :
        {CostModel::None, CostModel::OneSided, CostModel::Symmetric}) {
-    for (bool pruning : {true, false}) {
-      for (bool bounding : {true, false}) {
-        SearchOptions options;
-        options.cost_model = model;
-        options.candidate_pruning = pruning;
-        options.cost_bounding = bounding;
-        configs.push_back(options);
-      }
-    }
+    SearchOptions options;
+    options.cost_model = model;
+    configs.push_back(options);
   }
   return configs;
 }
@@ -167,7 +121,7 @@ void expect_agreement(const PropertyGraph& g1, const PropertyGraph& g2,
 
 class EquivalenceTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(EquivalenceTest, IsomorphismAgreesAcrossAblationGrid) {
+TEST_P(EquivalenceTest, IsomorphismAgreesUnderEveryCostModel) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 1009 + 23);
   PropertyGraph g1 = random_graph(2 + GetParam() % 5, GetParam() % 6, rng);
   PropertyGraph g2 = rng.chance(0.6)
@@ -178,19 +132,19 @@ TEST_P(EquivalenceTest, IsomorphismAgreesAcrossAblationGrid) {
     g2.set_property(g2.nodes().front().id, "time", "777");
   }
   int config_index = 0;
-  for (const SearchOptions& options : ablation_configs()) {
+  for (const SearchOptions& options : cost_models()) {
     expect_agreement(g1, g2, options, /*bijective=*/true,
                      "iso seed " + std::to_string(GetParam()) + " config " +
                          std::to_string(config_index++));
   }
 }
 
-TEST_P(EquivalenceTest, EmbeddingAgreesAcrossAblationGrid) {
+TEST_P(EquivalenceTest, EmbeddingAgreesUnderEveryCostModel) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 2003 + 41);
   PropertyGraph fg = random_graph(3 + GetParam() % 5, GetParam() % 7, rng);
   PropertyGraph bg = random_graph(1 + GetParam() % 3, GetParam() % 3, rng);
   int config_index = 0;
-  for (const SearchOptions& options : ablation_configs()) {
+  for (const SearchOptions& options : cost_models()) {
     expect_agreement(bg, fg, options, /*bijective=*/false,
                      "embed seed " + std::to_string(GetParam()) +
                          " config " + std::to_string(config_index++));
@@ -240,7 +194,7 @@ TEST(EquivalenceEdgeCases, ParallelEdgesAndSelfLoops) {
   g2.add_edge("f1", "p", "q", "L", {{"op", "write"}});
   g2.add_edge("f2", "p", "q", "L", {{"op", "read"}});
   g2.add_edge("f3", "p", "p", "self");
-  for (const SearchOptions& options : ablation_configs()) {
+  for (const SearchOptions& options : cost_models()) {
     expect_agreement(g1, g2, options, /*bijective=*/true, "parallel/self");
   }
 }
@@ -248,13 +202,60 @@ TEST(EquivalenceEdgeCases, ParallelEdgesAndSelfLoops) {
 TEST(EquivalenceEdgeCases, EmptyGraphs) {
   PropertyGraph empty, one;
   one.add_node("a", "X");
-  for (const SearchOptions& options : ablation_configs()) {
+  for (const SearchOptions& options : cost_models()) {
     expect_agreement(empty, empty, options, /*bijective=*/true, "empty iso");
     expect_agreement(empty, one, options, /*bijective=*/false, "empty embed");
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceTest, ::testing::Range(0, 30));
+
+/// Production vs legacy on a problem too big for brute_force: same
+/// feasibility and optimal cost, neither engine near the budget.
+void expect_legacy_agreement(const PropertyGraph& g1, const PropertyGraph& g2,
+                             CostModel model, bool bijective,
+                             const std::string& context) {
+  SearchOptions options;
+  options.cost_model = model;
+  options.step_budget = 50'000'000;
+  Stats fast_stats, slow_stats;
+  auto fast = bijective
+                  ? best_isomorphism(g1, g2, options, &fast_stats)
+                  : best_subgraph_embedding(g1, g2, options, &fast_stats);
+  auto slow = bijective
+                  ? legacy::best_isomorphism(g1, g2, options, &slow_stats)
+                  : legacy::best_subgraph_embedding(g1, g2, options,
+                                                    &slow_stats);
+  ASSERT_FALSE(fast_stats.budget_exhausted) << context;
+  ASSERT_FALSE(slow_stats.budget_exhausted) << context;
+  ASSERT_TRUE(fast.has_value()) << context;
+  ASSERT_TRUE(slow.has_value()) << context;
+  EXPECT_EQ(fast->cost, slow->cost) << context;
+  expect_valid(g1, g2, *fast, model, bijective, context);
+}
+
+class ProvenanceSpineTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProvenanceSpineTest, IsomorphismOfTwoTrialsAgreesWithLegacy) {
+  // Listing 3's shape: two trials of one recording, transients redrawn.
+  const int processes = GetParam();
+  PropertyGraph g1 = test_graphs::provenance_graph(processes, 4, 1);
+  PropertyGraph g2 = test_graphs::transient_copy(g1, 2);
+  expect_legacy_agreement(g1, g2, CostModel::Symmetric, /*bijective=*/true,
+                          "spine iso p=" + std::to_string(processes));
+}
+
+TEST_P(ProvenanceSpineTest, BackgroundIntoForegroundAgreesWithLegacy) {
+  // Listing 4's shape: a half-length spine embedded into the full one.
+  const int processes = GetParam();
+  PropertyGraph fg = test_graphs::provenance_graph(processes, 4, 3);
+  PropertyGraph bg = test_graphs::provenance_graph(processes / 2, 4, 3);
+  expect_legacy_agreement(bg, fg, CostModel::OneSided, /*bijective=*/false,
+                          "spine embed p=" + std::to_string(processes));
+}
+
+INSTANTIATE_TEST_SUITE_P(Processes, ProvenanceSpineTest,
+                         ::testing::Values(4, 8));
 
 }  // namespace
 }  // namespace provmark::matcher

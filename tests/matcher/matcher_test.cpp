@@ -222,16 +222,6 @@ TEST(SearchOptions, StepBudgetAborts) {
   (void)result;  // may or may not hold a (suboptimal) value
 }
 
-TEST(SearchOptions, PruningDisabledStillCorrect) {
-  SearchOptions options;
-  options.cost_model = CostModel::Symmetric;
-  options.candidate_pruning = false;
-  options.cost_bounding = false;
-  auto matching = best_isomorphism(triangle("x"), triangle("y"), options);
-  ASSERT_TRUE(matching.has_value());
-  EXPECT_EQ(matching->cost, 0);
-}
-
 TEST(Stats, CountsSteps) {
   Stats stats;
   SearchOptions options;

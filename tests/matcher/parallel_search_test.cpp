@@ -20,109 +20,67 @@
 #include "matcher/matcher.h"
 #include "matcher/memo.h"
 #include "runtime/thread_pool.h"
+#include "test_graphs.h"
 #include "util/rng.h"
 
 namespace provmark::matcher {
 namespace {
 
 using graph::PropertyGraph;
+using test_graphs::provenance_graph;
+using test_graphs::random_graph;
+using test_graphs::transient_copy;
 
-PropertyGraph random_graph(int nodes, int edges, util::Rng& rng) {
-  static const char* kNodeLabels[] = {"Process", "Artifact", "Agent"};
-  static const char* kEdgeLabels[] = {"Used", "WasGeneratedBy", "Was"};
-  static const char* kKeys[] = {"pid", "path", "time"};
-  PropertyGraph g;
-  for (int i = 0; i < nodes; ++i) {
-    graph::Properties props;
-    int prop_count = static_cast<int>(rng.next_below(3));
-    for (int p = 0; p < prop_count; ++p) {
-      props[kKeys[rng.next_below(3)]] = std::to_string(rng.next_below(4));
-    }
-    g.add_node("n" + std::to_string(i), kNodeLabels[rng.next_below(3)],
-               std::move(props));
-  }
-  for (int i = 0; i < edges; ++i) {
-    graph::Properties props;
-    if (rng.chance(0.5)) props["op"] = std::to_string(rng.next_below(3));
-    g.add_edge("e" + std::to_string(i),
-               "n" + std::to_string(
-                         rng.next_below(static_cast<std::uint64_t>(nodes))),
-               "n" + std::to_string(
-                         rng.next_below(static_cast<std::uint64_t>(nodes))),
-               kEdgeLabels[rng.next_below(3)], std::move(props));
-  }
-  return g;
-}
-
-/// A provenance spine with artifact fan-out, as in the perf benchmark:
-/// big enough that the parallel search genuinely partitions.
-PropertyGraph provenance_graph(int processes, std::uint64_t seed) {
+/// A process reading `leaves` artifacts that share label and path and
+/// differ only in `time` and `inode`, each drawn from {0, 1, 2}. WL
+/// colours cannot tell the leaves apart and the nine value pairs leave
+/// many near-optimal assignments, so proving the optimal isomorphism
+/// between two such stars stays expensive for the production search.
+PropertyGraph tied_star(int leaves, const std::string& prefix,
+                        std::uint64_t seed) {
   util::Rng rng(seed);
-  PropertyGraph g;
-  std::string prev;
-  int edge = 0;
-  for (int p = 0; p < processes; ++p) {
-    std::string pid = "p" + std::to_string(p);
-    g.add_node(pid, "Process",
-               {{"pid", std::to_string(1000 + p)},
-                {"name", "proc" + std::to_string(p % 3)}});
-    if (!prev.empty()) {
-      g.add_edge("e" + std::to_string(edge++), pid, prev, "WasTriggeredBy",
-                 {{"operation", "fork"}});
-    }
-    for (int a = 0; a < 3; ++a) {
-      std::string aid = pid + "a" + std::to_string(a);
-      g.add_node(aid, "Artifact",
-                 {{"path", "/tmp/" + pid + "f" + std::to_string(a)},
-                  {"time", std::to_string(rng.next_below(100000))}});
-      bool used = rng.chance(0.5);
-      g.add_edge("e" + std::to_string(edge++), used ? pid : aid,
-                 used ? aid : pid, used ? "Used" : "WasGeneratedBy",
-                 {{"operation", used ? "read" : "write"}});
-    }
-    prev = pid;
-  }
-  return g;
-}
-
-PropertyGraph transient_copy(const PropertyGraph& g, std::uint64_t seed) {
-  util::Rng rng(seed);
-  PropertyGraph out;
-  for (const graph::Node& n : g.nodes()) {
-    graph::Properties props = n.props;
-    if (props.count("time") > 0) {
-      props["time"] = std::to_string(rng.next_below(100000));
-    }
-    out.add_node("x" + n.id, n.label, props);
-  }
-  for (const graph::Edge& e : g.edges()) {
-    out.add_edge("x" + e.id, "x" + e.src, "x" + e.tgt, e.label, e.props);
-  }
-  return out;
-}
-
-/// A process with `artifacts` read artifacts, each carrying a distinct
-/// path. Embedding a small star into a large one has
-/// large!/(large-small)! structurally valid solutions, so with cost
-/// bounding off the search tree is as big as the budget tests need
-/// under any search order.
-PropertyGraph star(int artifacts, const std::string& prefix) {
   PropertyGraph g;
   g.add_node(prefix, "Process", {{"name", "reader"}});
-  for (int a = 0; a < artifacts; ++a) {
+  for (int a = 0; a < leaves; ++a) {
     std::string aid = prefix + "a" + std::to_string(a);
-    g.add_node(aid, "Artifact", {{"path", "/tmp/" + std::to_string(a)}});
+    g.add_node(aid, "Artifact",
+               {{"path", "/tmp/shared"},
+                {"time", std::to_string(rng.next_below(3))},
+                {"inode", std::to_string(rng.next_below(3))}});
     g.add_edge(aid + "e", prefix, aid, "Used", {{"operation", "read"}});
   }
   return g;
 }
 
-SearchOptions exhaustive_embedding() {
+SearchOptions symmetric() {
   SearchOptions options;
-  options.cost_model = CostModel::OneSided;
-  options.candidate_pruning = false;
-  options.cost_bounding = false;
+  options.cost_model = CostModel::Symmetric;
   return options;
+}
+
+/// The budget tests' hard instance: two 12-leaf tied stars.
+const PropertyGraph& hard_pattern() {
+  static const PropertyGraph g = tied_star(12, "b", 1);
+  return g;
+}
+const PropertyGraph& hard_target() {
+  static const PropertyGraph g = tied_star(12, "f", 101);
+  return g;
+}
+
+/// Unbudgeted serial steps of the hard instance (526,374 when this test
+/// was written). Budget tests are only meaningful while the instance
+/// stays far above their budgets; a search change that makes it easy
+/// fails their ASSERT_GT instead of passing vacuously.
+std::size_t hard_instance_steps() {
+  static const std::size_t steps = [] {
+    Stats stats;
+    EXPECT_TRUE(best_isomorphism(hard_pattern(), hard_target(), symmetric(),
+                                 &stats)
+                    .has_value());
+    return stats.steps;
+  }();
+  return steps;
 }
 
 void expect_same_outcome(const std::optional<Matching>& serial,
@@ -179,68 +137,101 @@ TEST_P(ParallelIdentityTest, MatchesSerialAtEveryThreadCount) {
 TEST_P(ParallelIdentityTest, ProvenanceSpineIdenticalMapping) {
   const int threads = GetParam();
   runtime::ThreadPool pool(threads);
-  PropertyGraph g1 = provenance_graph(8, 1);
-  PropertyGraph g2 = transient_copy(g1, 2);
-  SearchOptions serial;
-  serial.cost_model = CostModel::Symmetric;
-  SearchOptions par = serial;
-  par.threads = threads;
-  par.pool = &pool;
-  Stats ss, ps;
-  auto s = best_isomorphism(g1, g2, serial, &ss);
-  auto p = best_isomorphism(g1, g2, par, &ps);
-  expect_same_outcome(s, ss, p, ps,
-                      "spine threads " + std::to_string(threads));
-  ASSERT_TRUE(s.has_value());
-  EXPECT_FALSE(ss.budget_exhausted);
-  // Steps aggregate across workers: merged exactly once, so the total
-  // is at least the serial prefix enumeration and every solution is
-  // counted once.
-  EXPECT_GT(ps.steps, 0u);
-  EXPECT_GE(ps.solutions_found, 1u);
+  for (int processes : {4, 8}) {
+    const std::string context = " p=" + std::to_string(processes) +
+                                " threads " + std::to_string(threads);
+    SearchOptions serial = symmetric();
+    SearchOptions par = serial;
+    par.threads = threads;
+    par.pool = &pool;
+
+    // Listing 3's shape: two trials of one recording.
+    PropertyGraph g1 = provenance_graph(processes, 4, 1);
+    PropertyGraph g2 = transient_copy(g1, 2);
+    Stats ss, ps;
+    auto s = best_isomorphism(g1, g2, serial, &ss);
+    auto p = best_isomorphism(g1, g2, par, &ps);
+    expect_same_outcome(s, ss, p, ps, "spine iso" + context);
+    ASSERT_TRUE(s.has_value()) << context;
+    EXPECT_FALSE(ss.budget_exhausted) << context;
+    // Steps aggregate across workers: merged exactly once, so the total
+    // is at least the serial prefix enumeration and every solution is
+    // counted once.
+    EXPECT_GT(ps.steps, 0u) << context;
+    EXPECT_GE(ps.solutions_found, 1u) << context;
+
+    // Listing 4's shape: a half-length spine into the full one.
+    PropertyGraph fg = provenance_graph(processes, 4, 3);
+    PropertyGraph bg = provenance_graph(processes / 2, 4, 3);
+    serial.cost_model = par.cost_model = CostModel::OneSided;
+    Stats es, ep;
+    auto se = best_subgraph_embedding(bg, fg, serial, &es);
+    auto pe = best_subgraph_embedding(bg, fg, par, &ep);
+    expect_same_outcome(se, es, pe, ep, "spine embed" + context);
+    EXPECT_TRUE(se.has_value()) << context;
+  }
+}
+
+TEST_P(ParallelIdentityTest, DisconnectedFragmentsIdenticalMapping) {
+  // Structurally identical fragments that only property values tell
+  // apart: the cross-fragment symmetry multiplies the search tree.
+  const int threads = GetParam();
+  runtime::ThreadPool pool(threads);
+  for (int fragments : {1, 2}) {
+    PropertyGraph g1 = test_graphs::fragment_graph(fragments, 5);
+    PropertyGraph g2 = transient_copy(g1, 6);
+    SearchOptions par = symmetric();
+    par.threads = threads;
+    par.pool = &pool;
+    Stats ss, ps;
+    auto s = best_isomorphism(g1, g2, symmetric(), &ss);
+    auto p = best_isomorphism(g1, g2, par, &ps);
+    const std::string context = "fragments " + std::to_string(fragments) +
+                                " threads " + std::to_string(threads);
+    expect_same_outcome(s, ss, p, ps, context);
+    EXPECT_TRUE(s.has_value()) << context;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelIdentityTest,
                          ::testing::Values(1, 4, 8));
 
 TEST(ParallelBudget, ExhaustionReportedAtAnyThreadCount) {
-  PropertyGraph bg = star(6, "b");
-  PropertyGraph fg = star(12, "f");
-  runtime::ThreadPool pool(4);
   // A budget far below the instance's search needs: serial and parallel
   // must both report exhaustion.
+  ASSERT_GT(hard_instance_steps(), 100'000u);
+  runtime::ThreadPool pool(4);
   for (int threads : {1, 4}) {
-    SearchOptions options = exhaustive_embedding();
+    SearchOptions options = symmetric();
     options.step_budget = 50;
     options.threads = threads;
     options.pool = &pool;
     Stats stats;
-    best_subgraph_embedding(bg, fg, options, &stats);
+    best_isomorphism(hard_pattern(), hard_target(), options, &stats);
     EXPECT_TRUE(stats.budget_exhausted) << "threads " << threads;
   }
 }
 
 TEST(ParallelBudget, CooperativeCancellationIsPrompt) {
-  // Unbounded, this instance's tree has 16!/8! (~5e8) leaves, so the
-  // shared budget is guaranteed to trip at every thread count and the
-  // assertion below genuinely bounds how fast siblings notice.
-  PropertyGraph bg = star(8, "b");
-  PropertyGraph fg = star(16, "f");
-  runtime::ThreadPool pool(8);
-  SearchOptions options = exhaustive_embedding();
+  SearchOptions options = symmetric();
   options.step_budget = 20'000;
   options.threads = 8;
-  options.pool = &pool;
-  Stats stats;
-  best_subgraph_embedding(bg, fg, options, &stats);
-  ASSERT_TRUE(stats.budget_exhausted);
   // Budget enforcement is batched (one flush per 512 steps per worker):
   // siblings cancel within one batch each instead of running to a
   // private budget. 9 participants x 512 + the tripping worker's batch
   // bounds the overshoot; 16x slack keeps the test robust while still
   // failing if cancellation regresses to per-worker budgets (which
   // would allow ~8x the budget).
-  EXPECT_LT(stats.steps, options.step_budget + 9 * 512 * 16);
+  const std::size_t overshoot_bound = options.step_budget + 9 * 512 * 16;
+  // The instance must need far more than that, or the budget would
+  // never trip and the bound below would hold vacuously.
+  ASSERT_GT(hard_instance_steps(), 4 * overshoot_bound);
+  runtime::ThreadPool pool(8);
+  options.pool = &pool;
+  Stats stats;
+  best_isomorphism(hard_pattern(), hard_target(), options, &stats);
+  ASSERT_TRUE(stats.budget_exhausted);
+  EXPECT_LT(stats.steps, overshoot_bound);
 }
 
 TEST(ParallelBudget, SubBatchTasksStillEnforceTheBudget) {
@@ -249,27 +240,34 @@ TEST(ParallelBudget, SubBatchTasksStillEnforceTheBudget) {
   // flush must still publish their steps and check the budget —
   // otherwise a fleet of sub-batch tasks overruns step_budget with
   // budget_exhausted left false.
-  PropertyGraph bg = star(3, "b");
-  PropertyGraph fg = star(6, "f");
-  SearchOptions serial = exhaustive_embedding();
-  Stats full;
-  ASSERT_TRUE(best_subgraph_embedding(bg, fg, serial, &full).has_value());
-  ASSERT_GT(full.steps, 64u);  // instance big enough to halve
-
+  //
+  // Two 10-leaf tied stars at 8 threads: the serial prefix enumeration
+  // assigns the centre and three leaves (1 + 10 + 10*9 + 10*9*8 steps)
+  // and leaves 720 tasks of a few steps each. A budget of half the
+  // unbudgeted total lies past the enumeration, so it can only trip
+  // through the tasks' flushes.
+  const std::size_t prefix_steps = 1 + 10 + 10 * 9 + 10 * 9 * 8;
+  PropertyGraph a = tied_star(10, "b", 3);
+  PropertyGraph b = tied_star(10, "f", 103);
   runtime::ThreadPool pool(8);
-  SearchOptions par = serial;
+  SearchOptions par = symmetric();
   par.threads = 8;
   par.pool = &pool;
+  Stats full;
+  ASSERT_TRUE(best_isomorphism(a, b, par, &full).has_value());
+  ASSERT_FALSE(full.budget_exhausted);
+  ASSERT_GT(full.steps, 4 * prefix_steps);
+
   par.step_budget = full.steps / 2;
   Stats stats;
-  best_subgraph_embedding(bg, fg, par, &stats);
+  best_isomorphism(a, b, par, &stats);
   EXPECT_TRUE(stats.budget_exhausted);
 }
 
 TEST(ParallelBudget, SerialSemanticsUnchangedAtOneThread) {
   // threads=1 must take the exact serial path: same steps trace as a
   // default-options run.
-  PropertyGraph g1 = provenance_graph(6, 7);
+  PropertyGraph g1 = provenance_graph(6, 3, 7);
   PropertyGraph g2 = transient_copy(g1, 8);
   SearchOptions serial;
   serial.cost_model = CostModel::Symmetric;
@@ -290,9 +288,9 @@ TEST(MemoConcurrency, EachPairStoredExactlyOnce) {
   // the counters must stay consistent (no double-counted verdicts when
   // the totals are merged into BenchmarkResult).
   graph::SymbolTable symbols;
-  PropertyGraph a = provenance_graph(3, 1);
+  PropertyGraph a = provenance_graph(3, 3, 1);
   PropertyGraph b = transient_copy(a, 2);
-  PropertyGraph c = provenance_graph(4, 3);
+  PropertyGraph c = provenance_graph(4, 3, 3);
   InternedGraph ia(a, symbols), ib(b, symbols), ic(c, symbols);
   std::uint64_t da = graph::structural_digest(a);
   std::uint64_t db = graph::structural_digest(b);

@@ -1,8 +1,9 @@
 // Fault injection (src/util/fault.h): the --fault-spec grammar of every
 // kind, arming by (shard, attempt) coordinates, and each site's trigger
 // point, fire-once state and log line. The end-to-end chaos gates are
-// bench_perf_shard_faults, core_shard_cli_test and the forked-daemon
-// suites under tests/serve/ (standby_test, router_test, admission_test).
+// core_supervise_test (ForkModeChaos), core_shard_cli_test and the
+// forked-daemon suites under tests/serve/ (standby_test, router_test,
+// admission_test).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
