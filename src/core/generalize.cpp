@@ -199,17 +199,14 @@ std::optional<GeneralizeResult> generalize_trials(
   }
   if (viable.empty()) return std::nullopt;
 
-  // Among the surviving classes, choose by representative graph size.
+  // Among the surviving classes, choose the smallest representative graph.
   auto size_of = [&](const std::vector<std::size_t>& cls) {
     const graph::CompactGraph& g = trials[cls.front()]->g;
     return g.node_count() + g.edge_count();
   };
   const std::vector<std::size_t>* chosen = &viable.front();
   for (const std::vector<std::size_t>& cls : viable) {
-    bool better = options.pick == PickStrategy::SmallestClass
-                      ? size_of(cls) < size_of(*chosen)
-                      : size_of(cls) > size_of(*chosen);
-    if (better) chosen = &cls;
+    if (size_of(cls) < size_of(*chosen)) chosen = &cls;
   }
 
   const matcher::InternedGraph& a = *trials[(*chosen)[0]];

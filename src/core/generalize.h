@@ -9,8 +9,7 @@
 //     recordings (truncated SPADE output, CamFlow interference).
 //  3. From the smallest surviving class, take two representative graphs.
 //     (The paper notes picking the two largest also works but choosing a
-//     mixed pair does not; `PickStrategy` exposes both for the ablation
-//     test.)
+//     mixed pair does not.)
 //  4. Find the property-mismatch-minimizing isomorphism between the two
 //     representatives and keep only properties equal under it.
 #pragma once
@@ -32,10 +31,7 @@ class ThreadPool;
 
 namespace provmark::core {
 
-enum class PickStrategy { SmallestClass, LargestClass };
-
 struct GeneralizeOptions {
-  PickStrategy pick = PickStrategy::SmallestClass;
   /// Parallel-search knobs forwarded into the generalization
   /// isomorphism. The pipeline overlays its own PipelineOptions::matcher
   /// config here.

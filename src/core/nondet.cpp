@@ -8,7 +8,6 @@
 #include "core/generalize.h"
 #include "core/transform.h"
 #include "graph/algorithms.h"
-#include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace provmark::core {
@@ -29,14 +28,11 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
   // Record background (deterministic) and foreground (one schedule per
   // trial) runs.
   auto record = [&](bool foreground, int index) {
-    std::uint64_t trial_seed =
-        util::Rng(options.seed ^ util::stable_hash(program.name))
-            .fork(static_cast<std::uint64_t>(index) * 2 +
-                  (foreground ? 1 : 0))
-            .next_u64();
+    const std::uint64_t seed =
+        trial_seed(options.seed, program.name, foreground, index);
     bench_suite::ExecutionResult run = bench_suite::execute_program(
-        program, foreground, trial_seed, recorder->extra_audit_rules());
-    systems::TrialContext trial{trial_seed ^ 0xC0FFEEULL};
+        program, foreground, seed, recorder->extra_audit_rules());
+    systems::TrialContext trial{seed ^ 0xC0FFEEULL};
     return recorder->record(run.trace, trial);
   };
 

@@ -75,7 +75,7 @@ const char* fate_name(WorkerFate fate) {
 }
 
 std::int64_t backoff_ms(std::uint64_t seed, int task, int attempt,
-                        const SuperviseOptions& options) {
+                        std::int64_t base_ms, std::int64_t cap_ms) {
   if (attempt < 1) attempt = 1;
   util::Rng rng(seed ^
                 util::stable_hash(util::format("supervise-backoff-%d-%d",
@@ -83,10 +83,9 @@ std::int64_t backoff_ms(std::uint64_t seed, int task, int attempt,
   const double jitter =
       0.75 + 0.5 * (static_cast<double>(rng.next_u64() >> 11) *
                     (1.0 / 9007199254740992.0));
-  const double raw = static_cast<double>(options.backoff_base_ms) *
+  const double raw = static_cast<double>(base_ms) *
                      std::ldexp(1.0, std::min(attempt, 48) - 1) * jitter;
-  const double capped =
-      std::min(raw, static_cast<double>(options.backoff_cap_ms));
+  const double capped = std::min(raw, static_cast<double>(cap_ms));
   return static_cast<std::int64_t>(std::llround(capped));
 }
 
@@ -120,7 +119,8 @@ SuperviseReport supervise(int task_count, WorkerHost& host,
     if (t.launches < max_launches) {
       if (t.retry_at_ms < 0) {
         const std::int64_t delay =
-            backoff_ms(options.seed, task, t.launches, options);
+            backoff_ms(options.seed, task, t.launches,
+                       options.backoff_base_ms, options.backoff_cap_ms);
         t.retry_at_ms = host.now_ms() + delay;
         host.note(util::format(
             "shard %d attempt %d failed (%s); retrying in %lld ms", task,
@@ -358,12 +358,9 @@ void DaemonSupervisor::schedule_restart(int member, const std::string& why) {
         member, m.streak, why.c_str()));
     return;
   }
-  SuperviseOptions envelope;
-  envelope.seed = policy_.seed;
-  envelope.backoff_base_ms = policy_.backoff_base_ms;
-  envelope.backoff_cap_ms = policy_.backoff_cap_ms;
   const std::int64_t delay =
-      backoff_ms(policy_.seed, member, m.streak, envelope);
+      backoff_ms(policy_.seed, member, m.streak, policy_.backoff_base_ms,
+                 policy_.backoff_cap_ms);
   m.state = MemberState::Backoff;
   m.token = 0;
   m.restart_at_ms = host_.now_ms() + delay;

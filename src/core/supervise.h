@@ -24,8 +24,9 @@
 //
 // The engine is pure event-loop logic over an abstract WorkerHost, so
 // tests drive it with a scripted host and a virtual clock — no real
-// processes, no real sleeps — while the CLI and the chaos bench plug in
-// ProcessWorkerHost (fork/exec or fork-only) for real workers.
+// processes, no real sleeps — while the CLI and the ForkModeChaos case
+// of core_supervise_test plug in ProcessWorkerHost (fork/exec or
+// fork-only) for real workers.
 #pragma once
 
 #include <cstdint>
@@ -115,12 +116,12 @@ struct SuperviseOptions {
 };
 
 /// Deterministic retry delay before attempt `attempt` (1-based: the
-/// first retry) of `task`: backoff_base_ms × 2^(attempt-1) × jitter,
-/// jitter ∈ [0.75, 1.25] drawn from Rng(seed ⊕ hash(task, attempt)),
-/// clamped to backoff_cap_ms. Monotone non-decreasing in `attempt`
-/// (2 × 0.75 ≥ 1.25, so doubling always dominates the jitter).
+/// first retry) of `task`: base_ms × 2^(attempt-1) × jitter, jitter ∈
+/// [0.75, 1.25] drawn from Rng(seed ⊕ hash(task, attempt)), clamped to
+/// cap_ms. Monotone non-decreasing in `attempt` (2 × 0.75 ≥ 1.25, so
+/// doubling always dominates the jitter).
 std::int64_t backoff_ms(std::uint64_t seed, int task, int attempt,
-                        const SuperviseOptions& options);
+                        std::int64_t base_ms, std::int64_t cap_ms);
 
 /// One spawned attempt, chronologically recorded.
 struct AttemptRecord {
@@ -281,9 +282,9 @@ class DaemonSupervisor {
 ///     argv is materialized before fork, so the child only calls
 ///     async-signal-safe functions.
 ///   - fork-only mode: `child_main(task, attempt)` runs in the forked
-///     child and its return value becomes the exit code (the chaos
-///     bench runs shard cells in-process; the parent must hold no
-///     live thread pools when spawning).
+///     child and its return value becomes the exit code (ForkModeChaos
+///     in core_supervise_test runs shard cells in-process; the parent
+///     must hold no live thread pools when spawning).
 class ProcessWorkerHost : public WorkerHost {
  public:
   using ArgvFn = std::function<std::vector<std::string>(int, int)>;

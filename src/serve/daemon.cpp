@@ -151,14 +151,12 @@ int run_daemon(const DaemonOptions& options) {
   bool partitioned = false;
   Clock::time_point partition_until{};
 
-  core::SuperviseOptions backoff_opts;
-  backoff_opts.seed = repl_config.seed;
-  backoff_opts.backoff_base_ms = repl_config.backoff_base_ms;
-  backoff_opts.backoff_cap_ms = repl_config.backoff_cap_ms;
   auto connect_later = [&](Clock::time_point now, int attempt) {
     connect_attempt = attempt;
     next_connect = now + std::chrono::milliseconds(core::backoff_ms(
-                             repl_config.seed, 0, attempt, backoff_opts));
+                             repl_config.seed, 0, attempt,
+                             repl_config.backoff_base_ms,
+                             repl_config.backoff_cap_ms));
   };
 
   auto fail_gated = [&] {
@@ -437,14 +435,11 @@ int run_daemon(const DaemonOptions& options) {
 
 std::int64_t feed_backoff_ms(std::uint64_t seed, int request_index,
                              int attempt, const FeedOptions& options) {
-  core::SuperviseOptions sup;
-  sup.seed = seed;
-  sup.backoff_base_ms = options.backoff_base_ms;
-  sup.backoff_cap_ms = options.backoff_cap_ms;
   // Keyed by (seed, request index, attempt): the exact schedule two
   // runs of the same feed sleep is reproducible, which the retry tests
   // assert literally.
-  return core::backoff_ms(seed, request_index, attempt, sup);
+  return core::backoff_ms(seed, request_index, attempt,
+                          options.backoff_base_ms, options.backoff_cap_ms);
 }
 
 int run_feed(const std::string& socket_path, std::istream& in,

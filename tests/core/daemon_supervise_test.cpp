@@ -88,11 +88,9 @@ TEST(DaemonSupervisor, DeathSchedulesTheExactSeededBackoff) {
   EXPECT_EQ(supervisor.state(1), MemberState::Backoff);
   EXPECT_EQ(supervisor.token(1), 0u);
 
-  SuperviseOptions envelope;
-  envelope.seed = policy.seed;
-  envelope.backoff_base_ms = policy.backoff_base_ms;
-  envelope.backoff_cap_ms = policy.backoff_cap_ms;
-  const std::int64_t delay = backoff_ms(policy.seed, 1, 1, envelope);
+  const std::int64_t delay = backoff_ms(policy.seed, 1, 1,
+                                       policy.backoff_base_ms,
+                                       policy.backoff_cap_ms);
 
   // One tick early: nothing respawns.
   host.now = delay - 1;

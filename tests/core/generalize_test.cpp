@@ -121,12 +121,6 @@ TEST(GeneralizeTrials, SmallestClassWins) {
   auto smallest = generalize_trials(trials);
   ASSERT_TRUE(smallest.has_value());
   EXPECT_EQ(smallest->graph.node_count(), 2u);  // no Daemon node
-
-  GeneralizeOptions largest;
-  largest.pick = PickStrategy::LargestClass;
-  auto big = generalize_trials(trials, largest);
-  ASSERT_TRUE(big.has_value());
-  EXPECT_EQ(big->graph.node_count(), 3u);
 }
 
 TEST(GeneralizeTrials, TwoTrialsSuffice) {

@@ -9,8 +9,10 @@
 //   * a torn shard handed straight to `merge` is a retryable failure,
 //     exit 3 (exit 1 means a structural mismatch).
 //
-// Two CLI surface checks ride along: the removed `--matcher-order` is
-// an unknown flag (exit 2), and `gen` prints a program.
+// CLI surface checks ride along: the removed `--matcher-order` is an
+// unknown flag, every malformed flag or value exits 2 naming the flag,
+// `gen` prints a program, and docs/cli.md's grammar block is exactly
+// `provmark_cli --help`.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -50,10 +52,12 @@ class ShardCli : public ::testing::Test {
   }
 
   /// Run `provmark_cli args...` with stdout and stderr in `log_`;
-  /// returns its exit code (128 + signal when killed).
-  int cli(const std::vector<std::string>& args) {
+  /// returns its exit code (128 + signal when killed). A nonzero
+  /// `alarm_s` kills the child (SIGALRM) after that many seconds.
+  int cli(const std::vector<std::string>& args, unsigned alarm_s = 0) {
     const pid_t pid = ::fork();
     if (pid == 0) {
+      if (alarm_s > 0) ::alarm(alarm_s);
       const int fd =
           ::open(log_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
       if (fd >= 0) {
@@ -163,6 +167,59 @@ TEST_F(ShardCli, TornShardHandedToMergeIsRetryable) {
 
 TEST_F(ShardCli, MatcherOrderIsAnUnknownFlag) {
   EXPECT_EQ(cli({"--matcher-order", "wl", "run", "spade", "open"}), 2);
+}
+
+TEST_F(ShardCli, MalformedFlagsExitTwoNamingTheFlag) {
+  const std::string s = (dir_ / "s").string();
+  const std::string j = (dir_ / "j").string();
+  const struct {
+    std::vector<std::string> args;
+    std::string flag;
+  } rows[] = {
+      {{"--threads", "abc", "gen", "--scale", "1"}, "--threads"},
+      {{"--threads", "257", "gen", "--scale", "1"}, "--threads"},
+      {{"--matcher-threads", "-4", "gen", "--scale", "1"},
+       "--matcher-threads"},
+      {{"--matcher-threads", "257", "gen", "--scale", "1"},
+       "--matcher-threads"},
+      {{"--seed", "12abc", "gen", "--scale", "1"}, "--seed"},
+      {{"--max-input-bytes", "-5", "gen", "--scale", "1"},
+       "--max-input-bytes"},
+      {{"--shards", "0", "gen", "--scale", "1"}, "--shards"},
+      {{"gen", "--hostile", "7"}, "--hostile"},
+      {{"gen", "--scale", "x"}, "--scale"},
+      {{"cluster", s, j, "--members", "0"}, "--members"},
+      {{"serve", s, j, "--serve-workers", "-1"}, "--serve-workers"},
+      {{"serve", s, j, "--queue-cap"}, "--queue-cap"},
+      {{"feed", s, "--feed-retries", "x"}, "--feed-retries"},
+  };
+  for (const auto& row : rows) {
+    std::string command;
+    for (const std::string& arg : row.args) command += " " + arg;
+    SCOPED_TRACE(command);
+    fs::remove(log_);
+    // A row that wrongly starts a daemon is killed by the alarm instead
+    // of hanging the suite.
+    EXPECT_EQ(cli(row.args, 30), 2) << slurp(log_);
+    EXPECT_NE(slurp(log_).find("provmark: " + row.flag + ": "),
+              std::string::npos)
+        << slurp(log_);
+  }
+}
+
+TEST_F(ShardCli, DocsGrammarIsTheHelpText) {
+  const std::string doc = slurp(fs::path(__FILE__).parent_path() / ".." /
+                                ".." / "docs" / "cli.md");
+  const std::string open = "## Grammar\n\n```\n";
+  const std::size_t begin = doc.find(open);
+  ASSERT_NE(begin, std::string::npos) << "docs/cli.md has no Grammar block";
+  const std::size_t end = doc.find("```\n", begin + open.size());
+  ASSERT_NE(end, std::string::npos);
+  ASSERT_EQ(cli({"--help"}), 0) << slurp(log_);
+  EXPECT_EQ(doc.substr(begin + open.size(), end - begin - open.size()),
+            slurp(log_))
+      << "regenerate the Grammar block of docs/cli.md from "
+         "`provmark_cli --help`";
 }
 
 TEST_F(ShardCli, GenPrintsAProgram) {

@@ -207,8 +207,10 @@ TEST(Supervise, RetryUntilSuccessWithDeterministicBackoff) {
     if (s.task == 1) task1.push_back(s);
   }
   ASSERT_EQ(task1.size(), 3u);
-  const std::int64_t first_delay = backoff_ms(options.seed, 1, 1, options);
-  const std::int64_t second_delay = backoff_ms(options.seed, 1, 2, options);
+  const std::int64_t first_delay = backoff_ms(
+      options.seed, 1, 1, options.backoff_base_ms, options.backoff_cap_ms);
+  const std::int64_t second_delay = backoff_ms(
+      options.seed, 1, 2, options.backoff_base_ms, options.backoff_cap_ms);
   EXPECT_EQ(task1[1].at_ms, task1[0].at_ms + 50 + first_delay);
   EXPECT_EQ(task1[2].at_ms, task1[1].at_ms + 50 + second_delay);
   EXPECT_GT(second_delay, first_delay);
@@ -327,9 +329,12 @@ TEST(Supervise, BackoffIsDeterministicJitteredAndMonotone) {
     std::int64_t previous = 0;
     for (int attempt = 1; attempt <= 12; ++attempt) {
       const std::int64_t delay =
-          backoff_ms(options.seed, task, attempt, options);
+          backoff_ms(options.seed, task, attempt, options.backoff_base_ms,
+                     options.backoff_cap_ms);
       // Same (seed, task, attempt) → same delay, always.
-      EXPECT_EQ(delay, backoff_ms(options.seed, task, attempt, options));
+      EXPECT_EQ(delay,
+                backoff_ms(options.seed, task, attempt,
+                           options.backoff_base_ms, options.backoff_cap_ms));
       // Jitter stays inside the documented envelope, capped.
       const double nominal =
           static_cast<double>(options.backoff_base_ms) *
@@ -350,7 +355,8 @@ TEST(Supervise, BackoffIsDeterministicJitteredAndMonotone) {
   // Different seeds and tasks decorrelate the jitter: not all equal.
   std::set<std::int64_t> distinct;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    distinct.insert(backoff_ms(seed, 0, 1, options));
+    distinct.insert(backoff_ms(seed, 0, 1, options.backoff_base_ms,
+                               options.backoff_cap_ms));
   }
   EXPECT_GT(distinct.size(), 1u);
 }

@@ -38,18 +38,22 @@
 // injects deterministic crashes/torn writes/hangs to exercise exactly
 // those paths (docs/robustness.md).
 //
-// The full grammar lives in usage() below; docs/cli.md documents every
-// subcommand with worked examples and must be kept in sync with it.
+// Every option is one row of kOptions below; --help is rendered from it,
+// and docs/cli.md's "Grammar" block must equal --help byte for byte
+// (ShardCli.DocsGrammarIsTheHelpText in core_shard_cli_test).
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -75,186 +79,15 @@ using namespace provmark;
 
 namespace {
 
-// The usage text around the --fault-spec grammar, which comes from the
-// fault kind table (util::fault::grammar).
-constexpr const char* kUsageHead =
-    "usage:\n"
-    "  provmark [options] run <system> <benchmark> [trials]\n"
-    "  provmark [options] batch <systems> <rb|rg|rh> [output-dir]\n"
-    "  provmark merge <output-dir> <shard-dir> [<shard-dir>...]\n"
-    "  provmark query <facts.datalog> <atom> [rules.datalog]\n"
-    "  provmark gen [--seed S] [--scale K] [gen-options]\n"
-    "  provmark [options] serve <socket> <journal-root> [serve-options]\n"
-    "  provmark [options] cluster <socket> <cluster-root> "
-    "[cluster-options]\n"
-    "  provmark feed <socket> [request-file] [--feed-retries N]\n"
-    "  provmark promote <socket>\n"
-    "  provmark --help\n"
-    "\n"
-    "subcommands:\n"
-    "  run    full pipeline for one benchmark on one system; prints a\n"
-    "         summary, the result graph as DOT, and its datalog facts\n"
-    "         (exit 1 if the pipeline fails)\n"
-    "  batch  all Table 1 benchmarks on every listed system (comma-\n"
-    "         separated, e.g. spade,camflow), swept in parallel across\n"
-    "         the thread pool; appends timing CSV to\n"
-    "         <output-dir>/time.log and writes the validation table to\n"
-    "         <output-dir>/validation.txt (default output-dir:\n"
-    "         finalResult). With --shards N the sweep is partitioned\n"
-    "         across N worker processes and merged back byte-identically\n"
-    "  merge  recombine shard artifact directories (written by batch\n"
-    "         --shards N --shard-id K) into <output-dir>, reproducing\n"
-    "         the single-process sweep's time.log row order, validation\n"
-    "         table and result stores exactly; exit 0 on success, 3 when\n"
-    "         a shard is incomplete/torn (retryable — the message names\n"
-    "         the shard to re-run), 1 on structural mismatches (mixed\n"
-    "         sweep fingerprints) that no re-run can fix\n"
-    "  query  load a Datalog fact document (a regression-store save, a\n"
-    "         batch .datalog result, or any Listing 1 file), optionally\n"
-    "         add rules from a second file, and evaluate a query atom\n"
-    "         (e.g. 'reach(p0, X)'); bindings print as a table, exit 1\n"
-    "         when nothing matches\n"
-    "  gen    emit a seeded adversarial benchmark program in the textual\n"
-    "         format (stdout): file/pipe/socket churn, process and thread\n"
-    "         spawning, rename/unlink cycles, hostile identifiers, and\n"
-    "         expected-failure probes. Deterministic per options; pipe to\n"
-    "         a file and run it with 'run <system> @file.prog', or\n"
-    "         reference it directly as benchmark gen<seed>x<scale>.\n"
-    "         gen-options: --seed S (default: the global seed), --scale K\n"
-    "         (approximate target-op count, default 16), --depth D and\n"
-    "         --fan-out F (process-tree shape, default 2x2), --hostile P\n"
-    "         (hostile-identifier probability 0..1, default 0.25),\n"
-    "         --no-network, --no-memory, --no-failure-probes\n"
-    "  serve  long-lived streaming service (docs/serve.md): per-client\n"
-    "         sessions hold an incremental Datalog fixpoint fed by\n"
-    "         journaled events over an AF_UNIX socket. Bounded admission\n"
-    "         with deterministic overload shedding; every acked event is\n"
-    "         fsynced to <journal-root>/<session>/ before the ack, so\n"
-    "         SIGKILL + restart replays into bit-identical fixpoints.\n"
-    "         SIGTERM/SIGINT drain gracefully (finish queues, checkpoint,\n"
-    "         compact journals, exit 0).\n"
-    "         serve-options: --serve-workers N (apply threads, default 2),\n"
-    "         --queue-cap N (global pending budget, default 256),\n"
-    "         --session-cap N (per-session queue, default 64),\n"
-    "         --checkpoint-every N (applied events between checkpoints,\n"
-    "         default 64). --seed, --fault-spec (serve-crash /\n"
-    "         slow-client / repl-* rules) and --max-input-bytes are\n"
-    "         honoured.\n"
-    "         replication (docs/serve.md, Replication & failover):\n"
-    "         --replica-of <socket> runs this daemon as a hot standby of\n"
-    "         the primary at <socket>: it tails the primary's journal\n"
-    "         stream, fsyncs and applies every record, answers read-only\n"
-    "         queries, refuses events until promoted. --repl-mode\n"
-    "         async|sync (primary; sync holds each client ack until the\n"
-    "         standby fsynced the record, default async), --heartbeat-ms\n"
-    "         M (standby heartbeat period, default 500), --promote-after\n"
-    "         K (standby auto-promotes after K unanswered heartbeats;\n"
-    "         default 0 = only explicit promote)\n"
-    "  cluster\n"
-    "         session-sharded serve fleet (docs/serve.md, Cluster\n"
-    "         sharding): a router on <socket> proxies the feed/query\n"
-    "         protocol to N supervised member daemons, each journaling\n"
-    "         into <cluster-root>/member-K and listening on\n"
-    "         <cluster-root>/member-K.sock. Sessions map to members by\n"
-    "         stable hash, so digests are bit-identical to one unsharded\n"
-    "         daemon fed the same per-session streams. Dead or hung\n"
-    "         members (liveness heartbeats over a control pipe) are\n"
-    "         killed and restarted with seeded backoff; their sessions\n"
-    "         answer 'busy' (never dropped) until journal replay\n"
-    "         finishes. SIGTERM drains members gracefully; exit 0 on\n"
-    "         clean shutdown, 1 when the front socket cannot be bound.\n"
-    "         cluster-options: --members N (default 3), --member-window\n"
-    "         N (per-member in-flight cap, default 32), --heartbeat-ms M\n"
-    "         (member liveness period, default 200),\n"
-    "         --heartbeat-deadline-ms M (silence before a member is\n"
-    "         declared hung, default 8x heartbeat), --start-deadline-ms\n"
-    "         M (bind+replay budget, default 30000), --max-restarts K\n"
-    "         (consecutive failures before giving a member up, default\n"
-    "         -1 = forever), plus the serve-options --serve-workers,\n"
-    "         --queue-cap, --session-cap, --checkpoint-every applied to\n"
-    "         every member. --seed and --fault-spec (cluster-member-\n"
-    "         crash / member-hang / route-drop rules) are honoured.\n"
-    "  feed   stream request lines (see docs/serve.md for the grammar)\n"
-    "         from a file or stdin to a serve socket; prints one response\n"
-    "         line each. Exit 0 when everything was acked/answered, 3\n"
-    "         when any request was shed/refused, 1 on connection failure.\n"
-    "         --feed-retries N retries each shed/busy response up to N\n"
-    "         times with deterministic seeded exponential backoff (keyed\n"
-    "         by --seed, request index, attempt; default 0 = no retry)\n"
-    "  promote\n"
-    "         ask the standby daemon at <socket> to stop tailing its\n"
-    "         primary and start serving (prints 'result promoted'; a\n"
-    "         daemon that is already primary prints 'result\n"
-    "         already-primary'). Exit 0 on success, 1 on connection\n"
-    "         failure\n"
-    "\n"
-    "options:\n"
-    "  --threads N  worker threads for the parallel runtime (default:\n"
-    "               PROVMARK_THREADS env var, then hardware concurrency)\n"
-    "  --matcher-threads N\n"
-    "               workers for the deterministic parallel matcher\n"
-    "               search inside generalization/comparison (own pool,\n"
-    "               nests under --threads; default 1 = serial search;\n"
-    "               results are identical at any N)\n"
-    "  --seed S     pipeline seed (default 42); results are\n"
-    "               deterministic per seed at any thread count\n"
-    "  --shards N   (batch) partition the sweep into N shards. Without\n"
-    "               --shard-id: spawn N worker processes, wait, and\n"
-    "               merge their artifacts into <output-dir>; shards\n"
-    "               already complete under <output-dir>/shard-K/ are\n"
-    "               skipped (resume)\n"
-    "  --shard-id K (batch, with --shards) run only shard K (0-based)\n"
-    "               and write its artifacts to <output-dir>/shard-K/ —\n"
-    "               for external/cluster launch; recombine with merge\n"
-    "  --shard-retries R\n"
-    "               (batch orchestrator) extra launches allowed per\n"
-    "               shard after its first attempt crashes, fails, hangs\n"
-    "               or straggles (default 2); a shard that exhausts its\n"
-    "               budget is quarantined as shard-K.failed.<attempt>\n"
-    "               with a diagnostic and the sweep exits 1\n"
-    "  --shard-attempt A\n"
-    "               (worker, with --shard-id) this launch's attempt\n"
-    "               number; set by the orchestrator on retries, selects\n"
-    "               which --fault-spec rules arm (default 0)\n"
-    "  --fault-spec SPEC\n"
-    "               deterministic fault injection for crash-tolerance\n"
-    "               testing: ';'-joined rules of\n";
-constexpr const char* kUsageTail =
-    "               K and NAME are required, the other values shown are\n"
-    "               defaults, and events=N stalls only the first N\n"
-    "               applies; attempt=N|any picks the shard attempt or\n"
-    "               member incarnation a rule arms on (default 0, so\n"
-    "               retries run fault-free and the sweep converges);\n"
-    "               rules without shard/member arm in every process\n"
-    "               (see docs/robustness.md for the kind table)\n"
-    "  --max-input-bytes N\n"
-    "               size ceiling for parsed inputs — @file.prog programs,\n"
-    "               query documents, serve event payloads (default 64 MiB\n"
-    "               for files, 1 MiB for serve payloads; 0 disables).\n"
-    "               Oversized input is refused with a typed error before\n"
-    "               any parsing\n"
-    "  --deterministic-timings\n"
-    "               (batch) replace measured stage timings with per-cell\n"
-    "               pure-hash values so time.log is byte-reproducible\n"
-    "               across runs, shard counts and hosts (the shard\n"
-    "               identity gates run with this on)\n"
-    "  --help       this text\n"
-    "\n"
-    "systems: spade|spg, spn, opus|opu, camflow|cam, spade-camflow,\n"
-    "         audit|aud, ebpf|bpf\n"
-    "result types: rb = benchmark only, rg = + generalized graphs,\n"
-    "              rh = + HTML report (<output-dir>/index.html)\n"
-    "benchmarks: Table 1 syscall names (e.g. rename), scaleN,\n"
-    "            rename-fail, failure-case names, @file.prog,\n"
-    "            gen<seed>x<scale> (seeded adversarial programs)\n";
+int usage();
 
-std::string usage_text() {
-  return kUsageHead + util::fault::grammar("                 ") + kUsageTail;
-}
+/// A malformed command line; main prints it as one line and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
-int usage() {
-  std::fprintf(stderr, "%s", usage_text().c_str());
-  return 2;
+[[noreturn]] void fail(const std::string& what, const std::string& reason) {
+  throw UsageError(what + ": " + reason);
 }
 
 /// One-line diagnostic for a recognizable-but-wrong invocation: scripts
@@ -290,7 +123,22 @@ bench_suite::BenchmarkProgram find_program(
   return bench_suite::benchmark_by_name(name);
 }
 
-struct CliOptions {
+enum class Command {
+  Run, Batch, Merge, Query, Gen, Serve, Cluster, Feed, Promote
+};
+
+/// Everything the command line sets: the option rows (kOptions below)
+/// write into it, and each subcommand reads its part.
+struct Cli {
+  Cli() {
+    gen.seed = seed;  // gen honours the leading global --seed too
+    service.workers = 2;
+  }
+
+  std::optional<Command> command;
+  std::vector<std::string> positional;
+  bool help = false;
+  int threads = 0;  ///< --threads; 0 = the default pool
   runtime::ThreadPool* pool = nullptr;
   std::uint64_t seed = 42;
   matcher::SearchConfig matcher;
@@ -303,11 +151,15 @@ struct CliOptions {
   /// --max-input-bytes: ceiling for parsed input files (0 = unlimited;
   /// default util::kDefaultMaxInputBytes). serve payloads default
   /// tighter (1 MiB) unless this is given explicitly.
-  std::size_t max_input_bytes = util::kDefaultMaxInputBytes;
-  bool max_input_bytes_set = false;
+  std::optional<std::size_t> max_input_bytes;
+  bench_suite::GeneratorOptions gen;
+  serve::ServiceOptions service;  ///< the serve-options (serve, cluster)
+  serve::DaemonOptions daemon;    ///< serve's replication options
+  serve::ClusterOptions cluster;  ///< cluster's fleet options
+  serve::FeedOptions feed;
 };
 
-int run_single(const CliOptions& cli, const std::string& system,
+int run_single(const Cli& cli, const std::string& system,
                const std::string& benchmark, int trials) {
   core::PipelineOptions options;
   options.system = system;
@@ -316,7 +168,9 @@ int run_single(const CliOptions& cli, const std::string& system,
   options.pool = cli.pool;
   options.matcher = cli.matcher;
   core::BenchmarkResult result = core::run_benchmark(
-      find_program(benchmark, cli.max_input_bytes), options);
+      find_program(benchmark,
+                   cli.max_input_bytes.value_or(util::kDefaultMaxInputBytes)),
+      options);
   std::printf("%s\n\n", core::summarize(result).c_str());
   std::printf("%s\n", core::result_dot(result).c_str());
   std::printf("%s", datalog::to_datalog(result.result, "result").c_str());
@@ -345,7 +199,7 @@ std::string self_exe_path(const char* argv0) {
   return argv0;
 }
 
-int run_batch(const CliOptions& cli, const char* argv0,
+int run_batch(const Cli& cli, const char* argv0,
               const std::vector<std::string>& raw_args,
               const std::string& system_list,
               const std::string& result_type,
@@ -360,7 +214,7 @@ int run_batch(const CliOptions& cli, const char* argv0,
   }
   if (cli.shard_id >= 0 &&
       (cli.shards < 1 || cli.shard_id >= cli.shards)) {
-    throw std::invalid_argument("--shard-id requires 0 <= K < --shards N");
+    fail("--shard-id", "requires 0 <= K < --shards N");
   }
 
   core::ShardPlan plan = core::plan_batch(
@@ -529,50 +383,6 @@ int run_merge(const std::string& output_dir,
   return 0;
 }
 
-int run_gen(const CliOptions& cli, const std::vector<std::string>& args) {
-  bench_suite::GeneratorOptions options;
-  options.seed = cli.seed;  // the leading global --seed is honoured too
-  auto numeric = [&](std::size_t i, const char* flag) {
-    if (i + 1 >= args.size()) {
-      throw std::invalid_argument(std::string(flag) + " needs a value");
-    }
-    return args[i + 1];
-  };
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--seed") {
-      options.seed = std::stoull(numeric(i, "--seed"));
-      ++i;
-    } else if (args[i] == "--scale") {
-      options.scale = std::stoi(numeric(i, "--scale"));
-      if (options.scale < 1) {
-        throw std::invalid_argument("--scale must be >= 1");
-      }
-      ++i;
-    } else if (args[i] == "--depth") {
-      options.depth = std::stoi(numeric(i, "--depth"));
-      ++i;
-    } else if (args[i] == "--fan-out") {
-      options.fan_out = std::stoi(numeric(i, "--fan-out"));
-      ++i;
-    } else if (args[i] == "--hostile") {
-      options.hostile_probability = std::stod(numeric(i, "--hostile"));
-      ++i;
-    } else if (args[i] == "--no-network") {
-      options.network = false;
-    } else if (args[i] == "--no-memory") {
-      options.memory = false;
-    } else if (args[i] == "--no-failure-probes") {
-      options.failure_probes = false;
-    } else {
-      return bad_usage("unknown gen option '" + args[i] + "'");
-    }
-  }
-  std::printf("%s", bench_suite::format_program(
-                        bench_suite::generate_program(options))
-                        .c_str());
-  return 0;
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   if (!in.good()) {
@@ -637,372 +447,558 @@ int run_query(const std::string& facts_path, const std::string& pattern,
   return rows.empty() ? 1 : 0;
 }
 
-int run_serve(const CliOptions& cli, const std::vector<std::string>& args) {
-  if (args.size() < 2) {
-    return bad_usage(
-        "serve needs: provmark [options] serve <socket> <journal-root> "
-        "[--serve-workers N] [--queue-cap N] [--session-cap N] "
-        "[--checkpoint-every N]");
+/// Upper bound on every thread count the command line sets (--threads,
+/// --matcher-threads, --serve-workers): runtime::ThreadPool and
+/// serve::Service start as many threads as they are asked for.
+constexpr int kMaxThreads = 256;
+constexpr int kIntMax = std::numeric_limits<int>::max();
+
+struct CommandRow {
+  const char* name;
+  const char* synopsis;  ///< the usage line after "provmark "
+  std::size_t min_args;  ///< positional arguments after the name
+  std::size_t max_args;
+  const char* prose;  ///< --help description, wrapped when rendered
+};
+
+// Indexed by Command.
+constexpr CommandRow kCommands[] = {
+    {"run", "[options] run <system> <benchmark> [trials]", 2, 3,
+     "full pipeline for one benchmark on one system; prints a summary, the "
+     "result graph as DOT, and its datalog facts (exit 1 if the pipeline "
+     "fails)"},
+    {"batch", "[options] batch <systems> <rb|rg|rh> [output-dir]", 2, 3,
+     "all Table 1 benchmarks on every listed system (comma-separated, e.g. "
+     "spade,camflow), swept in parallel across the thread pool; appends "
+     "timing CSV to <output-dir>/time.log and writes the validation table to "
+     "<output-dir>/validation.txt (default output-dir: finalResult). With "
+     "--shards N the sweep is partitioned across N worker processes and "
+     "merged back byte-identically"},
+    {"merge", "merge <output-dir> <shard-dir> [<shard-dir>...]", 2,
+     std::numeric_limits<std::size_t>::max(),
+     "recombine shard artifact directories (written by batch --shards N "
+     "--shard-id K) into <output-dir>, reproducing the single-process sweep's "
+     "time.log row order, validation table and result stores exactly; exit 0 "
+     "on success, 3 when a shard is incomplete/torn (retryable — the message "
+     "names the shard to re-run), 1 on structural mismatches (mixed sweep "
+     "fingerprints) that no re-run can fix"},
+    {"query", "query <facts.datalog> <atom> [rules.datalog]", 2, 3,
+     "load a Datalog fact document (a regression-store save, a batch "
+     ".datalog result, or any Listing 1 file), optionally add rules from a "
+     "second file, and evaluate a query atom (e.g. 'reach(p0, X)'); bindings "
+     "print as a table, exit 1 when nothing matches"},
+    {"gen", "gen [--seed S] [--scale K] [gen-options]", 0, 0,
+     "emit a seeded adversarial benchmark program in the textual format "
+     "(stdout): file/pipe/socket churn, process and thread spawning, "
+     "rename/unlink cycles, hostile identifiers, and expected-failure probes. "
+     "Deterministic per options; pipe to a file and run it with 'run <system> "
+     "@file.prog', or reference it directly as benchmark gen<seed>x<scale>"},
+    {"serve", "[options] serve <socket> <journal-root> [serve-options]", 2, 2,
+     "long-lived streaming service (docs/serve.md): per-client sessions hold "
+     "an incremental Datalog fixpoint fed by journaled events over an AF_UNIX "
+     "socket. Bounded admission with deterministic overload shedding; every "
+     "acked event is fsynced to <journal-root>/<session>/ before the ack, so "
+     "SIGKILL + restart replays into bit-identical fixpoints. SIGTERM/SIGINT "
+     "drain gracefully (finish queues, checkpoint, compact journals, exit 0). "
+     "With --replica-of the daemon is a hot standby until promoted "
+     "(docs/serve.md, Replication & failover). --seed, --fault-spec "
+     "(serve-crash / slow-client / repl-* rules) and --max-input-bytes are "
+     "honoured"},
+    {"cluster", "[options] cluster <socket> <cluster-root> [cluster-options]",
+     2, 2,
+     "session-sharded serve fleet (docs/serve.md, Cluster sharding): a router "
+     "on <socket> proxies the feed/query protocol to N supervised member "
+     "daemons, each journaling into <cluster-root>/member-K and listening on "
+     "<cluster-root>/member-K.sock. Sessions map to members by stable hash, "
+     "so digests are bit-identical to one unsharded daemon fed the same "
+     "per-session streams. Dead or hung members (liveness heartbeats over a "
+     "control pipe) are killed and restarted with seeded backoff; their "
+     "sessions answer 'busy' (never dropped) until journal replay finishes. "
+     "SIGTERM drains members gracefully; exit 0 on clean shutdown, 1 when the "
+     "front socket cannot be bound. The serve-options apply to every member; "
+     "--seed and --fault-spec (cluster-member-crash / member-hang / "
+     "route-drop rules) are honoured"},
+    {"feed", "feed <socket> [request-file] [--feed-retries N]", 1, 2,
+     "stream request lines (see docs/serve.md for the grammar) from a file or "
+     "stdin to a serve socket; prints one response line each. Exit 0 when "
+     "everything was acked/answered, 3 when any request was shed/refused, 1 "
+     "on connection failure"},
+    {"promote", "promote <socket>", 1, 1,
+     "ask the standby daemon at <socket> to stop tailing its primary and "
+     "start serving (prints 'result promoted'; a daemon that is already "
+     "primary prints 'result already-primary'). Exit 0 on success, 1 on "
+     "connection failure"},
+};
+
+enum class Kind { Switch, Int, Unsigned, Probability, String, Enum };
+
+/// An option's value, converted according to its row's kind.
+struct Value {
+  int integer = 0;          ///< Int
+  std::uint64_t count = 0;  ///< Unsigned
+  double probability = 0;   ///< Probability
+  std::string text;         ///< String, Enum
+};
+
+/// Where an option is accepted: before the subcommand (kGlobal), or
+/// after the name of each subcommand in the set.
+constexpr unsigned kGlobal = 1;
+constexpr unsigned after(Command command) {
+  return 2u << static_cast<int>(command);
+}
+constexpr unsigned kGen = after(Command::Gen);
+constexpr unsigned kServe = after(Command::Serve);
+constexpr unsigned kCluster = after(Command::Cluster);
+constexpr unsigned kFeed = after(Command::Feed);
+
+struct OptionRow {
+  const char* flag;
+  unsigned scope;
+  Kind kind;
+  const char* metavar;  ///< value placeholder; an Enum's '|'-joined choices
+  int min;              ///< Int range
+  int max;
+  void (*apply)(Cli&, const Value&);
+  const char* help;  ///< wrapped when rendered
+};
+
+// The one option table. Rows sharing a flag have disjoint scopes.
+const OptionRow kOptions[] = {
+    {"--threads", kGlobal, Kind::Int, "N", 1, kMaxThreads,
+     [](Cli& v, const Value& x) { v.threads = x.integer; },
+     "worker threads for the parallel runtime (default: PROVMARK_THREADS env "
+     "var, then hardware concurrency; at most 256)"},
+    {"--matcher-threads", kGlobal, Kind::Int, "N", 1, kMaxThreads,
+     [](Cli& v, const Value& x) { v.matcher.threads = x.integer; },
+     "workers for the deterministic parallel matcher search inside "
+     "generalization/comparison (own pool, nests under --threads; default 1 = "
+     "serial search, at most 256; results are identical at any N)"},
+    {"--seed", kGlobal, Kind::Unsigned, "S", 0, 0,
+     [](Cli& v, const Value& x) { v.seed = v.gen.seed = x.count; },
+     "pipeline seed (default 42); results are deterministic per seed at any "
+     "thread count"},
+    {"--shards", kGlobal, Kind::Int, "N", 1, kIntMax,
+     [](Cli& v, const Value& x) { v.shards = x.integer; },
+     "(batch) partition the sweep into N shards. Without --shard-id: spawn N "
+     "worker processes, wait, and merge their artifacts into <output-dir>; "
+     "shards already complete under <output-dir>/shard-K/ are skipped "
+     "(resume)"},
+    {"--shard-id", kGlobal, Kind::Int, "K", 0, kIntMax,
+     [](Cli& v, const Value& x) { v.shard_id = x.integer; },
+     "(batch, with --shards) run only shard K (0-based) and write its "
+     "artifacts to <output-dir>/shard-K/ — for external/cluster launch; "
+     "recombine with merge"},
+    {"--shard-retries", kGlobal, Kind::Int, "R", 0, kIntMax,
+     [](Cli& v, const Value& x) { v.shard_retries = x.integer; },
+     "(batch orchestrator) extra launches allowed per shard after its first "
+     "attempt crashes, fails, hangs or straggles (default 2); a shard that "
+     "exhausts its budget is quarantined as shard-K.failed.<attempt> with a "
+     "diagnostic and the sweep exits 1"},
+    {"--shard-attempt", kGlobal, Kind::Int, "A", 0, kIntMax,
+     [](Cli& v, const Value& x) { v.shard_attempt = x.integer; },
+     "(worker, with --shard-id) this launch's attempt number; set by the "
+     "orchestrator on retries, selects which --fault-spec rules arm (default "
+     "0)"},
+    {"--fault-spec", kGlobal, Kind::String, "SPEC", 0, 0,
+     [](Cli& v, const Value& x) {
+       // Parse eagerly so a malformed spec fails before any work runs.
+       util::fault::parse_fault_spec(x.text);
+       v.fault_spec = x.text;
+     },
+     "deterministic fault injection for crash-tolerance testing: ';'-joined "
+     "rules. K and NAME are required, the other values shown are defaults, "
+     "and events=N stalls only the first N applies; attempt=N|any picks the "
+     "shard attempt or member incarnation a rule arms on (default 0, so "
+     "retries run fault-free and the sweep converges); rules without "
+     "shard/member arm in every process (see docs/robustness.md for the kind "
+     "table). The rules:"},
+    {"--max-input-bytes", kGlobal, Kind::Unsigned, "N", 0, 0,
+     [](Cli& v, const Value& x) { v.max_input_bytes = x.count; },
+     "size ceiling for parsed inputs — @file.prog programs, query documents, "
+     "serve event payloads (default 64 MiB for files, 1 MiB for serve "
+     "payloads; 0 disables). Oversized input is refused with a typed error "
+     "before any parsing"},
+    {"--deterministic-timings", kGlobal, Kind::Switch, "", 0, 0,
+     [](Cli& v, const Value&) { v.deterministic_timings = true; },
+     "(batch) replace measured stage timings with per-cell pure-hash values "
+     "so time.log is byte-reproducible across runs, shard counts and hosts "
+     "(the shard identity gates run with this on)"},
+    {"--help", kGlobal, Kind::Switch, "", 0, 0,
+     [](Cli& v, const Value&) { v.help = true; }, "this text"},
+
+    {"--seed", kGen, Kind::Unsigned, "S", 0, 0,
+     [](Cli& v, const Value& x) { v.gen.seed = x.count; },
+     "program seed (default: the global --seed)"},
+    {"--scale", kGen, Kind::Int, "K", 1, kIntMax,
+     [](Cli& v, const Value& x) { v.gen.scale = x.integer; },
+     "approximate target-op count (default 16)"},
+    {"--depth", kGen, Kind::Int, "D", 0, kIntMax,
+     [](Cli& v, const Value& x) { v.gen.depth = x.integer; },
+     "process-tree depth (default 2)"},
+    {"--fan-out", kGen, Kind::Int, "F", 0, kIntMax,
+     [](Cli& v, const Value& x) { v.gen.fan_out = x.integer; },
+     "spawns per process-tree level (default 2)"},
+    {"--hostile", kGen, Kind::Probability, "P", 0, 0,
+     [](Cli& v, const Value& x) { v.gen.hostile_probability = x.probability; },
+     "hostile-identifier probability, 0..1 (default 0.25)"},
+    {"--no-network", kGen, Kind::Switch, "", 0, 0,
+     [](Cli& v, const Value&) { v.gen.network = false; },
+     "leave out socket ops"},
+    {"--no-memory", kGen, Kind::Switch, "", 0, 0,
+     [](Cli& v, const Value&) { v.gen.memory = false; },
+     "leave out mmap ops"},
+    {"--no-failure-probes", kGen, Kind::Switch, "", 0, 0,
+     [](Cli& v, const Value&) { v.gen.failure_probes = false; },
+     "leave out expected-failure probes"},
+
+    {"--serve-workers", kServe | kCluster, Kind::Int, "N", 0, kMaxThreads,
+     [](Cli& v, const Value& x) { v.service.workers = x.integer; },
+     "apply threads (default 2, at most 256)"},
+    {"--queue-cap", kServe | kCluster, Kind::Unsigned, "N", 0, 0,
+     [](Cli& v, const Value& x) { v.service.global_queue_cap = x.count; },
+     "global pending budget (default 256)"},
+    {"--session-cap", kServe | kCluster, Kind::Unsigned, "N", 0, 0,
+     [](Cli& v, const Value& x) { v.service.session_queue_cap = x.count; },
+     "per-session queue (default 64)"},
+    {"--checkpoint-every", kServe | kCluster, Kind::Unsigned, "N", 0, 0,
+     [](Cli& v, const Value& x) { v.service.checkpoint_every = x.count; },
+     "applied events between checkpoints (default 64)"},
+    {"--replica-of", kServe, Kind::String, "SOCKET", 0, 0,
+     [](Cli& v, const Value& x) { v.daemon.replica_of = x.text; },
+     "run as a hot standby of the primary at SOCKET: tail its journal "
+     "stream, fsync and apply every record, answer read-only queries, refuse "
+     "events until promoted"},
+    {"--repl-mode", kServe, Kind::Enum, "async|sync", 0, 0,
+     [](Cli& v, const Value& x) { v.daemon.repl_sync = x.text == "sync"; },
+     "(primary) sync holds each client ack until the standby fsynced the "
+     "record (default async)"},
+    {"--heartbeat-ms", kServe, Kind::Int, "M", 1, kIntMax,
+     [](Cli& v, const Value& x) { v.daemon.heartbeat_ms = x.integer; },
+     "(standby) heartbeat period (default 500)"},
+    {"--promote-after", kServe, Kind::Int, "K", 0, kIntMax,
+     [](Cli& v, const Value& x) { v.daemon.promote_after_missed = x.integer; },
+     "(standby) auto-promote after K unanswered heartbeats (default 0 = only "
+     "explicit promote)"},
+
+    {"--members", kCluster, Kind::Int, "N", 1, kIntMax,
+     [](Cli& v, const Value& x) { v.cluster.members = x.integer; },
+     "member daemons (default 3)"},
+    {"--member-window", kCluster, Kind::Int, "N", 1, kIntMax,
+     [](Cli& v, const Value& x) { v.cluster.member_window = x.integer; },
+     "per-member in-flight cap (default 32)"},
+    {"--heartbeat-ms", kCluster, Kind::Int, "M", 1, kIntMax,
+     [](Cli& v, const Value& x) { v.cluster.heartbeat_ms = x.integer; },
+     "member liveness period (default 200)"},
+    {"--heartbeat-deadline-ms", kCluster, Kind::Int, "M", 0, kIntMax,
+     [](Cli& v, const Value& x) {
+       v.cluster.heartbeat_deadline_ms = x.integer;
+     },
+     "silence before a member is declared hung (default 0 = 8x heartbeat)"},
+    {"--start-deadline-ms", kCluster, Kind::Int, "M", 1, kIntMax,
+     [](Cli& v, const Value& x) { v.cluster.start_deadline_ms = x.integer; },
+     "bind+replay budget (default 30000)"},
+    {"--max-restarts", kCluster, Kind::Int, "K", -1, kIntMax,
+     [](Cli& v, const Value& x) { v.cluster.max_restarts = x.integer; },
+     "consecutive failures before giving a member up (default -1 = forever)"},
+
+    {"--feed-retries", kFeed, Kind::Int, "N", 0, kIntMax,
+     [](Cli& v, const Value& x) { v.feed.retries = x.integer; },
+     "retry each shed/busy response up to N times with deterministic seeded "
+     "exponential backoff (keyed by --seed, request index, attempt; default 0 "
+     "= no retry)"},
+};
+
+/// `label` after a two-space margin, then `text` word-wrapped to 72
+/// columns, every line of it starting at `column` (the first on the
+/// label's line when the label ends before `column`).
+std::string hanging(const std::string& label, const char* text,
+                    std::size_t column) {
+  constexpr std::size_t kWidth = 72;
+  std::string out = "  " + label;
+  std::size_t line = out.size();
+  if (line >= column) {
+    out += '\n';
+    line = 0;
   }
-  serve::DaemonOptions options;
-  options.socket_path = args[0];
-  options.service.root = args[1];
-  options.service.seed = cli.seed;
-  options.service.workers = 2;
-  options.service.pipeline.matcher = cli.matcher;
-  options.service.pipeline.pool = nullptr;  // sessions use serial pools
-  if (cli.max_input_bytes_set) {
-    options.service.max_payload_bytes = cli.max_input_bytes;
-  }
-  auto positive = [&](std::size_t i, const char* flag) {
-    if (i + 1 >= args.size()) {
-      throw std::invalid_argument(std::string(flag) + " needs a value");
+  for (const std::string& word : util::split_nonempty(text, ' ')) {
+    if (line > column && line + 1 + word.size() > kWidth) {
+      out += '\n';
+      line = 0;
     }
-    long long value = std::stoll(args[i + 1]);
-    if (value < 0) {
-      throw std::invalid_argument(std::string(flag) + " must be >= 0");
-    }
-    return static_cast<std::uint64_t>(value);
-  };
-  for (std::size_t i = 2; i < args.size(); ++i) {
-    if (args[i] == "--serve-workers") {
-      options.service.workers = static_cast<int>(positive(i, args[i].c_str()));
-      ++i;
-    } else if (args[i] == "--queue-cap") {
-      options.service.global_queue_cap = positive(i, args[i].c_str());
-      ++i;
-    } else if (args[i] == "--session-cap") {
-      options.service.session_queue_cap = positive(i, args[i].c_str());
-      ++i;
-    } else if (args[i] == "--checkpoint-every") {
-      options.service.checkpoint_every = positive(i, args[i].c_str());
-      ++i;
-    } else if (args[i] == "--replica-of") {
-      if (i + 1 >= args.size()) {
-        return bad_usage("--replica-of needs the primary's socket path");
-      }
-      options.replica_of = args[i + 1];
-      ++i;
-    } else if (args[i] == "--repl-mode") {
-      if (i + 1 >= args.size() ||
-          (args[i + 1] != "async" && args[i + 1] != "sync")) {
-        return bad_usage("--repl-mode needs 'async' or 'sync'");
-      }
-      options.repl_sync = args[i + 1] == "sync";
-      ++i;
-    } else if (args[i] == "--heartbeat-ms") {
-      options.heartbeat_ms =
-          static_cast<double>(positive(i, args[i].c_str()));
-      if (options.heartbeat_ms <= 0) {
-        return bad_usage("--heartbeat-ms must be > 0");
-      }
-      ++i;
-    } else if (args[i] == "--promote-after") {
-      options.promote_after_missed =
-          static_cast<int>(positive(i, args[i].c_str()));
-      ++i;
-    } else {
-      return bad_usage("unknown serve option '" + args[i] + "'");
-    }
+    const std::size_t pad = line < column ? column - line : 1;
+    out.append(pad, ' ').append(word);
+    line += pad + word.size();
   }
-  if (!cli.fault_spec.empty()) {
-    // Serve-side rules (serve-crash, slow-client) arm regardless of the
-    // (shard, attempt) pair; shard rules stay dormant in the daemon.
-    util::fault::arm(util::fault::parse_fault_spec(cli.fault_spec), 0, 0);
-  }
-  return serve::run_daemon(options);
+  return out + '\n';
 }
 
-int run_cluster_command(const CliOptions& cli,
-                        const std::vector<std::string>& args) {
-  if (args.size() < 2) {
-    return bad_usage(
-        "cluster needs: provmark [options] cluster <socket> <cluster-root> "
-        "[--members N] [--member-window N] [--heartbeat-ms M] "
-        "[--heartbeat-deadline-ms M] [--start-deadline-ms M] "
-        "[--max-restarts K] [serve-options]");
-  }
-  serve::ClusterOptions options;
-  options.socket_path = args[0];
-  options.root = args[1];
-  options.service.seed = cli.seed;
-  options.service.workers = 2;
-  options.service.pipeline.matcher = cli.matcher;
-  options.service.pipeline.pool = nullptr;  // members use serial pools
-  options.fault_spec = cli.fault_spec;
-  if (cli.max_input_bytes_set) {
-    options.service.max_payload_bytes = cli.max_input_bytes;
-  }
-  auto positive = [&](std::size_t i, const char* flag) {
-    if (i + 1 >= args.size()) {
-      throw std::invalid_argument(std::string(flag) + " needs a value");
-    }
-    long long value = std::stoll(args[i + 1]);
-    if (value < 0) {
-      throw std::invalid_argument(std::string(flag) + " must be >= 0");
-    }
-    return static_cast<std::uint64_t>(value);
-  };
-  for (std::size_t i = 2; i < args.size(); ++i) {
-    if (args[i] == "--members") {
-      options.members = static_cast<int>(positive(i, args[i].c_str()));
-      if (options.members < 1) {
-        return bad_usage("--members must be >= 1");
-      }
-      ++i;
-    } else if (args[i] == "--member-window") {
-      options.member_window = static_cast<int>(positive(i, args[i].c_str()));
-      if (options.member_window < 1) {
-        return bad_usage("--member-window must be >= 1");
-      }
-      ++i;
-    } else if (args[i] == "--heartbeat-ms") {
-      options.heartbeat_ms =
-          static_cast<double>(positive(i, args[i].c_str()));
-      if (options.heartbeat_ms <= 0) {
-        return bad_usage("--heartbeat-ms must be > 0");
-      }
-      ++i;
-    } else if (args[i] == "--heartbeat-deadline-ms") {
-      options.heartbeat_deadline_ms =
-          static_cast<double>(positive(i, args[i].c_str()));
-      ++i;
-    } else if (args[i] == "--start-deadline-ms") {
-      options.start_deadline_ms =
-          static_cast<double>(positive(i, args[i].c_str()));
-      if (options.start_deadline_ms <= 0) {
-        return bad_usage("--start-deadline-ms must be > 0");
-      }
-      ++i;
-    } else if (args[i] == "--max-restarts") {
-      if (i + 1 >= args.size()) {
-        return bad_usage("--max-restarts needs a value");
-      }
-      options.max_restarts = std::stoi(args[i + 1]);
-      ++i;
-    } else if (args[i] == "--serve-workers") {
-      options.service.workers = static_cast<int>(positive(i, args[i].c_str()));
-      ++i;
-    } else if (args[i] == "--queue-cap") {
-      options.service.global_queue_cap = positive(i, args[i].c_str());
-      ++i;
-    } else if (args[i] == "--session-cap") {
-      options.service.session_queue_cap = positive(i, args[i].c_str());
-      ++i;
-    } else if (args[i] == "--checkpoint-every") {
-      options.service.checkpoint_every = positive(i, args[i].c_str());
-      ++i;
-    } else {
-      return bad_usage("unknown cluster option '" + args[i] + "'");
+/// The rows accepted in `scope` under `title`; "" when there are none.
+std::string options_section(const std::string& title, unsigned scope) {
+  constexpr std::size_t kColumn = 15;
+  std::string out;
+  for (const OptionRow& row : kOptions) {
+    if ((row.scope & scope) == 0) continue;
+    std::string label = row.flag;
+    if (row.kind != Kind::Switch) label += std::string(" ") + row.metavar;
+    out += hanging(label, row.help, kColumn);
+    if (row.flag == std::string_view("--fault-spec")) {
+      out += util::fault::grammar(std::string(kColumn + 2, ' '));
     }
   }
-  if (!cli.fault_spec.empty()) {
-    // Router-side rules (route-drop) arm here; member-targeted rules
-    // stay dormant in the router and re-arm inside each member child
-    // with its own (member, incarnation) coordinates.
-    util::fault::arm(util::fault::parse_fault_spec(cli.fault_spec), -1, -1);
-  }
-  return serve::run_cluster(options);
+  return out.empty() ? out : "\n" + title + ":\n" + out;
 }
 
-int run_feed_command(const CliOptions& cli,
-                     const std::vector<std::string>& args) {
-  serve::FeedOptions feed;
-  feed.seed = cli.seed;
-  std::vector<std::string> positional;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--feed-retries") {
-      if (i + 1 >= args.size()) {
-        return bad_usage("--feed-retries needs a value");
-      }
-      feed.retries = std::stoi(args[i + 1]);
-      if (feed.retries < 0) {
-        return bad_usage("--feed-retries must be >= 0");
-      }
-      ++i;
-    } else {
-      positional.push_back(args[i]);
-    }
+std::string usage_text() {
+  std::string out = "usage:\n";
+  for (const CommandRow& command : kCommands) {
+    out += std::string("  provmark ") + command.synopsis + '\n';
   }
-  if (positional.empty() || positional.size() > 2) {
-    return bad_usage(
-        "feed needs: provmark feed <socket> [request-file] "
-        "[--feed-retries N]");
+  out += "  provmark --help\n\nsubcommands:\n";
+  for (const CommandRow& command : kCommands) {
+    out += hanging(command.name, command.prose, 9);
   }
-  if (positional.size() == 2) {
-    std::ifstream in(positional[1]);
-    if (!in.good()) {
-      throw std::runtime_error("cannot read request file " + positional[1]);
-    }
-    return serve::run_feed(positional[0], in, std::cout, feed);
+  out += options_section("options", kGlobal);
+  for (std::size_t c = 0; c < std::size(kCommands); ++c) {
+    out += options_section(std::string(kCommands[c].name) + "-options",
+                           after(Command(c)));
   }
-  return serve::run_feed(positional[0], std::cin, std::cout, feed);
+  return out +
+         "\n"
+         "systems: spade|spg, spn, opus|opu, camflow|cam, spade-camflow,\n"
+         "         audit|aud, ebpf|bpf\n"
+         "result types: rb = benchmark only, rg = + generalized graphs,\n"
+         "              rh = + HTML report (<output-dir>/index.html)\n"
+         "benchmarks: Table 1 syscall names (e.g. rename), scaleN,\n"
+         "            rename-fail, failure-case names, @file.prog,\n"
+         "            gen<seed>x<scale> (seeded adversarial programs)\n";
 }
 
-int run_promote(const std::vector<std::string>& args) {
-  if (args.size() != 1) {
-    return bad_usage("promote needs: provmark promote <socket>");
+int usage() {
+  std::fprintf(stderr, "%s", usage_text().c_str());
+  return 2;
+}
+
+template <typename Number>
+bool parse_number(const std::string& text, Number& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc() && stop == end;
+}
+
+int read_int(const std::string& what, const std::string& text, int min,
+             int max) {
+  int value = 0;
+  if (!parse_number(text, value) || value < min || value > max) {
+    fail(what, "expects an integer " +
+                   (max == kIntMax
+                        ? ">= " + std::to_string(min)
+                        : "in [" + std::to_string(min) + ", " +
+                              std::to_string(max) + "]") +
+                   ", got '" + text + "'");
   }
-  std::istringstream in("promote\n");
-  return serve::run_feed(args[0], in, std::cout);
+  return value;
+}
+
+Value read_value(const OptionRow& row, const std::string& text) {
+  Value value;
+  value.text = text;
+  switch (row.kind) {
+    case Kind::Int:
+      value.integer = read_int(row.flag, text, row.min, row.max);
+      break;
+    case Kind::Unsigned:
+      if (!parse_number(text, value.count)) {
+        fail(row.flag, "expects an unsigned integer, got '" + text + "'");
+      }
+      break;
+    case Kind::Probability:
+      if (!parse_number(text, value.probability) ||
+          !(value.probability >= 0 && value.probability <= 1)) {
+        fail(row.flag, "expects a probability in [0, 1], got '" + text + "'");
+      }
+      break;
+    case Kind::Enum:
+      if (("|" + std::string(row.metavar) + "|").find("|" + text + "|") ==
+          std::string::npos) {
+        fail(row.flag, std::string("expects ") + row.metavar + ", got '" +
+                           text + "'");
+      }
+      break;
+    case Kind::Switch:
+    case Kind::String:
+      break;
+  }
+  return value;
+}
+
+/// Check `args` against the option table and the command table. Options
+/// before the subcommand are the kGlobal rows; after it, the rows of
+/// that subcommand, mixed freely with its positional arguments. Stops
+/// at --help.
+Cli parse_command_line(const std::vector<std::string>& args) {
+  Cli cli;
+  unsigned scope = kGlobal;
+  for (std::size_t i = 0; i < args.size() && !cli.help; ++i) {
+    const std::string& arg = args[i];
+    if (arg.rfind("--", 0) != 0) {
+      if (cli.command) {
+        cli.positional.push_back(arg);
+        continue;
+      }
+      for (std::size_t c = 0; c < std::size(kCommands); ++c) {
+        if (arg == kCommands[c].name) cli.command = Command(c);
+      }
+      if (!cli.command) fail(arg, "unknown subcommand");
+      scope = after(*cli.command);
+      continue;
+    }
+    const OptionRow* row = nullptr;
+    for (const OptionRow& candidate : kOptions) {
+      if (arg == candidate.flag && (candidate.scope & scope)) row = &candidate;
+    }
+    if (row == nullptr) {
+      fail(arg, cli.command ? std::string("unknown option after '") +
+                                  kCommands[int(*cli.command)].name + "'"
+                            : "unknown option before the subcommand");
+    }
+    Value value;
+    if (row->kind != Kind::Switch) {
+      if (i + 1 == args.size()) {
+        fail(arg, std::string("needs a value (") + row->metavar + ")");
+      }
+      value = read_value(*row, args[++i]);
+    }
+    try {
+      row->apply(cli, value);
+    } catch (const std::invalid_argument& e) {
+      fail(arg, e.what());
+    }
+  }
+  return cli;
+}
+
+/// The serve-options as every daemon of this invocation runs them.
+serve::ServiceOptions service_options(const Cli& cli) {
+  serve::ServiceOptions service = cli.service;
+  service.seed = cli.seed;
+  service.pipeline.matcher = cli.matcher;
+  service.pipeline.pool = nullptr;  // sessions use serial pools
+  if (cli.max_input_bytes) service.max_payload_bytes = *cli.max_input_bytes;
+  return service;
+}
+
+int run_command(Cli& cli, const char* argv0,
+                const std::vector<std::string>& raw_args) {
+  const CommandRow& row = kCommands[int(*cli.command)];
+  const std::vector<std::string>& args = cli.positional;
+  if (args.size() < row.min_args || args.size() > row.max_args) {
+    return bad_usage(std::string(row.name) + " needs: provmark " +
+                     row.synopsis);
+  }
+  if (cli.command == Command::Batch && args[1] != "rb" && args[1] != "rg" &&
+      args[1] != "rh") {
+    return bad_usage("unknown result type '" + args[1] + "' (rb | rg | rh)");
+  }
+
+  // Pools start only once the whole command line is valid.
+  std::unique_ptr<runtime::ThreadPool> owned_pool;
+  std::unique_ptr<runtime::ThreadPool> matcher_pool;
+  if (cli.threads > 0) {
+    owned_pool = std::make_unique<runtime::ThreadPool>(cli.threads);
+    cli.pool = owned_pool.get();
+  }
+  if (cli.matcher.threads > 1) {
+    // A dedicated pool: the matcher search nests inside pipeline
+    // workers, and a loop on a *different* pool fans out instead of
+    // running inline (see runtime/thread_pool.h nesting rules).
+    matcher_pool = std::make_unique<runtime::ThreadPool>(cli.matcher.threads);
+    cli.matcher.pool = matcher_pool.get();
+  }
+
+  const std::size_t max_bytes =
+      cli.max_input_bytes.value_or(util::kDefaultMaxInputBytes);
+  switch (*cli.command) {
+    case Command::Run:
+      return run_single(
+          cli, args[0], args[1],
+          args.size() == 3 ? read_int("trials", args[2], 0, kIntMax) : 0);
+    case Command::Batch:
+      return run_batch(cli, argv0, raw_args, args[0], args[1],
+                       args.size() == 3 ? args[2] : "finalResult");
+    case Command::Merge:
+      return run_merge(args[0],
+                       std::vector<std::string>(args.begin() + 1, args.end()));
+    case Command::Query:
+      return run_query(args[0], args[1], args.size() == 3 ? args[2] : "",
+                       max_bytes);
+    case Command::Gen:
+      std::printf("%s", bench_suite::format_program(
+                            bench_suite::generate_program(cli.gen))
+                            .c_str());
+      return 0;
+    case Command::Serve: {
+      serve::DaemonOptions& options = cli.daemon;
+      options.socket_path = args[0];
+      options.service = service_options(cli);
+      options.service.root = args[1];
+      if (!cli.fault_spec.empty()) {
+        // Serve-side rules (serve-crash, slow-client) arm regardless of
+        // the (shard, attempt) pair; shard rules stay dormant in the
+        // daemon.
+        util::fault::arm(util::fault::parse_fault_spec(cli.fault_spec), 0,
+                         0);
+      }
+      return serve::run_daemon(options);
+    }
+    case Command::Cluster: {
+      serve::ClusterOptions& options = cli.cluster;
+      options.socket_path = args[0];
+      options.root = args[1];
+      options.service = service_options(cli);
+      options.fault_spec = cli.fault_spec;
+      if (!cli.fault_spec.empty()) {
+        // Router-side rules (route-drop) arm here; member-targeted rules
+        // stay dormant in the router and re-arm inside each member child
+        // with its own (member, incarnation) coordinates.
+        util::fault::arm(util::fault::parse_fault_spec(cli.fault_spec), -1,
+                         -1);
+      }
+      return serve::run_cluster(options);
+    }
+    case Command::Feed: {
+      cli.feed.seed = cli.seed;
+      if (args.size() == 2) {
+        std::ifstream in(args[1]);
+        if (!in.good()) {
+          throw std::runtime_error("cannot read request file " + args[1]);
+        }
+        return serve::run_feed(args[0], in, std::cout, cli.feed);
+      }
+      return serve::run_feed(args[0], std::cin, std::cout, cli.feed);
+    }
+    case Command::Promote: {
+      std::istringstream in("promote\n");
+      return serve::run_feed(args[0], in, std::cout);
+    }
+  }
+  return usage();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
   // The untouched invocation, for re-execing shard workers verbatim.
-  const std::vector<std::string> raw_args = args;
-
-  CliOptions cli;
-  std::unique_ptr<runtime::ThreadPool> owned_pool;
-  std::unique_ptr<runtime::ThreadPool> matcher_pool;
-  // Peel leading options off before the subcommand.
+  const std::vector<std::string> raw_args(argv + 1, argv + argc);
   try {
-    while (!args.empty() && args[0].rfind("--", 0) == 0) {
-      if (args[0] == "--help") {
-        std::printf("%s", usage_text().c_str());
-        return 0;
-      }
-      if (args[0] == "--threads" && args.size() >= 2) {
-        owned_pool = std::make_unique<runtime::ThreadPool>(
-            std::stoi(args[1]));
-        cli.pool = owned_pool.get();
-        args.erase(args.begin(), args.begin() + 2);
-        continue;
-      }
-      if (args[0] == "--shards" && args.size() >= 2) {
-        cli.shards = std::stoi(args[1]);
-        if (cli.shards < 1) {
-          throw std::invalid_argument("--shards must be >= 1");
-        }
-        args.erase(args.begin(), args.begin() + 2);
-        continue;
-      }
-      if (args[0] == "--shard-id" && args.size() >= 2) {
-        cli.shard_id = std::stoi(args[1]);
-        if (cli.shard_id < 0) {
-          throw std::invalid_argument("--shard-id must be >= 0");
-        }
-        args.erase(args.begin(), args.begin() + 2);
-        continue;
-      }
-      if (args[0] == "--shard-retries" && args.size() >= 2) {
-        cli.shard_retries = std::stoi(args[1]);
-        if (cli.shard_retries < 0) {
-          throw std::invalid_argument("--shard-retries must be >= 0");
-        }
-        args.erase(args.begin(), args.begin() + 2);
-        continue;
-      }
-      if (args[0] == "--shard-attempt" && args.size() >= 2) {
-        cli.shard_attempt = std::stoi(args[1]);
-        if (cli.shard_attempt < 0) {
-          throw std::invalid_argument("--shard-attempt must be >= 0");
-        }
-        args.erase(args.begin(), args.begin() + 2);
-        continue;
-      }
-      if (args[0] == "--fault-spec" && args.size() >= 2) {
-        // Parse eagerly so a malformed spec fails before any work runs.
-        util::fault::parse_fault_spec(args[1]);
-        cli.fault_spec = args[1];
-        args.erase(args.begin(), args.begin() + 2);
-        continue;
-      }
-      if (args[0] == "--deterministic-timings") {
-        cli.deterministic_timings = true;
-        args.erase(args.begin());
-        continue;
-      }
-      if (args[0] == "--matcher-threads" && args.size() >= 2) {
-        // A dedicated pool: the matcher search nests inside pipeline
-        // workers, and a loop on a *different* pool fans out instead of
-        // running inline (see runtime/thread_pool.h nesting rules).
-        cli.matcher.threads = std::stoi(args[1]);
-        if (cli.matcher.threads > 1) {
-          matcher_pool =
-              std::make_unique<runtime::ThreadPool>(cli.matcher.threads);
-          cli.matcher.pool = matcher_pool.get();
-        }
-        args.erase(args.begin(), args.begin() + 2);
-        continue;
-      }
-      if (args[0] == "--seed" && args.size() >= 2) {
-        cli.seed = std::stoull(args[1]);
-        args.erase(args.begin(), args.begin() + 2);
-        continue;
-      }
-      if (args[0] == "--max-input-bytes" && args.size() >= 2) {
-        cli.max_input_bytes = std::stoull(args[1]);
-        cli.max_input_bytes_set = true;
-        args.erase(args.begin(), args.begin() + 2);
-        continue;
-      }
-      return bad_usage("unknown option '" + args[0] + "'");
+    Cli cli = parse_command_line(raw_args);
+    if (cli.help) {
+      std::printf("%s", usage_text().c_str());
+      return 0;
     }
-    if (args.empty()) return usage();
-    if (args[0] == "run") {
-      if (args.size() != 3 && args.size() != 4) {
-        return bad_usage(
-            "run needs: provmark [options] run <system> <benchmark> "
-            "[trials]");
-      }
-      return run_single(cli, args[1], args[2],
-                        args.size() == 4 ? std::stoi(args[3]) : 0);
-    }
-    if (args[0] == "batch") {
-      if (args.size() != 3 && args.size() != 4) {
-        return bad_usage(
-            "batch needs: provmark [options] batch <systems> <rb|rg|rh> "
-            "[output-dir]");
-      }
-      if (args[2] != "rb" && args[2] != "rg" && args[2] != "rh") {
-        return bad_usage("unknown result type '" + args[2] +
-                         "' (rb | rg | rh)");
-      }
-      return run_batch(cli, argv[0], raw_args, args[1], args[2],
-                       args.size() == 4 ? args[3] : "finalResult");
-    }
-    if (args[0] == "merge") {
-      if (args.size() < 3) {
-        return bad_usage(
-            "merge needs: provmark merge <output-dir> <shard-dir> "
-            "[<shard-dir>...]");
-      }
-      return run_merge(args[1], std::vector<std::string>(args.begin() + 2,
-                                                         args.end()));
-    }
-    if (args[0] == "query") {
-      if (args.size() != 3 && args.size() != 4) {
-        return bad_usage(
-            "query needs: provmark query <facts.datalog> <atom> "
-            "[rules.datalog]");
-      }
-      return run_query(args[1], args[2], args.size() == 4 ? args[3] : "",
-                       cli.max_input_bytes);
-    }
-    if (args[0] == "gen") {
-      return run_gen(cli, std::vector<std::string>(args.begin() + 1,
-                                                   args.end()));
-    }
-    if (args[0] == "serve") {
-      return run_serve(cli, std::vector<std::string>(args.begin() + 1,
-                                                     args.end()));
-    }
-    if (args[0] == "cluster") {
-      return run_cluster_command(
-          cli, std::vector<std::string>(args.begin() + 1, args.end()));
-    }
-    if (args[0] == "feed") {
-      return run_feed_command(
-          cli, std::vector<std::string>(args.begin() + 1, args.end()));
-    }
-    if (args[0] == "promote") {
-      return run_promote(
-          std::vector<std::string>(args.begin() + 1, args.end()));
-    }
-    return bad_usage("unknown subcommand '" + args[0] + "'");
+    if (!cli.command) return usage();
+    return run_command(cli, argv[0], raw_args);
+  } catch (const UsageError& e) {
+    return bad_usage(e.what());
   } catch (const core::ShardRetryableError& e) {
     // Re-running the named shard repairs the sweep — exit 3 so cluster
     // scripts can branch on retryable vs fatal (exit 1) failures.
@@ -1022,5 +1018,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return usage();
 }
