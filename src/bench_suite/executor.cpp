@@ -217,10 +217,11 @@ class ProgramRun {
 
 ExecutionResult execute_program(
     const BenchmarkProgram& program, bool include_target, std::uint64_t seed,
-    const std::set<std::string>& extra_audit_rules) {
+    const std::set<std::string>& extra_audit_rules, os::Layers layers) {
   Kernel::Options options;
   options.seed = seed;
-  options.extra_audit_rules = extra_audit_rules;
+  options.extra_audit_rules = &extra_audit_rules;
+  options.layers = layers;
   if (program.creds.has_value()) options.initial_creds = *program.creds;
   Kernel kernel(std::move(options));
 

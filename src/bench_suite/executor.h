@@ -25,8 +25,15 @@ struct ExecutionResult {
 /// trial (pids, timestamps, audit serials, deferred-free timing).
 /// `extra_audit_rules` are audit rules installed by the recorder under
 /// test beyond the kernel defaults.
+///
+/// Only the events of `layers` are built; the trace's other layers stay
+/// empty. Each built layer is event for event — seq, serial and time
+/// fields included — what it is in the trace of all layers, so a
+/// pipeline builds just the layer its recorder reads
+/// (systems::Recorder::layer()).
 ExecutionResult execute_program(
     const BenchmarkProgram& program, bool include_target, std::uint64_t seed,
-    const std::set<std::string>& extra_audit_rules = {});
+    const std::set<std::string>& extra_audit_rules = {},
+    os::Layers layers = os::Layers::all());
 
 }  // namespace provmark::bench_suite

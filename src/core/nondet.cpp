@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <string>
 
 #include "bench_suite/executor.h"
 #include "core/compare.h"
@@ -27,11 +29,13 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
 
   // Record background (deterministic) and foreground (one schedule per
   // trial) runs.
+  const std::set<std::string> extra_audit_rules =
+      recorder->extra_audit_rules();
   auto record = [&](bool foreground, int index) {
     const std::uint64_t seed =
         trial_seed(options.seed, program.name, foreground, index);
     bench_suite::ExecutionResult run = bench_suite::execute_program(
-        program, foreground, seed, recorder->extra_audit_rules());
+        program, foreground, seed, extra_audit_rules, recorder->layer());
     systems::TrialContext trial{seed ^ 0xC0FFEEULL};
     return recorder->record(run.trace, trial);
   };

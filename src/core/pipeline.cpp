@@ -115,6 +115,7 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
                                   : default_trials(recorder->name());
   const std::set<std::string> extra_audit_rules =
       recorder->extra_audit_rules();
+  const os::Layer layer = recorder->layer();
 
   // Resolve the recording-latency sentinel once: a negative scalar asks
   // for the recorder's calibrated default (Figures 5-7 profile; the
@@ -187,7 +188,7 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
             std::chrono::duration<double>(recording_latency));
       }
       bench_suite::ExecutionResult run = bench_suite::execute_program(
-          program, foreground, seed, extra_audit_rules);
+          program, foreground, seed, extra_audit_rules, layer);
       if (foreground && !run.behaviour_ok) {
         fg_failures[i] = run.failure_reason;
       }

@@ -1,6 +1,8 @@
 #include "formats/dot.h"
 
+#include <algorithm>
 #include <charconv>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -22,10 +24,29 @@ void append_dot_escaped(std::string& out, std::string_view s) {
   out.append(s.data() + run, s.size() - run);
 }
 
+/// An unquoted name's characters: ASCII letters and digits (what
+/// std::isalnum accepts in the C locale), '_', '.' and ':'.
+bool is_name_char(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_' || c == '.' || c == ':';
+}
+
+/// The value of `key` in key-ordered properties, or nullptr.
+const std::string_view* find_prop(std::span<const graph::GraphView::Prop> props,
+                                  std::string_view key) {
+  auto it = std::lower_bound(
+      props.begin(), props.end(), key,
+      [](const graph::GraphView::Prop& p, std::string_view k) {
+        return p.key < k;
+      });
+  return it != props.end() && it->key == key ? &it->value : nullptr;
+}
+
 /// Shape per element type, echoing the paper's figure conventions.
-std::string_view shape_for(const graph::Node& n) {
-  auto it = n.props.find("type");
-  std::string_view type = it != n.props.end() ? it->second : n.label;
+std::string_view shape_for(std::string_view label,
+                           std::span<const graph::GraphView::Prop> props) {
+  const std::string_view* type_prop = find_prop(props, "type");
+  std::string_view type = type_prop != nullptr ? *type_prop : label;
   if (type == "Process" || type == "Activity" || type == "activity" ||
       type == "task") {
     return "box";
@@ -35,11 +56,19 @@ std::string_view shape_for(const graph::Node& n) {
   return "ellipse";
 }
 
-/// `, key="value"` for each property.
-void append_attributes(std::string& out, const graph::Properties& props) {
+/// `, key="value"` for each property. A key is written bare when the
+/// reader takes it back as a bare name, and quoted otherwise.
+void append_attributes(std::string& out,
+                       std::span<const graph::GraphView::Prop> props) {
   for (const auto& [k, v] : props) {
     out += ", ";
-    out += k;
+    if (!k.empty() && std::all_of(k.begin(), k.end(), is_name_char)) {
+      out += k;
+    } else {
+      out += '"';
+      append_dot_escaped(out, k);
+      out += '"';
+    }
     out += "=\"";
     append_dot_escaped(out, v);
     out += '"';
@@ -210,13 +239,6 @@ class DotReader {
     return text_.substr(start, pos_ - start);
   }
 
-  /// An unquoted name's characters: ASCII letters and digits (what
-  /// std::isalnum accepts in the C locale), '_', '.' and ':'.
-  static bool is_name_char(char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-           (c >= '0' && c <= '9') || c == '_' || c == '.' || c == ':';
-  }
-
   /// Position of the next quote or backslash at or after `from`, or npos.
   std::size_t quote_or_escape(std::size_t from) const {
     for (std::size_t i = from; i < text_.size(); ++i) {
@@ -287,36 +309,44 @@ class DotReader {
 
 }  // namespace
 
-std::string to_dot(const graph::PropertyGraph& g,
+std::string to_dot(const graph::GraphView& view,
                    std::string_view graph_name) {
   std::string out;
-  out.reserve(160 * (g.node_count() + g.edge_count()) + 64);
+  out.reserve(160 * (view.nodes.size() + view.edges.size()) + 64);
   out += "digraph ";
   out += graph_name;
   out += " {\n";
-  for (const graph::Node& n : g.nodes()) {
+  std::vector<graph::GraphView::Prop> scratch;
+  for (const graph::GraphView::NodeRef& n : view.nodes) {
+    const std::span<const graph::GraphView::Prop> props =
+        view.ordered_props(n, scratch);
     out += "  \"";
     append_dot_escaped(out, n.id);
     out += "\" [label=\"";
     append_dot_escaped(out, n.label);
     out += "\", shape=";
-    out += shape_for(n);
-    append_attributes(out, n.props);
+    out += shape_for(n.label, props);
+    append_attributes(out, props);
     out += "];\n";
   }
-  for (const graph::Edge& e : g.edges()) {
+  for (const graph::GraphView::EdgeRef& e : view.edges) {
     out += "  \"";
-    append_dot_escaped(out, e.src);
+    append_dot_escaped(out, view.nodes[e.src].id);
     out += "\" -> \"";
-    append_dot_escaped(out, e.tgt);
+    append_dot_escaped(out, view.nodes[e.tgt].id);
     out += "\" [label=\"";
     append_dot_escaped(out, e.label);
     out += '"';
-    append_attributes(out, e.props);
+    append_attributes(out, view.ordered_props(e, scratch));
     out += "];\n";
   }
   out += "}\n";
   return out;
+}
+
+std::string to_dot(const graph::PropertyGraph& g,
+                   std::string_view graph_name) {
+  return to_dot(graph::view_of(g), graph_name);
 }
 
 graph::GraphView dot_view(std::string_view text) {

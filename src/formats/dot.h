@@ -20,9 +20,17 @@
 
 namespace provmark::formats {
 
-/// Render `g` as a DOT digraph. Node/edge labels become `label` attributes
-/// and properties become further attributes; `type` styling follows the
-/// paper's figures (rectangles for processes, ovals for artifacts).
+/// Render `view` as a DOT digraph. Node/edge labels become `label`
+/// attributes and properties become further attributes, in key order with
+/// the last value of a repeated key winning; `type` styling follows the
+/// paper's figures (rectangles for processes, ovals for artifacts). A
+/// property key is quoted unless it is a non-empty run of name
+/// characters (letters, digits, '_', '.', ':'), so from_dot reads every
+/// key back.
+std::string to_dot(const graph::GraphView& view,
+                   std::string_view graph_name = "provenance");
+
+/// to_dot(view_of(g), graph_name).
 std::string to_dot(const graph::PropertyGraph& g,
                    std::string_view graph_name = "provenance");
 

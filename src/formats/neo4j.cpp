@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -15,7 +16,8 @@ namespace {
 
 using util::Json;
 
-void write_properties(util::JsonWriter& w, const graph::Properties& props) {
+void write_properties(util::JsonWriter& w,
+                      std::span<const graph::GraphView::Prop> props) {
   w.key("properties");
   w.begin_object();
   for (const auto& [k, v] : props) {
@@ -119,14 +121,15 @@ Record read_record(util::JsonReader& r, graph::GraphView& view,
 
 }  // namespace
 
-std::string to_neo4j_json(const graph::PropertyGraph& g) {
+std::string to_neo4j_json(const graph::GraphView& view) {
   std::string out;
-  out.reserve(256 * (g.node_count() + g.edge_count()) + 64);
+  out.reserve(256 * (view.nodes.size() + view.edges.size()) + 64);
   util::JsonWriter w(out, 2);
+  std::vector<graph::GraphView::Prop> scratch;
   w.begin_object();
   w.key("nodes");
   w.begin_array();
-  for (const graph::Node& n : g.nodes()) {
+  for (const graph::GraphView::NodeRef& n : view.nodes) {
     w.begin_object();
     w.key("id");
     w.string(n.id);
@@ -134,28 +137,32 @@ std::string to_neo4j_json(const graph::PropertyGraph& g) {
     w.begin_array();
     w.string(n.label);
     w.end_array();
-    write_properties(w, n.props);
+    write_properties(w, view.ordered_props(n, scratch));
     w.end_object();
   }
   w.end_array();
   w.key("relationships");
   w.begin_array();
-  for (const graph::Edge& e : g.edges()) {
+  for (const graph::GraphView::EdgeRef& e : view.edges) {
     w.begin_object();
     w.key("id");
     w.string(e.id);
     w.key("start");
-    w.string(e.src);
+    w.string(view.nodes[e.src].id);
     w.key("end");
-    w.string(e.tgt);
+    w.string(view.nodes[e.tgt].id);
     w.key("type");
     w.string(e.label);
-    write_properties(w, e.props);
+    write_properties(w, view.ordered_props(e, scratch));
     w.end_object();
   }
   w.end_array();
   w.end_object();
   return out;
+}
+
+std::string to_neo4j_json(const graph::PropertyGraph& g) {
+  return to_neo4j_json(graph::view_of(g));
 }
 
 graph::GraphView neo4j_json_view(std::string_view text) {

@@ -31,7 +31,11 @@
 
 namespace provmark::formats {
 
-/// Serialize a property graph as a Neo4j export document.
+/// Serialize a graph as a Neo4j export document, each element's
+/// properties in key order with the last value of a repeated key winning.
+std::string to_neo4j_json(const graph::GraphView& view);
+
+/// to_neo4j_json(view_of(g)).
 std::string to_neo4j_json(const graph::PropertyGraph& g);
 
 /// Read a Neo4j export document into a view over `text`. Throws

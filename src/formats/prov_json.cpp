@@ -55,22 +55,29 @@ bool is_node_kind(std::string_view name) {
 /// properties. A property named like an endpoint key takes that key's
 /// place (PROV-JSON has one value per attribute name).
 void write_relation(util::JsonWriter& w, std::string_view relation,
-                    const std::vector<const graph::Edge*>& edges) {
+                    const graph::GraphView& view,
+                    const std::vector<std::uint32_t>& edges,
+                    std::vector<graph::GraphView::Prop>& scratch) {
   const RelationKeys* keys = known_relation(relation);
   std::string_view src_key = keys ? keys->src_key : "prov:from";
   std::string_view tgt_key = keys ? keys->tgt_key : "prov:to";
   w.begin_object();
-  for (const graph::Edge* e : edges) {
-    w.key(e->id);
+  for (std::uint32_t index : edges) {
+    const graph::GraphView::EdgeRef& e = view.edges[index];
+    const std::span<const graph::GraphView::Prop> props =
+        view.ordered_props(e, scratch);
+    w.key(e.id);
     w.begin_object();
-    auto endpoint = [&](std::string_view key, const std::string& id) {
-      auto it = e->props.find(std::string(key));
+    auto endpoint = [&](std::string_view key, std::string_view id) {
+      for (const auto& [k, v] : props) {
+        if (k == key) id = v;
+      }
       w.key(key);
-      w.string(it != e->props.end() ? it->second : id);
+      w.string(id);
     };
-    endpoint(src_key, e->src);
-    endpoint(tgt_key, e->tgt);
-    for (const auto& [k, v] : e->props) {
+    endpoint(src_key, view.nodes[e.src].id);
+    endpoint(tgt_key, view.nodes[e.tgt].id);
+    for (const auto& [k, v] : props) {
       if (k == src_key || k == tgt_key) continue;
       w.key(k);
       w.string(v);
@@ -82,32 +89,39 @@ void write_relation(util::JsonWriter& w, std::string_view relation,
 
 }  // namespace
 
-std::string to_prov_json(const graph::PropertyGraph& g) {
+std::string to_prov_json(const graph::GraphView& view) {
   // Edges grouped by relation label, sections in label order.
-  std::map<std::string_view, std::vector<const graph::Edge*>> relations;
-  for (const graph::Edge& e : g.edges()) relations[e.label].push_back(&e);
+  std::map<std::string_view, std::vector<std::uint32_t>> relations;
+  for (std::uint32_t i = 0; i < view.edges.size(); ++i) {
+    relations[view.edges[i].label].push_back(i);
+  }
 
   std::string out;
-  out.reserve(256 * (g.node_count() + g.edge_count()) + 64);
+  out.reserve(256 * (view.nodes.size() + view.edges.size()) + 64);
   util::JsonWriter w(out, 2);
+  std::vector<graph::GraphView::Prop> scratch;
   w.begin_object();
   for (std::string_view kind : kNodeKinds) {
-    auto in_kind = [&](const graph::Node& n) { return n.label == kind; };
-    if (std::none_of(g.nodes().begin(), g.nodes().end(), in_kind)) continue;
+    auto in_kind = [&](const graph::GraphView::NodeRef& n) {
+      return n.label == kind;
+    };
+    if (std::none_of(view.nodes.begin(), view.nodes.end(), in_kind)) {
+      continue;
+    }
     w.key(kind);
     // A relation labelled like a node kind takes over that kind's
     // section: a PROV-JSON object has one member per name.
     if (auto relation = relations.find(kind); relation != relations.end()) {
-      write_relation(w, kind, relation->second);
+      write_relation(w, kind, view, relation->second, scratch);
       relations.erase(relation);
       continue;
     }
     w.begin_object();
-    for (const graph::Node& n : g.nodes()) {
+    for (const graph::GraphView::NodeRef& n : view.nodes) {
       if (!in_kind(n)) continue;
       w.key(n.id);
       w.begin_object();
-      for (const auto& [k, v] : n.props) {
+      for (const auto& [k, v] : view.ordered_props(n, scratch)) {
         w.key(k);
         w.string(v);
       }
@@ -117,10 +131,14 @@ std::string to_prov_json(const graph::PropertyGraph& g) {
   }
   for (const auto& [relation, edges] : relations) {
     w.key(relation);
-    write_relation(w, relation, edges);
+    write_relation(w, relation, view, edges, scratch);
   }
   w.end_object();
   return out;
+}
+
+std::string to_prov_json(const graph::PropertyGraph& g) {
+  return to_prov_json(graph::view_of(g));
 }
 
 graph::GraphView prov_json_view(std::string_view text, bool* neo4j_keys) {

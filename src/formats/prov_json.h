@@ -23,7 +23,11 @@ namespace provmark::formats {
 /// Serialize to PROV-JSON. Node labels must be one of the PROV node kinds
 /// ("entity", "activity", "agent"); edge labels name the relation. Edges
 /// whose label is unknown to PROV are emitted under that label verbatim,
-/// which PROV-JSON tolerates as an extension.
+/// which PROV-JSON tolerates as an extension. Each element's properties
+/// are written in key order, the last value of a repeated key winning.
+std::string to_prov_json(const graph::GraphView& view);
+
+/// to_prov_json(view_of(g)).
 std::string to_prov_json(const graph::PropertyGraph& g);
 
 /// Read PROV-JSON into a view over `text`. Unknown top-level sections

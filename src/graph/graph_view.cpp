@@ -1,5 +1,6 @@
 #include "graph/graph_view.h"
 
+#include <algorithm>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,43 @@ PropertyGraph GraphView::materialize() const {
                properties(e));
   }
   return g;
+}
+
+std::span<const GraphView::Prop> GraphView::ordered(
+    std::span<const Prop> props, std::vector<Prop>& scratch) {
+  auto before = [](const Prop& a, const Prop& b) { return a.key < b.key; };
+  if (std::adjacent_find(props.begin(), props.end(),
+                         [&](const Prop& a, const Prop& b) {
+                           return !before(a, b);
+                         }) == props.end()) {
+    return props;
+  }
+  scratch.assign(props.begin(), props.end());
+  // Stable, so a repeated key's values stay in list order; recorder
+  // elements hold a handful of properties, where insertion sort is
+  // cheapest.
+  if (scratch.size() > 32) {
+    std::stable_sort(scratch.begin(), scratch.end(), before);
+  } else {
+    for (std::size_t i = 1; i < scratch.size(); ++i) {
+      const Prop p = scratch[i];
+      std::size_t j = i;
+      for (; j > 0 && before(p, scratch[j - 1]); --j) {
+        scratch[j] = scratch[j - 1];
+      }
+      scratch[j] = p;
+    }
+  }
+  // Keep the last of each run of one key.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < scratch.size(); ++i) {
+    if (i + 1 < scratch.size() && scratch[i + 1].key == scratch[i].key) {
+      continue;
+    }
+    scratch[kept++] = scratch[i];
+  }
+  scratch.resize(kept);
+  return scratch;
 }
 
 GraphView view_of(const PropertyGraph& g) {

@@ -1,14 +1,17 @@
-// A property graph read straight off a native recorder document.
+// A property graph of string views: how a trial's graph is written and
+// read on the trial path.
 //
-// The transformation stage (§3.3) reads each trial's document once. The
-// readers in formats/ emit a GraphView: element ids, labels and
-// properties as string views into the document, with each edge's
-// endpoints resolved to node indices. Only strings the document does not
-// hold verbatim live in the view's own arena: decoded escapes, the
-// compact text of non-string JSON values, and DOT's synthetic edge ids.
-// graph::CompactGraph::build interns a view into the matcher's integer
-// form; materialize() turns it into a PropertyGraph where a string graph
-// is needed.
+// The recorders build their graph as a GraphView (ids and computed values
+// in the arena, trace strings referenced in place) and the writers in
+// formats/ serialize one. The transformation stage (§3.3) reads each
+// trial's document once: the readers in formats/ emit a GraphView with
+// element ids, labels and properties as string views into the document
+// and each edge's endpoints resolved to node indices. Only strings the
+// document does not hold verbatim live in the view's own arena: decoded
+// escapes, the compact text of non-string JSON values, and DOT's
+// synthetic edge ids. graph::CompactGraph::build interns a view into the
+// matcher's integer form; materialize() turns it into a PropertyGraph
+// where a string graph is needed.
 //
 // A view keeps PropertyGraph's rules: ids are unique across nodes and
 // edges, and every edge's endpoints are nodes of the view
@@ -18,9 +21,10 @@
 // assigns into graph::Properties. Both CompactGraph::build and
 // materialize() apply that rule.
 //
-// Lifetime: a view is valid while the document it was read from lives.
-// It is move-only, because its arena moves with it; a moved view's string
-// views stay valid.
+// Lifetime: a view is valid while the strings it points into live — the
+// document it was read from, or the event trace a recorder built it
+// from. It is move-only, because its arena moves with it; a moved view's
+// string views stay valid.
 #pragma once
 
 #include <cstdint>
@@ -89,9 +93,23 @@ struct GraphView {
     return out;
   }
 
+  /// An element's properties as graph::Properties holds them: in key
+  /// order, the last value of a repeated key winning. The element's own
+  /// range when it is in that order already; else a sorted copy in
+  /// `scratch`.
+  template <typename Element>
+  std::span<const Prop> ordered_props(const Element& element,
+                                      std::vector<Prop>& scratch) const {
+    return ordered(props_of(element), scratch);
+  }
+
   /// The PropertyGraph the view describes, with its own copies of every
   /// string.
   PropertyGraph materialize() const;
+
+ private:
+  static std::span<const Prop> ordered(std::span<const Prop> props,
+                                       std::vector<Prop>& scratch);
 };
 
 /// A view of `g`'s own strings (nothing goes in the arena). Valid while

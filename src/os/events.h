@@ -30,6 +30,25 @@ namespace provmark::os {
 
 using Pid = int;
 
+/// The observation layers, one bit each. A recorder reads one layer.
+enum class Layer : std::uint8_t { Libc = 1, Audit = 2, Lsm = 4 };
+
+/// A set of layers: the ones a trial builds events for.
+class Layers {
+ public:
+  constexpr Layers(Layer layer)  // implicit: a layer is a one-layer set
+      : bits_(static_cast<std::uint8_t>(layer)) {}
+  static constexpr Layers all() { return Layers(std::uint8_t{7}); }
+
+  constexpr bool has(Layer layer) const {
+    return (bits_ & static_cast<std::uint8_t>(layer)) != 0;
+  }
+
+ private:
+  explicit constexpr Layers(std::uint8_t bits) : bits_(bits) {}
+  std::uint8_t bits_;
+};
+
 /// Subject credentials attached to audit and LSM events.
 struct Credentials {
   int uid = 1000;
@@ -51,6 +70,8 @@ struct LibcEvent {
   int err = 0;                     ///< errno when ret == -1
   Pid pid = 0;
   std::uint64_t seq = 0;           ///< global order of the call
+
+  bool operator==(const LibcEvent&) const = default;
 };
 
 /// A path record inside an audit event (cwd-relative resolution already
@@ -59,6 +80,8 @@ struct AuditPathRecord {
   std::string name;     ///< path as passed
   std::uint64_t inode = 0;
   std::string nametype;  ///< "NORMAL", "CREATE", "DELETE", "PARENT"
+
+  bool operator==(const AuditPathRecord&) const = default;
 };
 
 /// What auditd emits: one record per audited syscall, carrying subject
@@ -78,6 +101,8 @@ struct AuditEvent {
   std::map<std::string, std::string> fields;  ///< a0..a3 and call extras
   std::uint64_t serial = 0;  ///< audit serial number (transient)
   std::uint64_t seq = 0;     ///< global order of *emission*
+
+  bool operator==(const AuditEvent&) const = default;
 };
 
 /// Information about a kernel object as an LSM hook sees it.
@@ -85,6 +110,8 @@ struct LsmObject {
   std::string kind;  ///< "file", "directory", "fifo", "link", "task", ...
   std::uint64_t id = 0;  ///< kernel object identity (inode number / pid)
   std::optional<std::string> path;  ///< when a path is in scope
+
+  bool operator==(const LsmObject&) const = default;
 };
 
 /// What a Linux Security Module hook observes.
@@ -97,9 +124,12 @@ struct LsmEvent {
   std::map<std::string, std::string> fields;
   bool permission_denied = false;  ///< hook fired but access was refused
   std::uint64_t seq = 0;
+
+  bool operator==(const LsmEvent&) const = default;
 };
 
-/// The full record of one recorded execution, as each layer saw it.
+/// The record of one recorded execution, as each layer saw it. A layer
+/// the trial did not build (Kernel::Options::layers) is empty.
 struct EventTrace {
   std::vector<LibcEvent> libc;
   std::vector<AuditEvent> audit;

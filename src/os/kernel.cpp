@@ -140,77 +140,86 @@ void Kernel::stage_remove(const std::string& path) { vfs_.unlink(path); }
 // event emission
 // ---------------------------------------------------------------------------
 
-void Kernel::emit_libc(Pid pid, const std::string& function,
-                       std::vector<std::string> args, long ret, Errno err) {
-  if (!recording_) return;
-  LibcEvent event;
+LibcEvent* Kernel::emit_libc(Pid pid, std::string_view function, long ret,
+                             Errno err) {
+  if (!recording_) return nullptr;
+  const std::uint64_t seq = next_seq_++;
+  if (!options_.layers.has(Layer::Libc)) return nullptr;
+  LibcEvent& event = trace_.libc.emplace_back();
   event.function = function;
-  event.args = std::move(args);
   event.ret = ret;
   event.err = static_cast<int>(err);
   event.pid = pid;
-  event.seq = next_seq_++;
-  trace_.libc.push_back(std::move(event));
+  event.seq = seq;
+  return &event;
 }
 
-void Kernel::emit_audit(Pid pid, const std::string& syscall, bool success,
-                        long exit_code, std::vector<AuditPathRecord> paths,
-                        std::map<std::string, std::string> fields) {
-  if (!recording_) return;
+AuditEvent* Kernel::emit_audit(Pid pid, const std::string& syscall,
+                               bool success, long exit_code) {
+  if (!recording_) return nullptr;
   if (audit_rule_set().count(syscall) == 0 &&
-      options_.extra_audit_rules.count(syscall) == 0) {
-    return;
+      (options_.extra_audit_rules == nullptr ||
+       options_.extra_audit_rules->count(syscall) == 0)) {
+    return nullptr;
   }
   // SPADE's default audit rules filter on success (the Alice use case,
   // §3.1: failed calls are invisible to SPADE out of the box).
-  if (!success) return;
-  const Process& p = processes_.at(pid);
+  if (!success) return nullptr;
+  const double time = now();
+  const std::uint64_t serial = next_audit_serial_++;
+  const std::uint64_t seq = next_seq_++;
+  const bool built = options_.layers.has(Layer::Audit);
   AuditEvent event;
-  event.syscall = syscall;
-  event.success = success;
-  event.exit_code = exit_code;
-  event.pid = pid;
-  event.ppid = p.ppid;
-  event.creds = p.creds;
-  event.comm = p.comm;
-  event.exe = p.exe;
-  event.cwd = p.cwd;
-  event.paths = std::move(paths);
-  event.fields = std::move(fields);
-  event.fields["time"] = time_field(now());
-  event.serial = next_audit_serial_++;
-  event.seq = next_seq_++;
+  if (built) {
+    const Process& p = processes_.at(pid);
+    event.syscall = syscall;
+    event.success = success;
+    event.exit_code = exit_code;
+    event.pid = pid;
+    event.ppid = p.ppid;
+    event.creds = p.creds;
+    event.comm = p.comm;
+    event.exe = p.exe;
+    event.cwd = p.cwd;
+    event.fields.emplace("time", time_field(time));
+    event.serial = serial;
+    event.seq = seq;
+  }
   // Defer the parent's records while it has a live vforked child (audit
-  // reports the parent's records only after the child exits).
+  // reports the parent's records only after the child exits). With the
+  // layer off the placeholder only keeps the flush's seq count.
   for (auto& [child_pid, records] : deferred_audit_) {
     auto it = processes_.find(child_pid);
     if (it != processes_.end() && it->second.alive &&
         it->second.ppid == pid) {
       records.push_back(std::move(event));
-      return;
+      return built ? &records.back() : nullptr;
     }
   }
-  trace_.audit.push_back(std::move(event));
+  if (!built) return nullptr;
+  return &trace_.audit.emplace_back(std::move(event));
 }
 
-void Kernel::emit_lsm(Pid pid, const std::string& hook,
-                      std::optional<LsmObject> object,
-                      std::optional<LsmObject> object2,
-                      std::map<std::string, std::string> fields,
-                      bool permission_denied) {
-  if (!recording_) return;
-  const Process& p = processes_.at(pid);
-  LsmEvent event;
+LsmEvent* Kernel::emit_lsm(Pid pid, std::string_view hook,
+                           bool permission_denied) {
+  if (!recording_) return nullptr;
+  const double time = now();
+  const std::uint64_t seq = next_seq_++;
+  if (!options_.layers.has(Layer::Lsm)) return nullptr;
+  LsmEvent& event = trace_.lsm.emplace_back();
   event.hook = hook;
   event.pid = pid;
-  event.creds = p.creds;
-  event.object = std::move(object);
-  event.object2 = std::move(object2);
-  event.fields = std::move(fields);
-  event.fields["time"] = time_field(now());
+  event.creds = processes_.at(pid).creds;
+  event.fields.emplace("time", time_field(time));
   event.permission_denied = permission_denied;
-  event.seq = next_seq_++;
-  trace_.lsm.push_back(std::move(event));
+  event.seq = seq;
+  return &event;
+}
+
+/// `path` for an LSM object: none for an anonymous object (empty path).
+std::optional<std::string> Kernel::lsm_path(const std::string& path) {
+  if (path.empty()) return std::nullopt;
+  return path;
 }
 
 LsmObject Kernel::object_for_inode(std::uint64_t ino,
@@ -243,16 +252,22 @@ void Kernel::finish_process(Pid pid) {
   Process& p = processes_.at(pid);
   if (!p.alive) return;
   p.alive = false;
-  emit_libc(pid, "exit", {"0"}, 0, Errno::None);
-  emit_audit(pid, "exit_group", true, 0, {});
-  emit_lsm(pid, "task_free",
-           LsmObject{"task", static_cast<std::uint64_t>(pid), std::nullopt});
+  if (LibcEvent* e = emit_libc(pid, "exit", 0, Errno::None)) {
+    e->args = {"0"};
+  }
+  emit_audit(pid, "exit_group", true, 0);
+  if (LsmEvent* e = emit_lsm(pid, "task_free")) {
+    e->object = LsmObject{"task", static_cast<std::uint64_t>(pid),
+                          std::nullopt};
+  }
   // Flush any parent audit records deferred by this child's vfork.
   auto it = deferred_audit_.find(pid);
   if (it != deferred_audit_.end()) {
     for (AuditEvent& event : it->second) {
       event.seq = next_seq_++;
-      trace_.audit.push_back(std::move(event));
+      if (options_.layers.has(Layer::Audit)) {
+        trace_.audit.push_back(std::move(event));
+      }
     }
     deferred_audit_.erase(it);
   }
@@ -277,11 +292,14 @@ void Kernel::loader_activity(Pid pid) {
     sys_read(pid, static_cast<int>(libc_fd.ret), 832);
     // mmap of libc shows up in audit (rule set includes mmap).
     VfsResult ino = vfs_.lookup("/lib/libc.so.6");
-    emit_audit(pid, "mmap", true, 0,
-               {AuditPathRecord{"/lib/libc.so.6", ino.ino, "NORMAL"}},
-               {{"prot", "PROT_READ|PROT_EXEC"}});
-    emit_lsm(pid, "mmap_file", object_for_inode(ino.ino, "/lib/libc.so.6"),
-             std::nullopt, {{"prot", "rx"}});
+    if (AuditEvent* e = emit_audit(pid, "mmap", true, 0)) {
+      e->paths.push_back({"/lib/libc.so.6", ino.ino, "NORMAL"});
+      e->fields.emplace("prot", "PROT_READ|PROT_EXEC");
+    }
+    if (LsmEvent* e = emit_lsm(pid, "mmap_file")) {
+      e->object = object_for_inode(ino.ino, "/lib/libc.so.6");
+      e->fields.emplace("prot", "rx");
+    }
     sys_close(pid, static_cast<int>(libc_fd.ret));
   }
 }
@@ -334,25 +352,26 @@ SyscallResult Kernel::do_open(Pid pid, const std::string& call,
     result = SyscallResult::fail(error);
   }
 
-  emit_libc(pid, call, {raw_path, flags_to_string(flags)}, result.ret,
-            result.error);
-  std::vector<AuditPathRecord> paths;
-  if (result.ok()) {
-    paths.push_back(
-        AuditPathRecord{path, lookup.ino, created ? "CREATE" : "NORMAL"});
+  if (LibcEvent* e = emit_libc(pid, call, result.ret, result.error)) {
+    e->args = {raw_path, flags_to_string(flags)};
   }
-  emit_audit(pid, call, result.ok(), result.ret, std::move(paths),
-             {{"flags", flags_to_string(flags)}});
+  if (AuditEvent* e = emit_audit(pid, call, result.ok(), result.ret)) {
+    e->paths.push_back({path, lookup.ino, created ? "CREATE" : "NORMAL"});
+    e->fields.emplace("flags", flags_to_string(flags));
+  }
   if (created) {
-    emit_lsm(pid, "inode_create", object_for_inode(lookup.ino, path));
+    if (LsmEvent* e = emit_lsm(pid, "inode_create")) {
+      e->object = object_for_inode(lookup.ino, path);
+    }
   }
   if (result.ok() || error == Errno::kACCES) {
-    emit_lsm(pid, "file_open",
-             result.ok() || lookup.ino != 0
-                 ? object_for_inode(lookup.ino, path)
-                 : LsmObject{"file", 0, path},
-             std::nullopt, {{"flags", flags_to_string(flags)}},
-             /*permission_denied=*/!result.ok());
+    if (LsmEvent* e = emit_lsm(pid, "file_open",
+                               /*permission_denied=*/!result.ok())) {
+      e->object = result.ok() || lookup.ino != 0
+                      ? object_for_inode(lookup.ino, path)
+                      : LsmObject{"file", 0, path};
+      e->fields.emplace("flags", flags_to_string(flags));
+    }
   }
   return result;
 }
@@ -385,18 +404,20 @@ SyscallResult Kernel::sys_close(Pid pid, int fd) {
     p.fds.erase(it);
     result = SyscallResult::success(0);
   }
-  emit_libc(pid, "close", {std::to_string(fd)}, result.ret, result.error);
-  emit_audit(pid, "close", result.ok(), result.ret, {},
-             {{"a0", std::to_string(fd)}});
+  if (LibcEvent* e = emit_libc(pid, "close", result.ret, result.error)) {
+    e->args = {std::to_string(fd)};
+  }
+  if (AuditEvent* e = emit_audit(pid, "close", result.ok(), result.ret)) {
+    e->fields.emplace("a0", std::to_string(fd));
+  }
   if (result.ok()) {
     // The kernel frees the inode structure lazily (RCU); whether the free
     // record is flushed before recording stops is timing-dependent — the
     // source of CamFlow's unreliable `close` benchmark (note LP).
     if (rng_.chance(options_.free_record_probability)) {
-      emit_lsm(pid, "inode_free",
-               object_for_inode(ino, path.empty()
-                                         ? std::optional<std::string>{}
-                                         : std::optional<std::string>{path}));
+      if (LsmEvent* e = emit_lsm(pid, "inode_free")) {
+        e->object = object_for_inode(ino, lsm_path(path));
+      }
     }
   }
   return result;
@@ -414,11 +435,13 @@ SyscallResult Kernel::do_dup(Pid pid, const std::string& call, int fd,
     p.fds[assigned] = it->second;
     result = SyscallResult::success(assigned);
   }
-  std::vector<std::string> args = {std::to_string(fd)};
-  if (newfd >= 0) args.push_back(std::to_string(newfd));
-  emit_libc(pid, call, std::move(args), result.ret, result.error);
-  emit_audit(pid, call, result.ok(), result.ret, {},
-             {{"a0", std::to_string(fd)}});
+  if (LibcEvent* e = emit_libc(pid, call, result.ret, result.error)) {
+    e->args = {std::to_string(fd)};
+    if (newfd >= 0) e->args.push_back(std::to_string(newfd));
+  }
+  if (AuditEvent* e = emit_audit(pid, call, result.ok(), result.ret)) {
+    e->fields.emplace("a0", std::to_string(fd));
+  }
   // No LSM hook fires for dup: duplicating a descriptor touches only
   // process-local state (Table 2: CamFlow dup rows are empty/NR).
   return result;
@@ -457,20 +480,18 @@ SyscallResult Kernel::do_io(Pid pid, const std::string& call, int fd,
     }
     result = SyscallResult::success(static_cast<long>(count));
   }
-  emit_libc(pid, call, {std::to_string(fd), std::to_string(count)},
-            result.ret, result.error);
-  std::vector<AuditPathRecord> paths;
-  if (result.ok() && !path.empty()) {
-    paths.push_back(AuditPathRecord{path, ino, "NORMAL"});
+  if (LibcEvent* e = emit_libc(pid, call, result.ret, result.error)) {
+    e->args = {std::to_string(fd), std::to_string(count)};
   }
-  emit_audit(pid, call, result.ok(), result.ret, std::move(paths),
-             {{"a0", std::to_string(fd)}});
+  if (AuditEvent* e = emit_audit(pid, call, result.ok(), result.ret)) {
+    if (!path.empty()) e->paths.push_back({path, ino, "NORMAL"});
+    e->fields.emplace("a0", std::to_string(fd));
+  }
   if (result.ok()) {
-    emit_lsm(pid, "file_permission",
-             object_for_inode(ino, path.empty()
-                                       ? std::optional<std::string>{}
-                                       : std::optional<std::string>{path}),
-             std::nullopt, {{"mask", is_write ? "MAY_WRITE" : "MAY_READ"}});
+    if (LsmEvent* e = emit_lsm(pid, "file_permission")) {
+      e->object = object_for_inode(ino, lsm_path(path));
+      e->fields.emplace("mask", is_write ? "MAY_WRITE" : "MAY_READ");
+    }
   }
   return result;
 }
@@ -504,16 +525,18 @@ SyscallResult Kernel::do_link(Pid pid, const std::string& call,
   VfsResult result = vfs_.link(old_path, new_path);
   SyscallResult sys = result.ok() ? SyscallResult::success(0)
                                   : SyscallResult::fail(result.error);
-  emit_libc(pid, call, {old_raw, new_raw}, sys.ret, sys.error);
-  std::vector<AuditPathRecord> paths;
-  if (result.ok()) {
-    paths.push_back(AuditPathRecord{old_path, result.ino, "NORMAL"});
-    paths.push_back(AuditPathRecord{new_path, result.ino, "CREATE"});
+  if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
+    e->args = {old_raw, new_raw};
   }
-  emit_audit(pid, call, sys.ok(), sys.ret, std::move(paths));
+  if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
+    e->paths.push_back({old_path, result.ino, "NORMAL"});
+    e->paths.push_back({new_path, result.ino, "CREATE"});
+  }
   if (sys.ok()) {
-    emit_lsm(pid, "inode_link", object_for_inode(result.ino, old_path),
-             LsmObject{"file", result.ino, new_path});
+    if (LsmEvent* e = emit_lsm(pid, "inode_link")) {
+      e->object = object_for_inode(result.ino, old_path);
+      e->object2 = LsmObject{"file", result.ino, new_path};
+    }
   }
   return sys;
 }
@@ -537,16 +560,18 @@ SyscallResult Kernel::do_symlink(Pid pid, const std::string& call,
                                   p.creds.egid);
   SyscallResult sys = result.ok() ? SyscallResult::success(0)
                                   : SyscallResult::fail(result.error);
-  emit_libc(pid, call, {target, link_raw}, sys.ret, sys.error);
-  std::vector<AuditPathRecord> paths;
-  if (result.ok()) {
-    paths.push_back(AuditPathRecord{link_path, result.ino, "CREATE"});
+  if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
+    e->args = {target, link_raw};
   }
-  emit_audit(pid, call, sys.ok(), sys.ret, std::move(paths),
-             {{"target", target}});
+  if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
+    e->paths.push_back({link_path, result.ino, "CREATE"});
+    e->fields.emplace("target", target);
+  }
   if (sys.ok()) {
-    emit_lsm(pid, "inode_symlink", object_for_inode(result.ino, link_path),
-             std::nullopt, {{"target", target}});
+    if (LsmEvent* e = emit_lsm(pid, "inode_symlink")) {
+      e->object = object_for_inode(result.ino, link_path);
+      e->fields.emplace("target", target);
+    }
   }
   return sys;
 }
@@ -569,12 +594,16 @@ SyscallResult Kernel::do_mknod(Pid pid, const std::string& call,
       vfs_.create(path, FileType::Fifo, mode, p.creds.euid, p.creds.egid);
   SyscallResult sys = result.ok() ? SyscallResult::success(0)
                                   : SyscallResult::fail(result.error);
-  emit_libc(pid, call, {raw_path, octal_field(mode)}, sys.ret, sys.error);
+  if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
+    e->args = {raw_path, octal_field(mode)};
+  }
   // mknod / mknodat are not in the default audit rule set (SPADE: NR).
-  emit_audit(pid, call, sys.ok(), sys.ret, {});
+  emit_audit(pid, call, sys.ok(), sys.ret);
   if (sys.ok()) {
-    emit_lsm(pid, "inode_mknod", object_for_inode(result.ino, path),
-             std::nullopt, {{"mode", octal_field(mode)}});
+    if (LsmEvent* e = emit_lsm(pid, "inode_mknod")) {
+      e->object = object_for_inode(result.ino, path);
+      e->fields.emplace("mode", octal_field(mode));
+    }
   }
   return sys;
 }
@@ -625,17 +654,19 @@ SyscallResult Kernel::do_rename(Pid pid, const std::string& call,
   } else {
     sys = SyscallResult::fail(error);
   }
-  emit_libc(pid, call, {old_raw, new_raw}, sys.ret, sys.error);
-  std::vector<AuditPathRecord> paths;
-  if (sys.ok()) {
-    paths.push_back(AuditPathRecord{old_path, ino, "DELETE"});
-    paths.push_back(AuditPathRecord{new_path, ino, "CREATE"});
+  if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
+    e->args = {old_raw, new_raw};
   }
-  emit_audit(pid, call, sys.ok(), sys.ret, std::move(paths));
+  if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
+    e->paths.push_back({old_path, ino, "DELETE"});
+    e->paths.push_back({new_path, ino, "CREATE"});
+  }
   if (sys.ok() || error == Errno::kACCES) {
-    emit_lsm(pid, "inode_rename", object_for_inode(ino, old_path),
-             LsmObject{"file", ino, new_path}, {},
-             /*permission_denied=*/!sys.ok());
+    if (LsmEvent* e = emit_lsm(pid, "inode_rename",
+                               /*permission_denied=*/!sys.ok())) {
+      e->object = object_for_inode(ino, old_path);
+      e->object2 = LsmObject{"file", ino, new_path};
+    }
   }
   return sys;
 }
@@ -667,14 +698,17 @@ SyscallResult Kernel::sys_truncate(Pid pid, const std::string& raw_path,
   } else {
     sys = SyscallResult::fail(error);
   }
-  emit_libc(pid, "truncate", {raw_path, std::to_string(length)}, sys.ret,
-            sys.error);
-  std::vector<AuditPathRecord> paths;
-  if (sys.ok()) paths.push_back(AuditPathRecord{path, lookup.ino, "NORMAL"});
-  emit_audit(pid, "truncate", sys.ok(), sys.ret, std::move(paths));
+  if (LibcEvent* e = emit_libc(pid, "truncate", sys.ret, sys.error)) {
+    e->args = {raw_path, std::to_string(length)};
+  }
+  if (AuditEvent* e = emit_audit(pid, "truncate", sys.ok(), sys.ret)) {
+    e->paths.push_back({path, lookup.ino, "NORMAL"});
+  }
   if (sys.ok()) {
-    emit_lsm(pid, "inode_setattr", object_for_inode(lookup.ino, path),
-             std::nullopt, {{"attr", "size"}});
+    if (LsmEvent* e = emit_lsm(pid, "inode_setattr")) {
+      e->object = object_for_inode(lookup.ino, path);
+      e->fields.emplace("attr", "size");
+    }
   }
   return sys;
 }
@@ -694,19 +728,17 @@ SyscallResult Kernel::sys_ftruncate(Pid pid, int fd, std::uint64_t length) {
     if (inode != nullptr) inode->size = length;
     sys = SyscallResult::success(0);
   }
-  emit_libc(pid, "ftruncate", {std::to_string(fd), std::to_string(length)},
-            sys.ret, sys.error);
-  std::vector<AuditPathRecord> paths;
-  if (sys.ok() && !path.empty()) {
-    paths.push_back(AuditPathRecord{path, ino, "NORMAL"});
+  if (LibcEvent* e = emit_libc(pid, "ftruncate", sys.ret, sys.error)) {
+    e->args = {std::to_string(fd), std::to_string(length)};
   }
-  emit_audit(pid, "ftruncate", sys.ok(), sys.ret, std::move(paths));
+  if (AuditEvent* e = emit_audit(pid, "ftruncate", sys.ok(), sys.ret)) {
+    if (!path.empty()) e->paths.push_back({path, ino, "NORMAL"});
+  }
   if (sys.ok()) {
-    emit_lsm(pid, "inode_setattr",
-             object_for_inode(ino, path.empty()
-                                       ? std::optional<std::string>{}
-                                       : std::optional<std::string>{path}),
-             std::nullopt, {{"attr", "size"}});
+    if (LsmEvent* e = emit_lsm(pid, "inode_setattr")) {
+      e->object = object_for_inode(ino, lsm_path(path));
+      e->fields.emplace("attr", "size");
+    }
   }
   return sys;
 }
@@ -733,12 +765,16 @@ SyscallResult Kernel::do_unlink(Pid pid, const std::string& call,
   } else {
     sys = SyscallResult::fail(error);
   }
-  emit_libc(pid, call, {raw_path}, sys.ret, sys.error);
-  std::vector<AuditPathRecord> paths;
-  if (sys.ok()) paths.push_back(AuditPathRecord{path, ino, "DELETE"});
-  emit_audit(pid, call, sys.ok(), sys.ret, std::move(paths));
+  if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
+    e->args = {raw_path};
+  }
+  if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
+    e->paths.push_back({path, ino, "DELETE"});
+  }
   if (sys.ok()) {
-    emit_lsm(pid, "inode_unlink", object_for_inode(ino, path));
+    if (LsmEvent* e = emit_lsm(pid, "inode_unlink")) {
+      e->object = object_for_inode(ino, path);
+    }
   }
   return sys;
 }
@@ -771,14 +807,18 @@ SyscallResult Kernel::do_chmod_path(Pid pid, const std::string& call,
   }
   SyscallResult sys = error == Errno::None ? SyscallResult::success(0)
                                            : SyscallResult::fail(error);
-  emit_libc(pid, call, {raw_path, octal_field(mode)}, sys.ret, sys.error);
-  std::vector<AuditPathRecord> paths;
-  if (sys.ok()) paths.push_back(AuditPathRecord{path, lookup.ino, "NORMAL"});
-  emit_audit(pid, call, sys.ok(), sys.ret, std::move(paths),
-             {{"mode", octal_field(mode)}});
+  if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
+    e->args = {raw_path, octal_field(mode)};
+  }
+  if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
+    e->paths.push_back({path, lookup.ino, "NORMAL"});
+    e->fields.emplace("mode", octal_field(mode));
+  }
   if (sys.ok()) {
-    emit_lsm(pid, "inode_setattr", object_for_inode(lookup.ino, path),
-             std::nullopt, {{"attr", "mode"}});
+    if (LsmEvent* e = emit_lsm(pid, "inode_setattr")) {
+      e->object = object_for_inode(lookup.ino, path);
+      e->fields.emplace("attr", "mode");
+    }
   }
   return sys;
 }
@@ -792,7 +832,9 @@ SyscallResult Kernel::sys_fchmod(Pid pid, int fd, int mode) {
   auto it = p.fds.find(fd);
   if (it == p.fds.end()) {
     SyscallResult sys = SyscallResult::fail(Errno::kBADF);
-    emit_libc(pid, "fchmod", {std::to_string(fd)}, sys.ret, sys.error);
+    if (LibcEvent* e = emit_libc(pid, "fchmod", sys.ret, sys.error)) {
+      e->args = {std::to_string(fd)};
+    }
     return sys;
   }
   std::uint64_t ino = it->second.ino;
@@ -800,17 +842,17 @@ SyscallResult Kernel::sys_fchmod(Pid pid, int fd, int mode) {
   Inode* inode = vfs_.inode(ino);
   if (inode != nullptr) inode->mode = mode;
   SyscallResult sys = SyscallResult::success(0);
-  emit_libc(pid, "fchmod", {std::to_string(fd), octal_field(mode)},
-            sys.ret, sys.error);
-  std::vector<AuditPathRecord> paths;
-  if (!path.empty()) paths.push_back(AuditPathRecord{path, ino, "NORMAL"});
-  emit_audit(pid, "fchmod", true, 0, std::move(paths),
-             {{"mode", octal_field(mode)}});
-  emit_lsm(pid, "inode_setattr",
-           object_for_inode(ino, path.empty()
-                                     ? std::optional<std::string>{}
-                                     : std::optional<std::string>{path}),
-           std::nullopt, {{"attr", "mode"}});
+  if (LibcEvent* e = emit_libc(pid, "fchmod", sys.ret, sys.error)) {
+    e->args = {std::to_string(fd), octal_field(mode)};
+  }
+  if (AuditEvent* e = emit_audit(pid, "fchmod", true, 0)) {
+    if (!path.empty()) e->paths.push_back({path, ino, "NORMAL"});
+    e->fields.emplace("mode", octal_field(mode));
+  }
+  if (LsmEvent* e = emit_lsm(pid, "inode_setattr")) {
+    e->object = object_for_inode(ino, lsm_path(path));
+    e->fields.emplace("attr", "mode");
+  }
   return sys;
 }
 
@@ -837,14 +879,16 @@ SyscallResult Kernel::do_chown_path(Pid pid, const std::string& call,
   }
   SyscallResult sys = error == Errno::None ? SyscallResult::success(0)
                                            : SyscallResult::fail(error);
-  emit_libc(pid, call,
-            {raw_path, std::to_string(uid), std::to_string(gid)}, sys.ret,
-            sys.error);
+  if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
+    e->args = {raw_path, std::to_string(uid), std::to_string(gid)};
+  }
   // chown family is absent from the default audit rules (SPADE: NR).
-  emit_audit(pid, call, sys.ok(), sys.ret, {});
+  emit_audit(pid, call, sys.ok(), sys.ret);
   if (sys.ok()) {
-    emit_lsm(pid, "inode_setattr", object_for_inode(lookup.ino, path),
-             std::nullopt, {{"attr", "owner"}});
+    if (LsmEvent* e = emit_lsm(pid, "inode_setattr")) {
+      e->object = object_for_inode(lookup.ino, path);
+      e->fields.emplace("attr", "owner");
+    }
   }
   return sys;
 }
@@ -874,15 +918,14 @@ SyscallResult Kernel::sys_fchown(Pid pid, int fd, int uid, int gid) {
     }
     sys = SyscallResult::success(0);
   }
-  emit_libc(pid, "fchown",
-            {std::to_string(fd), std::to_string(uid), std::to_string(gid)},
-            sys.ret, sys.error);
+  if (LibcEvent* e = emit_libc(pid, "fchown", sys.ret, sys.error)) {
+    e->args = {std::to_string(fd), std::to_string(uid), std::to_string(gid)};
+  }
   if (sys.ok()) {
-    emit_lsm(pid, "inode_setattr",
-             object_for_inode(ino, path.empty()
-                                       ? std::optional<std::string>{}
-                                       : std::optional<std::string>{path}),
-             std::nullopt, {{"attr", "owner"}});
+    if (LsmEvent* e = emit_lsm(pid, "inode_setattr")) {
+      e->object = object_for_inode(ino, lsm_path(path));
+      e->fields.emplace("attr", "owner");
+    }
   }
   return sys;
 }
@@ -895,7 +938,7 @@ SyscallResult Kernel::sys_fchownat(Pid pid, const std::string& path, int uid,
 SyscallResult Kernel::do_setid(
     Pid pid, const std::string& call,
     const std::function<void(Credentials&)>& update,
-    const std::vector<std::string>& args) {
+    std::initializer_list<int> ids) {
   Process& p = processes_.at(pid);
   SyscallResult sys;
   if (p.creds.euid != 0) {
@@ -906,19 +949,24 @@ SyscallResult Kernel::do_setid(
     update(p.creds);
     sys = SyscallResult::success(0);
   }
-  emit_libc(pid, call, args, sys.ret, sys.error);
-  std::map<std::string, std::string> fields;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    fields[std::string("a").append(std::to_string(i))] = args[i];
+  if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
+    for (int id : ids) e->args.push_back(std::to_string(id));
   }
-  emit_audit(pid, call, sys.ok(), sys.ret, {}, std::move(fields));
+  if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
+    std::size_t i = 0;
+    for (int id : ids) {
+      e->fields.emplace("a" + std::to_string(i++), std::to_string(id));
+    }
+  }
   if (sys.ok()) {
     // LSM sees every credential change through cred_prepare / task_fix
     // hooks, whether or not the values actually changed (CamFlow records
     // all of Table 2 group 3).
-    emit_lsm(pid, "cred_prepare",
-             LsmObject{"task", static_cast<std::uint64_t>(pid), std::nullopt},
-             std::nullopt, {{"call", call}});
+    if (LsmEvent* e = emit_lsm(pid, "cred_prepare")) {
+      e->object =
+          LsmObject{"task", static_cast<std::uint64_t>(pid), std::nullopt};
+      e->fields.emplace("call", call);
+    }
   }
   return sys;
 }
@@ -931,7 +979,7 @@ SyscallResult Kernel::sys_setgid(Pid pid, int gid) {
         c.egid = gid;
         c.sgid = gid;
       },
-      {std::to_string(gid)});
+      {gid});
 }
 
 SyscallResult Kernel::sys_setregid(Pid pid, int rgid, int egid) {
@@ -941,7 +989,7 @@ SyscallResult Kernel::sys_setregid(Pid pid, int rgid, int egid) {
         if (rgid >= 0) c.gid = rgid;
         if (egid >= 0) c.egid = egid;
       },
-      {std::to_string(rgid), std::to_string(egid)});
+      {rgid, egid});
 }
 
 SyscallResult Kernel::sys_setresgid(Pid pid, int rgid, int egid, int sgid) {
@@ -952,7 +1000,7 @@ SyscallResult Kernel::sys_setresgid(Pid pid, int rgid, int egid, int sgid) {
         if (egid >= 0) c.egid = egid;
         if (sgid >= 0) c.sgid = sgid;
       },
-      {std::to_string(rgid), std::to_string(egid), std::to_string(sgid)});
+      {rgid, egid, sgid});
 }
 
 SyscallResult Kernel::sys_setuid(Pid pid, int uid) {
@@ -963,7 +1011,7 @@ SyscallResult Kernel::sys_setuid(Pid pid, int uid) {
         c.euid = uid;
         c.suid = uid;
       },
-      {std::to_string(uid)});
+      {uid});
 }
 
 SyscallResult Kernel::sys_setreuid(Pid pid, int ruid, int euid) {
@@ -973,7 +1021,7 @@ SyscallResult Kernel::sys_setreuid(Pid pid, int ruid, int euid) {
         if (ruid >= 0) c.uid = ruid;
         if (euid >= 0) c.euid = euid;
       },
-      {std::to_string(ruid), std::to_string(euid)});
+      {ruid, euid});
 }
 
 SyscallResult Kernel::sys_setresuid(Pid pid, int ruid, int euid, int suid) {
@@ -984,7 +1032,7 @@ SyscallResult Kernel::sys_setresuid(Pid pid, int ruid, int euid, int suid) {
         if (euid >= 0) c.euid = euid;
         if (suid >= 0) c.suid = suid;
       },
-      {std::to_string(ruid), std::to_string(euid), std::to_string(suid)});
+      {ruid, euid, suid});
 }
 
 // ---------------------------------------------------------------------------
@@ -1007,12 +1055,12 @@ SyscallResult Kernel::do_pipe(Pid pid, const std::string& call,
   write_end.pipe_write_end = true;
   if (pipe_fds != nullptr) *pipe_fds = {read_fd, write_fd};
   SyscallResult sys = SyscallResult::success(read_fd);
-  emit_libc(pid, call,
-            {std::to_string(read_fd), std::to_string(write_fd)}, 0,
-            Errno::None);
+  if (LibcEvent* e = emit_libc(pid, call, 0, Errno::None)) {
+    e->args = {std::to_string(read_fd), std::to_string(write_fd)};
+  }
   // pipe/pipe2 are outside the default audit rules and CamFlow 0.4.5 does
   // not serialize pipe allocation (Table 2 group 4).
-  emit_audit(pid, call, true, 0, {});
+  emit_audit(pid, call, true, 0);
   return sys;
 }
 
@@ -1039,19 +1087,21 @@ SyscallResult Kernel::sys_tee(Pid pid, int fd_in, int fd_out,
   } else {
     sys = SyscallResult::success(static_cast<long>(len));
   }
-  emit_libc(pid, "tee",
-            {std::to_string(fd_in), std::to_string(fd_out),
-             std::to_string(len)},
-            sys.ret, sys.error);
+  if (LibcEvent* e = emit_libc(pid, "tee", sys.ret, sys.error)) {
+    e->args = {std::to_string(fd_in), std::to_string(fd_out),
+               std::to_string(len)};
+  }
   // Not audited (SPADE: NR); OPUS does not wrap tee. But LSM sees the
   // pipe-to-pipe transfer as read+write permission checks (CamFlow: ok).
   if (sys.ok()) {
-    emit_lsm(pid, "file_permission",
-             object_for_inode(in_it->second.ino, std::nullopt), std::nullopt,
-             {{"mask", "MAY_READ"}});
-    emit_lsm(pid, "file_permission",
-             object_for_inode(out_it->second.ino, std::nullopt),
-             std::nullopt, {{"mask", "MAY_WRITE"}});
+    if (LsmEvent* e = emit_lsm(pid, "file_permission")) {
+      e->object = object_for_inode(in_it->second.ino, std::nullopt);
+      e->fields.emplace("mask", "MAY_READ");
+    }
+    if (LsmEvent* e = emit_lsm(pid, "file_permission")) {
+      e->object = object_for_inode(out_it->second.ino, std::nullopt);
+      e->fields.emplace("mask", "MAY_WRITE");
+    }
   }
   return sys;
 }
@@ -1075,33 +1125,38 @@ SyscallResult Kernel::do_fork(Pid pid, const std::string& call) {
   Pid child_pid = child.pid;
   processes_[child_pid] = std::move(child);
 
-  emit_libc(pid, call, {}, child_pid, Errno::None);
-  emit_lsm(pid, "task_alloc",
-           LsmObject{"task", static_cast<std::uint64_t>(child_pid),
-                     std::nullopt},
-           std::nullopt, {{"call", call}});
+  emit_libc(pid, call, child_pid, Errno::None);
+  if (LsmEvent* e = emit_lsm(pid, "task_alloc")) {
+    e->object = LsmObject{"task", static_cast<std::uint64_t>(child_pid),
+                          std::nullopt};
+    e->fields.emplace("call", call);
+  }
   if (call == "vfork") {
     // Audit reports syscalls at exit; the vforked parent is suspended
     // until the child exits, so its vfork record is deferred and will be
     // flushed by finish_process(child) *after* the child's own records —
-    // the cause of SPADE's disconnected vfork child (note DV).
-    const Process& p = processes_.at(pid);
+    // the cause of SPADE's disconnected vfork child (note DV). The clock
+    // and the serial advance even when nothing is recorded.
+    const double time = now();
+    const std::uint64_t serial = next_audit_serial_++;
     AuditEvent event;
-    event.syscall = call;
-    event.success = true;
-    event.exit_code = child_pid;
-    event.pid = pid;
-    event.ppid = p.ppid;
-    event.creds = p.creds;
-    event.comm = p.comm;
-    event.exe = p.exe;
-    event.cwd = p.cwd;
-    event.fields["time"] = time_field(now());
-    event.serial = next_audit_serial_++;
+    if (options_.layers.has(Layer::Audit)) {
+      const Process& p = processes_.at(pid);
+      event.syscall = call;
+      event.success = true;
+      event.exit_code = child_pid;
+      event.pid = pid;
+      event.ppid = p.ppid;
+      event.creds = p.creds;
+      event.comm = p.comm;
+      event.exe = p.exe;
+      event.cwd = p.cwd;
+      event.fields.emplace("time", time_field(time));
+      event.serial = serial;
+    }
     if (recording_) deferred_audit_[child_pid].push_back(std::move(event));
-  } else {
-    emit_audit(pid, call, true, child_pid, {},
-               {{"child", std::to_string(child_pid)}});
+  } else if (AuditEvent* e = emit_audit(pid, call, true, child_pid)) {
+    e->fields.emplace("child", std::to_string(child_pid));
   }
   return SyscallResult::success(child_pid);
 }
@@ -1116,20 +1171,29 @@ SyscallResult Kernel::sys_execve(Pid pid, const std::string& path) {
   SyscallResult sys;
   if (!lookup.ok()) {
     sys = SyscallResult::fail(lookup.error);
-    emit_libc(pid, "execve", {path}, sys.ret, sys.error);
+    if (LibcEvent* e = emit_libc(pid, "execve", sys.ret, sys.error)) {
+      e->args = {path};
+    }
     return sys;
   }
   p.exe = path;
   std::size_t slash = path.find_last_of('/');
   p.comm = slash == std::string::npos ? path : path.substr(slash + 1);
   sys = SyscallResult::success(0);
-  emit_libc(pid, "execve", {path}, 0, Errno::None);
-  emit_audit(pid, "execve", true, 0,
-             {AuditPathRecord{path, lookup.ino, "NORMAL"}},
-             {{"argc", "1"}});
-  emit_lsm(pid, "bprm_check", object_for_inode(lookup.ino, path));
-  emit_lsm(pid, "file_open", object_for_inode(lookup.ino, path),
-           std::nullopt, {{"flags", "O_RDONLY"}});
+  if (LibcEvent* e = emit_libc(pid, "execve", 0, Errno::None)) {
+    e->args = {path};
+  }
+  if (AuditEvent* e = emit_audit(pid, "execve", true, 0)) {
+    e->paths.push_back({path, lookup.ino, "NORMAL"});
+    e->fields.emplace("argc", "1");
+  }
+  if (LsmEvent* e = emit_lsm(pid, "bprm_check")) {
+    e->object = object_for_inode(lookup.ino, path);
+  }
+  if (LsmEvent* e = emit_lsm(pid, "file_open")) {
+    e->object = object_for_inode(lookup.ino, path);
+    e->fields.emplace("flags", "O_RDONLY");
+  }
   loader_activity(pid);
   return sys;
 }
@@ -1152,18 +1216,19 @@ SyscallResult Kernel::sys_kill(Pid pid, Pid target, int sig) {
       // cannot benchmark kill; note LP).
       Process& victim = it->second;
       victim.alive = false;
-      emit_lsm(pid, "task_kill",
-               LsmObject{"task", static_cast<std::uint64_t>(target),
-                         std::nullopt},
-               std::nullopt, {{"sig", std::to_string(sig)}});
+      if (LsmEvent* e = emit_lsm(pid, "task_kill")) {
+        e->object = LsmObject{"task", static_cast<std::uint64_t>(target),
+                              std::nullopt};
+        e->fields.emplace("sig", std::to_string(sig));
+      }
     }
     sys = SyscallResult::success(0);
   }
   // kill is not in the audit rule set and CamFlow 0.4.5 does not
   // serialize task_kill; OPUS's PVM has no signal representation.
-  emit_libc(pid, "kill",
-            {std::to_string(target), std::to_string(sig)}, sys.ret,
-            sys.error);
+  if (LibcEvent* e = emit_libc(pid, "kill", sys.ret, sys.error)) {
+    e->args = {std::to_string(target), std::to_string(sig)};
+  }
   return sys;
 }
 
@@ -1208,19 +1273,21 @@ SyscallResult Kernel::sys_socket(Pid pid, int domain, int type) {
   file.is_socket = true;
   p.fds[fd] = file;
   SyscallResult sys = SyscallResult::success(fd);
-  emit_libc(pid, "socket",
-            {socket_domain_name(domain), socket_type_name(type)}, sys.ret,
-            sys.error);
+  if (LibcEvent* e = emit_libc(pid, "socket", sys.ret, sys.error)) {
+    e->args = {socket_domain_name(domain), socket_type_name(type)};
+  }
   // The socket family is outside the default audit rules — SPADE's
   // baseline misses all of group 5 (an "audit"-style recorder installs
   // explicit -S socket,... rules to see them).
-  emit_audit(pid, "socket", true, fd, {},
-             {{"family", socket_domain_name(domain)},
-              {"type", socket_type_name(type)}});
-  emit_lsm(pid, "socket_create", object_for_inode(ino, std::nullopt),
-           std::nullopt,
-           {{"family", socket_domain_name(domain)},
-            {"type", socket_type_name(type)}});
+  if (AuditEvent* e = emit_audit(pid, "socket", true, fd)) {
+    e->fields.emplace("family", socket_domain_name(domain));
+    e->fields.emplace("type", socket_type_name(type));
+  }
+  if (LsmEvent* e = emit_lsm(pid, "socket_create")) {
+    e->object = object_for_inode(ino, std::nullopt);
+    e->fields.emplace("family", socket_domain_name(domain));
+    e->fields.emplace("type", socket_type_name(type));
+  }
   return sys;
 }
 
@@ -1239,13 +1306,19 @@ SyscallResult Kernel::do_socket_addr(Pid pid, const std::string& call,
     it->second.sock_addr = addr;
     sys = SyscallResult::success(0);
   }
-  emit_libc(pid, call, {std::to_string(fd), addr}, sys.ret, sys.error);
-  emit_audit(pid, call, sys.ok(), sys.ret, {},
-             {{"a0", std::to_string(fd)}, {"addr", addr}});
+  if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
+    e->args = {std::to_string(fd), addr};
+  }
+  if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
+    e->fields.emplace("a0", std::to_string(fd));
+    e->fields.emplace("addr", addr);
+  }
   if (sys.ok()) {
-    emit_lsm(pid, call == "bind" ? "socket_bind" : "socket_connect",
-             object_for_inode(ino, std::nullopt), std::nullopt,
-             {{"addr", addr}});
+    if (LsmEvent* e = emit_lsm(
+            pid, call == "bind" ? "socket_bind" : "socket_connect")) {
+      e->object = object_for_inode(ino, std::nullopt);
+      e->fields.emplace("addr", addr);
+    }
   }
   return sys;
 }
@@ -1272,14 +1345,18 @@ SyscallResult Kernel::sys_listen(Pid pid, int fd, int backlog) {
     it->second.listening = true;
     sys = SyscallResult::success(0);
   }
-  emit_libc(pid, "listen", {std::to_string(fd), std::to_string(backlog)},
-            sys.ret, sys.error);
-  emit_audit(pid, "listen", sys.ok(), sys.ret, {},
-             {{"a0", std::to_string(fd)},
-              {"backlog", std::to_string(backlog)}});
+  if (LibcEvent* e = emit_libc(pid, "listen", sys.ret, sys.error)) {
+    e->args = {std::to_string(fd), std::to_string(backlog)};
+  }
+  if (AuditEvent* e = emit_audit(pid, "listen", sys.ok(), sys.ret)) {
+    e->fields.emplace("a0", std::to_string(fd));
+    e->fields.emplace("backlog", std::to_string(backlog));
+  }
   if (sys.ok()) {
-    emit_lsm(pid, "socket_listen", object_for_inode(ino, std::nullopt),
-             std::nullopt, {{"backlog", std::to_string(backlog)}});
+    if (LsmEvent* e = emit_lsm(pid, "socket_listen")) {
+      e->object = object_for_inode(ino, std::nullopt);
+      e->fields.emplace("backlog", std::to_string(backlog));
+    }
   }
   return sys;
 }
@@ -1306,13 +1383,17 @@ SyscallResult Kernel::sys_accept(Pid pid, int fd) {
     p.fds[new_fd] = file;
     sys = SyscallResult::success(new_fd);
   }
-  emit_libc(pid, "accept", {std::to_string(fd)}, sys.ret, sys.error);
-  emit_audit(pid, "accept", sys.ok(), sys.ret, {},
-             {{"a0", std::to_string(fd)}});
+  if (LibcEvent* e = emit_libc(pid, "accept", sys.ret, sys.error)) {
+    e->args = {std::to_string(fd)};
+  }
+  if (AuditEvent* e = emit_audit(pid, "accept", sys.ok(), sys.ret)) {
+    e->fields.emplace("a0", std::to_string(fd));
+  }
   if (sys.ok()) {
-    emit_lsm(pid, "socket_accept",
-             object_for_inode(listen_ino, std::nullopt),
-             object_for_inode(conn_ino, std::nullopt));
+    if (LsmEvent* e = emit_lsm(pid, "socket_accept")) {
+      e->object = object_for_inode(listen_ino, std::nullopt);
+      e->object2 = object_for_inode(conn_ino, std::nullopt);
+    }
   }
   return sys;
 }
@@ -1333,15 +1414,19 @@ SyscallResult Kernel::do_socket_io(Pid pid, const std::string& call, int fd,
     addr = it->second.sock_addr;
     sys = SyscallResult::success(static_cast<long>(count));
   }
-  emit_libc(pid, call, {std::to_string(fd), std::to_string(count)},
-            sys.ret, sys.error);
-  std::map<std::string, std::string> fields{{"a0", std::to_string(fd)}};
-  if (!addr.empty()) fields["addr"] = addr;
-  emit_audit(pid, call, sys.ok(), sys.ret, {}, std::move(fields));
+  if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
+    e->args = {std::to_string(fd), std::to_string(count)};
+  }
+  if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
+    e->fields.emplace("a0", std::to_string(fd));
+    if (!addr.empty()) e->fields.emplace("addr", addr);
+  }
   if (sys.ok()) {
-    emit_lsm(pid, is_send ? "socket_sendmsg" : "socket_recvmsg",
-             object_for_inode(ino, std::nullopt), std::nullopt,
-             {{"bytes", std::to_string(count)}});
+    if (LsmEvent* e = emit_lsm(
+            pid, is_send ? "socket_sendmsg" : "socket_recvmsg")) {
+      e->object = object_for_inode(ino, std::nullopt);
+      e->fields.emplace("bytes", std::to_string(count));
+    }
   }
   return sys;
 }
@@ -1372,22 +1457,19 @@ SyscallResult Kernel::sys_mmap(Pid pid, int fd, std::uint64_t length,
     path = it->second.path;
     sys = SyscallResult::success(static_cast<long>(length));
   }
-  std::string prot_text = prot_to_string(prot);
-  emit_libc(pid, "mmap",
-            {std::to_string(fd), std::to_string(length), prot_text},
-            sys.ret, sys.error);
-  std::vector<AuditPathRecord> paths;
-  if (sys.ok() && !path.empty()) {
-    paths.push_back(AuditPathRecord{path, ino, "NORMAL"});
+  if (LibcEvent* e = emit_libc(pid, "mmap", sys.ret, sys.error)) {
+    e->args = {std::to_string(fd), std::to_string(length),
+               prot_to_string(prot)};
   }
-  emit_audit(pid, "mmap", sys.ok(), sys.ret, std::move(paths),
-             {{"prot", prot_text}});
+  if (AuditEvent* e = emit_audit(pid, "mmap", sys.ok(), sys.ret)) {
+    if (!path.empty()) e->paths.push_back({path, ino, "NORMAL"});
+    e->fields.emplace("prot", prot_to_string(prot));
+  }
   if (sys.ok()) {
-    emit_lsm(pid, "mmap_file",
-             object_for_inode(ino, path.empty()
-                                       ? std::optional<std::string>{}
-                                       : std::optional<std::string>{path}),
-             std::nullopt, {{"prot", prot_text}});
+    if (LsmEvent* e = emit_lsm(pid, "mmap_file")) {
+      e->object = object_for_inode(ino, lsm_path(path));
+      e->fields.emplace("prot", prot_to_string(prot));
+    }
   }
   return sys;
 }
@@ -1396,7 +1478,9 @@ SyscallResult Kernel::sys_munmap(Pid pid, std::uint64_t length) {
   // Releasing a mapping is invisible to every layer but libc: munmap is
   // not in the default audit rules and LSM has no unmap hook.
   SyscallResult sys = SyscallResult::success(0);
-  emit_libc(pid, "munmap", {std::to_string(length)}, sys.ret, sys.error);
+  if (LibcEvent* e = emit_libc(pid, "munmap", sys.ret, sys.error)) {
+    e->args = {std::to_string(length)};
+  }
   return sys;
 }
 
@@ -1413,13 +1497,19 @@ SyscallResult Kernel::sys_clone_thread(Pid pid) {
   thread.next_fd = parent.next_fd;
   Pid tid = thread.pid;
   processes_[tid] = std::move(thread);
-  emit_libc(pid, "clone", {"CLONE_THREAD|CLONE_VM"}, tid, Errno::None);
-  emit_lsm(pid, "task_alloc",
-           LsmObject{"task", static_cast<std::uint64_t>(tid), std::nullopt},
-           std::nullopt, {{"call", "clone"}, {"thread", "1"}});
-  emit_audit(pid, "clone", true, tid, {},
-             {{"child", std::to_string(tid)},
-              {"flags", "CLONE_THREAD|CLONE_VM"}});
+  if (LibcEvent* e = emit_libc(pid, "clone", tid, Errno::None)) {
+    e->args = {"CLONE_THREAD|CLONE_VM"};
+  }
+  if (LsmEvent* e = emit_lsm(pid, "task_alloc")) {
+    e->object =
+        LsmObject{"task", static_cast<std::uint64_t>(tid), std::nullopt};
+    e->fields.emplace("call", "clone");
+    e->fields.emplace("thread", "1");
+  }
+  if (AuditEvent* e = emit_audit(pid, "clone", true, tid)) {
+    e->fields.emplace("child", std::to_string(tid));
+    e->fields.emplace("flags", "CLONE_THREAD|CLONE_VM");
+  }
   return SyscallResult::success(tid);
 }
 

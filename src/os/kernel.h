@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <set>
@@ -146,8 +147,14 @@ class Kernel {
     /// smallest-graph selection rule expects to find (§3.4).
     double free_record_probability = 0.05;
     /// Audit rules installed by the recorder beyond the defaults (SPADE
-    /// with `simplify` disabled audits setresuid/setresgid explicitly).
-    std::set<std::string> extra_audit_rules;
+    /// with `simplify` disabled audits setresuid/setresgid explicitly),
+    /// or null for none. The set must outlive the kernel.
+    const std::set<std::string>* extra_audit_rules = nullptr;
+    /// The layers whose events are built. A layer left out still takes
+    /// everything its events would have taken — clock draws, sequence
+    /// numbers, audit serials — so every built layer is event for event
+    /// what it is in a trace of all layers.
+    Layers layers = Layers::all();
   };
 
   Kernel();
@@ -275,19 +282,20 @@ class Kernel {
   Pid allocate_pid();
   double now();
 
-  // Event emission helpers. Each checks `recording_`.
-  void emit_libc(Pid pid, const std::string& function,
-                 std::vector<std::string> args, long ret, Errno err);
-  /// Emits an audit record if `syscall` is in the audit rule set and the
-  /// call succeeded (SPADE's default rules ignore failures).
-  void emit_audit(Pid pid, const std::string& syscall, bool success,
-                  long exit_code, std::vector<AuditPathRecord> paths,
-                  std::map<std::string, std::string> fields = {});
-  void emit_lsm(Pid pid, const std::string& hook,
-                std::optional<LsmObject> object,
-                std::optional<LsmObject> object2 = std::nullopt,
-                std::map<std::string, std::string> fields = {},
-                bool permission_denied = false);
+  // Event emission. Each call takes the event's place in the global
+  // order (and, for audit and LSM, its clock draw) whenever recording is
+  // on, and returns the event for the caller to fill in — or nullptr when
+  // no event is built: not recording, the layer is off, or (audit) the
+  // call is outside the rule set or failed. So callers build arguments,
+  // fields and objects only for a layer that is recorded.
+  LibcEvent* emit_libc(Pid pid, std::string_view function, long ret,
+                       Errno err);
+  /// An audit record, if `syscall` is in the audit rule set and the call
+  /// succeeded (SPADE's default rules ignore failures).
+  AuditEvent* emit_audit(Pid pid, const std::string& syscall, bool success,
+                         long exit_code);
+  LsmEvent* emit_lsm(Pid pid, std::string_view hook,
+                     bool permission_denied = false);
 
   /// Loader boilerplate common to launch and execve: ld.so.cache + libc
   /// opens, reads, mmap, closes.
@@ -295,6 +303,7 @@ class Kernel {
 
   LsmObject object_for_inode(std::uint64_t ino,
                              std::optional<std::string> path) const;
+  static std::optional<std::string> lsm_path(const std::string& path);
 
   SyscallResult do_open(Pid pid, const std::string& call,
                         const std::string& path, int flags, int mode);
@@ -320,7 +329,7 @@ class Kernel {
                               const std::string& path, int uid, int gid);
   SyscallResult do_setid(Pid pid, const std::string& call,
                          const std::function<void(Credentials&)>& update,
-                         const std::vector<std::string>& args);
+                         std::initializer_list<int> ids);
   SyscallResult do_pipe(Pid pid, const std::string& call,
                         std::pair<int, int>* pipe_fds);
   SyscallResult do_fork(Pid pid, const std::string& call);

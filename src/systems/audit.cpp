@@ -1,11 +1,13 @@
 #include "systems/audit.h"
 
 #include <charconv>
-#include <utility>
-#include <vector>
+#include <map>
+#include <string>
+#include <string_view>
 
 #include "formats/dot.h"
 #include "os/kernel.h"
+#include "systems/recorded_graph.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -13,7 +15,6 @@ namespace provmark::systems {
 
 namespace {
 
-using graph::PropertyGraph;
 using os::AuditEvent;
 
 /// Re-encode the kernel's textual flags as the raw argument register a
@@ -42,78 +43,76 @@ class AuditBuilder {
     next_id_ = 1 + rng_.next_below(1u << 20);
   }
 
-  PropertyGraph take(const os::EventTrace& trace) {
+  graph::GraphView take(const os::EventTrace& trace) {
     for (const AuditEvent& event : trace.audit) {
       handle(event);
     }
-    return std::move(graph_);
+    return graph_.take();
   }
 
  private:
-  std::string fresh_id() {
-    return std::string("a").append(std::to_string(next_id_++));
-  }
+  std::string_view fresh_id() { return graph_.num(next_id_++, "a"); }
 
-  std::string process_vertex(const AuditEvent& event) {
+  std::uint32_t process_vertex(const AuditEvent& event) {
     auto it = process_vertex_.find(event.pid);
     if (it != process_vertex_.end()) return it->second;
-    std::string id = fresh_id();
-    graph::Properties props;
-    props["type"] = "process";
-    props["pid"] = std::to_string(event.pid);
-    props["ppid"] = std::to_string(event.ppid);
-    props["comm"] = event.comm;
-    props["exe"] = event.exe;
-    props["uid"] = std::to_string(event.creds.uid);
-    props["gid"] = std::to_string(event.creds.gid);
-    graph_.add_node(id, "process", std::move(props));
-    process_vertex_[event.pid] = id;
-    return id;
+    std::string_view id = fresh_id();
+    std::uint32_t node = graph_.node(id, "process",
+                                     {{"type", "process"},
+                                      {"pid", graph_.num(event.pid)},
+                                      {"ppid", graph_.num(event.ppid)},
+                                      {"comm", event.comm},
+                                      {"exe", event.exe},
+                                      {"uid", graph_.num(event.creds.uid)},
+                                      {"gid", graph_.num(event.creds.gid)}});
+    process_vertex_[event.pid] = node;
+    return node;
   }
 
-  std::string path_vertex(const os::AuditPathRecord& record) {
+  std::uint32_t path_vertex(const os::AuditPathRecord& record) {
     auto it = path_vertex_.find(record.name);
     if (it != path_vertex_.end()) return it->second;
-    std::string id = fresh_id();
-    graph_.add_node(id, "path",
-                    {{"type", "path"},
-                     {"name", record.name},
-                     {"inode", std::to_string(record.inode)}});
-    path_vertex_[record.name] = id;
-    return id;
+    std::string_view id = fresh_id();
+    std::uint32_t node = graph_.node(id, "path",
+                                     {{"type", "path"},
+                                      {"name", record.name},
+                                      {"inode", graph_.num(record.inode)}});
+    path_vertex_.emplace(record.name, node);
+    return node;
   }
 
   void handle(const AuditEvent& event) {
-    std::string proc = process_vertex(event);
+    std::uint32_t proc = process_vertex(event);
     // One vertex per SYSCALL record, carrying the decoded argument
     // vocabulary next to the raw register values.
-    std::string record_id = fresh_id();
-    graph::Properties props;
-    props["type"] = "syscall";
-    props["syscall"] = event.syscall;
-    props["success"] = event.success ? "yes" : "no";
-    props["exit"] = std::to_string(event.exit_code);
-    props["serial"] = std::to_string(event.serial);  // transient
+    std::string_view record_id = fresh_id();
+    graph_.prop("type", "syscall");
+    graph_.prop("syscall", event.syscall);
+    graph_.prop("success", event.success ? "yes" : "no");
+    graph_.prop("exit", graph_.num(event.exit_code));
+    graph_.prop("serial", graph_.num(event.serial));  // transient
     for (const auto& [key, value] : event.fields) {
       if (key == "time") continue;  // transient; ids already carry noise
       if (key == "flags") {
-        props["a1"] = encode_flags(os::kOpenFlagNames, value);
-        if (config_.decode_arguments) props["flags"] = value;
+        graph_.prop("a1", graph_.keep(encode_flags(os::kOpenFlagNames, value)));
+        if (config_.decode_arguments) graph_.prop("flags", value);
         continue;
       }
       if (key == "prot") {
-        props["a2"] = encode_flags(os::kProtNames, value);
-        if (config_.decode_arguments) props["prot"] = value;
+        graph_.prop("a2", graph_.keep(encode_flags(os::kProtNames, value)));
+        if (config_.decode_arguments) graph_.prop("prot", value);
         continue;
       }
-      props[key] = value;
+      graph_.prop(key, value);
     }
-    graph_.add_node(record_id, "syscall", std::move(props));
-    graph_.add_edge(fresh_id(), record_id, proc, "emitted",
-                    {{"auid", std::to_string(event.creds.uid)}});
+    std::uint32_t record = graph_.node(record_id, "syscall");
+    graph_.edge(fresh_id(), record, proc, "emitted",
+                {{"auid", graph_.num(event.creds.uid)}});
     for (const os::AuditPathRecord& path : event.paths) {
-      graph_.add_edge(fresh_id(), record_id, path_vertex(path), "path",
-                      {{"nametype", path.nametype}});
+      // The path vertex takes its id before the edge does.
+      std::uint32_t target = path_vertex(path);
+      graph_.edge(fresh_id(), record, target, "path",
+                  {{"nametype", path.nametype}});
     }
     // Process-creating records additionally link to the child's process
     // vertex once its own records materialize it.
@@ -121,7 +120,8 @@ class AuditBuilder {
         event.syscall == "clone") {
       auto child = event.fields.find("child");
       if (child != event.fields.end()) {
-        pending_child_[record_id] = child->second;
+        pending_child_.emplace(record_id,
+                               PendingChild{record, std::stoi(child->second)});
       }
     }
     resolve_pending();
@@ -129,10 +129,9 @@ class AuditBuilder {
 
   void resolve_pending() {
     for (auto it = pending_child_.begin(); it != pending_child_.end();) {
-      os::Pid pid = static_cast<os::Pid>(std::stol(it->second));
-      auto proc = process_vertex_.find(pid);
+      auto proc = process_vertex_.find(it->second.pid);
       if (proc != process_vertex_.end()) {
-        graph_.add_edge(fresh_id(), it->first, proc->second, "spawned", {});
+        graph_.edge(fresh_id(), it->second.record, proc->second, "spawned");
         it = pending_child_.erase(it);
       } else {
         ++it;
@@ -140,13 +139,19 @@ class AuditBuilder {
     }
   }
 
+  struct PendingChild {
+    std::uint32_t record = 0;  ///< the fork record's node
+    os::Pid pid = 0;           ///< the child it names
+  };
+
   const AuditConfig& config_;
   util::Rng rng_;
-  PropertyGraph graph_;
+  RecordedGraph graph_;
   std::uint64_t next_id_ = 1;
-  std::map<os::Pid, std::string> process_vertex_;
-  std::map<std::string, std::string> path_vertex_;
-  std::map<std::string, std::string> pending_child_;
+  std::map<os::Pid, std::uint32_t> process_vertex_;
+  std::map<std::string_view, std::uint32_t> path_vertex_;
+  /// Keyed by the record's id: fork records are linked in id order.
+  std::map<std::string_view, PendingChild> pending_child_;
 };
 
 }  // namespace
@@ -154,7 +159,7 @@ class AuditBuilder {
 graph::PropertyGraph build_audit_graph(const os::EventTrace& trace,
                                        const AuditConfig& config,
                                        std::uint64_t seed) {
-  return AuditBuilder(config, seed).take(trace);
+  return AuditBuilder(config, seed).take(trace).materialize();
 }
 
 std::set<std::string> AuditRecorder::extra_audit_rules() const {
@@ -169,10 +174,10 @@ std::set<std::string> AuditRecorder::extra_audit_rules() const {
 std::string AuditRecorder::record(const os::EventTrace& trace,
                                   const TrialContext& trial) {
   util::Rng rng(trial.seed ^ util::stable_hash("audit"));
-  graph::PropertyGraph g = build_audit_graph(trace, config_, rng.next_u64());
   // auditd writes an append-only log flushed on stop: no truncation or
   // interference noise, which is why two trials suffice (default_trials).
-  return formats::to_dot(g, "audit_provenance");
+  return formats::to_dot(AuditBuilder(config_, rng.next_u64()).take(trace),
+                         "audit_provenance");
 }
 
 }  // namespace provmark::systems

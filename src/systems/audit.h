@@ -29,6 +29,7 @@ class AuditRecorder final : public Recorder {
 
   std::string name() const override { return "audit"; }
   std::string output_format() const override { return "graphviz-dot"; }
+  os::Layer layer() const override { return os::Layer::Audit; }
   std::set<std::string> extra_audit_rules() const override;
   std::string record(const os::EventTrace& trace,
                      const TrialContext& trial) override;
@@ -39,7 +40,8 @@ class AuditRecorder final : public Recorder {
   AuditConfig config_;
 };
 
-/// The graph-building core, exposed for unit tests.
+/// The graph-building core, exposed for unit tests: the
+/// view record() writes, materialized.
 graph::PropertyGraph build_audit_graph(const os::EventTrace& trace,
                                        const AuditConfig& config,
                                        std::uint64_t seed);

@@ -1,6 +1,12 @@
 #include "systems/camflow.h"
 
+#include <map>
+#include <optional>
+#include <string>
+#include <string_view>
+
 #include "formats/prov_json.h"
+#include "systems/recorded_graph.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -8,7 +14,6 @@ namespace provmark::systems {
 
 namespace {
 
-using graph::PropertyGraph;
 using os::LsmEvent;
 
 class CamflowBuilder {
@@ -17,85 +22,103 @@ class CamflowBuilder {
       : config_(config), rng_(seed) {
     // cf:id values are per-boot counters: transient across trials.
     next_cf_id_ = 1 + rng_.next_below(1u << 20);
-    boot_id_ = std::to_string(rng_.next_below(1u << 16));
+    boot_id_ = graph_.num(rng_.next_below(1u << 16));
   }
 
-  PropertyGraph take(const os::EventTrace& trace, bool interference = false) {
+  graph::GraphView take(const os::EventTrace& trace,
+                        bool interference = false) {
     for (const LsmEvent& event : trace.lsm) {
       handle(event);
     }
     if (interference) add_interference();
-    return std::move(graph_);
+    return graph_.take();
   }
 
  private:
   void add_interference() {
     // Whole-system capture: a daemon writing its log lands in the window.
-    std::string task = fresh_id("task");
-    graph_.add_node(task, "activity",
+    std::string_view task_id = fresh_id("cf:task:");
+    std::uint32_t task =
+        graph_.node(task_id, "activity",
                     {{"prov:type", "task"},
-                     {"cf:pid", std::to_string(300 + rng_.next_below(400))},
+                     {"cf:pid", graph_.num(300 + rng_.next_below(400))},
                      {"cf:boot_id", boot_id_}});
-    std::string log = fresh_id("inode");
-    graph_.add_node(log, "entity",
+    std::string_view log_id = fresh_id("cf:inode:");
+    std::uint32_t log =
+        graph_.node(log_id, "entity",
                     {{"prov:type", "inode_file"},
-                     {"cf:inode", std::to_string(rng_.next_below(9000))}});
-    graph_.add_edge(fresh_id("rel"), log, task, "wasGeneratedBy",
-                    {{"prov:label", "write"}});
+                     {"cf:inode", graph_.num(rng_.next_below(9000))}});
+    graph_.edge(fresh_id("cf:rel:"), log, task, "wasGeneratedBy",
+                {{"prov:label", "write"}});
   }
 
-  std::string fresh_id(const char* kind) {
-    return std::string("cf:") + kind + ":" + std::to_string(next_cf_id_++);
+  std::string_view fresh_id(std::string_view kind) {
+    return graph_.num(next_cf_id_++, kind);
   }
 
-  std::string task_node(const LsmEvent& event) {
+  std::uint32_t task_node(const LsmEvent& event) {
     auto it = task_node_.find(event.pid);
     if (it != task_node_.end()) return it->second;
-    std::string id = fresh_id("task");
-    graph::Properties props;
-    props["prov:type"] = "task";
-    props["cf:pid"] = std::to_string(event.pid);   // transient
-    props["cf:boot_id"] = boot_id_;                // transient
-    props["cf:uid"] = std::to_string(event.creds.uid);
-    props["cf:gid"] = std::to_string(event.creds.gid);
-    if (event.fields.count("time")) {
-      props["cf:date"] = event.fields.at("time");  // transient
+    std::string_view id = fresh_id("cf:task:");
+    graph_.prop("prov:type", "task");
+    graph_.prop("cf:pid", graph_.num(event.pid));  // transient
+    graph_.prop("cf:boot_id", boot_id_);           // transient
+    graph_.prop("cf:uid", graph_.num(event.creds.uid));
+    graph_.prop("cf:gid", graph_.num(event.creds.gid));
+    if (auto time = event.fields.find("time"); time != event.fields.end()) {
+      graph_.prop("cf:date", time->second);  // transient
     }
-    graph_.add_node(id, "activity", std::move(props));
-    task_node_[event.pid] = id;
-    return id;
+    std::uint32_t node = graph_.node(id, "activity");
+    task_node_[event.pid] = node;
+    return node;
   }
 
-  std::string inode_node(const os::LsmObject& object) {
+  std::uint32_t inode_node(const os::LsmObject& object) {
     auto it = inode_node_.find(object.id);
     if (it != inode_node_.end()) return it->second;
-    std::string id = fresh_id("inode");
-    graph::Properties props;
-    props["prov:type"] = "inode_" + object.kind;
-    props["cf:inode"] = std::to_string(object.id);
-    graph_.add_node(id, "entity", std::move(props));
-    inode_node_[object.id] = id;
-    return id;
+    std::uint32_t node = new_inode_node(object);
+    inode_node_[object.id] = node;
+    return node;
   }
 
-  /// Path entities hang off their inode via a `named` relation.
-  std::string path_node(const std::string& path, const std::string& inode) {
+  std::uint32_t new_inode_node(const os::LsmObject& object) {
+    std::string_view id = fresh_id("cf:inode:");
+    return graph_.node(id, "entity",
+                       {{"prov:type", inode_type(object.kind)},
+                        {"cf:inode", graph_.num(object.id)}});
+  }
+
+  std::string_view inode_type(const std::string& kind) {
+    return graph_.keep("inode_" + kind);
+  }
+
+  /// Path entities hang off their inode via a `named` relation. `path`
+  /// lives in the trace (or is a literal).
+  std::uint32_t path_node(std::string_view path, std::uint32_t inode) {
     auto it = path_node_.find(path);
     if (it != path_node_.end()) return it->second;
-    std::string id = fresh_id("path");
-    graph_.add_node(id, "entity",
-                    {{"prov:type", "path"}, {"cf:pathname", path}});
-    graph_.add_edge(fresh_id("rel"), inode, id, "named", {});
-    path_node_[path] = id;
-    return id;
+    std::string_view id = fresh_id("cf:path:");
+    std::uint32_t node = graph_.node(
+        id, "entity", {{"prov:type", "path"}, {"cf:pathname", path}});
+    graph_.edge(fresh_id("cf:rel:"), inode, node, "named");
+    path_node_.emplace(path, node);
+    return node;
   }
 
-  void relate(const std::string& src, const std::string& tgt,
-              const std::string& relation, const std::string& label) {
-    graph::Properties props;
-    if (!label.empty()) props["prov:label"] = label;
-    props["cf:id"] = std::to_string(next_cf_id_++);  // transient
-    graph_.add_edge(fresh_id("rel"), src, tgt, relation, std::move(props));
+  void relate(std::uint32_t src, std::uint32_t tgt, std::string_view relation,
+              std::string_view label) {
+    if (!label.empty()) graph_.prop("prov:label", label);
+    graph_.prop("cf:id", graph_.num(next_cf_id_++));  // transient
+    graph_.edge(fresh_id("cf:rel:"), src, tgt, relation);
+  }
+
+  /// The event's `key` field, or `fallback`.
+  static std::string_view field_or(const LsmEvent& event,
+                                   const std::string& key,
+                                   std::string_view fallback) {
+    auto it = event.fields.find(key);
+    return it != event.fields.end() ? std::string_view(it->second)
+                                    : fallback;
   }
 
   void handle(const LsmEvent& event) {
@@ -116,20 +139,20 @@ class CamflowBuilder {
       return;
     }
     if (hook == "task_alloc") {
-      std::string parent = task_node(event);
-      std::string child = fresh_id("task");
-      graph_.add_node(child, "activity",
+      std::uint32_t parent = task_node(event);
+      std::string_view child_id = fresh_id("cf:task:");
+      std::uint32_t child =
+          graph_.node(child_id, "activity",
                       {{"prov:type", "task"},
-                       {"cf:pid", std::to_string(event.object->id)},
+                       {"cf:pid", graph_.num(event.object->id)},
                        {"cf:boot_id", boot_id_}});
       task_node_[static_cast<os::Pid>(event.object->id)] = child;
-      relate(child, parent, "wasInformedBy",
-             event.fields.count("call") ? event.fields.at("call") : "fork");
+      relate(child, parent, "wasInformedBy", field_or(event, "call", "fork"));
       return;
     }
-    std::string task = task_node(event);
+    std::uint32_t task = task_node(event);
     if (hook == "bprm_check") {
-      std::string inode = inode_node(*event.object);
+      std::uint32_t inode = inode_node(*event.object);
       if (event.object->path.has_value()) {
         path_node(*event.object->path, inode);
       }
@@ -137,7 +160,7 @@ class CamflowBuilder {
       return;
     }
     if (hook == "file_open") {
-      std::string inode = inode_node(*event.object);
+      std::uint32_t inode = inode_node(*event.object);
       if (event.object->path.has_value()) {
         path_node(*event.object->path, inode);
       }
@@ -145,10 +168,8 @@ class CamflowBuilder {
       return;
     }
     if (hook == "file_permission") {
-      std::string inode = inode_node(*event.object);
-      bool write = event.fields.count("mask") > 0 &&
-                   event.fields.at("mask") == "MAY_WRITE";
-      if (write) {
+      std::uint32_t inode = inode_node(*event.object);
+      if (field_or(event, "mask", "") == "MAY_WRITE") {
         relate(inode, task, "wasGeneratedBy", "write");
       } else {
         relate(task, inode, "used", "read");
@@ -156,135 +177,125 @@ class CamflowBuilder {
       return;
     }
     if (hook == "mmap_file") {
-      std::string inode = inode_node(*event.object);
-      std::string memory = memory_node(event);
+      std::uint32_t inode = inode_node(*event.object);
+      std::uint32_t memory = memory_node(event);
       relate(memory, inode, "wasDerivedFrom", "mmap");
       return;
     }
     if (hook == "socket_create") {
-      std::string inode = inode_node(*event.object);
+      std::uint32_t inode = inode_node(*event.object);
       relate(inode, task, "wasGeneratedBy", "socket_create");
       return;
     }
     if (hook == "socket_bind") {
-      std::string inode = inode_node(*event.object);
+      std::uint32_t inode = inode_node(*event.object);
       relate(inode, task, "wasGeneratedBy", "bind");
       return;
     }
     if (hook == "socket_connect") {
-      std::string inode = inode_node(*event.object);
+      std::uint32_t inode = inode_node(*event.object);
       relate(task, inode, "used", "connect");
       return;
     }
     if (hook == "socket_listen") {
-      std::string inode = inode_node(*event.object);
+      std::uint32_t inode = inode_node(*event.object);
       relate(task, inode, "used", "listen");
       return;
     }
     if (hook == "socket_accept") {
       // object: the listening socket; object2: the accepted connection.
-      std::string listening = inode_node(*event.object);
-      std::string accepted = inode_node(*event.object2);
+      std::uint32_t listening = inode_node(*event.object);
+      std::uint32_t accepted = inode_node(*event.object2);
       relate(accepted, listening, "wasDerivedFrom", "accept");
       relate(accepted, task, "wasGeneratedBy", "accept");
       return;
     }
     if (hook == "socket_sendmsg") {
-      std::string inode = inode_node(*event.object);
+      std::uint32_t inode = inode_node(*event.object);
       relate(inode, task, "wasGeneratedBy", "send");
       return;
     }
     if (hook == "socket_recvmsg") {
-      std::string inode = inode_node(*event.object);
+      std::uint32_t inode = inode_node(*event.object);
       relate(task, inode, "used", "receive");
       return;
     }
     if (hook == "inode_create") {
-      std::string inode = inode_node(*event.object);
+      std::uint32_t inode = inode_node(*event.object);
       if (event.object->path.has_value()) {
         path_node(*event.object->path, inode);
       }
       relate(inode, task, "wasGeneratedBy", "create");
       return;
     }
-    if (hook == "inode_link") {
-      // A new name for an existing inode.
-      std::string inode = inode_node(*event.object);
-      std::string new_path =
-          path_node(event.object2->path.value_or("?"), inode);
-      relate(new_path, task, "wasGeneratedBy", "link");
-      return;
-    }
-    if (hook == "inode_rename") {
-      // A new path associated with the file object; the old path does not
-      // reappear (§4.1).
-      std::string inode = inode_node(*event.object);
-      std::string new_path =
-          path_node(event.object2->path.value_or("?"), inode);
-      relate(new_path, task, "wasGeneratedBy", "rename");
+    if (hook == "inode_link" || hook == "inode_rename") {
+      // A new name for an existing inode (link), or a new path associated
+      // with the file object whose old path does not reappear (rename,
+      // §4.1).
+      std::uint32_t inode = inode_node(*event.object);
+      const std::optional<std::string>& path = event.object2->path;
+      std::uint32_t new_path =
+          path_node(path.has_value() ? std::string_view(*path) : "?", inode);
+      relate(new_path, task, "wasGeneratedBy",
+             hook == "inode_link" ? "link" : "rename");
       return;
     }
     if (hook == "inode_unlink") {
-      std::string inode = inode_node(*event.object);
+      std::uint32_t inode = inode_node(*event.object);
       relate(task, inode, "wasInvalidatedBy", "unlink");
       return;
     }
     if (hook == "inode_setattr") {
       // Attribute change: new entity version derived from the old one.
-      std::string inode = inode_node(*event.object);
-      std::string next = fresh_id("inode");
-      graph_.add_node(next, "entity",
-                      {{"prov:type", "inode_" + event.object->kind},
-                       {"cf:inode", std::to_string(event.object->id)}});
-      relate(next, inode, "wasDerivedFrom",
-             event.fields.count("attr") ? event.fields.at("attr")
-                                        : "setattr");
+      std::uint32_t inode = inode_node(*event.object);
+      std::uint32_t next = new_inode_node(*event.object);
+      relate(next, inode, "wasDerivedFrom", field_or(event, "attr", "setattr"));
       relate(next, task, "wasGeneratedBy", "setattr");
       inode_node_[event.object->id] = next;
       return;
     }
     if (hook == "cred_prepare") {
       // Credential change: new task version informed by the old one.
-      std::string next = fresh_id("task");
-      graph_.add_node(next, "activity",
+      std::string_view next_id = fresh_id("cf:task:");
+      std::uint32_t next =
+          graph_.node(next_id, "activity",
                       {{"prov:type", "task"},
-                       {"cf:pid", std::to_string(event.pid)},
+                       {"cf:pid", graph_.num(event.pid)},
                        {"cf:boot_id", boot_id_},
-                       {"cf:uid", std::to_string(event.creds.uid)},
-                       {"cf:gid", std::to_string(event.creds.gid)}});
-      relate(next, task, "wasInformedBy",
-             event.fields.count("call") ? event.fields.at("call")
-                                        : "setid");
+                       {"cf:uid", graph_.num(event.creds.uid)},
+                       {"cf:gid", graph_.num(event.creds.gid)}});
+      relate(next, task, "wasInformedBy", field_or(event, "call", "setid"));
       task_node_[event.pid] = next;
       return;
     }
     if (hook == "inode_free") {
-      std::string inode = inode_node(*event.object);
+      std::uint32_t inode = inode_node(*event.object);
       relate(task, inode, "wasInvalidatedBy", "free");
       return;
     }
   }
 
-  std::string memory_node(const LsmEvent& event) {
+  std::uint32_t memory_node(const LsmEvent& event) {
     auto it = memory_node_.find(event.pid);
     if (it != memory_node_.end()) return it->second;
-    std::string id = fresh_id("mem");
-    graph_.add_node(id, "entity",
+    std::string_view id = fresh_id("cf:mem:");
+    std::uint32_t node =
+        graph_.node(id, "entity",
                     {{"prov:type", "process_memory"},
-                     {"cf:pid", std::to_string(event.pid)}});
-    memory_node_[event.pid] = id;
-    return id;
+                     {"cf:pid", graph_.num(event.pid)}});
+    memory_node_[event.pid] = node;
+    return node;
   }
 
   const CamflowConfig& config_;
   util::Rng rng_;
-  PropertyGraph graph_;
+  RecordedGraph graph_;
   std::uint64_t next_cf_id_ = 1;
-  std::string boot_id_;
-  std::map<os::Pid, std::string> task_node_;
-  std::map<std::uint64_t, std::string> inode_node_;
-  std::map<std::string, std::string> path_node_;
-  std::map<os::Pid, std::string> memory_node_;
+  std::string_view boot_id_;
+  std::map<os::Pid, std::uint32_t> task_node_;
+  std::map<std::uint64_t, std::uint32_t> inode_node_;
+  std::map<std::string_view, std::uint32_t> path_node_;
+  std::map<os::Pid, std::uint32_t> memory_node_;
 };
 
 }  // namespace
@@ -292,7 +303,7 @@ class CamflowBuilder {
 graph::PropertyGraph build_camflow_graph(const os::EventTrace& trace,
                                          const CamflowConfig& config,
                                          std::uint64_t seed) {
-  return CamflowBuilder(config, seed).take(trace);
+  return CamflowBuilder(config, seed).take(trace).materialize();
 }
 
 std::string CamflowRecorder::record(const os::EventTrace& trace,

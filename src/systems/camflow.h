@@ -43,6 +43,7 @@ class CamflowRecorder final : public Recorder {
 
   std::string name() const override { return "camflow"; }
   std::string output_format() const override { return "prov-json"; }
+  os::Layer layer() const override { return os::Layer::Lsm; }
   std::string record(const os::EventTrace& trace,
                      const TrialContext& trial) override;
 
@@ -52,7 +53,8 @@ class CamflowRecorder final : public Recorder {
   CamflowConfig config_;
 };
 
-/// Graph-building core, exposed for unit tests (no interference noise).
+/// The graph-building core, exposed for unit tests (no interference noise):
+/// the view record() writes, materialized.
 graph::PropertyGraph build_camflow_graph(const os::EventTrace& trace,
                                          const CamflowConfig& config,
                                          std::uint64_t seed);

@@ -1,8 +1,10 @@
 #include "systems/ebpf.h"
 
-#include <utility>
+#include <map>
+#include <string_view>
 
 #include "formats/prov_json.h"
+#include "systems/recorded_graph.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -10,7 +12,6 @@ namespace provmark::systems {
 
 namespace {
 
-using graph::PropertyGraph;
 using os::LsmEvent;
 using os::LsmObject;
 
@@ -23,82 +24,85 @@ class EbpfBuilder {
     next_id_ = 1 + rng_.next_below(1u << 20);
   }
 
-  PropertyGraph take(const os::EventTrace& trace) {
+  graph::GraphView take(const os::EventTrace& trace) {
     for (const LsmEvent& event : trace.lsm) {
       handle(event);
     }
-    return std::move(graph_);
+    return graph_.take();
   }
 
  private:
-  std::string fresh_id(const char* kind) {
-    return std::string("bpf:") + kind + ":" + std::to_string(next_id_++);
+  std::string_view fresh_id(std::string_view kind) {
+    return graph_.num(next_id_++, kind);
   }
 
-  std::string task_node(os::Pid pid, const os::Credentials& creds) {
+  std::uint32_t task_node(os::Pid pid, const os::Credentials& creds) {
     auto it = task_node_.find(pid);
     if (it != task_node_.end()) return it->second;
-    std::string id = fresh_id("task");
-    graph_.add_node(id, "activity",
-                    {{"prov:type", "task"},
-                     {"bpf:pid", std::to_string(pid)},
-                     {"bpf:uid", std::to_string(creds.uid)},
-                     {"bpf:gid", std::to_string(creds.gid)}});
-    task_node_[pid] = id;
-    return id;
+    std::string_view id = fresh_id("bpf:task:");
+    std::uint32_t node = graph_.node(id, "activity",
+                                     {{"prov:type", "task"},
+                                      {"bpf:pid", graph_.num(pid)},
+                                      {"bpf:uid", graph_.num(creds.uid)},
+                                      {"bpf:gid", graph_.num(creds.gid)}});
+    task_node_[pid] = node;
+    return node;
   }
 
-  std::string object_node(const LsmObject& object,
-                          const os::Credentials& creds) {
+  std::uint32_t object_node(const LsmObject& object,
+                            const os::Credentials& creds) {
     if (object.kind == "task") {
       return task_node(static_cast<os::Pid>(object.id), creds);
     }
     auto it = object_node_.find(object.id);
     if (it != object_node_.end()) return it->second;
-    std::string id = fresh_id("obj");
-    graph::Properties props;
-    props["prov:type"] = object.kind;
-    props["bpf:ino"] = std::to_string(object.id);
-    if (object.path.has_value()) props["bpf:path"] = *object.path;
-    graph_.add_node(id, "entity", std::move(props));
-    object_node_[object.id] = id;
-    return id;
+    std::string_view id = fresh_id("bpf:obj:");
+    graph_.prop("prov:type", object.kind);
+    graph_.prop("bpf:ino", graph_.num(object.id));
+    if (object.path.has_value()) graph_.prop("bpf:path", *object.path);
+    std::uint32_t node = graph_.node(id, "entity");
+    object_node_[object.id] = node;
+    return node;
   }
 
   void handle(const LsmEvent& event) {
     if (event.permission_denied && !config_.record_denied) return;
-    std::string task = task_node(event.pid, event.creds);
-    graph::Properties props;
-    props["prov:label"] = event.hook;
-    props["bpf:seq"] = std::to_string(next_id_);  // transient
-    for (const auto& [key, value] : event.fields) {
-      if (key == "time") continue;  // transient
-      props["bpf:" + key] = value;
-    }
-    if (event.permission_denied) props["bpf:denied"] = "true";
+    std::uint32_t task = task_node(event.pid, event.creds);
+    // The firing's properties, numbered before an object node mints an
+    // id, and laid down right before their edge.
+    const std::string_view seq = graph_.num(next_id_);  // transient
+    auto event_props = [&] {
+      graph_.prop("prov:label", event.hook);
+      graph_.prop("bpf:seq", seq);
+      for (const auto& [key, value] : event.fields) {
+        if (key == "time") continue;  // transient
+        graph_.prop(graph_.keep("bpf:" + key), value);
+      }
+      if (event.permission_denied) graph_.prop("bpf:denied", "true");
+    };
     if (!event.object.has_value()) {
       // Hook with no object in scope: self-edge on the task keeps the
       // firing visible (every attached hook produces exactly one event).
-      graph_.add_edge(fresh_id("ev"), task, task, event.hook,
-                      std::move(props));
+      event_props();
+      graph_.edge(fresh_id("bpf:ev:"), task, task, event.hook);
       return;
     }
-    std::string object = object_node(*event.object, event.creds);
-    graph_.add_edge(fresh_id("ev"), task, object, event.hook,
-                    std::move(props));
+    std::uint32_t object = object_node(*event.object, event.creds);
+    event_props();
+    graph_.edge(fresh_id("bpf:ev:"), task, object, event.hook);
     if (event.object2.has_value()) {
-      std::string other = object_node(*event.object2, event.creds);
-      graph_.add_edge(fresh_id("ev"), object, other, event.hook,
-                      {{"prov:label", event.hook + ":object2"}});
+      std::uint32_t other = object_node(*event.object2, event.creds);
+      graph_.edge(fresh_id("bpf:ev:"), object, other, event.hook,
+                  {{"prov:label", graph_.keep(event.hook + ":object2")}});
     }
   }
 
   const EbpfConfig& config_;
   util::Rng rng_;
-  PropertyGraph graph_;
+  RecordedGraph graph_;
   std::uint64_t next_id_ = 1;
-  std::map<os::Pid, std::string> task_node_;
-  std::map<std::uint64_t, std::string> object_node_;
+  std::map<os::Pid, std::uint32_t> task_node_;
+  std::map<std::uint64_t, std::uint32_t> object_node_;
 };
 
 }  // namespace
@@ -106,14 +110,14 @@ class EbpfBuilder {
 graph::PropertyGraph build_ebpf_graph(const os::EventTrace& trace,
                                       const EbpfConfig& config,
                                       std::uint64_t seed) {
-  return EbpfBuilder(config, seed).take(trace);
+  return EbpfBuilder(config, seed).take(trace).materialize();
 }
 
 std::string EbpfRecorder::record(const os::EventTrace& trace,
                                  const TrialContext& trial) {
   util::Rng rng(trial.seed ^ util::stable_hash("ebpf"));
   return formats::to_prov_json(
-      build_ebpf_graph(trace, config_, rng.next_u64()));
+      EbpfBuilder(config_, rng.next_u64()).take(trace));
 }
 
 }  // namespace provmark::systems

@@ -29,6 +29,7 @@ class EbpfRecorder final : public Recorder {
 
   std::string name() const override { return "ebpf"; }
   std::string output_format() const override { return "prov-json"; }
+  os::Layer layer() const override { return os::Layer::Lsm; }
   std::string record(const os::EventTrace& trace,
                      const TrialContext& trial) override;
 
@@ -38,7 +39,8 @@ class EbpfRecorder final : public Recorder {
   EbpfConfig config_;
 };
 
-/// The graph-building core, exposed for unit tests.
+/// The graph-building core, exposed for unit tests: the
+/// view record() writes, materialized.
 graph::PropertyGraph build_ebpf_graph(const os::EventTrace& trace,
                                       const EbpfConfig& config,
                                       std::uint64_t seed);

@@ -35,6 +35,7 @@ class OpusRecorder final : public Recorder {
 
   std::string name() const override { return "opus"; }
   std::string output_format() const override { return "neo4j-json"; }
+  os::Layer layer() const override { return os::Layer::Libc; }
   std::string record(const os::EventTrace& trace,
                      const TrialContext& trial) override;
 
@@ -44,7 +45,8 @@ class OpusRecorder final : public Recorder {
   OpusConfig config_;
 };
 
-/// Graph-building core, exposed for unit tests.
+/// The graph-building core, exposed for unit tests: the
+/// view record() writes, materialized.
 graph::PropertyGraph build_opus_graph(const os::EventTrace& trace,
                                       const OpusConfig& config,
                                       std::uint64_t seed);

@@ -2,9 +2,12 @@
 //
 // ProvMark treats each capture system as: start it, run the monitored
 // program, collect its native-format output (§3.2). Here a Recorder
-// consumes the per-layer event trace of one trial and produces the
-// native-format document its real counterpart would have written —
-// SPADE: Graphviz DOT; OPUS: a Neo4j export; CamFlow: PROV-JSON.
+// consumes the one layer of a trial's event trace that its real
+// counterpart observes and produces the native-format document that
+// counterpart would have written — SPADE: Graphviz DOT; OPUS: a Neo4j
+// export; CamFlow: PROV-JSON. The shipped recorders build their graph as
+// a graph::GraphView (systems/recorded_graph.h) and hand it straight to
+// the formats/ writer; no PropertyGraph is built on the trial path.
 //
 // Each trial gets a fresh TrialContext whose seed drives recorder-side
 // transient values (minted node identifiers, serialization timestamps)
@@ -35,11 +38,19 @@ class Recorder {
   /// Native output format (matches formats::format_name()).
   virtual std::string output_format() const = 0;
 
+  /// The one observation layer this recorder reads: libc for OPUS, audit
+  /// for SPADE and auditd, LSM for CamFlow, SPADE-on-CamFlow and eBPF
+  /// (Figure 2). The pipeline has the kernel build only that layer's
+  /// events (bench_suite::execute_program).
+  virtual os::Layer layer() const = 0;
+
   /// Audit rules this recorder installs beyond the kernel defaults (SPADE
   /// with simplify disabled adds setresuid/setresgid).
   virtual std::set<std::string> extra_audit_rules() const { return {}; }
 
   /// Consume one trial's event trace; return the native-format document.
+  /// Only the trace's layer() events are read, so a trace of that layer
+  /// alone gives the same document as a trace of all layers.
   ///
   /// Concurrency: the pipeline records independent trials in parallel on
   /// one Recorder instance, so implementations must be safe for

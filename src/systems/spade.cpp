@@ -1,9 +1,14 @@
 #include "systems/spade.h"
 
+#include <map>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "formats/dot.h"
 #include "formats/neo4j.h"
+#include "systems/recorded_graph.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -11,8 +16,8 @@ namespace provmark::systems {
 
 namespace {
 
-using graph::PropertyGraph;
 using os::AuditEvent;
+using Prop = graph::GraphView::Prop;
 
 /// Incremental OPM graph builder over the audit stream.
 class SpadeBuilder {
@@ -24,127 +29,136 @@ class SpadeBuilder {
     next_vertex_ = 1 + rng_.next_below(100000);
   }
 
-  PropertyGraph take(const os::EventTrace& trace) {
+  graph::GraphView take(const os::EventTrace& trace) {
     for (const AuditEvent& event : trace.audit) {
       handle(event);
     }
     if (config_.io_runs_filter) apply_ioruns_filter();
-    return std::move(graph_);
+    return graph_.take();
   }
 
  private:
-  std::string fresh_id() {
-    return std::string("v").append(std::to_string(next_vertex_++));
+  std::string_view fresh_id() { return graph_.num(next_vertex_++, "v"); }
+
+  /// The event's `time` field, or `fallback`.
+  static std::string_view time_or(const AuditEvent& event,
+                                  std::string_view fallback) {
+    auto it = event.fields.find("time");
+    return it != event.fields.end() ? std::string_view(it->second)
+                                    : fallback;
   }
 
   /// Process vertex for a pid, created on first sight.
-  std::string process_vertex(const AuditEvent& event) {
+  std::uint32_t process_vertex(const AuditEvent& event) {
     auto it = process_vertex_.find(event.pid);
     if (it != process_vertex_.end()) {
       maybe_credential_update(event, it->second);
       return process_vertex_.at(event.pid);
     }
-    std::string id = fresh_id();
-    graph::Properties props;
-    props["type"] = "Process";
-    props["name"] = event.comm;
-    props["exe"] = event.exe;
-    props["pid"] = std::to_string(event.pid);
-    props["ppid"] = std::to_string(event.ppid);
-    fill_creds(props, event.creds);
-    props["start_time"] = event.fields.count("time")
-                              ? event.fields.at("time")
-                              : "0";  // transient
-    graph_.add_node(id, "Process", std::move(props));
-    process_vertex_[event.pid] = id;
+    std::string_view id = fresh_id();
+    graph_.prop("type", "Process");
+    graph_.prop("name", event.comm);
+    graph_.prop("exe", event.exe);
+    graph_.prop("pid", graph_.num(event.pid));
+    graph_.prop("ppid", graph_.num(event.ppid));
+    add_creds(event.creds);
+    graph_.prop("start_time", time_or(event, "0"));  // transient
+    std::uint32_t node = graph_.node(id, "Process");
+    process_vertex_[event.pid] = node;
     process_creds_[event.pid] = event.creds;
-    return id;
+    return node;
   }
 
-  static void fill_creds(graph::Properties& props,
-                         const os::Credentials& creds) {
-    props["uid"] = std::to_string(creds.uid);
-    props["euid"] = std::to_string(creds.euid);
-    props["gid"] = std::to_string(creds.gid);
-    props["egid"] = std::to_string(creds.egid);
+  void add_creds(const os::Credentials& creds) {
+    graph_.prop("uid", graph_.num(creds.uid));
+    graph_.prop("euid", graph_.num(creds.euid));
+    graph_.prop("gid", graph_.num(creds.gid));
+    graph_.prop("egid", graph_.num(creds.egid));
+  }
+
+  /// A new Process vertex for `pid` seen with `creds` (a credential change,
+  /// an explicit set*id call).
+  std::uint32_t process_version(const AuditEvent& event) {
+    std::string_view id = fresh_id();
+    graph_.prop("type", "Process");
+    graph_.prop("name", event.comm);
+    graph_.prop("pid", graph_.num(event.pid));
+    add_creds(event.creds);
+    return graph_.node(id, "Process");
+  }
+
+  /// Bob's bug: with simplify disabled the credential-update path also
+  /// flushes a vertex whose key includes an uninitialized field, which
+  /// surfaces as a disconnected vertex with a random-valued property.
+  void spurious_vertex(const AuditEvent& event) {
+    std::string_view id = fresh_id();
+    graph_.node(id, "Process",
+                {{"type", "Process"},
+                 {"pid", graph_.num(event.pid)},
+                 {"version", graph_.num(rng_.next_below(1u << 30))}});
   }
 
   /// SPADE watches subject credentials on every record; a change (e.g.
   /// from a setresuid call it does not audit explicitly) materializes a
   /// new process vertex linked to the old one.
   void maybe_credential_update(const AuditEvent& event,
-                               const std::string& old_vertex) {
+                               std::uint32_t old_vertex) {
     os::Credentials& known = process_creds_.at(event.pid);
     if (known == event.creds) return;
-    std::string id = fresh_id();
-    graph::Properties props;
-    props["type"] = "Process";
-    props["name"] = event.comm;
-    props["pid"] = std::to_string(event.pid);
-    fill_creds(props, event.creds);
-    graph_.add_node(id, "Process", std::move(props));
-    add_edge(id, old_vertex, "WasTriggeredBy",
-             {{"operation", "update"}}, event);
+    std::uint32_t node = process_version(event);
+    add_edge(node, old_vertex, "WasTriggeredBy", "update", event);
     if (!config_.simplify && !config_.fixed_setres_vertex_bug) {
-      // Bob's bug: with simplify disabled the update path also flushes a
-      // vertex whose key includes an uninitialized field, which surfaces
-      // as a disconnected vertex with a random-valued property.
-      std::string spurious = fresh_id();
-      graph_.add_node(spurious, "Process",
-                      {{"type", "Process"},
-                       {"pid", std::to_string(event.pid)},
-                       {"version",
-                        std::to_string(rng_.next_below(1u << 30))}});
+      spurious_vertex(event);
     }
-    process_vertex_[event.pid] = id;
+    process_vertex_[event.pid] = node;
     known = event.creds;
   }
 
   /// Artifact vertex for a path, deduplicated by (path, version epoch).
-  std::string artifact_vertex(const std::string& path, std::uint64_t inode,
-                              const std::string& subtype) {
+  /// `path` lives in the trace (or is a literal).
+  std::uint32_t artifact_vertex(std::string_view path, std::uint64_t inode,
+                                std::string_view subtype) {
     auto it = artifact_vertex_.find(path);
     if (it != artifact_vertex_.end()) return it->second;
-    std::string id = fresh_id();
-    graph::Properties props;
-    props["type"] = "Artifact";
-    props["subtype"] = subtype;
-    props["path"] = path;
-    props["inode"] = std::to_string(inode);
-    if (config_.versioning) props["version"] = "0";
-    graph_.add_node(id, "Artifact", std::move(props));
-    artifact_vertex_[path] = id;
-    return id;
+    std::string_view id = fresh_id();
+    graph_.prop("type", "Artifact");
+    graph_.prop("subtype", subtype);
+    graph_.prop("path", path);
+    graph_.prop("inode", graph_.num(inode));
+    if (config_.versioning) graph_.prop("version", "0");
+    std::uint32_t node = graph_.node(id, "Artifact");
+    artifact_vertex_[path] = node;
+    return node;
   }
 
   /// Bump an artifact's version: new vertex + WasDerivedFrom chain.
-  std::string version_bump(const std::string& path, std::uint64_t inode,
-                           const AuditEvent& event) {
-    std::string old_id = artifact_vertex(path, inode, "file");
-    if (!config_.versioning) return old_id;
+  std::uint32_t version_bump(std::string_view path, std::uint64_t inode,
+                             const AuditEvent& event) {
+    std::uint32_t old_node = artifact_vertex(path, inode, "file");
+    if (!config_.versioning) return old_node;
     int version = ++artifact_version_[path];
-    std::string id = fresh_id();
-    graph_.add_node(id, "Artifact",
-                    {{"type", "Artifact"},
-                     {"subtype", "file"},
-                     {"path", path},
-                     {"inode", std::to_string(inode)},
-                     {"version", std::to_string(version)}});
-    add_edge(id, old_id, "WasDerivedFrom", {{"operation", "version"}},
-             event);
-    artifact_vertex_[path] = id;
-    return id;
+    std::string_view id = fresh_id();
+    std::uint32_t node = graph_.node(id, "Artifact",
+                                     {{"type", "Artifact"},
+                                      {"subtype", "file"},
+                                      {"path", path},
+                                      {"inode", graph_.num(inode)},
+                                      {"version", graph_.num(version)}});
+    add_edge(node, old_node, "WasDerivedFrom", "version", event);
+    artifact_vertex_[path] = node;
+    return node;
   }
 
-  void add_edge(const std::string& src, const std::string& tgt,
-                const std::string& label, graph::Properties props,
-                const AuditEvent& event) {
-    props["event_id"] = std::to_string(event.serial);  // transient
-    if (event.fields.count("time")) {
-      props["time"] = event.fields.at("time");  // transient
+  /// An edge carrying `operation`, any properties appended before the
+  /// call, and the record's transient event id and time.
+  void add_edge(std::uint32_t src, std::uint32_t tgt, std::string_view label,
+                std::string_view operation, const AuditEvent& event) {
+    graph_.prop("operation", operation);
+    graph_.prop("event_id", graph_.num(event.serial));  // transient
+    if (auto time = event.fields.find("time"); time != event.fields.end()) {
+      graph_.prop("time", time->second);  // transient
     }
-    graph_.add_edge(std::string("e").append(std::to_string(next_vertex_++)),
-                    src, tgt, label, std::move(props));
+    graph_.edge(graph_.num(next_vertex_++, "e"), src, tgt, label);
   }
 
   void handle(const AuditEvent& event) {
@@ -172,17 +186,16 @@ class SpadeBuilder {
       handle_setid(event);
       return;
     }
-    std::string proc = process_vertex(event);
+    std::uint32_t proc = process_vertex(event);
     if (call == "open" || call == "openat" || call == "creat") {
       if (event.paths.empty()) return;
       const os::AuditPathRecord& record = event.paths.front();
-      std::string artifact =
+      std::uint32_t artifact =
           artifact_vertex(record.name, record.inode, "file");
       if (record.nametype == "CREATE") {
-        add_edge(artifact, proc, "WasGeneratedBy", {{"operation", call}},
-                 event);
+        add_edge(artifact, proc, "WasGeneratedBy", call, event);
       } else {
-        add_edge(proc, artifact, "Used", {{"operation", call}}, event);
+        add_edge(proc, artifact, "Used", call, event);
       }
       last_artifact_[event.pid] = artifact;
       return;
@@ -193,95 +206,88 @@ class SpadeBuilder {
       // the most recently opened artifact of this process — the same
       // approximation the fd table provides.
       auto it = last_artifact_.find(event.pid);
-      std::string artifact =
-          it != last_artifact_.end()
-              ? it->second
-              : artifact_vertex("unknown", 0, "file");
-      add_edge(proc, artifact, "Used", {{"operation", "close"}}, event);
+      std::uint32_t artifact = it != last_artifact_.end()
+                                   ? it->second
+                                   : artifact_vertex("unknown", 0, "file");
+      add_edge(proc, artifact, "Used", "close", event);
       return;
     }
     if (call == "read" || call == "pread" || call == "mmap") {
       if (event.paths.empty()) return;
       const os::AuditPathRecord& record = event.paths.front();
-      std::string artifact =
+      std::uint32_t artifact =
           artifact_vertex(record.name, record.inode, "file");
-      add_edge(proc, artifact, "Used", {{"operation", call}}, event);
+      add_edge(proc, artifact, "Used", call, event);
       return;
     }
     if (call == "write" || call == "pwrite") {
       if (event.paths.empty()) return;
       const os::AuditPathRecord& record = event.paths.front();
-      std::string artifact = version_bump(record.name, record.inode, event);
-      add_edge(artifact, proc, "WasGeneratedBy", {{"operation", call}},
-               event);
+      std::uint32_t artifact = version_bump(record.name, record.inode, event);
+      add_edge(artifact, proc, "WasGeneratedBy", call, event);
       return;
     }
     if (call == "rename" || call == "renameat" || call == "link" ||
         call == "linkat") {
       if (event.paths.size() < 2) return;
-      std::string old_artifact =
+      std::uint32_t old_artifact =
           artifact_vertex(event.paths[0].name, event.paths[0].inode, "file");
-      std::string new_artifact =
+      std::uint32_t new_artifact =
           artifact_vertex(event.paths[1].name, event.paths[1].inode, "file");
-      add_edge(new_artifact, old_artifact, "WasDerivedFrom",
-               {{"operation", call}}, event);
-      add_edge(proc, old_artifact, "Used", {{"operation", call}}, event);
-      add_edge(new_artifact, proc, "WasGeneratedBy", {{"operation", call}},
-               event);
+      add_edge(new_artifact, old_artifact, "WasDerivedFrom", call, event);
+      add_edge(proc, old_artifact, "Used", call, event);
+      add_edge(new_artifact, proc, "WasGeneratedBy", call, event);
       return;
     }
     if (call == "symlink" || call == "symlinkat") {
       if (event.paths.empty()) return;
-      std::string artifact =
+      std::uint32_t artifact =
           artifact_vertex(event.paths[0].name, event.paths[0].inode, "link");
-      add_edge(artifact, proc, "WasGeneratedBy", {{"operation", call}},
-               event);
+      add_edge(artifact, proc, "WasGeneratedBy", call, event);
       return;
     }
     if (call == "truncate" || call == "ftruncate" || call == "chmod" ||
         call == "fchmod" || call == "fchmodat") {
       if (event.paths.empty()) return;
       const os::AuditPathRecord& record = event.paths.front();
-      std::string artifact = version_bump(record.name, record.inode, event);
-      graph::Properties props{{"operation", call}};
-      if (event.fields.count("mode")) props["mode"] = event.fields.at("mode");
-      add_edge(artifact, proc, "WasGeneratedBy", std::move(props), event);
+      std::uint32_t artifact = version_bump(record.name, record.inode, event);
+      if (auto mode = event.fields.find("mode"); mode != event.fields.end()) {
+        graph_.prop("mode", mode->second);
+      }
+      add_edge(artifact, proc, "WasGeneratedBy", call, event);
       return;
     }
     if (call == "unlink" || call == "unlinkat") {
       if (event.paths.empty()) return;
       const os::AuditPathRecord& record = event.paths.front();
-      std::string artifact =
+      std::uint32_t artifact =
           artifact_vertex(record.name, record.inode, "file");
-      add_edge(proc, artifact, "Used", {{"operation", call}}, event);
+      add_edge(proc, artifact, "Used", call, event);
       return;
     }
     // Anything else in the rule set contributes no structure.
   }
 
   void handle_fork(const AuditEvent& event) {
-    std::string parent = process_vertex(event);
+    std::uint32_t parent = process_vertex(event);
     os::Pid child_pid =
         static_cast<os::Pid>(event.exit_code);  // fork returns the child
-    auto it = process_vertex_.find(child_pid);
-    if (it != process_vertex_.end()) {
+    if (process_vertex_.count(child_pid) != 0) {
       // The child was already seen (its records preceded this one — the
       // vfork suspension artifact): SPADE treats that unit as complete
       // and skips the linking edge, leaving a disconnected child (DV).
       return;
     }
-    std::string child_id = fresh_id();
-    graph::Properties props;
-    props["type"] = "Process";
-    props["name"] = event.comm;
-    props["pid"] = std::to_string(child_pid);
-    props["ppid"] = std::to_string(event.pid);
-    fill_creds(props, event.creds);
-    graph_.add_node(child_id, "Process", std::move(props));
-    process_vertex_[child_pid] = child_id;
+    std::string_view child_id = fresh_id();
+    graph_.prop("type", "Process");
+    graph_.prop("name", event.comm);
+    graph_.prop("pid", graph_.num(child_pid));
+    graph_.prop("ppid", graph_.num(event.pid));
+    add_creds(event.creds);
+    std::uint32_t child = graph_.node(child_id, "Process");
+    process_vertex_[child_pid] = child;
     process_creds_[child_pid] = event.creds;
-    add_edge(child_id, parent, "WasTriggeredBy",
-             {{"operation", event.syscall}}, event);
+    add_edge(child, parent, "WasTriggeredBy", event.syscall, event);
   }
 
   void handle_execve(const AuditEvent& event) {
@@ -289,57 +295,41 @@ class SpadeBuilder {
     // the old one, plus a Used edge to the executed binary. Loader reads
     // (audited separately) attach to the new vertex — making the execve
     // benchmark graph large (§4.2).
-    std::string old_vertex;
     auto it = process_vertex_.find(event.pid);
-    if (it != process_vertex_.end()) old_vertex = it->second;
-    std::string id = fresh_id();
-    graph::Properties props;
-    props["type"] = "Process";
-    props["name"] = event.comm;
-    props["exe"] = event.exe;
-    props["pid"] = std::to_string(event.pid);
-    props["ppid"] = std::to_string(event.ppid);
-    fill_creds(props, event.creds);
-    props["start_time"] =
-        event.fields.count("time") ? event.fields.at("time") : "0";
-    graph_.add_node(id, "Process", std::move(props));
-    process_vertex_[event.pid] = id;
+    const bool had_vertex = it != process_vertex_.end();
+    const std::uint32_t old_vertex = had_vertex ? it->second : 0;
+    std::string_view id = fresh_id();
+    graph_.prop("type", "Process");
+    graph_.prop("name", event.comm);
+    graph_.prop("exe", event.exe);
+    graph_.prop("pid", graph_.num(event.pid));
+    graph_.prop("ppid", graph_.num(event.ppid));
+    add_creds(event.creds);
+    graph_.prop("start_time", time_or(event, "0"));
+    std::uint32_t node = graph_.node(id, "Process");
+    process_vertex_[event.pid] = node;
     process_creds_[event.pid] = event.creds;
-    if (!old_vertex.empty()) {
-      add_edge(id, old_vertex, "WasTriggeredBy", {{"operation", "execve"}},
-               event);
+    if (had_vertex) {
+      add_edge(node, old_vertex, "WasTriggeredBy", "execve", event);
     }
     if (!event.paths.empty()) {
-      std::string binary = artifact_vertex(event.paths.front().name,
-                                           event.paths.front().inode,
-                                           "file");
-      add_edge(id, binary, "Used", {{"operation", "load"}}, event);
+      std::uint32_t binary = artifact_vertex(
+          event.paths.front().name, event.paths.front().inode, "file");
+      add_edge(node, binary, "Used", "load", event);
     }
   }
 
   void handle_setid(const AuditEvent& event) {
     // Explicitly audited credential calls: new process vertex with the
     // updated identity (Table 3 setuid structure).
-    std::string old_vertex = process_vertex(event);
-    std::string id = fresh_id();
-    graph::Properties props;
-    props["type"] = "Process";
-    props["name"] = event.comm;
-    props["pid"] = std::to_string(event.pid);
-    fill_creds(props, event.creds);
-    graph_.add_node(id, "Process", std::move(props));
-    add_edge(id, old_vertex, "WasTriggeredBy",
-             {{"operation", event.syscall}}, event);
+    std::uint32_t old_vertex = process_vertex(event);
+    std::uint32_t node = process_version(event);
+    add_edge(node, old_vertex, "WasTriggeredBy", event.syscall, event);
     if (!config_.simplify && !config_.fixed_setres_vertex_bug &&
         (event.syscall == "setresuid" || event.syscall == "setresgid")) {
-      std::string spurious = fresh_id();
-      graph_.add_node(spurious, "Process",
-                      {{"type", "Process"},
-                       {"pid", std::to_string(event.pid)},
-                       {"version",
-                        std::to_string(rng_.next_below(1u << 30))}});
+      spurious_vertex(event);
     }
-    process_vertex_[event.pid] = id;
+    process_vertex_[event.pid] = node;
     process_creds_[event.pid] = event.creds;
   }
 
@@ -349,51 +339,74 @@ class SpadeBuilder {
   /// ever matches and the filter silently does nothing (Bob's second
   /// find).
   void apply_ioruns_filter() {
-    const std::string key =
+    const std::string_view key =
         config_.fixed_ioruns_property ? "operation" : "op";
-    std::vector<graph::Edge> edges = graph_.edges();
-    std::vector<std::string> doomed;
-    const graph::Edge* run_start = nullptr;
+    graph::GraphView& view = graph_.view();
+    std::vector<graph::GraphView::EdgeRef>& edges = view.edges;
+    // An edge's value of `key` (its last, as the writers take it).
+    auto value_of = [&](const graph::GraphView::EdgeRef& e) {
+      std::optional<std::string_view> value;
+      for (const Prop& p : view.props_of(e)) {
+        if (p.key == key) value = p.value;
+      }
+      return value;
+    };
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    std::vector<char> doomed(edges.size(), 0);
+    std::size_t run_start = kNone;
     int run_length = 0;
-    auto flush = [&](const graph::Edge* next) {
-      if (run_start != nullptr && run_length > 1) {
-        graph_.set_property(run_start->id, "count",
-                            std::to_string(run_length));
+    auto flush = [&](std::size_t next) {
+      if (run_start != kNone && run_length > 1) {
+        // The run's first edge takes a `count`: its properties move to
+        // the end of the list, with the new one after them.
+        graph::GraphView::EdgeRef& e = edges[run_start];
+        const auto first = static_cast<std::uint32_t>(view.props.size());
+        for (std::uint32_t i = 0; i < e.prop_count; ++i) {
+          view.props.push_back(view.props[e.first_prop + i]);
+        }
+        view.props.push_back({"count", graph_.num(run_length)});
+        e.first_prop = first;
+        e.prop_count = static_cast<std::uint32_t>(view.props.size()) - first;
       }
       run_start = next;
-      run_length = next != nullptr ? 1 : 0;
+      run_length = next != kNone ? 1 : 0;
     };
-    for (const graph::Edge& e : edges) {
-      auto op = e.props.find(key);
-      bool is_io = op != e.props.end() &&
-                   (op->second == "read" || op->second == "write" ||
-                    op->second == "pread" || op->second == "pwrite");
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const graph::GraphView::EdgeRef& e = edges[i];
+      const std::optional<std::string_view> op = value_of(e);
+      const bool is_io = op == "read" || op == "write" || op == "pread" ||
+                         op == "pwrite";
       if (!is_io) {
-        flush(nullptr);
+        flush(kNone);
         continue;
       }
-      if (run_start != nullptr && run_start->src == e.src &&
-          run_start->tgt == e.tgt && run_start->label == e.label &&
-          run_start->props.at(key) == op->second) {
+      const graph::GraphView::EdgeRef* start =
+          run_start != kNone ? &edges[run_start] : nullptr;
+      if (start != nullptr && start->src == e.src && start->tgt == e.tgt &&
+          start->label == e.label && value_of(*start) == op) {
         ++run_length;
-        doomed.push_back(e.id);
+        doomed[i] = 1;
       } else {
-        flush(&e);
+        flush(i);
       }
     }
-    flush(nullptr);
-    for (const std::string& id : doomed) graph_.remove_edge(id);
+    flush(kNone);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (!doomed[i]) edges[kept++] = edges[i];
+    }
+    edges.resize(kept);
   }
 
   const SpadeConfig& config_;
   util::Rng rng_;
-  PropertyGraph graph_;
+  RecordedGraph graph_;
   std::uint64_t next_vertex_ = 1;
-  std::map<os::Pid, std::string> process_vertex_;
+  std::map<os::Pid, std::uint32_t> process_vertex_;
   std::map<os::Pid, os::Credentials> process_creds_;
-  std::map<std::string, std::string> artifact_vertex_;
-  std::map<std::string, int> artifact_version_;
-  std::map<os::Pid, std::string> last_artifact_;
+  std::map<std::string_view, std::uint32_t> artifact_vertex_;
+  std::map<std::string_view, int> artifact_version_;
+  std::map<os::Pid, std::uint32_t> last_artifact_;
 };
 
 }  // namespace
@@ -401,7 +414,7 @@ class SpadeBuilder {
 graph::PropertyGraph build_spade_graph(const os::EventTrace& trace,
                                        const SpadeConfig& config,
                                        std::uint64_t seed) {
-  return SpadeBuilder(config, seed).take(trace);
+  return SpadeBuilder(config, seed).take(trace).materialize();
 }
 
 std::set<std::string> SpadeRecorder::extra_audit_rules() const {
@@ -412,14 +425,14 @@ std::set<std::string> SpadeRecorder::extra_audit_rules() const {
 std::string SpadeRecorder::record(const os::EventTrace& trace,
                                   const TrialContext& trial) {
   util::Rng rng(trial.seed ^ util::stable_hash("spade"));
-  graph::PropertyGraph g =
-      build_spade_graph(trace, config_, rng.next_u64());
+  const graph::GraphView view =
+      SpadeBuilder(config_, rng.next_u64()).take(trace);
   if (config_.storage == SpadeStorage::Neo4j) {
     // The `spn` configuration: the graph lands in Neo4j; stopping the
     // recorder flushes the transaction, so no truncation applies.
-    return formats::to_neo4j_json(g);
+    return formats::to_neo4j_json(view);
   }
-  std::string dot = formats::to_dot(g, "spade_provenance");
+  std::string dot = formats::to_dot(view, "spade_provenance");
   if (rng.chance(config_.truncation_probability)) {
     // Recording was stopped before SPADE finished flushing: the tail of
     // the DOT file is lost mid-write — the "garbled results leading to

@@ -64,6 +64,7 @@ class SpadeRecorder final : public Recorder {
     return config_.storage == SpadeStorage::Graphviz ? "graphviz-dot"
                                                      : "neo4j-json";
   }
+  os::Layer layer() const override { return os::Layer::Audit; }
   std::set<std::string> extra_audit_rules() const override;
   std::string record(const os::EventTrace& trace,
                      const TrialContext& trial) override;
@@ -80,7 +81,8 @@ class SpadeRecorder final : public Recorder {
   SpadeConfig config_;
 };
 
-/// The graph-building core, exposed for unit tests (no truncation noise).
+/// The graph-building core, exposed for unit tests (no truncation noise):
+/// the view record() writes, materialized.
 graph::PropertyGraph build_spade_graph(const os::EventTrace& trace,
                                        const SpadeConfig& config,
                                        std::uint64_t seed);

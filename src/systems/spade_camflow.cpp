@@ -1,8 +1,11 @@
 #include "systems/spade_camflow.h"
 
 #include <map>
+#include <string>
+#include <string_view>
 
 #include "formats/dot.h"
+#include "systems/recorded_graph.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -10,8 +13,14 @@ namespace provmark::systems {
 
 namespace {
 
-using graph::PropertyGraph;
 using os::LsmEvent;
+
+/// The event's `key` field, or `fallback`.
+std::string_view field_or(const LsmEvent& event, const std::string& key,
+                          std::string_view fallback) {
+  auto it = event.fields.find(key);
+  return it != event.fields.end() ? std::string_view(it->second) : fallback;
+}
 
 /// Translates the LSM hook stream into SPADE's OPM vocabulary.
 class SpadeCamflowBuilder {
@@ -21,65 +30,65 @@ class SpadeCamflowBuilder {
     next_vertex_ = 1 + rng_.next_below(100000);
   }
 
-  PropertyGraph take(const os::EventTrace& trace, bool interference) {
+  graph::GraphView take(const os::EventTrace& trace, bool interference) {
     for (const LsmEvent& event : trace.lsm) {
       handle(event);
     }
     if (interference) {
       // Whole-system capture: a daemon process writing its log.
-      std::string daemon = fresh_id();
-      graph_.add_node(daemon, "Process",
-                      {{"type", "Process"},
-                       {"pid", std::to_string(300 + rng_.next_below(400))}});
-      std::string log = fresh_id();
-      graph_.add_node(log, "Artifact",
-                      {{"type", "Artifact"},
-                       {"inode", std::to_string(rng_.next_below(9000))}});
-      graph_.add_edge(fresh_id(), log, daemon, "WasGeneratedBy",
-                      {{"operation", "write"}});
+      std::string_view daemon_id = fresh_id();
+      std::uint32_t daemon = graph_.node(
+          daemon_id, "Process",
+          {{"type", "Process"},
+           {"pid", graph_.num(300 + rng_.next_below(400))}});
+      std::string_view log_id = fresh_id();
+      std::uint32_t log = graph_.node(
+          log_id, "Artifact",
+          {{"type", "Artifact"}, {"inode", graph_.num(rng_.next_below(9000))}});
+      graph_.edge(fresh_id(), log, daemon, "WasGeneratedBy",
+                  {{"operation", "write"}});
     }
-    return std::move(graph_);
+    return graph_.take();
   }
 
  private:
-  std::string fresh_id() { return "cv" + std::to_string(next_vertex_++); }
+  std::string_view fresh_id() { return graph_.num(next_vertex_++, "cv"); }
 
-  std::string process_vertex(const LsmEvent& event) {
+  std::uint32_t process_vertex(const LsmEvent& event) {
     auto it = process_vertex_.find(event.pid);
     if (it != process_vertex_.end()) return it->second;
-    std::string id = fresh_id();
-    graph_.add_node(id, "Process",
+    std::string_view id = fresh_id();
+    std::uint32_t node =
+        graph_.node(id, "Process",
                     {{"type", "Process"},
-                     {"pid", std::to_string(event.pid)},
-                     {"uid", std::to_string(event.creds.uid)},
-                     {"gid", std::to_string(event.creds.gid)},
+                     {"pid", graph_.num(event.pid)},
+                     {"uid", graph_.num(event.creds.uid)},
+                     {"gid", graph_.num(event.creds.gid)},
                      {"source", "camflow"}});
-    process_vertex_[event.pid] = id;
-    return id;
+    process_vertex_[event.pid] = node;
+    return node;
   }
 
-  std::string artifact_vertex(const os::LsmObject& object) {
+  std::uint32_t artifact_vertex(const os::LsmObject& object) {
     auto it = artifact_vertex_.find(object.id);
     if (it != artifact_vertex_.end()) return it->second;
-    std::string id = fresh_id();
-    graph::Properties props;
-    props["type"] = "Artifact";
-    props["subtype"] = object.kind;
-    props["inode"] = std::to_string(object.id);
-    if (object.path.has_value()) props["path"] = *object.path;
-    graph_.add_node(id, "Artifact", std::move(props));
-    artifact_vertex_[object.id] = id;
-    return id;
+    std::string_view id = fresh_id();
+    graph_.prop("type", "Artifact");
+    graph_.prop("subtype", object.kind);
+    graph_.prop("inode", graph_.num(object.id));
+    if (object.path.has_value()) graph_.prop("path", *object.path);
+    std::uint32_t node = graph_.node(id, "Artifact");
+    artifact_vertex_[object.id] = node;
+    return node;
   }
 
-  void edge(const std::string& src, const std::string& tgt,
-            const std::string& label, const std::string& operation,
-            const LsmEvent& event) {
-    graph::Properties props{{"operation", operation}};
-    if (event.fields.count("time")) {
-      props["time"] = event.fields.at("time");  // transient
+  void edge(std::uint32_t src, std::uint32_t tgt, std::string_view label,
+            std::string_view operation, const LsmEvent& event) {
+    graph_.prop("operation", operation);
+    if (auto time = event.fields.find("time"); time != event.fields.end()) {
+      graph_.prop("time", time->second);  // transient
     }
-    graph_.add_edge(fresh_id(), src, tgt, label, std::move(props));
+    graph_.edge(fresh_id(), src, tgt, label);
   }
 
   void handle(const LsmEvent& event) {
@@ -91,19 +100,19 @@ class SpadeCamflowBuilder {
       return;
     }
     if (hook == "task_alloc") {
-      std::string parent = process_vertex(event);
-      std::string child = fresh_id();
-      graph_.add_node(child, "Process",
+      std::uint32_t parent = process_vertex(event);
+      std::string_view child_id = fresh_id();
+      std::uint32_t child =
+          graph_.node(child_id, "Process",
                       {{"type", "Process"},
-                       {"pid", std::to_string(event.object->id)},
+                       {"pid", graph_.num(event.object->id)},
                        {"source", "camflow"}});
       process_vertex_[static_cast<os::Pid>(event.object->id)] = child;
-      edge(child, parent, "WasTriggeredBy",
-           event.fields.count("call") ? event.fields.at("call") : "fork",
+      edge(child, parent, "WasTriggeredBy", field_or(event, "call", "fork"),
            event);
       return;
     }
-    std::string proc = process_vertex(event);
+    std::uint32_t proc = process_vertex(event);
     if (hook == "file_open" || hook == "bprm_check" ||
         hook == "mmap_file") {
       edge(proc, artifact_vertex(*event.object), "Used",
@@ -111,9 +120,7 @@ class SpadeCamflowBuilder {
       return;
     }
     if (hook == "file_permission") {
-      bool write = event.fields.count("mask") > 0 &&
-                   event.fields.at("mask") == "MAY_WRITE";
-      if (write) {
+      if (field_or(event, "mask", "") == "MAY_WRITE") {
         edge(artifact_vertex(*event.object), proc, "WasGeneratedBy",
              "write", event);
       } else {
@@ -128,19 +135,18 @@ class SpadeCamflowBuilder {
     }
     if (hook == "inode_link" || hook == "inode_rename") {
       // OPM shape: new-name artifact derived from the object.
-      std::string object = artifact_vertex(*event.object);
-      std::string renamed = fresh_id();
-      graph::Properties props;
-      props["type"] = "Artifact";
-      props["inode"] = std::to_string(event.object->id);
+      std::uint32_t object = artifact_vertex(*event.object);
+      std::string_view renamed_id = fresh_id();
+      graph_.prop("type", "Artifact");
+      graph_.prop("inode", graph_.num(event.object->id));
       if (event.object2.has_value() && event.object2->path.has_value()) {
-        props["path"] = *event.object2->path;
+        graph_.prop("path", *event.object2->path);
       }
-      graph_.add_node(renamed, "Artifact", std::move(props));
-      edge(renamed, object, "WasDerivedFrom",
-           hook == "inode_link" ? "link" : "rename", event);
-      edge(renamed, proc, "WasGeneratedBy",
-           hook == "inode_link" ? "link" : "rename", event);
+      std::uint32_t renamed = graph_.node(renamed_id, "Artifact");
+      const std::string_view operation =
+          hook == "inode_link" ? "link" : "rename";
+      edge(renamed, object, "WasDerivedFrom", operation, event);
+      edge(renamed, proc, "WasGeneratedBy", operation, event);
       return;
     }
     if (hook == "inode_unlink") {
@@ -149,20 +155,19 @@ class SpadeCamflowBuilder {
     }
     if (hook == "inode_setattr") {
       edge(artifact_vertex(*event.object), proc, "WasGeneratedBy",
-           event.fields.count("attr") ? event.fields.at("attr") : "setattr",
-           event);
+           field_or(event, "attr", "setattr"), event);
       return;
     }
     if (hook == "cred_prepare") {
-      std::string updated = fresh_id();
-      graph_.add_node(updated, "Process",
+      std::string_view updated_id = fresh_id();
+      std::uint32_t updated =
+          graph_.node(updated_id, "Process",
                       {{"type", "Process"},
-                       {"pid", std::to_string(event.pid)},
-                       {"uid", std::to_string(event.creds.uid)},
-                       {"gid", std::to_string(event.creds.gid)},
+                       {"pid", graph_.num(event.pid)},
+                       {"uid", graph_.num(event.creds.uid)},
+                       {"gid", graph_.num(event.creds.gid)},
                        {"source", "camflow"}});
-      edge(updated, proc, "WasTriggeredBy",
-           event.fields.count("call") ? event.fields.at("call") : "setid",
+      edge(updated, proc, "WasTriggeredBy", field_or(event, "call", "setid"),
            event);
       process_vertex_[event.pid] = updated;
       return;
@@ -175,10 +180,10 @@ class SpadeCamflowBuilder {
 
   const SpadeCamflowConfig& config_;
   util::Rng rng_;
-  PropertyGraph graph_;
+  RecordedGraph graph_;
   std::uint64_t next_vertex_ = 1;
-  std::map<os::Pid, std::string> process_vertex_;
-  std::map<std::uint64_t, std::string> artifact_vertex_;
+  std::map<os::Pid, std::uint32_t> process_vertex_;
+  std::map<std::uint64_t, std::uint32_t> artifact_vertex_;
 };
 
 }  // namespace
@@ -186,7 +191,7 @@ class SpadeCamflowBuilder {
 graph::PropertyGraph build_spade_camflow_graph(
     const os::EventTrace& trace, const SpadeCamflowConfig& config,
     std::uint64_t seed) {
-  return SpadeCamflowBuilder(config, seed).take(trace, false);
+  return SpadeCamflowBuilder(config, seed).take(trace, false).materialize();
 }
 
 std::string SpadeCamflowRecorder::record(const os::EventTrace& trace,

@@ -38,6 +38,7 @@ class SpadeCamflowRecorder final : public Recorder {
 
   std::string name() const override { return "spade-camflow"; }
   std::string output_format() const override { return "graphviz-dot"; }
+  os::Layer layer() const override { return os::Layer::Lsm; }
   std::string record(const os::EventTrace& trace,
                      const TrialContext& trial) override;
 
@@ -47,7 +48,8 @@ class SpadeCamflowRecorder final : public Recorder {
   SpadeCamflowConfig config_;
 };
 
-/// Graph-building core, exposed for unit tests (no interference noise).
+/// The graph-building core, exposed for unit tests (no interference noise):
+/// the view record() writes, materialized.
 graph::PropertyGraph build_spade_camflow_graph(
     const os::EventTrace& trace, const SpadeCamflowConfig& config,
     std::uint64_t seed);

@@ -1,7 +1,9 @@
 #include "util/strings.h"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <utility>
 
 namespace provmark::util {
 
@@ -74,6 +76,35 @@ std::string replace_all(std::string_view s, std::string_view from,
     out += to;
     start = pos + from.size();
   }
+}
+
+StringArena::StringArena(StringArena&& other) noexcept
+    : chunks_(std::move(other.chunks_)),
+      free_(std::exchange(other.free_, nullptr)),
+      left_(std::exchange(other.left_, 0)),
+      next_size_(other.next_size_) {}
+
+StringArena& StringArena::operator=(StringArena&& other) noexcept {
+  chunks_ = std::move(other.chunks_);
+  free_ = std::exchange(other.free_, nullptr);
+  left_ = std::exchange(other.left_, 0);
+  next_size_ = other.next_size_;
+  return *this;
+}
+
+std::string_view StringArena::keep(std::string_view s) {
+  if (s.size() > left_) {
+    const std::size_t size = std::max(next_size_, s.size());
+    chunks_.push_back(std::make_unique_for_overwrite<char[]>(size));
+    free_ = chunks_.back().get();
+    left_ = size;
+    next_size_ = size * 2;
+  }
+  char* at = free_;
+  std::copy(s.begin(), s.end(), at);
+  free_ += s.size();
+  left_ -= s.size();
+  return {at, s.size()};
 }
 
 std::string format(const char* fmt, ...) {

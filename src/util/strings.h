@@ -1,7 +1,8 @@
 // Small string utilities shared across the library.
 #pragma once
 
-#include <forward_list>
+#include <cstddef>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,14 +33,25 @@ std::string replace_all(std::string_view s, std::string_view from,
 /// moves the ones kept before it, and moving the arena moves none of them,
 /// so a view into an arena stays valid as long as the arena (or the arena
 /// it was moved into) lives.
+///
+/// The bytes go into chunks that double in size as the arena grows, so
+/// keeping a string costs a copy and, now and then, one allocation.
 class StringArena {
  public:
-  std::string_view keep(std::string s) {
-    return strings_.emplace_front(std::move(s));
-  }
+  StringArena() = default;
+  StringArena(StringArena&& other) noexcept;
+  StringArena& operator=(StringArena&& other) noexcept;
+  StringArena(const StringArena&) = delete;
+  StringArena& operator=(const StringArena&) = delete;
+
+  /// A view of a copy of `s` owned by the arena.
+  std::string_view keep(std::string_view s);
 
  private:
-  std::forward_list<std::string> strings_;
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  char* free_ = nullptr;    ///< first unused byte of the newest chunk
+  std::size_t left_ = 0;    ///< unused bytes from free_ on
+  std::size_t next_size_ = 256;  ///< size of the next chunk
 };
 
 /// printf-style formatting into a std::string.

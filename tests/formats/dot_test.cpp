@@ -46,6 +46,22 @@ TEST(Dot, RoundTripEscapedCharacters) {
   EXPECT_EQ(back.find_node("v1")->props.at("k"), "a\\b");
 }
 
+TEST(Dot, RoundTripKeysThatAreNotBareNames) {
+  // A key outside [A-Za-z0-9_.:]+ is written quoted, so the reader takes
+  // it back; bare keys stay unquoted.
+  graph::PropertyGraph g;
+  g.add_node("v1", "Process",
+             {{"cmd-line", "ls -l"}, {"a b", "1"}, {"", "empty"},
+              {"x\"y", "q"}, {"pid", "7"}});
+  g.add_node("v2", "Artifact", {{"path", "/tmp/f"}});
+  g.add_edge("dot_e0", "v1", "v2", "Used",
+             {{"cmd-line", "e"}, {"a b", "2"}, {"", ""}});
+  const std::string dot = to_dot(g);
+  EXPECT_NE(dot.find("\"cmd-line\"=\"ls -l\""), std::string::npos);
+  EXPECT_NE(dot.find(", pid=\"7\""), std::string::npos);
+  EXPECT_EQ(from_dot(dot), g);
+}
+
 TEST(Dot, ParserCreatesImplicitNodes) {
   graph::PropertyGraph g = from_dot("digraph g { a -> b; }");
   EXPECT_EQ(g.node_count(), 2u);

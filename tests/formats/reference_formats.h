@@ -232,6 +232,18 @@ inline std::string dot_escape(const std::string& s) {
   return out;
 }
 
+/// A property key: bare when it is a non-empty run of [A-Za-z0-9_.:],
+/// else quoted, so the reader takes every key back.
+inline std::string dot_key(const std::string& k) {
+  bool bare = !k.empty();
+  for (char c : k) {
+    bare = bare && ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == '.' ||
+                    c == ':');
+  }
+  return bare ? k : "\"" + dot_escape(k) + "\"";
+}
+
 inline std::string shape_for(const graph::Node& n) {
   auto it = n.props.find("type");
   std::string type = it != n.props.end() ? it->second : n.label;
@@ -251,7 +263,7 @@ inline std::string to_dot(const graph::PropertyGraph& g,
     out += "  \"" + dot_escape(n.id) + "\" [label=\"" + dot_escape(n.label) +
            "\", shape=" + shape_for(n);
     for (const auto& [k, v] : n.props) {
-      out += ", " + k + "=\"" + dot_escape(v) + "\"";
+      out += ", " + dot_key(k) + "=\"" + dot_escape(v) + "\"";
     }
     out += "];\n";
   }
@@ -259,7 +271,7 @@ inline std::string to_dot(const graph::PropertyGraph& g,
     out += "  \"" + dot_escape(e.src) + "\" -> \"" + dot_escape(e.tgt) +
            "\" [label=\"" + dot_escape(e.label) + "\"";
     for (const auto& [k, v] : e.props) {
-      out += ", " + k + "=\"" + dot_escape(v) + "\"";
+      out += ", " + dot_key(k) + "=\"" + dot_escape(v) + "\"";
     }
     out += "];\n";
   }

@@ -4,6 +4,7 @@
 // adversarial generator's failure probes rely on.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "os/kernel.h"
@@ -24,8 +25,9 @@ Kernel socket_audited_kernel(std::uint64_t seed = 1) {
   Kernel::Options options;
   options.seed = seed;
   options.free_record_probability = 0;
-  options.extra_audit_rules = {"socket", "bind",   "connect",  "listen",
-                               "accept", "sendto", "recvfrom"};
+  static const std::set<std::string> kRules = {
+      "socket", "bind", "connect", "listen", "accept", "sendto", "recvfrom"};
+  options.extra_audit_rules = &kRules;
   return Kernel(options);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
+#include <string>
 
 #include "util/rng.h"
 #include "util/strings.h"
@@ -240,7 +242,8 @@ TEST(Kernel, SetresCallsAreNotAuditedByDefault) {
 TEST(Kernel, ExtraAuditRulesEnableSetres) {
   Kernel::Options options;
   options.seed = 4;
-  options.extra_audit_rules = {"setresuid"};
+  const std::set<std::string> rules = {"setresuid"};
+  options.extra_audit_rules = &rules;
   Kernel kernel(options);
   Pid pid = kernel.launch_program("/usr/bin/bench", "bench");
   kernel.start_recording();

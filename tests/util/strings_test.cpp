@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace provmark::util {
 namespace {
 
@@ -48,6 +52,52 @@ TEST(Format, Printf) {
   EXPECT_EQ(format("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(format("%.2f", 1.5), "1.50");
   EXPECT_EQ(format("empty"), "empty");
+}
+
+TEST(StringArena, KeptViewsSurviveLaterKeeps) {
+  StringArena arena;
+  std::vector<std::string_view> views;
+  std::vector<std::string> expected;
+  // Enough bytes to fill several chunks, with one string larger than any
+  // chunk so far.
+  for (int i = 0; i < 2000; ++i) {
+    expected.push_back(i == 1000 ? std::string(100000, 'x')
+                                 : "s" + std::to_string(i));
+    views.push_back(arena.keep(expected.back()));
+  }
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    EXPECT_EQ(views[i], expected[i]);
+    EXPECT_NE(views[i].data(), expected[i].data());
+  }
+  EXPECT_EQ(arena.keep(""), "");
+}
+
+TEST(StringArena, KeepCopiesAView) {
+  StringArena arena;
+  std::string source = "abcdef";
+  std::string_view kept = arena.keep(std::string_view(source).substr(1, 3));
+  source.assign("zzzzzz");
+  EXPECT_EQ(kept, "bcd");
+}
+
+TEST(StringArena, KeptViewsSurviveMovingTheArena) {
+  StringArena arena;
+  std::string_view first = arena.keep("first");
+  StringArena moved(std::move(arena));
+  std::string_view second = moved.keep("second");
+  StringArena assigned;
+  assigned.keep("dropped");
+  assigned = std::move(moved);
+  std::string_view third = assigned.keep("third");
+  EXPECT_EQ(first, "first");
+  EXPECT_EQ(second, "second");
+  EXPECT_EQ(third, "third");
+  // A moved-from arena is empty and usable, and writes into none of the
+  // moved chunks.
+  EXPECT_EQ(arena.keep("again"), "again");
+  EXPECT_EQ(moved.keep("again"), "again");
+  EXPECT_EQ(first, "first");
+  EXPECT_EQ(second, "second");
 }
 
 }  // namespace
