@@ -8,15 +8,6 @@
 
 namespace provmark::core {
 
-CompareResult compare_graphs(const graph::PropertyGraph& background,
-                             const graph::PropertyGraph& foreground,
-                             const CompareOptions& options) {
-  graph::SymbolTable symbols;
-  matcher::InternedGraph bg(background, symbols);
-  matcher::InternedGraph fg(foreground, symbols);
-  return compare_graphs(bg, fg, options);
-}
-
 CompareResult compare_graphs(const matcher::InternedGraph& background,
                              const matcher::InternedGraph& foreground,
                              const CompareOptions& options) {

@@ -38,14 +38,9 @@ struct CompareResult {
 };
 
 /// Subtract `background` from `foreground` via optimal approximate
-/// subgraph isomorphism (Listing 4 semantics).
-CompareResult compare_graphs(const graph::PropertyGraph& background,
-                             const graph::PropertyGraph& foreground,
-                             const CompareOptions& options = {});
-
-/// Same over pre-interned snapshots (both against one SymbolTable); the
-/// pipeline interns each generalized graph once and reuses the snapshot
-/// here rather than re-interning inside the matcher call.
+/// subgraph isomorphism (Listing 4 semantics). Both snapshots must be
+/// interned against one SymbolTable; the pipeline interns each
+/// generalized graph once and reuses the snapshot here.
 CompareResult compare_graphs(const matcher::InternedGraph& background,
                              const matcher::InternedGraph& foreground,
                              const CompareOptions& options = {});

@@ -1,52 +1,13 @@
 #include "core/generalize.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 
-#include "graph/algorithms.h"
 #include "matcher/interned.h"
 #include "matcher/memo.h"
 #include "runtime/thread_pool.h"
 
 namespace provmark::core {
-
-namespace {
-
-/// A local interning of string-keyed trials, for the convenience
-/// overloads. The pipeline never takes this path: it interns each trial
-/// once, at transformation time, and calls the interned entry points.
-struct LocalInterning {
-  graph::SymbolTable symbols;
-  std::deque<matcher::InternedGraph> storage;
-  std::vector<const matcher::InternedGraph*> trials;
-
-  explicit LocalInterning(const std::vector<graph::PropertyGraph>& graphs) {
-    for (const graph::PropertyGraph& g : graphs) {
-      storage.emplace_back(g, symbols);
-      trials.push_back(&storage.back());
-    }
-  }
-};
-
-}  // namespace
-
-std::vector<std::vector<std::size_t>> similarity_classes(
-    const std::vector<graph::PropertyGraph>& trials) {
-  std::vector<std::uint64_t> digests;
-  digests.reserve(trials.size());
-  for (const graph::PropertyGraph& trial : trials) {
-    digests.push_back(graph::structural_digest(trial));
-  }
-  return similarity_classes(trials, digests);
-}
-
-std::vector<std::vector<std::size_t>> similarity_classes(
-    const std::vector<graph::PropertyGraph>& trials,
-    const std::vector<std::uint64_t>& digests) {
-  LocalInterning interning(trials);
-  return similarity_classes(interning.trials, digests);
-}
 
 std::vector<std::vector<std::size_t>> similarity_classes(
     const std::vector<const matcher::InternedGraph*>& trials,
@@ -109,15 +70,6 @@ std::vector<std::vector<std::size_t>> similarity_classes(
 }
 
 std::optional<graph::PropertyGraph> generalize_pair(
-    const graph::PropertyGraph& a, const graph::PropertyGraph& b,
-    const GeneralizeOptions& options) {
-  graph::SymbolTable symbols;
-  matcher::InternedGraph ia(a, symbols);
-  matcher::InternedGraph ib(b, symbols);
-  return generalize_pair(ia, ib, options);
-}
-
-std::optional<graph::PropertyGraph> generalize_pair(
     const matcher::InternedGraph& a, const matcher::InternedGraph& b,
     const GeneralizeOptions& options, matcher::Stats* stats) {
   matcher::SearchOptions search;
@@ -158,25 +110,6 @@ std::optional<graph::PropertyGraph> generalize_pair(
                  kept(ga.edge_props[e], gb.edge_props[matching->edge_index[e]]));
   }
   return out;
-}
-
-std::optional<GeneralizeResult> generalize_trials(
-    const std::vector<graph::PropertyGraph>& trials,
-    const GeneralizeOptions& options) {
-  std::vector<std::uint64_t> digests;
-  digests.reserve(trials.size());
-  for (const graph::PropertyGraph& trial : trials) {
-    digests.push_back(graph::structural_digest(trial));
-  }
-  return generalize_trials(trials, digests, options);
-}
-
-std::optional<GeneralizeResult> generalize_trials(
-    const std::vector<graph::PropertyGraph>& trials,
-    const std::vector<std::uint64_t>& digests,
-    const GeneralizeOptions& options) {
-  LocalInterning interning(trials);
-  return generalize_trials(interning.trials, digests, options);
 }
 
 std::optional<GeneralizeResult> generalize_trials(

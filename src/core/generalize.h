@@ -48,62 +48,37 @@ struct GeneralizeResult {
   matcher::Stats search_stats;
 };
 
-/// Partition trial graphs into similarity classes; returns indices into
-/// `trials` grouped by class, largest class first.
-std::vector<std::vector<std::size_t>> similarity_classes(
-    const std::vector<graph::PropertyGraph>& trials);
-
-/// Same, with the trials' WL structural digests precomputed by the caller
-/// (graph::structural_digest per trial). The pipeline computes each
-/// digest once when a trial is transformed, so retry rounds never re-hash
-/// old trials; the exact matcher only runs inside equal-digest buckets.
-std::vector<std::vector<std::size_t>> similarity_classes(
-    const std::vector<graph::PropertyGraph>& trials,
-    const std::vector<std::uint64_t>& digests);
-
-/// Generalize two similar graphs: keep exactly the properties preserved
-/// by the optimal (cost-minimizing) isomorphism. Returns std::nullopt if
-/// the graphs are not similar.
-std::optional<graph::PropertyGraph> generalize_pair(
-    const graph::PropertyGraph& a, const graph::PropertyGraph& b,
-    const GeneralizeOptions& options = {});
-
-/// The full stage: partition, discard singletons, pick a representative
-/// pair, generalize. Returns std::nullopt when no class has >= 2 members
-/// (the paper's recording stage would run more trials in that case).
-std::optional<GeneralizeResult> generalize_trials(
-    const std::vector<graph::PropertyGraph>& trials,
-    const GeneralizeOptions& options = {});
-
-/// Same, with precomputed digests (see similarity_classes overload).
-std::optional<GeneralizeResult> generalize_trials(
-    const std::vector<graph::PropertyGraph>& trials,
-    const std::vector<std::uint64_t>& digests,
-    const GeneralizeOptions& options = {});
-
-// -- interned entry points ----------------------------------------------------
-// The pipeline's zero-re-interning path: trials arrive as InternedGraph
-// snapshots (each trial interned exactly once, all against one shared
-// SymbolTable), digests precomputed. The optional `memo` caches
-// similar() verdicts across calls (and across the pipeline's retry
+// Trials arrive as InternedGraph snapshots (each trial interned exactly
+// once, all against one shared SymbolTable), digests precomputed
+// (graph::structural_digest per trial, computed once when the trial is
+// read, so retry rounds never re-hash old trials). The optional `memo`
+// caches similar() verdicts across calls (and across the pipeline's retry
 // rounds); the optional `pool` fans independent digest buckets out over
 // worker threads — each bucket's greedy classification stays sequential,
 // so the classes (and everything downstream) are bit-identical to the
 // serial run at any thread count.
 
+/// Partition trials into similarity classes; returns indices into
+/// `trials` grouped by class, largest class first. The exact matcher only
+/// runs inside equal-digest buckets.
 std::vector<std::vector<std::size_t>> similarity_classes(
     const std::vector<const matcher::InternedGraph*>& trials,
     const std::vector<std::uint64_t>& digests,
     matcher::SimilarityMemo* memo = nullptr,
     runtime::ThreadPool* pool = nullptr);
 
-/// Generalize two similar interned trials (see generalize_pair above);
-/// reads ids, labels and properties back through the interned graphs.
-/// `stats`, when supplied, receives the isomorphism search statistics.
+/// Generalize two similar trials: keep exactly the properties preserved
+/// by the optimal (cost-minimizing) isomorphism, reading ids, labels and
+/// properties back through the interned graphs. Returns std::nullopt if
+/// the graphs are not similar. `stats`, when supplied, receives the
+/// isomorphism search statistics.
 std::optional<graph::PropertyGraph> generalize_pair(
     const matcher::InternedGraph& a, const matcher::InternedGraph& b,
     const GeneralizeOptions& options = {}, matcher::Stats* stats = nullptr);
 
+/// The full stage: partition, discard singletons, pick a representative
+/// pair, generalize. Returns std::nullopt when no class has >= 2 members
+/// (the paper's recording stage would run more trials in that case).
 std::optional<GeneralizeResult> generalize_trials(
     const std::vector<const matcher::InternedGraph*>& trials,
     const std::vector<std::uint64_t>& digests,

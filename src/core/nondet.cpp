@@ -1,16 +1,10 @@
 #include "core/nondet.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <string>
+#include <optional>
 
-#include "bench_suite/executor.h"
-#include "core/compare.h"
-#include "core/generalize.h"
-#include "core/transform.h"
-#include "graph/algorithms.h"
-#include "util/stopwatch.h"
+#include "core/trials.h"
+#include "runtime/thread_pool.h"
 
 namespace provmark::core {
 
@@ -18,6 +12,9 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
     const bench_suite::BenchmarkProgram& program,
     const PipelineOptions& options) {
   NondetBenchmarkResult out;
+
+  runtime::ThreadPool& pool =
+      options.pool != nullptr ? *options.pool : runtime::default_pool();
 
   std::shared_ptr<systems::Recorder> recorder = options.recorder;
   if (!recorder) recorder = systems::make_recorder(options.system);
@@ -27,68 +24,60 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
                    : 8 * default_trials(recorder->name());
   out.trials_run = trials;
 
-  // Record background (deterministic) and foreground (one schedule per
-  // trial) runs.
-  const std::set<std::string> extra_audit_rules =
-      recorder->extra_audit_rules();
-  auto record = [&](bool foreground, int index) {
-    const std::uint64_t seed =
-        trial_seed(options.seed, program.name, foreground, index);
-    bench_suite::ExecutionResult run = bench_suite::execute_program(
-        program, foreground, seed, extra_audit_rules, recorder->layer());
-    systems::TrialContext trial{seed ^ 0xC0FFEEULL};
-    return recorder->record(run.trace, trial);
-  };
+  // The matcher strategy overlays both matcher-bound stages, as in
+  // run_benchmark.
+  GeneralizeOptions generalize_options = options.generalize;
+  generalize_options.search = options.matcher;
+  CompareOptions compare_options = options.compare;
+  compare_options.search = options.matcher;
 
-  std::vector<graph::PropertyGraph> bg_graphs;
-  std::vector<graph::PropertyGraph> fg_graphs;
-  for (int i = 0; i < trials; ++i) {
-    for (bool foreground : {false, true}) {
-      try {
-        graph::PropertyGraph g = transform_native(
-            record(foreground, i), options.transform);
-        (foreground ? fg_graphs : bg_graphs).push_back(std::move(g));
-      } catch (const std::exception&) {
-        // Garbled trial: drop it.
-      }
-    }
-  }
+  // Record background (deterministic) and foreground (one schedule per
+  // trial) runs on run_benchmark's trial path, in one round. Garbled
+  // trials are dropped; nondet reports schedules, not the behaviour
+  // check.
+  graph::SymbolTable symbols;
+  TrialSet bg_trials, fg_trials;
+  record_trials(program, *recorder, options, 0, trials, bg_trials, fg_trials,
+                pool);
+  read_trials(0, trials, options.transform, symbols, bg_trials, fg_trials,
+              pool);
 
   // The background is deterministic: generalize it once.
   std::optional<GeneralizeResult> bg_general =
-      generalize_trials(bg_graphs, options.generalize);
+      generalize_trials(bg_trials.pointers(), bg_trials.digests,
+                        generalize_options, nullptr, &pool);
   if (!bg_general.has_value()) return out;
+  matcher::InternedGraph bg_interned(bg_general->graph, symbols);
 
-  // Group foreground trials into schedule classes by structural
-  // fingerprint, then confirm with the exact matcher (via
-  // similarity_classes, which does digest-bucketing + exact check).
+  // Group foreground trials into schedule classes: digest buckets
+  // confirmed with the exact matcher.
+  std::vector<const matcher::InternedGraph*> fg = fg_trials.pointers();
   std::vector<std::vector<std::size_t>> classes =
-      similarity_classes(fg_graphs);
+      similarity_classes(fg, fg_trials.digests, nullptr, &pool);
 
   for (const std::vector<std::size_t>& cls : classes) {
     if (cls.size() < 2) {
       ++out.unsupported_schedules;
       continue;
     }
-    // Generalize this schedule's trials only.
-    std::vector<graph::PropertyGraph> members;
-    members.reserve(cls.size());
-    for (std::size_t index : cls) members.push_back(fg_graphs[index]);
-    std::optional<GeneralizeResult> fg_general =
-        generalize_trials(members, options.generalize);
+    // Generalize this schedule from its first two trials, the pair
+    // generalize_trials would pick from a single class.
+    std::optional<graph::PropertyGraph> fg_general =
+        generalize_pair(*fg[cls[0]], *fg[cls[1]], generalize_options);
     if (!fg_general.has_value()) continue;  // unreachable: all similar
 
+    matcher::InternedGraph fg_interned(*fg_general, symbols);
     ScheduleResult schedule;
-    schedule.fingerprint = graph::structural_digest(fg_general->graph);
+    schedule.fingerprint = fg_interned.structural_digest();
     schedule.support = static_cast<int>(cls.size());
     schedule.result.system = recorder->name();
     schedule.result.benchmark = program.name;
     schedule.result.generalized_background = bg_general->graph;
-    schedule.result.generalized_foreground = fg_general->graph;
+    schedule.result.generalized_foreground = *fg_general;
     schedule.result.trials_run = static_cast<int>(cls.size());
 
-    CompareResult compared = compare_graphs(
-        bg_general->graph, fg_general->graph, options.compare);
+    CompareResult compared =
+        compare_graphs(bg_interned, fg_interned, compare_options);
     if (compared.embedding_failed) {
       schedule.result.status = BenchmarkStatus::Failed;
       schedule.result.failure_reason =

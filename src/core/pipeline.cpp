@@ -1,13 +1,9 @@
 #include "core/pipeline.h"
 
-#include <chrono>
-#include <deque>
 #include <optional>
 #include <set>
-#include <thread>
 
-#include "bench_suite/executor.h"
-#include "graph/graph_view.h"
+#include "core/trials.h"
 #include "matcher/interned.h"
 #include "matcher/memo.h"
 #include "runtime/thread_pool.h"
@@ -72,30 +68,6 @@ std::uint64_t trial_seed(std::uint64_t run_seed,
       .next_u64();
 }
 
-namespace {
-
-/// One variant's trials, carried across retry rounds: every native
-/// document recorded (garbled ones too), and per readable trial its view
-/// of the document, its interned graph (built exactly once, against the
-/// run-wide symbol table) and its WL structural digest. std::deque keeps
-/// documents and views at stable addresses: views point into documents,
-/// and interned graphs' ids point into both.
-struct TrialSet {
-  std::deque<std::string> documents;
-  std::deque<graph::GraphView> views;
-  std::deque<matcher::InternedGraph> interned;
-  std::vector<std::uint64_t> digests;
-
-  std::vector<const matcher::InternedGraph*> pointers() const {
-    std::vector<const matcher::InternedGraph*> out;
-    out.reserve(interned.size());
-    for (const matcher::InternedGraph& g : interned) out.push_back(&g);
-    return out;
-  }
-};
-
-}  // namespace
-
 BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
                               const PipelineOptions& options) {
   BenchmarkResult result;
@@ -113,18 +85,6 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
 
   int trials = options.trials > 0 ? options.trials
                                   : default_trials(recorder->name());
-  const std::set<std::string> extra_audit_rules =
-      recorder->extra_audit_rules();
-  const os::Layer layer = recorder->layer();
-
-  // Resolve the recording-latency sentinel once: a negative scalar asks
-  // for the recorder's calibrated default (Figures 5-7 profile; the
-  // recorder resolves it, so configuration like SPADE's storage backend
-  // is honoured); zero keeps trials instantaneous; positive overrides.
-  double recording_latency = options.simulated_recording_latency;
-  if (recording_latency < 0) {
-    recording_latency = recorder->recording_latency();
-  }
 
   // The run-wide matcher strategy: the pipeline-level config is the
   // single source of truth for both matcher-bound stages.
@@ -167,77 +127,20 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
   for (int round = 0; round <= options.max_retry_rounds; ++round) {
     int already = trials_recorded;
     int want = round == 0 ? trials : already;  // double on each retry
-    const std::size_t tasks = static_cast<std::size_t>(want) * 2;
 
     // -- (1) recording ------------------------------------------------------
-    // All new trials of both variants fan out together: background tasks
-    // [0, want), foreground tasks [want, 2*want). Each task is
-    // self-contained (own seed, own recorder trial context), writing its
-    // native document into an index-addressed slot.
     util::Stopwatch watch;
-    bg_trials.documents.resize(already + want);
-    fg_trials.documents.resize(already + want);
-    std::vector<std::string> fg_failures(want);
-    pool.parallel_for(tasks, [&](std::size_t t) {
-      bool foreground = t >= static_cast<std::size_t>(want);
-      int i = static_cast<int>(foreground ? t - want : t);
-      std::uint64_t seed =
-          trial_seed(options.seed, program.name, foreground, already + i);
-      if (recording_latency > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(recording_latency));
-      }
-      bench_suite::ExecutionResult run = bench_suite::execute_program(
-          program, foreground, seed, extra_audit_rules, layer);
-      if (foreground && !run.behaviour_ok) {
-        fg_failures[i] = run.failure_reason;
-      }
-      systems::TrialContext trial{seed ^ 0xC0FFEEULL};
-      (foreground ? fg_trials : bg_trials).documents[already + i] =
-          recorder->record(run.trace, trial);
-    });
-    if (behaviour_error.empty()) {
-      for (const std::string& failure : fg_failures) {
-        if (!failure.empty()) {
-          behaviour_error = failure;
-          break;
-        }
-      }
-    }
+    std::string failure = record_trials(program, *recorder, options, already,
+                                        want, bg_trials, fg_trials, pool);
+    if (behaviour_error.empty()) behaviour_error = std::move(failure);
     trials_recorded += want;
     result.timings.recording += watch.elapsed_seconds();
     if (cancelled()) return result;
 
     // -- (2) transformation (new trials only) -------------------------------
-    // Reading each document into a view is per-trial pure work and runs
-    // on the pool; interning (with the digest and the matcher's per-graph
-    // invariants) is a short serial tail, since the symbol table is shared
-    // by the whole run so every later matcher call can compare any pair.
     watch.reset();
-    std::vector<std::optional<graph::GraphView>> parsed(tasks);
-    pool.parallel_for(tasks, [&](std::size_t t) {
-      bool foreground = t >= static_cast<std::size_t>(want);
-      const TrialSet& set = foreground ? fg_trials : bg_trials;
-      try {
-        parsed[t] = read_native(
-            set.documents[already + (foreground ? t - want : t)],
-            options.transform);
-      } catch (const std::exception&) {
-        // Garbled (truncated) output: the trial is a failed run and is
-        // excluded before similarity classification.
-      }
-    });
-    for (std::size_t t = 0; t < tasks; ++t) {
-      if (!parsed[t].has_value()) {
-        ++unparseable;
-        continue;
-      }
-      TrialSet& set =
-          t < static_cast<std::size_t>(want) ? bg_trials : fg_trials;
-      set.views.push_back(std::move(*parsed[t]));
-      set.interned.emplace_back(set.views.back(), symbols);
-      set.digests.push_back(set.interned.back().structural_digest());
-    }
+    unparseable += read_trials(already, want, options.transform, symbols,
+                               bg_trials, fg_trials, pool);
     result.timings.transformation += watch.elapsed_seconds();
     if (cancelled()) return result;
 

@@ -23,8 +23,9 @@ class ThreadPool;
 namespace provmark::core {
 
 struct PipelineOptions {
-  /// Provenance system to benchmark: "spade" | "opus" | "camflow".
-  /// Ignored when `recorder` is supplied.
+  /// Provenance system to benchmark, any name systems::make_recorder
+  /// takes: "spade" | "opus" | "camflow" | "spade-camflow" | "audit" |
+  /// "ebpf". Ignored when `recorder` is supplied.
   std::string system = "spade";
   /// Custom (e.g. reconfigured) recorder instance; overrides `system`.
   std::shared_ptr<systems::Recorder> recorder;

@@ -3,11 +3,22 @@
 #include <gtest/gtest.h>
 
 #include "graph/property_graph.h"
+#include "matcher/interned.h"
 
 namespace provmark::core {
 namespace {
 
 using graph::PropertyGraph;
+
+/// compare_graphs over both graphs interned against one symbol table, as
+/// the pipeline interns its two generalized graphs.
+CompareResult compare(const PropertyGraph& background,
+                      const PropertyGraph& foreground) {
+  graph::SymbolTable symbols;
+  matcher::InternedGraph bg(background, symbols);
+  matcher::InternedGraph fg(foreground, symbols);
+  return compare_graphs(bg, fg);
+}
 
 PropertyGraph background() {
   PropertyGraph g;
@@ -26,7 +37,7 @@ PropertyGraph foreground_with_target() {
 
 TEST(Compare, SubtractsBackground) {
   CompareResult result =
-      compare_graphs(background(), foreground_with_target());
+      compare(background(), foreground_with_target());
   EXPECT_FALSE(result.embedding_failed);
   // Target structure: the new artifact, the new edge, and the process as
   // a dummy endpoint.
@@ -43,7 +54,7 @@ TEST(Compare, SubtractsBackground) {
 }
 
 TEST(Compare, IdenticalGraphsYieldEmpty) {
-  CompareResult result = compare_graphs(background(), background());
+  CompareResult result = compare(background(), background());
   EXPECT_FALSE(result.embedding_failed);
   EXPECT_TRUE(result.benchmark.empty());
   EXPECT_TRUE(result.dummy_nodes.empty());
@@ -51,7 +62,7 @@ TEST(Compare, IdenticalGraphsYieldEmpty) {
 
 TEST(Compare, EmptyBackgroundKeepsWholeForeground) {
   CompareResult result =
-      compare_graphs(PropertyGraph{}, foreground_with_target());
+      compare(PropertyGraph{}, foreground_with_target());
   EXPECT_FALSE(result.embedding_failed);
   EXPECT_EQ(result.benchmark.size(), foreground_with_target().size());
   EXPECT_TRUE(result.dummy_nodes.empty());
@@ -62,7 +73,7 @@ TEST(Compare, NonEmbeddableBackgroundFails) {
   bg.add_node("extra", "Artifact");
   bg.add_edge("e9", "p", "extra", "NotInForeground");
   CompareResult result =
-      compare_graphs(bg, foreground_with_target());
+      compare(bg, foreground_with_target());
   EXPECT_TRUE(result.embedding_failed);
 }
 
@@ -70,7 +81,7 @@ TEST(Compare, DisconnectedNewNodeSurvivesWithoutDummies) {
   // The vfork shape: the foreground adds a disconnected node only.
   PropertyGraph fg = background();
   fg.add_node("child", "Process", {{"pid", "7"}});
-  CompareResult result = compare_graphs(background(), fg);
+  CompareResult result = compare(background(), fg);
   EXPECT_FALSE(result.embedding_failed);
   EXPECT_EQ(result.benchmark.node_count(), 1u);
   EXPECT_EQ(result.benchmark.edge_count(), 0u);
@@ -86,7 +97,7 @@ TEST(Compare, PicksEmbeddingThatMinimizesPropertyCost) {
   PropertyGraph fg;
   fg.add_node("a", "Process", {{"name", "other"}});
   fg.add_node("b", "Process", {{"name", "bench"}});
-  CompareResult result = compare_graphs(bg, fg);
+  CompareResult result = compare(bg, fg);
   EXPECT_FALSE(result.embedding_failed);
   EXPECT_EQ(result.embedding_cost, 0);
   ASSERT_EQ(result.benchmark.node_count(), 1u);
@@ -97,7 +108,7 @@ TEST(Compare, BothEndpointsDummyWhenEdgeAddedBetweenOldNodes) {
   PropertyGraph fg = background();
   fg.add_edge("e2", "lib", "p", "WasGeneratedBy",
               {{"operation", "write"}});
-  CompareResult result = compare_graphs(background(), fg);
+  CompareResult result = compare(background(), fg);
   EXPECT_FALSE(result.embedding_failed);
   EXPECT_EQ(result.benchmark.edge_count(), 1u);
   EXPECT_EQ(result.benchmark.node_count(), 2u);
@@ -109,7 +120,7 @@ TEST(Compare, ReportsEmbeddingCost) {
   bg.add_node("p", "Process", {{"k", "old"}});
   PropertyGraph fg;
   fg.add_node("p", "Process", {{"k", "new"}});
-  CompareResult result = compare_graphs(bg, fg);
+  CompareResult result = compare(bg, fg);
   EXPECT_FALSE(result.embedding_failed);
   EXPECT_EQ(result.embedding_cost, 1);
   EXPECT_TRUE(result.benchmark.empty());

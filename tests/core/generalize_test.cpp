@@ -2,12 +2,54 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+#include <vector>
+
 #include "graph/property_graph.h"
+#include "matcher/interned.h"
 
 namespace provmark::core {
 namespace {
 
 using graph::PropertyGraph;
+
+/// Trials interned against one symbol table with their digests, as the
+/// pipeline holds them.
+struct InternedTrials {
+  graph::SymbolTable symbols;
+  std::vector<PropertyGraph> graphs;  // the interned ids point into these
+  std::deque<matcher::InternedGraph> interned;
+  std::vector<const matcher::InternedGraph*> pointers;
+  std::vector<std::uint64_t> digests;
+
+  explicit InternedTrials(std::vector<PropertyGraph> trials)
+      : graphs(std::move(trials)) {
+    for (const PropertyGraph& g : graphs) {
+      interned.emplace_back(g, symbols);
+      pointers.push_back(&interned.back());
+      digests.push_back(interned.back().structural_digest());
+    }
+  }
+};
+
+std::vector<std::vector<std::size_t>> classes_of(
+    std::vector<PropertyGraph> trials) {
+  InternedTrials in(std::move(trials));
+  return similarity_classes(in.pointers, in.digests);
+}
+
+std::optional<PropertyGraph> generalize(const PropertyGraph& a,
+                                        const PropertyGraph& b) {
+  InternedTrials in({a, b});
+  return generalize_pair(*in.pointers[0], *in.pointers[1]);
+}
+
+std::optional<GeneralizeResult> generalize(
+    std::vector<PropertyGraph> trials) {
+  InternedTrials in(std::move(trials));
+  return generalize_trials(in.pointers, in.digests);
+}
 
 /// A "recording trial": fixed shape, stable + transient properties.
 PropertyGraph trial(const std::string& timestamp, const std::string& pid) {
@@ -30,7 +72,7 @@ PropertyGraph garbled() {
 TEST(SimilarityClasses, GroupsByShape) {
   std::vector<PropertyGraph> trials = {trial("1", "100"), trial("2", "200"),
                                        garbled()};
-  auto classes = similarity_classes(trials);
+  auto classes = classes_of(trials);
   ASSERT_EQ(classes.size(), 2u);
   EXPECT_EQ(classes[0].size(), 2u);  // sorted largest first
   EXPECT_EQ(classes[1].size(), 1u);
@@ -40,16 +82,16 @@ TEST(SimilarityClasses, AllDistinct) {
   PropertyGraph a = garbled();
   PropertyGraph b = trial("1", "1");
   PropertyGraph c;
-  auto classes = similarity_classes({a, b, c});
+  auto classes = classes_of({a, b, c});
   EXPECT_EQ(classes.size(), 3u);
 }
 
 TEST(SimilarityClasses, EmptyInput) {
-  EXPECT_TRUE(similarity_classes({}).empty());
+  EXPECT_TRUE(classes_of({}).empty());
 }
 
 TEST(GeneralizePair, StripsTransientKeepsStable) {
-  auto result = generalize_pair(trial("111", "a"), trial("222", "b"));
+  auto result = generalize(trial("111", "a"), trial("222", "b"));
   ASSERT_TRUE(result.has_value());
   const graph::Node* p = result->find_node("p");
   EXPECT_EQ(p->props.count("name"), 1u);   // stable kept
@@ -61,13 +103,13 @@ TEST(GeneralizePair, StripsTransientKeepsStable) {
 }
 
 TEST(GeneralizePair, IdenticalGraphsKeepEverything) {
-  auto result = generalize_pair(trial("1", "1"), trial("1", "1"));
+  auto result = generalize(trial("1", "1"), trial("1", "1"));
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->find_node("p")->props.size(), 3u);
 }
 
 TEST(GeneralizePair, DissimilarGraphsFail) {
-  EXPECT_FALSE(generalize_pair(trial("1", "1"), garbled()).has_value());
+  EXPECT_FALSE(generalize(trial("1", "1"), garbled()).has_value());
 }
 
 TEST(GeneralizePair, PicksPropertyOptimalMatching) {
@@ -85,7 +127,7 @@ TEST(GeneralizePair, PicksPropertyOptimalMatching) {
   b.add_node("g2", "Artifact", {{"path", "/x"}});
   b.add_edge("e1", "p", "g1", "Used");
   b.add_edge("e2", "p", "g2", "Used");
-  auto result = generalize_pair(a, b);
+  auto result = generalize(a, b);
   ASSERT_TRUE(result.has_value());
   int paths_kept = 0;
   for (const graph::Node& n : result->nodes()) {
@@ -97,7 +139,7 @@ TEST(GeneralizePair, PicksPropertyOptimalMatching) {
 TEST(GeneralizeTrials, DiscardsSingletonsAndCounts) {
   std::vector<PropertyGraph> trials = {trial("1", "a"), trial("2", "b"),
                                        garbled()};
-  auto result = generalize_trials(trials);
+  auto result = generalize(trials);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->discarded, 1u);
   EXPECT_EQ(result->classes, 2u);
@@ -107,7 +149,7 @@ TEST(GeneralizeTrials, DiscardsSingletonsAndCounts) {
 
 TEST(GeneralizeTrials, FailsWhenAllSingletons) {
   std::vector<PropertyGraph> trials = {trial("1", "a"), garbled()};
-  EXPECT_FALSE(generalize_trials(trials).has_value());
+  EXPECT_FALSE(generalize(trials).has_value());
 }
 
 TEST(GeneralizeTrials, SmallestClassWins) {
@@ -118,13 +160,13 @@ TEST(GeneralizeTrials, SmallestClassWins) {
   big2.add_node("noise", "Daemon");
   std::vector<PropertyGraph> trials = {big1, big2, trial("3", "c"),
                                        trial("4", "d")};
-  auto smallest = generalize_trials(trials);
+  auto smallest = generalize(trials);
   ASSERT_TRUE(smallest.has_value());
   EXPECT_EQ(smallest->graph.node_count(), 2u);  // no Daemon node
 }
 
 TEST(GeneralizeTrials, TwoTrialsSuffice) {
-  auto result = generalize_trials({trial("1", "a"), trial("2", "b")});
+  auto result = generalize({trial("1", "a"), trial("2", "b")});
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->discarded, 0u);
 }

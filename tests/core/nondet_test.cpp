@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "bench_suite/executor.h"
 #include "bench_suite/program.h"
+#include "graph/algorithms.h"
+#include "runtime/thread_pool.h"
 
 namespace provmark::core {
 namespace {
@@ -95,6 +100,134 @@ TEST(Nondet, DeterministicProgramYieldsOneSchedule) {
   ASSERT_EQ(result.schedules.size(), 1u);
   EXPECT_EQ(result.schedules[0].support, 6);
   EXPECT_EQ(result.schedules[0].result.status, BenchmarkStatus::Ok);
+}
+
+struct GoldenSchedule {
+  std::uint64_t fingerprint;
+  int support;
+  const char* status;
+  const char* summary;
+};
+
+struct GoldenRun {
+  const char* system;
+  int unsupported_schedules;
+  std::vector<GoldenSchedule> schedules;
+};
+
+// bench_ext_nondeterminism's configuration: the 3-thread chain at seed 31
+// with 48 foreground trials. The values are the schedules the
+// nondeterministic pipeline reports for it; any change to how trials are
+// recorded, read, grouped, generalized or compared shows here.
+TEST(Nondet, GoldenSchedulesOfTheExtensionBench) {
+  const std::vector<GoldenRun> golden = {
+      {"spade", 0,
+       {{0x85b41a3bfd289258ULL, 21, "ok",
+         "2 nodes, 1 edges, 1 components, 6 properties"},
+        {0x832191ece789aa40ULL, 10, "ok",
+         "3 nodes, 4 edges, 1 components, 13 properties"},
+        {0x59112a17306045ddULL, 9, "ok",
+         "4 nodes, 7 edges, 1 components, 20 properties"}}},
+      {"opus", 0,
+       {{0xe2a49c5ea9c5c798ULL, 20, "ok",
+         "9 nodes, 10 edges, 1 components, 26 properties"},
+        {0xe561e50ec58037adULL, 13, "ok",
+         "9 nodes, 10 edges, 1 components, 25 properties"},
+        {0x623b0446f4487cfaULL, 10, "ok",
+         "8 nodes, 9 edges, 1 components, 21 properties"},
+        {0x05e385ccfeab373bULL, 5, "ok",
+         "10 nodes, 11 edges, 1 components, 31 properties"}}},
+      {"camflow", 2,
+       {{0xff834290c74dadefULL, 19, "ok",
+         "3 nodes, 3 edges, 1 components, 7 properties"},
+        {0x6285901d16d90383ULL, 9, "ok",
+         "5 nodes, 7 edges, 1 components, 13 properties"},
+        {0xefaccdb668183956ULL, 6, "ok",
+         "4 nodes, 5 edges, 1 components, 10 properties"},
+        {0xbd7d95301d58cd88ULL, 5, "ok",
+         "6 nodes, 6 edges, 2 components, 13 properties"},
+        {0xe5c7823a0efaf2d4ULL, 5, "ok",
+         "5 nodes, 4 edges, 2 components, 10 properties"},
+        {0x2874ba9b8e9d6affULL, 2, "ok",
+         "5 nodes, 6 edges, 1 components, 12 properties"}}},
+  };
+  for (const GoldenRun& run : golden) {
+    PipelineOptions options;
+    options.system = run.system;
+    options.seed = 31;
+    options.trials = 48;
+    NondetBenchmarkResult result = run_nondeterministic_benchmark(
+        bench_suite::nondeterministic_benchmark(3), options);
+    EXPECT_EQ(result.trials_run, 48) << run.system;
+    EXPECT_EQ(result.unsupported_schedules, run.unsupported_schedules)
+        << run.system;
+    ASSERT_EQ(result.schedules.size(), run.schedules.size()) << run.system;
+    for (std::size_t i = 0; i < run.schedules.size(); ++i) {
+      const ScheduleResult& got = result.schedules[i];
+      const GoldenSchedule& want = run.schedules[i];
+      std::string context = std::string(run.system) + " schedule " +
+                            std::to_string(i);
+      EXPECT_EQ(got.fingerprint, want.fingerprint) << context;
+      EXPECT_EQ(got.support, want.support) << context;
+      EXPECT_STREQ(status_name(got.result.status), want.status) << context;
+      EXPECT_EQ(graph::structure_summary(got.result.result), want.summary)
+          << context;
+    }
+  }
+}
+
+NondetBenchmarkResult run_on(const std::string& system, int pool_threads,
+                             int matcher_threads) {
+  runtime::ThreadPool pool(pool_threads);
+  PipelineOptions options;
+  options.system = system;
+  options.seed = 5;
+  options.trials = 40;
+  options.pool = &pool;
+  options.matcher.threads = matcher_threads;
+  return run_nondeterministic_benchmark(
+      bench_suite::nondeterministic_benchmark(3), options);
+}
+
+// Trials derive their randomness from (seed, trial index), never from
+// scheduling, so neither the pool width nor the matcher's search workers
+// may change a schedule.
+TEST(Nondet, SchedulesAreIndependentOfPoolAndMatcherThreads) {
+  for (const char* system : {"spade", "camflow"}) {
+    NondetBenchmarkResult serial = run_on(system, 1, 1);
+    ASSERT_FALSE(serial.schedules.empty()) << system;
+    for (auto [pool_threads, matcher_threads] :
+         {std::pair{4, 1}, std::pair{1, 4}, std::pair{4, 4}}) {
+      std::string context = std::string(system) + " pool " +
+                            std::to_string(pool_threads) + " matcher " +
+                            std::to_string(matcher_threads);
+      NondetBenchmarkResult parallel =
+          run_on(system, pool_threads, matcher_threads);
+      EXPECT_EQ(parallel.trials_run, serial.trials_run) << context;
+      EXPECT_EQ(parallel.unsupported_schedules,
+                serial.unsupported_schedules)
+          << context;
+      ASSERT_EQ(parallel.schedules.size(), serial.schedules.size())
+          << context;
+      for (std::size_t i = 0; i < serial.schedules.size(); ++i) {
+        const ScheduleResult& a = serial.schedules[i];
+        const ScheduleResult& b = parallel.schedules[i];
+        EXPECT_EQ(a.fingerprint, b.fingerprint) << context;
+        EXPECT_EQ(a.support, b.support) << context;
+        EXPECT_EQ(a.result.status, b.result.status) << context;
+        EXPECT_EQ(a.result.failure_reason, b.result.failure_reason)
+            << context;
+        EXPECT_TRUE(a.result.result == b.result.result) << context;
+        EXPECT_EQ(a.result.dummy_nodes, b.result.dummy_nodes) << context;
+        EXPECT_TRUE(a.result.generalized_foreground ==
+                    b.result.generalized_foreground)
+            << context;
+        EXPECT_TRUE(a.result.generalized_background ==
+                    b.result.generalized_background)
+            << context;
+      }
+    }
+  }
 }
 
 }  // namespace

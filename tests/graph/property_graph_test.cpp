@@ -50,8 +50,9 @@ TEST(PropertyGraph, SelfLoopAllowed) {
   PropertyGraph g;
   g.add_node("a", "X");
   g.add_edge("e", "a", "a", "self");
-  EXPECT_EQ(g.in_degree("a"), 1u);
-  EXPECT_EQ(g.out_degree("a"), 1u);
+  EXPECT_EQ(g.edge_count(), 1u);
+  EXPECT_EQ(g.find_edge("e")->src, "a");
+  EXPECT_EQ(g.find_edge("e")->tgt, "a");
 }
 
 TEST(PropertyGraph, Properties) {
@@ -64,37 +65,6 @@ TEST(PropertyGraph, Properties) {
   g.set_property("e1", "operation", "write");  // overwrite
   EXPECT_EQ(g.property("e1", "operation"), "write");
   EXPECT_THROW(g.set_property("zz", "k", "v"), std::invalid_argument);
-}
-
-TEST(PropertyGraph, RemoveEdge) {
-  PropertyGraph g = diamond();
-  EXPECT_TRUE(g.remove_edge("e2"));
-  EXPECT_FALSE(g.remove_edge("e2"));
-  EXPECT_EQ(g.edge_count(), 3u);
-  // Index integrity after removal: remaining edges still addressable.
-  EXPECT_EQ(g.find_edge("e4")->label, "WasGeneratedBy");
-  EXPECT_EQ(g.find_edge("e1")->src, "a");
-}
-
-TEST(PropertyGraph, RemoveNodeCascades) {
-  PropertyGraph g = diamond();
-  EXPECT_TRUE(g.remove_node("b"));
-  EXPECT_EQ(g.node_count(), 3u);
-  EXPECT_EQ(g.edge_count(), 2u);  // e1 and e3 removed with b
-  EXPECT_EQ(g.find_edge("e1"), nullptr);
-  EXPECT_EQ(g.find_edge("e3"), nullptr);
-  EXPECT_NE(g.find_edge("e2"), nullptr);
-  EXPECT_FALSE(g.remove_node("b"));
-  // Remaining node indices still valid.
-  EXPECT_EQ(g.find_node("d")->label, "Process");
-}
-
-TEST(PropertyGraph, Degrees) {
-  PropertyGraph g = diamond();
-  EXPECT_EQ(g.out_degree("a"), 2u);
-  EXPECT_EQ(g.in_degree("a"), 0u);
-  EXPECT_EQ(g.in_degree("d"), 2u);
-  EXPECT_EQ(g.incident_edges("b").size(), 2u);
 }
 
 TEST(PropertyGraph, Equality) {
@@ -116,7 +86,6 @@ TEST(PropertyGraph, EmptyGraph) {
   PropertyGraph g;
   EXPECT_TRUE(g.empty());
   EXPECT_EQ(g.size(), 0u);
-  EXPECT_TRUE(g.incident_edges("x").empty());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // any graph (permutation invariance, subgraph containment, cost bounds).
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "graph/property_graph.h"
@@ -17,6 +18,24 @@ namespace {
 using graph::PropertyGraph;
 using test_graphs::random_graph;
 using test_graphs::shuffled_copy;
+
+/// `g` without the given nodes (and their incident edges) and edges,
+/// otherwise in g's insertion order.
+PropertyGraph without(const PropertyGraph& g,
+                      const std::set<graph::Id>& nodes,
+                      const std::set<graph::Id>& edges) {
+  PropertyGraph out;
+  for (const graph::Node& n : g.nodes()) {
+    if (nodes.count(n.id) == 0) out.add_node(n.id, n.label, n.props);
+  }
+  for (const graph::Edge& e : g.edges()) {
+    if (edges.count(e.id) == 0 && nodes.count(e.src) == 0 &&
+        nodes.count(e.tgt) == 0) {
+      out.add_edge(e.id, e.src, e.tgt, e.label, e.props);
+    }
+  }
+  return out;
+}
 
 class MatcherRandomTest : public ::testing::TestWithParam<int> {};
 
@@ -77,17 +96,14 @@ TEST_P(MatcherRandomTest, SubgraphAlwaysEmbedsIntoSupergraph) {
   PropertyGraph fg = random_graph(4 + GetParam() % 4, 3 + GetParam() % 5,
                                   rng);
   // Build bg by deleting some elements of fg — guaranteed embeddable.
-  PropertyGraph bg = fg;
-  std::vector<graph::Id> edge_ids;
-  for (const graph::Edge& e : bg.edges()) edge_ids.push_back(e.id);
-  for (const graph::Id& id : edge_ids) {
-    if (rng.chance(0.4)) bg.remove_edge(id);
+  std::set<graph::Id> dropped_edges, dropped_nodes;
+  for (const graph::Edge& e : fg.edges()) {
+    if (rng.chance(0.4)) dropped_edges.insert(e.id);
   }
-  std::vector<graph::Id> node_ids;
-  for (const graph::Node& n : bg.nodes()) node_ids.push_back(n.id);
-  for (const graph::Id& id : node_ids) {
-    if (rng.chance(0.3)) bg.remove_node(id);
+  for (const graph::Node& n : fg.nodes()) {
+    if (rng.chance(0.3)) dropped_nodes.insert(n.id);
   }
+  PropertyGraph bg = without(fg, dropped_nodes, dropped_edges);
   auto matching = best_subgraph_embedding(bg, fg);
   ASSERT_TRUE(matching.has_value());
   EXPECT_EQ(matching->cost, 0);  // bg elements carry identical properties
@@ -98,10 +114,9 @@ TEST_P(MatcherRandomTest, SubgraphAlwaysEmbedsIntoSupergraph) {
 TEST_P(MatcherRandomTest, MatchingIsStructurePreserving) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 211 + 13);
   PropertyGraph fg = random_graph(4 + GetParam() % 3, 4, rng);
-  PropertyGraph bg = fg;
-  std::vector<graph::Id> node_ids;
-  for (const graph::Node& n : bg.nodes()) node_ids.push_back(n.id);
-  if (!node_ids.empty()) bg.remove_node(node_ids.front());
+  std::set<graph::Id> dropped_nodes;
+  if (!fg.nodes().empty()) dropped_nodes.insert(fg.nodes().front().id);
+  PropertyGraph bg = without(fg, dropped_nodes, {});
   auto matching = best_subgraph_embedding(bg, fg);
   ASSERT_TRUE(matching.has_value());
   // Verify the returned maps really form a homomorphism on labels and
