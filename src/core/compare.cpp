@@ -64,7 +64,7 @@ CompareResult compare_graphs(const matcher::InternedGraph& background,
       result.benchmark.add_node(std::move(id), label, {{"dummy", "true"}});
     } else {
       result.benchmark.add_node(std::move(id), label,
-                                graph::resolve_props(fg.node_props[v], symbols));
+                                graph::resolve_props(fg.node_props(v), symbols));
     }
   }
   for (std::uint32_t e : surviving_edges) {
@@ -72,7 +72,7 @@ CompareResult compare_graphs(const matcher::InternedGraph& background,
                               std::string(fg.node_id[fg.edge_src[e]]),
                               std::string(fg.node_id[fg.edge_tgt[e]]),
                               symbols.resolve(fg.edge_label[e]),
-                              graph::resolve_props(fg.edge_props[e], symbols));
+                              graph::resolve_props(fg.edge_props(e), symbols));
   }
   return result;
 }

@@ -87,8 +87,8 @@ std::optional<graph::PropertyGraph> generalize_pair(
   // that differ (timestamps, serials, pids) are transient and dropped.
   // Both graphs share one symbol table, so equal symbols are equal
   // strings.
-  auto kept = [&symbols](const graph::CompactProps& mine,
-                         const graph::CompactProps& other) {
+  auto kept = [&symbols](graph::CompactProps mine,
+                         graph::CompactProps other) {
     graph::Properties out;
     for (const auto& [k, v] : mine) {
       if (graph::find_prop(other, k) == v) {
@@ -100,16 +100,69 @@ std::optional<graph::PropertyGraph> generalize_pair(
   graph::PropertyGraph out;
   for (std::uint32_t i = 0; i < ga.node_count(); ++i) {
     out.add_node(std::string(ga.node_id[i]), symbols.resolve(ga.node_label[i]),
-                 kept(ga.node_props[i], gb.node_props[matching->node_index[i]]));
+                 kept(ga.node_props(i), gb.node_props(matching->node_index[i])));
   }
   for (std::uint32_t e = 0; e < ga.edge_count(); ++e) {
     out.add_edge(std::string(ga.edge_id[e]),
                  std::string(ga.node_id[ga.edge_src[e]]),
                  std::string(ga.node_id[ga.edge_tgt[e]]),
                  symbols.resolve(ga.edge_label[e]),
-                 kept(ga.edge_props[e], gb.edge_props[matching->edge_index[e]]));
+                 kept(ga.edge_props(e), gb.edge_props(matching->edge_index[e])));
   }
   return out;
+}
+
+TrialClasses classify_trials(
+    const std::vector<const matcher::InternedGraph*>& trials,
+    const std::vector<std::uint64_t>& digests, matcher::SimilarityMemo* memo,
+    runtime::ThreadPool* pool) {
+  std::vector<std::vector<std::size_t>> classes =
+      similarity_classes(trials, digests, memo, pool);
+  TrialClasses out;
+  out.classes = classes.size();
+  // Discard singleton classes: failed runs (§3.4). Among the surviving
+  // classes, choose the smallest representative graph.
+  auto size_of = [&](const std::vector<std::size_t>& cls) {
+    const graph::CompactGraph& g = trials[cls.front()]->g;
+    return g.node_count() + g.edge_count();
+  };
+  const std::vector<std::size_t>* chosen = nullptr;
+  for (const std::vector<std::size_t>& cls : classes) {
+    if (cls.size() < 2) {
+      ++out.discarded;
+    } else if (chosen == nullptr || size_of(cls) < size_of(*chosen)) {
+      chosen = &cls;
+    }
+  }
+  if (chosen != nullptr) out.pair.emplace((*chosen)[0], (*chosen)[1]);
+  return out;
+}
+
+std::optional<GeneralizeResult> generalize_chosen(
+    const TrialClasses& classes,
+    const std::vector<const matcher::InternedGraph*>& trials,
+    const GeneralizeOptions& options) {
+  if (!classes.pair.has_value()) return std::nullopt;
+  GeneralizeResult result;
+  result.classes = classes.classes;
+  result.discarded = classes.discarded;
+
+  const matcher::InternedGraph& a = *trials[classes.pair->first];
+  const matcher::InternedGraph& b = *trials[classes.pair->second];
+  std::optional<graph::PropertyGraph> generalized =
+      generalize_pair(a, b, options, &result.search_stats);
+  if (!generalized.has_value()) return std::nullopt;  // unreachable in theory
+
+  int after = 0;
+  for (const graph::Node& n : generalized->nodes()) {
+    after += static_cast<int>(n.props.size());
+  }
+  for (const graph::Edge& e : generalized->edges()) {
+    after += static_cast<int>(e.props.size());
+  }
+  result.transient_properties = static_cast<int>(a.g.props.size()) - after;
+  result.graph = std::move(*generalized);
+  return result;
 }
 
 std::optional<GeneralizeResult> generalize_trials(
@@ -117,53 +170,8 @@ std::optional<GeneralizeResult> generalize_trials(
     const std::vector<std::uint64_t>& digests,
     const GeneralizeOptions& options, matcher::SimilarityMemo* memo,
     runtime::ThreadPool* pool) {
-  std::vector<std::vector<std::size_t>> classes =
-      similarity_classes(trials, digests, memo, pool);
-  GeneralizeResult result;
-  result.classes = classes.size();
-  // Discard singleton classes: failed runs (§3.4).
-  std::vector<std::vector<std::size_t>> viable;
-  for (std::vector<std::size_t>& cls : classes) {
-    if (cls.size() >= 2) {
-      viable.push_back(std::move(cls));
-    } else {
-      ++result.discarded;
-    }
-  }
-  if (viable.empty()) return std::nullopt;
-
-  // Among the surviving classes, choose the smallest representative graph.
-  auto size_of = [&](const std::vector<std::size_t>& cls) {
-    const graph::CompactGraph& g = trials[cls.front()]->g;
-    return g.node_count() + g.edge_count();
-  };
-  const std::vector<std::size_t>* chosen = &viable.front();
-  for (const std::vector<std::size_t>& cls : viable) {
-    if (size_of(cls) < size_of(*chosen)) chosen = &cls;
-  }
-
-  const matcher::InternedGraph& a = *trials[(*chosen)[0]];
-  const matcher::InternedGraph& b = *trials[(*chosen)[1]];
-  std::optional<graph::PropertyGraph> generalized =
-      generalize_pair(a, b, options, &result.search_stats);
-  if (!generalized.has_value()) return std::nullopt;  // unreachable in theory
-
-  int before = 0, after = 0;
-  for (const graph::CompactProps& props : a.g.node_props) {
-    before += static_cast<int>(props.size());
-  }
-  for (const graph::CompactProps& props : a.g.edge_props) {
-    before += static_cast<int>(props.size());
-  }
-  for (const graph::Node& n : generalized->nodes()) {
-    after += static_cast<int>(n.props.size());
-  }
-  for (const graph::Edge& e : generalized->edges()) {
-    after += static_cast<int>(e.props.size());
-  }
-  result.transient_properties = before - after;
-  result.graph = std::move(*generalized);
-  return result;
+  return generalize_chosen(classify_trials(trials, digests, memo, pool),
+                           trials, options);
 }
 
 }  // namespace provmark::core

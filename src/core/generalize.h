@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/property_graph.h"
@@ -57,6 +58,13 @@ struct GeneralizeResult {
 // worker threads — each bucket's greedy classification stays sequential,
 // so the classes (and everything downstream) are bit-identical to the
 // serial run at any thread count.
+//
+// Classification reads only structure, so trials may be interned without
+// their properties; generalizing a pair reads the properties of exactly
+// those two trials. The stage therefore comes in two pieces,
+// classify_trials (steps 1-3) and generalize_chosen (step 4), with room
+// between them to intern the chosen pair's properties; generalize_trials
+// runs both on fully interned trials.
 
 /// Partition trials into similarity classes; returns indices into
 /// `trials` grouped by class, largest class first. The exact matcher only
@@ -67,18 +75,47 @@ std::vector<std::vector<std::size_t>> similarity_classes(
     matcher::SimilarityMemo* memo = nullptr,
     runtime::ThreadPool* pool = nullptr);
 
+/// Steps 1-3 of the stage: how many similarity classes the trials form,
+/// how many trials singleton classes discard, and the pair to generalize.
+struct TrialClasses {
+  std::size_t classes = 0;
+  std::size_t discarded = 0;
+  /// Indices into the trials of the pair to generalize: the first two
+  /// members of the surviving class with the smallest representative
+  /// graph. Absent when no class has two members.
+  std::optional<std::pair<std::size_t, std::size_t>> pair;
+};
+
+/// Classify `trials` and choose the pair to generalize. Reads structure
+/// only: the trials need not have their properties interned.
+TrialClasses classify_trials(
+    const std::vector<const matcher::InternedGraph*>& trials,
+    const std::vector<std::uint64_t>& digests,
+    matcher::SimilarityMemo* memo = nullptr,
+    runtime::ThreadPool* pool = nullptr);
+
 /// Generalize two similar trials: keep exactly the properties preserved
 /// by the optimal (cost-minimizing) isomorphism, reading ids, labels and
-/// properties back through the interned graphs. Returns std::nullopt if
-/// the graphs are not similar. `stats`, when supplied, receives the
+/// properties back through the interned graphs, whose properties must be
+/// interned (std::logic_error otherwise). Returns std::nullopt if the
+/// graphs are not similar. `stats`, when supplied, receives the
 /// isomorphism search statistics.
 std::optional<graph::PropertyGraph> generalize_pair(
     const matcher::InternedGraph& a, const matcher::InternedGraph& b,
     const GeneralizeOptions& options = {}, matcher::Stats* stats = nullptr);
 
-/// The full stage: partition, discard singletons, pick a representative
-/// pair, generalize. Returns std::nullopt when no class has >= 2 members
-/// (the paper's recording stage would run more trials in that case).
+/// Step 4: generalize the pair `classes` chose among `trials`, whose
+/// properties must be interned. Returns std::nullopt when there is no
+/// pair.
+std::optional<GeneralizeResult> generalize_chosen(
+    const TrialClasses& classes,
+    const std::vector<const matcher::InternedGraph*>& trials,
+    const GeneralizeOptions& options = {});
+
+/// The full stage on fully interned trials: classify_trials, then
+/// generalize_chosen. Returns std::nullopt when no class has >= 2
+/// members (the paper's recording stage would run more trials in that
+/// case).
 std::optional<GeneralizeResult> generalize_trials(
     const std::vector<const matcher::InternedGraph*>& trials,
     const std::vector<std::uint64_t>& digests,

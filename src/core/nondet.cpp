@@ -5,6 +5,7 @@
 
 #include "core/trials.h"
 #include "runtime/thread_pool.h"
+#include "util/stopwatch.h"
 
 namespace provmark::core {
 
@@ -35,17 +36,31 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
   // trial) runs on run_benchmark's trial path, in one round. Garbled
   // trials are dropped; nondet reports schedules, not the behaviour
   // check.
+  StageTimings shared;
   graph::SymbolTable symbols;
   TrialSet bg_trials, fg_trials;
+  util::Stopwatch watch;
   record_trials(program, *recorder, options, 0, trials, bg_trials, fg_trials,
                 pool);
-  read_trials(0, trials, options.transform, symbols, bg_trials, fg_trials,
-              pool);
+  shared.recording = watch.elapsed_seconds();
+  watch.reset();
+  const int unparseable = read_trials(0, trials, options.transform, symbols,
+                                      bg_trials, fg_trials, pool);
+  shared.transformation = watch.elapsed_seconds();
 
-  // The background is deterministic: generalize it once.
+  // The background is deterministic: generalize it once. Classification
+  // reads structure only; the chosen pair's properties are interned
+  // before it is generalized, here and for every schedule below.
+  watch.reset();
+  std::vector<const matcher::InternedGraph*> bg = bg_trials.pointers();
+  TrialClasses bg_classes =
+      classify_trials(bg, bg_trials.digests, nullptr, &pool);
+  if (bg_classes.pair.has_value()) {
+    bg_trials.intern_properties(bg_classes.pair->first, symbols);
+    bg_trials.intern_properties(bg_classes.pair->second, symbols);
+  }
   std::optional<GeneralizeResult> bg_general =
-      generalize_trials(bg_trials.pointers(), bg_trials.digests,
-                        generalize_options, nullptr, &pool);
+      generalize_chosen(bg_classes, bg, generalize_options);
   if (!bg_general.has_value()) return out;
   matcher::InternedGraph bg_interned(bg_general->graph, symbols);
 
@@ -54,6 +69,7 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
   std::vector<const matcher::InternedGraph*> fg = fg_trials.pointers();
   std::vector<std::vector<std::size_t>> classes =
       similarity_classes(fg, fg_trials.digests, nullptr, &pool);
+  shared.generalization = watch.elapsed_seconds();
 
   for (const std::vector<std::size_t>& cls : classes) {
     if (cls.size() < 2) {
@@ -62,32 +78,46 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
     }
     // Generalize this schedule from its first two trials, the pair
     // generalize_trials would pick from a single class.
-    std::optional<graph::PropertyGraph> fg_general =
-        generalize_pair(*fg[cls[0]], *fg[cls[1]], generalize_options);
+    watch.reset();
+    fg_trials.intern_properties(cls[0], symbols);
+    fg_trials.intern_properties(cls[1], symbols);
+    matcher::Stats generalize_stats;
+    std::optional<graph::PropertyGraph> fg_general = generalize_pair(
+        *fg[cls[0]], *fg[cls[1]], generalize_options, &generalize_stats);
     if (!fg_general.has_value()) continue;  // unreachable: all similar
+    const double generalization = watch.elapsed_seconds();
 
     matcher::InternedGraph fg_interned(*fg_general, symbols);
     ScheduleResult schedule;
     schedule.fingerprint = fg_interned.structural_digest();
     schedule.support = static_cast<int>(cls.size());
-    schedule.result.system = recorder->name();
-    schedule.result.benchmark = program.name;
-    schedule.result.generalized_background = bg_general->graph;
-    schedule.result.generalized_foreground = *fg_general;
-    schedule.result.trials_run = static_cast<int>(cls.size());
+    BenchmarkResult& result = schedule.result;
+    result.system = recorder->name();
+    result.benchmark = program.name;
+    result.generalized_background = bg_general->graph;
+    result.generalized_foreground = *fg_general;
+    result.trials_run = static_cast<int>(cls.size());
+    result.trials_unparseable = unparseable;
+    result.threads_used = pool.thread_count();
 
+    watch.reset();
     CompareResult compared =
         compare_graphs(bg_interned, fg_interned, compare_options);
+    result.timings = shared;
+    result.timings.generalization += generalization;
+    result.timings.comparison = watch.elapsed_seconds();
+    result.matcher_steps = bg_general->search_stats.steps +
+                           generalize_stats.steps +
+                           compared.search_stats.steps;
     if (compared.embedding_failed) {
-      schedule.result.status = BenchmarkStatus::Failed;
-      schedule.result.failure_reason =
+      result.status = BenchmarkStatus::Failed;
+      result.failure_reason =
           "background does not embed into this schedule's foreground";
     } else {
-      schedule.result.result = std::move(compared.benchmark);
-      schedule.result.dummy_nodes = std::move(compared.dummy_nodes);
-      schedule.result.status = schedule.result.result.empty()
-                                   ? BenchmarkStatus::Empty
-                                   : BenchmarkStatus::Ok;
+      result.result = std::move(compared.benchmark);
+      result.dummy_nodes = std::move(compared.dummy_nodes);
+      result.status = result.result.empty() ? BenchmarkStatus::Empty
+                                            : BenchmarkStatus::Ok;
     }
     out.schedules.push_back(std::move(schedule));
   }

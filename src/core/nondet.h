@@ -36,6 +36,13 @@ struct ScheduleResult {
   /// Foreground trials observed with this schedule.
   int support = 0;
   /// The per-schedule benchmark result (Ok / Empty / Failed as usual).
+  /// `trials_run` is the schedule's support. The counters and timings
+  /// cover the work this result depends on: `trials_unparseable`,
+  /// recording and transformation are the whole run's; generalization
+  /// is the background's plus the foreground classification plus this
+  /// schedule's own; comparison is this schedule's; `matcher_steps` sums
+  /// the background generalization, this schedule's generalization and
+  /// its comparison. `threads_used` is the pool width.
   BenchmarkResult result;
 };
 

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <set>
+#include <tuple>
 
 #include "core/trials.h"
 #include "matcher/interned.h"
@@ -94,9 +95,10 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
   compare_options.search = options.matcher;
 
   // Run-wide state persisting across retry rounds: each trial is
-  // recorded, parsed, hashed and interned exactly once; the memo carries
-  // similar() verdicts from round to round, so a retry only pays for the
-  // matcher calls its new trials introduce.
+  // recorded, parsed, hashed and interned exactly once (its properties
+  // only if a generalization reads them); the memo carries similar()
+  // verdicts from round to round, so a retry only pays for the matcher
+  // calls its new trials introduce.
   graph::SymbolTable symbols;
   TrialSet bg_trials, fg_trials;
   matcher::SimilarityMemo memo;
@@ -145,24 +147,9 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
     if (cancelled()) return result;
 
     // -- (3) generalization -------------------------------------------------
-    // The two variants are independent generalization problems; they run
-    // concurrently, and each fans its similarity buckets out over the
-    // pool (nested parallel_for runs inline on whichever worker got the
-    // variant). Sharing one memo is safe and deterministic: entries are
-    // per concrete snapshot pair, so equal-digest buckets on the two
-    // sides never read each other's verdicts.
     watch.reset();
-    std::vector<const matcher::InternedGraph*> bg_ptrs = bg_trials.pointers();
-    std::vector<const matcher::InternedGraph*> fg_ptrs = fg_trials.pointers();
-    pool.parallel_for(2, [&](std::size_t side) {
-      if (side == 0) {
-        bg_general = generalize_trials(bg_ptrs, bg_trials.digests,
-                                       generalize_options, &memo, &pool);
-      } else {
-        fg_general = generalize_trials(fg_ptrs, fg_trials.digests,
-                                       generalize_options, &memo, &pool);
-      }
-    });
+    std::tie(bg_general, fg_general) = generalize_variants(
+        bg_trials, fg_trials, symbols, generalize_options, &memo, pool);
     result.timings.generalization += watch.elapsed_seconds();
     if (bg_general.has_value()) {
       result.matcher_steps += bg_general->search_stats.steps;

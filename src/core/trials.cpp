@@ -64,9 +64,10 @@ int read_trials(int first, int count, const TransformOptions& transform,
                 graph::SymbolTable& symbols, TrialSet& background,
                 TrialSet& foreground, runtime::ThreadPool& pool) {
   // Reading each document into a view is per-trial pure work and runs on
-  // the pool; interning (with the digest and the matcher's per-graph
-  // invariants) is a short serial tail, since the symbol table is shared
-  // by the whole run so every later matcher call can compare any pair.
+  // the pool; interning the structure (with the digest and the matcher's
+  // per-graph invariants) is a short serial tail, since the symbol table
+  // is shared by the whole run so every later matcher call can compare
+  // any pair. Properties wait until a generalization reads them.
   const std::size_t tasks = static_cast<std::size_t>(count) * 2;
   std::vector<std::optional<graph::GraphView>> parsed(tasks);
   pool.parallel_for(tasks, [&](std::size_t t) {
@@ -93,6 +94,38 @@ int read_trials(int first, int count, const TransformOptions& transform,
     set.digests.push_back(set.interned.back().structural_digest());
   }
   return unparseable;
+}
+
+std::pair<std::optional<GeneralizeResult>, std::optional<GeneralizeResult>>
+generalize_variants(TrialSet& background, TrialSet& foreground,
+                    graph::SymbolTable& symbols,
+                    const GeneralizeOptions& options,
+                    matcher::SimilarityMemo* memo, runtime::ThreadPool& pool) {
+  // The two variants are independent problems; each side runs on one
+  // worker and fans its similarity buckets out over the pool (a nested
+  // parallel_for runs inline on that worker). Sharing one memo is safe
+  // and deterministic: entries are per concrete snapshot pair, so
+  // equal-digest buckets on the two sides never read each other's
+  // verdicts.
+  TrialSet* sides[2] = {&background, &foreground};
+  const std::vector<const matcher::InternedGraph*> trials[2] = {
+      background.pointers(), foreground.pointers()};
+  TrialClasses classes[2];
+  pool.parallel_for(2, [&](std::size_t side) {
+    classes[side] = classify_trials(trials[side], sides[side]->digests, memo,
+                                    &pool);
+  });
+  // The one serial step: the symbol table is shared by the whole run.
+  for (std::size_t side = 0; side < 2; ++side) {
+    if (!classes[side].pair.has_value()) continue;
+    sides[side]->intern_properties(classes[side].pair->first, symbols);
+    sides[side]->intern_properties(classes[side].pair->second, symbols);
+  }
+  std::optional<GeneralizeResult> general[2];
+  pool.parallel_for(2, [&](std::size_t side) {
+    general[side] = generalize_chosen(classes[side], trials[side], options);
+  });
+  return {std::move(general[0]), std::move(general[1])};
 }
 
 }  // namespace provmark::core

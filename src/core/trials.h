@@ -1,14 +1,19 @@
 // The trial path shared by run_benchmark and run_nondeterministic_benchmark:
 // stage (1) records a range of trials of both program variants on the
-// pool, stage (2) reads, interns and digests them. Internal to core/.
+// pool, stage (2) reads them and interns and digests their structure,
+// and stage (3) interns the properties of only the trials a
+// generalization reads. Internal to core/.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_suite/program.h"
+#include "core/generalize.h"
 #include "core/pipeline.h"
 #include "graph/graph_view.h"
 #include "matcher/interned.h"
@@ -17,15 +22,24 @@ namespace provmark::core {
 
 /// One variant's trials, carried across retry rounds: every native
 /// document recorded (garbled ones too), and per readable trial its view
-/// of the document, its interned graph (built exactly once, against the
-/// run-wide symbol table) and its WL structural digest. std::deque keeps
-/// documents and views at stable addresses: views point into documents,
-/// and interned graphs' ids point into both.
+/// of the document, its interned graph (structure interned exactly once,
+/// against the run-wide symbol table; properties only once a
+/// generalization reads them) and its WL structural digest. std::deque
+/// keeps documents and views at stable addresses: views point into
+/// documents, interned graphs' ids point into both, and a trial's
+/// properties are interned from its view.
 struct TrialSet {
   std::deque<std::string> documents;
   std::deque<graph::GraphView> views;
   std::deque<matcher::InternedGraph> interned;
   std::vector<std::uint64_t> digests;
+
+  /// Intern the properties of readable trial `i`, once: later calls for
+  /// the same trial do nothing. Serial only: `symbols` is not
+  /// thread-safe.
+  void intern_properties(std::size_t i, graph::SymbolTable& symbols) {
+    interned[i].g.intern_properties(views[i], symbols);
+  }
 
   std::vector<const matcher::InternedGraph*> pointers() const {
     std::vector<const matcher::InternedGraph*> out;
@@ -49,11 +63,23 @@ std::string record_trials(const bench_suite::BenchmarkProgram& program,
                           TrialSet& foreground, runtime::ThreadPool& pool);
 
 /// Stage (2): reads the documents of trials [first, first + count) of both
-/// variants on `pool`, then interns each readable one against `symbols`
-/// and digests it, in trial order. Returns how many were unparseable
-/// (garbled output, excluded before similarity classification).
+/// variants on `pool`, then interns the structure of each readable one
+/// against `symbols` and digests it, in trial order. Returns how many
+/// were unparseable (garbled output, excluded before similarity
+/// classification).
 int read_trials(int first, int count, const TransformOptions& transform,
                 graph::SymbolTable& symbols, TrialSet& background,
                 TrialSet& foreground, runtime::ThreadPool& pool);
+
+/// Stage (3) for both variants, in three steps: classify each side's
+/// trials on `pool` (structure only), intern the properties of each
+/// side's chosen pair serially against `symbols`, then generalize both
+/// pairs on `pool`. Returns the background and foreground results, each
+/// std::nullopt when its side has no two similar trials.
+std::pair<std::optional<GeneralizeResult>, std::optional<GeneralizeResult>>
+generalize_variants(TrialSet& background, TrialSet& foreground,
+                    graph::SymbolTable& symbols,
+                    const GeneralizeOptions& options,
+                    matcher::SimilarityMemo* memo, runtime::ThreadPool& pool);
 
 }  // namespace provmark::core

@@ -15,8 +15,7 @@ std::map<Id, std::uint64_t> wl_colours(const PropertyGraph& g, int rounds) {
   // Refinement runs on the CSR form (O(V+E) per round instead of the
   // naive O(V*E) edge rescans); the colour values are unchanged.
   SymbolTable symbols;
-  CompactGraph cg =
-      CompactGraph::build(view_of(g), symbols, /*topology_only=*/true);
+  CompactGraph cg = CompactGraph::build(view_of(g), symbols);
   std::vector<std::uint64_t> colour = compact_wl_colours(cg, rounds);
   std::map<Id, std::uint64_t> out;
   for (std::size_t i = 0; i < g.nodes().size(); ++i) {
@@ -29,8 +28,7 @@ std::uint64_t structural_digest(const PropertyGraph& g) {
   // Three WL rounds suffice to distinguish the small provenance graphs we
   // see in practice; collisions only cost matcher time, never correctness.
   SymbolTable symbols;
-  CompactGraph cg =
-      CompactGraph::build(view_of(g), symbols, /*topology_only=*/true);
+  CompactGraph cg = CompactGraph::build(view_of(g), symbols);
   return structural_digest(cg, compact_wl_colours(cg, kDigestWlRounds));
 }
 

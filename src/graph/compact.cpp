@@ -1,8 +1,8 @@
 #include "graph/compact.h"
 
 #include <algorithm>
-#include <iterator>
 #include <span>
+#include <stdexcept>
 
 #include "util/rng.h"
 
@@ -40,7 +40,7 @@ Symbol SymbolTable::lookup(std::string_view s) const {
   return index_[find_slot(s, util::stable_hash(s))];
 }
 
-int one_sided_mismatch(const CompactProps& a, const CompactProps& b) {
+int one_sided_mismatch(CompactProps a, CompactProps b) {
   int cost = 0;
   std::size_t j = 0;
   for (const auto& [key, value] : a) {
@@ -50,7 +50,7 @@ int one_sided_mismatch(const CompactProps& a, const CompactProps& b) {
   return cost;
 }
 
-int symmetric_mismatch(const CompactProps& a, const CompactProps& b) {
+int symmetric_mismatch(CompactProps a, CompactProps b) {
   int cost = 0;
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -70,16 +70,15 @@ int symmetric_mismatch(const CompactProps& a, const CompactProps& b) {
   return cost;
 }
 
-Symbol find_prop(const CompactProps& props, Symbol key) {
+Symbol find_prop(CompactProps props, Symbol key) {
   auto it = std::lower_bound(
       props.begin(), props.end(), key,
-      [](const std::pair<Symbol, Symbol>& p, Symbol k) { return p.first < k; });
+      [](const CompactProp& p, Symbol k) { return p.first < k; });
   if (it == props.end() || it->first != key) return kNoSymbol;
   return it->second;
 }
 
-Properties resolve_props(const CompactProps& props,
-                         const SymbolTable& symbols) {
+Properties resolve_props(CompactProps props, const SymbolTable& symbols) {
   Properties out;
   for (const auto& [k, v] : props) {
     out.emplace(symbols.resolve(k), symbols.resolve(v));
@@ -89,31 +88,38 @@ Properties resolve_props(const CompactProps& props,
 
 namespace {
 
-/// Intern an element's properties, sorted by key symbol; a repeated key
-/// keeps its last value. Elements carry a handful of properties, so an
-/// insertion sort is the cheapest stable sort here.
-CompactProps intern_props(std::span<const GraphView::Prop> props,
-                          SymbolTable& symbols) {
-  CompactProps out;
-  out.reserve(props.size());
+/// Append an element's properties to `out`, sorted by key symbol; a
+/// repeated key keeps its last value. Elements carry a handful of
+/// properties, so an insertion sort of the appended tail is the cheapest
+/// stable sort here.
+void append_props(std::span<const GraphView::Prop> props,
+                  SymbolTable& symbols, std::vector<CompactProp>& out) {
+  const std::size_t first = out.size();
   for (const GraphView::Prop& p : props) {
     const Symbol key = symbols.intern(p.key);
     const Symbol value = symbols.intern(p.value);
-    auto it = out.end();
-    while (it != out.begin() && std::prev(it)->first > key) --it;
-    if (it != out.begin() && std::prev(it)->first == key) {
-      std::prev(it)->second = value;
+    std::size_t at = out.size();
+    while (at > first && out[at - 1].first > key) --at;
+    if (at > first && out[at - 1].first == key) {
+      out[at - 1].second = value;
     } else {
-      out.insert(it, {key, value});
+      out.insert(out.begin() + static_cast<std::ptrdiff_t>(at), {key, value});
     }
   }
-  return out;
 }
 
 }  // namespace
 
-CompactGraph CompactGraph::build(const GraphView& view, SymbolTable& symbols,
-                                 bool topology_only) {
+std::span<const std::uint32_t> CompactGraph::label_bucket(
+    Symbol label) const {
+  auto it = std::lower_bound(bucket_label.begin(), bucket_label.end(), label);
+  if (it == bucket_label.end() || *it != label) return {};
+  const std::size_t k = static_cast<std::size_t>(it - bucket_label.begin());
+  return {bucket_nodes.data() + bucket_offsets[k],
+          bucket_nodes.data() + bucket_offsets[k + 1]};
+}
+
+CompactGraph CompactGraph::build(const GraphView& view, SymbolTable& symbols) {
   CompactGraph out;
   out.symbols = &symbols;
 
@@ -121,34 +127,21 @@ CompactGraph CompactGraph::build(const GraphView& view, SymbolTable& symbols,
   const auto m = static_cast<std::uint32_t>(view.edges.size());
 
   out.node_label.reserve(n);
-  if (!topology_only) {
-    out.node_id.reserve(n);
-    out.node_props.reserve(n);
-  }
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const GraphView::NodeRef& node = view.nodes[v];
-    const Symbol label = symbols.intern(node.label);
-    out.node_label.push_back(label);
-    if (topology_only) continue;
+  out.node_id.reserve(n);
+  for (const GraphView::NodeRef& node : view.nodes) {
+    out.node_label.push_back(symbols.intern(node.label));
     out.node_id.push_back(node.id);
-    out.label_buckets[label].push_back(v);
-    out.node_props.push_back(intern_props(view.props_of(node), symbols));
   }
 
   out.edge_src.reserve(m);
   out.edge_tgt.reserve(m);
   out.edge_label.reserve(m);
-  if (!topology_only) {
-    out.edge_id.reserve(m);
-    out.edge_props.reserve(m);
-  }
+  out.edge_id.reserve(m);
   for (const GraphView::EdgeRef& edge : view.edges) {
     out.edge_src.push_back(edge.src);
     out.edge_tgt.push_back(edge.tgt);
     out.edge_label.push_back(symbols.intern(edge.label));
-    if (topology_only) continue;
     out.edge_id.push_back(edge.id);
-    out.edge_props.push_back(intern_props(view.props_of(edge), symbols));
   }
 
   // CSR: count, prefix-sum, fill (edge order preserved within each node).
@@ -172,7 +165,47 @@ CompactGraph CompactGraph::build(const GraphView& view, SymbolTable& symbols,
     out.out_edges[out_fill[out.edge_src[e]]++] = e;
     out.in_edges[in_fill[out.edge_tgt[e]]++] = e;
   }
+
+  // Label buckets: nodes sorted by (label, index), cut into runs.
+  out.bucket_nodes.resize(n);
+  for (std::uint32_t v = 0; v < n; ++v) out.bucket_nodes[v] = v;
+  std::sort(out.bucket_nodes.begin(), out.bucket_nodes.end(),
+            [&out](std::uint32_t a, std::uint32_t b) {
+              return out.node_label[a] != out.node_label[b]
+                         ? out.node_label[a] < out.node_label[b]
+                         : a < b;
+            });
+  for (std::uint32_t k = 0; k < n; ++k) {
+    const Symbol label = out.node_label[out.bucket_nodes[k]];
+    if (out.bucket_label.empty() || out.bucket_label.back() != label) {
+      out.bucket_label.push_back(label);
+      out.bucket_offsets.push_back(k);
+    }
+  }
+  out.bucket_offsets.push_back(n);
   return out;
+}
+
+void CompactGraph::intern_properties(const GraphView& view,
+                                     SymbolTable& symbols) {
+  if (has_properties()) return;
+  const std::uint32_t n = node_count();
+  const std::uint32_t m = edge_count();
+  if (view.nodes.size() != n || view.edges.size() != m) {
+    throw std::invalid_argument(
+        "intern_properties: the view is not the one the graph was built from");
+  }
+  props.reserve(view.props.size());
+  prop_offsets.reserve(std::size_t{n} + m + 1);
+  prop_offsets.push_back(0);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    append_props(view.props_of(view.nodes[v]), symbols, props);
+    prop_offsets.push_back(static_cast<std::uint32_t>(props.size()));
+  }
+  for (std::uint32_t e = 0; e < m; ++e) {
+    append_props(view.props_of(view.edges[e]), symbols, props);
+    prop_offsets.push_back(static_cast<std::uint32_t>(props.size()));
+  }
 }
 
 std::vector<std::uint64_t> compact_wl_colours(const CompactGraph& g,

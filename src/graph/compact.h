@@ -8,27 +8,34 @@
 // matched, and builds a CompactGraph from a graph::GraphView:
 //
 //   * node/edge labels as Symbols,
-//   * per-element properties as (key,value) Symbol pairs sorted by key,
-//     so a property-mismatch count is a linear merge with no allocation,
 //   * CSR in/out adjacency with O(1) degree lookup,
-//   * label-bucketed node lists for candidate generation,
-//   * element ids as string views, for naming elements in results.
+//   * label-bucketed node lists for candidate generation, as one flat
+//     array sorted by (label, node),
+//   * element ids as string views, for naming elements in results,
+//   * on request, per-element properties as (key,value) Symbol pairs
+//     sorted by key, in one flat array with per-element offsets, so a
+//     property-mismatch count is a linear merge with no allocation.
 //
-// build() is the only builder. The pipeline hands it the view a reader
-// made of a native document; graph::view_of(PropertyGraph) routes a
-// string graph through it. A CompactGraph is read-only. Its labels and
-// properties live in the SymbolTable, which must outlive it. Its id views
-// point where the GraphView's ids point (the native document, the view's
-// arena, or a PropertyGraph's strings), so that storage must outlive it
-// too; the GraphView object itself may go.
+// build() interns the structure; properties are a separate step,
+// intern_properties(), because most trials are only ever compared for
+// shape (similarity classification ignores properties) and interning
+// their properties would cost as much as the rest of the graph. The
+// pipeline hands build() the view a reader made of a native document;
+// graph::view_of(PropertyGraph) routes a string graph through it. A
+// CompactGraph is read-only once built (apart from that one property
+// step). Its labels and properties live in the SymbolTable, which must
+// outlive it. Its id views point where the GraphView's ids point (the
+// native document, the view's arena, or a PropertyGraph's strings), so
+// that storage must outlive it too; the GraphView object itself may go
+// once the properties are interned.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/graph_view.h"
@@ -94,44 +101,45 @@ class SymbolTable {
   std::vector<Symbol> index_ = std::vector<Symbol>(64, kNoSymbol);
 };
 
+/// One interned property: (key, value) symbols.
+using CompactProp = std::pair<Symbol, Symbol>;
+
 /// An element's properties: (key,value) symbols sorted by key (keys are
-/// unique per element, mirroring graph::Properties).
-using CompactProps = std::vector<std::pair<Symbol, Symbol>>;
+/// unique per element, mirroring graph::Properties), viewed in place in
+/// the graph's flat property array.
+using CompactProps = std::span<const CompactProp>;
 
 /// Count of (key,value) pairs in `a` with no equal pair in `b` — the
 /// matcher's one-sided property-mismatch cost, as a linear merge.
-int one_sided_mismatch(const CompactProps& a, const CompactProps& b);
+int one_sided_mismatch(CompactProps a, CompactProps b);
 
 /// one_sided_mismatch(a,b) + one_sided_mismatch(b,a) in a single merge.
-int symmetric_mismatch(const CompactProps& a, const CompactProps& b);
+int symmetric_mismatch(CompactProps a, CompactProps b);
 
 /// Value symbol for `key` in sorted props, or kNoSymbol.
-Symbol find_prop(const CompactProps& props, Symbol key);
+Symbol find_prop(CompactProps props, Symbol key);
 
 // -- compact graph ------------------------------------------------------------
 
 /// The properties of `props` as strings.
-Properties resolve_props(const CompactProps& props, const SymbolTable& symbols);
+Properties resolve_props(CompactProps props, const SymbolTable& symbols);
 
 /// Frozen integer form of a graph. Node/edge indices follow the view's
 /// order (a PropertyGraph's insertion order).
 struct CompactGraph {
   const SymbolTable* symbols = nullptr;
 
-  /// Element ids by index, viewing the GraphView's id strings; empty in a
-  /// topology-only build.
+  /// Element ids by index, viewing the GraphView's id strings.
   std::vector<std::string_view> node_id;
   std::vector<std::string_view> edge_id;
 
   // Nodes, indexed 0..node_count-1 in view order.
   std::vector<Symbol> node_label;
-  std::vector<CompactProps> node_props;
 
   // Edges, indexed 0..edge_count-1 in view order.
   std::vector<std::uint32_t> edge_src;
   std::vector<std::uint32_t> edge_tgt;
   std::vector<Symbol> edge_label;
-  std::vector<CompactProps> edge_props;
 
   // CSR adjacency: edge indices incident to each node, by direction.
   std::vector<std::uint32_t> out_offsets;  ///< size node_count+1
@@ -139,8 +147,18 @@ struct CompactGraph {
   std::vector<std::uint32_t> in_offsets;   ///< size node_count+1
   std::vector<std::uint32_t> in_edges;     ///< edge ids, grouped by target
 
-  /// Node indices per label symbol, each list ascending.
-  std::unordered_map<Symbol, std::vector<std::uint32_t>> label_buckets;
+  /// Label buckets: bucket k holds the nodes labelled bucket_label[k],
+  /// bucket_nodes[bucket_offsets[k] .. bucket_offsets[k+1]), ascending.
+  /// bucket_label is ascending, one entry per distinct node label.
+  std::vector<Symbol> bucket_label;
+  std::vector<std::uint32_t> bucket_offsets;  ///< size buckets+1
+  std::vector<std::uint32_t> bucket_nodes;
+
+  /// Interned properties, empty until intern_properties(): node v's are
+  /// props[prop_offsets[v] .. prop_offsets[v+1]), edge e's are at
+  /// prop_offsets[node_count+e] .. prop_offsets[node_count+e+1].
+  std::vector<CompactProp> props;
+  std::vector<std::uint32_t> prop_offsets;  ///< size node+edge count+1
 
   std::uint32_t node_count() const {
     return static_cast<std::uint32_t>(node_label.size());
@@ -155,13 +173,35 @@ struct CompactGraph {
     return in_offsets[v + 1] - in_offsets[v];
   }
 
-  /// Intern `view` into `symbols` (shared across the graphs of one
-  /// matching problem so their Symbols are comparable). A property key
-  /// repeated on one element keeps its last value. With `topology_only`,
-  /// ids, properties and label buckets are skipped: WL refinement and the
-  /// structural digest need only labels and CSR adjacency.
-  static CompactGraph build(const GraphView& view, SymbolTable& symbols,
-                            bool topology_only = false);
+  /// Nodes labelled `label`, ascending; empty when there are none.
+  std::span<const std::uint32_t> label_bucket(Symbol label) const;
+
+  /// Whether intern_properties() has run.
+  bool has_properties() const { return !prop_offsets.empty(); }
+  /// An element's properties; only valid when has_properties().
+  CompactProps node_props(std::uint32_t v) const {
+    return element_props(v);
+  }
+  CompactProps edge_props(std::uint32_t e) const {
+    return element_props(node_count() + e);
+  }
+
+  /// Intern `view`'s structure into `symbols` (shared across the graphs
+  /// of one matching problem so their Symbols are comparable): ids,
+  /// labels, endpoints, CSR adjacency and label buckets, but no
+  /// properties.
+  static CompactGraph build(const GraphView& view, SymbolTable& symbols);
+
+  /// Intern the properties of `view`, the view this graph was built
+  /// from, into `symbols`; a no-op when they already are. A property key
+  /// repeated on one element keeps its last value.
+  void intern_properties(const GraphView& view, SymbolTable& symbols);
+
+ private:
+  CompactProps element_props(std::uint32_t k) const {
+    return {props.data() + prop_offsets[k],
+            props.data() + prop_offsets[k + 1]};
+  }
 };
 
 /// Weisfeiler-Leman refinement colours after `rounds` iterations, indexed

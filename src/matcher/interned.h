@@ -14,14 +14,23 @@
 // only comparable when built against the same SymbolTable (symbols are
 // table-relative); the matcher entry points check this.
 //
-// The pipeline builds each trial's InternedGraph straight from the
-// GraphView its reader made of the native document; the PropertyGraph
-// constructor routes a string graph (a generalized graph, a test's
-// graph) through the same builder.
+// What is interned when, and why: the matcher reads properties only
+// for costed searches, and the pipeline poses those for few trials. The
+// GraphView constructor therefore interns the structure only: ids,
+// labels, CSR adjacency, label buckets, edge groups, label histograms,
+// 2-round WL colours and colour-class sizes, everything similar() and
+// the structural digest read. Properties follow in an explicit
+// g.intern_properties() step, which the pipeline runs for exactly the
+// trials a generalization reads (a class's chosen pair, two of
+// CamFlow's sixteen trials per variant). A costed search (OneSided or
+// Symmetric) on an operand whose properties are not interned throws
+// std::logic_error; a CostModel::None search never reads them. The
+// PropertyGraph constructor does both steps, so a string graph (a
+// generalized graph, a test's graph) is always fully interned.
 //
-// The builder also computes what the similarity search would otherwise
-// recompute on every call: the label histograms, 2-round WL colours and
-// colour-class sizes.
+// Every table here is flat: edge groups keep their edges in one array,
+// and the per-node and per-pair group lists are CSR arrays, so building
+// a snapshot makes a few vectors, not one per group or node.
 //
 // Matching results are independent of interning order: the engine only
 // ever compares symbols for equality and hashes them via the cached
@@ -30,7 +39,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/compact.h"
@@ -48,7 +58,10 @@ struct EdgeGroup {
   /// True for exactly one group per (src,tgt) pair, so pair-level checks
   /// run once even when the pair has several labels.
   bool pair_representative;
-  std::vector<std::uint32_t> edges;  ///< edge indices, insertion order
+  /// The group's edges are InternedGraph::grouped_edges[first, first +
+  /// count), ascending.
+  std::uint32_t first;
+  std::uint32_t count;
 };
 
 /// CompactGraph plus the group-level adjacency the search operates on.
@@ -57,12 +70,17 @@ struct EdgeGroup {
 /// PropertyGraph) must outlive this object.
 struct InternedGraph {
   graph::CompactGraph g;
+  /// Groups numbered by first appearance in edge order.
   std::vector<EdgeGroup> groups;
-  /// (src<<32|tgt) -> group indices for that node pair (one per label).
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
-      groups_by_pair;
-  /// Per node: groups whose src or tgt is that node.
-  std::vector<std::vector<std::uint32_t>> groups_of_node;
+  std::vector<std::uint32_t> grouped_edges;
+  /// Per source node s: its groups, sorted by (tgt, label), are
+  /// src_groups[src_group_offsets[s] .. src_group_offsets[s+1]).
+  std::vector<std::uint32_t> src_group_offsets;
+  std::vector<std::uint32_t> src_groups;
+  /// Per node v: the groups whose src or tgt is v, ascending, are
+  /// node_groups[node_group_offsets[v] .. node_group_offsets[v+1]).
+  std::vector<std::uint32_t> node_group_offsets;
+  std::vector<std::uint32_t> node_groups;
 
   /// (label, count) over nodes and over edges, sorted by label symbol:
   /// two graphs can only be similar when both histograms are equal.
@@ -73,28 +91,37 @@ struct InternedGraph {
   std::vector<std::uint64_t> wl2;
   std::vector<std::uint32_t> colour_class_size;
 
+  /// The structure of `view`, without properties.
   InternedGraph(const graph::GraphView& view, graph::SymbolTable& symbols);
-  /// Through view_of(graph); `graph` must outlive this object unmutated.
+  /// Structure and properties, through view_of(graph); `graph` must
+  /// outlive this object unmutated.
   InternedGraph(const graph::PropertyGraph& graph,
                 graph::SymbolTable& symbols);
 
   /// graph::structural_digest of the graph: one more WL round over wl2.
   std::uint64_t structural_digest() const;
 
-  static std::uint64_t pair_key(std::uint32_t s, std::uint32_t t) {
-    return (static_cast<std::uint64_t>(s) << 32) | t;
+  std::span<const std::uint32_t> edges_of(const EdgeGroup& group) const {
+    return {grouped_edges.data() + group.first, group.count};
   }
 
-  const std::vector<std::uint32_t>* pair_groups(std::uint32_t s,
-                                                std::uint32_t t) const {
-    auto it = groups_by_pair.find(pair_key(s, t));
-    return it == groups_by_pair.end() ? nullptr : &it->second;
+  std::span<const std::uint32_t> groups_of_node(std::uint32_t v) const {
+    return {node_groups.data() + node_group_offsets[v],
+            node_groups.data() + node_group_offsets[v + 1]};
   }
 
-  /// Edge list of the (s,t,label) group, or nullptr when absent.
-  const std::vector<std::uint32_t>* group_edges(std::uint32_t s,
-                                                std::uint32_t t,
-                                                graph::Symbol label) const;
+  /// Groups of the (s,t) node pair, one per label, sorted by label.
+  std::span<const std::uint32_t> pair_groups(std::uint32_t s,
+                                             std::uint32_t t) const;
+
+  /// Edge list of the (s,t,label) group; empty when absent.
+  std::span<const std::uint32_t> group_edges(std::uint32_t s,
+                                             std::uint32_t t,
+                                             graph::Symbol label) const;
+
+ private:
+  InternedGraph(const graph::GraphView& view, graph::SymbolTable& symbols,
+                bool with_properties);
 };
 
 }  // namespace provmark::matcher

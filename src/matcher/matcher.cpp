@@ -35,10 +35,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <limits>
-#include <set>
+#include <queue>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/compact.h"
@@ -71,8 +72,8 @@ void atomic_min(std::atomic<int>& target, int value) {
 }
 
 /// Property-mismatch cost under the given model; allocation-free merge of
-/// the sorted (key,value) symbol vectors.
-int prop_cost(const CompactProps& a, const CompactProps& b, CostModel model) {
+/// the sorted (key,value) symbol spans.
+int prop_cost(CompactProps a, CompactProps b, CostModel model) {
   switch (model) {
     case CostModel::None:
       return 0;
@@ -84,19 +85,30 @@ int prop_cost(const CompactProps& a, const CompactProps& b, CostModel model) {
   return 0;
 }
 
+/// Property-mismatch cost of matching pattern node i to target node j,
+/// and of pattern edge pe to target edge te. Zero without reading any
+/// property under CostModel::None, whose operands may have none.
+int node_cost(const InternedGraph& pattern, std::uint32_t i,
+              const InternedGraph& target, std::uint32_t j, CostModel model) {
+  if (model == CostModel::None) return 0;
+  return prop_cost(pattern.g.node_props(i), target.g.node_props(j), model);
+}
+
+int edge_cost(const InternedGraph& pattern, std::uint32_t pe,
+              const InternedGraph& target, std::uint32_t te, CostModel model) {
+  if (model == CostModel::None) return 0;
+  return prop_cost(pattern.g.edge_props(pe), target.g.edge_props(te), model);
+}
+
 /// Minimum-cost injective assignment of pattern edges to target edges
 /// within one group. Groups are tiny in practice — almost always a single
 /// edge, which is handled allocation-free; parallel same-label edges
 /// between one node pair fall back to exhaustive DFS.
 int min_group_assignment(
-    const InternedGraph& pattern,
-    const std::vector<std::uint32_t>& pattern_edges,
-    const InternedGraph& target, const std::vector<std::uint32_t>* target_edges,
+    const InternedGraph& pattern, std::span<const std::uint32_t> pattern_edges,
+    const InternedGraph& target, std::span<const std::uint32_t> tgt,
     CostModel model, bool bijective,
     std::vector<std::pair<std::uint32_t, std::uint32_t>>* best_pairs_out) {
-  static const std::vector<std::uint32_t> kEmpty;
-  const std::vector<std::uint32_t>& tgt =
-      target_edges != nullptr ? *target_edges : kEmpty;
   const std::size_t np = pattern_edges.size();
   const std::size_t nt = tgt.size();
   if (np > nt) return kInfinity;
@@ -104,11 +116,10 @@ int min_group_assignment(
 
   if (np == 1) {
     // The common case: no parallel same-label edges between this pair.
-    const CompactProps& pp = pattern.g.edge_props[pattern_edges[0]];
     int best = kInfinity;
     std::uint32_t best_te = kUnmapped;
     for (std::uint32_t te : tgt) {
-      int c = prop_cost(pp, target.g.edge_props[te], model);
+      int c = edge_cost(pattern, pattern_edges[0], target, te, model);
       if (c < best) {
         best = c;
         best_te = te;
@@ -124,8 +135,7 @@ int min_group_assignment(
   std::vector<std::vector<int>> cost(np, std::vector<int>(nt, 0));
   for (std::size_t i = 0; i < np; ++i) {
     for (std::size_t j = 0; j < nt; ++j) {
-      cost[i][j] = prop_cost(pattern.g.edge_props[pattern_edges[i]],
-                             target.g.edge_props[tgt[j]], model);
+      cost[i][j] = edge_cost(pattern, pattern_edges[i], target, tgt[j], model);
     }
   }
   int best = kInfinity;
@@ -208,6 +218,12 @@ class SearchEngine {
       throw std::invalid_argument(
           "matcher: operands interned against different symbol tables");
     }
+    if (options.cost_model != CostModel::None &&
+        (!pattern.g.has_properties() || !target.g.has_properties())) {
+      throw std::logic_error(
+          "matcher: costed search on an operand without interned "
+          "properties");
+    }
   }
 
   std::optional<Matching> run() {
@@ -287,23 +303,20 @@ class SearchEngine {
     for (std::uint32_t i = 0; i < n; ++i) {
       // Only same-label target nodes can match; the bucket is ascending,
       // preserving the baseline's candidate order.
-      auto bucket = target_.g.label_buckets.find(pattern_.g.node_label[i]);
-      if (bucket != target_.g.label_buckets.end()) {
-        for (std::uint32_t j : bucket->second) {
-          if (bijective_) {
-            if (pattern_.g.in_degree(i) != target_.g.in_degree(j) ||
-                pattern_.g.out_degree(i) != target_.g.out_degree(j)) {
-              continue;
-            }
-          } else if (pattern_.g.in_degree(i) > target_.g.in_degree(j) ||
-                     pattern_.g.out_degree(i) > target_.g.out_degree(j)) {
+      for (std::uint32_t j :
+           target_.g.label_bucket(pattern_.g.node_label[i])) {
+        if (bijective_) {
+          if (pattern_.g.in_degree(i) != target_.g.in_degree(j) ||
+              pattern_.g.out_degree(i) != target_.g.out_degree(j)) {
             continue;
           }
-          if (bijective_ && wl1[i] != wl2[j]) continue;
-          candidates_[i].push_back(Candidate{
-              j, prop_cost(pattern_.g.node_props[i], target_.g.node_props[j],
-                           options_.cost_model)});
+        } else if (pattern_.g.in_degree(i) > target_.g.in_degree(j) ||
+                   pattern_.g.out_degree(i) > target_.g.out_degree(j)) {
+          continue;
         }
+        if (bijective_ && wl1[i] != wl2[j]) continue;
+        candidates_[i].push_back(Candidate{
+            j, node_cost(pattern_, i, target_, j, options_.cost_model)});
       }
       if (candidates_[i].empty()) return false;
       // Rarity of this node's colour class in the target (every
@@ -333,44 +346,55 @@ class SearchEngine {
   /// the most-constrained path (empirically the optimum on
   /// provenance-shaped graphs) and the suffix bound then prunes the
   /// proof-of-optimality phase.
+  ///
+  /// Each step takes the unplaced node with the least (not on the
+  /// frontier, candidate count, scarcity, index). Nodes are ranked once by
+  /// the last three keys; the frontier is a min-heap of ranks (placed
+  /// nodes are skipped when they surface) and the rest are taken in rank
+  /// order, so ordering costs O((n + groups) log n).
   void order_pattern_nodes() {
     const std::uint32_t n = pattern_.g.node_count();
     order_.clear();
     order_.reserve(n);
-    std::vector<bool> placed(n, false);
-    std::set<std::uint32_t> frontier;
+    std::vector<std::uint32_t> by_rank(n);
+    for (std::uint32_t i = 0; i < n; ++i) by_rank[i] = i;
+    std::sort(by_rank.begin(), by_rank.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                if (candidates_[a].size() != candidates_[b].size()) {
+                  return candidates_[a].size() < candidates_[b].size();
+                }
+                if (scarcity_[a] != scarcity_[b]) {
+                  return scarcity_[a] < scarcity_[b];
+                }
+                return a < b;
+              });
+    std::vector<std::uint32_t> rank(n);
+    for (std::uint32_t r = 0; r < n; ++r) rank[by_rank[r]] = r;
 
+    std::vector<bool> placed(n, false);
+    std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
+                        std::greater<>>
+        frontier;
+    std::uint32_t next_rank = 0;  // every node ranked below is placed
     for (std::uint32_t step = 0; step < n; ++step) {
-      std::uint32_t chosen = kUnmapped;
-      // Prefer frontier nodes; among them, fewest candidates, with
-      // count ties broken towards the rarer colour class; remaining
-      // ties keep the lowest index.
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (placed[i]) continue;
-        bool in_frontier = frontier.count(i) > 0;
-        if (chosen == kUnmapped) {
-          chosen = i;
-          continue;
-        }
-        bool chosen_in_frontier = frontier.count(chosen) > 0;
-        if (in_frontier != chosen_in_frontier) {
-          if (in_frontier) chosen = i;
-          continue;
-        }
-        if (candidates_[i].size() != candidates_[chosen].size()) {
-          if (candidates_[i].size() < candidates_[chosen].size()) chosen = i;
-          continue;
-        }
-        if (scarcity_[i] < scarcity_[chosen]) chosen = i;
+      while (!frontier.empty() && placed[by_rank[frontier.top()]]) {
+        frontier.pop();
+      }
+      std::uint32_t chosen;
+      if (!frontier.empty()) {
+        chosen = by_rank[frontier.top()];
+        frontier.pop();
+      } else {
+        while (placed[by_rank[next_rank]]) ++next_rank;
+        chosen = by_rank[next_rank];
       }
       placed[chosen] = true;
       order_.push_back(chosen);
-      for (std::uint32_t gi : pattern_.groups_of_node[chosen]) {
+      for (std::uint32_t gi : pattern_.groups_of_node(chosen)) {
         const EdgeGroup& group = pattern_.groups[gi];
         std::uint32_t nb = group.src == chosen ? group.tgt : group.src;
-        if (!placed[nb]) frontier.insert(nb);
+        if (!placed[nb]) frontier.push(rank[nb]);
       }
-      frontier.erase(chosen);
     }
   }
 
@@ -399,23 +423,40 @@ class SearchEngine {
       for (std::size_t pos = 0; pos < order_.size(); ++pos) {
         pos_of[order_[pos]] = pos;
       }
-      std::unordered_map<Symbol, std::vector<std::uint32_t>> target_by_label;
-      for (std::uint32_t e = 0; e < target_.g.edge_count(); ++e) {
-        target_by_label[target_.g.edge_label[e]].push_back(e);
+      // Target edges sorted by (label, index): one label's edges are a
+      // contiguous run.
+      const graph::CompactGraph& t = target_.g;
+      std::vector<std::uint32_t> target_by_label(t.edge_count());
+      for (std::uint32_t e = 0; e < t.edge_count(); ++e) {
+        target_by_label[e] = e;
       }
+      std::sort(target_by_label.begin(), target_by_label.end(),
+                [&t](std::uint32_t a, std::uint32_t b) {
+                  return t.edge_label[a] != t.edge_label[b]
+                             ? t.edge_label[a] < t.edge_label[b]
+                             : a < b;
+                });
       for (const EdgeGroup& group : pattern_.groups) {
         std::size_t decided_at =
             std::max(pos_of[group.src], pos_of[group.tgt]);
-        auto it = target_by_label.find(group.label);
-        int group_min = it == target_by_label.end() ? kInfinity : 0;
-        if (it != target_by_label.end()) {
-          for (std::uint32_t pe : group.edges) {
+        auto lo = std::lower_bound(
+            target_by_label.begin(), target_by_label.end(), group.label,
+            [&t](std::uint32_t e, Symbol label) {
+              return t.edge_label[e] < label;
+            });
+        auto hi = std::upper_bound(
+            lo, target_by_label.end(), group.label,
+            [&t](Symbol label, std::uint32_t e) {
+              return label < t.edge_label[e];
+            });
+        int group_min = lo == hi ? kInfinity : 0;
+        if (lo != hi) {
+          for (std::uint32_t pe : pattern_.edges_of(group)) {
             int edge_min = kInfinity;
-            for (std::uint32_t te : it->second) {
-              edge_min = std::min(
-                  edge_min, prop_cost(pattern_.g.edge_props[pe],
-                                      target_.g.edge_props[te],
-                                      options_.cost_model));
+            for (auto it = lo; it != hi; ++it) {
+              edge_min = std::min(edge_min, prop_cost(pattern_.g.edge_props(pe),
+                                                     target_.g.edge_props(*it),
+                                                     options_.cost_model));
             }
             group_min = saturating_add(group_min, edge_min);
             if (group_min >= kInfinity) break;
@@ -443,17 +484,16 @@ class SearchEngine {
   int edge_groups_cost(const std::vector<std::uint32_t>& mapping,
                        std::uint32_t i) const {
     int total = 0;
-    for (std::uint32_t gi : pattern_.groups_of_node[i]) {
+    for (std::uint32_t gi : pattern_.groups_of_node(i)) {
       const EdgeGroup& group = pattern_.groups[gi];
       std::uint32_t other = group.src == i ? group.tgt : group.src;
       if (mapping[other] == kUnmapped) continue;  // not yet decidable
       std::uint32_t tsrc = mapping[group.src];
       std::uint32_t ttgt = mapping[group.tgt];
-      const std::vector<std::uint32_t>* target_edges =
-          target_.group_edges(tsrc, ttgt, group.label);
-      int cost = min_group_assignment(pattern_, group.edges, target_,
-                                      target_edges, options_.cost_model,
-                                      bijective_, nullptr);
+      int cost = min_group_assignment(
+          pattern_, pattern_.edges_of(group), target_,
+          target_.group_edges(tsrc, ttgt, group.label), options_.cost_model,
+          bijective_, nullptr);
       if (cost >= kInfinity) return kInfinity;
       total += cost;
       // Bijective: the target may not have extra edges between the mapped
@@ -462,16 +502,11 @@ class SearchEngine {
       // All groups of a pair become decidable at the same step, so the
       // pair representative runs the check exactly once.
       if (bijective_ && group.pair_representative) {
-        const std::vector<std::uint32_t>* target_pair =
-            target_.pair_groups(tsrc, ttgt);
-        if (target_pair != nullptr) {
-          for (std::uint32_t tgi : *target_pair) {
-            const EdgeGroup& tgroup = target_.groups[tgi];
-            const std::vector<std::uint32_t>* pattern_edges =
-                pattern_.group_edges(group.src, group.tgt, tgroup.label);
-            std::size_t pattern_count =
-                pattern_edges == nullptr ? 0 : pattern_edges->size();
-            if (pattern_count != tgroup.edges.size()) return kInfinity;
+        for (std::uint32_t tgi : target_.pair_groups(tsrc, ttgt)) {
+          const EdgeGroup& tgroup = target_.groups[tgi];
+          if (pattern_.group_edges(group.src, group.tgt, tgroup.label)
+                  .size() != tgroup.count) {
+            return kInfinity;
           }
         }
       }
@@ -705,7 +740,7 @@ class SearchEngine {
     m.node_index = best_node_mapping_;
     for (std::uint32_t i = 0; i < best_node_mapping_.size(); ++i) {
       m.node_map.emplace(p.node_id[i], t.node_id[best_node_mapping_[i]]);
-      m.cost += prop_cost(p.node_props[i], t.node_props[best_node_mapping_[i]],
+      m.cost += node_cost(pattern_, i, target_, best_node_mapping_[i],
                           options_.cost_model);
     }
     m.edge_index.assign(p.edge_count(), kUnmapped);
@@ -715,7 +750,7 @@ class SearchEngine {
       std::uint32_t ttgt = best_node_mapping_[group.tgt];
       pairs.clear();
       int cost = min_group_assignment(
-          pattern_, group.edges, target_,
+          pattern_, pattern_.edges_of(group), target_,
           target_.group_edges(tsrc, ttgt, group.label), options_.cost_model,
           bijective_, &pairs);
       m.cost += cost;

@@ -69,8 +69,11 @@ class Recorder {
   virtual double recording_latency() const;
 };
 
-/// Factory by system name ("spade" | "opus" | "camflow"), baseline
-/// configuration. Throws std::invalid_argument for unknown names.
+/// Factory by system name, baseline configuration: "spade" (or "spg"),
+/// "opus" ("opu"), "camflow" ("cam"), "spade-camflow", "audit" ("aud")
+/// and "ebpf" ("bpf"), plus "spn" for SPADE with Neo4j storage. The
+/// short names are the paper appendix's tool abbreviations. Throws
+/// std::invalid_argument for unknown names.
 std::unique_ptr<Recorder> make_recorder(const std::string& system);
 
 /// Calibrated per-trial recording latency in seconds, keyed by system

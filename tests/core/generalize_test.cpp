@@ -3,11 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <optional>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_suite/program.h"
+#include "core/pipeline.h"
+#include "core/trials.h"
 #include "graph/property_graph.h"
 #include "matcher/interned.h"
+#include "matcher/memo.h"
+#include "runtime/thread_pool.h"
+#include "systems/recorder.h"
 
 namespace provmark::core {
 namespace {
@@ -169,6 +180,139 @@ TEST(GeneralizeTrials, TwoTrialsSuffice) {
   auto result = generalize({trial("1", "a"), trial("2", "b")});
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->discarded, 0u);
+}
+
+// -- the trial path: structure first, properties for the chosen pair --------
+
+/// Trials of one cell as the pipeline holds them: recorded and read
+/// through record_trials/read_trials, so each trial's structure is
+/// interned and its properties are not.
+struct RecordedCell {
+  runtime::ThreadPool pool{2};
+  std::unique_ptr<systems::Recorder> recorder;
+  PipelineOptions options;
+  graph::SymbolTable symbols;
+  TrialSet background, foreground;
+  int recorded = 0;  // per variant
+
+  RecordedCell(const std::string& system, const std::string& program) {
+    recorder = systems::make_recorder(system);
+    options.system = system;
+    options.transform.neo4j_startup_rounds = 1;
+    record(default_trials(recorder->name()), program);
+  }
+
+  /// Records and reads `count` more trials of each variant.
+  void record(int count, const std::string& program) {
+    record_trials(bench_suite::benchmark_by_name(program), *recorder,
+                  options, recorded, count, background, foreground, pool);
+    read_trials(recorded, count, options.transform, symbols, background,
+                foreground, pool);
+    recorded += count;
+  }
+};
+
+/// Each trial of `set` fully interned (structure and properties) against
+/// a fresh table, from the same views.
+struct FullyInterned {
+  graph::SymbolTable symbols;
+  std::deque<matcher::InternedGraph> interned;
+  std::vector<const matcher::InternedGraph*> pointers;
+
+  explicit FullyInterned(const TrialSet& set) {
+    for (const graph::GraphView& view : set.views) {
+      interned.emplace_back(view, symbols);
+      interned.back().g.intern_properties(view, symbols);
+      pointers.push_back(&interned.back());
+    }
+  }
+};
+
+const std::pair<const char*, const char*> kTrialCells[] = {
+    {"camflow", "close"},    {"camflow", "rename"},  {"spade", "creat"},
+    {"spade-camflow", "dup"}, {"camflow", "gen3x32"}, {"opus", "gen5x16"},
+    {"audit", "gen7x12"},    {"ebpf", "close"}};
+
+TEST(TrialPath, StructureOnlyTrialsClassifyLikeFullyInternedOnes) {
+  for (const auto& [system, program] : kTrialCells) {
+    RecordedCell cell(system, program);
+    for (const TrialSet* set : {&cell.background, &cell.foreground}) {
+      FullyInterned full(*set);
+      const std::vector<const matcher::InternedGraph*> structure =
+          set->pointers();
+      for (const matcher::InternedGraph* g : structure) {
+        ASSERT_FALSE(g->g.has_properties()) << system << " " << program;
+      }
+      EXPECT_EQ(similarity_classes(structure, set->digests),
+                similarity_classes(full.pointers, set->digests))
+          << system << " " << program;
+      TrialClasses a = classify_trials(structure, set->digests);
+      TrialClasses b = classify_trials(full.pointers, set->digests);
+      EXPECT_EQ(a.classes, b.classes) << system << " " << program;
+      EXPECT_EQ(a.discarded, b.discarded) << system << " " << program;
+      EXPECT_EQ(a.pair, b.pair) << system << " " << program;
+    }
+  }
+}
+
+TEST(TrialPath, InternsPropertiesOfExactlyTheGeneralizedPairs) {
+  for (const auto& [system, program] : kTrialCells) {
+    RecordedCell cell(system, program);
+    matcher::SimilarityMemo memo;
+    std::set<std::size_t> read[2];
+    // Two rounds, as run_benchmark's retry loop runs them: the second
+    // round adds trials and may choose another pair.
+    for (int round = 0; round < 2; ++round) {
+      if (round == 1) cell.record(cell.recorded, program);
+      const TrialSet* sides[2] = {&cell.background, &cell.foreground};
+      TrialClasses expected[2];
+      for (int side = 0; side < 2; ++side) {
+        expected[side] = classify_trials(sides[side]->pointers(),
+                                         sides[side]->digests);
+        if (expected[side].pair.has_value()) {
+          read[side].insert(expected[side].pair->first);
+          read[side].insert(expected[side].pair->second);
+        }
+      }
+      auto [bg, fg] = generalize_variants(cell.background, cell.foreground,
+                                          cell.symbols, {}, &memo, cell.pool);
+      const std::optional<GeneralizeResult>* results[2] = {&bg, &fg};
+      for (int side = 0; side < 2; ++side) {
+        const TrialSet& set = *sides[side];
+        for (std::size_t i = 0; i < set.interned.size(); ++i) {
+          EXPECT_EQ(set.interned[i].g.has_properties(),
+                    read[side].count(i) > 0)
+              << system << " " << program << " round " << round << " side "
+              << side << " trial " << i;
+        }
+        // Same result as the one-piece stage on fully interned trials.
+        FullyInterned full(set);
+        std::optional<GeneralizeResult> reference =
+            generalize_trials(full.pointers, set.digests);
+        ASSERT_EQ(results[side]->has_value(), reference.has_value())
+            << system << " " << program;
+        if (!reference.has_value()) continue;
+        const GeneralizeResult& got = **results[side];
+        EXPECT_TRUE(got.graph == reference->graph) << system << " " << program;
+        EXPECT_EQ(got.classes, reference->classes);
+        EXPECT_EQ(got.discarded, reference->discarded);
+        EXPECT_EQ(got.transient_properties, reference->transient_properties);
+        EXPECT_EQ(got.search_stats.steps, reference->search_stats.steps);
+      }
+    }
+  }
+}
+
+TEST(TrialPath, GeneralizingAStructureOnlyPairThrows) {
+  RecordedCell cell("camflow", "close");
+  const std::vector<const matcher::InternedGraph*> trials =
+      cell.foreground.pointers();
+  TrialClasses classes = classify_trials(trials, cell.foreground.digests);
+  ASSERT_TRUE(classes.pair.has_value());
+  EXPECT_THROW(generalize_chosen(classes, trials), std::logic_error);
+  cell.foreground.intern_properties(classes.pair->first, cell.symbols);
+  cell.foreground.intern_properties(classes.pair->second, cell.symbols);
+  EXPECT_TRUE(generalize_chosen(classes, trials).has_value());
 }
 
 }  // namespace

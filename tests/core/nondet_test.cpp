@@ -9,6 +9,7 @@
 
 #include "bench_suite/executor.h"
 #include "bench_suite/program.h"
+#include "core/pipeline.h"
 #include "graph/algorithms.h"
 #include "runtime/thread_pool.h"
 
@@ -100,6 +101,40 @@ TEST(Nondet, DeterministicProgramYieldsOneSchedule) {
   ASSERT_EQ(result.schedules.size(), 1u);
   EXPECT_EQ(result.schedules[0].support, 6);
   EXPECT_EQ(result.schedules[0].result.status, BenchmarkStatus::Ok);
+}
+
+// A deterministic program has one schedule, and run_benchmark would
+// generalize the same two trials of each variant and compare the same
+// graphs: the schedule's result carries the counters run_benchmark
+// reports for the same trials, and its stage timings are measured.
+TEST(Nondet, OneScheduleCarriesRunBenchmarksCounters) {
+  for (const char* system : {"spade", "opus", "audit"}) {
+    runtime::ThreadPool pool(3);
+    PipelineOptions options;
+    options.system = system;
+    options.seed = 7;
+    options.trials = 8;
+    options.pool = &pool;
+    options.transform.neo4j_startup_rounds = 1;
+    const bench_suite::BenchmarkProgram& program =
+        bench_suite::benchmark_by_name("close");
+    NondetBenchmarkResult nondet =
+        run_nondeterministic_benchmark(program, options);
+    BenchmarkResult run = run_benchmark(program, options);
+    ASSERT_EQ(nondet.schedules.size(), 1u) << system;
+    ASSERT_EQ(run.trials_run, 8) << system;
+    const BenchmarkResult& got = nondet.schedules[0].result;
+    EXPECT_EQ(got.status, run.status) << system;
+    EXPECT_TRUE(got.result == run.result) << system;
+    EXPECT_EQ(got.threads_used, 3) << system;
+    EXPECT_EQ(got.trials_unparseable, run.trials_unparseable) << system;
+    EXPECT_EQ(got.matcher_steps, run.matcher_steps) << system;
+    EXPECT_GT(got.matcher_steps, 0u) << system;
+    EXPECT_GT(got.timings.recording, 0.0) << system;
+    EXPECT_GT(got.timings.transformation, 0.0) << system;
+    EXPECT_GT(got.timings.generalization, 0.0) << system;
+    EXPECT_GT(got.timings.comparison, 0.0) << system;
+  }
 }
 
 struct GoldenSchedule {

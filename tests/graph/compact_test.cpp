@@ -8,6 +8,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,7 +110,7 @@ TEST(CompactProps, MismatchAgreesWithMapDefinition) {
     }
     // Compact versions (reuse CompactGraph::build via two one-node graphs
     // would work too, but interning directly keeps the test focused).
-    CompactProps ca, cb;
+    std::vector<CompactProp> ca, cb;
     for (const auto& [k, v] : pa) {
       ca.emplace_back(table.intern(k), table.intern(v));
     }
@@ -132,6 +133,9 @@ TEST(CompactGraph, RoundTripsLabelsAndProps) {
   g.add_edge("e", "a", "b", "Used", {{"op", "read"}});
   SymbolTable table;
   CompactGraph cg = CompactGraph::build(view_of(g), table);
+  EXPECT_FALSE(cg.has_properties());
+  cg.intern_properties(view_of(g), table);
+  ASSERT_TRUE(cg.has_properties());
 
   ASSERT_EQ(cg.node_count(), 2u);
   ASSERT_EQ(cg.edge_count(), 1u);
@@ -141,18 +145,25 @@ TEST(CompactGraph, RoundTripsLabelsAndProps) {
   EXPECT_EQ(cg.edge_src[0], 0u);
   EXPECT_EQ(cg.edge_tgt[0], 1u);
 
-  ASSERT_EQ(cg.node_props[0].size(), 2u);
+  ASSERT_EQ(cg.node_props(0).size(), 2u);
   std::set<std::pair<std::string, std::string>> round_trip;
-  for (const auto& [k, v] : cg.node_props[0]) {
+  for (const auto& [k, v] : cg.node_props(0)) {
     round_trip.insert({table.resolve(k), table.resolve(v)});
   }
   EXPECT_EQ(round_trip,
             (std::set<std::pair<std::string, std::string>>{
                 {"pid", "42"}, {"name", "sh"}}));
   // Props must be sorted by key symbol for the merge costs.
-  for (const CompactProps& props : cg.node_props) {
-    EXPECT_TRUE(std::is_sorted(props.begin(), props.end()));
+  for (std::uint32_t v = 0; v < cg.node_count(); ++v) {
+    EXPECT_TRUE(std::is_sorted(cg.node_props(v).begin(),
+                               cg.node_props(v).end()));
   }
+  ASSERT_EQ(cg.edge_props(0).size(), 1u);
+  EXPECT_EQ(table.resolve(cg.edge_props(0)[0].first), "op");
+  EXPECT_EQ(table.resolve(cg.edge_props(0)[0].second), "read");
+  // A second call is a no-op.
+  cg.intern_properties(view_of(g), table);
+  EXPECT_EQ(cg.props.size(), 4u);
 }
 
 TEST(CompactGraph, CsrMatchesNaiveAdjacencyOnRandomGraphs) {
@@ -194,15 +205,18 @@ TEST(CompactGraph, CsrMatchesNaiveAdjacencyOnRandomGraphs) {
       EXPECT_EQ(csr_in, naive_in) << "seed " << seed;
     }
 
-    // Label buckets partition the nodes.
+    // Label buckets partition the nodes, each ascending.
     std::size_t bucketed = 0;
-    for (const auto& [label, bucket] : cg.label_buckets) {
+    for (Symbol label : cg.bucket_label) {
+      std::span<const std::uint32_t> bucket = cg.label_bucket(label);
+      EXPECT_TRUE(std::is_sorted(bucket.begin(), bucket.end()));
       for (std::uint32_t v : bucket) {
         EXPECT_EQ(cg.node_label[v], label);
       }
       bucketed += bucket.size();
     }
     EXPECT_EQ(bucketed, cg.node_count());
+    EXPECT_TRUE(cg.label_bucket(table.intern("no such label")).empty());
   }
 }
 
@@ -240,7 +254,9 @@ TEST(CompactGraph, EmptyGraph) {
   CompactGraph cg = CompactGraph::build(view_of(g), table);
   EXPECT_EQ(cg.node_count(), 0u);
   EXPECT_EQ(cg.edge_count(), 0u);
-  EXPECT_TRUE(cg.label_buckets.empty());
+  EXPECT_TRUE(cg.bucket_label.empty());
+  cg.intern_properties(view_of(g), table);
+  EXPECT_TRUE(cg.has_properties());
 }
 
 TEST(CompactGraph, SelfLoopCountsBothDirections) {

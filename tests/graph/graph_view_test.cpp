@@ -18,8 +18,11 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -63,7 +66,7 @@ Resolved resolve(const matcher::InternedGraph& interned) {
   const CompactGraph& g = interned.g;
   const SymbolTable& symbols = *g.symbols;
   Resolved out;
-  auto props = [&symbols](const CompactProps& p) {
+  auto props = [&symbols](CompactProps p) {
     StringProps s;
     for (const auto& [k, v] : p) {
       s.emplace_back(symbols.resolve(k), symbols.resolve(v));
@@ -74,12 +77,12 @@ Resolved resolve(const matcher::InternedGraph& interned) {
   for (std::uint32_t v = 0; v < g.node_count(); ++v) {
     out.node_id.emplace_back(g.node_id[v]);
     out.node_label.push_back(symbols.resolve(g.node_label[v]));
-    out.node_props.push_back(props(g.node_props[v]));
+    out.node_props.push_back(props(g.node_props(v)));
   }
   for (std::uint32_t e = 0; e < g.edge_count(); ++e) {
     out.edge_id.emplace_back(g.edge_id[e]);
     out.edge_label.push_back(symbols.resolve(g.edge_label[e]));
-    out.edge_props.push_back(props(g.edge_props[e]));
+    out.edge_props.push_back(props(g.edge_props(e)));
   }
   out.edge_src = g.edge_src;
   out.edge_tgt = g.edge_tgt;
@@ -87,8 +90,10 @@ Resolved resolve(const matcher::InternedGraph& interned) {
   out.out_edges = g.out_edges;
   out.in_offsets = g.in_offsets;
   out.in_edges = g.in_edges;
-  for (const auto& [label, bucket] : g.label_buckets) {
-    out.label_buckets[symbols.resolve(label)] = bucket;
+  for (Symbol label : g.bucket_label) {
+    std::span<const std::uint32_t> bucket = g.label_bucket(label);
+    out.label_buckets[symbols.resolve(label)].assign(bucket.begin(),
+                                                     bucket.end());
   }
   out.digest = structural_digest(g, compact_wl_colours(g, kDigestWlRounds));
   for (const auto& [label, count] : interned.node_label_counts) {
@@ -101,6 +106,80 @@ Resolved resolve(const matcher::InternedGraph& interned) {
   out.colour_class_size = interned.colour_class_size;
   out.interned_digest = interned.structural_digest();
   return out;
+}
+
+/// "" when the interned graph's edge groups equal their definition: one
+/// group per (src, tgt, label), numbered by first appearance in edge
+/// order, edges ascending, the pair's first group its representative,
+/// and the per-node and per-pair tables listing exactly those groups.
+std::string group_error(const matcher::InternedGraph& interned) {
+  const CompactGraph& g = interned.g;
+  struct Expected {
+    std::uint32_t src, tgt;
+    Symbol label;
+    bool representative;
+    std::vector<std::uint32_t> edges;
+  };
+  std::vector<Expected> expected;
+  std::map<std::tuple<std::uint32_t, std::uint32_t, Symbol>, std::size_t> by_key;
+  std::set<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  for (std::uint32_t e = 0; e < g.edge_count(); ++e) {
+    auto key = std::make_tuple(g.edge_src[e], g.edge_tgt[e], g.edge_label[e]);
+    auto [it, fresh] = by_key.emplace(key, expected.size());
+    if (fresh) {
+      const bool first_of_pair =
+          pairs.insert({g.edge_src[e], g.edge_tgt[e]}).second;
+      expected.push_back(
+          {g.edge_src[e], g.edge_tgt[e], g.edge_label[e], first_of_pair, {}});
+    }
+    expected[it->second].edges.push_back(e);
+  }
+  if (interned.groups.size() != expected.size()) return "group count";
+  for (std::size_t gi = 0; gi < expected.size(); ++gi) {
+    const matcher::EdgeGroup& group = interned.groups[gi];
+    const Expected& want = expected[gi];
+    std::span<const std::uint32_t> edges = interned.edges_of(group);
+    if (group.src != want.src || group.tgt != want.tgt ||
+        group.label != want.label ||
+        group.pair_representative != want.representative ||
+        !std::equal(edges.begin(), edges.end(), want.edges.begin(),
+                    want.edges.end())) {
+      return "edge group " + std::to_string(gi);
+    }
+    std::span<const std::uint32_t> found =
+        interned.group_edges(want.src, want.tgt, want.label);
+    if (found.data() != edges.data() || found.size() != edges.size()) {
+      return "group lookup " + std::to_string(gi);
+    }
+  }
+  for (const auto& [s, t] : pairs) {
+    std::set<std::uint32_t> listed;
+    for (std::uint32_t gi : interned.pair_groups(s, t)) listed.insert(gi);
+    std::set<std::uint32_t> want;
+    for (std::size_t gi = 0; gi < expected.size(); ++gi) {
+      if (expected[gi].src == s && expected[gi].tgt == t) {
+        want.insert(static_cast<std::uint32_t>(gi));
+      }
+    }
+    if (listed != want) return "pair groups";
+  }
+  for (std::uint32_t v = 0; v < g.node_count(); ++v) {
+    std::vector<std::uint32_t> want;
+    for (std::size_t gi = 0; gi < expected.size(); ++gi) {
+      if (expected[gi].src == v || expected[gi].tgt == v) {
+        want.push_back(static_cast<std::uint32_t>(gi));
+      }
+    }
+    std::span<const std::uint32_t> listed = interned.groups_of_node(v);
+    if (!std::equal(listed.begin(), listed.end(), want.begin(), want.end())) {
+      return "groups of node " + std::to_string(v);
+    }
+    if (interned.pair_groups(v, v).empty() !=
+        (pairs.count({v, v}) == 0)) {
+      return "self-loop pair of node " + std::to_string(v);
+    }
+  }
+  return "";
 }
 
 /// "" when the interned graph's precomputed matcher invariants equal
@@ -134,7 +213,7 @@ std::string invariant_error(const matcher::InternedGraph& interned) {
       structural_digest(g, compact_wl_colours(g, kDigestWlRounds))) {
     return "digest";
   }
-  return "";
+  return group_error(interned);
 }
 
 using ViewReader = std::function<GraphView(std::string_view)>;
@@ -195,6 +274,7 @@ std::string disagreement(const Route& route, std::string_view text) {
   }
   SymbolTable from_view_symbols, from_graph_symbols;
   matcher::InternedGraph from_view(*view, from_view_symbols);
+  from_view.g.intern_properties(*view, from_view_symbols);
   matcher::InternedGraph from_graph(*graph, from_graph_symbols);
   if (std::string e = invariant_error(from_view); !e.empty()) {
     return std::string(route.name) + ": wrong interned " + e;

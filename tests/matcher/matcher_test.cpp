@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
+#include "matcher/interned.h"
 
 namespace provmark::matcher {
 namespace {
@@ -243,6 +247,46 @@ TEST(SelfLoop, MatchedCorrectly) {
   auto matching = best_subgraph_embedding(g1, g2);
   ASSERT_TRUE(matching.has_value());
   EXPECT_EQ(matching->edge_map.at("e"), "f");
+}
+
+TEST(InternedOperands, CostedSearchNeedsInternedProperties) {
+  PropertyGraph g1 = triangle("x");
+  PropertyGraph g2 = triangle("y");
+  g1.find_node("xb")->props["path"] = "/a";
+  g2.find_node("yb")->props["path"] = "/b";
+  const graph::GraphView v1 = graph::view_of(g1);
+  const graph::GraphView v2 = graph::view_of(g2);
+  graph::SymbolTable symbols;
+  InternedGraph a(v1, symbols);
+  InternedGraph b(v2, symbols);
+  ASSERT_FALSE(a.g.has_properties());
+
+  // Structure alone answers every question that ignores properties.
+  EXPECT_TRUE(similar(a, b));
+  SearchOptions none;
+  none.cost_model = CostModel::None;
+  std::optional<Matching> shape = best_isomorphism(a, b, none);
+  ASSERT_TRUE(shape.has_value());
+  EXPECT_EQ(shape->cost, 0);
+  EXPECT_TRUE(best_subgraph_embedding(a, b, none).has_value());
+
+  // A costed search on an operand without properties is a caller bug.
+  SearchOptions symmetric;
+  symmetric.cost_model = CostModel::Symmetric;
+  EXPECT_THROW(best_isomorphism(a, b, symmetric), std::logic_error);
+  SearchOptions one_sided;
+  one_sided.cost_model = CostModel::OneSided;
+  EXPECT_THROW(best_subgraph_embedding(a, b, one_sided), std::logic_error);
+  a.g.intern_properties(v1, symbols);
+  EXPECT_THROW(best_isomorphism(a, b, symmetric), std::logic_error);
+
+  b.g.intern_properties(v2, symbols);
+  std::optional<Matching> costed = best_isomorphism(a, b, symmetric);
+  std::optional<Matching> reference = best_isomorphism(g1, g2, symmetric);
+  ASSERT_TRUE(costed.has_value());
+  ASSERT_TRUE(reference.has_value());
+  EXPECT_EQ(costed->cost, reference->cost);
+  EXPECT_EQ(costed->node_map, reference->node_map);
 }
 
 }  // namespace

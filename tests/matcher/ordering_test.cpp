@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "graph/property_graph.h"
 #include "matcher/legacy_matcher.h"
 #include "matcher/matcher.h"
+#include "test_graphs.h"
 #include "util/rng.h"
 
 namespace provmark::matcher {
@@ -112,6 +114,51 @@ TEST(WlScarcity, EdgeGroupBoundPrunesPropertyHeavyEdges) {
   // One descent to the optimum plus immediate pruning of every sibling;
   // far under the node-only bound's step count.
   EXPECT_LE(wl_stats.steps, 50u);
+}
+
+TEST(WlScarcity, StepCountsArePinned) {
+  // The search order decides how many steps a search takes, never its
+  // result. These counts were recorded with the original O(n^2)
+  // ordering loop; an ordering that picks a different node at any step
+  // moves at least one of them. Each instance matches a graph against a
+  // shuffled copy with fresh transient values, bijectively and as an
+  // embedding.
+  auto steps = [](const PropertyGraph& g, std::uint64_t seed) {
+    util::Rng rng(seed);
+    PropertyGraph h = test_graphs::transient_copy(
+        test_graphs::shuffled_copy(g, rng), seed + 1);
+    SearchOptions options;
+    options.cost_model = CostModel::Symmetric;
+    Stats iso;
+    EXPECT_TRUE(best_isomorphism(g, h, options, &iso).has_value());
+    options.cost_model = CostModel::OneSided;
+    Stats embed;
+    EXPECT_TRUE(best_subgraph_embedding(g, h, options, &embed).has_value());
+    return std::pair<std::size_t, std::size_t>(iso.steps, embed.steps);
+  };
+  const std::pair<std::size_t, std::size_t> kCorpusSteps[40] = {
+      {3, 3}, {4, 4}, {5, 5}, {6, 6}, {7, 7}, {3, 3}, {4, 4}, {5, 5}, {6, 6},
+      {7, 7}, {3, 3}, {4, 4}, {5, 5}, {6, 6}, {7, 7}, {3, 3}, {4, 4}, {5, 5},
+      {6, 8}, {7, 7}, {3, 3}, {4, 4}, {5, 5}, {6, 6}, {13, 7}, {3, 3},
+      {4, 4}, {5, 5}, {6, 6}, {7, 7}, {3, 3}, {4, 4}, {5, 5}, {6, 6}, {7, 7},
+      {3, 3}, {4, 4}, {5, 5}, {6, 6}, {7, 7}};
+  for (int index = 0; index < 40; ++index) {
+    util::Rng rng(static_cast<std::uint64_t>(index) * 6151 + 7);
+    PropertyGraph g = random_corpus_graph(index, false, rng);
+    EXPECT_EQ(steps(g, 500 + index), kCorpusSteps[index])
+        << "corpus " << index;
+  }
+  // Larger provenance-shaped instances, where most steps choose among
+  // frontier nodes, and fragments only property values tell apart.
+  const std::pair<std::size_t, std::size_t> kSpineSteps[6] = {
+      {29, 29}, {61, 61}, {105, 105}, {161, 161}, {41, 241620}, {61, 61}};
+  for (int i = 0; i < 6; ++i) {
+    PropertyGraph g =
+        i == 4 ? test_graphs::fragment_graph(2, 104)
+        : i == 5 ? test_graphs::provenance_graph(12, 4, 105)
+                 : test_graphs::provenance_graph(4 + 2 * i, 6 + 3 * i, 100 + i);
+    EXPECT_EQ(steps(g, 200 + i), kSpineSteps[i]) << "spine " << i;
+  }
 }
 
 TEST(WlScarcity, ComponentCountMismatchIsInfeasible) {
