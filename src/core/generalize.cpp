@@ -64,12 +64,14 @@ std::vector<std::vector<std::size_t>> similarity_classes(
   for (std::vector<std::vector<std::size_t>>& sub : per_bucket) {
     for (std::vector<std::size_t>& cls : sub) classes.push_back(std::move(cls));
   }
-  std::sort(classes.begin(), classes.end(),
-            [](const auto& a, const auto& b) { return a.size() > b.size(); });
+  // Stable: tied classes keep digest-bucket order on any library.
+  std::stable_sort(
+      classes.begin(), classes.end(),
+      [](const auto& a, const auto& b) { return a.size() > b.size(); });
   return classes;
 }
 
-std::optional<graph::PropertyGraph> generalize_pair(
+std::optional<matcher::InternedGraph> generalize_pair(
     const matcher::InternedGraph& a, const matcher::InternedGraph& b,
     const GeneralizeOptions& options, matcher::Stats* stats) {
   matcher::SearchOptions search;
@@ -79,36 +81,29 @@ std::optional<graph::PropertyGraph> generalize_pair(
       matcher::best_isomorphism(a, b, search, stats);
   if (!matching.has_value()) return std::nullopt;
 
-  const graph::CompactGraph& ga = a.g;
-  const graph::CompactGraph& gb = b.g;
-  const graph::SymbolTable& symbols = *ga.symbols;
-
   // Keep exactly the properties equal under the optimal matching; values
   // that differ (timestamps, serials, pids) are transient and dropped.
   // Both graphs share one symbol table, so equal symbols are equal
-  // strings.
-  auto kept = [&symbols](graph::CompactProps mine,
-                         graph::CompactProps other) {
-    graph::Properties out;
-    for (const auto& [k, v] : mine) {
-      if (graph::find_prop(other, k) == v) {
-        out.emplace(symbols.resolve(k), symbols.resolve(v));
+  // strings. Each element's kept pairs stay sorted, compacted in place.
+  matcher::InternedGraph out = a;
+  graph::CompactGraph& g = out.g;
+  const std::uint32_t n = g.node_count();
+  std::uint32_t kept = 0;
+  std::uint32_t begin = g.prop_offsets[0];
+  for (std::uint32_t k = 0; k < n + g.edge_count(); ++k) {
+    const std::uint32_t end = g.prop_offsets[k + 1];
+    graph::CompactProps other =
+        k < n ? b.g.node_props(matching->node_index[k])
+              : b.g.edge_props(matching->edge_index[k - n]);
+    for (std::uint32_t i = begin; i < end; ++i) {
+      if (graph::find_prop(other, g.props[i].first) == g.props[i].second) {
+        g.props[kept++] = g.props[i];
       }
     }
-    return out;
-  };
-  graph::PropertyGraph out;
-  for (std::uint32_t i = 0; i < ga.node_count(); ++i) {
-    out.add_node(std::string(ga.node_id[i]), symbols.resolve(ga.node_label[i]),
-                 kept(ga.node_props(i), gb.node_props(matching->node_index[i])));
+    begin = end;
+    g.prop_offsets[k + 1] = kept;
   }
-  for (std::uint32_t e = 0; e < ga.edge_count(); ++e) {
-    out.add_edge(std::string(ga.edge_id[e]),
-                 std::string(ga.node_id[ga.edge_src[e]]),
-                 std::string(ga.node_id[ga.edge_tgt[e]]),
-                 symbols.resolve(ga.edge_label[e]),
-                 kept(ga.edge_props(e), gb.edge_props(matching->edge_index[e])));
-  }
+  g.props.resize(kept);
   return out;
 }
 
@@ -143,26 +138,19 @@ std::optional<GeneralizeResult> generalize_chosen(
     const std::vector<const matcher::InternedGraph*>& trials,
     const GeneralizeOptions& options) {
   if (!classes.pair.has_value()) return std::nullopt;
-  GeneralizeResult result;
-  result.classes = classes.classes;
-  result.discarded = classes.discarded;
-
   const matcher::InternedGraph& a = *trials[classes.pair->first];
   const matcher::InternedGraph& b = *trials[classes.pair->second];
-  std::optional<graph::PropertyGraph> generalized =
-      generalize_pair(a, b, options, &result.search_stats);
+  matcher::Stats stats;
+  std::optional<matcher::InternedGraph> generalized =
+      generalize_pair(a, b, options, &stats);
   if (!generalized.has_value()) return std::nullopt;  // unreachable in theory
 
-  int after = 0;
-  for (const graph::Node& n : generalized->nodes()) {
-    after += static_cast<int>(n.props.size());
-  }
-  for (const graph::Edge& e : generalized->edges()) {
-    after += static_cast<int>(e.props.size());
-  }
-  result.transient_properties = static_cast<int>(a.g.props.size()) - after;
-  result.graph = std::move(*generalized);
-  return result;
+  graph::PropertyGraph graph = graph::resolve_graph(generalized->g);
+  const auto transient =
+      static_cast<int>(a.g.props.size() - generalized->g.props.size());
+  return GeneralizeResult{std::move(*generalized), std::move(graph),
+                          classes.classes, classes.discarded, transient,
+                          stats};
 }
 
 std::optional<GeneralizeResult> generalize_trials(

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "graph/property_graph.h"
+#include "matcher/interned.h"
 #include "matcher/matcher.h"
 
 namespace provmark::matcher {
@@ -40,7 +41,11 @@ struct GeneralizeOptions {
 };
 
 struct GeneralizeResult {
-  graph::PropertyGraph graph;  ///< the generalized representative
+  /// The generalized representative: the first trial of the pair copied
+  /// with only the kept properties. Its ids view that trial's document
+  /// and view, so it is valid only while the trials are.
+  matcher::InternedGraph interned;
+  graph::PropertyGraph graph;  ///< `interned` resolved to strings
   std::size_t classes = 0;     ///< similarity classes found
   std::size_t discarded = 0;   ///< trials discarded as inconsistent
   int transient_properties = 0;  ///< properties removed as volatile
@@ -64,7 +69,8 @@ struct GeneralizeResult {
 // those two trials. The stage therefore comes in two pieces,
 // classify_trials (steps 1-3) and generalize_chosen (step 4), with room
 // between them to intern the chosen pair's properties; generalize_trials
-// runs both on fully interned trials.
+// runs both on fully interned trials. The comparison reads the result's
+// `interned` graph; `graph` holds the same graph as strings.
 
 /// Partition trials into similarity classes; returns indices into
 /// `trials` grouped by class, largest class first. The exact matcher only
@@ -95,12 +101,11 @@ TrialClasses classify_trials(
     runtime::ThreadPool* pool = nullptr);
 
 /// Generalize two similar trials: keep exactly the properties preserved
-/// by the optimal (cost-minimizing) isomorphism, reading ids, labels and
-/// properties back through the interned graphs, whose properties must be
-/// interned (std::logic_error otherwise). Returns std::nullopt if the
-/// graphs are not similar. `stats`, when supplied, receives the
-/// isomorphism search statistics.
-std::optional<graph::PropertyGraph> generalize_pair(
+/// by the optimal (cost-minimizing) isomorphism, whose properties must be
+/// interned (std::logic_error otherwise). Returns `a` with only the kept
+/// properties, or std::nullopt if the graphs are not similar. `stats`,
+/// when supplied, receives the isomorphism search statistics.
+std::optional<matcher::InternedGraph> generalize_pair(
     const matcher::InternedGraph& a, const matcher::InternedGraph& b,
     const GeneralizeOptions& options = {}, matcher::Stats* stats = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "core/trials.h"
 #include "runtime/thread_pool.h"
@@ -62,7 +63,6 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
   std::optional<GeneralizeResult> bg_general =
       generalize_chosen(bg_classes, bg, generalize_options);
   if (!bg_general.has_value()) return out;
-  matcher::InternedGraph bg_interned(bg_general->graph, symbols);
 
   // Group foreground trials into schedule classes: digest buckets
   // confirmed with the exact matcher.
@@ -77,37 +77,40 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
       continue;
     }
     // Generalize this schedule from its first two trials, the pair
-    // generalize_trials would pick from a single class.
+    // classify_trials would choose from a single class.
     watch.reset();
     fg_trials.intern_properties(cls[0], symbols);
     fg_trials.intern_properties(cls[1], symbols);
-    matcher::Stats generalize_stats;
-    std::optional<graph::PropertyGraph> fg_general = generalize_pair(
-        *fg[cls[0]], *fg[cls[1]], generalize_options, &generalize_stats);
+    const TrialClasses chosen{.classes = classes.size(),
+                              .pair = std::pair{cls[0], cls[1]}};
+    std::optional<GeneralizeResult> fg_general =
+        generalize_chosen(chosen, fg, generalize_options);
     if (!fg_general.has_value()) continue;  // unreachable: all similar
     const double generalization = watch.elapsed_seconds();
 
-    matcher::InternedGraph fg_interned(*fg_general, symbols);
     ScheduleResult schedule;
-    schedule.fingerprint = fg_interned.structural_digest();
+    schedule.fingerprint = fg_trials.digests[cls[0]];
     schedule.support = static_cast<int>(cls.size());
     BenchmarkResult& result = schedule.result;
     result.system = recorder->name();
     result.benchmark = program.name;
     result.generalized_background = bg_general->graph;
-    result.generalized_foreground = *fg_general;
+    result.generalized_foreground = std::move(fg_general->graph);
     result.trials_run = static_cast<int>(cls.size());
     result.trials_unparseable = unparseable;
+    result.trials_discarded = static_cast<int>(bg_general->discarded);
+    result.transient_properties =
+        bg_general->transient_properties + fg_general->transient_properties;
     result.threads_used = pool.thread_count();
 
     watch.reset();
-    CompareResult compared =
-        compare_graphs(bg_interned, fg_interned, compare_options);
+    CompareResult compared = compare_graphs(
+        bg_general->interned, fg_general->interned, compare_options);
     result.timings = shared;
     result.timings.generalization += generalization;
     result.timings.comparison = watch.elapsed_seconds();
     result.matcher_steps = bg_general->search_stats.steps +
-                           generalize_stats.steps +
+                           fg_general->search_stats.steps +
                            compared.search_stats.steps;
     if (compared.embedding_failed) {
       result.status = BenchmarkStatus::Failed;

@@ -42,7 +42,10 @@ struct ScheduleResult {
   /// is the background's plus the foreground classification plus this
   /// schedule's own; comparison is this schedule's; `matcher_steps` sums
   /// the background generalization, this schedule's generalization and
-  /// its comparison. `threads_used` is the pool width.
+  /// its comparison, and `transient_properties` the properties those two
+  /// generalizations strip. `trials_discarded` counts the background's
+  /// singletons (a foreground singleton is an unsupported schedule).
+  /// `threads_used` is the pool width.
   BenchmarkResult result;
 };
 

@@ -165,9 +165,8 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
 
     // -- (4) comparison -----------------------------------------------------
     watch.reset();
-    matcher::InternedGraph bg_interned(bg_general->graph, symbols);
-    matcher::InternedGraph fg_interned(fg_general->graph, symbols);
-    compared = compare_graphs(bg_interned, fg_interned, compare_options);
+    compared = compare_graphs(bg_general->interned, fg_general->interned,
+                              compare_options);
     result.timings.comparison += watch.elapsed_seconds();
     result.matcher_steps += compared->search_stats.steps;
     if (!compared->embedding_failed) break;

@@ -86,6 +86,23 @@ Properties resolve_props(CompactProps props, const SymbolTable& symbols) {
   return out;
 }
 
+PropertyGraph resolve_graph(const CompactGraph& g) {
+  const SymbolTable& symbols = *g.symbols;
+  PropertyGraph out;
+  for (std::uint32_t v = 0; v < g.node_count(); ++v) {
+    out.add_node(std::string(g.node_id[v]), symbols.resolve(g.node_label[v]),
+                 resolve_props(g.node_props(v), symbols));
+  }
+  for (std::uint32_t e = 0; e < g.edge_count(); ++e) {
+    out.add_edge(std::string(g.edge_id[e]),
+                 std::string(g.node_id[g.edge_src[e]]),
+                 std::string(g.node_id[g.edge_tgt[e]]),
+                 symbols.resolve(g.edge_label[e]),
+                 resolve_props(g.edge_props(e), symbols));
+  }
+  return out;
+}
+
 namespace {
 
 /// Append an element's properties to `out`, sorted by key symbol; a

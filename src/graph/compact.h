@@ -21,13 +21,14 @@
 // shape (similarity classification ignores properties) and interning
 // their properties would cost as much as the rest of the graph. The
 // pipeline hands build() the view a reader made of a native document;
-// graph::view_of(PropertyGraph) routes a string graph through it. A
-// CompactGraph is read-only once built (apart from that one property
-// step). Its labels and properties live in the SymbolTable, which must
-// outlive it. Its id views point where the GraphView's ids point (the
-// native document, the view's arena, or a PropertyGraph's strings), so
-// that storage must outlive it too; the GraphView object itself may go
-// once the properties are interned.
+// graph::view_of(PropertyGraph) routes a string graph (a test's graph)
+// through it, and resolve_graph() goes back to strings. A CompactGraph is
+// read-only once built (apart from that one property step). Its labels
+// and properties live in the SymbolTable, which must outlive it. Its id
+// views point where the GraphView's ids point (the native document, the
+// view's arena, or a PropertyGraph's strings), so that storage must
+// outlive it too; the GraphView object itself may go once the properties
+// are interned.
 #pragma once
 
 #include <cstdint>
@@ -203,6 +204,9 @@ struct CompactGraph {
             props.data() + prop_offsets[k + 1]};
   }
 };
+
+/// `g` as strings, elements in index order; `g` must have properties.
+PropertyGraph resolve_graph(const CompactGraph& g);
 
 /// Weisfeiler-Leman refinement colours after `rounds` iterations, indexed
 /// by node. Bit-identical to graph::wl_colours on the same graph.

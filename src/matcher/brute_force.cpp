@@ -34,14 +34,14 @@ int prop_cost(const graph::Properties& a, const graph::Properties& b,
 
 /// Given a fixed node assignment (indices into g2 nodes, or SIZE_MAX for a
 /// g2 node count larger than g1 in the embedding case), find the cheapest
-/// consistent edge assignment by plain recursion, or kInfinity if edges
-/// cannot be matched.
+/// consistent edge assignment by plain recursion and store it in
+/// `edge_index`; return its cost, or kInfinity if edges cannot be matched.
 int edge_assignment_cost(const PropertyGraph& g1, const PropertyGraph& g2,
                          const std::vector<std::size_t>& node_assignment,
                          const std::map<graph::Id, std::size_t>& idx1,
                          const std::map<graph::Id, std::size_t>& idx2,
                          CostModel model, bool bijective,
-                         std::map<graph::Id, graph::Id>* edge_map_out) {
+                         std::vector<std::uint32_t>& edge_index) {
   const auto& e1 = g1.edges();
   const auto& e2 = g2.edges();
   if (bijective && e1.size() != e2.size()) return kInfinity;
@@ -74,13 +74,7 @@ int edge_assignment_cost(const PropertyGraph& g1, const PropertyGraph& g2,
   };
   dfs(dfs, 0, 0);
   if (best >= kInfinity) return kInfinity;
-  if (edge_map_out != nullptr) {
-    edge_map_out->clear();
-    for (std::size_t i = 0; i < e1.size(); ++i) {
-      (*edge_map_out)[e1[i].id] =
-          e2[static_cast<std::size_t>(best_assignment[i])].id;
-    }
-  }
+  edge_index.assign(best_assignment.begin(), best_assignment.end());
   // Bijectivity of edges follows from equal counts + injectivity.
   return best;
 }
@@ -116,18 +110,15 @@ std::optional<Matching> brute_force(const PropertyGraph& g1,
       for (std::size_t k = 0; k < n1.size(); ++k) {
         cost += prop_cost(n1[k].props, n2[chosen[k]].props, model);
       }
-      std::map<graph::Id, graph::Id> edge_map;
+      std::vector<std::uint32_t> edge_index;
       int ecost = edge_assignment_cost(g1, g2, chosen, idx1, idx2, model,
-                                       bijective, &edge_map);
+                                       bijective, edge_index);
       if (ecost >= kInfinity) return;
       cost += ecost;
       if (cost < best) {
         best = cost;
-        best_matching.node_map.clear();
-        for (std::size_t k = 0; k < n1.size(); ++k) {
-          best_matching.node_map[n1[k].id] = n2[chosen[k]].id;
-        }
-        best_matching.edge_map = std::move(edge_map);
+        best_matching.node_index.assign(chosen.begin(), chosen.end());
+        best_matching.edge_index = std::move(edge_index);
         best_matching.cost = cost;
       }
       return;

@@ -1,16 +1,10 @@
 // A reusable interned snapshot of one matching operand.
 //
-// PR 1 moved the matcher's inner loop onto graph::CompactGraph, but every
-// best_isomorphism / best_subgraph_embedding / similar call still rebuilt
-// the snapshot (and re-interned every string) for both operands. The
-// pipeline poses O(trials²) matcher calls over the *same* trial graphs —
-// similarity classification alone compares each new trial against every
-// class representative, every retry round — so the interning work was
-// repeated per call.
-//
-// InternedGraph lifts the snapshot across those call boundaries: intern a
-// trial once, against a SymbolTable shared by the whole pipeline run, and
-// pass the result to any number of matcher calls. Two InternedGraphs are
+// The pipeline poses O(trials²) matcher calls over the *same* trial
+// graphs: similarity classification compares each new trial against every
+// class representative, every retry round. So a trial is interned once,
+// against a SymbolTable shared by the whole pipeline run, and the
+// InternedGraph goes to any number of matcher calls. Two InternedGraphs are
 // only comparable when built against the same SymbolTable (symbols are
 // table-relative); the matcher entry points check this.
 //
@@ -25,8 +19,9 @@
 // CamFlow's sixteen trials per variant). A costed search (OneSided or
 // Symmetric) on an operand whose properties are not interned throws
 // std::logic_error; a CostModel::None search never reads them. The
-// PropertyGraph constructor does both steps, so a string graph (a
-// generalized graph, a test's graph) is always fully interned.
+// PropertyGraph constructor does both steps, so a string graph (a test's
+// graph) is always fully interned. A generalized graph is neither: it is
+// a trial's InternedGraph copied with some properties dropped.
 //
 // Every table here is flat: edge groups keep their edges in one array,
 // and the per-node and per-pair group lists are CSR arrays, so building

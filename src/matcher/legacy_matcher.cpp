@@ -372,9 +372,10 @@ class SearchEngine {
   Matching build_matching() {
     Matching m;
     m.cost = 0;
+    m.node_index.assign(best_node_mapping_.begin(),
+                        best_node_mapping_.end());
+    m.edge_index.resize(pattern_.g->edge_count());
     for (std::size_t i = 0; i < best_node_mapping_.size(); ++i) {
-      m.node_map[pattern_.nodes[i]->id] =
-          target_.nodes[best_node_mapping_[i]]->id;
       m.cost += property_cost(pattern_.nodes[i]->props,
                               target_.nodes[best_node_mapping_[i]]->props,
                               options_.cost_model);
@@ -396,7 +397,8 @@ class SearchEngine {
                                         &pairs);
         m.cost += cost;
         for (const auto& [pe, te] : pairs) {
-          m.edge_map[pe->id] = te->id;
+          m.edge_index[pe - pattern_.g->edges().data()] =
+              static_cast<std::uint32_t>(te - target_.g->edges().data());
         }
       }
     }

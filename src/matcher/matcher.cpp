@@ -731,19 +731,16 @@ class SearchEngine {
   }
 
   /// Reconstruct the full matching (including the optimal edge pairing)
-  /// from the best node mapping. The only place string ids reappear.
+  /// from the best node mapping.
   Matching build_matching() {
     Matching m;
     m.cost = 0;
-    const graph::CompactGraph& p = pattern_.g;
-    const graph::CompactGraph& t = target_.g;
     m.node_index = best_node_mapping_;
     for (std::uint32_t i = 0; i < best_node_mapping_.size(); ++i) {
-      m.node_map.emplace(p.node_id[i], t.node_id[best_node_mapping_[i]]);
       m.cost += node_cost(pattern_, i, target_, best_node_mapping_[i],
                           options_.cost_model);
     }
-    m.edge_index.assign(p.edge_count(), kUnmapped);
+    m.edge_index.assign(pattern_.g.edge_count(), kUnmapped);
     std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
     for (const EdgeGroup& group : pattern_.groups) {
       std::uint32_t tsrc = best_node_mapping_[group.src];
@@ -754,10 +751,7 @@ class SearchEngine {
           target_.group_edges(tsrc, ttgt, group.label), options_.cost_model,
           bijective_, &pairs);
       m.cost += cost;
-      for (const auto& [pe, te] : pairs) {
-        m.edge_index[pe] = te;
-        m.edge_map.emplace(p.edge_id[pe], t.edge_id[te]);
-      }
+      for (const auto& [pe, te] : pairs) m.edge_index[pe] = te;
     }
     return m;
   }

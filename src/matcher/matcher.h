@@ -33,7 +33,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -48,12 +47,10 @@ namespace provmark::matcher {
 struct InternedGraph;  // matcher/interned.h: a reusable interned operand
 
 /// A solution: node and edge correspondences from G1 into G2 plus its cost.
+/// Correspondences are by element index, which is a PropertyGraph's
+/// insertion order and CompactGraph order alike: G1's node i is matched
+/// to G2's node node_index[i], and likewise for edges.
 struct Matching {
-  std::map<graph::Id, graph::Id> node_map;
-  std::map<graph::Id, graph::Id> edge_map;
-  /// The same correspondences by element index (CompactGraph order):
-  /// G1's node i is matched to G2's node node_index[i], and likewise for
-  /// edges.
   std::vector<std::uint32_t> node_index;
   std::vector<std::uint32_t> edge_index;
   /// Property-mismatch cost of this matching (see CostModel).

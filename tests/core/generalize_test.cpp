@@ -8,6 +8,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -53,7 +54,10 @@ std::vector<std::vector<std::size_t>> classes_of(
 std::optional<PropertyGraph> generalize(const PropertyGraph& a,
                                         const PropertyGraph& b) {
   InternedTrials in({a, b});
-  return generalize_pair(*in.pointers[0], *in.pointers[1]);
+  std::optional<matcher::InternedGraph> generalized =
+      generalize_pair(*in.pointers[0], *in.pointers[1]);
+  if (!generalized.has_value()) return std::nullopt;
+  return graph::resolve_graph(generalized->g);
 }
 
 std::optional<GeneralizeResult> generalize(
@@ -301,6 +305,73 @@ TEST(TrialPath, InternsPropertiesOfExactlyTheGeneralizedPairs) {
       }
     }
   }
+}
+
+/// Every field of `got` equals the one of `want`, a graph interned anew.
+void expect_same_interned(const matcher::InternedGraph& got,
+                          const matcher::InternedGraph& want,
+                          const std::string& context) {
+  const graph::CompactGraph& a = got.g;
+  const graph::CompactGraph& b = want.g;
+  EXPECT_EQ(a.symbols, b.symbols) << context;
+  EXPECT_EQ(a.node_id, b.node_id) << context;
+  EXPECT_EQ(a.edge_id, b.edge_id) << context;
+  EXPECT_EQ(a.node_label, b.node_label) << context;
+  EXPECT_EQ(a.edge_src, b.edge_src) << context;
+  EXPECT_EQ(a.edge_tgt, b.edge_tgt) << context;
+  EXPECT_EQ(a.edge_label, b.edge_label) << context;
+  EXPECT_EQ(a.out_offsets, b.out_offsets) << context;
+  EXPECT_EQ(a.out_edges, b.out_edges) << context;
+  EXPECT_EQ(a.in_offsets, b.in_offsets) << context;
+  EXPECT_EQ(a.in_edges, b.in_edges) << context;
+  EXPECT_EQ(a.bucket_label, b.bucket_label) << context;
+  EXPECT_EQ(a.bucket_offsets, b.bucket_offsets) << context;
+  EXPECT_EQ(a.bucket_nodes, b.bucket_nodes) << context;
+  EXPECT_EQ(a.props, b.props) << context;
+  EXPECT_EQ(a.prop_offsets, b.prop_offsets) << context;
+  auto fields = [](const matcher::EdgeGroup& group) {
+    return std::tuple(group.src, group.tgt, group.label,
+                      group.pair_representative, group.first, group.count);
+  };
+  ASSERT_EQ(got.groups.size(), want.groups.size()) << context;
+  for (std::size_t i = 0; i < got.groups.size(); ++i) {
+    EXPECT_EQ(fields(got.groups[i]), fields(want.groups[i]))
+        << context << " group " << i;
+  }
+  EXPECT_EQ(got.grouped_edges, want.grouped_edges) << context;
+  EXPECT_EQ(got.src_group_offsets, want.src_group_offsets) << context;
+  EXPECT_EQ(got.src_groups, want.src_groups) << context;
+  EXPECT_EQ(got.node_group_offsets, want.node_group_offsets) << context;
+  EXPECT_EQ(got.node_groups, want.node_groups) << context;
+  EXPECT_EQ(got.node_label_counts, want.node_label_counts) << context;
+  EXPECT_EQ(got.edge_label_counts, want.edge_label_counts) << context;
+  EXPECT_EQ(got.wl2, want.wl2) << context;
+  EXPECT_EQ(got.colour_class_size, want.colour_class_size) << context;
+  EXPECT_EQ(got.structural_digest(), want.structural_digest()) << context;
+}
+
+// The generalized graph is compared as generalize_pair leaves it, a copy
+// of the first trial holding the kept symbols, and is never interned from
+// its strings. That is sound only because interning the strings would
+// give the very same graph.
+TEST(TrialPath, GeneralizedGraphIsItsResolvedGraphInterned) {
+  int checked = 0;
+  for (const auto& [system, program] : kTrialCells) {
+    RecordedCell cell(system, program);
+    matcher::SimilarityMemo memo;
+    auto [bg, fg] = generalize_variants(cell.background, cell.foreground,
+                                        cell.symbols, {}, &memo, cell.pool);
+    for (const std::optional<GeneralizeResult>* result : {&bg, &fg}) {
+      const std::string context =
+          std::string(system) + " " + program +
+          (result == &bg ? " background" : " foreground");
+      if (!result->has_value()) continue;  // no two similar trials
+      ++checked;
+      const matcher::InternedGraph reinterned((*result)->graph, cell.symbols);
+      expect_same_interned((*result)->interned, reinterned, context);
+    }
+  }
+  EXPECT_GE(checked, 14);
 }
 
 TEST(TrialPath, GeneralizingAStructureOnlyPairThrows) {

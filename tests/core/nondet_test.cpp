@@ -130,6 +130,10 @@ TEST(Nondet, OneScheduleCarriesRunBenchmarksCounters) {
     EXPECT_EQ(got.trials_unparseable, run.trials_unparseable) << system;
     EXPECT_EQ(got.matcher_steps, run.matcher_steps) << system;
     EXPECT_GT(got.matcher_steps, 0u) << system;
+    EXPECT_EQ(got.transient_properties, run.transient_properties) << system;
+    EXPECT_GT(got.transient_properties, 0) << system;
+    EXPECT_EQ(nondet.unsupported_schedules, 0) << system;
+    EXPECT_EQ(got.trials_discarded, run.trials_discarded) << system;
     EXPECT_GT(got.timings.recording, 0.0) << system;
     EXPECT_GT(got.timings.transformation, 0.0) << system;
     EXPECT_GT(got.timings.generalization, 0.0) << system;
@@ -142,6 +146,8 @@ struct GoldenSchedule {
   int support;
   const char* status;
   const char* summary;
+  int transient_properties;
+  int trials_discarded;
 };
 
 struct GoldenRun {
@@ -152,39 +158,40 @@ struct GoldenRun {
 
 // bench_ext_nondeterminism's configuration: the 3-thread chain at seed 31
 // with 48 foreground trials. The values are the schedules the
-// nondeterministic pipeline reports for it; any change to how trials are
-// recorded, read, grouped, generalized or compared shows here.
+// nondeterministic pipeline reports for it, with each schedule's
+// transient-property and discarded-trial counters; any change to how
+// trials are recorded, read, grouped, generalized or compared shows here.
 TEST(Nondet, GoldenSchedulesOfTheExtensionBench) {
   const std::vector<GoldenRun> golden = {
       {"spade", 0,
        {{0x85b41a3bfd289258ULL, 21, "ok",
-         "2 nodes, 1 edges, 1 components, 6 properties"},
+         "2 nodes, 1 edges, 1 components, 6 properties", 56, 0},
         {0x832191ece789aa40ULL, 10, "ok",
-         "3 nodes, 4 edges, 1 components, 13 properties"},
+         "3 nodes, 4 edges, 1 components, 13 properties", 62, 0},
         {0x59112a17306045ddULL, 9, "ok",
-         "4 nodes, 7 edges, 1 components, 20 properties"}}},
+         "4 nodes, 7 edges, 1 components, 20 properties", 68, 0}}},
       {"opus", 0,
        {{0xe2a49c5ea9c5c798ULL, 20, "ok",
-         "9 nodes, 10 edges, 1 components, 26 properties"},
+         "9 nodes, 10 edges, 1 components, 26 properties", 33, 0},
         {0xe561e50ec58037adULL, 13, "ok",
-         "9 nodes, 10 edges, 1 components, 25 properties"},
+         "9 nodes, 10 edges, 1 components, 25 properties", 33, 0},
         {0x623b0446f4487cfaULL, 10, "ok",
-         "8 nodes, 9 edges, 1 components, 21 properties"},
+         "8 nodes, 9 edges, 1 components, 21 properties", 33, 0},
         {0x05e385ccfeab373bULL, 5, "ok",
-         "10 nodes, 11 edges, 1 components, 31 properties"}}},
+         "10 nodes, 11 edges, 1 components, 31 properties", 31, 0}}},
       {"camflow", 2,
        {{0xff834290c74dadefULL, 19, "ok",
-         "3 nodes, 3 edges, 1 components, 7 properties"},
+         "3 nodes, 3 edges, 1 components, 7 properties", 30, 1},
         {0x6285901d16d90383ULL, 9, "ok",
-         "5 nodes, 7 edges, 1 components, 13 properties"},
+         "5 nodes, 7 edges, 1 components, 13 properties", 32, 1},
         {0xefaccdb668183956ULL, 6, "ok",
-         "4 nodes, 5 edges, 1 components, 10 properties"},
+         "4 nodes, 5 edges, 1 components, 10 properties", 31, 1},
         {0xbd7d95301d58cd88ULL, 5, "ok",
-         "6 nodes, 6 edges, 2 components, 13 properties"},
+         "6 nodes, 6 edges, 2 components, 13 properties", 34, 1},
         {0xe5c7823a0efaf2d4ULL, 5, "ok",
-         "5 nodes, 4 edges, 2 components, 10 properties"},
+         "5 nodes, 4 edges, 2 components, 10 properties", 33, 1},
         {0x2874ba9b8e9d6affULL, 2, "ok",
-         "5 nodes, 6 edges, 1 components, 12 properties"}}},
+         "5 nodes, 6 edges, 1 components, 12 properties", 32, 1}}},
   };
   for (const GoldenRun& run : golden) {
     PipelineOptions options;
@@ -206,6 +213,10 @@ TEST(Nondet, GoldenSchedulesOfTheExtensionBench) {
       EXPECT_EQ(got.support, want.support) << context;
       EXPECT_STREQ(status_name(got.result.status), want.status) << context;
       EXPECT_EQ(graph::structure_summary(got.result.result), want.summary)
+          << context;
+      EXPECT_EQ(got.result.transient_properties, want.transient_properties)
+          << context;
+      EXPECT_EQ(got.result.trials_discarded, want.trials_discarded)
           << context;
     }
   }

@@ -59,35 +59,36 @@ int prop_cost(const graph::Properties& a, const graph::Properties& b,
 void expect_valid(const PropertyGraph& g1, const PropertyGraph& g2,
                   const Matching& m, CostModel model, bool bijective,
                   const std::string& context) {
-  ASSERT_EQ(m.node_map.size(), g1.nodes().size()) << context;
-  ASSERT_EQ(m.edge_map.size(), g1.edges().size()) << context;
+  ASSERT_EQ(m.node_index.size(), g1.nodes().size()) << context;
+  ASSERT_EQ(m.edge_index.size(), g1.edges().size()) << context;
   if (bijective) {
     EXPECT_EQ(g1.nodes().size(), g2.nodes().size()) << context;
     EXPECT_EQ(g1.edges().size(), g2.edges().size()) << context;
   }
   int cost = 0;
-  std::set<graph::Id> node_targets, edge_targets;
-  for (const auto& [a, b] : m.node_map) {
-    const graph::Node* na = g1.find_node(a);
-    const graph::Node* nb = g2.find_node(b);
-    ASSERT_NE(na, nullptr) << context;
-    ASSERT_NE(nb, nullptr) << context;
-    EXPECT_EQ(na->label, nb->label) << context;
-    EXPECT_TRUE(node_targets.insert(b).second)
+  std::set<std::uint32_t> node_targets, edge_targets;
+  for (std::size_t i = 0; i < g1.nodes().size(); ++i) {
+    ASSERT_LT(m.node_index[i], g2.nodes().size()) << context;
+    const graph::Node& na = g1.nodes()[i];
+    const graph::Node& nb = g2.nodes()[m.node_index[i]];
+    EXPECT_EQ(na.label, nb.label) << context;
+    EXPECT_TRUE(node_targets.insert(m.node_index[i]).second)
         << context << ": node map not injective";
-    cost += prop_cost(na->props, nb->props, model);
+    cost += prop_cost(na.props, nb.props, model);
   }
-  for (const auto& [a, b] : m.edge_map) {
-    const graph::Edge* ea = g1.find_edge(a);
-    const graph::Edge* eb = g2.find_edge(b);
-    ASSERT_NE(ea, nullptr) << context;
-    ASSERT_NE(eb, nullptr) << context;
-    EXPECT_EQ(ea->label, eb->label) << context;
-    EXPECT_EQ(m.node_map.at(ea->src), eb->src) << context;
-    EXPECT_EQ(m.node_map.at(ea->tgt), eb->tgt) << context;
-    EXPECT_TRUE(edge_targets.insert(b).second)
+  auto matched_node = [&](const graph::Id& id) {
+    return g2.nodes()[m.node_index[g1.find_node(id) - g1.nodes().data()]].id;
+  };
+  for (std::size_t i = 0; i < g1.edges().size(); ++i) {
+    ASSERT_LT(m.edge_index[i], g2.edges().size()) << context;
+    const graph::Edge& ea = g1.edges()[i];
+    const graph::Edge& eb = g2.edges()[m.edge_index[i]];
+    EXPECT_EQ(ea.label, eb.label) << context;
+    EXPECT_EQ(matched_node(ea.src), eb.src) << context;
+    EXPECT_EQ(matched_node(ea.tgt), eb.tgt) << context;
+    EXPECT_TRUE(edge_targets.insert(m.edge_index[i]).second)
         << context << ": edge map not injective";
-    cost += prop_cost(ea->props, eb->props, model);
+    cost += prop_cost(ea.props, eb.props, model);
   }
   EXPECT_EQ(m.cost, cost) << context;
 }

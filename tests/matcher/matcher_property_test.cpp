@@ -107,8 +107,8 @@ TEST_P(MatcherRandomTest, SubgraphAlwaysEmbedsIntoSupergraph) {
   auto matching = best_subgraph_embedding(bg, fg);
   ASSERT_TRUE(matching.has_value());
   EXPECT_EQ(matching->cost, 0);  // bg elements carry identical properties
-  EXPECT_EQ(matching->node_map.size(), bg.node_count());
-  EXPECT_EQ(matching->edge_map.size(), bg.edge_count());
+  EXPECT_EQ(matching->node_index.size(), bg.node_count());
+  EXPECT_EQ(matching->edge_index.size(), bg.edge_count());
 }
 
 TEST_P(MatcherRandomTest, MatchingIsStructurePreserving) {
@@ -121,17 +121,23 @@ TEST_P(MatcherRandomTest, MatchingIsStructurePreserving) {
   ASSERT_TRUE(matching.has_value());
   // Verify the returned maps really form a homomorphism on labels and
   // endpoints (independently of the engine's own bookkeeping).
-  for (const auto& [bg_id, fg_id] : matching->node_map) {
-    EXPECT_EQ(bg.find_node(bg_id)->label, fg.find_node(fg_id)->label);
+  ASSERT_EQ(matching->node_index.size(), bg.node_count());
+  ASSERT_EQ(matching->edge_index.size(), bg.edge_count());
+  auto matched_node = [&](const graph::Id& id) -> const graph::Node& {
+    return fg.nodes()[matching->node_index[bg.find_node(id) -
+                                           bg.nodes().data()]];
+  };
+  for (std::size_t i = 0; i < bg.node_count(); ++i) {
+    ASSERT_LT(matching->node_index[i], fg.node_count());
+    EXPECT_EQ(bg.nodes()[i].label, fg.nodes()[matching->node_index[i]].label);
   }
-  for (const auto& [bg_id, fg_id] : matching->edge_map) {
-    const graph::Edge* be = bg.find_edge(bg_id);
-    const graph::Edge* fe = fg.find_edge(fg_id);
-    ASSERT_NE(be, nullptr);
-    ASSERT_NE(fe, nullptr);
-    EXPECT_EQ(be->label, fe->label);
-    EXPECT_EQ(matching->node_map.at(be->src), fe->src);
-    EXPECT_EQ(matching->node_map.at(be->tgt), fe->tgt);
+  for (std::size_t i = 0; i < bg.edge_count(); ++i) {
+    const graph::Edge& be = bg.edges()[i];
+    ASSERT_LT(matching->edge_index[i], fg.edge_count());
+    const graph::Edge& fe = fg.edges()[matching->edge_index[i]];
+    EXPECT_EQ(be.label, fe.label);
+    EXPECT_EQ(matched_node(be.src).id, fe.src);
+    EXPECT_EQ(matched_node(be.tgt).id, fe.tgt);
   }
 }
 

@@ -93,8 +93,8 @@ void expect_same_outcome(const std::optional<Matching>& serial,
       << context;
   if (serial.has_value()) {
     EXPECT_EQ(serial->cost, parallel->cost) << context;
-    EXPECT_EQ(serial->node_map, parallel->node_map) << context;
-    EXPECT_EQ(serial->edge_map, parallel->edge_map) << context;
+    EXPECT_EQ(serial->node_index, parallel->node_index) << context;
+    EXPECT_EQ(serial->edge_index, parallel->edge_index) << context;
   }
 }
 
@@ -279,7 +279,7 @@ TEST(ParallelBudget, SerialSemanticsUnchangedAtOneThread) {
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(ss.steps, os.steps);
-  EXPECT_EQ(a->node_map, b->node_map);
+  EXPECT_EQ(a->node_index, b->node_index);
 }
 
 TEST(MemoConcurrency, EachPairStoredExactlyOnce) {
