@@ -1,7 +1,11 @@
 #include "bench_suite/executor.h"
 
+#include <functional>
 #include <map>
+#include <memory_resource>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/strings.h"
@@ -16,7 +20,8 @@ using os::SyscallResult;
 
 class ProgramRun {
  public:
-  ProgramRun(Kernel& kernel, Pid pid) : kernel_(kernel), pid_(pid) {}
+  ProgramRun(Kernel& kernel, Pid pid)
+      : kernel_(kernel), pid_(pid), vars_(kernel.region().resource()) {}
 
   /// Execute one op; returns its syscall result.
   SyscallResult run_op(const Op& o) {
@@ -193,7 +198,7 @@ class ProgramRun {
   /// Variable lookup that tolerates undefined names (generator- or
   /// parser-fed programs may reference a var whose producer op failed):
   /// the fallback flows into the kernel as an invalid fd/pid -> EBADF.
-  long var_or(const std::string& name, long fallback) const {
+  long var_or(std::string_view name, long fallback) const {
     auto it = vars_.find(name);
     return it == vars_.end() ? fallback : it->second;
   }
@@ -203,14 +208,15 @@ class ProgramRun {
     return static_cast<int>(o.a);
   }
 
-  SyscallResult store(const std::string& out, SyscallResult r) {
+  SyscallResult store(std::string_view out, SyscallResult r) {
     if (r.ok() && !out.empty()) vars_[out] = r.ret;
     return r;
   }
 
   Kernel& kernel_;
   Pid pid_;
-  std::map<std::string, long> vars_;
+  /// Variable values by name; the names view the program's ops.
+  std::pmr::map<std::string_view, long, std::less<>> vars_;
 };
 
 }  // namespace
@@ -224,11 +230,12 @@ ExecutionResult execute_program(
   options.layers = layers;
   if (program.creds.has_value()) options.initial_creds = *program.creds;
   Kernel kernel(std::move(options));
+  os::Region& region = kernel.region();
 
   // Staging: prepare the filesystem before recording starts.
-  auto absolute = [](const std::string& path) {
+  auto absolute = [&region](std::string_view path) {
     if (!path.empty() && path.front() == '/') return path;
-    return "/home/user/" + path;
+    return region.join({"/home/user/", path});
   };
   for (const StageAction& action : program.staging) {
     switch (action.kind) {
@@ -248,7 +255,8 @@ ExecutionResult execute_program(
     }
   }
 
-  ExecutionResult result;
+  bool behaviour_ok = true;
+  std::string failure_reason;
   kernel.start_recording();
   Pid pid = kernel.launch_program("/usr/bin/bench", "bench");
   ProgramRun run(kernel, pid);
@@ -256,11 +264,11 @@ ExecutionResult execute_program(
   // Nondeterministic target activity (§5.4 extension): the scheduler
   // decides the completion order of the (independent) target ops, driven
   // by the trial seed. Ops keep their positions otherwise.
-  std::vector<const Op*> ops;
+  std::pmr::vector<const Op*> ops(region.resource());
   ops.reserve(program.ops.size());
   for (const Op& o : program.ops) ops.push_back(&o);
   if (program.shuffle_targets && include_target) {
-    std::vector<std::size_t> target_positions;
+    std::pmr::vector<std::size_t> target_positions(region.resource());
     for (std::size_t i = 0; i < ops.size(); ++i) {
       if (ops[i]->target) target_positions.push_back(i);
     }
@@ -277,8 +285,8 @@ ExecutionResult execute_program(
     SyscallResult r = run.run_op(o);
     bool ok = r.ok();
     if (!o.may_fail && ok == o.expect_failure) {
-      result.behaviour_ok = false;
-      result.failure_reason = util::format(
+      behaviour_ok = false;
+      failure_reason = util::format(
           "%s %s unexpectedly (errno %s)", opcode_name(o.code),
           o.expect_failure ? "succeeded" : "failed",
           os::errno_name(r.error));
@@ -288,8 +296,7 @@ ExecutionResult execute_program(
   }
   kernel.finish_process(pid);
   kernel.stop_recording();
-  result.trace = kernel.take_trace();
-  return result;
+  return {kernel.take_trace(), behaviour_ok, std::move(failure_reason)};
 }
 
 }  // namespace provmark::bench_suite

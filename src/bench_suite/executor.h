@@ -1,5 +1,11 @@
 // Executes a benchmark program against the simulated kernel, producing the
 // per-layer event trace that the recorder simulators consume.
+//
+// A trial's events and build scratch live in one region owned by its
+// trace (os/region.h): the kernel's tables, the executor's variables and
+// staging paths, and the events all draw from it, and so does the
+// recorder that later reads the trace. Moving an ExecutionResult moves
+// the region with it; it is freed in one step when the trace goes.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +17,7 @@
 
 namespace provmark::bench_suite {
 
+/// Move-only, like its trace.
 struct ExecutionResult {
   os::EventTrace trace;
   /// All non-expect_failure ops succeeded and all expect_failure ops

@@ -125,10 +125,11 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
     out.schedules.push_back(std::move(schedule));
   }
 
-  std::sort(out.schedules.begin(), out.schedules.end(),
-            [](const ScheduleResult& a, const ScheduleResult& b) {
-              return a.support > b.support;
-            });
+  // Stable: schedules of equal support keep the order they were found in.
+  std::stable_sort(out.schedules.begin(), out.schedules.end(),
+                   [](const ScheduleResult& a, const ScheduleResult& b) {
+                     return a.support > b.support;
+                   });
   return out;
 }
 

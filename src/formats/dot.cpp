@@ -1,5 +1,7 @@
 #include "formats/dot.h"
 
+#include <memory_resource>
+
 #include <algorithm>
 #include <charconv>
 #include <span>
@@ -13,7 +15,7 @@ namespace provmark::formats {
 
 namespace {
 
-void append_dot_escaped(std::string& out, std::string_view s) {
+void append_dot_escaped(std::pmr::string& out, std::string_view s) {
   std::size_t run = 0;  // start of the pending unescaped run
   for (std::size_t i = 0; i < s.size(); ++i) {
     if (s[i] != '"' && s[i] != '\\') continue;
@@ -58,7 +60,7 @@ std::string_view shape_for(std::string_view label,
 
 /// `, key="value"` for each property. A key is written bare when the
 /// reader takes it back as a bare name, and quoted otherwise.
-void append_attributes(std::string& out,
+void append_attributes(std::pmr::string& out,
                        std::span<const graph::GraphView::Prop> props) {
   for (const auto& [k, v] : props) {
     out += ", ";
@@ -97,7 +99,7 @@ class DotReader {
     // in document order (the last value of a key wins). They are gathered
     // here and laid out per node at the end.
     std::vector<std::pair<std::uint32_t, graph::GraphView::Prop>> node_attrs;
-    std::vector<graph::GraphView::Prop> attrs;
+    std::pmr::vector<graph::GraphView::Prop> attrs;
     while (true) {
       skip_space();
       if (peek() == '}') {
@@ -277,7 +279,7 @@ class DotReader {
   /// `label` (and, on a node, `shape`, which only styles it) to `out`,
   /// and returns the last `label` value, or "" when there is none.
   std::string_view attributes(util::StringArena& arena,
-                              std::vector<graph::GraphView::Prop>& out,
+                              std::pmr::vector<graph::GraphView::Prop>& out,
                               bool node) {
     std::string_view label;
     skip_space();
@@ -311,12 +313,13 @@ class DotReader {
 
 std::string to_dot(const graph::GraphView& view,
                    std::string_view graph_name) {
-  std::string out;
+  // Built in the view's memory, then copied out once at its final size.
+  std::pmr::string out(view.resource());
   out.reserve(160 * (view.nodes.size() + view.edges.size()) + 64);
   out += "digraph ";
   out += graph_name;
   out += " {\n";
-  std::vector<graph::GraphView::Prop> scratch;
+  std::pmr::vector<graph::GraphView::Prop> scratch(view.resource());
   for (const graph::GraphView::NodeRef& n : view.nodes) {
     const std::span<const graph::GraphView::Prop> props =
         view.ordered_props(n, scratch);
@@ -341,7 +344,7 @@ std::string to_dot(const graph::GraphView& view,
     out += "];\n";
   }
   out += "}\n";
-  return out;
+  return std::string(out);
 }
 
 std::string to_dot(const graph::PropertyGraph& g,

@@ -1,6 +1,7 @@
 #include "formats/neo4j.h"
 
 #include <algorithm>
+#include <memory_resource>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -16,7 +17,9 @@ namespace {
 
 using util::Json;
 
-void write_properties(util::JsonWriter& w,
+using Writer = util::BasicJsonWriter<std::pmr::string>;
+
+void write_properties(Writer& w,
                       std::span<const graph::GraphView::Prop> props) {
   w.key("properties");
   w.begin_object();
@@ -122,10 +125,11 @@ Record read_record(util::JsonReader& r, graph::GraphView& view,
 }  // namespace
 
 std::string to_neo4j_json(const graph::GraphView& view) {
-  std::string out;
+  // Built in the view's memory, then copied out once at its final size.
+  std::pmr::string out(view.resource());
   out.reserve(256 * (view.nodes.size() + view.edges.size()) + 64);
-  util::JsonWriter w(out, 2);
-  std::vector<graph::GraphView::Prop> scratch;
+  Writer w(out, 2);
+  std::pmr::vector<graph::GraphView::Prop> scratch(view.resource());
   w.begin_object();
   w.key("nodes");
   w.begin_array();
@@ -158,14 +162,15 @@ std::string to_neo4j_json(const graph::GraphView& view) {
   }
   w.end_array();
   w.end_object();
-  return out;
+  return std::string(out);
 }
 
 std::string to_neo4j_json(const graph::PropertyGraph& g) {
   return to_neo4j_json(graph::view_of(g));
 }
 
-graph::GraphView neo4j_json_view(std::string_view text) {
+graph::GraphView neo4j_json_view(std::string_view text,
+                                 bool* relationships_key) {
   util::JsonReader r(text);
   if (r.peek() != Json::Type::Object) {
     throw std::runtime_error("neo4j export lacks a nodes array");
@@ -204,6 +209,7 @@ graph::GraphView neo4j_json_view(std::string_view text) {
   }
   r.finish();
   if (!has_nodes) throw std::runtime_error("neo4j export lacks a nodes array");
+  if (relationships_key != nullptr) *relationships_key = has_relationships;
   for (const Record& rec : relationships) {
     builder.add_edge(rec.id, rec.start, rec.end, rec.type, rec.first_prop,
                      rec.prop_count);
@@ -216,7 +222,11 @@ graph::PropertyGraph from_neo4j_json(std::string_view text) {
 }
 
 void Neo4jStore::open(std::string_view export_json) {
-  view_ = neo4j_json_view(export_json);
+  open(neo4j_json_view(export_json));
+}
+
+void Neo4jStore::open(graph::GraphView export_view) {
+  view_ = std::move(export_view);
   // Model the one-time database startup cost: repeated full index builds.
   // The checksum keeps the optimizer from eliding the work and doubles as
   // an internal consistency check across rounds. The index is built at
@@ -232,7 +242,7 @@ void Neo4jStore::open(std::string_view export_json) {
   }
   // Hand nodes out in the label index's order, labels ascending and ids
   // ascending within a label: the order MATCH (n) RETURN n walks it.
-  std::vector<graph::GraphView::NodeRef>& nodes = view_.nodes;
+  std::pmr::vector<graph::GraphView::NodeRef>& nodes = view_.nodes;
   std::vector<std::uint32_t> order(nodes.size());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&nodes](std::uint32_t a,
@@ -240,7 +250,7 @@ void Neo4jStore::open(std::string_view export_json) {
     return std::tie(nodes[a].label, nodes[a].id) <
            std::tie(nodes[b].label, nodes[b].id);
   });
-  std::vector<graph::GraphView::NodeRef> ordered;
+  std::pmr::vector<graph::GraphView::NodeRef> ordered(view_.resource());
   ordered.reserve(nodes.size());
   std::vector<std::uint32_t> position(nodes.size());
   for (std::uint32_t old : order) {

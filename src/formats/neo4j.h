@@ -40,8 +40,11 @@ std::string to_neo4j_json(const graph::PropertyGraph& g);
 
 /// Read a Neo4j export document into a view over `text`. Throws
 /// std::runtime_error on malformed records and std::invalid_argument on
-/// missing endpoints or an id clash.
-graph::GraphView neo4j_json_view(std::string_view text);
+/// missing endpoints or an id clash. When `relationships` is given it is
+/// set to whether the document has a `relationships` key (with `nodes`,
+/// which a read requires, what detect_format takes for an export).
+graph::GraphView neo4j_json_view(std::string_view text,
+                                 bool* relationships = nullptr);
 
 /// neo4j_json_view(text), materialized.
 graph::PropertyGraph from_neo4j_json(std::string_view text);
@@ -63,6 +66,9 @@ class Neo4jStore {
   /// (the expensive step). The store reads the document in place: it
   /// must outlive the store and any view taken from it.
   void open(std::string_view export_json);
+
+  /// open() for a document already read by neo4j_json_view.
+  void open(graph::GraphView export_view);
 
   /// Cypher-lite: `MATCH (n) RETURN n` — all nodes in label-index order
   /// (labels ascending, ids ascending within a label).

@@ -1,6 +1,7 @@
 #include "formats/prov_json.h"
 
 #include <algorithm>
+#include <memory_resource>
 #include <array>
 #include <map>
 #include <stdexcept>
@@ -54,10 +55,12 @@ bool is_node_kind(std::string_view name) {
 /// One relation section: each edge's endpoint keys first, then its
 /// properties. A property named like an endpoint key takes that key's
 /// place (PROV-JSON has one value per attribute name).
-void write_relation(util::JsonWriter& w, std::string_view relation,
+using Writer = util::BasicJsonWriter<std::pmr::string>;
+
+void write_relation(Writer& w, std::string_view relation,
                     const graph::GraphView& view,
-                    const std::vector<std::uint32_t>& edges,
-                    std::vector<graph::GraphView::Prop>& scratch) {
+                    const std::pmr::vector<std::uint32_t>& edges,
+                    std::pmr::vector<graph::GraphView::Prop>& scratch) {
   const RelationKeys* keys = known_relation(relation);
   std::string_view src_key = keys ? keys->src_key : "prov:from";
   std::string_view tgt_key = keys ? keys->tgt_key : "prov:to";
@@ -90,16 +93,19 @@ void write_relation(util::JsonWriter& w, std::string_view relation,
 }  // namespace
 
 std::string to_prov_json(const graph::GraphView& view) {
-  // Edges grouped by relation label, sections in label order.
-  std::map<std::string_view, std::vector<std::uint32_t>> relations;
+  // Everything is built in the view's memory; the document is copied out
+  // once at its final size. Edges grouped by relation label, sections in
+  // label order.
+  std::pmr::map<std::string_view, std::pmr::vector<std::uint32_t>> relations(
+      view.resource());
   for (std::uint32_t i = 0; i < view.edges.size(); ++i) {
     relations[view.edges[i].label].push_back(i);
   }
 
-  std::string out;
+  std::pmr::string out(view.resource());
   out.reserve(256 * (view.nodes.size() + view.edges.size()) + 64);
-  util::JsonWriter w(out, 2);
-  std::vector<graph::GraphView::Prop> scratch;
+  Writer w(out, 2);
+  std::pmr::vector<graph::GraphView::Prop> scratch(view.resource());
   w.begin_object();
   for (std::string_view kind : kNodeKinds) {
     auto in_kind = [&](const graph::GraphView::NodeRef& n) {
@@ -134,7 +140,7 @@ std::string to_prov_json(const graph::GraphView& view) {
     write_relation(w, relation, view, edges, scratch);
   }
   w.end_object();
-  return out;
+  return std::string(out);
 }
 
 std::string to_prov_json(const graph::PropertyGraph& g) {

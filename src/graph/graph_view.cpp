@@ -21,7 +21,7 @@ PropertyGraph GraphView::materialize() const {
 }
 
 std::span<const GraphView::Prop> GraphView::ordered(
-    std::span<const Prop> props, std::vector<Prop>& scratch) {
+    std::span<const Prop> props, std::pmr::vector<Prop>& scratch) {
   auto before = [](const Prop& a, const Prop& b) { return a.key < b.key; };
   if (std::adjacent_find(props.begin(), props.end(),
                          [&](const Prop& a, const Prop& b) {
@@ -112,7 +112,7 @@ std::uint32_t hash_id(std::string_view id) {
 }  // namespace
 
 GraphViewBuilder::GraphViewBuilder(GraphView& view)
-    : view_(view), slots_(64) {}
+    : view_(view), slots_(64, view.resource()) {}
 
 std::string_view GraphViewBuilder::id_of(std::uint32_t element) const {
   return (element & kEdgeBit) != 0
@@ -139,7 +139,7 @@ std::uint32_t GraphViewBuilder::find_node(std::string_view id) const {
 void GraphViewBuilder::claim(std::string_view id, std::uint32_t element) {
   if ((used_ + 1) * 2 > slots_.size()) {
     // Grow at half load; the stored hashes place every entry again.
-    std::vector<Slot> old(slots_.size() * 2);
+    std::pmr::vector<Slot> old(slots_.size() * 2, slots_.get_allocator());
     old.swap(slots_);
     const std::size_t mask = slots_.size() - 1;
     for (const Slot& slot : old) {

@@ -25,9 +25,15 @@
 // document it was read from, or the event trace a recorder built it
 // from. It is move-only, because its arena moves with it; a moved view's
 // string views stay valid.
+//
+// Memory: the element and property lists draw from the view's memory
+// resource — the heap by default; a recorder builds its view in the
+// trial's region (systems/recorded_graph.h). The writers in formats/
+// take their scratch from the same resource.
 #pragma once
 
 #include <cstdint>
+#include <memory_resource>
 #include <span>
 #include <string>
 #include <string_view>
@@ -58,12 +64,15 @@ struct GraphView {
     std::uint32_t prop_count = 0;
   };
 
-  std::vector<NodeRef> nodes;  ///< in PropertyGraph insertion order
-  std::vector<EdgeRef> edges;
-  std::vector<Prop> props;
+  std::pmr::vector<NodeRef> nodes;  ///< in PropertyGraph insertion order
+  std::pmr::vector<EdgeRef> edges;
+  std::pmr::vector<Prop> props;
   util::StringArena arena;
 
   GraphView() = default;
+  /// An empty view whose lists draw from `memory`.
+  explicit GraphView(std::pmr::memory_resource* memory)
+      : nodes(memory), edges(memory), props(memory) {}
   GraphView(GraphView&&) = default;
   GraphView& operator=(GraphView&&) = default;
   GraphView(const GraphView&) = delete;
@@ -75,6 +84,11 @@ struct GraphView {
     nodes.reserve(bytes / 128);
     edges.reserve(bytes / 128);
     props.reserve(bytes / 24);
+  }
+
+  /// The memory resource the view's lists draw from.
+  std::pmr::memory_resource* resource() const {
+    return nodes.get_allocator().resource();
   }
 
   template <typename Element>
@@ -99,7 +113,7 @@ struct GraphView {
   /// `scratch`.
   template <typename Element>
   std::span<const Prop> ordered_props(const Element& element,
-                                      std::vector<Prop>& scratch) const {
+                                      std::pmr::vector<Prop>& scratch) const {
     return ordered(props_of(element), scratch);
   }
 
@@ -109,7 +123,7 @@ struct GraphView {
 
  private:
   static std::span<const Prop> ordered(std::span<const Prop> props,
-                                       std::vector<Prop>& scratch);
+                                       std::pmr::vector<Prop>& scratch);
 };
 
 /// A view of `g`'s own strings (nothing goes in the arena). Valid while
@@ -163,7 +177,7 @@ class GraphViewBuilder {
   void claim(std::string_view id, std::uint32_t element);
 
   GraphView& view_;
-  std::vector<Slot> slots_;  ///< open addressing, power-of-two size
+  std::pmr::vector<Slot> slots_;  ///< open addressing, power-of-two size
   std::size_t used_ = 0;
 };
 

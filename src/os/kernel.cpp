@@ -9,12 +9,6 @@ namespace provmark::os {
 
 namespace {
 
-std::string flags_to_string(int flags) {
-  // Access mode 03 has no name of its own and reads as O_RDWR.
-  if ((flags & kO_ACCMODE) == kO_ACCMODE) flags &= ~kO_WRONLY;
-  return flag_names(kOpenFlagNames, flags, &FlagName::name, '|');
-}
-
 const char* kind_for_type(FileType type) {
   switch (type) {
     case FileType::Regular: return "file";
@@ -28,17 +22,6 @@ const char* kind_for_type(FileType type) {
 }
 
 }  // namespace
-
-std::string flag_names(std::span<const FlagName> table, int flags,
-                       std::string_view FlagName::*column, char separator) {
-  std::string out;
-  for (const FlagName& flag : table) {
-    if ((flags & flag.mask) != flag.bits || (flag.*column).empty()) continue;
-    if (!out.empty()) out += separator;
-    out += flag.*column;
-  }
-  return out;
-}
 
 std::string time_field(double seconds) {
   // Fixed notation of any finite double fits: 309 integer digits, sign,
@@ -65,11 +48,11 @@ const FlagName* find_flag(std::span<const FlagName> table,
   return nullptr;
 }
 
-const std::set<std::string>& Kernel::audit_rule_set() {
+const std::set<std::string_view>& Kernel::audit_rule_set() {
   // The syscalls covered by SPADE's default audit rules. Notable absences
   // (driving Table 2 "NR" cells for SPADE): mknod*, chown*, setres*,
   // pipe*, tee, kill.
-  static const std::set<std::string> kRules = {
+  static const std::set<std::string_view> kRules = {
       "close",    "creat",     "dup",      "dup2",     "dup3",
       "link",     "linkat",    "symlink",  "symlinkat", "open",
       "openat",   "read",      "pread",    "write",    "pwrite",
@@ -83,22 +66,27 @@ const std::set<std::string>& Kernel::audit_rule_set() {
 Kernel::Kernel() : Kernel(Options{}) {}
 
 Kernel::Kernel(Options options)
-    : options_(std::move(options)),
+    : region_(std::make_shared<Region>()),
+      options_(std::move(options)),
       rng_(options_.seed),
+      vfs_(memory()),
+      processes_(memory()),
       next_pid_(0),
-      clock_(0) {
+      trace_(region_),
+      clock_(0),
+      deferred_audit_(memory()) {
   next_pid_ = static_cast<Pid>(2000 + rng_.next_below(5000));
   clock_ = 1.6e9 + static_cast<double>(rng_.next_below(1000000));
   next_audit_serial_ = 10000 + rng_.next_below(80000);
 
-  Process shell;
+  Process shell(memory());
   shell.pid = allocate_pid();
   shell.ppid = 1;
   shell.creds = options_.initial_creds;
   shell.comm = "sh";
   shell.exe = "/usr/bin/sh";
   shell_pid_ = shell.pid;
-  processes_[shell.pid] = shell;
+  processes_.emplace(shell.pid, std::move(shell));
 }
 
 Pid Kernel::allocate_pid() { return next_pid_++; }
@@ -108,33 +96,48 @@ double Kernel::now() {
   return clock_;
 }
 
-std::string Kernel::resolve_path(const Process& p,
-                                 const std::string& path) const {
-  if (!path.empty() && path.front() == '/') return path;
-  return p.cwd + "/" + path;
+std::string_view Kernel::resolve_path(const Process& p,
+                                      std::string_view path) {
+  if (!path.empty() && path.front() == '/') return keep(path);
+  return region_->join({p.cwd, "/", path});
+}
+
+std::string_view Kernel::open_flags_text(int flags) {
+  // Access mode 03 has no name of its own and reads as O_RDWR.
+  if ((flags & kO_ACCMODE) == kO_ACCMODE) flags &= ~kO_WRONLY;
+  std::pmr::string text(memory());
+  return keep(
+      append_flag_names(text, kOpenFlagNames, flags, &FlagName::name, '|'));
+}
+
+std::string_view Kernel::prot_text(int prot) {
+  if (prot == 0) prot = kProtNames[0].bits;  // 0 is treated as PROT_READ
+  std::pmr::string text(memory());
+  append_flag_names(text, kProtNames, prot, &FlagName::name, '|');
+  return text.empty() ? "PROT_NONE" : keep(text);
 }
 
 // ---------------------------------------------------------------------------
 // staging
 // ---------------------------------------------------------------------------
 
-void Kernel::stage_file(const std::string& path, int mode, int uid, int gid) {
+void Kernel::stage_file(std::string_view path, int mode, int uid, int gid) {
   vfs_.unlink(path);
   vfs_.create(path, FileType::Regular, mode, uid, gid);
 }
 
-void Kernel::stage_fifo(const std::string& path) {
+void Kernel::stage_fifo(std::string_view path) {
   vfs_.unlink(path);
   vfs_.create(path, FileType::Fifo, 0644, 0, 0);
 }
 
-void Kernel::stage_symlink(const std::string& target,
-                           const std::string& path) {
+void Kernel::stage_symlink(std::string_view target,
+                           std::string_view path) {
   vfs_.unlink(path);
   vfs_.symlink(target, path, 0, 0);
 }
 
-void Kernel::stage_remove(const std::string& path) { vfs_.unlink(path); }
+void Kernel::stage_remove(std::string_view path) { vfs_.unlink(path); }
 
 // ---------------------------------------------------------------------------
 // event emission
@@ -145,7 +148,7 @@ LibcEvent* Kernel::emit_libc(Pid pid, std::string_view function, long ret,
   if (!recording_) return nullptr;
   const std::uint64_t seq = next_seq_++;
   if (!options_.layers.has(Layer::Libc)) return nullptr;
-  LibcEvent& event = trace_.libc.emplace_back();
+  LibcEvent& event = trace_.libc.emplace_back(memory());
   event.function = function;
   event.ret = ret;
   event.err = static_cast<int>(err);
@@ -154,12 +157,12 @@ LibcEvent* Kernel::emit_libc(Pid pid, std::string_view function, long ret,
   return &event;
 }
 
-AuditEvent* Kernel::emit_audit(Pid pid, const std::string& syscall,
+AuditEvent* Kernel::emit_audit(Pid pid, std::string_view syscall,
                                bool success, long exit_code) {
   if (!recording_) return nullptr;
-  if (audit_rule_set().count(syscall) == 0 &&
+  if (!audit_rule_set().contains(syscall) &&
       (options_.extra_audit_rules == nullptr ||
-       options_.extra_audit_rules->count(syscall) == 0)) {
+       !options_.extra_audit_rules->contains(std::string(syscall)))) {
     return nullptr;
   }
   // SPADE's default audit rules filter on success (the Alice use case,
@@ -169,7 +172,7 @@ AuditEvent* Kernel::emit_audit(Pid pid, const std::string& syscall,
   const std::uint64_t serial = next_audit_serial_++;
   const std::uint64_t seq = next_seq_++;
   const bool built = options_.layers.has(Layer::Audit);
-  AuditEvent event;
+  AuditEvent event(memory());
   if (built) {
     const Process& p = processes_.at(pid);
     event.syscall = syscall;
@@ -181,7 +184,7 @@ AuditEvent* Kernel::emit_audit(Pid pid, const std::string& syscall,
     event.comm = p.comm;
     event.exe = p.exe;
     event.cwd = p.cwd;
-    event.fields.emplace("time", time_field(time));
+    event.fields.emplace("time", keep(time_field(time)));
     event.serial = serial;
     event.seq = seq;
   }
@@ -206,45 +209,42 @@ LsmEvent* Kernel::emit_lsm(Pid pid, std::string_view hook,
   const double time = now();
   const std::uint64_t seq = next_seq_++;
   if (!options_.layers.has(Layer::Lsm)) return nullptr;
-  LsmEvent& event = trace_.lsm.emplace_back();
+  LsmEvent& event = trace_.lsm.emplace_back(memory());
   event.hook = hook;
   event.pid = pid;
   event.creds = processes_.at(pid).creds;
-  event.fields.emplace("time", time_field(time));
+  event.fields.emplace("time", keep(time_field(time)));
   event.permission_denied = permission_denied;
   event.seq = seq;
   return &event;
 }
 
 /// `path` for an LSM object: none for an anonymous object (empty path).
-std::optional<std::string> Kernel::lsm_path(const std::string& path) {
+std::optional<std::string_view> Kernel::lsm_path(std::string_view path) {
   if (path.empty()) return std::nullopt;
   return path;
 }
 
-LsmObject Kernel::object_for_inode(std::uint64_t ino,
-                                   std::optional<std::string> path) const {
-  LsmObject object;
+LsmObject Kernel::object_for_inode(
+    std::uint64_t ino, std::optional<std::string_view> path) const {
   const Inode* inode = vfs_.inode(ino);
-  object.kind = inode != nullptr ? kind_for_type(inode->type) : "file";
-  object.id = ino;
-  object.path = std::move(path);
-  return object;
+  return LsmObject{inode != nullptr ? kind_for_type(inode->type) : "file",
+                   ino, path};
 }
 
 // ---------------------------------------------------------------------------
 // process lifecycle
 // ---------------------------------------------------------------------------
 
-Pid Kernel::launch_program(const std::string& exe_path,
-                           const std::string& comm) {
+Pid Kernel::launch_program(std::string_view exe_path,
+                           std::string_view comm) {
   // fork from the harness shell...
   SyscallResult fork_result = sys_fork(shell_pid_);
   Pid child = static_cast<Pid>(fork_result.ret);
   // ...then execve the benchmark binary (records loader boilerplate too).
   sys_execve(child, exe_path);
   Process& p = processes_.at(child);
-  p.comm = comm;
+  p.comm = keep(comm);
   return child;
 }
 
@@ -308,11 +308,11 @@ void Kernel::loader_activity(Pid pid) {
 // file syscalls
 // ---------------------------------------------------------------------------
 
-SyscallResult Kernel::do_open(Pid pid, const std::string& call,
-                              const std::string& raw_path, int flags,
+SyscallResult Kernel::do_open(Pid pid, std::string_view call,
+                              std::string_view raw_path, int flags,
                               int mode) {
   Process& p = processes_.at(pid);
-  std::string path = resolve_path(p, raw_path);
+  std::string_view path = resolve_path(p, raw_path);
   bool created = false;
   VfsResult lookup = vfs_.lookup(path);
   Errno error = Errno::None;
@@ -353,11 +353,11 @@ SyscallResult Kernel::do_open(Pid pid, const std::string& call,
   }
 
   if (LibcEvent* e = emit_libc(pid, call, result.ret, result.error)) {
-    e->args = {raw_path, flags_to_string(flags)};
+    e->args = {keep(raw_path), open_flags_text(flags)};
   }
   if (AuditEvent* e = emit_audit(pid, call, result.ok(), result.ret)) {
     e->paths.push_back({path, lookup.ino, created ? "CREATE" : "NORMAL"});
-    e->fields.emplace("flags", flags_to_string(flags));
+    e->fields.emplace("flags", open_flags_text(flags));
   }
   if (created) {
     if (LsmEvent* e = emit_lsm(pid, "inode_create")) {
@@ -370,23 +370,23 @@ SyscallResult Kernel::do_open(Pid pid, const std::string& call,
       e->object = result.ok() || lookup.ino != 0
                       ? object_for_inode(lookup.ino, path)
                       : LsmObject{"file", 0, path};
-      e->fields.emplace("flags", flags_to_string(flags));
+      e->fields.emplace("flags", open_flags_text(flags));
     }
   }
   return result;
 }
 
-SyscallResult Kernel::sys_open(Pid pid, const std::string& path, int flags,
+SyscallResult Kernel::sys_open(Pid pid, std::string_view path, int flags,
                                int mode) {
   return do_open(pid, "open", path, flags, mode);
 }
 
-SyscallResult Kernel::sys_openat(Pid pid, const std::string& path, int flags,
+SyscallResult Kernel::sys_openat(Pid pid, std::string_view path, int flags,
                                  int mode) {
   return do_open(pid, "openat", path, flags, mode);
 }
 
-SyscallResult Kernel::sys_creat(Pid pid, const std::string& path, int mode) {
+SyscallResult Kernel::sys_creat(Pid pid, std::string_view path, int mode) {
   return do_open(pid, "creat", path, kO_CREAT | kO_WRONLY | kO_TRUNC, mode);
 }
 
@@ -395,7 +395,7 @@ SyscallResult Kernel::sys_close(Pid pid, int fd) {
   auto it = p.fds.find(fd);
   SyscallResult result;
   std::uint64_t ino = 0;
-  std::string path;
+  std::string_view path;
   if (it == p.fds.end()) {
     result = SyscallResult::fail(Errno::kBADF);
   } else {
@@ -405,10 +405,10 @@ SyscallResult Kernel::sys_close(Pid pid, int fd) {
     result = SyscallResult::success(0);
   }
   if (LibcEvent* e = emit_libc(pid, "close", result.ret, result.error)) {
-    e->args = {std::to_string(fd)};
+    e->args = {num(fd)};
   }
   if (AuditEvent* e = emit_audit(pid, "close", result.ok(), result.ret)) {
-    e->fields.emplace("a0", std::to_string(fd));
+    e->fields.emplace("a0", num(fd));
   }
   if (result.ok()) {
     // The kernel frees the inode structure lazily (RCU); whether the free
@@ -423,7 +423,7 @@ SyscallResult Kernel::sys_close(Pid pid, int fd) {
   return result;
 }
 
-SyscallResult Kernel::do_dup(Pid pid, const std::string& call, int fd,
+SyscallResult Kernel::do_dup(Pid pid, std::string_view call, int fd,
                              int newfd) {
   Process& p = processes_.at(pid);
   auto it = p.fds.find(fd);
@@ -436,11 +436,11 @@ SyscallResult Kernel::do_dup(Pid pid, const std::string& call, int fd,
     result = SyscallResult::success(assigned);
   }
   if (LibcEvent* e = emit_libc(pid, call, result.ret, result.error)) {
-    e->args = {std::to_string(fd)};
-    if (newfd >= 0) e->args.push_back(std::to_string(newfd));
+    e->args = {num(fd)};
+    if (newfd >= 0) e->args.push_back(num(newfd));
   }
   if (AuditEvent* e = emit_audit(pid, call, result.ok(), result.ret)) {
-    e->fields.emplace("a0", std::to_string(fd));
+    e->fields.emplace("a0", num(fd));
   }
   // No LSM hook fires for dup: duplicating a descriptor touches only
   // process-local state (Table 2: CamFlow dup rows are empty/NR).
@@ -460,13 +460,13 @@ SyscallResult Kernel::sys_dup3(Pid pid, int fd, int newfd, int flags) {
   return do_dup(pid, "dup3", fd, newfd);
 }
 
-SyscallResult Kernel::do_io(Pid pid, const std::string& call, int fd,
+SyscallResult Kernel::do_io(Pid pid, std::string_view call, int fd,
                             std::uint64_t count, bool is_write) {
   Process& p = processes_.at(pid);
   auto it = p.fds.find(fd);
   SyscallResult result;
   std::uint64_t ino = 0;
-  std::string path;
+  std::string_view path;
   if (it == p.fds.end()) {
     result = SyscallResult::fail(Errno::kBADF);
   } else {
@@ -481,11 +481,11 @@ SyscallResult Kernel::do_io(Pid pid, const std::string& call, int fd,
     result = SyscallResult::success(static_cast<long>(count));
   }
   if (LibcEvent* e = emit_libc(pid, call, result.ret, result.error)) {
-    e->args = {std::to_string(fd), std::to_string(count)};
+    e->args = {num(fd), num(count)};
   }
   if (AuditEvent* e = emit_audit(pid, call, result.ok(), result.ret)) {
     if (!path.empty()) e->paths.push_back({path, ino, "NORMAL"});
-    e->fields.emplace("a0", std::to_string(fd));
+    e->fields.emplace("a0", num(fd));
   }
   if (result.ok()) {
     if (LsmEvent* e = emit_lsm(pid, "file_permission")) {
@@ -516,17 +516,17 @@ SyscallResult Kernel::sys_pwrite(Pid pid, int fd, std::uint64_t count,
   return do_io(pid, "pwrite", fd, count, true);
 }
 
-SyscallResult Kernel::do_link(Pid pid, const std::string& call,
-                              const std::string& old_raw,
-                              const std::string& new_raw) {
+SyscallResult Kernel::do_link(Pid pid, std::string_view call,
+                              std::string_view old_raw,
+                              std::string_view new_raw) {
   Process& p = processes_.at(pid);
-  std::string old_path = resolve_path(p, old_raw);
-  std::string new_path = resolve_path(p, new_raw);
+  std::string_view old_path = resolve_path(p, old_raw);
+  std::string_view new_path = resolve_path(p, new_raw);
   VfsResult result = vfs_.link(old_path, new_path);
   SyscallResult sys = result.ok() ? SyscallResult::success(0)
                                   : SyscallResult::fail(result.error);
   if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
-    e->args = {old_raw, new_raw};
+    e->args = {keep(old_raw), keep(new_raw)};
   }
   if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
     e->paths.push_back({old_path, result.ino, "NORMAL"});
@@ -541,88 +541,88 @@ SyscallResult Kernel::do_link(Pid pid, const std::string& call,
   return sys;
 }
 
-SyscallResult Kernel::sys_link(Pid pid, const std::string& old_path,
-                               const std::string& new_path) {
+SyscallResult Kernel::sys_link(Pid pid, std::string_view old_path,
+                               std::string_view new_path) {
   return do_link(pid, "link", old_path, new_path);
 }
 
-SyscallResult Kernel::sys_linkat(Pid pid, const std::string& old_path,
-                                 const std::string& new_path) {
+SyscallResult Kernel::sys_linkat(Pid pid, std::string_view old_path,
+                                 std::string_view new_path) {
   return do_link(pid, "linkat", old_path, new_path);
 }
 
-SyscallResult Kernel::do_symlink(Pid pid, const std::string& call,
-                                 const std::string& target,
-                                 const std::string& link_raw) {
+SyscallResult Kernel::do_symlink(Pid pid, std::string_view call,
+                                 std::string_view target,
+                                 std::string_view link_raw) {
   Process& p = processes_.at(pid);
-  std::string link_path = resolve_path(p, link_raw);
+  std::string_view link_path = resolve_path(p, link_raw);
   VfsResult result = vfs_.symlink(target, link_path, p.creds.euid,
                                   p.creds.egid);
   SyscallResult sys = result.ok() ? SyscallResult::success(0)
                                   : SyscallResult::fail(result.error);
   if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
-    e->args = {target, link_raw};
+    e->args = {keep(target), keep(link_raw)};
   }
   if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
     e->paths.push_back({link_path, result.ino, "CREATE"});
-    e->fields.emplace("target", target);
+    e->fields.emplace("target", keep(target));
   }
   if (sys.ok()) {
     if (LsmEvent* e = emit_lsm(pid, "inode_symlink")) {
       e->object = object_for_inode(result.ino, link_path);
-      e->fields.emplace("target", target);
+      e->fields.emplace("target", keep(target));
     }
   }
   return sys;
 }
 
-SyscallResult Kernel::sys_symlink(Pid pid, const std::string& target,
-                                  const std::string& link_path) {
+SyscallResult Kernel::sys_symlink(Pid pid, std::string_view target,
+                                  std::string_view link_path) {
   return do_symlink(pid, "symlink", target, link_path);
 }
 
-SyscallResult Kernel::sys_symlinkat(Pid pid, const std::string& target,
-                                    const std::string& link_path) {
+SyscallResult Kernel::sys_symlinkat(Pid pid, std::string_view target,
+                                    std::string_view link_path) {
   return do_symlink(pid, "symlinkat", target, link_path);
 }
 
-SyscallResult Kernel::do_mknod(Pid pid, const std::string& call,
-                               const std::string& raw_path, int mode) {
+SyscallResult Kernel::do_mknod(Pid pid, std::string_view call,
+                               std::string_view raw_path, int mode) {
   Process& p = processes_.at(pid);
-  std::string path = resolve_path(p, raw_path);
+  std::string_view path = resolve_path(p, raw_path);
   VfsResult result =
       vfs_.create(path, FileType::Fifo, mode, p.creds.euid, p.creds.egid);
   SyscallResult sys = result.ok() ? SyscallResult::success(0)
                                   : SyscallResult::fail(result.error);
   if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
-    e->args = {raw_path, octal_field(mode)};
+    e->args = {keep(raw_path), keep(octal_field(mode))};
   }
   // mknod / mknodat are not in the default audit rule set (SPADE: NR).
   emit_audit(pid, call, sys.ok(), sys.ret);
   if (sys.ok()) {
     if (LsmEvent* e = emit_lsm(pid, "inode_mknod")) {
       e->object = object_for_inode(result.ino, path);
-      e->fields.emplace("mode", octal_field(mode));
+      e->fields.emplace("mode", keep(octal_field(mode)));
     }
   }
   return sys;
 }
 
-SyscallResult Kernel::sys_mknod(Pid pid, const std::string& path, int mode) {
+SyscallResult Kernel::sys_mknod(Pid pid, std::string_view path, int mode) {
   return do_mknod(pid, "mknod", path, mode);
 }
 
-SyscallResult Kernel::sys_mknodat(Pid pid, const std::string& path,
+SyscallResult Kernel::sys_mknodat(Pid pid, std::string_view path,
                                   int mode) {
   return do_mknod(pid, "mknodat", path, mode);
 }
 
-SyscallResult Kernel::do_rename(Pid pid, const std::string& call,
-                                const std::string& old_raw,
-                                const std::string& new_raw) {
+SyscallResult Kernel::do_rename(Pid pid, std::string_view call,
+                                std::string_view old_raw,
+                                std::string_view new_raw) {
   Process& p = processes_.at(pid);
-  std::string old_path = resolve_path(p, old_raw);
-  std::string new_path = resolve_path(p, new_raw);
+  std::string_view old_path = resolve_path(p, old_raw);
+  std::string_view new_path = resolve_path(p, new_raw);
   // Permission: writable parent directories; a root-owned existing target
   // in a root-owned directory fails for unprivileged users (the Alice
   // scenario: rename onto /etc/passwd).
@@ -631,7 +631,7 @@ SyscallResult Kernel::do_rename(Pid pid, const std::string& call,
   if (!old_lookup.ok()) {
     error = old_lookup.error;
   } else {
-    for (const std::string& dir :
+    for (std::string_view dir :
          {Vfs::parent_of(old_path), Vfs::parent_of(new_path)}) {
       VfsResult parent = vfs_.lookup(dir);
       if (!parent.ok()) {
@@ -655,7 +655,7 @@ SyscallResult Kernel::do_rename(Pid pid, const std::string& call,
     sys = SyscallResult::fail(error);
   }
   if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
-    e->args = {old_raw, new_raw};
+    e->args = {keep(old_raw), keep(new_raw)};
   }
   if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
     e->paths.push_back({old_path, ino, "DELETE"});
@@ -671,20 +671,20 @@ SyscallResult Kernel::do_rename(Pid pid, const std::string& call,
   return sys;
 }
 
-SyscallResult Kernel::sys_rename(Pid pid, const std::string& old_path,
-                                 const std::string& new_path) {
+SyscallResult Kernel::sys_rename(Pid pid, std::string_view old_path,
+                                 std::string_view new_path) {
   return do_rename(pid, "rename", old_path, new_path);
 }
 
-SyscallResult Kernel::sys_renameat(Pid pid, const std::string& old_path,
-                                   const std::string& new_path) {
+SyscallResult Kernel::sys_renameat(Pid pid, std::string_view old_path,
+                                   std::string_view new_path) {
   return do_rename(pid, "renameat", old_path, new_path);
 }
 
-SyscallResult Kernel::sys_truncate(Pid pid, const std::string& raw_path,
+SyscallResult Kernel::sys_truncate(Pid pid, std::string_view raw_path,
                                    std::uint64_t length) {
   Process& p = processes_.at(pid);
-  std::string path = resolve_path(p, raw_path);
+  std::string_view path = resolve_path(p, raw_path);
   VfsResult lookup = vfs_.lookup(path);
   Errno error = lookup.error;
   if (lookup.ok() &&
@@ -699,7 +699,7 @@ SyscallResult Kernel::sys_truncate(Pid pid, const std::string& raw_path,
     sys = SyscallResult::fail(error);
   }
   if (LibcEvent* e = emit_libc(pid, "truncate", sys.ret, sys.error)) {
-    e->args = {raw_path, std::to_string(length)};
+    e->args = {keep(raw_path), num(length)};
   }
   if (AuditEvent* e = emit_audit(pid, "truncate", sys.ok(), sys.ret)) {
     e->paths.push_back({path, lookup.ino, "NORMAL"});
@@ -718,7 +718,7 @@ SyscallResult Kernel::sys_ftruncate(Pid pid, int fd, std::uint64_t length) {
   auto it = p.fds.find(fd);
   SyscallResult sys;
   std::uint64_t ino = 0;
-  std::string path;
+  std::string_view path;
   if (it == p.fds.end()) {
     sys = SyscallResult::fail(Errno::kBADF);
   } else {
@@ -729,7 +729,7 @@ SyscallResult Kernel::sys_ftruncate(Pid pid, int fd, std::uint64_t length) {
     sys = SyscallResult::success(0);
   }
   if (LibcEvent* e = emit_libc(pid, "ftruncate", sys.ret, sys.error)) {
-    e->args = {std::to_string(fd), std::to_string(length)};
+    e->args = {num(fd), num(length)};
   }
   if (AuditEvent* e = emit_audit(pid, "ftruncate", sys.ok(), sys.ret)) {
     if (!path.empty()) e->paths.push_back({path, ino, "NORMAL"});
@@ -743,10 +743,10 @@ SyscallResult Kernel::sys_ftruncate(Pid pid, int fd, std::uint64_t length) {
   return sys;
 }
 
-SyscallResult Kernel::do_unlink(Pid pid, const std::string& call,
-                                const std::string& raw_path) {
+SyscallResult Kernel::do_unlink(Pid pid, std::string_view call,
+                                std::string_view raw_path) {
   Process& p = processes_.at(pid);
-  std::string path = resolve_path(p, raw_path);
+  std::string_view path = resolve_path(p, raw_path);
   VfsResult lookup = vfs_.lookup(path, false);
   Errno error = lookup.error;
   if (lookup.ok()) {
@@ -766,7 +766,7 @@ SyscallResult Kernel::do_unlink(Pid pid, const std::string& call,
     sys = SyscallResult::fail(error);
   }
   if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
-    e->args = {raw_path};
+    e->args = {keep(raw_path)};
   }
   if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
     e->paths.push_back({path, ino, "DELETE"});
@@ -779,11 +779,11 @@ SyscallResult Kernel::do_unlink(Pid pid, const std::string& call,
   return sys;
 }
 
-SyscallResult Kernel::sys_unlink(Pid pid, const std::string& path) {
+SyscallResult Kernel::sys_unlink(Pid pid, std::string_view path) {
   return do_unlink(pid, "unlink", path);
 }
 
-SyscallResult Kernel::sys_unlinkat(Pid pid, const std::string& path) {
+SyscallResult Kernel::sys_unlinkat(Pid pid, std::string_view path) {
   return do_unlink(pid, "unlinkat", path);
 }
 
@@ -791,10 +791,10 @@ SyscallResult Kernel::sys_unlinkat(Pid pid, const std::string& path) {
 // permissions
 // ---------------------------------------------------------------------------
 
-SyscallResult Kernel::do_chmod_path(Pid pid, const std::string& call,
-                                    const std::string& raw_path, int mode) {
+SyscallResult Kernel::do_chmod_path(Pid pid, std::string_view call,
+                                    std::string_view raw_path, int mode) {
   Process& p = processes_.at(pid);
-  std::string path = resolve_path(p, raw_path);
+  std::string_view path = resolve_path(p, raw_path);
   VfsResult lookup = vfs_.lookup(path);
   Errno error = lookup.error;
   if (lookup.ok()) {
@@ -808,11 +808,11 @@ SyscallResult Kernel::do_chmod_path(Pid pid, const std::string& call,
   SyscallResult sys = error == Errno::None ? SyscallResult::success(0)
                                            : SyscallResult::fail(error);
   if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
-    e->args = {raw_path, octal_field(mode)};
+    e->args = {keep(raw_path), keep(octal_field(mode))};
   }
   if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
     e->paths.push_back({path, lookup.ino, "NORMAL"});
-    e->fields.emplace("mode", octal_field(mode));
+    e->fields.emplace("mode", keep(octal_field(mode)));
   }
   if (sys.ok()) {
     if (LsmEvent* e = emit_lsm(pid, "inode_setattr")) {
@@ -823,7 +823,7 @@ SyscallResult Kernel::do_chmod_path(Pid pid, const std::string& call,
   return sys;
 }
 
-SyscallResult Kernel::sys_chmod(Pid pid, const std::string& path, int mode) {
+SyscallResult Kernel::sys_chmod(Pid pid, std::string_view path, int mode) {
   return do_chmod_path(pid, "chmod", path, mode);
 }
 
@@ -833,21 +833,21 @@ SyscallResult Kernel::sys_fchmod(Pid pid, int fd, int mode) {
   if (it == p.fds.end()) {
     SyscallResult sys = SyscallResult::fail(Errno::kBADF);
     if (LibcEvent* e = emit_libc(pid, "fchmod", sys.ret, sys.error)) {
-      e->args = {std::to_string(fd)};
+      e->args = {num(fd)};
     }
     return sys;
   }
   std::uint64_t ino = it->second.ino;
-  std::string path = it->second.path;
+  std::string_view path = it->second.path;
   Inode* inode = vfs_.inode(ino);
   if (inode != nullptr) inode->mode = mode;
   SyscallResult sys = SyscallResult::success(0);
   if (LibcEvent* e = emit_libc(pid, "fchmod", sys.ret, sys.error)) {
-    e->args = {std::to_string(fd), octal_field(mode)};
+    e->args = {num(fd), keep(octal_field(mode))};
   }
   if (AuditEvent* e = emit_audit(pid, "fchmod", true, 0)) {
     if (!path.empty()) e->paths.push_back({path, ino, "NORMAL"});
-    e->fields.emplace("mode", octal_field(mode));
+    e->fields.emplace("mode", keep(octal_field(mode)));
   }
   if (LsmEvent* e = emit_lsm(pid, "inode_setattr")) {
     e->object = object_for_inode(ino, lsm_path(path));
@@ -856,16 +856,16 @@ SyscallResult Kernel::sys_fchmod(Pid pid, int fd, int mode) {
   return sys;
 }
 
-SyscallResult Kernel::sys_fchmodat(Pid pid, const std::string& path,
+SyscallResult Kernel::sys_fchmodat(Pid pid, std::string_view path,
                                    int mode) {
   return do_chmod_path(pid, "fchmodat", path, mode);
 }
 
-SyscallResult Kernel::do_chown_path(Pid pid, const std::string& call,
-                                    const std::string& raw_path, int uid,
+SyscallResult Kernel::do_chown_path(Pid pid, std::string_view call,
+                                    std::string_view raw_path, int uid,
                                     int gid) {
   Process& p = processes_.at(pid);
-  std::string path = resolve_path(p, raw_path);
+  std::string_view path = resolve_path(p, raw_path);
   VfsResult lookup = vfs_.lookup(path);
   Errno error = lookup.error;
   if (lookup.ok()) {
@@ -880,7 +880,7 @@ SyscallResult Kernel::do_chown_path(Pid pid, const std::string& call,
   SyscallResult sys = error == Errno::None ? SyscallResult::success(0)
                                            : SyscallResult::fail(error);
   if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
-    e->args = {raw_path, std::to_string(uid), std::to_string(gid)};
+    e->args = {keep(raw_path), num(uid), num(gid)};
   }
   // chown family is absent from the default audit rules (SPADE: NR).
   emit_audit(pid, call, sys.ok(), sys.ret);
@@ -893,7 +893,7 @@ SyscallResult Kernel::do_chown_path(Pid pid, const std::string& call,
   return sys;
 }
 
-SyscallResult Kernel::sys_chown(Pid pid, const std::string& path, int uid,
+SyscallResult Kernel::sys_chown(Pid pid, std::string_view path, int uid,
                                 int gid) {
   return do_chown_path(pid, "chown", path, uid, gid);
 }
@@ -903,7 +903,7 @@ SyscallResult Kernel::sys_fchown(Pid pid, int fd, int uid, int gid) {
   auto it = p.fds.find(fd);
   SyscallResult sys;
   std::uint64_t ino = 0;
-  std::string path;
+  std::string_view path;
   if (it == p.fds.end()) {
     sys = SyscallResult::fail(Errno::kBADF);
   } else if (p.creds.euid != 0) {
@@ -919,7 +919,7 @@ SyscallResult Kernel::sys_fchown(Pid pid, int fd, int uid, int gid) {
     sys = SyscallResult::success(0);
   }
   if (LibcEvent* e = emit_libc(pid, "fchown", sys.ret, sys.error)) {
-    e->args = {std::to_string(fd), std::to_string(uid), std::to_string(gid)};
+    e->args = {num(fd), num(uid), num(gid)};
   }
   if (sys.ok()) {
     if (LsmEvent* e = emit_lsm(pid, "inode_setattr")) {
@@ -930,13 +930,13 @@ SyscallResult Kernel::sys_fchown(Pid pid, int fd, int uid, int gid) {
   return sys;
 }
 
-SyscallResult Kernel::sys_fchownat(Pid pid, const std::string& path, int uid,
+SyscallResult Kernel::sys_fchownat(Pid pid, std::string_view path, int uid,
                                    int gid) {
   return do_chown_path(pid, "fchownat", path, uid, gid);
 }
 
 SyscallResult Kernel::do_setid(
-    Pid pid, const std::string& call,
+    Pid pid, std::string_view call,
     const std::function<void(Credentials&)>& update,
     std::initializer_list<int> ids) {
   Process& p = processes_.at(pid);
@@ -950,13 +950,12 @@ SyscallResult Kernel::do_setid(
     sys = SyscallResult::success(0);
   }
   if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
-    for (int id : ids) e->args.push_back(std::to_string(id));
+    for (int id : ids) e->args.push_back(num(id));
   }
   if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
-    std::size_t i = 0;
-    for (int id : ids) {
-      e->fields.emplace("a" + std::to_string(i++), std::to_string(id));
-    }
+    static constexpr std::string_view kArgKeys[] = {"a0", "a1", "a2"};
+    const std::string_view* key = kArgKeys;
+    for (int id : ids) e->fields.emplace(*key++, num(id));
   }
   if (sys.ok()) {
     // LSM sees every credential change through cred_prepare / task_fix
@@ -1039,7 +1038,7 @@ SyscallResult Kernel::sys_setresuid(Pid pid, int ruid, int euid, int suid) {
 // pipes
 // ---------------------------------------------------------------------------
 
-SyscallResult Kernel::do_pipe(Pid pid, const std::string& call,
+SyscallResult Kernel::do_pipe(Pid pid, std::string_view call,
                               std::pair<int, int>* pipe_fds) {
   Process& p = processes_.at(pid);
   std::uint64_t ino = vfs_.allocate_anonymous(FileType::Fifo);
@@ -1056,7 +1055,7 @@ SyscallResult Kernel::do_pipe(Pid pid, const std::string& call,
   if (pipe_fds != nullptr) *pipe_fds = {read_fd, write_fd};
   SyscallResult sys = SyscallResult::success(read_fd);
   if (LibcEvent* e = emit_libc(pid, call, 0, Errno::None)) {
-    e->args = {std::to_string(read_fd), std::to_string(write_fd)};
+    e->args = {num(read_fd), num(write_fd)};
   }
   // pipe/pipe2 are outside the default audit rules and CamFlow 0.4.5 does
   // not serialize pipe allocation (Table 2 group 4).
@@ -1088,8 +1087,8 @@ SyscallResult Kernel::sys_tee(Pid pid, int fd_in, int fd_out,
     sys = SyscallResult::success(static_cast<long>(len));
   }
   if (LibcEvent* e = emit_libc(pid, "tee", sys.ret, sys.error)) {
-    e->args = {std::to_string(fd_in), std::to_string(fd_out),
-               std::to_string(len)};
+    e->args = {num(fd_in), num(fd_out),
+               num(len)};
   }
   // Not audited (SPADE: NR); OPUS does not wrap tee. But LSM sees the
   // pipe-to-pipe transfer as read+write permission checks (CamFlow: ok).
@@ -1110,9 +1109,9 @@ SyscallResult Kernel::sys_tee(Pid pid, int fd_in, int fd_out,
 // processes
 // ---------------------------------------------------------------------------
 
-SyscallResult Kernel::do_fork(Pid pid, const std::string& call) {
+SyscallResult Kernel::do_fork(Pid pid, std::string_view call) {
   Process& parent = processes_.at(pid);
-  Process child;
+  Process child(memory());
   child.pid = allocate_pid();
   child.ppid = pid;
   child.creds = parent.creds;
@@ -1123,7 +1122,7 @@ SyscallResult Kernel::do_fork(Pid pid, const std::string& call) {
   child.next_fd = parent.next_fd;
   child.vforked_child = (call == "vfork");
   Pid child_pid = child.pid;
-  processes_[child_pid] = std::move(child);
+  processes_.emplace(child_pid, std::move(child));
 
   emit_libc(pid, call, child_pid, Errno::None);
   if (LsmEvent* e = emit_lsm(pid, "task_alloc")) {
@@ -1139,7 +1138,7 @@ SyscallResult Kernel::do_fork(Pid pid, const std::string& call) {
     // and the serial advance even when nothing is recorded.
     const double time = now();
     const std::uint64_t serial = next_audit_serial_++;
-    AuditEvent event;
+    AuditEvent event(memory());
     if (options_.layers.has(Layer::Audit)) {
       const Process& p = processes_.at(pid);
       event.syscall = call;
@@ -1151,12 +1150,12 @@ SyscallResult Kernel::do_fork(Pid pid, const std::string& call) {
       event.comm = p.comm;
       event.exe = p.exe;
       event.cwd = p.cwd;
-      event.fields.emplace("time", time_field(time));
+      event.fields.emplace("time", keep(time_field(time)));
       event.serial = serial;
     }
     if (recording_) deferred_audit_[child_pid].push_back(std::move(event));
   } else if (AuditEvent* e = emit_audit(pid, call, true, child_pid)) {
-    e->fields.emplace("child", std::to_string(child_pid));
+    e->fields.emplace("child", num(child_pid));
   }
   return SyscallResult::success(child_pid);
 }
@@ -1165,8 +1164,9 @@ SyscallResult Kernel::sys_fork(Pid pid) { return do_fork(pid, "fork"); }
 SyscallResult Kernel::sys_vfork(Pid pid) { return do_fork(pid, "vfork"); }
 SyscallResult Kernel::sys_clone(Pid pid) { return do_fork(pid, "clone"); }
 
-SyscallResult Kernel::sys_execve(Pid pid, const std::string& path) {
+SyscallResult Kernel::sys_execve(Pid pid, std::string_view raw_path) {
   Process& p = processes_.at(pid);
+  const std::string_view path = keep(raw_path);
   VfsResult lookup = vfs_.lookup(path);
   SyscallResult sys;
   if (!lookup.ok()) {
@@ -1178,7 +1178,7 @@ SyscallResult Kernel::sys_execve(Pid pid, const std::string& path) {
   }
   p.exe = path;
   std::size_t slash = path.find_last_of('/');
-  p.comm = slash == std::string::npos ? path : path.substr(slash + 1);
+  p.comm = slash == std::string_view::npos ? path : path.substr(slash + 1);
   sys = SyscallResult::success(0);
   if (LibcEvent* e = emit_libc(pid, "execve", 0, Errno::None)) {
     e->args = {path};
@@ -1219,7 +1219,7 @@ SyscallResult Kernel::sys_kill(Pid pid, Pid target, int sig) {
       if (LsmEvent* e = emit_lsm(pid, "task_kill")) {
         e->object = LsmObject{"task", static_cast<std::uint64_t>(target),
                               std::nullopt};
-        e->fields.emplace("sig", std::to_string(sig));
+        e->fields.emplace("sig", num(sig));
       }
     }
     sys = SyscallResult::success(0);
@@ -1227,7 +1227,7 @@ SyscallResult Kernel::sys_kill(Pid pid, Pid target, int sig) {
   // kill is not in the audit rule set and CamFlow 0.4.5 does not
   // serialize task_kill; OPUS's PVM has no signal representation.
   if (LibcEvent* e = emit_libc(pid, "kill", sys.ret, sys.error)) {
-    e->args = {std::to_string(target), std::to_string(sig)};
+    e->args = {num(target), num(sig)};
   }
   return sys;
 }
@@ -1255,23 +1255,16 @@ const char* socket_type_name(int type) {
   return "SOCK_RAW";
 }
 
-std::string prot_to_string(int prot) {
-  if (prot == 0) prot = kProtNames[0].bits;  // 0 is treated as PROT_READ
-  std::string out = flag_names(kProtNames, prot, &FlagName::name, '|');
-  return out.empty() ? "PROT_NONE" : out;
-}
-
 }  // namespace
 
 SyscallResult Kernel::sys_socket(Pid pid, int domain, int type) {
   Process& p = processes_.at(pid);
   std::uint64_t ino = vfs_.allocate_anonymous(FileType::Socket);
   int fd = p.next_fd++;
-  OpenFile file;
+  OpenFile& file = p.fds[fd] = OpenFile{};
   file.ino = ino;
   file.flags = kO_RDWR;
   file.is_socket = true;
-  p.fds[fd] = file;
   SyscallResult sys = SyscallResult::success(fd);
   if (LibcEvent* e = emit_libc(pid, "socket", sys.ret, sys.error)) {
     e->args = {socket_domain_name(domain), socket_type_name(type)};
@@ -1291,8 +1284,8 @@ SyscallResult Kernel::sys_socket(Pid pid, int domain, int type) {
   return sys;
 }
 
-SyscallResult Kernel::do_socket_addr(Pid pid, const std::string& call,
-                                     int fd, const std::string& addr) {
+SyscallResult Kernel::do_socket_addr(Pid pid, std::string_view call,
+                                     int fd, std::string_view addr) {
   Process& p = processes_.at(pid);
   auto it = p.fds.find(fd);
   SyscallResult sys;
@@ -1303,31 +1296,31 @@ SyscallResult Kernel::do_socket_addr(Pid pid, const std::string& call,
     sys = SyscallResult::fail(Errno::kINVAL);
   } else {
     ino = it->second.ino;
-    it->second.sock_addr = addr;
+    it->second.sock_addr = keep(addr);
     sys = SyscallResult::success(0);
   }
   if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
-    e->args = {std::to_string(fd), addr};
+    e->args = {num(fd), keep(addr)};
   }
   if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
-    e->fields.emplace("a0", std::to_string(fd));
-    e->fields.emplace("addr", addr);
+    e->fields.emplace("a0", num(fd));
+    e->fields.emplace("addr", keep(addr));
   }
   if (sys.ok()) {
     if (LsmEvent* e = emit_lsm(
             pid, call == "bind" ? "socket_bind" : "socket_connect")) {
       e->object = object_for_inode(ino, std::nullopt);
-      e->fields.emplace("addr", addr);
+      e->fields.emplace("addr", keep(addr));
     }
   }
   return sys;
 }
 
-SyscallResult Kernel::sys_bind(Pid pid, int fd, const std::string& addr) {
+SyscallResult Kernel::sys_bind(Pid pid, int fd, std::string_view addr) {
   return do_socket_addr(pid, "bind", fd, addr);
 }
 
-SyscallResult Kernel::sys_connect(Pid pid, int fd, const std::string& addr) {
+SyscallResult Kernel::sys_connect(Pid pid, int fd, std::string_view addr) {
   return do_socket_addr(pid, "connect", fd, addr);
 }
 
@@ -1346,16 +1339,16 @@ SyscallResult Kernel::sys_listen(Pid pid, int fd, int backlog) {
     sys = SyscallResult::success(0);
   }
   if (LibcEvent* e = emit_libc(pid, "listen", sys.ret, sys.error)) {
-    e->args = {std::to_string(fd), std::to_string(backlog)};
+    e->args = {num(fd), num(backlog)};
   }
   if (AuditEvent* e = emit_audit(pid, "listen", sys.ok(), sys.ret)) {
-    e->fields.emplace("a0", std::to_string(fd));
-    e->fields.emplace("backlog", std::to_string(backlog));
+    e->fields.emplace("a0", num(fd));
+    e->fields.emplace("backlog", num(backlog));
   }
   if (sys.ok()) {
     if (LsmEvent* e = emit_lsm(pid, "socket_listen")) {
       e->object = object_for_inode(ino, std::nullopt);
-      e->fields.emplace("backlog", std::to_string(backlog));
+      e->fields.emplace("backlog", num(backlog));
     }
   }
   return sys;
@@ -1384,10 +1377,10 @@ SyscallResult Kernel::sys_accept(Pid pid, int fd) {
     sys = SyscallResult::success(new_fd);
   }
   if (LibcEvent* e = emit_libc(pid, "accept", sys.ret, sys.error)) {
-    e->args = {std::to_string(fd)};
+    e->args = {num(fd)};
   }
   if (AuditEvent* e = emit_audit(pid, "accept", sys.ok(), sys.ret)) {
-    e->fields.emplace("a0", std::to_string(fd));
+    e->fields.emplace("a0", num(fd));
   }
   if (sys.ok()) {
     if (LsmEvent* e = emit_lsm(pid, "socket_accept")) {
@@ -1398,13 +1391,13 @@ SyscallResult Kernel::sys_accept(Pid pid, int fd) {
   return sys;
 }
 
-SyscallResult Kernel::do_socket_io(Pid pid, const std::string& call, int fd,
+SyscallResult Kernel::do_socket_io(Pid pid, std::string_view call, int fd,
                                    std::uint64_t count, bool is_send) {
   Process& p = processes_.at(pid);
   auto it = p.fds.find(fd);
   SyscallResult sys;
   std::uint64_t ino = 0;
-  std::string addr;
+  std::string_view addr;
   if (it == p.fds.end()) {
     sys = SyscallResult::fail(Errno::kBADF);
   } else if (!it->second.is_socket) {
@@ -1415,17 +1408,17 @@ SyscallResult Kernel::do_socket_io(Pid pid, const std::string& call, int fd,
     sys = SyscallResult::success(static_cast<long>(count));
   }
   if (LibcEvent* e = emit_libc(pid, call, sys.ret, sys.error)) {
-    e->args = {std::to_string(fd), std::to_string(count)};
+    e->args = {num(fd), num(count)};
   }
   if (AuditEvent* e = emit_audit(pid, call, sys.ok(), sys.ret)) {
-    e->fields.emplace("a0", std::to_string(fd));
+    e->fields.emplace("a0", num(fd));
     if (!addr.empty()) e->fields.emplace("addr", addr);
   }
   if (sys.ok()) {
     if (LsmEvent* e = emit_lsm(
             pid, is_send ? "socket_sendmsg" : "socket_recvmsg")) {
       e->object = object_for_inode(ino, std::nullopt);
-      e->fields.emplace("bytes", std::to_string(count));
+      e->fields.emplace("bytes", num(count));
     }
   }
   return sys;
@@ -1449,7 +1442,7 @@ SyscallResult Kernel::sys_mmap(Pid pid, int fd, std::uint64_t length,
   auto it = p.fds.find(fd);
   SyscallResult sys;
   std::uint64_t ino = 0;
-  std::string path;
+  std::string_view path;
   if (it == p.fds.end()) {
     sys = SyscallResult::fail(Errno::kBADF);
   } else {
@@ -1458,17 +1451,17 @@ SyscallResult Kernel::sys_mmap(Pid pid, int fd, std::uint64_t length,
     sys = SyscallResult::success(static_cast<long>(length));
   }
   if (LibcEvent* e = emit_libc(pid, "mmap", sys.ret, sys.error)) {
-    e->args = {std::to_string(fd), std::to_string(length),
-               prot_to_string(prot)};
+    e->args = {num(fd), num(length),
+               prot_text(prot)};
   }
   if (AuditEvent* e = emit_audit(pid, "mmap", sys.ok(), sys.ret)) {
     if (!path.empty()) e->paths.push_back({path, ino, "NORMAL"});
-    e->fields.emplace("prot", prot_to_string(prot));
+    e->fields.emplace("prot", prot_text(prot));
   }
   if (sys.ok()) {
     if (LsmEvent* e = emit_lsm(pid, "mmap_file")) {
       e->object = object_for_inode(ino, lsm_path(path));
-      e->fields.emplace("prot", prot_to_string(prot));
+      e->fields.emplace("prot", prot_text(prot));
     }
   }
   return sys;
@@ -1479,14 +1472,14 @@ SyscallResult Kernel::sys_munmap(Pid pid, std::uint64_t length) {
   // not in the default audit rules and LSM has no unmap hook.
   SyscallResult sys = SyscallResult::success(0);
   if (LibcEvent* e = emit_libc(pid, "munmap", sys.ret, sys.error)) {
-    e->args = {std::to_string(length)};
+    e->args = {num(length)};
   }
   return sys;
 }
 
 SyscallResult Kernel::sys_clone_thread(Pid pid) {
   Process& parent = processes_.at(pid);
-  Process thread;
+  Process thread(memory());
   thread.pid = allocate_pid();
   thread.ppid = pid;
   thread.creds = parent.creds;
@@ -1496,7 +1489,7 @@ SyscallResult Kernel::sys_clone_thread(Pid pid) {
   thread.fds = parent.fds;
   thread.next_fd = parent.next_fd;
   Pid tid = thread.pid;
-  processes_[tid] = std::move(thread);
+  processes_.emplace(tid, std::move(thread));
   if (LibcEvent* e = emit_libc(pid, "clone", tid, Errno::None)) {
     e->args = {"CLONE_THREAD|CLONE_VM"};
   }
@@ -1507,7 +1500,7 @@ SyscallResult Kernel::sys_clone_thread(Pid pid) {
     e->fields.emplace("thread", "1");
   }
   if (AuditEvent* e = emit_audit(pid, "clone", true, tid)) {
-    e->fields.emplace("child", std::to_string(tid));
+    e->fields.emplace("child", num(tid));
     e->fields.emplace("flags", "CLONE_THREAD|CLONE_VM");
   }
   return SyscallResult::success(tid);

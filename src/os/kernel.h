@@ -8,6 +8,11 @@
 // harness shell, execve, loader activity) *is* recorded, which is why
 // ProvMark needs background-program subtraction at all.
 //
+// Memory: the kernel's VFS, process and fd tables, the events it emits
+// and every string they hold draw from one trial region (os/region.h),
+// shared by the kernel and its trace. Once the kernel is gone the trace
+// is the region's one owner.
+//
 // Deliberately modelled idiosyncrasies (each drives a Table 2 cell or a
 // §4 observation):
 //   * Audit records are emitted at syscall exit, and a vfork'ing parent is
@@ -24,10 +29,13 @@
 //     baseline configurations (note LP).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
 #include <map>
+#include <memory>
+#include <memory_resource>
 #include <optional>
 #include <set>
 #include <span>
@@ -37,6 +45,7 @@
 #include <vector>
 
 #include "os/events.h"
+#include "os/region.h"
 #include "os/vfs.h"
 #include "util/rng.h"
 
@@ -80,10 +89,30 @@ inline constexpr FlagName kProtNames[] = {
     {"PROT_EXEC", 4, 4, ""},
 };
 
-/// The `column` names of the rows set in `flags`, in table order,
-/// joined by `separator`; rows with an empty name are skipped.
-std::string flag_names(std::span<const FlagName> table, int flags,
-                       std::string_view FlagName::*column, char separator);
+/// Appends to `out` the `column` names of the rows set in `flags`, in
+/// table order, joined by `separator`; rows with an empty name are
+/// skipped.
+template <typename String>
+String& append_flag_names(String& out, std::span<const FlagName> table,
+                          int flags, std::string_view FlagName::*column,
+                          char separator) {
+  bool first = true;
+  for (const FlagName& flag : table) {
+    if ((flags & flag.mask) != flag.bits || (flag.*column).empty()) continue;
+    if (!first) out += separator;
+    out += flag.*column;
+    first = false;
+  }
+  return out;
+}
+
+/// append_flag_names into a new string.
+inline std::string flag_names(std::span<const FlagName> table, int flags,
+                              std::string_view FlagName::*column,
+                              char separator) {
+  std::string out;
+  return append_flag_names(out, table, flags, column, separator);
+}
 
 /// The row whose `column` name is `name`, or nullptr.
 const FlagName* find_flag(std::span<const FlagName> table,
@@ -108,26 +137,30 @@ struct SyscallResult {
   static SyscallResult fail(Errno e) { return {-1, e}; }
 };
 
-/// An open file description shared by duplicated descriptors.
+/// An open file description shared by duplicated descriptors. Its
+/// strings live in the trial's region.
 struct OpenFile {
   std::uint64_t ino = 0;
-  std::string path;  ///< empty for anonymous objects (pipe ends, sockets)
+  std::string_view path;  ///< empty for anonymous objects (pipe ends, sockets)
   int flags = 0;
   bool pipe_read_end = false;
   bool pipe_write_end = false;
   bool is_socket = false;
   bool listening = false;    ///< socket has a listen() backlog
-  std::string sock_addr;     ///< bound/connected address ("ip:port")
+  std::string_view sock_addr;  ///< bound/connected address ("ip:port")
 };
 
+/// A process. Its strings and fd table live in the trial's region.
 struct Process {
+  explicit Process(std::pmr::memory_resource* memory) : fds(memory) {}
+
   Pid pid = 0;
   Pid ppid = 0;
   Credentials creds;
-  std::string comm;
-  std::string exe;
-  std::string cwd = "/home/user";
-  std::map<int, OpenFile> fds;
+  std::string_view comm;
+  std::string_view exe;
+  std::string_view cwd = "/home/user";
+  std::pmr::map<int, OpenFile> fds;
   int next_fd = 3;
   bool alive = true;
   bool vforked_child = false;  ///< audit records of parent deferred
@@ -163,15 +196,19 @@ class Kernel {
   Vfs& vfs() { return vfs_; }
   const Vfs& vfs() const { return vfs_; }
 
+  /// The trial's region: the kernel's tables and its trace live here, and
+  /// a caller driving the kernel may put its own per-trial scratch here.
+  Region& region() { return *region_; }
+
   // -- staging (no events) --------------------------------------------------
 
   /// Create a file in the staging area before recording starts.
-  void stage_file(const std::string& path, int mode = 0644, int uid = 0,
+  void stage_file(std::string_view path, int mode = 0644, int uid = 0,
                   int gid = 0);
-  void stage_fifo(const std::string& path);
-  void stage_symlink(const std::string& target, const std::string& path);
+  void stage_fifo(std::string_view path);
+  void stage_symlink(std::string_view target, std::string_view path);
   /// Remove a staged path if present.
-  void stage_remove(const std::string& path);
+  void stage_remove(std::string_view path);
 
   // -- recording control ----------------------------------------------------
 
@@ -179,13 +216,16 @@ class Kernel {
   void stop_recording() { recording_ = false; }
   const EventTrace& trace() const { return trace_; }
   /// Hand the recorded trace to the caller, leaving the kernel's empty.
-  EventTrace take_trace() { return std::exchange(trace_, {}); }
+  /// The two share the region until the kernel is destroyed.
+  EventTrace take_trace() {
+    return std::exchange(trace_, EventTrace(region_));
+  }
 
   // -- process lifecycle ----------------------------------------------------
 
   /// Fork+execve the benchmark binary from the harness shell, including
   /// the loader boilerplate. Returns the new process's pid.
-  Pid launch_program(const std::string& exe_path, const std::string& comm);
+  Pid launch_program(std::string_view exe_path, std::string_view comm);
 
   /// Normal termination (implicit exit at the end of main, or exit()).
   void finish_process(Pid pid);
@@ -194,11 +234,11 @@ class Kernel {
 
   // -- syscalls -------------------------------------------------------------
 
-  SyscallResult sys_open(Pid pid, const std::string& path, int flags,
+  SyscallResult sys_open(Pid pid, std::string_view path, int flags,
                          int mode = 0644);
-  SyscallResult sys_openat(Pid pid, const std::string& path, int flags,
+  SyscallResult sys_openat(Pid pid, std::string_view path, int flags,
                            int mode = 0644);
-  SyscallResult sys_creat(Pid pid, const std::string& path, int mode = 0644);
+  SyscallResult sys_creat(Pid pid, std::string_view path, int mode = 0644);
   SyscallResult sys_close(Pid pid, int fd);
   SyscallResult sys_dup(Pid pid, int fd);
   SyscallResult sys_dup2(Pid pid, int fd, int newfd);
@@ -209,31 +249,31 @@ class Kernel {
   SyscallResult sys_write(Pid pid, int fd, std::uint64_t count);
   SyscallResult sys_pwrite(Pid pid, int fd, std::uint64_t count,
                            std::uint64_t offset);
-  SyscallResult sys_link(Pid pid, const std::string& old_path,
-                         const std::string& new_path);
-  SyscallResult sys_linkat(Pid pid, const std::string& old_path,
-                           const std::string& new_path);
-  SyscallResult sys_symlink(Pid pid, const std::string& target,
-                            const std::string& link_path);
-  SyscallResult sys_symlinkat(Pid pid, const std::string& target,
-                              const std::string& link_path);
-  SyscallResult sys_mknod(Pid pid, const std::string& path, int mode);
-  SyscallResult sys_mknodat(Pid pid, const std::string& path, int mode);
-  SyscallResult sys_rename(Pid pid, const std::string& old_path,
-                           const std::string& new_path);
-  SyscallResult sys_renameat(Pid pid, const std::string& old_path,
-                             const std::string& new_path);
-  SyscallResult sys_truncate(Pid pid, const std::string& path,
+  SyscallResult sys_link(Pid pid, std::string_view old_path,
+                         std::string_view new_path);
+  SyscallResult sys_linkat(Pid pid, std::string_view old_path,
+                           std::string_view new_path);
+  SyscallResult sys_symlink(Pid pid, std::string_view target,
+                            std::string_view link_path);
+  SyscallResult sys_symlinkat(Pid pid, std::string_view target,
+                              std::string_view link_path);
+  SyscallResult sys_mknod(Pid pid, std::string_view path, int mode);
+  SyscallResult sys_mknodat(Pid pid, std::string_view path, int mode);
+  SyscallResult sys_rename(Pid pid, std::string_view old_path,
+                           std::string_view new_path);
+  SyscallResult sys_renameat(Pid pid, std::string_view old_path,
+                             std::string_view new_path);
+  SyscallResult sys_truncate(Pid pid, std::string_view path,
                              std::uint64_t length);
   SyscallResult sys_ftruncate(Pid pid, int fd, std::uint64_t length);
-  SyscallResult sys_unlink(Pid pid, const std::string& path);
-  SyscallResult sys_unlinkat(Pid pid, const std::string& path);
-  SyscallResult sys_chmod(Pid pid, const std::string& path, int mode);
+  SyscallResult sys_unlink(Pid pid, std::string_view path);
+  SyscallResult sys_unlinkat(Pid pid, std::string_view path);
+  SyscallResult sys_chmod(Pid pid, std::string_view path, int mode);
   SyscallResult sys_fchmod(Pid pid, int fd, int mode);
-  SyscallResult sys_fchmodat(Pid pid, const std::string& path, int mode);
-  SyscallResult sys_chown(Pid pid, const std::string& path, int uid, int gid);
+  SyscallResult sys_fchmodat(Pid pid, std::string_view path, int mode);
+  SyscallResult sys_chown(Pid pid, std::string_view path, int uid, int gid);
   SyscallResult sys_fchown(Pid pid, int fd, int uid, int gid);
-  SyscallResult sys_fchownat(Pid pid, const std::string& path, int uid,
+  SyscallResult sys_fchownat(Pid pid, std::string_view path, int uid,
                              int gid);
   SyscallResult sys_setgid(Pid pid, int gid);
   SyscallResult sys_setregid(Pid pid, int rgid, int egid);
@@ -251,7 +291,7 @@ class Kernel {
   SyscallResult sys_fork(Pid pid);
   SyscallResult sys_vfork(Pid pid);
   SyscallResult sys_clone(Pid pid);
-  SyscallResult sys_execve(Pid pid, const std::string& path);
+  SyscallResult sys_execve(Pid pid, std::string_view path);
   SyscallResult sys_exit(Pid pid, int code);
   SyscallResult sys_kill(Pid pid, Pid target, int sig);
   /// socket(2): allocates an anonymous socket inode; returns the fd.
@@ -259,8 +299,8 @@ class Kernel {
   /// 2 = SOCK_DGRAM). Observed by libc and LSM (socket_create); the
   /// socket family is outside the default audit rule set.
   SyscallResult sys_socket(Pid pid, int domain, int type);
-  SyscallResult sys_bind(Pid pid, int fd, const std::string& addr);
-  SyscallResult sys_connect(Pid pid, int fd, const std::string& addr);
+  SyscallResult sys_bind(Pid pid, int fd, std::string_view addr);
+  SyscallResult sys_connect(Pid pid, int fd, std::string_view addr);
   SyscallResult sys_listen(Pid pid, int fd, int backlog);
   /// accept(2): requires a listening socket; returns the connection fd.
   SyscallResult sys_accept(Pid pid, int fd);
@@ -287,12 +327,15 @@ class Kernel {
   // on, and returns the event for the caller to fill in — or nullptr when
   // no event is built: not recording, the layer is off, or (audit) the
   // call is outside the rule set or failed. So callers build arguments,
-  // fields and objects only for a layer that is recorded.
+  // fields and objects only for a layer that is recorded. Names (libc
+  // functions, syscalls, hooks, field keys) are string literals and are
+  // stored as they are; every other string an event holds is kept in the
+  // region first (keep(), num() and the *_text() helpers).
   LibcEvent* emit_libc(Pid pid, std::string_view function, long ret,
                        Errno err);
   /// An audit record, if `syscall` is in the audit rule set and the call
   /// succeeded (SPADE's default rules ignore failures).
-  AuditEvent* emit_audit(Pid pid, const std::string& syscall, bool success,
+  AuditEvent* emit_audit(Pid pid, std::string_view syscall, bool success,
                          long exit_code);
   LsmEvent* emit_lsm(Pid pid, std::string_view hook,
                      bool permission_denied = false);
@@ -302,49 +345,65 @@ class Kernel {
   void loader_activity(Pid pid);
 
   LsmObject object_for_inode(std::uint64_t ino,
-                             std::optional<std::string> path) const;
-  static std::optional<std::string> lsm_path(const std::string& path);
+                             std::optional<std::string_view> path) const;
+  static std::optional<std::string_view> lsm_path(std::string_view path);
 
-  SyscallResult do_open(Pid pid, const std::string& call,
-                        const std::string& path, int flags, int mode);
-  SyscallResult do_dup(Pid pid, const std::string& call, int fd, int newfd);
-  SyscallResult do_io(Pid pid, const std::string& call, int fd,
+  std::pmr::memory_resource* memory() { return region_->resource(); }
+  std::string_view keep(std::string_view s) { return region_->keep(s); }
+  /// `n` in decimal, kept in the region.
+  template <typename Int>
+  std::string_view num(Int n) {
+    char buf[24];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof buf, n);
+    return keep(std::string_view(buf, end - buf));
+  }
+  /// open(2) flags as the events spell them, kept in the region.
+  std::string_view open_flags_text(int flags);
+  /// mmap(2) PROT_* bits as the events spell them, kept in the region.
+  std::string_view prot_text(int prot);
+
+  SyscallResult do_open(Pid pid, std::string_view call,
+                        std::string_view path, int flags, int mode);
+  SyscallResult do_dup(Pid pid, std::string_view call, int fd, int newfd);
+  SyscallResult do_io(Pid pid, std::string_view call, int fd,
                       std::uint64_t count, bool is_write);
-  SyscallResult do_link(Pid pid, const std::string& call,
-                        const std::string& old_path,
-                        const std::string& new_path);
-  SyscallResult do_symlink(Pid pid, const std::string& call,
-                           const std::string& target,
-                           const std::string& link_path);
-  SyscallResult do_mknod(Pid pid, const std::string& call,
-                         const std::string& path, int mode);
-  SyscallResult do_rename(Pid pid, const std::string& call,
-                          const std::string& old_path,
-                          const std::string& new_path);
-  SyscallResult do_unlink(Pid pid, const std::string& call,
-                          const std::string& path);
-  SyscallResult do_chmod_path(Pid pid, const std::string& call,
-                              const std::string& path, int mode);
-  SyscallResult do_chown_path(Pid pid, const std::string& call,
-                              const std::string& path, int uid, int gid);
-  SyscallResult do_setid(Pid pid, const std::string& call,
+  SyscallResult do_link(Pid pid, std::string_view call,
+                        std::string_view old_path,
+                        std::string_view new_path);
+  SyscallResult do_symlink(Pid pid, std::string_view call,
+                           std::string_view target,
+                           std::string_view link_path);
+  SyscallResult do_mknod(Pid pid, std::string_view call,
+                         std::string_view path, int mode);
+  SyscallResult do_rename(Pid pid, std::string_view call,
+                          std::string_view old_path,
+                          std::string_view new_path);
+  SyscallResult do_unlink(Pid pid, std::string_view call,
+                          std::string_view path);
+  SyscallResult do_chmod_path(Pid pid, std::string_view call,
+                              std::string_view path, int mode);
+  SyscallResult do_chown_path(Pid pid, std::string_view call,
+                              std::string_view path, int uid, int gid);
+  SyscallResult do_setid(Pid pid, std::string_view call,
                          const std::function<void(Credentials&)>& update,
                          std::initializer_list<int> ids);
-  SyscallResult do_pipe(Pid pid, const std::string& call,
+  SyscallResult do_pipe(Pid pid, std::string_view call,
                         std::pair<int, int>* pipe_fds);
-  SyscallResult do_fork(Pid pid, const std::string& call);
-  SyscallResult do_socket_addr(Pid pid, const std::string& call, int fd,
-                               const std::string& addr);
-  SyscallResult do_socket_io(Pid pid, const std::string& call, int fd,
+  SyscallResult do_fork(Pid pid, std::string_view call);
+  SyscallResult do_socket_addr(Pid pid, std::string_view call, int fd,
+                               std::string_view addr);
+  SyscallResult do_socket_io(Pid pid, std::string_view call, int fd,
                              std::uint64_t count, bool is_send);
 
-  /// Resolve a possibly-relative path against the process cwd.
-  std::string resolve_path(const Process& p, const std::string& path) const;
+  /// Resolve a possibly-relative path against the process cwd; the
+  /// result is kept in the region.
+  std::string_view resolve_path(const Process& p, std::string_view path);
 
+  std::shared_ptr<Region> region_;  // first: destroyed after every table
   Options options_;
   util::Rng rng_;
   Vfs vfs_;
-  std::map<Pid, Process> processes_;
+  std::pmr::map<Pid, Process> processes_;
   Pid next_pid_;
   Pid shell_pid_;
   bool recording_ = false;
@@ -353,9 +412,9 @@ class Kernel {
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_audit_serial_;
   /// Audit records deferred because the emitting parent vforked.
-  std::map<Pid, std::vector<AuditEvent>> deferred_audit_;
+  std::pmr::map<Pid, std::pmr::vector<AuditEvent>> deferred_audit_;
   /// Syscalls covered by the default (SPADE-installed) audit rules.
-  static const std::set<std::string>& audit_rule_set();
+  static const std::set<std::string_view>& audit_rule_set();
 };
 
 }  // namespace provmark::os

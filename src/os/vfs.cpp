@@ -22,7 +22,11 @@ const char* errno_name(Errno e) {
   return "E?";
 }
 
-Vfs::Vfs() : next_ino_(2) {
+Vfs::Vfs(std::pmr::memory_resource* memory)
+    : entries_(memory),
+      inodes_(memory),
+      symlink_targets_(memory),
+      next_ino_(2) {
   // Root and the standard directory skeleton used by program boilerplate.
   for (const char* dir : {"/", "/etc", "/lib", "/usr", "/usr/bin", "/tmp",
                           "/home", "/home/user", "/dev"}) {
@@ -33,12 +37,13 @@ Vfs::Vfs() : next_ino_(2) {
     inode.owner_uid = 0;
     inode.owner_gid = 0;
     inodes_[inode.ino] = inode;
-    entries_[dir] = inode.ino;
+    entries_.emplace(dir, inode.ino);
   }
   // /tmp and /home/user are world/user writable.
-  inodes_[entries_["/tmp"]].mode = 01777;
-  inodes_[entries_["/home/user"]].owner_uid = 1000;
-  inodes_[entries_["/home/user"]].owner_gid = 1000;
+  inodes_[entries_.find("/tmp")->second].mode = 01777;
+  Inode& home = inodes_[entries_.find("/home/user")->second];
+  home.owner_uid = 1000;
+  home.owner_gid = 1000;
 
   // Files every process start-up touches (the loader and libc), plus a
   // root-owned /etc/passwd for the failed-rename scenario.
@@ -61,7 +66,7 @@ Vfs::Vfs() : next_ino_(2) {
     inode.owner_gid = seed.uid;
     inode.size = 4096;
     inodes_[inode.ino] = inode;
-    entries_[seed.path] = inode.ino;
+    entries_.emplace(seed.path, inode.ino);
   }
   // /dev/null as a character device.
   Inode null_inode;
@@ -71,10 +76,10 @@ Vfs::Vfs() : next_ino_(2) {
   null_inode.owner_uid = 0;
   null_inode.owner_gid = 0;
   inodes_[null_inode.ino] = null_inode;
-  entries_["/dev/null"] = null_inode.ino;
+  entries_.emplace("/dev/null", null_inode.ino);
 }
 
-VfsResult Vfs::resolve(const std::string& path, bool follow_symlinks,
+VfsResult Vfs::resolve(std::string_view path, bool follow_symlinks,
                        int depth) const {
   if (depth > 8) return VfsResult::fail(Errno::kINVAL);  // symlink loop
   auto it = entries_.find(path);
@@ -86,15 +91,14 @@ VfsResult Vfs::resolve(const std::string& path, bool follow_symlinks,
   return VfsResult::success(it->second);
 }
 
-VfsResult Vfs::lookup(const std::string& path, bool follow_symlinks) const {
+VfsResult Vfs::lookup(std::string_view path, bool follow_symlinks) const {
   return resolve(path, follow_symlinks, 0);
 }
 
-VfsResult Vfs::create(const std::string& path, FileType type, int mode,
+VfsResult Vfs::create(std::string_view path, FileType type, int mode,
                       int uid, int gid) {
-  if (entries_.count(path) > 0) return VfsResult::fail(Errno::kEXIST);
-  std::string parent = parent_of(path);
-  VfsResult parent_result = lookup(parent);
+  if (entries_.contains(path)) return VfsResult::fail(Errno::kEXIST);
+  VfsResult parent_result = lookup(parent_of(path));
   if (!parent_result.ok()) return VfsResult::fail(Errno::kNOENT);
   const Inode& parent_inode = inodes_.at(parent_result.ino);
   if (parent_inode.type != FileType::Directory) {
@@ -110,34 +114,42 @@ VfsResult Vfs::create(const std::string& path, FileType type, int mode,
   inode.owner_uid = uid;
   inode.owner_gid = gid;
   inodes_[inode.ino] = inode;
-  entries_[path] = inode.ino;
+  entries_.emplace(path, inode.ino);
   return VfsResult::success(inode.ino);
 }
 
-VfsResult Vfs::link(const std::string& old_path, const std::string& new_path) {
+VfsResult Vfs::link(std::string_view old_path, std::string_view new_path) {
   VfsResult old_result = lookup(old_path, /*follow_symlinks=*/false);
   if (!old_result.ok()) return old_result;
-  if (entries_.count(new_path) > 0) return VfsResult::fail(Errno::kEXIST);
+  if (entries_.contains(new_path)) return VfsResult::fail(Errno::kEXIST);
   Inode& inode = inodes_.at(old_result.ino);
   if (inode.type == FileType::Directory) {
     return VfsResult::fail(Errno::kPERM);
   }
-  entries_[new_path] = inode.ino;
+  entries_.emplace(new_path, inode.ino);
   ++inode.nlink;
   return VfsResult::success(inode.ino);
 }
 
-VfsResult Vfs::symlink(const std::string& target,
-                       const std::string& link_path, int uid, int gid) {
-  if (entries_.count(link_path) > 0) return VfsResult::fail(Errno::kEXIST);
+VfsResult Vfs::symlink(std::string_view target, std::string_view link_path,
+                       int uid, int gid) {
+  if (entries_.contains(link_path)) return VfsResult::fail(Errno::kEXIST);
   VfsResult result =
       create(link_path, FileType::Symlink, 0777, uid, gid);
   if (!result.ok()) return result;
-  inodes_.at(result.ino).symlink_target = target;
+  inodes_.at(result.ino).symlink_target =
+      symlink_targets_.emplace(result.ino, target).first->second;
   return result;
 }
 
-VfsResult Vfs::unlink(const std::string& path) {
+void Vfs::drop_link(std::uint64_t ino) {
+  Inode& inode = inodes_.at(ino);
+  if (--inode.nlink > 0) return;
+  inodes_.erase(ino);
+  symlink_targets_.erase(ino);
+}
+
+VfsResult Vfs::unlink(std::string_view path) {
   auto it = entries_.find(path);
   if (it == entries_.end()) return VfsResult::fail(Errno::kNOENT);
   Inode& inode = inodes_.at(it->second);
@@ -146,29 +158,30 @@ VfsResult Vfs::unlink(const std::string& path) {
   }
   std::uint64_t ino = it->second;
   entries_.erase(it);
-  if (--inode.nlink <= 0) inodes_.erase(ino);
+  drop_link(ino);
   return VfsResult::success(ino);
 }
 
-VfsResult Vfs::rename(const std::string& old_path,
-                      const std::string& new_path) {
+VfsResult Vfs::rename(std::string_view old_path, std::string_view new_path) {
   auto it = entries_.find(old_path);
   if (it == entries_.end()) return VfsResult::fail(Errno::kNOENT);
   std::uint64_t ino = it->second;
   // Replacing an existing target drops its inode reference.
   auto existing = entries_.find(new_path);
   if (existing != entries_.end()) {
-    Inode& target = inodes_.at(existing->second);
     std::uint64_t target_ino = existing->second;
     entries_.erase(existing);
-    if (--target.nlink <= 0) inodes_.erase(target_ino);
+    drop_link(target_ino);
   }
-  entries_.erase(old_path);
-  entries_[new_path] = ino;
+  // A rename onto itself has just dropped its own entry.
+  if (auto old = entries_.find(old_path); old != entries_.end()) {
+    entries_.erase(old);
+  }
+  entries_.emplace(new_path, ino);
   return VfsResult::success(ino);
 }
 
-VfsResult Vfs::truncate(const std::string& path, std::uint64_t length) {
+VfsResult Vfs::truncate(std::string_view path, std::uint64_t length) {
   VfsResult result = lookup(path);
   if (!result.ok()) return result;
   Inode& inode = inodes_.at(result.ino);
@@ -212,9 +225,9 @@ std::uint64_t Vfs::allocate_anonymous(FileType type) {
   return inode.ino;
 }
 
-std::string Vfs::parent_of(const std::string& path) {
+std::string_view Vfs::parent_of(std::string_view path) {
   std::size_t pos = path.find_last_of('/');
-  if (pos == std::string::npos || pos == 0) return "/";
+  if (pos == std::string_view::npos || pos == 0) return "/";
   return path.substr(0, pos);
 }
 

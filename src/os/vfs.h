@@ -4,10 +4,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <optional>
+#include <memory_resource>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace provmark::os {
 
@@ -40,7 +41,7 @@ struct Inode {
   int owner_gid = 1000;
   int nlink = 1;
   std::uint64_t size = 0;   ///< regular files and FIFOs: byte count
-  std::string symlink_target;  ///< when type == Symlink
+  std::string_view symlink_target;  ///< when type == Symlink; the Vfs owns it
 };
 
 /// Result of a VFS operation: either an inode number or an errno.
@@ -57,43 +58,47 @@ struct VfsResult {
 ///
 /// Paths are absolute, '/'-separated, already normalized by the caller
 /// (the kernel resolves cwd-relative paths before calling in).
+///
+/// The tables draw from `memory` (the kernel passes its trial's region).
 class Vfs {
  public:
-  Vfs();
+  using Entries =
+      std::pmr::map<std::pmr::string, std::uint64_t, std::less<>>;
+
+  explicit Vfs(std::pmr::memory_resource* memory =
+                   std::pmr::get_default_resource());
 
   /// Look up a path; follows symlinks (up to a depth limit) unless
   /// `follow_symlinks` is false (lstat semantics).
-  VfsResult lookup(const std::string& path, bool follow_symlinks = true) const;
+  VfsResult lookup(std::string_view path, bool follow_symlinks = true) const;
 
   /// Create a regular file (or other type) at `path`. Fails with EEXIST if
   /// the path exists, ENOENT if the parent directory is missing.
-  VfsResult create(const std::string& path, FileType type, int mode,
-                   int uid, int gid);
+  VfsResult create(std::string_view path, FileType type, int mode, int uid,
+                   int gid);
 
   /// Create a hard link `new_path` -> inode of `old_path`.
-  VfsResult link(const std::string& old_path, const std::string& new_path);
+  VfsResult link(std::string_view old_path, std::string_view new_path);
 
   /// Create a symlink at `link_path` pointing to `target`.
-  VfsResult symlink(const std::string& target, const std::string& link_path,
+  VfsResult symlink(std::string_view target, std::string_view link_path,
                     int uid, int gid);
 
   /// Remove a directory entry; drops the inode when nlink reaches zero.
-  VfsResult unlink(const std::string& path);
+  VfsResult unlink(std::string_view path);
 
   /// Rename `old_path` to `new_path` (replacing an existing target,
   /// subject to a permission check done by the kernel).
-  VfsResult rename(const std::string& old_path, const std::string& new_path);
+  VfsResult rename(std::string_view old_path, std::string_view new_path);
 
   /// Truncate a regular file to `length` bytes.
-  VfsResult truncate(const std::string& path, std::uint64_t length);
+  VfsResult truncate(std::string_view path, std::uint64_t length);
 
   const Inode* inode(std::uint64_t ino) const;
   Inode* inode(std::uint64_t ino);
 
   /// All path entries (for tests and staging assertions).
-  const std::map<std::string, std::uint64_t>& entries() const {
-    return entries_;
-  }
+  const Entries& entries() const { return entries_; }
 
   /// Does `uid` have write permission on the inode (owner/mode model;
   /// uid 0 bypasses)?
@@ -103,15 +108,20 @@ class Vfs {
   /// Allocate an anonymous inode (pipes, sockets) with no path entry.
   std::uint64_t allocate_anonymous(FileType type);
 
-  /// Parent directory of a normalized absolute path ("/a/b" -> "/a").
-  static std::string parent_of(const std::string& path);
+  /// Parent directory of a normalized absolute path ("/a/b" -> "/a"): a
+  /// prefix of `path`, or "/".
+  static std::string_view parent_of(std::string_view path);
 
  private:
-  VfsResult resolve(const std::string& path, bool follow_symlinks,
+  VfsResult resolve(std::string_view path, bool follow_symlinks,
                     int depth) const;
+  /// Drop one link of `ino`; the inode goes when its last link does.
+  void drop_link(std::uint64_t ino);
 
-  std::map<std::string, std::uint64_t> entries_;
-  std::map<std::uint64_t, Inode> inodes_;
+  Entries entries_;
+  std::pmr::map<std::uint64_t, Inode> inodes_;
+  /// Each symlink's target, which its Inode::symlink_target views.
+  std::pmr::map<std::uint64_t, std::pmr::string> symlink_targets_;
   std::uint64_t next_ino_;
 };
 

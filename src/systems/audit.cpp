@@ -17,27 +17,16 @@ namespace {
 
 using os::AuditEvent;
 
-/// Re-encode the kernel's textual flags as the raw argument register a
-/// real SYSCALL record would carry: "O_RDWR|O_CREAT" -> "0x42". Unknown
-/// names are ignored (forward compatibility with kernels emitting flags
-/// we do not tabulate).
-std::string encode_flags(std::span<const os::FlagName> table,
-                         const std::string& text) {
-  long value = 0;
-  for (const std::string& piece : util::split_nonempty(text, '|')) {
-    const os::FlagName* flag = os::find_flag(table, &os::FlagName::name, piece);
-    if (flag != nullptr) value |= flag->bits;
-  }
-  char buf[2 + 16] = {'0', 'x'};
-  auto [end, ec] = std::to_chars(buf + 2, buf + sizeof buf,
-                                 static_cast<unsigned long>(value), 16);
-  return std::string(buf, end);
-}
-
 class AuditBuilder {
  public:
-  AuditBuilder(const AuditConfig& config, std::uint64_t seed)
-      : config_(config), rng_(seed) {
+  AuditBuilder(const AuditConfig& config, std::uint64_t seed,
+               os::Region& region)
+      : config_(config),
+        rng_(seed),
+        graph_(region),
+        process_vertex_(graph_.memory()),
+        path_vertex_(graph_.memory()),
+        pending_child_(graph_.memory()) {
     // Audit serial numbers restart per boot; the vertex id base is minted
     // per session — transient, like every recorder's identifiers.
     next_id_ = 1 + rng_.next_below(1u << 20);
@@ -52,6 +41,26 @@ class AuditBuilder {
 
  private:
   std::string_view fresh_id() { return graph_.num(next_id_++, "a"); }
+
+  /// Re-encode the kernel's textual flags as the raw argument register a
+  /// real SYSCALL record would carry: "O_RDWR|O_CREAT" -> "0x42". Unknown
+  /// names are ignored (forward compatibility with kernels emitting flags
+  /// we do not tabulate), and so are empty ones.
+  std::string_view encode_flags(std::span<const os::FlagName> table,
+                                std::string_view text) {
+    long value = 0;
+    while (!text.empty()) {
+      const std::size_t bar = text.find('|');
+      const os::FlagName* flag = os::find_flag(
+          table, &os::FlagName::name, util::trim(text.substr(0, bar)));
+      if (flag != nullptr) value |= flag->bits;
+      text = bar == std::string_view::npos ? "" : text.substr(bar + 1);
+    }
+    char buf[2 + 16] = {'0', 'x'};
+    auto [end, ec] = std::to_chars(buf + 2, buf + sizeof buf,
+                                   static_cast<unsigned long>(value), 16);
+    return graph_.keep(std::string_view(buf, end - buf));
+  }
 
   std::uint32_t process_vertex(const AuditEvent& event) {
     auto it = process_vertex_.find(event.pid);
@@ -94,12 +103,12 @@ class AuditBuilder {
     for (const auto& [key, value] : event.fields) {
       if (key == "time") continue;  // transient; ids already carry noise
       if (key == "flags") {
-        graph_.prop("a1", graph_.keep(encode_flags(os::kOpenFlagNames, value)));
+        graph_.prop("a1", encode_flags(os::kOpenFlagNames, value));
         if (config_.decode_arguments) graph_.prop("flags", value);
         continue;
       }
       if (key == "prot") {
-        graph_.prop("a2", graph_.keep(encode_flags(os::kProtNames, value)));
+        graph_.prop("a2", encode_flags(os::kProtNames, value));
         if (config_.decode_arguments) graph_.prop("prot", value);
         continue;
       }
@@ -120,8 +129,10 @@ class AuditBuilder {
         event.syscall == "clone") {
       auto child = event.fields.find("child");
       if (child != event.fields.end()) {
-        pending_child_.emplace(record_id,
-                               PendingChild{record, std::stoi(child->second)});
+        os::Pid pid = 0;
+        std::from_chars(child->second.data(),
+                        child->second.data() + child->second.size(), pid);
+        pending_child_.emplace(record_id, PendingChild{record, pid});
       }
     }
     resolve_pending();
@@ -148,10 +159,10 @@ class AuditBuilder {
   util::Rng rng_;
   RecordedGraph graph_;
   std::uint64_t next_id_ = 1;
-  std::map<os::Pid, std::uint32_t> process_vertex_;
-  std::map<std::string_view, std::uint32_t> path_vertex_;
+  std::pmr::map<os::Pid, std::uint32_t> process_vertex_;
+  std::pmr::map<std::string_view, std::uint32_t> path_vertex_;
   /// Keyed by the record's id: fork records are linked in id order.
-  std::map<std::string_view, PendingChild> pending_child_;
+  std::pmr::map<std::string_view, PendingChild> pending_child_;
 };
 
 }  // namespace
@@ -159,7 +170,7 @@ class AuditBuilder {
 graph::PropertyGraph build_audit_graph(const os::EventTrace& trace,
                                        const AuditConfig& config,
                                        std::uint64_t seed) {
-  return AuditBuilder(config, seed).take(trace).materialize();
+  return AuditBuilder(config, seed, trace.region()).take(trace).materialize();
 }
 
 std::set<std::string> AuditRecorder::extra_audit_rules() const {
@@ -176,8 +187,9 @@ std::string AuditRecorder::record(const os::EventTrace& trace,
   util::Rng rng(trial.seed ^ util::stable_hash("audit"));
   // auditd writes an append-only log flushed on stop: no truncation or
   // interference noise, which is why two trials suffice (default_trials).
-  return formats::to_dot(AuditBuilder(config_, rng.next_u64()).take(trace),
-                         "audit_provenance");
+  return formats::to_dot(
+      AuditBuilder(config_, rng.next_u64(), trace.region()).take(trace),
+      "audit_provenance");
 }
 
 }  // namespace provmark::systems

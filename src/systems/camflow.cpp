@@ -1,6 +1,7 @@
 #include "systems/camflow.h"
 
 #include <map>
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -18,8 +19,15 @@ using os::LsmEvent;
 
 class CamflowBuilder {
  public:
-  CamflowBuilder(const CamflowConfig& config, std::uint64_t seed)
-      : config_(config), rng_(seed) {
+  CamflowBuilder(const CamflowConfig& config, std::uint64_t seed,
+                 os::Region& region)
+      : config_(config),
+        rng_(seed),
+        graph_(region),
+        task_node_(graph_.memory()),
+        inode_node_(graph_.memory()),
+        path_node_(graph_.memory()),
+        memory_node_(graph_.memory()) {
     // cf:id values are per-boot counters: transient across trials.
     next_cf_id_ = 1 + rng_.next_below(1u << 20);
     boot_id_ = graph_.num(rng_.next_below(1u << 16));
@@ -88,8 +96,8 @@ class CamflowBuilder {
                         {"cf:inode", graph_.num(object.id)}});
   }
 
-  std::string_view inode_type(const std::string& kind) {
-    return graph_.keep("inode_" + kind);
+  std::string_view inode_type(std::string_view kind) {
+    return graph_.join({"inode_", kind});
   }
 
   /// Path entities hang off their inode via a `named` relation. `path`
@@ -114,11 +122,10 @@ class CamflowBuilder {
 
   /// The event's `key` field, or `fallback`.
   static std::string_view field_or(const LsmEvent& event,
-                                   const std::string& key,
+                                   std::string_view key,
                                    std::string_view fallback) {
     auto it = event.fields.find(key);
-    return it != event.fields.end() ? std::string_view(it->second)
-                                    : fallback;
+    return it != event.fields.end() ? it->second : fallback;
   }
 
   void handle(const LsmEvent& event) {
@@ -127,7 +134,7 @@ class CamflowBuilder {
       // baseline configuration does not serialize them (§3.1, Alice).
       return;
     }
-    const std::string& hook = event.hook;
+    const std::string_view hook = event.hook;
     // Hooks that CamFlow 0.4.5 does not serialize.
     if (hook == "inode_symlink" || hook == "inode_mknod" ||
         hook == "task_kill") {
@@ -233,9 +240,8 @@ class CamflowBuilder {
       // with the file object whose old path does not reappear (rename,
       // §4.1).
       std::uint32_t inode = inode_node(*event.object);
-      const std::optional<std::string>& path = event.object2->path;
       std::uint32_t new_path =
-          path_node(path.has_value() ? std::string_view(*path) : "?", inode);
+          path_node(event.object2->path.value_or("?"), inode);
       relate(new_path, task, "wasGeneratedBy",
              hook == "inode_link" ? "link" : "rename");
       return;
@@ -292,10 +298,10 @@ class CamflowBuilder {
   RecordedGraph graph_;
   std::uint64_t next_cf_id_ = 1;
   std::string_view boot_id_;
-  std::map<os::Pid, std::uint32_t> task_node_;
-  std::map<std::uint64_t, std::uint32_t> inode_node_;
-  std::map<std::string_view, std::uint32_t> path_node_;
-  std::map<os::Pid, std::uint32_t> memory_node_;
+  std::pmr::map<os::Pid, std::uint32_t> task_node_;
+  std::pmr::map<std::uint64_t, std::uint32_t> inode_node_;
+  std::pmr::map<std::string_view, std::uint32_t> path_node_;
+  std::pmr::map<os::Pid, std::uint32_t> memory_node_;
 };
 
 }  // namespace
@@ -303,7 +309,9 @@ class CamflowBuilder {
 graph::PropertyGraph build_camflow_graph(const os::EventTrace& trace,
                                          const CamflowConfig& config,
                                          std::uint64_t seed) {
-  return CamflowBuilder(config, seed).take(trace).materialize();
+  return CamflowBuilder(config, seed, trace.region())
+      .take(trace)
+      .materialize();
 }
 
 std::string CamflowRecorder::record(const os::EventTrace& trace,
@@ -313,7 +321,7 @@ std::string CamflowRecorder::record(const os::EventTrace& trace,
   // activity in the filtered window; ProvMark's similarity classes discard
   // such runs (§3.4).
   bool interfere = rng.chance(config_.interference_probability);
-  CamflowBuilder builder(config_, rng.next_u64());
+  CamflowBuilder builder(config_, rng.next_u64(), trace.region());
   return formats::to_prov_json(builder.take(trace, interfere));
 }
 

@@ -17,8 +17,13 @@ using os::LsmObject;
 
 class EbpfBuilder {
  public:
-  EbpfBuilder(const EbpfConfig& config, std::uint64_t seed)
-      : config_(config), rng_(seed) {
+  EbpfBuilder(const EbpfConfig& config, std::uint64_t seed,
+              os::Region& region)
+      : config_(config),
+        rng_(seed),
+        graph_(region),
+        task_node_(graph_.memory()),
+        object_node_(graph_.memory()) {
     // Event ids mirror the ring-buffer sequence of one tracing session:
     // minted per trial, transient like every recorder's identifiers.
     next_id_ = 1 + rng_.next_below(1u << 20);
@@ -76,7 +81,7 @@ class EbpfBuilder {
       graph_.prop("bpf:seq", seq);
       for (const auto& [key, value] : event.fields) {
         if (key == "time") continue;  // transient
-        graph_.prop(graph_.keep("bpf:" + key), value);
+        graph_.prop(graph_.join({"bpf:", key}), value);
       }
       if (event.permission_denied) graph_.prop("bpf:denied", "true");
     };
@@ -93,7 +98,7 @@ class EbpfBuilder {
     if (event.object2.has_value()) {
       std::uint32_t other = object_node(*event.object2, event.creds);
       graph_.edge(fresh_id("bpf:ev:"), object, other, event.hook,
-                  {{"prov:label", graph_.keep(event.hook + ":object2")}});
+                  {{"prov:label", graph_.join({event.hook, ":object2"})}});
     }
   }
 
@@ -101,8 +106,8 @@ class EbpfBuilder {
   util::Rng rng_;
   RecordedGraph graph_;
   std::uint64_t next_id_ = 1;
-  std::map<os::Pid, std::uint32_t> task_node_;
-  std::map<std::uint64_t, std::uint32_t> object_node_;
+  std::pmr::map<os::Pid, std::uint32_t> task_node_;
+  std::pmr::map<std::uint64_t, std::uint32_t> object_node_;
 };
 
 }  // namespace
@@ -110,14 +115,14 @@ class EbpfBuilder {
 graph::PropertyGraph build_ebpf_graph(const os::EventTrace& trace,
                                       const EbpfConfig& config,
                                       std::uint64_t seed) {
-  return EbpfBuilder(config, seed).take(trace).materialize();
+  return EbpfBuilder(config, seed, trace.region()).take(trace).materialize();
 }
 
 std::string EbpfRecorder::record(const os::EventTrace& trace,
                                  const TrialContext& trial) {
   util::Rng rng(trial.seed ^ util::stable_hash("ebpf"));
   return formats::to_prov_json(
-      EbpfBuilder(config_, rng.next_u64()).take(trace));
+      EbpfBuilder(config_, rng.next_u64(), trace.region()).take(trace));
 }
 
 }  // namespace provmark::systems

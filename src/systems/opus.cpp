@@ -1,6 +1,7 @@
 #include "systems/opus.h"
 
 #include <map>
+#include <memory_resource>
 #include <set>
 #include <string>
 #include <string_view>
@@ -19,8 +20,8 @@ using os::LibcEvent;
 
 /// The libc entry points OPUS wraps. Calls outside this set never reach
 /// the OPUS backend at all (mknodat, clone, tee are the Table 2 cases).
-const std::set<std::string>& wrapped_functions() {
-  static const std::set<std::string> kWrapped = {
+const std::set<std::string_view>& wrapped_functions() {
+  static const std::set<std::string_view> kWrapped = {
       "open",    "openat",   "creat",    "close",     "dup",
       "dup2",    "dup3",     "read",     "pread",     "write",
       "pwrite",  "link",     "linkat",   "symlink",   "symlinkat",
@@ -72,8 +73,14 @@ void add_environment(RecordedGraph& graph, int count, util::Rng& rng) {
 /// PVM graph builder over the libc stream.
 class OpusBuilder {
  public:
-  OpusBuilder(const OpusConfig& config, std::uint64_t seed)
-      : config_(config), rng_(seed) {
+  OpusBuilder(const OpusConfig& config, std::uint64_t seed,
+              os::Region& region)
+      : config_(config),
+        rng_(seed),
+        graph_(region),
+        process_node_(graph_.memory()),
+        global_node_(graph_.memory()),
+        global_version_(graph_.memory()) {
     next_node_ = 1 + rng_.next_below(1000000);
   }
 
@@ -144,8 +151,8 @@ class OpusBuilder {
   }
 
   void handle(const LibcEvent& event) {
-    if (wrapped_functions().count(event.function) == 0) return;
-    const std::string& fn = event.function;
+    if (!wrapped_functions().contains(event.function)) return;
+    const std::string_view fn = event.function;
 
     if (fn == "read" || fn == "pread" || fn == "write" || fn == "pwrite") {
       if (!config_.record_io) return;  // default: no read/write recording
@@ -304,18 +311,18 @@ class OpusBuilder {
   }
 
   /// `path` made absolute; kept in the view when it had to be built.
-  std::string_view full_path(const std::string& path) {
+  std::string_view full_path(std::string_view path) {
     if (!path.empty() && path.front() == '/') return path;
-    return graph_.keep("/home/user/" + path);
+    return graph_.join({"/home/user/", path});
   }
 
   const OpusConfig& config_;
   util::Rng rng_;
   RecordedGraph graph_;
   std::uint64_t next_node_ = 1;
-  std::map<os::Pid, std::uint32_t> process_node_;
-  std::map<std::string_view, std::uint32_t> global_node_;
-  std::map<std::string_view, int> global_version_;
+  std::pmr::map<os::Pid, std::uint32_t> process_node_;
+  std::pmr::map<std::string_view, std::uint32_t> global_node_;
+  std::pmr::map<std::string_view, int> global_version_;
 };
 
 }  // namespace
@@ -323,7 +330,7 @@ class OpusBuilder {
 graph::PropertyGraph build_opus_graph(const os::EventTrace& trace,
                                       const OpusConfig& config,
                                       std::uint64_t seed) {
-  return OpusBuilder(config, seed).take(trace).materialize();
+  return OpusBuilder(config, seed, trace.region()).take(trace).materialize();
 }
 
 std::string OpusRecorder::record(const os::EventTrace& trace,
@@ -332,7 +339,7 @@ std::string OpusRecorder::record(const os::EventTrace& trace,
   // OPUS writes into Neo4j; ProvMark extracts via queries. Any two runs
   // are usually consistent (§3.2), so no structural noise is injected.
   return formats::to_neo4j_json(
-      OpusBuilder(config_, rng.next_u64()).take(trace));
+      OpusBuilder(config_, rng.next_u64(), trace.region()).take(trace));
 }
 
 }  // namespace provmark::systems

@@ -1,11 +1,13 @@
 // The graph a recorder builds for one trial, as a graph::GraphView.
 //
 // A recorder serializes its graph once, so it builds the view the writers
-// in formats/ read instead of a PropertyGraph. Minted ids and computed
-// values (decimal numbers) go in the view's arena; strings of the event
-// trace and literals are referenced in place, so the trace must outlive
-// the view — Recorder::record() writes its document before it returns.
-// Recorders address nodes by index, so their dedupe maps hold indices.
+// in formats/ read instead of a PropertyGraph. The view is built in the
+// trial's region (os/region.h): its element and property lists, minted
+// ids and computed values (decimal numbers) all draw from it, and
+// strings of the event trace and literals are referenced in place. So
+// the trace must outlive the view — Recorder::record() writes its
+// document before it returns. Recorders address nodes by index, so their
+// dedupe maps hold indices; they draw from the region too.
 //
 // Element ids are checked for uniqueness by graph::GraphViewBuilder, with
 // PropertyGraph's exceptions. Properties follow the view's rule: an
@@ -21,6 +23,7 @@
 #include <utility>
 
 #include "graph/graph_view.h"
+#include "os/region.h"
 
 namespace provmark::systems {
 
@@ -28,15 +31,23 @@ class RecordedGraph {
  public:
   using Prop = graph::GraphView::Prop;
 
-  RecordedGraph() : builder_(view_) {}
+  explicit RecordedGraph(os::Region& region)
+      : region_(region), view_(region.resource()), builder_(view_) {}
   RecordedGraph(const RecordedGraph&) = delete;
   RecordedGraph& operator=(const RecordedGraph&) = delete;
 
-  /// A copy of `s` owned by the view.
-  std::string_view keep(std::string_view s) { return view_.arena.keep(s); }
+  /// The region the graph is built in, for the recorder's own scratch.
+  std::pmr::memory_resource* memory() { return region_.resource(); }
+
+  /// A copy of `s` owned by the region.
+  std::string_view keep(std::string_view s) { return region_.keep(s); }
+  /// The concatenation of `parts`, owned by the region.
+  std::string_view join(std::initializer_list<std::string_view> parts) {
+    return region_.join(parts);
+  }
 
   /// `prefix` (at most 40 bytes) followed by `n` in decimal, owned by the
-  /// view: a minted id or, with no prefix, a numeric property value.
+  /// region: a minted id or, with no prefix, a numeric property value.
   template <typename Int>
   std::string_view num(Int n, std::string_view prefix = {}) {
     char buf[64];
@@ -80,6 +91,7 @@ class RecordedGraph {
     return {first, claimed_ - first};
   }
 
+  os::Region& region_;
   graph::GraphView view_;
   graph::GraphViewBuilder builder_;
   std::uint32_t claimed_ = 0;  ///< props before this belong to an element

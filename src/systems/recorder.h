@@ -9,6 +9,11 @@
 // a graph::GraphView (systems/recorded_graph.h) and hand it straight to
 // the formats/ writer; no PropertyGraph is built on the trial path.
 //
+// A trial's events and build scratch live in one region owned by its
+// trace (os/region.h): a recorder builds its view, its dedupe maps and
+// the document's text there, and only the returned document is a heap
+// string.
+//
 // Each trial gets a fresh TrialContext whose seed drives recorder-side
 // transient values (minted node identifiers, serialization timestamps)
 // and the structural instabilities the paper reports (SPADE output
@@ -56,7 +61,9 @@ class Recorder {
   /// one Recorder instance, so implementations must be safe for
   /// concurrent record() calls — derive all transient values from
   /// `trial.seed` and keep per-trial state local to the call (the
-  /// shipped recorders hold only immutable config between calls).
+  /// shipped recorders hold only immutable config between calls). The
+  /// build scratch draws from the trace's region, so one trace is
+  /// recorded by one thread at a time.
   virtual std::string record(const os::EventTrace& trace,
                              const TrialContext& trial) = 0;
 

@@ -1,6 +1,7 @@
 #include "systems/spade.h"
 
 #include <map>
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -22,8 +23,16 @@ using Prop = graph::GraphView::Prop;
 /// Incremental OPM graph builder over the audit stream.
 class SpadeBuilder {
  public:
-  SpadeBuilder(const SpadeConfig& config, std::uint64_t seed)
-      : config_(config), rng_(seed) {
+  SpadeBuilder(const SpadeConfig& config, std::uint64_t seed,
+               os::Region& region)
+      : config_(config),
+        rng_(seed),
+        graph_(region),
+        process_vertex_(graph_.memory()),
+        process_creds_(graph_.memory()),
+        artifact_vertex_(graph_.memory()),
+        artifact_version_(graph_.memory()),
+        last_artifact_(graph_.memory()) {
     // Vertex ids restart per SPADE session at a session-dependent base —
     // ids are transient, but the matcher never looks at ids anyway.
     next_vertex_ = 1 + rng_.next_below(100000);
@@ -44,8 +53,7 @@ class SpadeBuilder {
   static std::string_view time_or(const AuditEvent& event,
                                   std::string_view fallback) {
     auto it = event.fields.find("time");
-    return it != event.fields.end() ? std::string_view(it->second)
-                                    : fallback;
+    return it != event.fields.end() ? it->second : fallback;
   }
 
   /// Process vertex for a pid, created on first sight.
@@ -162,7 +170,7 @@ class SpadeBuilder {
   }
 
   void handle(const AuditEvent& event) {
-    const std::string& call = event.syscall;
+    const std::string_view call = event.syscall;
     if (call == "exit_group") {
       // Credential re-check only; no structure for normal termination.
       process_vertex(event);
@@ -342,7 +350,7 @@ class SpadeBuilder {
     const std::string_view key =
         config_.fixed_ioruns_property ? "operation" : "op";
     graph::GraphView& view = graph_.view();
-    std::vector<graph::GraphView::EdgeRef>& edges = view.edges;
+    std::pmr::vector<graph::GraphView::EdgeRef>& edges = view.edges;
     // An edge's value of `key` (its last, as the writers take it).
     auto value_of = [&](const graph::GraphView::EdgeRef& e) {
       std::optional<std::string_view> value;
@@ -352,7 +360,7 @@ class SpadeBuilder {
       return value;
     };
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    std::vector<char> doomed(edges.size(), 0);
+    std::pmr::vector<char> doomed(edges.size(), 0, graph_.memory());
     std::size_t run_start = kNone;
     int run_length = 0;
     auto flush = [&](std::size_t next) {
@@ -402,11 +410,11 @@ class SpadeBuilder {
   util::Rng rng_;
   RecordedGraph graph_;
   std::uint64_t next_vertex_ = 1;
-  std::map<os::Pid, std::uint32_t> process_vertex_;
-  std::map<os::Pid, os::Credentials> process_creds_;
-  std::map<std::string_view, std::uint32_t> artifact_vertex_;
-  std::map<std::string_view, int> artifact_version_;
-  std::map<os::Pid, std::uint32_t> last_artifact_;
+  std::pmr::map<os::Pid, std::uint32_t> process_vertex_;
+  std::pmr::map<os::Pid, os::Credentials> process_creds_;
+  std::pmr::map<std::string_view, std::uint32_t> artifact_vertex_;
+  std::pmr::map<std::string_view, int> artifact_version_;
+  std::pmr::map<os::Pid, std::uint32_t> last_artifact_;
 };
 
 }  // namespace
@@ -414,7 +422,7 @@ class SpadeBuilder {
 graph::PropertyGraph build_spade_graph(const os::EventTrace& trace,
                                        const SpadeConfig& config,
                                        std::uint64_t seed) {
-  return SpadeBuilder(config, seed).take(trace).materialize();
+  return SpadeBuilder(config, seed, trace.region()).take(trace).materialize();
 }
 
 std::set<std::string> SpadeRecorder::extra_audit_rules() const {
@@ -426,7 +434,7 @@ std::string SpadeRecorder::record(const os::EventTrace& trace,
                                   const TrialContext& trial) {
   util::Rng rng(trial.seed ^ util::stable_hash("spade"));
   const graph::GraphView view =
-      SpadeBuilder(config_, rng.next_u64()).take(trace);
+      SpadeBuilder(config_, rng.next_u64(), trace.region()).take(trace);
   if (config_.storage == SpadeStorage::Neo4j) {
     // The `spn` configuration: the graph lands in Neo4j; stopping the
     // recorder flushes the transaction, so no truncation applies.

@@ -16,17 +16,22 @@ namespace {
 using os::LsmEvent;
 
 /// The event's `key` field, or `fallback`.
-std::string_view field_or(const LsmEvent& event, const std::string& key,
+std::string_view field_or(const LsmEvent& event, std::string_view key,
                           std::string_view fallback) {
   auto it = event.fields.find(key);
-  return it != event.fields.end() ? std::string_view(it->second) : fallback;
+  return it != event.fields.end() ? it->second : fallback;
 }
 
 /// Translates the LSM hook stream into SPADE's OPM vocabulary.
 class SpadeCamflowBuilder {
  public:
-  SpadeCamflowBuilder(const SpadeCamflowConfig& config, std::uint64_t seed)
-      : config_(config), rng_(seed) {
+  SpadeCamflowBuilder(const SpadeCamflowConfig& config, std::uint64_t seed,
+                      os::Region& region)
+      : config_(config),
+        rng_(seed),
+        graph_(region),
+        process_vertex_(graph_.memory()),
+        artifact_vertex_(graph_.memory()) {
     next_vertex_ = 1 + rng_.next_below(100000);
   }
 
@@ -93,7 +98,7 @@ class SpadeCamflowBuilder {
 
   void handle(const LsmEvent& event) {
     if (event.permission_denied && !config_.record_denied) return;
-    const std::string& hook = event.hook;
+    const std::string_view hook = event.hook;
     // The reporter inherits CamFlow 0.4.5's serialization gaps.
     if (hook == "inode_symlink" || hook == "inode_mknod" ||
         hook == "task_kill" || hook == "task_free") {
@@ -182,8 +187,8 @@ class SpadeCamflowBuilder {
   util::Rng rng_;
   RecordedGraph graph_;
   std::uint64_t next_vertex_ = 1;
-  std::map<os::Pid, std::uint32_t> process_vertex_;
-  std::map<std::uint64_t, std::uint32_t> artifact_vertex_;
+  std::pmr::map<os::Pid, std::uint32_t> process_vertex_;
+  std::pmr::map<std::uint64_t, std::uint32_t> artifact_vertex_;
 };
 
 }  // namespace
@@ -191,14 +196,16 @@ class SpadeCamflowBuilder {
 graph::PropertyGraph build_spade_camflow_graph(
     const os::EventTrace& trace, const SpadeCamflowConfig& config,
     std::uint64_t seed) {
-  return SpadeCamflowBuilder(config, seed).take(trace, false).materialize();
+  return SpadeCamflowBuilder(config, seed, trace.region())
+      .take(trace, false)
+      .materialize();
 }
 
 std::string SpadeCamflowRecorder::record(const os::EventTrace& trace,
                                          const TrialContext& trial) {
   util::Rng rng(trial.seed ^ util::stable_hash("spade-camflow"));
   bool interfere = rng.chance(config_.interference_probability);
-  SpadeCamflowBuilder builder(config_, rng.next_u64());
+  SpadeCamflowBuilder builder(config_, rng.next_u64(), trace.region());
   return formats::to_dot(builder.take(trace, interfere),
                          "spade_camflow_provenance");
 }

@@ -85,7 +85,8 @@ bool Json::operator==(const Json& other) const {
 namespace {
 
 /// json_escape(s) appended to `out`.
-void append_json_escaped(std::string& out, std::string_view s) {
+template <typename String>
+void append_json_escaped(String& out, std::string_view s) {
   std::size_t run = 0;  // start of the pending run of plain characters
   for (std::size_t i = 0; i < s.size(); ++i) {
     unsigned char c = static_cast<unsigned char>(s[i]);
@@ -122,13 +123,15 @@ std::string json_escape(std::string_view s) {
 
 // -- writer -------------------------------------------------------------------
 
-void JsonWriter::newline(std::size_t depth) {
+template <typename String>
+void BasicJsonWriter<String>::newline(std::size_t depth) {
   if (indent_ <= 0) return;
   out_ += '\n';
   out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
 }
 
-void JsonWriter::before_value() {
+template <typename String>
+void BasicJsonWriter<String>::before_value() {
   if (after_key_) {
     after_key_ = false;
     return;
@@ -139,20 +142,23 @@ void JsonWriter::before_value() {
   newline(empty_.size());
 }
 
-void JsonWriter::open(char bracket) {
+template <typename String>
+void BasicJsonWriter<String>::open(char bracket) {
   before_value();
   out_ += bracket;
   empty_.push_back(true);
 }
 
-void JsonWriter::close(char bracket) {
+template <typename String>
+void BasicJsonWriter<String>::close(char bracket) {
   bool was_empty = empty_.back();
   empty_.pop_back();
   if (!was_empty) newline(empty_.size());
   out_ += bracket;
 }
 
-void JsonWriter::key(std::string_view k) {
+template <typename String>
+void BasicJsonWriter<String>::key(std::string_view k) {
   if (!empty_.back()) out_ += ',';
   empty_.back() = false;
   newline(empty_.size());
@@ -162,17 +168,22 @@ void JsonWriter::key(std::string_view k) {
   after_key_ = true;
 }
 
-void JsonWriter::string(std::string_view s) {
+template <typename String>
+void BasicJsonWriter<String>::string(std::string_view s) {
   before_value();
   out_ += '"';
   append_json_escaped(out_, s);
   out_ += '"';
 }
 
-void JsonWriter::literal(std::string_view text) {
+template <typename String>
+void BasicJsonWriter<String>::literal(std::string_view text) {
   before_value();
   out_ += text;
 }
+
+template class BasicJsonWriter<std::string>;
+template class BasicJsonWriter<std::pmr::string>;
 
 namespace {
 

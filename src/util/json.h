@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -33,7 +34,9 @@
 namespace provmark::util {
 
 class Json;
-class JsonWriter;
+template <typename String>
+class BasicJsonWriter;
+using JsonWriter = BasicJsonWriter<std::string>;
 
 /// Error thrown by the JSON parser on malformed input, with byte offset.
 class JsonParseError : public std::runtime_error {
@@ -132,11 +135,14 @@ class Json {
 /// layout: compact when `indent` <= 0, otherwise one member or element
 /// per line, `indent` spaces per level, `"key": value`, and empty
 /// containers as `{}` / `[]`. Inside an object each value follows a
-/// key(); the caller keeps begin/end calls balanced.
-class JsonWriter {
+/// key(); the caller keeps begin/end calls balanced. The writer's own
+/// bookkeeping draws from the output string's allocator. Instantiated
+/// for std::string (JsonWriter) and std::pmr::string.
+template <typename String>
+class BasicJsonWriter {
  public:
-  explicit JsonWriter(std::string& out, int indent = 0)
-      : out_(out), indent_(indent) {}
+  explicit BasicJsonWriter(String& out, int indent = 0)
+      : out_(out), indent_(indent), empty_(out.get_allocator()) {}
 
   void begin_object() { open('{'); }
   void end_object() { close('}'); }
@@ -148,6 +154,9 @@ class JsonWriter {
   void literal(std::string_view text);
 
  private:
+  using BoolAllocator = typename std::allocator_traits<
+      typename String::allocator_type>::template rebind_alloc<bool>;
+
   void open(char bracket);
   void close(char bracket);
   /// Separator and line break before an array element; nothing after a
@@ -155,12 +164,15 @@ class JsonWriter {
   void before_value();
   void newline(std::size_t depth);
 
-  std::string& out_;
+  String& out_;
   int indent_;
   /// Per open container: true until its first member or element.
-  std::vector<bool> empty_;
+  std::vector<bool, BoolAllocator> empty_;
   bool after_key_ = false;
 };
+
+extern template class BasicJsonWriter<std::string>;
+extern template class BasicJsonWriter<std::pmr::string>;
 
 /// A pull reader over one JSON document. The caller asks for the value
 /// it expects next (peek() says what comes); the reader checks the text

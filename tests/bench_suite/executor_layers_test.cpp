@@ -37,8 +37,8 @@ std::vector<BenchmarkProgram> programs() {
 }
 
 template <typename Event>
-void expect_same_events(const std::vector<Event>& full,
-                        const std::vector<Event>& one,
+void expect_same_events(const std::pmr::vector<Event>& full,
+                        const std::pmr::vector<Event>& one,
                         const std::string& where) {
   ASSERT_EQ(full.size(), one.size()) << where;
   for (std::size_t i = 0; i < full.size(); ++i) {

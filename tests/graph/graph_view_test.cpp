@@ -230,8 +230,10 @@ const Route kProvJson{
     "prov-json",
     [](std::string_view t) { return formats::prov_json_view(t); },
     formats::from_prov_json};
-const Route kNeo4j{"neo4j-json", formats::neo4j_json_view,
-                   formats::from_neo4j_json};
+const Route kNeo4j{
+    "neo4j-json",
+    [](std::string_view t) { return formats::neo4j_json_view(t); },
+    formats::from_neo4j_json};
 /// The pipeline's route: read_native (PROV-JSON first, Neo4j through the
 /// store) against transform_native.
 const Route kNative{

@@ -58,8 +58,8 @@ TEST(Kernel, FlagStringsComeFromTheFlagTable) {
   kernel.sys_mmap(pid, -1, 4096, 7);
   std::vector<std::string> open_flags, prot;
   for (const LibcEvent& e : kernel.trace().libc) {
-    if (e.function == "open") open_flags.push_back(e.args.at(1));
-    if (e.function == "mmap") prot.push_back(e.args.at(2));
+    if (e.function == "open") open_flags.emplace_back(e.args.at(1));
+    if (e.function == "mmap") prot.emplace_back(e.args.at(2));
   }
   EXPECT_EQ(open_flags, (std::vector<std::string>{"O_RDWR|O_TRUNC|O_CLOEXEC",
                                                   "O_RDONLY"}));

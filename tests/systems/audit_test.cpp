@@ -82,8 +82,8 @@ TEST(Audit, UnknownFlagNamesAddNoBits) {
   os::EventTrace trace = trace_for("creat", true);
   for (os::AuditEvent& e : trace.audit) {
     if (e.syscall != "creat") continue;
-    e.fields["flags"] = "O_RDWR|O_BOGUS|O_CREAT";
-    e.fields["prot"] = "PROT_NONE|PROT_EXEC";
+    e.fields.set("flags", "O_RDWR|O_BOGUS|O_CREAT");
+    e.fields.set("prot", "PROT_NONE|PROT_EXEC");
   }
   graph::PropertyGraph g = build_audit_graph(trace, {}, 1);
   const graph::Node* record = find_syscall_node(g, "creat");
