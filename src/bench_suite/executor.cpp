@@ -230,7 +230,7 @@ ExecutionResult execute_program(
   options.layers = layers;
   if (program.creds.has_value()) options.initial_creds = *program.creds;
   Kernel kernel(std::move(options));
-  os::Region& region = kernel.region();
+  util::Region& region = kernel.region();
 
   // Staging: prepare the filesystem before recording starts.
   auto absolute = [&region](std::string_view path) {

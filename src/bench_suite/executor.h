@@ -2,7 +2,7 @@
 // per-layer event trace that the recorder simulators consume.
 //
 // A trial's events and build scratch live in one region owned by its
-// trace (os/region.h): the kernel's tables, the executor's variables and
+// trace (util/region.h): the kernel's tables, the executor's variables and
 // staging paths, and the events all draw from it, and so does the
 // recorder that later reads the trace. Moving an ExecutionResult moves
 // the region with it; it is freed in one step when the trace goes.

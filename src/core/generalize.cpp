@@ -1,7 +1,7 @@
 #include "core/generalize.h"
 
 #include <algorithm>
-#include <map>
+#include <span>
 
 #include "matcher/interned.h"
 #include "matcher/memo.h"
@@ -15,16 +15,26 @@ std::vector<std::vector<std::size_t>> similarity_classes(
     matcher::SimilarityMemo* memo, runtime::ThreadPool* pool) {
   // Bucket by structural digest first (equal digests are necessary for
   // similarity), then confirm with the exact matcher inside each bucket.
-  // std::map iterates buckets in digest order — one fixed order however
-  // they are later scheduled.
-  std::map<std::uint64_t, std::vector<std::size_t>> buckets;
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    buckets[digests[i]].push_back(i);
-  }
-  std::vector<const std::vector<std::size_t>*> bucket_list;
-  bucket_list.reserve(buckets.size());
-  for (const auto& [digest, members] : buckets) {
-    bucket_list.push_back(&members);
+  // The trial indices sorted by (digest, index) list the buckets in
+  // digest order — one fixed order however they are later scheduled —
+  // each bucket a run of ascending indices.
+  std::vector<std::size_t> by_digest(trials.size());
+  for (std::size_t i = 0; i < trials.size(); ++i) by_digest[i] = i;
+  std::sort(by_digest.begin(), by_digest.end(),
+            [&digests](std::size_t a, std::size_t b) {
+              return digests[a] != digests[b] ? digests[a] < digests[b]
+                                              : a < b;
+            });
+  std::vector<std::span<const std::size_t>> bucket_list;
+  bucket_list.reserve(by_digest.size());
+  for (std::size_t first = 0; first < by_digest.size();) {
+    std::size_t last = first + 1;
+    while (last < by_digest.size() &&
+           digests[by_digest[last]] == digests[by_digest[first]]) {
+      ++last;
+    }
+    bucket_list.emplace_back(by_digest.data() + first, last - first);
+    first = last;
   }
 
   // Buckets are independent: no similar() call ever crosses a digest
@@ -36,7 +46,7 @@ std::vector<std::vector<std::size_t>> similarity_classes(
       bucket_list.size());
   auto classify_bucket = [&](std::size_t b) {
     std::vector<std::vector<std::size_t>>& sub = per_bucket[b];
-    for (std::size_t index : *bucket_list[b]) {
+    for (std::size_t index : bucket_list[b]) {
       bool placed = false;
       for (std::vector<std::size_t>& cls : sub) {
         std::size_t rep = cls.front();

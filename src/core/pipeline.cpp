@@ -191,8 +191,8 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
     return result;
   }
 
-  result.generalized_background = bg_general->graph;
-  result.generalized_foreground = fg_general->graph;
+  result.generalized_background = std::move(bg_general->graph);
+  result.generalized_foreground = std::move(fg_general->graph);
   result.trials_discarded = static_cast<int>(bg_general->discarded +
                                              fg_general->discarded);
   result.transient_properties =

@@ -32,16 +32,19 @@ bool export_key_first(std::string_view text) {
 /// top-level keys is what detection takes for Neo4j, and a document that
 /// is not a well-formed one goes back to detection.
 graph::GraphView read_export(std::string_view text,
-                             const TransformOptions& options) {
+                             const TransformOptions& options,
+                             std::pmr::memory_resource* memory) {
   bool relationships = false;
   graph::GraphView view;
   try {
-    view = formats::neo4j_json_view(text, &relationships);
+    view = formats::neo4j_json_view(text, &relationships, memory);
   } catch (const std::exception&) {
     if (formats::detect_format(text) == formats::Format::Neo4jJson) throw;
-    return formats::view_as(formats::Format::ProvJson, text);
+    return formats::view_as(formats::Format::ProvJson, text, memory);
   }
-  if (!relationships) return formats::view_as(formats::Format::ProvJson, text);
+  if (!relationships) {
+    return formats::view_as(formats::Format::ProvJson, text, memory);
+  }
   formats::Neo4jStore::Options store_options;
   store_options.startup_rounds = options.neo4j_startup_rounds;
   formats::Neo4jStore store(store_options);
@@ -52,7 +55,8 @@ graph::GraphView read_export(std::string_view text,
 }  // namespace
 
 graph::GraphView read_native(std::string_view native_output,
-                             const TransformOptions& options) {
+                             const TransformOptions& options,
+                             std::pmr::memory_resource* memory) {
   // CamFlow's PROV-JSON is the common JSON document: read it once instead
   // of detecting the format first. A successful read means valid JSON, so
   // detection would have said PROV-JSON too, unless the document has the
@@ -61,12 +65,12 @@ graph::GraphView read_native(std::string_view native_output,
   // first, so it goes straight to the store instead.
   if (util::starts_with(util::trim(native_output), "{")) {
     if (export_key_first(native_output)) {
-      return read_export(native_output, options);
+      return read_export(native_output, options, memory);
     }
     try {
       bool neo4j_keys = false;
-      graph::GraphView view = formats::prov_json_view(native_output,
-                                                      &neo4j_keys);
+      graph::GraphView view =
+          formats::prov_json_view(native_output, &neo4j_keys, memory);
       if (!neo4j_keys) return view;
     } catch (const std::exception&) {
     }
@@ -78,10 +82,10 @@ graph::GraphView read_native(std::string_view native_output,
     formats::Neo4jStore::Options store_options;
     store_options.startup_rounds = options.neo4j_startup_rounds;
     formats::Neo4jStore store(store_options);
-    store.open(native_output);
+    store.open(formats::neo4j_json_view(native_output, nullptr, memory));
     return std::move(store).view();
   }
-  return formats::view_as(format, native_output);
+  return formats::view_as(format, native_output, memory);
 }
 
 graph::PropertyGraph transform_native(std::string_view native_output,

@@ -10,6 +10,7 @@
 // profile with genuine index-building work.
 #pragma once
 
+#include <memory_resource>
 #include <string>
 #include <string_view>
 
@@ -25,11 +26,15 @@ struct TransformOptions {
 };
 
 /// Read a native recorder document (format auto-detected) into a view
-/// over it; `native_output` must outlive the view. Throws
-/// std::runtime_error (or std::invalid_argument on an id clash or a
-/// dangling edge) on malformed input.
-graph::GraphView read_native(std::string_view native_output,
-                             const TransformOptions& options = {});
+/// over it; `native_output` must outlive the view. The view's lists and
+/// arena and the reader's scratch draw from `memory` (the pipeline passes
+/// the trial's region); only a Datalog document's view and the modeled
+/// Neo4j store's index maps use the heap. Throws std::runtime_error (or
+/// std::invalid_argument on an id clash or a dangling edge) on malformed
+/// input.
+graph::GraphView read_native(
+    std::string_view native_output, const TransformOptions& options = {},
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 /// read_native(), materialized into a property graph.
 graph::PropertyGraph transform_native(std::string_view native_output,

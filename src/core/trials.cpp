@@ -64,21 +64,26 @@ int read_trials(int first, int count, const TransformOptions& transform,
                 graph::SymbolTable& symbols, TrialSet& background,
                 TrialSet& foreground, runtime::ThreadPool& pool) {
   // Reading each document into a view is per-trial pure work and runs on
-  // the pool; interning the structure (with the digest and the matcher's
-  // per-graph invariants) is a short serial tail, since the symbol table
-  // is shared by the whole run so every later matcher call can compare
-  // any pair. Properties wait until a generalization reads them.
+  // the pool, each task in the region it creates for its trial;
+  // interning the structure (with the digest and the matcher's per-graph
+  // invariants) is a short serial tail, since the symbol table is shared
+  // by the whole run so every later matcher call can compare any pair.
+  // Properties wait until a generalization reads them.
   const std::size_t tasks = static_cast<std::size_t>(count) * 2;
+  std::vector<std::unique_ptr<util::Region>> regions(tasks);
   std::vector<std::optional<graph::GraphView>> parsed(tasks);
   pool.parallel_for(tasks, [&](std::size_t t) {
     bool is_foreground = t >= static_cast<std::size_t>(count);
     const TrialSet& set = is_foreground ? foreground : background;
+    regions[t] = std::make_unique<util::Region>();
     try {
-      parsed[t] = read_native(
-          set.documents[first + (is_foreground ? t - count : t)], transform);
+      parsed[t].emplace(read_native(
+          set.documents[first + (is_foreground ? t - count : t)], transform,
+          regions[t]->resource()));
     } catch (const std::exception&) {
       // Garbled (truncated) output: the trial is a failed run and is
       // excluded before similarity classification.
+      regions[t].reset();
     }
   });
   int unparseable = 0;
@@ -89,9 +94,12 @@ int read_trials(int first, int count, const TransformOptions& transform,
     }
     TrialSet& set =
         t < static_cast<std::size_t>(count) ? background : foreground;
+    util::Region& region = *set.regions.emplace_back(std::move(regions[t]));
     set.views.push_back(std::move(*parsed[t]));
+    parsed[t].reset();
     set.interned.emplace_back(set.views.back(), symbols);
-    set.digests.push_back(set.interned.back().structural_digest());
+    set.digests.push_back(
+        set.interned.back().structural_digest(region.resource()));
   }
   return unparseable;
 }

@@ -3,10 +3,20 @@
 // pool, stage (2) reads them and interns and digests their structure,
 // and stage (3) interns the properties of only the trials a
 // generalization reads. Internal to core/.
+//
+// Memory: each readable trial has a region of its own (util/region.h).
+// The read task creates it and reads the document into it; the TrialSet
+// keeps it at a stable address, and the trial's view, its interned
+// graph (properties interned later included) and the scratch of reading
+// and interning all draw from it. An unparseable trial's region is
+// dropped with it. The TrialSet owns every region, so views and interned
+// graphs live exactly as long as their TrialSet; a generalized graph is
+// a heap copy, but its ids still view the trial's document.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -17,26 +27,30 @@
 #include "core/pipeline.h"
 #include "graph/graph_view.h"
 #include "matcher/interned.h"
+#include "util/region.h"
 
 namespace provmark::core {
 
 /// One variant's trials, carried across retry rounds: every native
-/// document recorded (garbled ones too), and per readable trial its view
-/// of the document, its interned graph (structure interned exactly once,
-/// against the run-wide symbol table; properties only once a
-/// generalization reads them) and its WL structural digest. std::deque
-/// keeps documents and views at stable addresses: views point into
-/// documents, interned graphs' ids point into both, and a trial's
-/// properties are interned from its view.
+/// document recorded (garbled ones too), and per readable trial its
+/// region, its view of the document, its interned graph (structure
+/// interned exactly once, against the run-wide symbol table; properties
+/// only once a generalization reads them) and its WL structural digest.
+/// std::deque keeps documents and views at stable addresses: views point
+/// into documents, interned graphs' ids point into both, and a trial's
+/// properties are interned from its view. The regions are declared
+/// before the views and interned graphs that draw from them, so those
+/// are destroyed first.
 struct TrialSet {
   std::deque<std::string> documents;
+  std::vector<std::unique_ptr<util::Region>> regions;
   std::deque<graph::GraphView> views;
   std::deque<matcher::InternedGraph> interned;
   std::vector<std::uint64_t> digests;
 
-  /// Intern the properties of readable trial `i`, once: later calls for
-  /// the same trial do nothing. Serial only: `symbols` is not
-  /// thread-safe.
+  /// Intern the properties of readable trial `i`, once, into the trial's
+  /// region: later calls for the same trial do nothing. Serial only:
+  /// neither `symbols` nor the region is thread-safe.
   void intern_properties(std::size_t i, graph::SymbolTable& symbols) {
     interned[i].g.intern_properties(views[i], symbols);
   }
@@ -63,10 +77,11 @@ std::string record_trials(const bench_suite::BenchmarkProgram& program,
                           TrialSet& foreground, runtime::ThreadPool& pool);
 
 /// Stage (2): reads the documents of trials [first, first + count) of both
-/// variants on `pool`, then interns the structure of each readable one
-/// against `symbols` and digests it, in trial order. Returns how many
-/// were unparseable (garbled output, excluded before similarity
-/// classification).
+/// variants on `pool`, each into a new region of its own, then interns
+/// the structure of each readable one into that region against
+/// `symbols` and digests it, in trial order. Returns how many were
+/// unparseable (garbled output, excluded before similarity
+/// classification; their regions are dropped).
 int read_trials(int first, int count, const TransformOptions& transform,
                 graph::SymbolTable& symbols, TrialSet& background,
                 TrialSet& foreground, runtime::ThreadPool& pool);

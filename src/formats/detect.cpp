@@ -67,11 +67,12 @@ graph::PropertyGraph single_datalog_graph(std::string_view text) {
 
 }  // namespace
 
-graph::GraphView view_as(Format format, std::string_view text) {
+graph::GraphView view_as(Format format, std::string_view text,
+                         std::pmr::memory_resource* memory) {
   switch (format) {
-    case Format::Dot: return dot_view(text);
-    case Format::ProvJson: return prov_json_view(text);
-    case Format::Neo4jJson: return neo4j_json_view(text);
+    case Format::Dot: return dot_view(text, memory);
+    case Format::ProvJson: return prov_json_view(text, nullptr, memory);
+    case Format::Neo4jJson: return neo4j_json_view(text, nullptr, memory);
     case Format::Datalog: return graph::copy_of(single_datalog_graph(text));
     case Format::Unknown: break;
   }

@@ -80,10 +80,12 @@ void append_attributes(std::pmr::string& out,
 /// Reads the DOT subset into a GraphView over the document.
 class DotReader {
  public:
-  explicit DotReader(std::string_view text) : text_(text) {}
+  /// The view and the reader's scratch draw from `memory`.
+  DotReader(std::string_view text, std::pmr::memory_resource* memory)
+      : text_(text), memory_(memory), unescaped_(memory) {}
 
   graph::GraphView read() {
-    graph::GraphView view;
+    graph::GraphView view(memory_);
     view.reserve_for(text_.size());
     graph::GraphViewBuilder builder(view);
     expect_keyword("digraph");
@@ -92,14 +94,16 @@ class DotReader {
     // DOT edges have no ids; edge k is named "dot_e<k>". Every name the
     // document can need (one per "->" in it) is laid out in one arena
     // string, so each edge id is a view into it.
-    const std::string_view edge_names = view.arena.keep(synthetic_edge_ids());
+    const std::string_view edge_names =
+        view.arena.keep(synthetic_edge_ids());
     std::size_t edge_name_at = 0;
     // Node statements may declare a node more than once: its label is the
     // last declaration's, its properties every declaration's attributes
     // in document order (the last value of a key wins). They are gathered
     // here and laid out per node at the end.
-    std::vector<std::pair<std::uint32_t, graph::GraphView::Prop>> node_attrs;
-    std::pmr::vector<graph::GraphView::Prop> attrs;
+    std::pmr::vector<std::pair<std::uint32_t, graph::GraphView::Prop>>
+        node_attrs(memory_);
+    std::pmr::vector<graph::GraphView::Prop> attrs(memory_);
     while (true) {
       skip_space();
       if (peek() == '}') {
@@ -157,13 +161,13 @@ class DotReader {
   }
 
   /// "dot_e0dot_e1...", one name per "->" in the document.
-  std::string synthetic_edge_ids() const {
+  std::pmr::string synthetic_edge_ids() const {
     std::size_t arrows = 0;
     for (std::size_t at = text_.find("->"); at != std::string_view::npos;
          at = text_.find("->", at + 2)) {
       ++arrows;
     }
-    std::string names;
+    std::pmr::string names(memory_);
     names.reserve(arrows * 9);
     char digits[16];
     for (std::size_t k = 0; k < arrows; ++k) {
@@ -176,7 +180,7 @@ class DotReader {
 
   static void lay_out_node_props(
       graph::GraphView& view,
-      const std::vector<std::pair<std::uint32_t, graph::GraphView::Prop>>&
+      const std::pmr::vector<std::pair<std::uint32_t, graph::GraphView::Prop>>&
           node_attrs) {
     // Counting sort by node keeps each node's attributes in document
     // order.
@@ -259,7 +263,8 @@ class DotReader {
       pos_ = end + 1;
       return plain;
     }
-    std::string out;
+    std::pmr::string& out = unescaped_;
+    out.clear();
     while (true) {
       // Copy the run up to the next quote or backslash in one append.
       end = quote_or_escape(pos_);
@@ -269,7 +274,7 @@ class DotReader {
       }
       out.append(text_.data() + pos_, end - pos_);
       pos_ = end + 1;
-      if (text_[end] == '"') return arena.keep(std::move(out));
+      if (text_[end] == '"') return arena.keep(out);
       if (pos_ >= text_.size()) fail("bad escape");
       out += text_[pos_++];
     }
@@ -307,6 +312,8 @@ class DotReader {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::pmr::memory_resource* memory_;
+  std::pmr::string unescaped_;  ///< quoted()'s buffer, reused
 };
 
 }  // namespace
@@ -352,8 +359,9 @@ std::string to_dot(const graph::PropertyGraph& g,
   return to_dot(graph::view_of(g), graph_name);
 }
 
-graph::GraphView dot_view(std::string_view text) {
-  return DotReader(text).read();
+graph::GraphView dot_view(std::string_view text,
+                          std::pmr::memory_resource* memory) {
+  return DotReader(text, memory).read();
 }
 
 graph::PropertyGraph from_dot(std::string_view text) {

@@ -12,6 +12,7 @@
 // serializes OPM vertices/edges.
 #pragma once
 
+#include <memory_resource>
 #include <string>
 #include <string_view>
 
@@ -39,8 +40,11 @@ std::string to_dot(const graph::PropertyGraph& g,
 /// empty label, matching Graphviz semantics; a node declared again takes
 /// the new label and merges the new attributes. Edge k is named
 /// "dot_e<k>". Throws std::runtime_error on syntax errors and
-/// std::invalid_argument on an id clash.
-graph::GraphView dot_view(std::string_view text);
+/// std::invalid_argument on an id clash. The view's lists and the
+/// reader's scratch draw from `memory`.
+graph::GraphView dot_view(
+    std::string_view text,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 /// dot_view(text), materialized.
 graph::PropertyGraph from_dot(std::string_view text);

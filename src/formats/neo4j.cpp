@@ -170,19 +170,20 @@ std::string to_neo4j_json(const graph::PropertyGraph& g) {
 }
 
 graph::GraphView neo4j_json_view(std::string_view text,
-                                 bool* relationships_key) {
+                                 bool* relationships_key,
+                                 std::pmr::memory_resource* memory) {
   util::JsonReader r(text);
   if (r.peek() != Json::Type::Object) {
     throw std::runtime_error("neo4j export lacks a nodes array");
   }
-  graph::GraphView view;
+  graph::GraphView view(memory);
   view.reserve_for(text.size());
   graph::GraphViewBuilder builder(view);
   // Nodes are added as the first `nodes` array streams past;
   // relationships wait for the end of the document, since they may come
   // first. Later duplicates of either key are ignored.
   bool has_nodes = false, has_relationships = false;
-  std::vector<Record> relationships;
+  std::pmr::vector<Record> relationships(memory);
   std::string_view key;
   r.begin_object();
   while (r.next_key_view(key, view.arena)) {
@@ -243,7 +244,7 @@ void Neo4jStore::open(graph::GraphView export_view) {
   // Hand nodes out in the label index's order, labels ascending and ids
   // ascending within a label: the order MATCH (n) RETURN n walks it.
   std::pmr::vector<graph::GraphView::NodeRef>& nodes = view_.nodes;
-  std::vector<std::uint32_t> order(nodes.size());
+  std::pmr::vector<std::uint32_t> order(nodes.size(), view_.resource());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&nodes](std::uint32_t a,
                                                  std::uint32_t b) {
@@ -252,7 +253,7 @@ void Neo4jStore::open(graph::GraphView export_view) {
   });
   std::pmr::vector<graph::GraphView::NodeRef> ordered(view_.resource());
   ordered.reserve(nodes.size());
-  std::vector<std::uint32_t> position(nodes.size());
+  std::pmr::vector<std::uint32_t> position(nodes.size(), view_.resource());
   for (std::uint32_t old : order) {
     position[old] = static_cast<std::uint32_t>(ordered.size());
     ordered.push_back(nodes[old]);

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory_resource>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,9 +43,11 @@ std::string to_neo4j_json(const graph::PropertyGraph& g);
 /// std::runtime_error on malformed records and std::invalid_argument on
 /// missing endpoints or an id clash. When `relationships` is given it is
 /// set to whether the document has a `relationships` key (with `nodes`,
-/// which a read requires, what detect_format takes for an export).
-graph::GraphView neo4j_json_view(std::string_view text,
-                                 bool* relationships = nullptr);
+/// which a read requires, what detect_format takes for an export). The
+/// view's lists and the reader's scratch draw from `memory`.
+graph::GraphView neo4j_json_view(
+    std::string_view text, bool* relationships = nullptr,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 /// neo4j_json_view(text), materialized.
 graph::PropertyGraph from_neo4j_json(std::string_view text);
@@ -67,7 +70,9 @@ class Neo4jStore {
   /// must outlive the store and any view taken from it.
   void open(std::string_view export_json);
 
-  /// open() for a document already read by neo4j_json_view.
+  /// open() for a document already read by neo4j_json_view. The store
+  /// takes the view over, its memory resource included, and orders it in
+  /// that resource; only the modeled indices are heap maps.
   void open(graph::GraphView export_view);
 
   /// Cypher-lite: `MATCH (n) RETURN n` — all nodes in label-index order

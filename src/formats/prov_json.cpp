@@ -147,12 +147,13 @@ std::string to_prov_json(const graph::PropertyGraph& g) {
   return to_prov_json(graph::view_of(g));
 }
 
-graph::GraphView prov_json_view(std::string_view text, bool* neo4j_keys) {
+graph::GraphView prov_json_view(std::string_view text, bool* neo4j_keys,
+                                std::pmr::memory_resource* memory) {
   util::JsonReader r(text);
   if (r.peek() != Json::Type::Object) {
     throw std::runtime_error("PROV-JSON document must be an object");
   }
-  graph::GraphView view;
+  graph::GraphView view(memory);
   view.reserve_for(text.size());
   graph::GraphViewBuilder builder(view);
   util::StringArena& arena = view.arena;
@@ -163,7 +164,7 @@ graph::GraphView prov_json_view(std::string_view text, bool* neo4j_keys) {
     std::string_view id, src, tgt, label;
     std::uint32_t first_prop = 0, prop_count = 0;
   };
-  std::vector<PendingEdge> pending;
+  std::pmr::vector<PendingEdge> pending(memory);
   bool nodes_key = false, relationships_key = false;
   std::string_view section_name, id, key;
   r.begin_object();

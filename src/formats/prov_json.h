@@ -12,6 +12,7 @@
 // attributes become properties.
 #pragma once
 
+#include <memory_resource>
 #include <string>
 #include <string_view>
 
@@ -35,9 +36,11 @@ std::string to_prov_json(const graph::PropertyGraph& g);
 /// relation references a missing endpoint. When `neo4j_keys` is given it
 /// is set to whether the document has both a `nodes` and a
 /// `relationships` top-level key (what detect_format takes for a Neo4j
-/// export).
-graph::GraphView prov_json_view(std::string_view text,
-                                bool* neo4j_keys = nullptr);
+/// export). The view's lists and the reader's scratch draw from
+/// `memory`.
+graph::GraphView prov_json_view(
+    std::string_view text, bool* neo4j_keys = nullptr,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 /// prov_json_view(text), materialized.
 graph::PropertyGraph from_prov_json(std::string_view text);

@@ -110,7 +110,7 @@ namespace {
 /// properties, so an insertion sort of the appended tail is the cheapest
 /// stable sort here.
 void append_props(std::span<const GraphView::Prop> props,
-                  SymbolTable& symbols, std::vector<CompactProp>& out) {
+                  SymbolTable& symbols, std::pmr::vector<CompactProp>& out) {
   const std::size_t first = out.size();
   for (const GraphView::Prop& p : props) {
     const Symbol key = symbols.intern(p.key);
@@ -136,8 +136,26 @@ std::span<const std::uint32_t> CompactGraph::label_bucket(
           bucket_nodes.data() + bucket_offsets[k + 1]};
 }
 
+CompactGraph::CompactGraph(std::pmr::memory_resource* memory)
+    : node_id(memory),
+      edge_id(memory),
+      node_label(memory),
+      edge_src(memory),
+      edge_tgt(memory),
+      edge_label(memory),
+      out_offsets(memory),
+      out_edges(memory),
+      in_offsets(memory),
+      in_edges(memory),
+      bucket_label(memory),
+      bucket_offsets(memory),
+      bucket_nodes(memory),
+      props(memory),
+      prop_offsets(memory) {}
+
 CompactGraph CompactGraph::build(const GraphView& view, SymbolTable& symbols) {
-  CompactGraph out;
+  std::pmr::memory_resource* memory = view.resource();
+  CompactGraph out(memory);
   out.symbols = &symbols;
 
   const auto n = static_cast<std::uint32_t>(view.nodes.size());
@@ -174,10 +192,10 @@ CompactGraph CompactGraph::build(const GraphView& view, SymbolTable& symbols) {
   }
   out.out_edges.resize(m);
   out.in_edges.resize(m);
-  std::vector<std::uint32_t> out_fill(out.out_offsets.begin(),
-                                      out.out_offsets.end() - 1);
-  std::vector<std::uint32_t> in_fill(out.in_offsets.begin(),
-                                     out.in_offsets.end() - 1);
+  std::pmr::vector<std::uint32_t> out_fill(
+      out.out_offsets.begin(), out.out_offsets.end() - 1, memory);
+  std::pmr::vector<std::uint32_t> in_fill(out.in_offsets.begin(),
+                                          out.in_offsets.end() - 1, memory);
   for (std::uint32_t e = 0; e < m; ++e) {
     out.out_edges[out_fill[out.edge_src[e]]++] = e;
     out.in_edges[in_fill[out.edge_tgt[e]]++] = e;
@@ -232,39 +250,46 @@ std::vector<std::uint64_t> compact_wl_colours(const CompactGraph& g,
   for (std::uint32_t v = 0; v < n; ++v) {
     colour[v] = g.symbols->hash(g.node_label[v]);
   }
-  wl_refine(g, colour, rounds);
+  std::vector<std::uint64_t> scratch(n);
+  wl_refine(g, colour, scratch, rounds);
   return colour;
 }
 
-void wl_refine(const CompactGraph& g, std::vector<std::uint64_t>& colour,
-               int rounds) {
+void wl_refine(const CompactGraph& g, std::span<std::uint64_t> colour,
+               std::span<std::uint64_t> scratch, int rounds) {
   const std::uint32_t n = g.node_count();
-  std::vector<std::uint64_t> next(n);
+  // Rounds alternate between the two buffers; an odd count ends in
+  // `scratch` and is copied back.
+  std::span<std::uint64_t> current = colour;
+  std::span<std::uint64_t> next = scratch;
   for (int round = 0; round < rounds; ++round) {
     for (std::uint32_t v = 0; v < n; ++v) {
       UnorderedHashSum in_sig, out_sig;
       for (std::uint32_t k = g.in_offsets[v]; k < g.in_offsets[v + 1]; ++k) {
         std::uint32_t e = g.in_edges[k];
         in_sig.add(hash_mix(g.symbols->hash(g.edge_label[e]),
-                            colour[g.edge_src[e]]));
+                            current[g.edge_src[e]]));
       }
       for (std::uint32_t k = g.out_offsets[v]; k < g.out_offsets[v + 1];
            ++k) {
         std::uint32_t e = g.out_edges[k];
         out_sig.add(hash_mix(g.symbols->hash(g.edge_label[e]),
-                             colour[g.edge_tgt[e]]));
+                             current[g.edge_tgt[e]]));
       }
-      std::uint64_t h = colour[v];
+      std::uint64_t h = current[v];
       h = hash_mix(h, in_sig.value());
       h = hash_mix(hash_mix(h, 0xABCDULL), out_sig.value());
       next[v] = h;
     }
-    colour.swap(next);
+    std::swap(current, next);
+  }
+  if (current.data() != colour.data()) {
+    std::copy(current.begin(), current.end(), colour.begin());
   }
 }
 
 std::uint64_t structural_digest(const CompactGraph& g,
-                                const std::vector<std::uint64_t>& colour) {
+                                std::span<const std::uint64_t> colour) {
   UnorderedHashSum node_hashes;
   for (std::uint64_t c : colour) node_hashes.add(c);
   UnorderedHashSum edge_hashes;

@@ -29,10 +29,18 @@
 // view's arena, or a PropertyGraph's strings), so that storage must
 // outlive it too; the GraphView object itself may go once the properties
 // are interned.
+//
+// Its arrays draw from the view's memory resource. On the pipeline's
+// path that is the read trial's region (core/trials.h): the TrialSet
+// that owns the region owns the trial's document, view and graph, and
+// drops them together, so a trial's compact graph costs no heap
+// allocation of its own. A copy goes to the heap and outlives the
+// region; only its id views still need the document.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <memory_resource>
 #include <span>
 #include <string>
 #include <string_view>
@@ -127,39 +135,51 @@ Properties resolve_props(CompactProps props, const SymbolTable& symbols);
 
 /// Frozen integer form of a graph. Node/edge indices follow the view's
 /// order (a PropertyGraph's insertion order).
+///
+/// Memory: every array draws from one memory resource, the view's
+/// (build()): a trial read on the pipeline's path keeps its compact
+/// graph, properties interned later included, in the trial's region,
+/// which core::TrialSet owns; a graph built from view_of(PropertyGraph)
+/// uses the heap. A copy goes to the heap (std::pmr copies take the
+/// default resource), so a copied graph outlives the region; a moved one
+/// still draws from it.
 struct CompactGraph {
+  CompactGraph() = default;
+  /// An empty graph whose arrays draw from `memory`.
+  explicit CompactGraph(std::pmr::memory_resource* memory);
+
   const SymbolTable* symbols = nullptr;
 
   /// Element ids by index, viewing the GraphView's id strings.
-  std::vector<std::string_view> node_id;
-  std::vector<std::string_view> edge_id;
+  std::pmr::vector<std::string_view> node_id;
+  std::pmr::vector<std::string_view> edge_id;
 
   // Nodes, indexed 0..node_count-1 in view order.
-  std::vector<Symbol> node_label;
+  std::pmr::vector<Symbol> node_label;
 
   // Edges, indexed 0..edge_count-1 in view order.
-  std::vector<std::uint32_t> edge_src;
-  std::vector<std::uint32_t> edge_tgt;
-  std::vector<Symbol> edge_label;
+  std::pmr::vector<std::uint32_t> edge_src;
+  std::pmr::vector<std::uint32_t> edge_tgt;
+  std::pmr::vector<Symbol> edge_label;
 
   // CSR adjacency: edge indices incident to each node, by direction.
-  std::vector<std::uint32_t> out_offsets;  ///< size node_count+1
-  std::vector<std::uint32_t> out_edges;    ///< edge ids, grouped by source
-  std::vector<std::uint32_t> in_offsets;   ///< size node_count+1
-  std::vector<std::uint32_t> in_edges;     ///< edge ids, grouped by target
+  std::pmr::vector<std::uint32_t> out_offsets;  ///< size node_count+1
+  std::pmr::vector<std::uint32_t> out_edges;  ///< edge ids, grouped by source
+  std::pmr::vector<std::uint32_t> in_offsets;   ///< size node_count+1
+  std::pmr::vector<std::uint32_t> in_edges;   ///< edge ids, grouped by target
 
   /// Label buckets: bucket k holds the nodes labelled bucket_label[k],
   /// bucket_nodes[bucket_offsets[k] .. bucket_offsets[k+1]), ascending.
   /// bucket_label is ascending, one entry per distinct node label.
-  std::vector<Symbol> bucket_label;
-  std::vector<std::uint32_t> bucket_offsets;  ///< size buckets+1
-  std::vector<std::uint32_t> bucket_nodes;
+  std::pmr::vector<Symbol> bucket_label;
+  std::pmr::vector<std::uint32_t> bucket_offsets;  ///< size buckets+1
+  std::pmr::vector<std::uint32_t> bucket_nodes;
 
   /// Interned properties, empty until intern_properties(): node v's are
   /// props[prop_offsets[v] .. prop_offsets[v+1]), edge e's are at
   /// prop_offsets[node_count+e] .. prop_offsets[node_count+e+1].
-  std::vector<CompactProp> props;
-  std::vector<std::uint32_t> prop_offsets;  ///< size node+edge count+1
+  std::pmr::vector<CompactProp> props;
+  std::pmr::vector<std::uint32_t> prop_offsets;  ///< size node+edge count+1
 
   std::uint32_t node_count() const {
     return static_cast<std::uint32_t>(node_label.size());
@@ -190,12 +210,14 @@ struct CompactGraph {
   /// Intern `view`'s structure into `symbols` (shared across the graphs
   /// of one matching problem so their Symbols are comparable): ids,
   /// labels, endpoints, CSR adjacency and label buckets, but no
-  /// properties.
+  /// properties. The graph and its build scratch draw from the view's
+  /// memory resource.
   static CompactGraph build(const GraphView& view, SymbolTable& symbols);
 
   /// Intern the properties of `view`, the view this graph was built
   /// from, into `symbols`; a no-op when they already are. A property key
-  /// repeated on one element keeps its last value.
+  /// repeated on one element keeps its last value. The properties draw
+  /// from the graph's own memory resource.
   void intern_properties(const GraphView& view, SymbolTable& symbols);
 
  private:
@@ -214,9 +236,10 @@ std::vector<std::uint64_t> compact_wl_colours(const CompactGraph& g,
                                               int rounds);
 
 /// `rounds` more WL rounds over colours already refined k times, giving
-/// the colours after k + rounds.
-void wl_refine(const CompactGraph& g, std::vector<std::uint64_t>& colour,
-               int rounds);
+/// the colours after k + rounds in `colour`; `scratch` holds as many
+/// colours and is overwritten.
+void wl_refine(const CompactGraph& g, std::span<std::uint64_t> colour,
+               std::span<std::uint64_t> scratch, int rounds);
 
 /// WL rounds behind the structural digest.
 inline constexpr int kDigestWlRounds = 3;
@@ -224,6 +247,6 @@ inline constexpr int kDigestWlRounds = 3;
 /// graph::structural_digest, from the graph's colours after
 /// kDigestWlRounds rounds.
 std::uint64_t structural_digest(const CompactGraph& g,
-                                const std::vector<std::uint64_t>& colour);
+                                std::span<const std::uint64_t> colour);
 
 }  // namespace provmark::graph

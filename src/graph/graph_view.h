@@ -26,13 +26,17 @@
 // from. It is move-only, because its arena moves with it; a moved view's
 // string views stay valid.
 //
-// Memory: the element and property lists draw from the view's memory
-// resource — the heap by default; a recorder builds its view in the
-// trial's region (systems/recorded_graph.h). The writers in formats/
-// take their scratch from the same resource.
+// Memory: the element and property lists and the arena draw from the
+// view's memory resource — the heap by default. A recorder builds its
+// view in the recorded trial's region (systems/recorded_graph.h), and
+// the transformation stage reads each trial into a region of its own
+// (core/trials.h), where the reader's scratch goes too. The writers in
+// formats/ take their scratch from the same resource. Move assignment
+// hands the resource over with the lists.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <memory_resource>
 #include <span>
 #include <string>
@@ -70,11 +74,19 @@ struct GraphView {
   util::StringArena arena;
 
   GraphView() = default;
-  /// An empty view whose lists draw from `memory`.
+  /// An empty view whose lists and arena draw from `memory`.
   explicit GraphView(std::pmr::memory_resource* memory)
-      : nodes(memory), edges(memory), props(memory) {}
+      : nodes(memory), edges(memory), props(memory), arena(memory) {}
   GraphView(GraphView&&) = default;
-  GraphView& operator=(GraphView&&) = default;
+  /// Takes `other` over whole, its memory resource included, so a view
+  /// read into a region and assigned stays in that region.
+  GraphView& operator=(GraphView&& other) noexcept {
+    if (this != &other) {
+      std::destroy_at(this);
+      std::construct_at(this, std::move(other));
+    }
+    return *this;
+  }
   GraphView(const GraphView&) = delete;
   GraphView& operator=(const GraphView&) = delete;
 

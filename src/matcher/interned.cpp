@@ -2,22 +2,25 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 namespace provmark::matcher {
 
 namespace {
 constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
 
-/// (symbol, count) pairs of `labels`, sorted by symbol.
-std::vector<std::pair<graph::Symbol, std::uint32_t>> label_counts(
-    std::vector<graph::Symbol> labels) {
-  std::sort(labels.begin(), labels.end());
-  std::vector<std::pair<graph::Symbol, std::uint32_t>> out;
-  for (graph::Symbol label : labels) {
+/// (symbol, count) pairs of `labels`, sorted by symbol, into `out`; the
+/// scratch copy draws from `out`'s resource.
+void label_counts(std::span<const graph::Symbol> labels,
+                  std::pmr::vector<std::pair<graph::Symbol, std::uint32_t>>&
+                      out) {
+  std::pmr::vector<graph::Symbol> sorted(labels.begin(), labels.end(),
+                                         out.get_allocator());
+  std::sort(sorted.begin(), sorted.end());
+  for (graph::Symbol label : sorted) {
     if (out.empty() || out.back().first != label) out.emplace_back(label, 0);
     ++out.back().second;
   }
-  return out;
 }
 
 }  // namespace
@@ -34,8 +37,19 @@ InternedGraph::InternedGraph(const graph::GraphView& view,
 InternedGraph::InternedGraph(const graph::GraphView& view,
                              graph::SymbolTable& symbols,
                              bool with_properties)
-    : g(graph::CompactGraph::build(view, symbols)) {
+    : g(graph::CompactGraph::build(view, symbols)),
+      groups(view.resource()),
+      grouped_edges(view.resource()),
+      src_group_offsets(view.resource()),
+      src_groups(view.resource()),
+      node_group_offsets(view.resource()),
+      node_groups(view.resource()),
+      node_label_counts(view.resource()),
+      edge_label_counts(view.resource()),
+      wl2(view.resource()),
+      colour_class_size(view.resource()) {
   if (with_properties) g.intern_properties(view, symbols);
+  std::pmr::memory_resource* memory = view.resource();
   const std::uint32_t n = g.node_count();
   const std::uint32_t m = g.edge_count();
 
@@ -58,8 +72,9 @@ InternedGraph::InternedGraph(const graph::GraphView& view,
               });
   }
   // Runs in that order; a run is numbered later by its first edge.
-  std::vector<std::uint32_t> run_at_first_edge(m, kUnmapped);
-  std::vector<std::uint32_t> run_first;  // offset into grouped_edges
+  std::pmr::vector<std::uint32_t> run_at_first_edge(m, kUnmapped, memory);
+  std::pmr::vector<std::uint32_t> run_first(memory);  // into grouped_edges
+  run_first.reserve(std::size_t{m} + 1);
   src_group_offsets.assign(n + 1, 0);
   for (std::uint32_t s = 0; s < n; ++s) {
     for (std::uint32_t k = g.out_offsets[s]; k < g.out_offsets[s + 1]; ++k) {
@@ -84,7 +99,7 @@ InternedGraph::InternedGraph(const graph::GraphView& view,
   auto first_edge = [&](std::uint32_t run) {
     return grouped_edges[run_first[run]];
   };
-  std::vector<char> representative(group_count, 0);
+  std::pmr::vector<char> representative(group_count, 0, memory);
   for (std::uint32_t run = 0; run < group_count;) {
     const std::uint32_t t = g.edge_tgt[first_edge(run)];
     const std::uint32_t s = g.edge_src[first_edge(run)];
@@ -122,8 +137,8 @@ InternedGraph::InternedGraph(const graph::GraphView& view,
     node_group_offsets[v + 1] += node_group_offsets[v];
   }
   node_groups.resize(node_group_offsets[n]);
-  std::vector<std::uint32_t> fill(node_group_offsets.begin(),
-                                  node_group_offsets.end() - 1);
+  std::pmr::vector<std::uint32_t> fill(node_group_offsets.begin(),
+                                       node_group_offsets.end() - 1, memory);
   for (std::uint32_t gi = 0; gi < group_count; ++gi) {
     node_groups[fill[groups[gi].src]++] = gi;
     if (groups[gi].tgt != groups[gi].src) {
@@ -131,10 +146,15 @@ InternedGraph::InternedGraph(const graph::GraphView& view,
     }
   }
 
-  node_label_counts = label_counts(g.node_label);
-  edge_label_counts = label_counts(g.edge_label);
-  wl2 = graph::compact_wl_colours(g, 2);
-  std::vector<std::uint64_t> sorted = wl2;
+  label_counts(g.node_label, node_label_counts);
+  label_counts(g.edge_label, edge_label_counts);
+  wl2.resize(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    wl2[v] = symbols.hash(g.node_label[v]);
+  }
+  std::pmr::vector<std::uint64_t> sorted(n, memory);
+  graph::wl_refine(g, wl2, sorted, 2);
+  sorted.assign(wl2.begin(), wl2.end());
   std::sort(sorted.begin(), sorted.end());
   colour_class_size.reserve(wl2.size());
   for (std::uint64_t colour : wl2) {
@@ -143,9 +163,11 @@ InternedGraph::InternedGraph(const graph::GraphView& view,
   }
 }
 
-std::uint64_t InternedGraph::structural_digest() const {
-  std::vector<std::uint64_t> colour = wl2;
-  graph::wl_refine(g, colour, graph::kDigestWlRounds - 2);
+std::uint64_t InternedGraph::structural_digest(
+    std::pmr::memory_resource* scratch) const {
+  std::pmr::vector<std::uint64_t> colour(wl2.begin(), wl2.end(), scratch);
+  std::pmr::vector<std::uint64_t> next(wl2.size(), scratch);
+  graph::wl_refine(g, colour, next, graph::kDigestWlRounds - 2);
   return graph::structural_digest(g, colour);
 }
 

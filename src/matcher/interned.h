@@ -27,6 +27,16 @@
 // and the per-node and per-pair group lists are CSR arrays, so building
 // a snapshot makes a few vectors, not one per group or node.
 //
+// Memory: every table, the CompactGraph's included, draws from the
+// memory resource of the view it was built from, and so does the
+// build's scratch. On the pipeline's path that is the read trial's
+// region, owned by core::TrialSet with the trial's document and view:
+// interning a trial, its properties later included, makes no heap
+// allocation of its own, and the snapshot dies with its region. An
+// operand built from a PropertyGraph uses the heap. A copy (the
+// generalized graph generalize_pair makes) goes to the heap and
+// outlives the region; its id views still need the trial's document.
+//
 // Matching results are independent of interning order: the engine only
 // ever compares symbols for equality and hashes them via the cached
 // per-string FNV-1a hash, so a trial interned first or twentieth matches
@@ -34,6 +44,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory_resource>
 #include <span>
 #include <utility>
 #include <vector>
@@ -60,41 +71,46 @@ struct EdgeGroup {
 };
 
 /// CompactGraph plus the group-level adjacency the search operates on.
-/// Lifetimes follow CompactGraph: the SymbolTable and the storage the
+/// Lifetimes follow CompactGraph: the SymbolTable, the storage the
 /// view's ids point into (native document and view arena, or the source
-/// PropertyGraph) must outlive this object.
+/// PropertyGraph) and the memory resource the tables draw from must
+/// outlive this object.
 struct InternedGraph {
   graph::CompactGraph g;
   /// Groups numbered by first appearance in edge order.
-  std::vector<EdgeGroup> groups;
-  std::vector<std::uint32_t> grouped_edges;
+  std::pmr::vector<EdgeGroup> groups;
+  std::pmr::vector<std::uint32_t> grouped_edges;
   /// Per source node s: its groups, sorted by (tgt, label), are
   /// src_groups[src_group_offsets[s] .. src_group_offsets[s+1]).
-  std::vector<std::uint32_t> src_group_offsets;
-  std::vector<std::uint32_t> src_groups;
+  std::pmr::vector<std::uint32_t> src_group_offsets;
+  std::pmr::vector<std::uint32_t> src_groups;
   /// Per node v: the groups whose src or tgt is v, ascending, are
   /// node_groups[node_group_offsets[v] .. node_group_offsets[v+1]).
-  std::vector<std::uint32_t> node_group_offsets;
-  std::vector<std::uint32_t> node_groups;
+  std::pmr::vector<std::uint32_t> node_group_offsets;
+  std::pmr::vector<std::uint32_t> node_groups;
 
   /// (label, count) over nodes and over edges, sorted by label symbol:
   /// two graphs can only be similar when both histograms are equal.
-  std::vector<std::pair<graph::Symbol, std::uint32_t>> node_label_counts;
-  std::vector<std::pair<graph::Symbol, std::uint32_t>> edge_label_counts;
+  std::pmr::vector<std::pair<graph::Symbol, std::uint32_t>> node_label_counts;
+  std::pmr::vector<std::pair<graph::Symbol, std::uint32_t>> edge_label_counts;
   /// Per node: its colour after two WL rounds, and how many nodes of this
   /// graph share that colour.
-  std::vector<std::uint64_t> wl2;
-  std::vector<std::uint32_t> colour_class_size;
+  std::pmr::vector<std::uint64_t> wl2;
+  std::pmr::vector<std::uint32_t> colour_class_size;
 
-  /// The structure of `view`, without properties.
+  /// The structure of `view`, without properties, in the view's memory
+  /// resource.
   InternedGraph(const graph::GraphView& view, graph::SymbolTable& symbols);
   /// Structure and properties, through view_of(graph); `graph` must
   /// outlive this object unmutated.
   InternedGraph(const graph::PropertyGraph& graph,
                 graph::SymbolTable& symbols);
 
-  /// graph::structural_digest of the graph: one more WL round over wl2.
-  std::uint64_t structural_digest() const;
+  /// graph::structural_digest of the graph: one more WL round over wl2,
+  /// its scratch drawn from `scratch`.
+  std::uint64_t structural_digest(
+      std::pmr::memory_resource* scratch =
+          std::pmr::get_default_resource()) const;
 
   std::span<const std::uint32_t> edges_of(const EdgeGroup& group) const {
     return {grouped_edges.data() + group.first, group.count};

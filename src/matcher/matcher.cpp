@@ -28,6 +28,16 @@
 //    winners in subtree order therefore reproduces the serial search's
 //    matching bit-for-bit (see docs/matcher.md "Search strategy").
 //
+// Memory: a call makes its scratch in one region on its own stack
+// (util/region.h): the flat candidate lists, the search order and
+// bound, the search state and the edge-group assignment scratch. Each
+// parallel task builds its state in a region of its own on its worker's
+// stack, and writes its winner into a slot the calling thread sized
+// before the fan-out. Scratch that a search step reuses (the group
+// assignment's cost matrix and DFS arrays) grows only, so a search of
+// any length allocates a bounded amount; only the returned Matching is
+// heap memory.
+//
 // The engine reports the same feasibility and optimal cost as the
 // string-keyed reference in legacy_matcher.cpp and the exhaustive
 // brute_force oracle, which the equivalence test enforces.
@@ -37,6 +47,7 @@
 #include <atomic>
 #include <functional>
 #include <limits>
+#include <memory_resource>
 #include <queue>
 #include <span>
 #include <stdexcept>
@@ -45,6 +56,7 @@
 #include "graph/compact.h"
 #include "matcher/interned.h"
 #include "runtime/thread_pool.h"
+#include "util/region.h"
 
 namespace provmark::matcher {
 
@@ -100,15 +112,28 @@ int edge_cost(const InternedGraph& pattern, std::uint32_t pe,
   return prop_cost(pattern.g.edge_props(pe), target.g.edge_props(te), model);
 }
 
+/// The reusable scratch of min_group_assignment's exhaustive DFS. Its
+/// arrays only grow, so repeated calls allocate nothing once they have
+/// seen the largest group.
+struct GroupScratch {
+  explicit GroupScratch(std::pmr::memory_resource* memory)
+      : cost(memory), assignment(memory), best(memory), used(memory) {}
+
+  std::pmr::vector<int> cost;  ///< row-major, pattern edge by target edge
+  std::pmr::vector<int> assignment;
+  std::pmr::vector<int> best;
+  std::pmr::vector<char> used;
+};
+
 /// Minimum-cost injective assignment of pattern edges to target edges
 /// within one group. Groups are tiny in practice — almost always a single
-/// edge, which is handled allocation-free; parallel same-label edges
-/// between one node pair fall back to exhaustive DFS.
+/// edge, which is handled without touching `scratch`; parallel
+/// same-label edges between one node pair fall back to exhaustive DFS.
 int min_group_assignment(
     const InternedGraph& pattern, std::span<const std::uint32_t> pattern_edges,
     const InternedGraph& target, std::span<const std::uint32_t> tgt,
-    CostModel model, bool bijective,
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>* best_pairs_out) {
+    CostModel model, bool bijective, GroupScratch& scratch,
+    std::pmr::vector<std::pair<std::uint32_t, std::uint32_t>>* best_pairs_out) {
   const std::size_t np = pattern_edges.size();
   const std::size_t nt = tgt.size();
   if (np > nt) return kInfinity;
@@ -132,16 +157,21 @@ int min_group_assignment(
     return best;
   }
 
-  std::vector<std::vector<int>> cost(np, std::vector<int>(nt, 0));
+  std::pmr::vector<int>& cost = scratch.cost;
+  cost.resize(np * nt);
   for (std::size_t i = 0; i < np; ++i) {
     for (std::size_t j = 0; j < nt; ++j) {
-      cost[i][j] = edge_cost(pattern, pattern_edges[i], target, tgt[j], model);
+      cost[i * nt + j] =
+          edge_cost(pattern, pattern_edges[i], target, tgt[j], model);
     }
   }
   int best = kInfinity;
-  std::vector<int> assignment(np, -1);
-  std::vector<int> best_assignment;
-  std::vector<bool> used(nt, false);
+  std::pmr::vector<int>& assignment = scratch.assignment;
+  std::pmr::vector<int>& best_assignment = scratch.best;
+  std::pmr::vector<char>& used = scratch.used;
+  assignment.assign(np, -1);
+  best_assignment.clear();
+  used.assign(nt, 0);
   auto dfs = [&](auto&& self, std::size_t i, int acc) -> void {
     if (acc >= best) return;
     if (i == np) {
@@ -150,11 +180,11 @@ int min_group_assignment(
       return;
     }
     for (std::size_t j = 0; j < nt; ++j) {
-      if (used[j]) continue;
-      used[j] = true;
+      if (used[j] != 0) continue;
+      used[j] = 1;
       assignment[i] = static_cast<int>(j);
-      self(self, i + 1, acc + cost[i][j]);
-      used[j] = false;
+      self(self, i + 1, acc + cost[i * nt + j]);
+      used[j] = 0;
     }
   };
   dfs(dfs, 0, 0);
@@ -192,11 +222,19 @@ struct SharedSearch {
 /// single state with no `shared` block, writing directly to the caller's
 /// Stats — byte-for-byte the pre-parallel behaviour. Each parallel
 /// worker owns a private state (local Stats, local best) merged exactly
-/// once after the pool joins, so no counter is ever double-counted.
+/// once after the pool joins, so no counter is ever double-counted. The
+/// state's arrays draw from its participant's region.
 struct SearchState {
-  std::vector<std::uint32_t> mapping;      // pattern index -> target index
-  std::vector<bool> reverse_used;          // target index taken?
-  std::vector<std::uint32_t> best_mapping;
+  explicit SearchState(std::pmr::memory_resource* memory)
+      : mapping(memory),
+        reverse_used(memory),
+        best_mapping(memory),
+        group(memory) {}
+
+  std::pmr::vector<std::uint32_t> mapping;  // pattern index -> target index
+  std::pmr::vector<char> reverse_used;      // target index taken?
+  std::pmr::vector<std::uint32_t> best_mapping;
+  GroupScratch group;
   int best_cost = kInfinity;
   bool have_best = false;
   bool found_any = false;
@@ -213,7 +251,13 @@ class SearchEngine {
         target_(target),
         bijective_(bijective),
         options_(options),
-        stats_(stats) {
+        stats_(stats),
+        candidate_offsets_(memory()),
+        candidates_(memory()),
+        scarcity_(memory()),
+        order_(memory()),
+        suffix_min_(memory()),
+        best_node_mapping_(memory()) {
     if (pattern.g.symbols != target.g.symbols) {
       throw std::invalid_argument(
           "matcher: operands interned against different symbol tables");
@@ -259,13 +303,13 @@ class SearchEngine {
         order_.size() > 1) {
       run_parallel();
     } else {
-      SearchState state;
+      SearchState state(memory());
       init_state(state);
       state.stats = stats_;
       search(state, 0, 0);
       if (state.have_best) {
         best_cost_ = state.best_cost;
-        best_node_mapping_ = std::move(state.best_mapping);
+        best_node_mapping_.swap(state.best_mapping);
         have_best_ = true;
       }
     }
@@ -288,51 +332,68 @@ class SearchEngine {
            pattern_.edge_label_counts == target_.edge_label_counts;
   }
 
-  /// Candidate target nodes per pattern node. Returns false when some
-  /// pattern node has no candidate at all.
+  /// The candidates of pattern node i, cheapest first.
+  std::span<const Candidate> candidates(std::uint32_t i) const {
+    return {candidates_.data() + candidate_offsets_[i],
+            candidates_.data() + candidate_offsets_[i + 1]};
+  }
+
+  /// Can target node j be matched to pattern node i at all? Only
+  /// same-label target nodes are asked. Bijective candidate lists are
+  /// pruned per colour class (matched nodes of any label-preserving
+  /// bijection have equal WL colours, so no valid matching is lost);
+  /// both operands carry their 2-round colours from interning.
+  bool admissible(std::uint32_t i, std::uint32_t j) const {
+    if (bijective_) {
+      return pattern_.g.in_degree(i) == target_.g.in_degree(j) &&
+             pattern_.g.out_degree(i) == target_.g.out_degree(j) &&
+             pattern_.wl2[i] == target_.wl2[j];
+    }
+    return pattern_.g.in_degree(i) <= target_.g.in_degree(j) &&
+           pattern_.g.out_degree(i) <= target_.g.out_degree(j);
+  }
+
+  /// Candidate target nodes per pattern node, as one flat array with
+  /// per-node offsets (counted first, so the array is sized once).
+  /// Returns false when some pattern node has no candidate at all.
   bool compute_candidates() {
     const std::uint32_t n = pattern_.g.node_count();
-    candidates_.assign(n, {});
-    scarcity_.assign(n, 0);
-    // Bijective candidate lists are pruned per colour class (matched
-    // nodes of any label-preserving bijection have equal WL colours, so
-    // no valid matching is lost). Both operands carry their 2-round
-    // colours from interning.
-    const std::vector<std::uint64_t>& wl1 = pattern_.wl2;
-    const std::vector<std::uint64_t>& wl2 = target_.wl2;
+    candidate_offsets_.assign(n + 1, 0);
     for (std::uint32_t i = 0; i < n; ++i) {
-      // Only same-label target nodes can match; the bucket is ascending,
-      // preserving the baseline's candidate order.
+      std::uint32_t count = 0;
       for (std::uint32_t j :
            target_.g.label_bucket(pattern_.g.node_label[i])) {
-        if (bijective_) {
-          if (pattern_.g.in_degree(i) != target_.g.in_degree(j) ||
-              pattern_.g.out_degree(i) != target_.g.out_degree(j)) {
-            continue;
-          }
-        } else if (pattern_.g.in_degree(i) > target_.g.in_degree(j) ||
-                   pattern_.g.out_degree(i) > target_.g.out_degree(j)) {
-          continue;
-        }
-        if (bijective_ && wl1[i] != wl2[j]) continue;
-        candidates_[i].push_back(Candidate{
-            j, node_cost(pattern_, i, target_, j, options_.cost_model)});
+        count += admissible(i, j) ? 1 : 0;
       }
-      if (candidates_[i].empty()) return false;
+      if (count == 0) return false;
+      candidate_offsets_[i + 1] = candidate_offsets_[i] + count;
+    }
+    candidates_.resize(candidate_offsets_[n]);
+    scarcity_.assign(n, 0);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      // The bucket is ascending, so each list starts in node order.
+      Candidate* out = candidates_.data() + candidate_offsets_[i];
+      for (std::uint32_t j :
+           target_.g.label_bucket(pattern_.g.node_label[i])) {
+        if (!admissible(i, j)) continue;
+        *out++ = Candidate{
+            j, node_cost(pattern_, i, target_, j, options_.cost_model)};
+      }
+      Candidate* first = candidates_.data() + candidate_offsets_[i];
       // Rarity of this node's colour class in the target (every
       // candidate is in that class); embedding problems (no comparable
       // colours) fall back to candidate count.
-      scarcity_[i] =
-          bijective_
-              ? target_.colour_class_size[candidates_[i].front().node]
-              : static_cast<std::uint32_t>(candidates_[i].size());
+      scarcity_[i] = bijective_
+                         ? target_.colour_class_size[first->node]
+                         : static_cast<std::uint32_t>(out - first);
       // Cheapest candidate first: the search stays exhaustive, but the
       // list head equals the per-node minimum used by the suffix bound,
       // so the greedy first descent realizes the bound when it can.
-      std::stable_sort(candidates_[i].begin(), candidates_[i].end(),
-                       [](const Candidate& a, const Candidate& b) {
-                         return a.cost < b.cost;
-                       });
+      // Ties keep node order (the list was ascending), which is what a
+      // stable sort by cost gives, without its buffer.
+      std::sort(first, out, [](const Candidate& a, const Candidate& b) {
+        return a.cost != b.cost ? a.cost < b.cost : a.node < b.node;
+      });
     }
     return true;
   }
@@ -356,28 +417,32 @@ class SearchEngine {
     const std::uint32_t n = pattern_.g.node_count();
     order_.clear();
     order_.reserve(n);
-    std::vector<std::uint32_t> by_rank(n);
+    std::pmr::vector<std::uint32_t> by_rank(n, memory());
     for (std::uint32_t i = 0; i < n; ++i) by_rank[i] = i;
+    auto count = [this](std::uint32_t i) {
+      return candidate_offsets_[i + 1] - candidate_offsets_[i];
+    };
     std::sort(by_rank.begin(), by_rank.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                if (candidates_[a].size() != candidates_[b].size()) {
-                  return candidates_[a].size() < candidates_[b].size();
-                }
+              [this, &count](std::uint32_t a, std::uint32_t b) {
+                if (count(a) != count(b)) return count(a) < count(b);
                 if (scarcity_[a] != scarcity_[b]) {
                   return scarcity_[a] < scarcity_[b];
                 }
                 return a < b;
               });
-    std::vector<std::uint32_t> rank(n);
+    std::pmr::vector<std::uint32_t> rank(n, memory());
     for (std::uint32_t r = 0; r < n; ++r) rank[by_rank[r]] = r;
 
-    std::vector<bool> placed(n, false);
-    std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
+    std::pmr::vector<char> placed(n, 0, memory());
+    // Each node pushes each of its groups' other ends at most once.
+    std::pmr::vector<std::uint32_t> heap(memory());
+    heap.reserve(pattern_.node_groups.size());
+    std::priority_queue<std::uint32_t, std::pmr::vector<std::uint32_t>,
                         std::greater<>>
-        frontier;
+        frontier(std::greater<>(), std::move(heap));
     std::uint32_t next_rank = 0;  // every node ranked below is placed
     for (std::uint32_t step = 0; step < n; ++step) {
-      while (!frontier.empty() && placed[by_rank[frontier.top()]]) {
+      while (!frontier.empty() && placed[by_rank[frontier.top()]] != 0) {
         frontier.pop();
       }
       std::uint32_t chosen;
@@ -385,15 +450,15 @@ class SearchEngine {
         chosen = by_rank[frontier.top()];
         frontier.pop();
       } else {
-        while (placed[by_rank[next_rank]]) ++next_rank;
+        while (placed[by_rank[next_rank]] != 0) ++next_rank;
         chosen = by_rank[next_rank];
       }
-      placed[chosen] = true;
+      placed[chosen] = 1;
       order_.push_back(chosen);
       for (std::uint32_t gi : pattern_.groups_of_node(chosen)) {
         const EdgeGroup& group = pattern_.groups[gi];
         std::uint32_t nb = group.src == chosen ? group.tgt : group.src;
-        if (!placed[nb]) frontier.push(rank[nb]);
+        if (placed[nb] == 0) frontier.push(rank[nb]);
       }
     }
   }
@@ -417,16 +482,17 @@ class SearchEngine {
     // where the group becomes fully mapped. Property-heavy edge
     // workloads put the entire optimal cost here, where the per-node
     // term is blind (ROADMAP "admissible edge-cost bounds").
-    std::vector<int> group_min_at(order_.size(), 0);
+    std::pmr::vector<int> group_min_at(order_.size(), 0, memory());
     if (options_.cost_model != CostModel::None) {
-      std::vector<std::size_t> pos_of(order_.size(), 0);
+      std::pmr::vector<std::size_t> pos_of(order_.size(), 0, memory());
       for (std::size_t pos = 0; pos < order_.size(); ++pos) {
         pos_of[order_[pos]] = pos;
       }
       // Target edges sorted by (label, index): one label's edges are a
       // contiguous run.
       const graph::CompactGraph& t = target_.g;
-      std::vector<std::uint32_t> target_by_label(t.edge_count());
+      std::pmr::vector<std::uint32_t> target_by_label(t.edge_count(),
+                                                      memory());
       for (std::uint32_t e = 0; e < t.edge_count(); ++e) {
         target_by_label[e] = e;
       }
@@ -469,7 +535,7 @@ class SearchEngine {
     suffix_min_.assign(order_.size() + 1, 0);
     for (std::size_t pos = order_.size(); pos-- > 0;) {
       int node_min = kInfinity;
-      for (const Candidate& candidate : candidates_[order_[pos]]) {
+      for (const Candidate& candidate : candidates(order_[pos])) {
         node_min = std::min(node_min, candidate.cost);
       }
       suffix_min_[pos] = saturating_add(
@@ -481,8 +547,8 @@ class SearchEngine {
   /// pattern node `i` is assigned. For the bijective problem also *checks*
   /// group cardinalities. Returns kInfinity when structurally
   /// inconsistent.
-  int edge_groups_cost(const std::vector<std::uint32_t>& mapping,
-                       std::uint32_t i) const {
+  int edge_groups_cost(SearchState& s, std::uint32_t i) const {
+    const std::pmr::vector<std::uint32_t>& mapping = s.mapping;
     int total = 0;
     for (std::uint32_t gi : pattern_.groups_of_node(i)) {
       const EdgeGroup& group = pattern_.groups[gi];
@@ -493,7 +559,7 @@ class SearchEngine {
       int cost = min_group_assignment(
           pattern_, pattern_.edges_of(group), target_,
           target_.group_edges(tsrc, ttgt, group.label), options_.cost_model,
-          bijective_, nullptr);
+          bijective_, s.group, nullptr);
       if (cost >= kInfinity) return kInfinity;
       total += cost;
       // Bijective: the target may not have extra edges between the mapped
@@ -516,7 +582,8 @@ class SearchEngine {
 
   void init_state(SearchState& state) const {
     state.mapping.assign(pattern_.g.node_count(), kUnmapped);
-    state.reverse_used.assign(target_.g.node_count(), false);
+    state.reverse_used.assign(target_.g.node_count(), 0);
+    state.best_mapping.reserve(pattern_.g.node_count());
   }
 
   /// Publish a parallel participant's unflushed steps into the shared
@@ -597,13 +664,13 @@ class SearchEngine {
       return;
     }
     std::uint32_t i = order_[pos];
-    for (const Candidate& candidate : candidates_[i]) {
+    for (const Candidate& candidate : candidates(i)) {
       std::uint32_t j = candidate.node;
-      if (s.reverse_used[j]) continue;
+      if (s.reverse_used[j] != 0) continue;
       if (stop_early(s)) return;
       s.mapping[i] = j;
-      s.reverse_used[j] = true;
-      int group_cost = edge_groups_cost(s.mapping, i);
+      s.reverse_used[j] = 1;
+      int group_cost = edge_groups_cost(s, i);
       if (group_cost < kInfinity) {
         int next = acc_cost + candidate.cost + group_cost;
         if (!bound_exceeded(s, next + suffix_min_[pos + 1])) {
@@ -611,7 +678,7 @@ class SearchEngine {
         }
       }
       s.mapping[i] = kUnmapped;
-      s.reverse_used[j] = false;
+      s.reverse_used[j] = 0;
       if (stop_early(s)) return;
     }
   }
@@ -625,11 +692,10 @@ class SearchEngine {
   /// serial search would return.
   void run_parallel() {
     const std::size_t n = order_.size();
-    struct Prefix {
-      std::vector<std::uint32_t> nodes;  // target per order position
-      int acc = 0;
-    };
-    std::vector<Prefix> tasks(1);
+    // The prefixes of one depth: task k's targets per order position are
+    // prefix_nodes[k * depth .. (k + 1) * depth), its cost prefix_acc[k].
+    std::pmr::vector<std::uint32_t> prefix_nodes(memory());
+    std::pmr::vector<int> prefix_acc(1, 0, memory());
     std::size_t depth = 0;
     // Oversubscribe the partition: subtree sizes are wildly uneven (the
     // whole point of pruning), so many small tasks drained in order from
@@ -637,42 +703,44 @@ class SearchEngine {
     // stealing. Enumeration stays a negligible serial prefix.
     const std::size_t want = static_cast<std::size_t>(options_.threads) * 16;
 
-    SearchState scratch;
+    SearchState scratch(memory());
     init_state(scratch);
     scratch.stats = stats_;
-    while (depth + 1 < n && tasks.size() < want) {
-      std::vector<Prefix> next;
+    while (depth + 1 < n && prefix_acc.size() < want) {
+      std::pmr::vector<std::uint32_t> next_nodes(memory());
+      std::pmr::vector<int> next_acc(memory());
       const std::uint32_t i = order_[depth];
-      for (const Prefix& prefix : tasks) {
+      for (std::size_t k = 0; k < prefix_acc.size(); ++k) {
+        const std::uint32_t* prefix = prefix_nodes.data() + k * depth;
         for (std::size_t q = 0; q < depth; ++q) {
-          scratch.mapping[order_[q]] = prefix.nodes[q];
-          scratch.reverse_used[prefix.nodes[q]] = true;
+          scratch.mapping[order_[q]] = prefix[q];
+          scratch.reverse_used[prefix[q]] = 1;
         }
-        for (const Candidate& candidate : candidates_[i]) {
+        for (const Candidate& candidate : candidates(i)) {
           const std::uint32_t j = candidate.node;
-          if (scratch.reverse_used[j]) continue;
+          if (scratch.reverse_used[j] != 0) continue;
           count_step(scratch);  // enumeration steps are search steps
           if (scratch.stats->budget_exhausted) return;
           scratch.mapping[i] = j;
-          scratch.reverse_used[j] = true;
-          int group_cost = edge_groups_cost(scratch.mapping, i);
+          scratch.reverse_used[j] = 1;
+          int group_cost = edge_groups_cost(scratch, i);
           if (group_cost < kInfinity) {
-            Prefix extended = prefix;
-            extended.nodes.push_back(j);
-            extended.acc = prefix.acc + candidate.cost + group_cost;
-            next.push_back(std::move(extended));
+            next_nodes.insert(next_nodes.end(), prefix, prefix + depth);
+            next_nodes.push_back(j);
+            next_acc.push_back(prefix_acc[k] + candidate.cost + group_cost);
           }
           scratch.mapping[i] = kUnmapped;
-          scratch.reverse_used[j] = false;
+          scratch.reverse_used[j] = 0;
         }
         for (std::size_t q = 0; q < depth; ++q) {
           scratch.mapping[order_[q]] = kUnmapped;
-          scratch.reverse_used[prefix.nodes[q]] = false;
+          scratch.reverse_used[prefix[q]] = 0;
         }
       }
-      tasks = std::move(next);
+      prefix_nodes.swap(next_nodes);
+      prefix_acc.swap(next_acc);
       ++depth;
-      if (tasks.empty()) return;  // no structurally consistent prefix
+      if (prefix_acc.empty()) return;  // no structurally consistent prefix
     }
 
     SharedSearch shared;
@@ -680,36 +748,44 @@ class SearchEngine {
     runtime::ThreadPool& pool =
         options_.pool != nullptr ? *options_.pool : runtime::default_pool();
 
+    // One result slot per task, sized here by the calling thread: a
+    // worker's own memory dies with its task, so it writes its winner
+    // into task_mapping[t * n .. (t + 1) * n) and allocates nothing that
+    // outlives the task.
     struct TaskResult {
       Stats stats;
-      std::vector<std::uint32_t> best_mapping;
       int best_cost = kInfinity;
       bool have_best = false;
     };
-    std::vector<TaskResult> results(tasks.size());
+    const std::size_t tasks = prefix_acc.size();
+    std::pmr::vector<TaskResult> results(tasks, memory());
+    std::pmr::vector<std::uint32_t> task_mapping(tasks * n, memory());
     const std::size_t prefix_depth = depth;
-    pool.parallel_for(tasks.size(), [&](std::size_t t) {
-      // All hot state lives on the worker's own stack/heap; the shared
-      // `results` slot is written exactly once at the end. Pointing
-      // s.stats into results[t] directly would false-share the step
-      // counter across adjacent slots on every single step.
+    pool.parallel_for(tasks, [&](std::size_t t) {
+      // All hot state lives in the task's own region on the worker's
+      // stack; the shared `results` slot is written exactly once at the
+      // end. Pointing s.stats into results[t] directly would false-share
+      // the step counter across adjacent slots on every single step.
+      util::Region region;
       Stats local;
-      SearchState s;
+      SearchState s(region.resource());
       init_state(s);
       s.stats = &local;
       s.shared = &shared;
+      const std::uint32_t* prefix = prefix_nodes.data() + t * prefix_depth;
       for (std::size_t q = 0; q < prefix_depth; ++q) {
-        s.mapping[order_[q]] = tasks[t].nodes[q];
-        s.reverse_used[tasks[t].nodes[q]] = true;
+        s.mapping[order_[q]] = prefix[q];
+        s.reverse_used[prefix[q]] = 1;
       }
       if (!shared.cancelled.load(std::memory_order_relaxed)) {
-        search(s, prefix_depth, tasks[t].acc);
+        search(s, prefix_depth, prefix_acc[t]);
       }
       flush_steps(s);
       results[t].stats = local;
       if (s.have_best) {
         results[t].best_cost = s.best_cost;
-        results[t].best_mapping = std::move(s.best_mapping);
+        std::copy(s.best_mapping.begin(), s.best_mapping.end(),
+                  task_mapping.begin() + static_cast<std::ptrdiff_t>(t * n));
         results[t].have_best = true;
       }
     });
@@ -718,12 +794,16 @@ class SearchEngine {
     // subtree (in DFS order) with a strictly better cost.
     stats_->steps = shared.steps.load(std::memory_order_relaxed);
     bool exhausted = shared.cancelled.load(std::memory_order_relaxed);
-    for (const TaskResult& result : results) {
+    for (std::size_t t = 0; t < tasks; ++t) {
+      const TaskResult& result = results[t];
       stats_->solutions_found += result.stats.solutions_found;
       exhausted = exhausted || result.stats.budget_exhausted;
       if (result.have_best && (!have_best_ || result.best_cost < best_cost_)) {
         best_cost_ = result.best_cost;
-        best_node_mapping_ = result.best_mapping;
+        const auto first =
+            task_mapping.begin() + static_cast<std::ptrdiff_t>(t * n);
+        best_node_mapping_.assign(first,
+                                  first + static_cast<std::ptrdiff_t>(n));
         have_best_ = true;
       }
     }
@@ -735,13 +815,15 @@ class SearchEngine {
   Matching build_matching() {
     Matching m;
     m.cost = 0;
-    m.node_index = best_node_mapping_;
+    m.node_index.assign(best_node_mapping_.begin(), best_node_mapping_.end());
     for (std::uint32_t i = 0; i < best_node_mapping_.size(); ++i) {
       m.cost += node_cost(pattern_, i, target_, best_node_mapping_[i],
                           options_.cost_model);
     }
     m.edge_index.assign(pattern_.g.edge_count(), kUnmapped);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+    std::pmr::vector<std::pair<std::uint32_t, std::uint32_t>> pairs(
+        memory());
+    GroupScratch scratch(memory());
     for (const EdgeGroup& group : pattern_.groups) {
       std::uint32_t tsrc = best_node_mapping_[group.src];
       std::uint32_t ttgt = best_node_mapping_[group.tgt];
@@ -749,12 +831,14 @@ class SearchEngine {
       int cost = min_group_assignment(
           pattern_, pattern_.edges_of(group), target_,
           target_.group_edges(tsrc, ttgt, group.label), options_.cost_model,
-          bijective_, &pairs);
+          bijective_, scratch, &pairs);
       m.cost += cost;
       for (const auto& [pe, te] : pairs) m.edge_index[pe] = te;
     }
     return m;
   }
+
+  std::pmr::memory_resource* memory() { return region_.resource(); }
 
   const InternedGraph& pattern_;
   const InternedGraph& target_;
@@ -762,11 +846,16 @@ class SearchEngine {
   SearchOptions options_;
   Stats* stats_;
 
-  std::vector<std::vector<Candidate>> candidates_;
-  std::vector<std::uint32_t> scarcity_;  // target colour-class size
-  std::vector<std::uint32_t> order_;
-  std::vector<int> suffix_min_;
-  std::vector<std::uint32_t> best_node_mapping_;
+  /// The call's arena; declared before everything that draws from it.
+  util::Region region_;
+  /// Pattern node i's candidates are candidates_[candidate_offsets_[i]
+  /// .. candidate_offsets_[i + 1]).
+  std::pmr::vector<std::uint32_t> candidate_offsets_;
+  std::pmr::vector<Candidate> candidates_;
+  std::pmr::vector<std::uint32_t> scarcity_;  // target colour-class size
+  std::pmr::vector<std::uint32_t> order_;
+  std::pmr::vector<int> suffix_min_;
+  std::pmr::vector<std::uint32_t> best_node_mapping_;
   int best_cost_ = kInfinity;
   bool have_best_ = false;
 };

@@ -20,7 +20,7 @@
 // paper falls out of this mechanism rather than being hard-coded.
 //
 // A trial's events and build scratch live in one region owned by its
-// trace (os/region.h). An event's strings are views into that region (or
+// trace (util/region.h). An event's strings are views into that region (or
 // into literals), and its lists draw from it, so a trace is move-only:
 // moving it moves the region whole, and the events stay where they are.
 // Everything an event points to is freed with the trace.
@@ -37,7 +37,7 @@
 #include <utility>
 #include <vector>
 
-#include "os/region.h"
+#include "util/region.h"
 
 namespace provmark::os {
 
@@ -224,9 +224,9 @@ struct LsmEvent {
 class EventTrace {
  public:
   /// An empty trace with a region of its own.
-  EventTrace() : EventTrace(std::make_shared<Region>()) {}
+  EventTrace() : EventTrace(std::make_shared<util::Region>()) {}
   /// An empty trace in `region`, which the trace shares ownership of.
-  explicit EventTrace(std::shared_ptr<Region> region)
+  explicit EventTrace(std::shared_ptr<util::Region> region)
       : region_(std::move(region)),
         libc(region_->resource()),
         audit(region_->resource()),
@@ -244,10 +244,10 @@ class EventTrace {
 
   /// The trial's region. Building from a const trace draws from it too:
   /// one trace is recorded by one thread at a time.
-  Region& region() const { return *region_; }
+  util::Region& region() const { return *region_; }
 
  private:
-  std::shared_ptr<Region> region_;  // first: destroyed after the events
+  std::shared_ptr<util::Region> region_;  // first: destroyed after the events
 
  public:
   std::pmr::vector<LibcEvent> libc;

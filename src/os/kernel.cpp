@@ -66,7 +66,7 @@ const std::set<std::string_view>& Kernel::audit_rule_set() {
 Kernel::Kernel() : Kernel(Options{}) {}
 
 Kernel::Kernel(Options options)
-    : region_(std::make_shared<Region>()),
+    : region_(std::make_shared<util::Region>()),
       options_(std::move(options)),
       rng_(options_.seed),
       vfs_(memory()),

@@ -9,7 +9,7 @@
 // ProvMark needs background-program subtraction at all.
 //
 // Memory: the kernel's VFS, process and fd tables, the events it emits
-// and every string they hold draw from one trial region (os/region.h),
+// and every string they hold draw from one trial region (util/region.h),
 // shared by the kernel and its trace. Once the kernel is gone the trace
 // is the region's one owner.
 //
@@ -45,7 +45,7 @@
 #include <vector>
 
 #include "os/events.h"
-#include "os/region.h"
+#include "util/region.h"
 #include "os/vfs.h"
 #include "util/rng.h"
 
@@ -198,7 +198,7 @@ class Kernel {
 
   /// The trial's region: the kernel's tables and its trace live here, and
   /// a caller driving the kernel may put its own per-trial scratch here.
-  Region& region() { return *region_; }
+  util::Region& region() { return *region_; }
 
   // -- staging (no events) --------------------------------------------------
 
@@ -399,7 +399,7 @@ class Kernel {
   /// result is kept in the region.
   std::string_view resolve_path(const Process& p, std::string_view path);
 
-  std::shared_ptr<Region> region_;  // first: destroyed after every table
+  std::shared_ptr<util::Region> region_;  // first: destroyed after every table
   Options options_;
   util::Rng rng_;
   Vfs vfs_;

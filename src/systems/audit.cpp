@@ -20,7 +20,7 @@ using os::AuditEvent;
 class AuditBuilder {
  public:
   AuditBuilder(const AuditConfig& config, std::uint64_t seed,
-               os::Region& region)
+               util::Region& region)
       : config_(config),
         rng_(seed),
         graph_(region),

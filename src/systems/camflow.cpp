@@ -20,7 +20,7 @@ using os::LsmEvent;
 class CamflowBuilder {
  public:
   CamflowBuilder(const CamflowConfig& config, std::uint64_t seed,
-                 os::Region& region)
+                 util::Region& region)
       : config_(config),
         rng_(seed),
         graph_(region),

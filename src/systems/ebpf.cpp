@@ -18,7 +18,7 @@ using os::LsmObject;
 class EbpfBuilder {
  public:
   EbpfBuilder(const EbpfConfig& config, std::uint64_t seed,
-              os::Region& region)
+              util::Region& region)
       : config_(config),
         rng_(seed),
         graph_(region),

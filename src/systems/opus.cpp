@@ -74,7 +74,7 @@ void add_environment(RecordedGraph& graph, int count, util::Rng& rng) {
 class OpusBuilder {
  public:
   OpusBuilder(const OpusConfig& config, std::uint64_t seed,
-              os::Region& region)
+              util::Region& region)
       : config_(config),
         rng_(seed),
         graph_(region),

@@ -2,7 +2,7 @@
 //
 // A recorder serializes its graph once, so it builds the view the writers
 // in formats/ read instead of a PropertyGraph. The view is built in the
-// trial's region (os/region.h): its element and property lists, minted
+// trial's region (util/region.h): its element and property lists, minted
 // ids and computed values (decimal numbers) all draw from it, and
 // strings of the event trace and literals are referenced in place. So
 // the trace must outlive the view — Recorder::record() writes its
@@ -23,7 +23,7 @@
 #include <utility>
 
 #include "graph/graph_view.h"
-#include "os/region.h"
+#include "util/region.h"
 
 namespace provmark::systems {
 
@@ -31,7 +31,7 @@ class RecordedGraph {
  public:
   using Prop = graph::GraphView::Prop;
 
-  explicit RecordedGraph(os::Region& region)
+  explicit RecordedGraph(util::Region& region)
       : region_(region), view_(region.resource()), builder_(view_) {}
   RecordedGraph(const RecordedGraph&) = delete;
   RecordedGraph& operator=(const RecordedGraph&) = delete;
@@ -91,7 +91,7 @@ class RecordedGraph {
     return {first, claimed_ - first};
   }
 
-  os::Region& region_;
+  util::Region& region_;
   graph::GraphView view_;
   graph::GraphViewBuilder builder_;
   std::uint32_t claimed_ = 0;  ///< props before this belong to an element

@@ -10,7 +10,7 @@
 // the formats/ writer; no PropertyGraph is built on the trial path.
 //
 // A trial's events and build scratch live in one region owned by its
-// trace (os/region.h): a recorder builds its view, its dedupe maps and
+// trace (util/region.h): a recorder builds its view, its dedupe maps and
 // the document's text there, and only the returned document is a heap
 // string.
 //

@@ -24,7 +24,7 @@ using Prop = graph::GraphView::Prop;
 class SpadeBuilder {
  public:
   SpadeBuilder(const SpadeConfig& config, std::uint64_t seed,
-               os::Region& region)
+               util::Region& region)
       : config_(config),
         rng_(seed),
         graph_(region),

@@ -26,7 +26,7 @@ std::string_view field_or(const LsmEvent& event, std::string_view key,
 class SpadeCamflowBuilder {
  public:
   SpadeCamflowBuilder(const SpadeCamflowConfig& config, std::uint64_t seed,
-                      os::Region& region)
+                      util::Region& region)
       : config_(config),
         rng_(seed),
         graph_(region),

@@ -427,9 +427,8 @@ std::string_view JsonReader::read_string_view(StringArena& arena) {
   // An escape, a control character or the end of input: read_string
   // decodes (or rejects) it from the opening quote.
   pos_ = quote;
-  std::string decoded;
-  read_string(decoded);
-  return arena.keep(std::move(decoded));
+  read_string(scratch_);
+  return arena.keep(scratch_);
 }
 
 unsigned JsonReader::hex4() {

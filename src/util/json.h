@@ -240,7 +240,9 @@ class JsonReader {
   /// next_key/next_element: one flag serves every depth, because a
   /// nested container is always finished before its parent moves on.
   bool first_ = false;
-  std::string scratch_;  ///< skip()'s string buffer
+  /// skip()'s string buffer, and where read_string_view() decodes an
+  /// escaped string before the arena keeps it.
+  std::string scratch_;
 };
 
 /// Escape a string for embedding in JSON output (without the quotes).

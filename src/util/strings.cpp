@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <new>
 #include <utility>
 
 namespace provmark::util {
@@ -78,25 +79,43 @@ std::string replace_all(std::string_view s, std::string_view from,
   }
 }
 
+StringArena::~StringArena() { release(); }
+
+void StringArena::release() {
+  while (newest_ != nullptr) {
+    Chunk* previous = newest_->previous;
+    memory_->deallocate(newest_, sizeof(Chunk) + newest_->size,
+                        alignof(Chunk));
+    newest_ = previous;
+  }
+}
+
 StringArena::StringArena(StringArena&& other) noexcept
-    : chunks_(std::move(other.chunks_)),
+    : memory_(other.memory_),
+      newest_(std::exchange(other.newest_, nullptr)),
       free_(std::exchange(other.free_, nullptr)),
       left_(std::exchange(other.left_, 0)),
       next_size_(other.next_size_) {}
 
 StringArena& StringArena::operator=(StringArena&& other) noexcept {
-  chunks_ = std::move(other.chunks_);
-  free_ = std::exchange(other.free_, nullptr);
-  left_ = std::exchange(other.left_, 0);
-  next_size_ = other.next_size_;
+  if (this != &other) {
+    release();
+    memory_ = other.memory_;
+    newest_ = std::exchange(other.newest_, nullptr);
+    free_ = std::exchange(other.free_, nullptr);
+    left_ = std::exchange(other.left_, 0);
+    next_size_ = other.next_size_;
+  }
   return *this;
 }
 
 std::string_view StringArena::keep(std::string_view s) {
   if (s.size() > left_) {
     const std::size_t size = std::max(next_size_, s.size());
-    chunks_.push_back(std::make_unique_for_overwrite<char[]>(size));
-    free_ = chunks_.back().get();
+    auto* chunk = static_cast<Chunk*>(
+        memory_->allocate(sizeof(Chunk) + size, alignof(Chunk)));
+    newest_ = new (chunk) Chunk{newest_, size};
+    free_ = reinterpret_cast<char*>(chunk + 1);
     left_ = size;
     next_size_ = size * 2;
   }

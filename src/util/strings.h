@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <memory_resource>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,10 +35,17 @@ std::string replace_all(std::string_view s, std::string_view from,
 /// it was moved into) lives.
 ///
 /// The bytes go into chunks that double in size as the arena grows, so
-/// keeping a string costs a copy and, now and then, one allocation.
+/// keeping a string costs a copy and, now and then, one allocation. The
+/// chunks come from a memory resource (the heap by default; a trial's
+/// region on the trial path) and link to each other, so the arena keeps
+/// no list of its own. A moved arena takes its chunks and their resource
+/// along.
 class StringArena {
  public:
   StringArena() = default;
+  /// An empty arena whose chunks come from `memory`.
+  explicit StringArena(std::pmr::memory_resource* memory) : memory_(memory) {}
+  ~StringArena();
   StringArena(StringArena&& other) noexcept;
   StringArena& operator=(StringArena&& other) noexcept;
   StringArena(const StringArena&) = delete;
@@ -48,7 +55,16 @@ class StringArena {
   std::string_view keep(std::string_view s);
 
  private:
-  std::vector<std::unique_ptr<char[]>> chunks_;
+  /// Starts each chunk; the chunk's bytes follow it.
+  struct Chunk {
+    Chunk* previous;
+    std::size_t size;
+  };
+
+  void release();
+
+  std::pmr::memory_resource* memory_ = std::pmr::get_default_resource();
+  Chunk* newest_ = nullptr;
   char* free_ = nullptr;    ///< first unused byte of the newest chunk
   std::size_t left_ = 0;    ///< unused bytes from free_ on
   std::size_t next_size_ = 256;  ///< size of the next chunk

@@ -84,12 +84,12 @@ Resolved resolve(const matcher::InternedGraph& interned) {
     out.edge_label.push_back(symbols.resolve(g.edge_label[e]));
     out.edge_props.push_back(props(g.edge_props(e)));
   }
-  out.edge_src = g.edge_src;
-  out.edge_tgt = g.edge_tgt;
-  out.out_offsets = g.out_offsets;
-  out.out_edges = g.out_edges;
-  out.in_offsets = g.in_offsets;
-  out.in_edges = g.in_edges;
+  out.edge_src.assign(g.edge_src.begin(), g.edge_src.end());
+  out.edge_tgt.assign(g.edge_tgt.begin(), g.edge_tgt.end());
+  out.out_offsets.assign(g.out_offsets.begin(), g.out_offsets.end());
+  out.out_edges.assign(g.out_edges.begin(), g.out_edges.end());
+  out.in_offsets.assign(g.in_offsets.begin(), g.in_offsets.end());
+  out.in_edges.assign(g.in_edges.begin(), g.in_edges.end());
   for (Symbol label : g.bucket_label) {
     std::span<const std::uint32_t> bucket = g.label_bucket(label);
     out.label_buckets[symbols.resolve(label)].assign(bucket.begin(),
@@ -102,8 +102,9 @@ Resolved resolve(const matcher::InternedGraph& interned) {
   for (const auto& [label, count] : interned.edge_label_counts) {
     out.edge_label_counts[symbols.resolve(label)] = count;
   }
-  out.wl2 = interned.wl2;
-  out.colour_class_size = interned.colour_class_size;
+  out.wl2.assign(interned.wl2.begin(), interned.wl2.end());
+  out.colour_class_size.assign(interned.colour_class_size.begin(),
+                               interned.colour_class_size.end());
   out.interned_digest = interned.structural_digest();
   return out;
 }
@@ -186,9 +187,10 @@ std::string group_error(const matcher::InternedGraph& interned) {
 /// their definitions, else which one does not.
 std::string invariant_error(const matcher::InternedGraph& interned) {
   const CompactGraph& g = interned.g;
-  auto histogram = [](std::vector<Symbol> labels) {
+  auto histogram = [](std::span<const Symbol> in) {
+    std::vector<Symbol> labels(in.begin(), in.end());
     std::sort(labels.begin(), labels.end());
-    std::vector<std::pair<Symbol, std::uint32_t>> out;
+    std::pmr::vector<std::pair<Symbol, std::uint32_t>> out;
     for (Symbol label : labels) {
       if (out.empty() || out.back().first != label) out.emplace_back(label, 0);
       ++out.back().second;
@@ -201,7 +203,9 @@ std::string invariant_error(const matcher::InternedGraph& interned) {
   if (interned.edge_label_counts != histogram(g.edge_label)) {
     return "edge label histogram";
   }
-  if (interned.wl2 != compact_wl_colours(g, 2)) return "2-round WL colours";
+  if (!std::ranges::equal(interned.wl2, compact_wl_colours(g, 2))) {
+    return "2-round WL colours";
+  }
   for (std::size_t v = 0; v < interned.wl2.size(); ++v) {
     const auto members = std::count(interned.wl2.begin(), interned.wl2.end(),
                                     interned.wl2[v]);
@@ -225,7 +229,9 @@ struct Route {
   GraphReader graph;
 };
 
-const Route kDot{"dot", formats::dot_view, formats::from_dot};
+const Route kDot{"dot",
+                 [](std::string_view t) { return formats::dot_view(t); },
+                 formats::from_dot};
 const Route kProvJson{
     "prov-json",
     [](std::string_view t) { return formats::prov_json_view(t); },
