@@ -17,9 +17,7 @@ namespace {
 
 using util::Json;
 
-using Writer = util::BasicJsonWriter<std::pmr::string>;
-
-void write_properties(Writer& w,
+void write_properties(util::JsonWriter& w,
                       std::span<const graph::GraphView::Prop> props) {
   w.key("properties");
   w.begin_object();
@@ -125,10 +123,10 @@ Record read_record(util::JsonReader& r, graph::GraphView& view,
 }  // namespace
 
 std::string to_neo4j_json(const graph::GraphView& view) {
-  // Built in the view's memory, then copied out once at its final size.
-  std::pmr::string out(view.resource());
-  out.reserve(256 * (view.nodes.size() + view.edges.size()) + 64);
-  Writer w(out, 2);
+  // Written straight into the returned string, sized for the view's
+  // strings plus each record's and property's keys, punctuation and
+  // indentation; the property scratch draws from the view's memory.
+  util::JsonWriter w(2, view.text_size(100, 120, 16) + 64);
   std::pmr::vector<graph::GraphView::Prop> scratch(view.resource());
   w.begin_object();
   w.key("nodes");
@@ -162,7 +160,7 @@ std::string to_neo4j_json(const graph::GraphView& view) {
   }
   w.end_array();
   w.end_object();
-  return std::string(out);
+  return w.take();
 }
 
 std::string to_neo4j_json(const graph::PropertyGraph& g) {

@@ -55,9 +55,7 @@ bool is_node_kind(std::string_view name) {
 /// One relation section: each edge's endpoint keys first, then its
 /// properties. A property named like an endpoint key takes that key's
 /// place (PROV-JSON has one value per attribute name).
-using Writer = util::BasicJsonWriter<std::pmr::string>;
-
-void write_relation(Writer& w, std::string_view relation,
+void write_relation(util::JsonWriter& w, std::string_view relation,
                     const graph::GraphView& view,
                     const std::pmr::vector<std::uint32_t>& edges,
                     std::pmr::vector<graph::GraphView::Prop>& scratch) {
@@ -93,18 +91,18 @@ void write_relation(Writer& w, std::string_view relation,
 }  // namespace
 
 std::string to_prov_json(const graph::GraphView& view) {
-  // Everything is built in the view's memory; the document is copied out
-  // once at its final size. Edges grouped by relation label, sections in
-  // label order.
+  // Edges grouped by relation label, sections in label order. The groups
+  // and the property scratch draw from the view's memory; the document is
+  // written straight into the returned string.
   std::pmr::map<std::string_view, std::pmr::vector<std::uint32_t>> relations(
       view.resource());
   for (std::uint32_t i = 0; i < view.edges.size(); ++i) {
     relations[view.edges[i].label].push_back(i);
   }
 
-  std::pmr::string out(view.resource());
-  out.reserve(256 * (view.nodes.size() + view.edges.size()) + 64);
-  Writer w(out, 2);
+  // Sized for the view's strings plus each element's and property's
+  // punctuation and indentation (an edge's two endpoint keys included).
+  util::JsonWriter w(2, view.text_size(16, 96, 14) + 64);
   std::pmr::vector<graph::GraphView::Prop> scratch(view.resource());
   w.begin_object();
   for (std::string_view kind : kNodeKinds) {
@@ -140,7 +138,7 @@ std::string to_prov_json(const graph::GraphView& view) {
     write_relation(w, relation, view, edges, scratch);
   }
   w.end_object();
-  return std::string(out);
+  return w.take();
 }
 
 std::string to_prov_json(const graph::PropertyGraph& g) {
@@ -165,6 +163,7 @@ graph::GraphView prov_json_view(std::string_view text, bool* neo4j_keys,
     std::uint32_t first_prop = 0, prop_count = 0;
   };
   std::pmr::vector<PendingEdge> pending(memory);
+  pending.reserve(view.edges.capacity());
   bool nodes_key = false, relationships_key = false;
   std::string_view section_name, id, key;
   r.begin_object();

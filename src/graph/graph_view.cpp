@@ -1,7 +1,8 @@
 #include "graph/graph_view.h"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -105,14 +106,48 @@ GraphView copy_of(const PropertyGraph& g) {
 
 namespace {
 
+/// The id table's hash: 8 bytes at a time (the last 8 read overlapping),
+/// each word multiplied in, then one finalizing mix so the low bits the
+/// table indexes by depend on every byte. Element ids are short, where
+/// this costs a few multiplies against std::hash's byte-oriented
+/// _Hash_bytes; the hash only places ids in the table, so it decides no
+/// order anywhere.
 std::uint32_t hash_id(std::string_view id) {
-  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(id));
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  const char* p = id.data();
+  const std::size_t n = id.size();
+  std::uint64_t h = n * kMul;
+  auto mix = [&h](std::uint64_t word) { h = (h ^ word) * kMul; };
+  if (n >= 8) {
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i + 8 < n; i += 8) {
+      std::memcpy(&word, p + i, 8);
+      mix(word);
+    }
+    std::memcpy(&word, p + n - 8, 8);
+    mix(word);
+  } else {
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      word |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+              << (8 * i);
+    }
+    mix(word);
+  }
+  h ^= h >> 29;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 32;
+  return static_cast<std::uint32_t>(h);
 }
 
 }  // namespace
 
 GraphViewBuilder::GraphViewBuilder(GraphView& view)
-    : view_(view), slots_(64, view.resource()) {}
+    : view_(view),
+      slots_(std::bit_ceil(std::max<std::size_t>(
+                 32, view.nodes.capacity() + view.edges.capacity())) *
+                 2,
+             view.resource()) {}
 
 std::string_view GraphViewBuilder::id_of(std::uint32_t element) const {
   return (element & kEdgeBit) != 0

@@ -98,6 +98,22 @@ struct GraphView {
     props.reserve(bytes / 24);
   }
 
+  /// The bytes of every id, label, endpoint id, key and value the view
+  /// lists, plus `per_node`, `per_edge` and `per_prop` fixed bytes for
+  /// each: what a writer takes for its document's size before escapes.
+  std::size_t text_size(std::size_t per_node, std::size_t per_edge,
+                        std::size_t per_prop) const {
+    std::size_t bytes = 0;
+    for (const NodeRef& n : nodes) bytes += n.id.size() + n.label.size();
+    for (const EdgeRef& e : edges) {
+      bytes += e.id.size() + e.label.size() + nodes[e.src].id.size() +
+               nodes[e.tgt].id.size();
+    }
+    for (const Prop& p : props) bytes += p.key.size() + p.value.size();
+    return bytes + per_node * nodes.size() + per_edge * edges.size() +
+           per_prop * props.size();
+  }
+
   /// The memory resource the view's lists draw from.
   std::pmr::memory_resource* resource() const {
     return nodes.get_allocator().resource();
@@ -147,7 +163,9 @@ GraphView copy_of(const PropertyGraph& g);
 
 /// Adds elements to a GraphView under PropertyGraph's checks. Properties
 /// are appended to `view.props` by the reader; an element names its
-/// range there.
+/// range there. The id table starts with room for as many elements as
+/// the view's lists have room for (a reader's reserve_for), so a read
+/// does not grow it.
 class GraphViewBuilder {
  public:
   static constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;

@@ -10,9 +10,9 @@
 // the formats/ writer; no PropertyGraph is built on the trial path.
 //
 // A trial's events and build scratch live in one region owned by its
-// trace (util/region.h): a recorder builds its view, its dedupe maps and
-// the document's text there, and only the returned document is a heap
-// string.
+// trace (util/region.h): a recorder builds its view and its dedupe maps
+// there, and the writer's scratch comes from there too. The document is
+// written straight into the heap string the recorder returns.
 //
 // Each trial gets a fresh TrialContext whose seed drives recorder-side
 // transient values (minted node identifiers, serialization timestamps)

@@ -1,6 +1,5 @@
 #include "util/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -84,106 +83,42 @@ bool Json::operator==(const Json& other) const {
 
 namespace {
 
-/// json_escape(s) appended to `out`.
-template <typename String>
-void append_json_escaped(String& out, std::string_view s) {
-  std::size_t run = 0;  // start of the pending run of plain characters
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out.append(s.data() + run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: {
-        static constexpr char kHex[] = "0123456789abcdef";
-        out += "\\u00";
-        out += kHex[c >> 4];
-        out += kHex[c & 0xF];
-      }
+/// `s` with every byte detail::kJsonEscape names escaped, written at
+/// `at`, which has room for 6 bytes per byte of `s`.
+char* put_escaped(char* at, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (unsigned char c : s) {
+    const char e = detail::kJsonEscape[c];
+    if (e == 0) {
+      *at++ = static_cast<char>(c);
+      continue;
+    }
+    *at++ = '\\';
+    *at++ = e;
+    if (e == 'u') {
+      *at++ = '0';
+      *at++ = '0';
+      *at++ = kHex[c >> 4];
+      *at++ = kHex[c & 0xF];
     }
   }
-  out.append(s.data() + run, s.size() - run);
+  return at;
 }
 
 }  // namespace
 
 std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  append_json_escaped(out, s);
-  return out;
+  StringWriter w(s.size());
+  w.advance_to(put_escaped(w.room(6 * s.size()), s));
+  return w.take();
 }
 
 // -- writer -------------------------------------------------------------------
 
-template <typename String>
-void BasicJsonWriter<String>::newline(std::size_t depth) {
-  if (indent_ <= 0) return;
-  out_ += '\n';
-  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
+char* JsonWriter::escaped_rest(char* at, std::string_view rest) {
+  out_.advance_to(at);
+  return put_escaped(out_.room(6 * rest.size() + 4), rest);
 }
-
-template <typename String>
-void BasicJsonWriter<String>::before_value() {
-  if (after_key_) {
-    after_key_ = false;
-    return;
-  }
-  if (empty_.empty()) return;  // the document's top-level value
-  if (!empty_.back()) out_ += ',';
-  empty_.back() = false;
-  newline(empty_.size());
-}
-
-template <typename String>
-void BasicJsonWriter<String>::open(char bracket) {
-  before_value();
-  out_ += bracket;
-  empty_.push_back(true);
-}
-
-template <typename String>
-void BasicJsonWriter<String>::close(char bracket) {
-  bool was_empty = empty_.back();
-  empty_.pop_back();
-  if (!was_empty) newline(empty_.size());
-  out_ += bracket;
-}
-
-template <typename String>
-void BasicJsonWriter<String>::key(std::string_view k) {
-  if (!empty_.back()) out_ += ',';
-  empty_.back() = false;
-  newline(empty_.size());
-  out_ += '"';
-  append_json_escaped(out_, k);
-  out_ += indent_ > 0 ? "\": " : "\":";
-  after_key_ = true;
-}
-
-template <typename String>
-void BasicJsonWriter<String>::string(std::string_view s) {
-  before_value();
-  out_ += '"';
-  append_json_escaped(out_, s);
-  out_ += '"';
-}
-
-template <typename String>
-void BasicJsonWriter<String>::literal(std::string_view text) {
-  before_value();
-  out_ += text;
-}
-
-template class BasicJsonWriter<std::string>;
-template class BasicJsonWriter<std::pmr::string>;
 
 namespace {
 
@@ -224,81 +159,19 @@ void Json::write_to(JsonWriter& w) const {
 }
 
 std::string Json::dump(int indent) const {
-  std::string out;
-  JsonWriter writer(out, indent);
+  JsonWriter writer(indent);
   write_to(writer);
-  return out;
+  return writer.take();
 }
 
 // -- reader -------------------------------------------------------------------
 
-void JsonReader::fail(const std::string& message) const {
-  throw JsonParseError(message, pos_);
+void JsonReader::fail(const char* message) const {
+  throw JsonParseError(message, static_cast<std::size_t>(at_ - begin_));
 }
 
-void JsonReader::skip_ws() {
-  while (pos_ < text_.size() &&
-         (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-          text_[pos_] == '\r')) {
-    ++pos_;
-  }
-}
-
-char JsonReader::peek_char() {
-  if (pos_ >= text_.size()) fail("unexpected end of input");
-  return text_[pos_];
-}
-
-char JsonReader::take() {
-  char c = peek_char();
-  ++pos_;
-  return c;
-}
-
-void JsonReader::expect(char c) {
-  if (take() != c) {
-    --pos_;
-    fail(std::string("expected '") + c + "'");
-  }
-}
-
-Json::Type JsonReader::peek() {
-  skip_ws();
-  switch (peek_char()) {
-    case '{': return Json::Type::Object;
-    case '[': return Json::Type::Array;
-    case '"': return Json::Type::String;
-    case 't':
-    case 'f': return Json::Type::Bool;
-    case 'n': return Json::Type::Null;
-    default: return Json::Type::Number;
-  }
-}
-
-void JsonReader::begin_object() {
-  skip_ws();
-  expect('{');
-  first_ = true;
-}
-
-bool JsonReader::next_member() {
-  skip_ws();
-  if (first_) {
-    first_ = false;
-    if (peek_char() == '}') {
-      ++pos_;
-      return false;
-    }
-  } else {
-    char c = take();
-    if (c == '}') return false;
-    if (c != ',') {
-      --pos_;
-      fail("expected ',' or '}'");
-    }
-    skip_ws();
-  }
-  return true;
+void JsonReader::fail_expected(char c) const {
+  fail((std::string("expected '") + c + "'").c_str());
 }
 
 bool JsonReader::next_key(std::string& key) {
@@ -306,39 +179,6 @@ bool JsonReader::next_key(std::string& key) {
   read_string(key);
   skip_ws();
   expect(':');
-  return true;
-}
-
-bool JsonReader::next_key_view(std::string_view& key, StringArena& arena) {
-  if (!next_member()) return false;
-  key = read_string_view(arena);
-  skip_ws();
-  expect(':');
-  return true;
-}
-
-void JsonReader::begin_array() {
-  skip_ws();
-  expect('[');
-  first_ = true;
-}
-
-bool JsonReader::next_element() {
-  skip_ws();
-  if (first_) {
-    first_ = false;
-    if (peek_char() == ']') {
-      ++pos_;
-      return false;
-    }
-    return true;
-  }
-  char c = take();
-  if (c == ']') return false;
-  if (c != ',') {
-    --pos_;
-    fail("expected ',' or ']'");
-  }
   return true;
 }
 
@@ -371,18 +211,15 @@ void JsonReader::read_string(std::string& out) {
   while (true) {
     // Copy the run of plain characters up to the next quote, escape or
     // control character in one append.
-    std::size_t end = pos_;
-    while (end < text_.size()) {
-      unsigned char c = static_cast<unsigned char>(text_[end]);
-      if (c == '"' || c == '\\' || c < 0x20) break;
-      ++end;
-    }
-    out.append(text_.data() + pos_, end - pos_);
-    pos_ = end;
-    char c = take();
+    const std::size_t plain = detail::json_plain_run(at_, end_);
+    out.append(at_, plain);
+    at_ += plain;
+    const char c = peek_char();
+    ++at_;
     if (c == '"') return;
     if (c != '\\') fail("unescaped control character");
-    char e = take();
+    const char e = peek_char();
+    ++at_;
     switch (e) {
       case '"': out += '"'; break;
       case '\\': out += '\\'; break;
@@ -396,7 +233,16 @@ void JsonReader::read_string(std::string& out) {
         unsigned code = hex4();
         if (code >= 0xD800 && code <= 0xDBFF) {
           // Surrogate pair.
-          if (take() != '\\' || take() != 'u') fail("bad surrogate pair");
+          if (peek_char() != '\\') {
+            ++at_;
+            fail("bad surrogate pair");
+          }
+          ++at_;
+          if (peek_char() != 'u') {
+            ++at_;
+            fail("bad surrogate pair");
+          }
+          ++at_;
           unsigned low = hex4();
           if (low < 0xDC00 || low > 0xDFFF) fail("bad low surrogate");
           code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
@@ -409,32 +255,20 @@ void JsonReader::read_string(std::string& out) {
   }
 }
 
-std::string_view JsonReader::read_string_view(StringArena& arena) {
-  skip_ws();
-  const std::size_t quote = pos_;
-  expect('"');
-  std::size_t end = pos_;
-  while (end < text_.size()) {
-    unsigned char c = static_cast<unsigned char>(text_[end]);
-    if (c == '"' || c == '\\' || c < 0x20) break;
-    ++end;
-  }
-  if (end < text_.size() && text_[end] == '"') {
-    std::string_view plain = text_.substr(pos_, end - pos_);
-    pos_ = end + 1;
-    return plain;
-  }
-  // An escape, a control character or the end of input: read_string
-  // decodes (or rejects) it from the opening quote.
-  pos_ = quote;
+std::string_view JsonReader::decoded_string_view(StringArena& arena) {
   read_string(scratch_);
   return arena.keep(scratch_);
+}
+
+std::string_view JsonReader::compact_text_view(StringArena& arena) {
+  return arena.keep(read_value().dump());
 }
 
 unsigned JsonReader::hex4() {
   unsigned code = 0;
   for (int i = 0; i < 4; ++i) {
-    char c = take();
+    const char c = peek_char();
+    ++at_;
     code <<= 4;
     if (c >= '0' && c <= '9') {
       code += static_cast<unsigned>(c - '0');
@@ -450,24 +284,60 @@ unsigned JsonReader::hex4() {
 }
 
 void JsonReader::literal(std::string_view lit) {
-  if (text_.substr(pos_, lit.size()) != lit) fail("invalid literal");
-  pos_ += lit.size();
+  if (std::string_view(at_, static_cast<std::size_t>(end_ - at_))
+          .substr(0, lit.size()) != lit) {
+    fail("invalid literal");
+  }
+  at_ += lit.size();
 }
 
-std::string_view JsonReader::number(double& value) {
-  std::size_t start = pos_;
-  if (peek_char() == '-') ++pos_;
-  while (pos_ < text_.size() &&
-         (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-          text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-          text_[pos_] == '+' || text_[pos_] == '-')) {
-    ++pos_;
+namespace {
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// Whether `lit` is an RFC 8259 number:
+/// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+bool rfc8259_number(std::string_view lit) {
+  std::size_t i = 0;
+  auto digits = [&] {
+    const std::size_t from = i;
+    while (i < lit.size() && is_digit(lit[i])) ++i;
+    return i > from;
+  };
+  if (i < lit.size() && lit[i] == '-') ++i;
+  if (i < lit.size() && lit[i] == '0') {
+    ++i;
+  } else if (!digits()) {
+    return false;
   }
-  if (pos_ == start) fail("invalid number");
-  std::string_view lit = text_.substr(start, pos_ - start);
-  auto [ptr, ec] = std::from_chars(lit.data(), lit.data() + lit.size(), value);
-  if (ec != std::errc() || ptr != lit.data() + lit.size()) {
-    pos_ = start;
+  if (i < lit.size() && lit[i] == '.') {
+    ++i;
+    if (!digits()) return false;
+  }
+  if (i < lit.size() && (lit[i] == 'e' || lit[i] == 'E')) {
+    ++i;
+    if (i < lit.size() && (lit[i] == '+' || lit[i] == '-')) ++i;
+    if (!digits()) return false;
+  }
+  return i == lit.size();
+}
+
+}  // namespace
+
+std::string_view JsonReader::number(double& value) {
+  const char* start = at_;
+  if (peek_char() == '-') ++at_;
+  while (at_ != end_ && (is_digit(*at_) || *at_ == '.' || *at_ == 'e' ||
+                         *at_ == 'E' || *at_ == '+' || *at_ == '-')) {
+    ++at_;
+  }
+  if (at_ == start) fail("invalid number");
+  const std::string_view lit(start, static_cast<std::size_t>(at_ - start));
+  const auto [ptr, ec] =
+      std::from_chars(lit.data(), lit.data() + lit.size(), value);
+  if (!rfc8259_number(lit) || ec != std::errc() ||
+      ptr != lit.data() + lit.size()) {
+    at_ = start;
     fail("invalid number");
   }
   return lit;
@@ -514,11 +384,6 @@ std::string JsonReader::read_text() {
   return read_value().dump();
 }
 
-std::string_view JsonReader::read_text_view(StringArena& arena) {
-  if (peek() == Json::Type::String) return read_string_view(arena);
-  return arena.keep(read_value().dump());
-}
-
 void JsonReader::skip() {
   switch (peek()) {
     case Json::Type::Object:
@@ -544,7 +409,7 @@ void JsonReader::skip() {
 
 void JsonReader::finish() {
   skip_ws();
-  if (pos_ != text_.size()) fail("trailing content");
+  if (at_ != end_) fail("trailing content");
 }
 
 Json Json::parse(std::string_view text) {

@@ -126,6 +126,13 @@ std::string_view StringArena::keep(std::string_view s) {
   return {at, s.size()};
 }
 
+void StringWriter::grow(std::size_t n) {
+  const auto used = static_cast<std::size_t>(cur_ - out_.data());
+  out_.resize(std::max(out_.size() * 2, used + n));
+  cur_ = out_.data() + used;
+  end_ = out_.data() + out_.size();
+}
+
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

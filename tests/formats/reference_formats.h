@@ -8,6 +8,7 @@
 // implementations the library used before its formats wrote and read in
 // one pass. Only the differential tests include this header.
 //
+// disagreement() checks a reader against its reference, and
 // recorder_documents() supplies the inputs: the first background and
 // foreground trial of every Table-1 program on every recorder.
 #pragma once
@@ -15,6 +16,7 @@
 #include <array>
 #include <cctype>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -23,6 +25,10 @@
 #include "bench_suite/executor.h"
 #include "bench_suite/program.h"
 #include "core/pipeline.h"
+#include "formats/detect.h"
+#include "formats/dot.h"
+#include "formats/neo4j.h"
+#include "formats/prov_json.h"
 #include "graph/property_graph.h"
 #include "systems/recorder.h"
 #include "util/json.h"
@@ -433,6 +439,63 @@ class DotParser {
 
 inline graph::PropertyGraph from_dot(std::string_view text) {
   return DotParser(text).parse();
+}
+
+// -- the differential check ---------------------------------------------------
+
+/// A one-pass reader in src/formats and the reference it must agree with.
+struct ReaderPair {
+  const char* name;
+  graph::PropertyGraph (*reader)(std::string_view);
+  graph::PropertyGraph (*reference)(std::string_view);
+  /// Whether a rejection must also carry the reference's message: the DOT
+  /// reader and parser share no code but word their errors alike, while
+  /// the JSON references fail through util::Json's own messages.
+  bool same_error = false;
+};
+
+inline const ReaderPair kProvJson{"from_prov_json", formats::from_prov_json,
+                                  from_prov_json};
+inline const ReaderPair kNeo4j{"from_neo4j_json", formats::from_neo4j_json,
+                               from_neo4j_json};
+inline const ReaderPair kDot{"from_dot", formats::from_dot, from_dot, true};
+
+/// "" when `pair.reader` agrees with its reference on `text`, else what
+/// differs: one accepts what the other rejects, the graphs differ (ids,
+/// labels, properties, insertion order), or, for a `same_error` pair,
+/// the messages differ.
+inline std::string disagreement(const ReaderPair& pair, std::string_view text) {
+  std::optional<graph::PropertyGraph> expected, actual;
+  std::string expected_error, actual_error;
+  try {
+    expected = pair.reference(text);
+  } catch (const std::exception& e) {
+    expected_error = e.what();
+  }
+  try {
+    actual = pair.reader(text);
+  } catch (const std::exception& e) {
+    actual_error = e.what();
+  }
+  if (expected.has_value() != actual.has_value()) {
+    return std::string(pair.name) + (actual ? " accepted" : " rejected") +
+           " what the reference " + (expected ? "accepted" : "rejected") +
+           " (" + expected_error + actual_error + ")";
+  }
+  if (expected && !(*expected == *actual)) {
+    return std::string(pair.name) + " read a different graph";
+  }
+  if (pair.same_error && expected_error != actual_error) {
+    return std::string(pair.name) + " failed with \"" + actual_error +
+           "\", the reference with \"" + expected_error + "\"";
+  }
+  return "";
+}
+
+/// The pairs that read a document of `format`.
+inline std::vector<const ReaderPair*> readers_for(formats::Format format) {
+  if (format == formats::Format::Dot) return {&kDot};
+  return {&kProvJson, &kNeo4j};
 }
 
 // -- inputs -------------------------------------------------------------------

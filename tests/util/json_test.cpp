@@ -59,6 +59,23 @@ TEST(JsonParse, RejectsMalformed) {
   EXPECT_THROW(Json::parse("\"unterminated"), JsonParseError);
   EXPECT_THROW(Json::parse("1 2"), JsonParseError);
   EXPECT_THROW(Json::parse("{\"a\":1,}"), JsonParseError);
+  // Numbers outside RFC 8259: leading zeros, a bare or trailing decimal
+  // point, a fraction without digits before its exponent. Each fails
+  // at the literal.
+  for (const char* text : {"01", "00", "-01", "1.", ".5", "-.5", "1.e5"}) {
+    try {
+      Json::parse(std::string("[") + text + "]");
+      ADD_FAILURE() << text << " parsed";
+    } catch (const JsonParseError& e) {
+      EXPECT_STREQ(e.what(), "invalid number at offset 1") << text;
+    }
+  }
+}
+
+TEST(JsonParse, Rfc8259Numbers) {
+  for (const char* text : {"0", "-0", "0.5", "-1.25e-3", "1E+2", "1e05"}) {
+    EXPECT_TRUE(Json::parse(text).is_number()) << text;
+  }
 }
 
 TEST(JsonDump, CompactRoundTrip) {
