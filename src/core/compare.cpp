@@ -10,12 +10,11 @@ namespace provmark::core {
 
 CompareResult compare_graphs(const matcher::InternedGraph& background,
                              const matcher::InternedGraph& foreground,
-                             const CompareOptions& options) {
+                             const CompareOptions&) {
   CompareResult result;
 
   matcher::SearchOptions search;
   search.cost_model = matcher::CostModel::OneSided;
-  options.search.apply(search);
   std::optional<matcher::Matching> matching = matcher::best_subgraph_embedding(
       background, foreground, search, &result.search_stats);
   if (!matching.has_value()) {

@@ -11,9 +11,9 @@
 
 namespace provmark::core {
 
+/// Compat, unread: provbench pipeline_bench.cpp:461-462; ROADMAP item 9.
 struct CompareOptions {
-  /// Parallel-search knobs forwarded into the matcher call. The
-  /// pipeline overlays its own PipelineOptions::matcher config here.
+  /// Compat, unread: provbench pipeline_bench.cpp:462; ROADMAP item 9.
   matcher::SearchConfig search;
 };
 
@@ -32,17 +32,18 @@ struct CompareResult {
   /// the foreground exists (monotonicity violated — a garbled recording
   /// or a recorder bug; the paper's §3.4 "leads to failure" case).
   bool embedding_failed = false;
-  /// Search statistics of the embedding (parallel workers pre-merged by
-  /// the matcher, so callers may sum these across stages verbatim).
+  /// Search statistics of the embedding (callers may sum these across
+  /// stages verbatim).
   matcher::Stats search_stats;
 };
 
 /// Subtract `background` from `foreground` via optimal approximate
 /// subgraph isomorphism (Listing 4 semantics). Both snapshots must be
 /// interned against one SymbolTable; the pipeline interns each
-/// generalized graph once and reuses the snapshot here.
+/// generalized graph once and reuses the snapshot here. The
+/// CompareOptions argument is ignored (see its comment).
 CompareResult compare_graphs(const matcher::InternedGraph& background,
                              const matcher::InternedGraph& foreground,
-                             const CompareOptions& options = {});
+                             const CompareOptions& = {});
 
 }  // namespace provmark::core

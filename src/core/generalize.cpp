@@ -83,10 +83,9 @@ std::vector<std::vector<std::size_t>> similarity_classes(
 
 std::optional<matcher::InternedGraph> generalize_pair(
     const matcher::InternedGraph& a, const matcher::InternedGraph& b,
-    const GeneralizeOptions& options, matcher::Stats* stats) {
+    matcher::Stats* stats) {
   matcher::SearchOptions search;
   search.cost_model = matcher::CostModel::Symmetric;
-  options.search.apply(search);
   std::optional<matcher::Matching> matching =
       matcher::best_isomorphism(a, b, search, stats);
   if (!matching.has_value()) return std::nullopt;
@@ -145,14 +144,13 @@ TrialClasses classify_trials(
 
 std::optional<GeneralizeResult> generalize_chosen(
     const TrialClasses& classes,
-    const std::vector<const matcher::InternedGraph*>& trials,
-    const GeneralizeOptions& options) {
+    const std::vector<const matcher::InternedGraph*>& trials) {
   if (!classes.pair.has_value()) return std::nullopt;
   const matcher::InternedGraph& a = *trials[classes.pair->first];
   const matcher::InternedGraph& b = *trials[classes.pair->second];
   matcher::Stats stats;
   std::optional<matcher::InternedGraph> generalized =
-      generalize_pair(a, b, options, &stats);
+      generalize_pair(a, b, &stats);
   if (!generalized.has_value()) return std::nullopt;  // unreachable in theory
 
   graph::PropertyGraph graph = graph::resolve_graph(generalized->g);
@@ -166,10 +164,10 @@ std::optional<GeneralizeResult> generalize_chosen(
 std::optional<GeneralizeResult> generalize_trials(
     const std::vector<const matcher::InternedGraph*>& trials,
     const std::vector<std::uint64_t>& digests,
-    const GeneralizeOptions& options, matcher::SimilarityMemo* memo,
+    const GeneralizeOptions&, matcher::SimilarityMemo* memo,
     runtime::ThreadPool* pool) {
   return generalize_chosen(classify_trials(trials, digests, memo, pool),
-                           trials, options);
+                           trials);
 }
 
 }  // namespace provmark::core

@@ -33,10 +33,9 @@ class ThreadPool;
 
 namespace provmark::core {
 
+/// Compat, unread: provbench pipeline_bench.cpp:436-437; ROADMAP item 9.
 struct GeneralizeOptions {
-  /// Parallel-search knobs forwarded into the generalization
-  /// isomorphism. The pipeline overlays its own PipelineOptions::matcher
-  /// config here.
+  /// Compat, unread: provbench pipeline_bench.cpp:437; ROADMAP item 9.
   matcher::SearchConfig search;
 };
 
@@ -49,8 +48,8 @@ struct GeneralizeResult {
   std::size_t classes = 0;     ///< similarity classes found
   std::size_t discarded = 0;   ///< trials discarded as inconsistent
   int transient_properties = 0;  ///< properties removed as volatile
-  /// Statistics of the generalizing isomorphism search (parallel
-  /// workers pre-merged by the matcher; summable across stages).
+  /// Statistics of the generalizing isomorphism search (summable
+  /// across stages).
   matcher::Stats search_stats;
 };
 
@@ -107,24 +106,23 @@ TrialClasses classify_trials(
 /// when supplied, receives the isomorphism search statistics.
 std::optional<matcher::InternedGraph> generalize_pair(
     const matcher::InternedGraph& a, const matcher::InternedGraph& b,
-    const GeneralizeOptions& options = {}, matcher::Stats* stats = nullptr);
+    matcher::Stats* stats = nullptr);
 
 /// Step 4: generalize the pair `classes` chose among `trials`, whose
 /// properties must be interned. Returns std::nullopt when there is no
 /// pair.
 std::optional<GeneralizeResult> generalize_chosen(
     const TrialClasses& classes,
-    const std::vector<const matcher::InternedGraph*>& trials,
-    const GeneralizeOptions& options = {});
+    const std::vector<const matcher::InternedGraph*>& trials);
 
 /// The full stage on fully interned trials: classify_trials, then
 /// generalize_chosen. Returns std::nullopt when no class has >= 2
 /// members (the paper's recording stage would run more trials in that
-/// case).
+/// case). The GeneralizeOptions argument is ignored (see its comment).
 std::optional<GeneralizeResult> generalize_trials(
     const std::vector<const matcher::InternedGraph*>& trials,
     const std::vector<std::uint64_t>& digests,
-    const GeneralizeOptions& options = {},
+    const GeneralizeOptions& = {},
     matcher::SimilarityMemo* memo = nullptr,
     runtime::ThreadPool* pool = nullptr);
 

@@ -26,13 +26,6 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
                    : 8 * default_trials(recorder->name());
   out.trials_run = trials;
 
-  // The matcher strategy overlays both matcher-bound stages, as in
-  // run_benchmark.
-  GeneralizeOptions generalize_options = options.generalize;
-  generalize_options.search = options.matcher;
-  CompareOptions compare_options = options.compare;
-  compare_options.search = options.matcher;
-
   // Record background (deterministic) and foreground (one schedule per
   // trial) runs on run_benchmark's trial path, in one round. Garbled
   // trials are dropped; nondet reports schedules, not the behaviour
@@ -61,7 +54,7 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
     bg_trials.intern_properties(bg_classes.pair->second, symbols);
   }
   std::optional<GeneralizeResult> bg_general =
-      generalize_chosen(bg_classes, bg, generalize_options);
+      generalize_chosen(bg_classes, bg);
   if (!bg_general.has_value()) return out;
 
   // Group foreground trials into schedule classes: digest buckets
@@ -84,7 +77,7 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
     const TrialClasses chosen{.classes = classes.size(),
                               .pair = std::pair{cls[0], cls[1]}};
     std::optional<GeneralizeResult> fg_general =
-        generalize_chosen(chosen, fg, generalize_options);
+        generalize_chosen(chosen, fg);
     if (!fg_general.has_value()) continue;  // unreachable: all similar
     const double generalization = watch.elapsed_seconds();
 
@@ -104,8 +97,8 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
     result.threads_used = pool.thread_count();
 
     watch.reset();
-    CompareResult compared = compare_graphs(
-        bg_general->interned, fg_general->interned, compare_options);
+    CompareResult compared =
+        compare_graphs(bg_general->interned, fg_general->interned);
     result.timings = shared;
     result.timings.generalization += generalization;
     result.timings.comparison = watch.elapsed_seconds();

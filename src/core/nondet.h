@@ -60,10 +60,9 @@ struct NondetBenchmarkResult {
 /// Run the nondeterministic pipeline. `options.trials` is the foreground
 /// trial count (default: 8x the per-system default, since trials spread
 /// over schedules). Trials are recorded and read on run_benchmark's path
-/// over `options.pool`, and `options.matcher` overlays the generalize and
-/// compare search as in run_benchmark; the schedules are identical at any
-/// pool width or matcher thread count. All trials run in one round:
-/// `max_retry_rounds` and `cancel` do not apply.
+/// over `options.pool`; the schedules are identical at any pool width.
+/// All trials run in one round: `max_retry_rounds` and `cancel` do not
+/// apply.
 NondetBenchmarkResult run_nondeterministic_benchmark(
     const bench_suite::BenchmarkProgram& program,
     const PipelineOptions& options = {});

@@ -87,13 +87,6 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
   int trials = options.trials > 0 ? options.trials
                                   : default_trials(recorder->name());
 
-  // The run-wide matcher strategy: the pipeline-level config is the
-  // single source of truth for both matcher-bound stages.
-  GeneralizeOptions generalize_options = options.generalize;
-  generalize_options.search = options.matcher;
-  CompareOptions compare_options = options.compare;
-  compare_options.search = options.matcher;
-
   // Run-wide state persisting across retry rounds: each trial is
   // recorded, parsed, hashed and interned exactly once (its properties
   // only if a generalization reads them); the memo carries similar()
@@ -149,7 +142,7 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
     // -- (3) generalization -------------------------------------------------
     watch.reset();
     std::tie(bg_general, fg_general) = generalize_variants(
-        bg_trials, fg_trials, symbols, generalize_options, &memo, pool);
+        bg_trials, fg_trials, symbols, &memo, pool);
     result.timings.generalization += watch.elapsed_seconds();
     if (bg_general.has_value()) {
       result.matcher_steps += bg_general->search_stats.steps;
@@ -165,8 +158,7 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
 
     // -- (4) comparison -----------------------------------------------------
     watch.reset();
-    compared = compare_graphs(bg_general->interned, fg_general->interned,
-                              compare_options);
+    compared = compare_graphs(bg_general->interned, fg_general->interned);
     result.timings.comparison += watch.elapsed_seconds();
     result.matcher_steps += compared->search_stats.steps;
     if (!compared->embedding_failed) break;

@@ -57,7 +57,9 @@ struct PipelineOptions {
   ///        recorder to the Figures 5-7 recording-time profile
   double simulated_recording_latency = 0;
   TransformOptions transform;
+  /// Compat, unread: provbench pipeline_bench.cpp:436; ROADMAP item 9.
   GeneralizeOptions generalize;
+  /// Compat, unread: provbench pipeline_bench.cpp:461; ROADMAP item 9.
   CompareOptions compare;
   /// Cooperative cancellation for long-lived hosts (the streaming
   /// service's graceful shutdown): when non-null and set, run_benchmark
@@ -68,10 +70,7 @@ struct PipelineOptions {
   /// Checks sit between stages, never inside the matcher or Datalog
   /// inner loops, so cancellation can lag by one stage.
   const std::atomic<bool>* cancel = nullptr;
-  /// Matcher parallel-search workers for the generalization and
-  /// comparison stages. Overlaid onto `generalize.search` and
-  /// `compare.search` by run_benchmark — set it here, not on the
-  /// per-stage structs. Results are identical at any `matcher.threads`.
+  /// Compat, unread: provbench pipeline_bench.cpp:437,462; ROADMAP item 9.
   matcher::SearchConfig matcher;
 };
 
@@ -129,9 +128,8 @@ struct BenchmarkResult {
   std::uint64_t similarity_cache_lookups = 0;
 
   /// Branch-and-bound assignment attempts across the generalization
-  /// isomorphisms and comparison embeddings of all retry rounds. A
-  /// parallel matcher pre-merges its per-worker Stats exactly once
-  /// before returning, so this is a plain sum over stage results.
+  /// isomorphisms and comparison embeddings of all retry rounds: a
+  /// plain sum over stage results.
   std::uint64_t matcher_steps = 0;
 
   /// Nodes in `result` that are neither dummies nor edge endpoints —

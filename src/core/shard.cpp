@@ -428,7 +428,6 @@ std::vector<BenchmarkResult> run_batch_cells(
             pipeline.system = cell.system;
             pipeline.seed = options.seed;
             pipeline.pool = &pool;
-            pipeline.matcher = options.matcher;
             BenchmarkResult result = run_benchmark(
                 bench_suite::benchmark_by_name(cell.benchmark), pipeline);
             // Fault-injection site (no-op unless a crash rule is

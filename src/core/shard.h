@@ -156,7 +156,6 @@ std::vector<std::string> table_benchmark_names();
 struct CellRunOptions {
   std::uint64_t seed = 42;
   runtime::ThreadPool* pool = nullptr;  ///< nullptr = default pool
-  matcher::SearchConfig matcher;
   /// Replace measured stage timings with deterministic_timings() so
   /// time.log is byte-reproducible (the shard identity gates run with
   /// this on).

@@ -107,7 +107,6 @@ int read_trials(int first, int count, const TransformOptions& transform,
 std::pair<std::optional<GeneralizeResult>, std::optional<GeneralizeResult>>
 generalize_variants(TrialSet& background, TrialSet& foreground,
                     graph::SymbolTable& symbols,
-                    const GeneralizeOptions& options,
                     matcher::SimilarityMemo* memo, runtime::ThreadPool& pool) {
   // The two variants are independent problems; each side runs on one
   // worker and fans its similarity buckets out over the pool (a nested
@@ -131,7 +130,7 @@ generalize_variants(TrialSet& background, TrialSet& foreground,
   }
   std::optional<GeneralizeResult> general[2];
   pool.parallel_for(2, [&](std::size_t side) {
-    general[side] = generalize_chosen(classes[side], trials[side], options);
+    general[side] = generalize_chosen(classes[side], trials[side]);
   });
   return {std::move(general[0]), std::move(general[1])};
 }

@@ -94,7 +94,6 @@ int read_trials(int first, int count, const TransformOptions& transform,
 std::pair<std::optional<GeneralizeResult>, std::optional<GeneralizeResult>>
 generalize_variants(TrialSet& background, TrialSet& foreground,
                     graph::SymbolTable& symbols,
-                    const GeneralizeOptions& options,
                     matcher::SimilarityMemo* memo, runtime::ThreadPool& pool);
 
 }  // namespace provmark::core

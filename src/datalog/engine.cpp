@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "datalog/escape.h"
-#include "runtime/thread_pool.h"
 #include "util/strings.h"
 
 namespace provmark::datalog {
@@ -793,9 +792,9 @@ void Engine::run_stratum(const std::vector<std::size_t>& rule_indices,
       }
     }
 
-    // Index prepass (serial): every probe the parallel phase will make —
-    // join levels and negation filters — gets its index built or
-    // extended here, so evaluation is strictly read-only.
+    // Index prepass: every probe the round's plans will make — join
+    // levels and negation filters — gets its index built or extended
+    // here, so evaluating the plans only reads the engine.
     for (const JoinPlan& plan : plans) {
       const CompiledRule& rule = rules_[plan.rule];
       for (std::size_t level = 1; level < plan.order.size(); ++level) {
@@ -817,19 +816,12 @@ void Engine::run_stratum(const std::vector<std::size_t>& rule_indices,
       }
     }
 
-    // Evaluate every plan against the immutable round snapshot; rules of
-    // a stratum fan out over the pool. Each plan's derivations land in
-    // its own buffer, so results are identical at any thread count.
+    // Evaluate every plan against the immutable round snapshot. Each
+    // plan's derivations land in its own buffer, so no plan sees another
+    // plan's rows before the next round.
     std::vector<std::vector<Symbol>> outs(plans.size());
-    if (eval_.threads > 1 && plans.size() > 1) {
-      runtime::ThreadPool& pool =
-          eval_.pool != nullptr ? *eval_.pool : runtime::default_pool();
-      pool.parallel_for(plans.size(),
-                        [&](std::size_t i) { eval_plan(plans[i], outs[i]); });
-    } else {
-      for (std::size_t i = 0; i < plans.size(); ++i) {
-        eval_plan(plans[i], outs[i]);
-      }
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      eval_plan(plans[i], outs[i]);
     }
 
     // Deterministic merge in plan order; insert_row dedups.

@@ -16,8 +16,9 @@
 //   * semi-naive evaluation is delta-indexed — because pools are
 //     append-only, a round's delta is a contiguous row range served by
 //     the same indexes as the full relation — and the rules of a stratum
-//     evaluate in parallel on the src/runtime/ pool against an immutable
-//     snapshot, with a deterministic rule-order merge.
+//     evaluate against an immutable round snapshot, their derivations
+//     merged in plan order after the round. Evaluation is
+//     single-threaded.
 //
 // Supported language (unchanged): positive Datalog plus stratified
 // negation (`not rel(...)`) and built-in disequality `X != Y`. The
@@ -50,10 +51,6 @@
 #include <vector>
 
 #include "graph/compact.h"
-
-namespace provmark::runtime {
-class ThreadPool;
-}
 
 namespace provmark::datalog {
 
@@ -108,19 +105,6 @@ using Tuple = std::vector<std::string>;
 /// The engine: a fact store plus rules, evaluated to fixpoint on demand.
 class Engine {
  public:
-  /// Evaluation threading. The default evaluates serially on the
-  /// calling thread. Results are identical at any thread count; only
-  /// the work to reach them changes.
-  struct EvalOptions {
-    /// Worker count for per-stratum parallel rule evaluation; <= 1 runs
-    /// serially on the calling thread. Rules evaluate against an
-    /// immutable snapshot and merge in rule order, so derived facts are
-    /// bit-identical at any thread count.
-    int threads = 1;
-    /// Pool for parallel evaluation; nullptr = runtime::default_pool().
-    runtime::ThreadPool* pool = nullptr;
-  };
-
   /// Add a ground fact; throws std::invalid_argument on arity conflicts.
   void add_fact(const std::string& relation, Tuple tuple);
 
@@ -161,8 +145,6 @@ class Engine {
       std::string_view pattern_text);
 
   std::size_t fact_count() const;
-
-  void set_eval_options(const EvalOptions& options) { eval_ = options; }
 
  private:
   using Symbol = graph::Symbol;
@@ -254,7 +236,8 @@ class Engine {
                    const CompiledAtom& atom,
                    std::vector<Symbol>& binding) const;
   /// Get-or-create the index of `rel` for `mask` and extend it to cover
-  /// [rows_indexed, full_end). Serial-phase only.
+  /// [rows_indexed, full_end). During a round only the index prepass
+  /// calls it, so the plans run on fixed indexes.
   Index& ensure_index(Relation& rel, std::uint64_t mask);
   /// Probe-side key of `atom` under `mask`: the hash of the
   /// mask-selected slot values (constants or bound variables) in
@@ -270,7 +253,7 @@ class Engine {
   using SavedBindings = std::vector<std::vector<std::pair<int, Symbol>>>;
   /// Evaluate one plan against the current round snapshot, appending
   /// derived head rows (flat, head-arity strided) to `out`. Read-only on
-  /// the engine; safe to run concurrently with other plans.
+  /// the engine: the round's index prepass built every index it probes.
   void eval_plan(const JoinPlan& plan, std::vector<Symbol>& out) const;
   void eval_level(const CompiledRule& rule, const JoinPlan& plan,
                   std::size_t level, std::vector<Symbol>& binding,
@@ -284,7 +267,6 @@ class Engine {
   std::unordered_map<std::string, std::uint32_t> relation_ids_;
   std::vector<CompiledRule> rules_;
   std::vector<std::string> rule_head_names_;  ///< for stratify errors
-  EvalOptions eval_;
   bool saturated_ = true;
   // True until the first run() and whenever a rule was added since the
   // last one: the saturated_rows watermarks only certify fact-only

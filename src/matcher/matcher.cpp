@@ -11,32 +11,24 @@
 // graphs — the similarity-classification pattern — pay the interning
 // cost once.
 //
-// Two layers stack on the branch-and-bound core:
+// The branch-and-bound core searches in the WL-scarcity order:
+// bijective candidate lists are pruned to the pattern node's WL colour
+// class and tried cheapest-first; the most constrained pattern node is
+// assigned next, with candidate-count ties broken towards the rarer
+// target colour class; and the cost bound is tightened with an
+// admissible lower bound on the cost of the unassigned suffix.
 //
-//  * The WL-scarcity search order: bijective candidate lists are pruned
-//    to the pattern node's WL colour class and tried cheapest-first; the
-//    most constrained pattern node is assigned next, with candidate-count
-//    ties broken towards the rarer target colour class; and the cost
-//    bound is tightened with an admissible lower bound on the cost of
-//    the unassigned suffix.
-//  * Deterministic parallel search (SearchOptions::threads > 1): the
-//    root candidate space is partitioned into fixed prefix subtrees
-//    dispatched onto the runtime pool. Workers prune against their own
-//    strict local bound plus a shared monotonically tightening global
-//    bound with *allow-equal* semantics, so no interleaving can prune
-//    the first minimum-cost solution of any subtree; merging per-subtree
-//    winners in subtree order therefore reproduces the serial search's
-//    matching bit-for-bit (see docs/matcher.md "Search strategy").
+// A call is one depth-first search on the calling thread, so its step
+// count, budget verdict and matching are a function of the operands and
+// options alone. The pipeline runs many calls at once on its pool (one
+// per trial pair or digest bucket); no call fans out itself.
 //
 // Memory: a call makes its scratch in one region on its own stack
 // (util/region.h): the flat candidate lists, the search order and
-// bound, the search state and the edge-group assignment scratch. Each
-// parallel task builds its state in a region of its own on its worker's
-// stack, and writes its winner into a slot the calling thread sized
-// before the fan-out. Scratch that a search step reuses (the group
-// assignment's cost matrix and DFS arrays) grows only, so a search of
-// any length allocates a bounded amount; only the returned Matching is
-// heap memory.
+// bound, the search state and the edge-group assignment scratch.
+// Scratch that a search step reuses (the group assignment's cost matrix
+// and DFS arrays) grows only, so a search of any length allocates a
+// bounded amount; only the returned Matching is heap memory.
 //
 // The engine reports the same feasibility and optimal cost as the
 // string-keyed reference in legacy_matcher.cpp and the exhaustive
@@ -44,7 +36,6 @@
 #include "matcher/matcher.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <limits>
 #include <memory_resource>
@@ -55,7 +46,6 @@
 
 #include "graph/compact.h"
 #include "matcher/interned.h"
-#include "runtime/thread_pool.h"
 #include "util/region.h"
 
 namespace provmark::matcher {
@@ -69,19 +59,6 @@ using graph::SymbolTable;
 
 constexpr int kInfinity = std::numeric_limits<int>::max() / 4;
 constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
-/// Parallel workers flush their step counts into the shared budget
-/// counter in batches of this size, so budget enforcement costs one
-/// relaxed load per step and one shared write per batch. Cooperative
-/// cancellation is therefore accurate to one batch per worker.
-constexpr std::size_t kStepFlushBatch = 512;
-
-/// Monotonically tighten `target` towards `value` (atomic fetch-min).
-void atomic_min(std::atomic<int>& target, int value) {
-  int current = target.load(std::memory_order_relaxed);
-  while (value < current && !target.compare_exchange_weak(
-                                current, value, std::memory_order_relaxed)) {
-  }
-}
 
 /// Property-mismatch cost under the given model; allocation-free merge of
 /// the sorted (key,value) symbol spans.
@@ -200,49 +177,6 @@ int min_group_assignment(
   return best;
 }
 
-/// Coordination block shared by the workers of one parallel search.
-/// The bound is read on every prune check by every worker while the
-/// step counter is written on every flush, so they live on separate
-/// cache lines — sharing one would put a hot read on a line invalidated
-/// by every worker's batch flush.
-struct SharedSearch {
-  /// Global best-cost bound, tightened monotonically by every recorded
-  /// solution. Pruned against with allow-equal semantics (see
-  /// SearchState) so determinism survives any interleaving.
-  alignas(64) std::atomic<int> bound{kInfinity};
-  /// Cooperative cancellation: set by the worker that trips the step
-  /// budget; every sibling unwinds within one flush batch.
-  std::atomic<bool> cancelled{false};
-  /// Steps across all workers (plus the serial prefix enumeration),
-  /// flushed in batches; the budget is enforced against this total.
-  alignas(64) std::atomic<std::size_t> steps{0};
-};
-
-/// Mutable state of one search participant. The serial search uses a
-/// single state with no `shared` block, writing directly to the caller's
-/// Stats — byte-for-byte the pre-parallel behaviour. Each parallel
-/// worker owns a private state (local Stats, local best) merged exactly
-/// once after the pool joins, so no counter is ever double-counted. The
-/// state's arrays draw from its participant's region.
-struct SearchState {
-  explicit SearchState(std::pmr::memory_resource* memory)
-      : mapping(memory),
-        reverse_used(memory),
-        best_mapping(memory),
-        group(memory) {}
-
-  std::pmr::vector<std::uint32_t> mapping;  // pattern index -> target index
-  std::pmr::vector<char> reverse_used;      // target index taken?
-  std::pmr::vector<std::uint32_t> best_mapping;
-  GroupScratch group;
-  int best_cost = kInfinity;
-  bool have_best = false;
-  bool found_any = false;
-  Stats* stats = nullptr;
-  SharedSearch* shared = nullptr;  // null in the serial search
-  std::size_t unflushed = 0;       // steps not yet flushed to shared
-};
-
 class SearchEngine {
  public:
   SearchEngine(const InternedGraph& pattern, const InternedGraph& target,
@@ -257,7 +191,10 @@ class SearchEngine {
         scarcity_(memory()),
         order_(memory()),
         suffix_min_(memory()),
-        best_node_mapping_(memory()) {
+        mapping_(memory()),
+        reverse_used_(memory()),
+        best_node_mapping_(memory()),
+        group_(memory()) {
     if (pattern.g.symbols != target.g.symbols) {
       throw std::invalid_argument(
           "matcher: operands interned against different symbol tables");
@@ -294,25 +231,10 @@ class SearchEngine {
     order_pattern_nodes();
     compute_suffix_min();
 
-    best_cost_ = kInfinity;
-    have_best_ = false;
-    // The parallel search needs at least one undecided level below the
-    // partition point and a well-defined "first solution" is only
-    // meaningful in DFS order, so first_solution_only stays serial.
-    if (options_.threads > 1 && !options_.first_solution_only &&
-        order_.size() > 1) {
-      run_parallel();
-    } else {
-      SearchState state(memory());
-      init_state(state);
-      state.stats = stats_;
-      search(state, 0, 0);
-      if (state.have_best) {
-        best_cost_ = state.best_cost;
-        best_node_mapping_.swap(state.best_mapping);
-        have_best_ = true;
-      }
-    }
+    mapping_.assign(pattern_.g.node_count(), kUnmapped);
+    reverse_used_.assign(target_.g.node_count(), 0);
+    best_node_mapping_.reserve(pattern_.g.node_count());
+    search(0, 0);
     return have_best_;
   }
 
@@ -547,19 +469,18 @@ class SearchEngine {
   /// pattern node `i` is assigned. For the bijective problem also *checks*
   /// group cardinalities. Returns kInfinity when structurally
   /// inconsistent.
-  int edge_groups_cost(SearchState& s, std::uint32_t i) const {
-    const std::pmr::vector<std::uint32_t>& mapping = s.mapping;
+  int edge_groups_cost(std::uint32_t i) {
     int total = 0;
     for (std::uint32_t gi : pattern_.groups_of_node(i)) {
       const EdgeGroup& group = pattern_.groups[gi];
       std::uint32_t other = group.src == i ? group.tgt : group.src;
-      if (mapping[other] == kUnmapped) continue;  // not yet decidable
-      std::uint32_t tsrc = mapping[group.src];
-      std::uint32_t ttgt = mapping[group.tgt];
+      if (mapping_[other] == kUnmapped) continue;  // not yet decidable
+      std::uint32_t tsrc = mapping_[group.src];
+      std::uint32_t ttgt = mapping_[group.tgt];
       int cost = min_group_assignment(
           pattern_, pattern_.edges_of(group), target_,
           target_.group_edges(tsrc, ttgt, group.label), options_.cost_model,
-          bijective_, s.group, nullptr);
+          bijective_, group_, nullptr);
       if (cost >= kInfinity) return kInfinity;
       total += cost;
       // Bijective: the target may not have extra edges between the mapped
@@ -580,234 +501,49 @@ class SearchEngine {
     return total;
   }
 
-  void init_state(SearchState& state) const {
-    state.mapping.assign(pattern_.g.node_count(), kUnmapped);
-    state.reverse_used.assign(target_.g.node_count(), 0);
-    state.best_mapping.reserve(pattern_.g.node_count());
-  }
-
-  /// Publish a parallel participant's unflushed steps into the shared
-  /// counter and enforce the budget against the new total. Called every
-  /// kStepFlushBatch steps *and* when a task ends (tasks are small by
-  /// design — ~16 per thread — so most never fill a batch; without the
-  /// end-of-task check a fleet of sub-batch tasks could overrun the
-  /// budget unnoticed). The un-checked window is therefore at most one
-  /// batch per in-flight participant.
-  void flush_steps(SearchState& s) const {
-    if (s.unflushed == 0) return;
-    std::size_t total =
-        s.shared->steps.fetch_add(s.unflushed, std::memory_order_relaxed) +
-        s.unflushed;
-    s.unflushed = 0;
-    if (options_.step_budget > 0 && total > options_.step_budget) {
-      s.stats->budget_exhausted = true;
-      s.shared->cancelled.store(true, std::memory_order_relaxed);
+  /// One step of accounting, on the caller's Stats: the step that
+  /// takes the count past step_budget is the last one searched.
+  void count_step() {
+    ++stats_->steps;
+    if (options_.step_budget > 0 && stats_->steps > options_.step_budget) {
+      stats_->budget_exhausted = true;
     }
   }
 
-  /// One step of accounting. Serial: the caller's Stats carry the count
-  /// and the budget check, exactly as before. Parallel: the worker's
-  /// local Stats accumulate (merged once at the end) and batches are
-  /// flushed through flush_steps — the hot step path touches no shared
-  /// cache line in between.
-  void count_step(SearchState& s) const {
-    ++s.stats->steps;
-    if (s.shared == nullptr) {
-      if (options_.step_budget > 0 && s.stats->steps > options_.step_budget) {
-        s.stats->budget_exhausted = true;
-      }
-      return;
-    }
-    if (++s.unflushed >= kStepFlushBatch) flush_steps(s);
+  bool stop_early() const {
+    return (options_.first_solution_only && found_any_) ||
+           stats_->budget_exhausted;
   }
 
-  /// Would a branch whose completed cost is at least `value` be cut?
-  /// The local bound is strict (serial semantics); the shared bound
-  /// allows equality, so a concurrently tightened bound can never prune
-  /// a subtree's first minimum-cost solution — the determinism linchpin.
-  bool bound_exceeded(const SearchState& s, int value) const {
-    if (value >= s.best_cost) return true;
-    if (s.shared != nullptr &&
-        value > s.shared->bound.load(std::memory_order_relaxed)) {
-      return true;
-    }
-    return false;
-  }
-
-  bool stop_early(const SearchState& s) const {
-    if (options_.first_solution_only && s.found_any) return true;
-    if (s.stats->budget_exhausted) return true;
-    if (s.shared != nullptr &&
-        s.shared->cancelled.load(std::memory_order_relaxed)) {
-      return true;
-    }
-    return false;
-  }
-
-  void search(SearchState& s, std::size_t pos, int acc_cost) const {
-    count_step(s);
-    if (s.stats->budget_exhausted) return;
-    if (s.shared != nullptr &&
-        s.shared->cancelled.load(std::memory_order_relaxed)) {
-      return;
-    }
-    if (bound_exceeded(s, acc_cost + suffix_min_[pos])) return;
+  void search(std::size_t pos, int acc_cost) {
+    count_step();
+    if (stats_->budget_exhausted) return;
+    if (acc_cost + suffix_min_[pos] >= best_cost_) return;
     if (pos == order_.size()) {
-      if (acc_cost < s.best_cost || !s.have_best) {
-        s.best_cost = acc_cost;
-        s.best_mapping = s.mapping;
-        s.have_best = true;
-        if (s.shared != nullptr) atomic_min(s.shared->bound, acc_cost);
-      }
-      ++s.stats->solutions_found;
-      s.found_any = true;
+      // The bound check above let only a strictly cheaper solution in.
+      best_cost_ = acc_cost;
+      best_node_mapping_ = mapping_;
+      have_best_ = true;
+      ++stats_->solutions_found;
+      found_any_ = true;
       return;
     }
     std::uint32_t i = order_[pos];
     for (const Candidate& candidate : candidates(i)) {
       std::uint32_t j = candidate.node;
-      if (s.reverse_used[j] != 0) continue;
-      if (stop_early(s)) return;
-      s.mapping[i] = j;
-      s.reverse_used[j] = 1;
-      int group_cost = edge_groups_cost(s, i);
+      if (reverse_used_[j] != 0) continue;
+      if (stop_early()) return;
+      mapping_[i] = j;
+      reverse_used_[j] = 1;
+      int group_cost = edge_groups_cost(i);
       if (group_cost < kInfinity) {
         int next = acc_cost + candidate.cost + group_cost;
-        if (!bound_exceeded(s, next + suffix_min_[pos + 1])) {
-          search(s, pos + 1, next);
-        }
+        if (next + suffix_min_[pos + 1] < best_cost_) search(pos + 1, next);
       }
-      s.mapping[i] = kUnmapped;
-      s.reverse_used[j] = 0;
-      if (stop_early(s)) return;
+      mapping_[i] = kUnmapped;
+      reverse_used_[j] = 0;
+      if (stop_early()) return;
     }
-  }
-
-  /// The deterministic parallel search: enumerate every structurally
-  /// consistent assignment prefix down to a depth with enough subtrees
-  /// to feed the pool, run each subtree as an independent task, and
-  /// merge per-task winners in subtree (= serial DFS) order. The merge
-  /// picks the first strictly better cost, which — together with the
-  /// allow-equal shared bound — reproduces exactly the matching the
-  /// serial search would return.
-  void run_parallel() {
-    const std::size_t n = order_.size();
-    // The prefixes of one depth: task k's targets per order position are
-    // prefix_nodes[k * depth .. (k + 1) * depth), its cost prefix_acc[k].
-    std::pmr::vector<std::uint32_t> prefix_nodes(memory());
-    std::pmr::vector<int> prefix_acc(1, 0, memory());
-    std::size_t depth = 0;
-    // Oversubscribe the partition: subtree sizes are wildly uneven (the
-    // whole point of pruning), so many small tasks drained in order from
-    // the pool's shared counter keep every worker busy without work
-    // stealing. Enumeration stays a negligible serial prefix.
-    const std::size_t want = static_cast<std::size_t>(options_.threads) * 16;
-
-    SearchState scratch(memory());
-    init_state(scratch);
-    scratch.stats = stats_;
-    while (depth + 1 < n && prefix_acc.size() < want) {
-      std::pmr::vector<std::uint32_t> next_nodes(memory());
-      std::pmr::vector<int> next_acc(memory());
-      const std::uint32_t i = order_[depth];
-      for (std::size_t k = 0; k < prefix_acc.size(); ++k) {
-        const std::uint32_t* prefix = prefix_nodes.data() + k * depth;
-        for (std::size_t q = 0; q < depth; ++q) {
-          scratch.mapping[order_[q]] = prefix[q];
-          scratch.reverse_used[prefix[q]] = 1;
-        }
-        for (const Candidate& candidate : candidates(i)) {
-          const std::uint32_t j = candidate.node;
-          if (scratch.reverse_used[j] != 0) continue;
-          count_step(scratch);  // enumeration steps are search steps
-          if (scratch.stats->budget_exhausted) return;
-          scratch.mapping[i] = j;
-          scratch.reverse_used[j] = 1;
-          int group_cost = edge_groups_cost(scratch, i);
-          if (group_cost < kInfinity) {
-            next_nodes.insert(next_nodes.end(), prefix, prefix + depth);
-            next_nodes.push_back(j);
-            next_acc.push_back(prefix_acc[k] + candidate.cost + group_cost);
-          }
-          scratch.mapping[i] = kUnmapped;
-          scratch.reverse_used[j] = 0;
-        }
-        for (std::size_t q = 0; q < depth; ++q) {
-          scratch.mapping[order_[q]] = kUnmapped;
-          scratch.reverse_used[prefix[q]] = 0;
-        }
-      }
-      prefix_nodes.swap(next_nodes);
-      prefix_acc.swap(next_acc);
-      ++depth;
-      if (prefix_acc.empty()) return;  // no structurally consistent prefix
-    }
-
-    SharedSearch shared;
-    shared.steps.store(stats_->steps, std::memory_order_relaxed);
-    runtime::ThreadPool& pool =
-        options_.pool != nullptr ? *options_.pool : runtime::default_pool();
-
-    // One result slot per task, sized here by the calling thread: a
-    // worker's own memory dies with its task, so it writes its winner
-    // into task_mapping[t * n .. (t + 1) * n) and allocates nothing that
-    // outlives the task.
-    struct TaskResult {
-      Stats stats;
-      int best_cost = kInfinity;
-      bool have_best = false;
-    };
-    const std::size_t tasks = prefix_acc.size();
-    std::pmr::vector<TaskResult> results(tasks, memory());
-    std::pmr::vector<std::uint32_t> task_mapping(tasks * n, memory());
-    const std::size_t prefix_depth = depth;
-    pool.parallel_for(tasks, [&](std::size_t t) {
-      // All hot state lives in the task's own region on the worker's
-      // stack; the shared `results` slot is written exactly once at the
-      // end. Pointing s.stats into results[t] directly would false-share
-      // the step counter across adjacent slots on every single step.
-      util::Region region;
-      Stats local;
-      SearchState s(region.resource());
-      init_state(s);
-      s.stats = &local;
-      s.shared = &shared;
-      const std::uint32_t* prefix = prefix_nodes.data() + t * prefix_depth;
-      for (std::size_t q = 0; q < prefix_depth; ++q) {
-        s.mapping[order_[q]] = prefix[q];
-        s.reverse_used[prefix[q]] = 1;
-      }
-      if (!shared.cancelled.load(std::memory_order_relaxed)) {
-        search(s, prefix_depth, prefix_acc[t]);
-      }
-      flush_steps(s);
-      results[t].stats = local;
-      if (s.have_best) {
-        results[t].best_cost = s.best_cost;
-        std::copy(s.best_mapping.begin(), s.best_mapping.end(),
-                  task_mapping.begin() + static_cast<std::ptrdiff_t>(t * n));
-        results[t].have_best = true;
-      }
-    });
-
-    // Deterministic merge: totals are sums, the winner is the first
-    // subtree (in DFS order) with a strictly better cost.
-    stats_->steps = shared.steps.load(std::memory_order_relaxed);
-    bool exhausted = shared.cancelled.load(std::memory_order_relaxed);
-    for (std::size_t t = 0; t < tasks; ++t) {
-      const TaskResult& result = results[t];
-      stats_->solutions_found += result.stats.solutions_found;
-      exhausted = exhausted || result.stats.budget_exhausted;
-      if (result.have_best && (!have_best_ || result.best_cost < best_cost_)) {
-        best_cost_ = result.best_cost;
-        const auto first =
-            task_mapping.begin() + static_cast<std::ptrdiff_t>(t * n);
-        best_node_mapping_.assign(first,
-                                  first + static_cast<std::ptrdiff_t>(n));
-        have_best_ = true;
-      }
-    }
-    if (exhausted) stats_->budget_exhausted = true;
   }
 
   /// Reconstruct the full matching (including the optimal edge pairing)
@@ -823,7 +559,6 @@ class SearchEngine {
     m.edge_index.assign(pattern_.g.edge_count(), kUnmapped);
     std::pmr::vector<std::pair<std::uint32_t, std::uint32_t>> pairs(
         memory());
-    GroupScratch scratch(memory());
     for (const EdgeGroup& group : pattern_.groups) {
       std::uint32_t tsrc = best_node_mapping_[group.src];
       std::uint32_t ttgt = best_node_mapping_[group.tgt];
@@ -831,7 +566,7 @@ class SearchEngine {
       int cost = min_group_assignment(
           pattern_, pattern_.edges_of(group), target_,
           target_.group_edges(tsrc, ttgt, group.label), options_.cost_model,
-          bijective_, scratch, &pairs);
+          bijective_, group_, &pairs);
       m.cost += cost;
       for (const auto& [pe, te] : pairs) m.edge_index[pe] = te;
     }
@@ -855,9 +590,14 @@ class SearchEngine {
   std::pmr::vector<std::uint32_t> scarcity_;  // target colour-class size
   std::pmr::vector<std::uint32_t> order_;
   std::pmr::vector<int> suffix_min_;
+  // The search state: the partial assignment and the best one so far.
+  std::pmr::vector<std::uint32_t> mapping_;  // pattern index -> target index
+  std::pmr::vector<char> reverse_used_;      // target index taken?
   std::pmr::vector<std::uint32_t> best_node_mapping_;
+  GroupScratch group_;
   int best_cost_ = kInfinity;
   bool have_best_ = false;
+  bool found_any_ = false;
 };
 
 }  // namespace

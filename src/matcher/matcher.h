@@ -24,11 +24,12 @@
 // on the accumulated property-mismatch cost plus an admissible estimate
 // of the unassigned remainder. The search is exhaustive, so the optimum
 // does not depend on the order; the order only decides how soon it is
-// found and proven. Pruning and bounding are always on. The tests check
-// the search against two independent references, the exhaustive
-// brute_force oracle and the string-keyed matcher::legacy engine
-// (matcher_compact_equivalence_test, matcher_matcher_property_test),
-// and serial against parallel (matcher_parallel_search_test).
+// found and proven. Pruning and bounding are always on. A call is one
+// single-threaded search; the pipeline's parallelism is across calls
+// (trials, digest buckets, cells), never inside one. The tests check the
+// search against two independent references, the exhaustive brute_force
+// oracle and the string-keyed matcher::legacy engine
+// (matcher_compact_equivalence_test, matcher_matcher_property_test).
 #pragma once
 
 #include <cstddef>
@@ -37,10 +38,6 @@
 #include <vector>
 
 #include "graph/property_graph.h"
-
-namespace provmark::runtime {
-class ThreadPool;
-}
 
 namespace provmark::matcher {
 
@@ -74,41 +71,17 @@ struct SearchOptions {
   /// Stop as soon as any structurally valid matching is found (the cost is
   /// still reported for that matching, but not optimized).
   bool first_solution_only = false;
-  /// Abort after this many search steps; 0 = unlimited. A hit produces
-  /// std::nullopt with `budget_exhausted` set in Stats. Guards against the
-  /// worst-case exponential behaviour the paper accepts as a risk (§5.4).
-  /// In a parallel search the budget is shared by all workers and
-  /// enforced cooperatively (a worker that trips it cancels its
-  /// siblings), accurate to one flush batch per worker.
+  /// Abort after this many search steps; 0 = unlimited. A hit stops the
+  /// search after exactly step_budget + 1 steps (counted on the caller's
+  /// Stats, including any steps it already held) with `budget_exhausted`
+  /// set, and returns the best matching found so far, unproven, or
+  /// std::nullopt if none was. Guards against the worst-case exponential
+  /// behaviour the paper accepts as a risk (§5.4).
   std::size_t step_budget = 0;
-  /// Worker count for the deterministic parallel branch-and-bound;
-  /// <= 1 searches serially on the calling thread. The root-level
-  /// candidate space is partitioned into fixed prefix subtrees,
-  /// dispatched onto `pool`, and pruned against a shared monotonically
-  /// tightening best-cost bound; results (matching, cost,
-  /// budget-exhaustion on completion) are bit-identical to the serial
-  /// search under any interleaving. `Stats.steps` totals all workers
-  /// and may differ from the serial trace. first_solution_only searches
-  /// stay serial.
-  int threads = 1;
-  /// Pool for the parallel search; nullptr = runtime::default_pool().
-  /// A call made from a worker of this same pool runs inline (serial)
-  /// per the runtime's nesting rule — pass a dedicated pool to nest.
-  runtime::ThreadPool* pool = nullptr;
 };
 
-/// The parallel-search knobs threaded from the CLI / pipeline down into
-/// every matcher call of a run. apply() overlays these onto a fully
-/// populated SearchOptions.
-struct SearchConfig {
-  int threads = 1;
-  runtime::ThreadPool* pool = nullptr;
-
-  void apply(SearchOptions& options) const {
-    options.threads = threads;
-    options.pool = pool;
-  }
-};
+/// Compat, empty: provbench pipeline_bench.cpp:437,462; ROADMAP item 9.
+struct SearchConfig {};
 
 /// Search statistics, used by tests and the pipeline's step counters.
 struct Stats {

@@ -8,8 +8,7 @@
 //     stage accepts, for all six shipped recorders;
 //   * the textual program format and the Datalog fact format round-trip
 //     to fixpoints;
-//   * serial and parallel runs — pipeline pool, matcher workers,
-//     Datalog evaluation — are bit-identical;
+//   * serial and parallel pipeline pools give bit-identical results;
 //   * a 2-shard batch sweep over generated programs merges to the exact
 //     bytes of the single-process sweep.
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -28,7 +26,6 @@
 #include "core/pipeline.h"
 #include "core/shard.h"
 #include "core/transform.h"
-#include "datalog/engine.h"
 #include "datalog/fact_io.h"
 #include "runtime/thread_pool.h"
 #include "systems/recorder.h"
@@ -155,13 +152,12 @@ void expect_identical(const BenchmarkResult& a, const BenchmarkResult& b,
 }
 
 BenchmarkResult run_generated(const std::string& system, std::uint64_t seed,
-                              int pool_threads, int matcher_threads) {
+                              int pool_threads) {
   runtime::ThreadPool pool(pool_threads);
   PipelineOptions options;
   options.system = system;
   options.seed = 42;
   options.pool = &pool;
-  options.matcher.threads = matcher_threads;
   options.transform.neo4j_startup_rounds = 2;
   return run_benchmark(program_for_seed(seed), options);
 }
@@ -171,55 +167,10 @@ TEST(AdversarialParallelism, PipelinePoolWidthNeverChangesResults) {
   // recorders (audit: one vertex per record) on generated workloads:
   // pool width 1 vs 4 must be bit-identical.
   for (const char* system : {"camflow", "audit", "ebpf"}) {
-    BenchmarkResult serial = run_generated(system, 5, 1, 1);
-    BenchmarkResult parallel = run_generated(system, 5, 4, 1);
+    BenchmarkResult serial = run_generated(system, 5, 1);
+    BenchmarkResult parallel = run_generated(system, 5, 4);
     expect_identical(serial, parallel, std::string(system) + " pool=4");
   }
-}
-
-TEST(AdversarialParallelism, MatcherWorkersNeverChangeResults) {
-  // Parallel branch-and-bound search inside generalization/comparison:
-  // optimal costs are preserved, so results match the serial matcher.
-  for (const char* system : {"spade", "audit", "ebpf", "camflow"}) {
-    BenchmarkResult serial = run_generated(system, 9, 1, 1);
-    BenchmarkResult parallel = run_generated(system, 9, 4, 4);
-    expect_identical(serial, parallel,
-                     std::string(system) + " matcher.threads=4");
-  }
-}
-
-TEST(AdversarialParallelism, DatalogEvaluationIdenticalSerialAndParallel) {
-  // Load a generated workload's recorded graph as facts, saturate a
-  // recursive reachability program, and compare the derived relations
-  // under serial and parallel evaluation.
-  bench_suite::BenchmarkProgram program = program_for_seed(11);
-  std::unique_ptr<systems::Recorder> recorder =
-      systems::make_recorder("ebpf");
-  bench_suite::ExecutionResult run = bench_suite::execute_program(
-      program, true, 11, recorder->extra_audit_rules());
-  ASSERT_TRUE(run.behaviour_ok) << run.failure_reason;
-  std::string facts = transform_to_datalog(
-      recorder->record(run.trace, systems::TrialContext{11}), "g1");
-
-  auto saturate = [&](datalog::Engine::EvalOptions eval) {
-    runtime::ThreadPool pool(eval.threads > 1 ? eval.threads : 1);
-    eval.pool = &pool;
-    datalog::Engine engine;
-    engine.set_eval_options(eval);
-    engine.load_program(facts);
-    engine.load_program(
-        "reach(X,Y) :- eg1(E,X,Y,L).\n"
-        "reach(X,Z) :- reach(X,Y), eg1(E,Y,Z,L).\n");
-    return engine.relation("reach");
-  };
-
-  datalog::Engine::EvalOptions serial;
-  std::set<datalog::Tuple> reference = saturate(serial);
-  EXPECT_FALSE(reference.empty());
-
-  datalog::Engine::EvalOptions parallel;
-  parallel.threads = 4;
-  EXPECT_EQ(saturate(parallel), reference);
 }
 
 // -- invariant 4: sharded sweeps over generated programs merge exactly ------

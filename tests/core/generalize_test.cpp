@@ -279,7 +279,7 @@ TEST(TrialPath, InternsPropertiesOfExactlyTheGeneralizedPairs) {
         }
       }
       auto [bg, fg] = generalize_variants(cell.background, cell.foreground,
-                                          cell.symbols, {}, &memo, cell.pool);
+                                          cell.symbols, &memo, cell.pool);
       const std::optional<GeneralizeResult>* results[2] = {&bg, &fg};
       for (int side = 0; side < 2; ++side) {
         const TrialSet& set = *sides[side];
@@ -360,7 +360,7 @@ TEST(TrialPath, GeneralizedGraphIsItsResolvedGraphInterned) {
     RecordedCell cell(system, program);
     matcher::SimilarityMemo memo;
     auto [bg, fg] = generalize_variants(cell.background, cell.foreground,
-                                        cell.symbols, {}, &memo, cell.pool);
+                                        cell.symbols, &memo, cell.pool);
     for (const std::optional<GeneralizeResult>* result : {&bg, &fg}) {
       const std::string context =
           std::string(system) + " " + program +

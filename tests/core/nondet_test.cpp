@@ -222,56 +222,47 @@ TEST(Nondet, GoldenSchedulesOfTheExtensionBench) {
   }
 }
 
-NondetBenchmarkResult run_on(const std::string& system, int pool_threads,
-                             int matcher_threads) {
+NondetBenchmarkResult run_on(const std::string& system, int pool_threads) {
   runtime::ThreadPool pool(pool_threads);
   PipelineOptions options;
   options.system = system;
   options.seed = 5;
   options.trials = 40;
   options.pool = &pool;
-  options.matcher.threads = matcher_threads;
   return run_nondeterministic_benchmark(
       bench_suite::nondeterministic_benchmark(3), options);
 }
 
 // Trials derive their randomness from (seed, trial index), never from
-// scheduling, so neither the pool width nor the matcher's search workers
-// may change a schedule.
-TEST(Nondet, SchedulesAreIndependentOfPoolAndMatcherThreads) {
+// scheduling, so the pool width may not change a schedule.
+TEST(Nondet, SchedulesAreIndependentOfPoolWidth) {
   for (const char* system : {"spade", "camflow"}) {
-    NondetBenchmarkResult serial = run_on(system, 1, 1);
+    NondetBenchmarkResult serial = run_on(system, 1);
     ASSERT_FALSE(serial.schedules.empty()) << system;
-    for (auto [pool_threads, matcher_threads] :
-         {std::pair{4, 1}, std::pair{1, 4}, std::pair{4, 4}}) {
-      std::string context = std::string(system) + " pool " +
-                            std::to_string(pool_threads) + " matcher " +
-                            std::to_string(matcher_threads);
-      NondetBenchmarkResult parallel =
-          run_on(system, pool_threads, matcher_threads);
-      EXPECT_EQ(parallel.trials_run, serial.trials_run) << context;
-      EXPECT_EQ(parallel.unsupported_schedules,
-                serial.unsupported_schedules)
+    const std::string context = std::string(system) + " pool 4";
+    NondetBenchmarkResult parallel = run_on(system, 4);
+    EXPECT_EQ(parallel.trials_run, serial.trials_run) << context;
+    EXPECT_EQ(parallel.unsupported_schedules,
+              serial.unsupported_schedules)
+        << context;
+    ASSERT_EQ(parallel.schedules.size(), serial.schedules.size())
+        << context;
+    for (std::size_t i = 0; i < serial.schedules.size(); ++i) {
+      const ScheduleResult& a = serial.schedules[i];
+      const ScheduleResult& b = parallel.schedules[i];
+      EXPECT_EQ(a.fingerprint, b.fingerprint) << context;
+      EXPECT_EQ(a.support, b.support) << context;
+      EXPECT_EQ(a.result.status, b.result.status) << context;
+      EXPECT_EQ(a.result.failure_reason, b.result.failure_reason)
           << context;
-      ASSERT_EQ(parallel.schedules.size(), serial.schedules.size())
+      EXPECT_TRUE(a.result.result == b.result.result) << context;
+      EXPECT_EQ(a.result.dummy_nodes, b.result.dummy_nodes) << context;
+      EXPECT_TRUE(a.result.generalized_foreground ==
+                  b.result.generalized_foreground)
           << context;
-      for (std::size_t i = 0; i < serial.schedules.size(); ++i) {
-        const ScheduleResult& a = serial.schedules[i];
-        const ScheduleResult& b = parallel.schedules[i];
-        EXPECT_EQ(a.fingerprint, b.fingerprint) << context;
-        EXPECT_EQ(a.support, b.support) << context;
-        EXPECT_EQ(a.result.status, b.result.status) << context;
-        EXPECT_EQ(a.result.failure_reason, b.result.failure_reason)
-            << context;
-        EXPECT_TRUE(a.result.result == b.result.result) << context;
-        EXPECT_EQ(a.result.dummy_nodes, b.result.dummy_nodes) << context;
-        EXPECT_TRUE(a.result.generalized_foreground ==
-                    b.result.generalized_foreground)
-            << context;
-        EXPECT_TRUE(a.result.generalized_background ==
-                    b.result.generalized_background)
-            << context;
-      }
+      EXPECT_TRUE(a.result.generalized_background ==
+                  b.result.generalized_background)
+          << context;
     }
   }
 }

@@ -165,8 +165,18 @@ TEST_F(ShardCli, TornShardHandedToMergeIsRetryable) {
   EXPECT_NE(slurp(log_).find("retryable: re-run shard 0"), std::string::npos);
 }
 
-TEST_F(ShardCli, MatcherOrderIsAnUnknownFlag) {
-  EXPECT_EQ(cli({"--matcher-order", "wl", "run", "spade", "open"}), 2);
+TEST_F(ShardCli, RetiredMatcherFlagsAreUnknown) {
+  // The matcher has one search order and one thread; both of its old
+  // flags are unknown flags now.
+  const std::pair<std::string, std::string> retired[] = {
+      {"--matcher-order", "wl"}, {"--matcher-threads", "4"}};
+  for (const auto& [flag, value] : retired) {
+    SCOPED_TRACE(flag);
+    fs::remove(log_);
+    EXPECT_EQ(cli({flag, value, "run", "spade", "open"}), 2) << slurp(log_);
+    EXPECT_NE(slurp(log_).find("provmark: " + flag + ": "), std::string::npos)
+        << slurp(log_);
+  }
 }
 
 TEST_F(ShardCli, MalformedFlagsExitTwoNamingTheFlag) {
@@ -178,10 +188,6 @@ TEST_F(ShardCli, MalformedFlagsExitTwoNamingTheFlag) {
   } rows[] = {
       {{"--threads", "abc", "gen", "--scale", "1"}, "--threads"},
       {{"--threads", "257", "gen", "--scale", "1"}, "--threads"},
-      {{"--matcher-threads", "-4", "gen", "--scale", "1"},
-       "--matcher-threads"},
-      {{"--matcher-threads", "257", "gen", "--scale", "1"},
-       "--matcher-threads"},
       {{"--seed", "12abc", "gen", "--scale", "1"}, "--seed"},
       {{"--max-input-bytes", "-5", "gen", "--scale", "1"},
        "--max-input-bytes"},

@@ -1,12 +1,10 @@
 // Equivalence of the interned, indexed engine against the preserved
-// seed-era evaluator (datalog::legacy::Engine), with serial and parallel
-// stratum evaluation and with fact batches replayed through incremental
-// re-runs. The engines must derive bit-identical relation contents and
+// seed-era evaluator (datalog::legacy::Engine), from scratch and with
+// fact batches replayed through incremental re-runs. The engines must derive bit-identical relation contents and
 // query results on every program — the same contract the matcher
 // rewrite enforces through its legacy-equivalence test.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,7 +12,6 @@
 #include "datalog/engine.h"
 #include "datalog/fact_io.h"
 #include "datalog/legacy_engine.h"
-#include "runtime/thread_pool.h"
 #include "util/rng.h"
 #include "workloads.h"
 
@@ -119,13 +116,11 @@ bool is_positive(const Workload& w) {
   return w.program.find("not ") == std::string::npos;
 }
 
-void expect_equivalent(const Workload& w, int threads,
-                       runtime::ThreadPool* pool) {
-  const std::string context = w.name + " / threads " + std::to_string(threads);
+void expect_equivalent(const Workload& w) {
+  const std::string& context = w.name;
   legacy::Engine reference;
   reference.load_program(w.program);
   Engine engine;
-  engine.set_eval_options({.threads = threads, .pool = pool});
   engine.load_program(w.program);
 
   std::size_t derived_tuples = 0;
@@ -143,31 +138,8 @@ void expect_equivalent(const Workload& w, int threads,
   EXPECT_EQ(engine.fact_count(), reference.fact_count()) << context;
 }
 
-TEST(EngineEquivalence, SerialAndParallelMatchLegacy) {
-  runtime::ThreadPool pool(4);
-  for (const Workload& w : workloads()) {
-    for (int threads : {1, 4}) expect_equivalent(w, threads, &pool);
-  }
-}
-
-TEST(EngineEquivalence, ThreadCountDoesNotChangeResults) {
-  // The parallel stratum evaluation contract: identical derived facts at
-  // any worker count, enforced per relation on the heaviest workload.
-  const Workload w = workloads()[0];
-  std::set<Tuple> baseline;
-  for (int threads : {1, 2, 4, 8}) {
-    runtime::ThreadPool pool(threads);
-    Engine engine;
-    engine.set_eval_options({.threads = threads, .pool = &pool});
-    engine.load_program(w.program);
-    std::set<Tuple> derived = engine.relation("path");
-    if (threads == 1) {
-      baseline = std::move(derived);
-      EXPECT_FALSE(baseline.empty());
-    } else {
-      EXPECT_EQ(derived, baseline) << "threads=" << threads;
-    }
-  }
+TEST(EngineEquivalence, IndexedMatchesLegacy) {
+  for (const Workload& w : workloads()) expect_equivalent(w);
 }
 
 TEST(EngineEquivalence, ErrorBehaviourMatchesLegacy) {
@@ -230,34 +202,6 @@ TEST(EngineEquivalence, IncrementalDeltaReuseMatchesFromScratch) {
   }
 }
 
-TEST(EngineEquivalence, IncrementalParallelMatchesSerial) {
-  // Delta seeding composes with per-stratum parallel evaluation: same
-  // batched replay, any thread count, identical stores.
-  const Workload w = workloads()[3];  // stratified_negation
-  std::string rules;
-  std::vector<std::string> batches;
-  split_fact_batches(w.program, 3, &rules, &batches);
-  std::map<std::string, std::set<Tuple>> baseline;
-  for (int threads : {1, 4}) {
-    runtime::ThreadPool pool(threads);
-    Engine engine;
-    engine.set_eval_options({.threads = threads, .pool = &pool});
-    engine.load_program(rules);
-    for (const std::string& batch : batches) {
-      engine.load_program(batch);
-      engine.run();
-    }
-    for (const std::string& relation : w.relations) {
-      if (threads == 1) {
-        baseline[relation] = engine.relation(relation);
-      } else {
-        EXPECT_EQ(engine.relation(relation), baseline[relation])
-            << relation << " threads=" << threads;
-      }
-    }
-  }
-}
-
 TEST(EngineEquivalence, RuleAddedAfterRunFallsBackToFullDerivation) {
   // A rule added between runs never saw the old rows, so the engine
   // must re-derive from scratch; the incremental watermark alone would
@@ -279,20 +223,16 @@ TEST(EngineEquivalence, RuleAddedAfterRunFallsBackToFullDerivation) {
 TEST(EngineEquivalence, IncrementalFactsAfterRun) {
   // Facts added after a fixpoint must trigger re-evaluation, exactly as
   // the legacy engine's saturation flag did.
-  for (bool parallel : {false, true}) {
-    runtime::ThreadPool pool(3);
-    Engine engine;
-    engine.set_eval_options({.threads = parallel ? 3 : 1, .pool = &pool});
-    engine.load_program(
-        "edge(a,b).\n"
-        "path(X,Y) :- edge(X,Y).\n"
-        "path(X,Z) :- path(X,Y), edge(Y,Z).\n");
-    EXPECT_EQ(engine.relation("path").size(), 1u);
-    engine.add_fact("edge", {"b", "c"});
-    EXPECT_EQ(engine.relation("path").size(), 3u);
-    engine.add_fact("edge", {"c", "a"});
-    EXPECT_EQ(engine.relation("path").size(), 9u);
-  }
+  Engine engine;
+  engine.load_program(
+      "edge(a,b).\n"
+      "path(X,Y) :- edge(X,Y).\n"
+      "path(X,Z) :- path(X,Y), edge(Y,Z).\n");
+  EXPECT_EQ(engine.relation("path").size(), 1u);
+  engine.add_fact("edge", {"b", "c"});
+  EXPECT_EQ(engine.relation("path").size(), 3u);
+  engine.add_fact("edge", {"c", "a"});
+  EXPECT_EQ(engine.relation("path").size(), 9u);
 }
 
 }  // namespace

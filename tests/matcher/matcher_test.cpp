@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "graph/graph_view.h"
 #include "graph/property_graph.h"
 #include "matcher/interned.h"
+#include "test_graphs.h"
+#include "util/rng.h"
 
 namespace provmark::matcher {
 namespace {
@@ -236,6 +239,110 @@ TEST(SearchOptions, StepBudgetAborts) {
   auto result = best_isomorphism(g1, g2, options, &stats);
   EXPECT_TRUE(stats.budget_exhausted);
   (void)result;  // may or may not hold a (suboptimal) value
+}
+
+/// A process reading `leaves` artifacts that share label and path and
+/// differ only in `time` and `inode`, each drawn from {0, 1, 2}. WL
+/// colours cannot tell the leaves apart and the nine value pairs leave
+/// many near-optimal assignments, so proving the optimal isomorphism
+/// between two such stars stays expensive.
+PropertyGraph tied_star(int leaves, const std::string& prefix,
+                        std::uint64_t seed) {
+  util::Rng rng(seed);
+  PropertyGraph g;
+  g.add_node(prefix, "Process", {{"name", "reader"}});
+  for (int a = 0; a < leaves; ++a) {
+    std::string aid = prefix + "a" + std::to_string(a);
+    g.add_node(aid, "Artifact",
+               {{"path", "/tmp/shared"},
+                {"time", std::to_string(rng.next_below(3))},
+                {"inode", std::to_string(rng.next_below(3))}});
+    g.add_edge(aid + "e", prefix, aid, "Used", {{"operation", "read"}});
+  }
+  return g;
+}
+
+SearchOptions symmetric() {
+  SearchOptions options;
+  options.cost_model = CostModel::Symmetric;
+  return options;
+}
+
+/// The budget tests' hard instance: two 12-leaf tied stars.
+const PropertyGraph& hard_pattern() {
+  static const PropertyGraph g = tied_star(12, "b", 1);
+  return g;
+}
+const PropertyGraph& hard_target() {
+  static const PropertyGraph g = tied_star(12, "f", 101);
+  return g;
+}
+
+/// Unbudgeted steps of the hard instance (526,374 when this test was
+/// written). Budget tests are only meaningful while the instance stays
+/// far above their budgets; a search change that makes it easy fails
+/// their ASSERT_GT instead of passing vacuously.
+std::size_t hard_instance_steps() {
+  static const std::size_t steps = [] {
+    Stats stats;
+    EXPECT_TRUE(best_isomorphism(hard_pattern(), hard_target(), symmetric(),
+                                 &stats)
+                    .has_value());
+    return stats.steps;
+  }();
+  return steps;
+}
+
+TEST(StepBudget, ExhaustionReportedOnTheHardInstance) {
+  ASSERT_GT(hard_instance_steps(), 100'000u);
+  SearchOptions options = symmetric();
+  options.step_budget = 50;
+  Stats stats;
+  best_isomorphism(hard_pattern(), hard_target(), options, &stats);
+  EXPECT_TRUE(stats.budget_exhausted);
+}
+
+TEST(StepBudget, ExactAndRepeatable) {
+  // The step that takes the count past the budget is the last one: a
+  // budgeted search stops at exactly step_budget + 1 steps, and the
+  // same call twice gives the same Stats.
+  ASSERT_GT(hard_instance_steps(), 100'000u);
+  for (std::size_t budget : {50u, 1'000u, 20'000u}) {
+    SearchOptions options = symmetric();
+    options.step_budget = budget;
+    Stats first, second;
+    std::optional<Matching> a =
+        best_isomorphism(hard_pattern(), hard_target(), options, &first);
+    std::optional<Matching> b =
+        best_isomorphism(hard_pattern(), hard_target(), options, &second);
+    EXPECT_TRUE(first.budget_exhausted) << budget;
+    EXPECT_EQ(first.steps, budget + 1) << budget;
+    EXPECT_EQ(second.steps, first.steps) << budget;
+    EXPECT_EQ(second.solutions_found, first.solutions_found) << budget;
+    EXPECT_EQ(second.budget_exhausted, first.budget_exhausted) << budget;
+    ASSERT_EQ(a.has_value(), b.has_value()) << budget;
+    if (a.has_value()) {
+      EXPECT_EQ(a->cost, b->cost) << budget;
+      EXPECT_EQ(a->node_index, b->node_index) << budget;
+      EXPECT_EQ(a->edge_index, b->edge_index) << budget;
+    }
+  }
+}
+
+TEST(StepBudget, UnbudgetedSearchIsRepeatable) {
+  // Same operands and options, same step trace and mapping.
+  PropertyGraph g1 = test_graphs::provenance_graph(6, 3, 7);
+  PropertyGraph g2 = test_graphs::transient_copy(g1, 8);
+  Stats first, second;
+  auto a = best_isomorphism(g1, g2, symmetric(), &first);
+  auto b = best_isomorphism(g1, g2, symmetric(), &second);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_FALSE(first.budget_exhausted);
+  EXPECT_EQ(first.steps, second.steps);
+  EXPECT_EQ(first.solutions_found, second.solutions_found);
+  EXPECT_EQ(a->node_index, b->node_index);
+  EXPECT_EQ(a->edge_index, b->edge_index);
 }
 
 TEST(Stats, CountsSteps) {

@@ -5,8 +5,8 @@
 //    brute_force oracle and the legacy engines;
 //  * provenance_graph / fragment_graph / transient_copy: the shapes
 //    recorders produce (a process spine with artifact fan-out, and
-//    disjoint identical fragments), big enough that the parallel search
-//    partitions and the indexed Datalog joins pay off.
+//    disjoint identical fragments), big enough that the search order
+//    and the indexed Datalog joins pay off.
 #pragma once
 
 #include <cstdint>

@@ -141,7 +141,6 @@ struct Cli {
   int threads = 0;  ///< --threads; 0 = the default pool
   runtime::ThreadPool* pool = nullptr;
   std::uint64_t seed = 42;
-  matcher::SearchConfig matcher;
   int shards = 0;         ///< 0 = unsharded batch
   int shard_id = -1;      ///< >= 0: run only this shard
   int shard_retries = 2;  ///< extra launches per shard (orchestrator)
@@ -166,7 +165,6 @@ int run_single(const Cli& cli, const std::string& system,
   options.trials = trials;
   options.seed = cli.seed;
   options.pool = cli.pool;
-  options.matcher = cli.matcher;
   core::BenchmarkResult result = core::run_benchmark(
       find_program(benchmark,
                    cli.max_input_bytes.value_or(util::kDefaultMaxInputBytes)),
@@ -223,7 +221,6 @@ int run_batch(const Cli& cli, const char* argv0,
   core::CellRunOptions cell_options;
   cell_options.seed = cli.seed;
   cell_options.pool = cli.pool;
-  cell_options.matcher = cli.matcher;
   cell_options.deterministic_timings = cli.deterministic_timings;
 
   if (cli.shards <= 0) {
@@ -448,8 +445,8 @@ int run_query(const std::string& facts_path, const std::string& pattern,
 }
 
 /// Upper bound on every thread count the command line sets (--threads,
-/// --matcher-threads, --serve-workers): runtime::ThreadPool and
-/// serve::Service start as many threads as they are asked for.
+/// --serve-workers): runtime::ThreadPool and serve::Service start as many
+/// threads as they are asked for.
 constexpr int kMaxThreads = 256;
 constexpr int kIntMax = std::numeric_limits<int>::max();
 
@@ -568,11 +565,6 @@ const OptionRow kOptions[] = {
      [](Cli& v, const Value& x) { v.threads = x.integer; },
      "worker threads for the parallel runtime (default: PROVMARK_THREADS env "
      "var, then hardware concurrency; at most 256)"},
-    {"--matcher-threads", kGlobal, Kind::Int, "N", 1, kMaxThreads,
-     [](Cli& v, const Value& x) { v.matcher.threads = x.integer; },
-     "workers for the deterministic parallel matcher search inside "
-     "generalization/comparison (own pool, nests under --threads; default 1 = "
-     "serial search, at most 256; results are identical at any N)"},
     {"--seed", kGlobal, Kind::Unsigned, "S", 0, 0,
      [](Cli& v, const Value& x) { v.seed = v.gen.seed = x.count; },
      "pipeline seed (default 42); results are deterministic per seed at any "
@@ -881,7 +873,6 @@ Cli parse_command_line(const std::vector<std::string>& args) {
 serve::ServiceOptions service_options(const Cli& cli) {
   serve::ServiceOptions service = cli.service;
   service.seed = cli.seed;
-  service.pipeline.matcher = cli.matcher;
   service.pipeline.pool = nullptr;  // sessions use serial pools
   if (cli.max_input_bytes) service.max_payload_bytes = *cli.max_input_bytes;
   return service;
@@ -902,17 +893,9 @@ int run_command(Cli& cli, const char* argv0,
 
   // Pools start only once the whole command line is valid.
   std::unique_ptr<runtime::ThreadPool> owned_pool;
-  std::unique_ptr<runtime::ThreadPool> matcher_pool;
   if (cli.threads > 0) {
     owned_pool = std::make_unique<runtime::ThreadPool>(cli.threads);
     cli.pool = owned_pool.get();
-  }
-  if (cli.matcher.threads > 1) {
-    // A dedicated pool: the matcher search nests inside pipeline
-    // workers, and a loop on a *different* pool fans out instead of
-    // running inline (see runtime/thread_pool.h nesting rules).
-    matcher_pool = std::make_unique<runtime::ThreadPool>(cli.matcher.threads);
-    cli.matcher.pool = matcher_pool.get();
   }
 
   const std::size_t max_bytes =
