@@ -1,78 +1,37 @@
 #include "core/generalize.h"
 
 #include <algorithm>
-#include <span>
 
 #include "matcher/interned.h"
-#include "matcher/memo.h"
-#include "runtime/thread_pool.h"
 
 namespace provmark::core {
 
-std::vector<std::vector<std::size_t>> similarity_classes(
+void SimilarityClasses::add(
     const std::vector<const matcher::InternedGraph*>& trials,
-    const std::vector<std::uint64_t>& digests,
-    matcher::SimilarityMemo* memo, runtime::ThreadPool* pool) {
-  // Bucket by structural digest first (equal digests are necessary for
-  // similarity), then confirm with the exact matcher inside each bucket.
-  // The trial indices sorted by (digest, index) list the buckets in
-  // digest order — one fixed order however they are later scheduled —
-  // each bucket a run of ascending indices.
-  std::vector<std::size_t> by_digest(trials.size());
-  for (std::size_t i = 0; i < trials.size(); ++i) by_digest[i] = i;
-  std::sort(by_digest.begin(), by_digest.end(),
-            [&digests](std::size_t a, std::size_t b) {
-              return digests[a] != digests[b] ? digests[a] < digests[b]
-                                              : a < b;
-            });
-  std::vector<std::span<const std::size_t>> bucket_list;
-  bucket_list.reserve(by_digest.size());
-  for (std::size_t first = 0; first < by_digest.size();) {
-    std::size_t last = first + 1;
-    while (last < by_digest.size() &&
-           digests[by_digest[last]] == digests[by_digest[first]]) {
-      ++last;
+    const std::vector<std::uint64_t>& digests) {
+  // Greedy first-fit inside the trial's digest bucket. The exact matcher
+  // runs only there: unequal digests prove dissimilarity.
+  for (; classified_ < trials.size(); ++classified_) {
+    const std::size_t index = classified_;
+    std::vector<std::vector<std::size_t>>& bucket = buckets_[digests[index]];
+    auto fit = std::find_if(
+        bucket.begin(), bucket.end(),
+        [&](const std::vector<std::size_t>& cls) {
+          ++comparisons_;
+          return matcher::similar(*trials[cls.front()], *trials[index]);
+        });
+    if (fit != bucket.end()) {
+      fit->push_back(index);
+    } else {
+      bucket.push_back({index});
     }
-    bucket_list.emplace_back(by_digest.data() + first, last - first);
-    first = last;
   }
+}
 
-  // Buckets are independent: no similar() call ever crosses a digest
-  // boundary, so they fan out over the pool. Within a bucket the greedy
-  // first-fit classification is order-dependent and stays sequential;
-  // per-bucket results land in index-addressed slots, so the final class
-  // list is identical at any thread count.
-  std::vector<std::vector<std::vector<std::size_t>>> per_bucket(
-      bucket_list.size());
-  auto classify_bucket = [&](std::size_t b) {
-    std::vector<std::vector<std::size_t>>& sub = per_bucket[b];
-    for (std::size_t index : bucket_list[b]) {
-      bool placed = false;
-      for (std::vector<std::size_t>& cls : sub) {
-        std::size_t rep = cls.front();
-        bool is_similar =
-            memo != nullptr
-                ? memo->similar(digests[rep], digests[index], *trials[rep],
-                                *trials[index])
-                : matcher::similar(*trials[rep], *trials[index]);
-        if (is_similar) {
-          cls.push_back(index);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) sub.push_back({index});
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(bucket_list.size(), classify_bucket);
-  } else {
-    for (std::size_t b = 0; b < bucket_list.size(); ++b) classify_bucket(b);
-  }
-
+std::vector<std::vector<std::size_t>> SimilarityClasses::sorted() const {
   std::vector<std::vector<std::size_t>> classes;
-  for (std::vector<std::vector<std::size_t>>& sub : per_bucket) {
-    for (std::vector<std::size_t>& cls : sub) classes.push_back(std::move(cls));
+  for (const auto& [digest, bucket] : buckets_) {
+    classes.insert(classes.end(), bucket.begin(), bucket.end());
   }
   // Stable: tied classes keep digest-bucket order on any library.
   std::stable_sort(
@@ -116,12 +75,10 @@ std::optional<matcher::InternedGraph> generalize_pair(
   return out;
 }
 
-TrialClasses classify_trials(
-    const std::vector<const matcher::InternedGraph*>& trials,
-    const std::vector<std::uint64_t>& digests, matcher::SimilarityMemo* memo,
-    runtime::ThreadPool* pool) {
-  std::vector<std::vector<std::size_t>> classes =
-      similarity_classes(trials, digests, memo, pool);
+TrialClasses choose_pair(
+    const SimilarityClasses& similarity,
+    const std::vector<const matcher::InternedGraph*>& trials) {
+  const std::vector<std::vector<std::size_t>> classes = similarity.sorted();
   TrialClasses out;
   out.classes = classes.size();
   // Discard singleton classes: failed runs (§3.4). Among the surviving
@@ -163,11 +120,11 @@ std::optional<GeneralizeResult> generalize_chosen(
 
 std::optional<GeneralizeResult> generalize_trials(
     const std::vector<const matcher::InternedGraph*>& trials,
-    const std::vector<std::uint64_t>& digests,
-    const GeneralizeOptions&, matcher::SimilarityMemo* memo,
-    runtime::ThreadPool* pool) {
-  return generalize_chosen(classify_trials(trials, digests, memo, pool),
-                           trials);
+    const std::vector<std::uint64_t>& digests, const GeneralizeOptions&,
+    matcher::SimilarityMemo*, runtime::ThreadPool*) {
+  SimilarityClasses classes;
+  classes.add(trials, digests);
+  return generalize_chosen(choose_pair(classes, trials), trials);
 }
 
 }  // namespace provmark::core

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -56,29 +57,44 @@ struct GeneralizeResult {
 // Trials arrive as InternedGraph snapshots (each trial interned exactly
 // once, all against one shared SymbolTable), digests precomputed
 // (graph::structural_digest per trial, computed once when the trial is
-// read, so retry rounds never re-hash old trials). The optional `memo`
-// caches similar() verdicts across calls (and across the pipeline's retry
-// rounds); the optional `pool` fans independent digest buckets out over
-// worker threads — each bucket's greedy classification stays sequential,
-// so the classes (and everything downstream) are bit-identical to the
-// serial run at any thread count.
+// read). Classification is serial and incremental: a SimilarityClasses
+// grows with its trials, so a retry round compares only the trials it
+// added and no pair is ever posed twice.
 //
 // Classification reads only structure, so trials may be interned without
 // their properties; generalizing a pair reads the properties of exactly
 // those two trials. The stage therefore comes in two pieces,
-// classify_trials (steps 1-3) and generalize_chosen (step 4), with room
-// between them to intern the chosen pair's properties; generalize_trials
-// runs both on fully interned trials. The comparison reads the result's
-// `interned` graph; `graph` holds the same graph as strings.
+// SimilarityClasses with choose_pair (steps 1-3) and generalize_chosen
+// (step 4), with room between them to intern the chosen pair's
+// properties; generalize_trials runs both on fully interned trials. The
+// comparison reads the result's `interned` graph; `graph` holds the same
+// graph as strings.
 
-/// Partition trials into similarity classes; returns indices into
-/// `trials` grouped by class, largest class first. The exact matcher only
-/// runs inside equal-digest buckets.
-std::vector<std::vector<std::size_t>> similarity_classes(
-    const std::vector<const matcher::InternedGraph*>& trials,
-    const std::vector<std::uint64_t>& digests,
-    matcher::SimilarityMemo* memo = nullptr,
-    runtime::ThreadPool* pool = nullptr);
+/// Similarity classes of a growing list of trials. Trials are bucketed by
+/// structural digest (equal digests are necessary for similarity); inside
+/// a bucket each trial joins the first class whose representative (its
+/// first member) it is similar to, or starts a new class. A trial's
+/// class depends only on the trials before it, so classifying the trials
+/// in batches gives the classes of one pass over all of them.
+class SimilarityClasses {
+ public:
+  /// Classify the trials not classified yet, in trial order. `trials`
+  /// and `digests` must extend the lists of earlier calls.
+  void add(const std::vector<const matcher::InternedGraph*>& trials,
+           const std::vector<std::uint64_t>& digests);
+
+  /// The classes as trial indices, largest class first; classes of equal
+  /// size keep ascending digest order, then order of creation.
+  std::vector<std::vector<std::size_t>> sorted() const;
+
+  /// matcher::similar calls made so far.
+  std::uint64_t comparisons() const { return comparisons_; }
+
+ private:
+  std::map<std::uint64_t, std::vector<std::vector<std::size_t>>> buckets_;
+  std::size_t classified_ = 0;
+  std::uint64_t comparisons_ = 0;
+};
 
 /// Steps 1-3 of the stage: how many similarity classes the trials form,
 /// how many trials singleton classes discard, and the pair to generalize.
@@ -91,13 +107,11 @@ struct TrialClasses {
   std::optional<std::pair<std::size_t, std::size_t>> pair;
 };
 
-/// Classify `trials` and choose the pair to generalize. Reads structure
-/// only: the trials need not have their properties interned.
-TrialClasses classify_trials(
-    const std::vector<const matcher::InternedGraph*>& trials,
-    const std::vector<std::uint64_t>& digests,
-    matcher::SimilarityMemo* memo = nullptr,
-    runtime::ThreadPool* pool = nullptr);
+/// Choose the pair to generalize among the classified `trials`. Reads
+/// structure only: the trials need not have their properties interned.
+TrialClasses choose_pair(
+    const SimilarityClasses& classes,
+    const std::vector<const matcher::InternedGraph*>& trials);
 
 /// Generalize two similar trials: keep exactly the properties preserved
 /// by the optimal (cost-minimizing) isomorphism, whose properties must be
@@ -115,15 +129,15 @@ std::optional<GeneralizeResult> generalize_chosen(
     const TrialClasses& classes,
     const std::vector<const matcher::InternedGraph*>& trials);
 
-/// The full stage on fully interned trials: classify_trials, then
-/// generalize_chosen. Returns std::nullopt when no class has >= 2
+/// The full stage on fully interned trials: classify them, choose_pair,
+/// then generalize_chosen. Returns std::nullopt when no class has >= 2
 /// members (the paper's recording stage would run more trials in that
-/// case). The GeneralizeOptions argument is ignored (see its comment).
+/// case).
 std::optional<GeneralizeResult> generalize_trials(
     const std::vector<const matcher::InternedGraph*>& trials,
     const std::vector<std::uint64_t>& digests,
-    const GeneralizeOptions& = {},
-    matcher::SimilarityMemo* memo = nullptr,
-    runtime::ThreadPool* pool = nullptr);
+    // Compat, unread: provbench pipeline_bench.cpp:446-447; ROADMAP item 9.
+    const GeneralizeOptions& = {}, matcher::SimilarityMemo* = nullptr,
+    runtime::ThreadPool* = nullptr);
 
 }  // namespace provmark::core

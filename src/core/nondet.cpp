@@ -42,26 +42,20 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
                                       bg_trials, fg_trials, pool);
   shared.transformation = watch.elapsed_seconds();
 
-  // The background is deterministic: generalize it once. Classification
-  // reads structure only; the chosen pair's properties are interned
-  // before it is generalized, here and for every schedule below.
+  // The background is deterministic: generalize it once, as
+  // run_benchmark does. Classification reads structure only; a pair's
+  // properties are interned before it is generalized, here and for every
+  // schedule below.
   watch.reset();
-  std::vector<const matcher::InternedGraph*> bg = bg_trials.pointers();
-  TrialClasses bg_classes =
-      classify_trials(bg, bg_trials.digests, nullptr, &pool);
-  if (bg_classes.pair.has_value()) {
-    bg_trials.intern_properties(bg_classes.pair->first, symbols);
-    bg_trials.intern_properties(bg_classes.pair->second, symbols);
-  }
-  std::optional<GeneralizeResult> bg_general =
-      generalize_chosen(bg_classes, bg);
+  std::optional<GeneralizeResult> bg_general = bg_trials.generalize(symbols);
   if (!bg_general.has_value()) return out;
 
   // Group foreground trials into schedule classes: digest buckets
   // confirmed with the exact matcher.
   std::vector<const matcher::InternedGraph*> fg = fg_trials.pointers();
-  std::vector<std::vector<std::size_t>> classes =
-      similarity_classes(fg, fg_trials.digests, nullptr, &pool);
+  fg_trials.classes.add(fg, fg_trials.digests);
+  const std::vector<std::vector<std::size_t>> classes =
+      fg_trials.classes.sorted();
   shared.generalization = watch.elapsed_seconds();
 
   for (const std::vector<std::size_t>& cls : classes) {
@@ -70,7 +64,7 @@ NondetBenchmarkResult run_nondeterministic_benchmark(
       continue;
     }
     // Generalize this schedule from its first two trials, the pair
-    // classify_trials would choose from a single class.
+    // choose_pair would choose from a single class.
     watch.reset();
     fg_trials.intern_properties(cls[0], symbols);
     fg_trials.intern_properties(cls[1], symbols);

@@ -2,11 +2,9 @@
 
 #include <optional>
 #include <set>
-#include <tuple>
 
 #include "core/trials.h"
 #include "matcher/interned.h"
-#include "matcher/memo.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -88,13 +86,11 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
                                   : default_trials(recorder->name());
 
   // Run-wide state persisting across retry rounds: each trial is
-  // recorded, parsed, hashed and interned exactly once (its properties
-  // only if a generalization reads them); the memo carries similar()
-  // verdicts from round to round, so a retry only pays for the matcher
-  // calls its new trials introduce.
+  // recorded, parsed, hashed, interned and classified exactly once (its
+  // properties interned only if a generalization reads them), so a retry
+  // only pays for the matcher calls its new trials introduce.
   graph::SymbolTable symbols;
   TrialSet bg_trials, fg_trials;
-  matcher::SimilarityMemo memo;
   int trials_recorded = 0;  // per variant
   int unparseable = 0;
   std::optional<GeneralizeResult> bg_general, fg_general;
@@ -141,8 +137,8 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
 
     // -- (3) generalization -------------------------------------------------
     watch.reset();
-    std::tie(bg_general, fg_general) = generalize_variants(
-        bg_trials, fg_trials, symbols, &memo, pool);
+    bg_general = bg_trials.generalize(symbols);
+    fg_general = fg_trials.generalize(symbols);
     result.timings.generalization += watch.elapsed_seconds();
     if (bg_general.has_value()) {
       result.matcher_steps += bg_general->search_stats.steps;
@@ -165,8 +161,8 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
     if (cancelled()) return result;
   }
 
-  result.similarity_cache_hits = memo.hits();
-  result.similarity_cache_lookups = memo.lookups();
+  result.similarity_cache_lookups =
+      bg_trials.classes.comparisons() + fg_trials.classes.comparisons();
 
   if (!behaviour_error.empty()) {
     result.status = BenchmarkStatus::Failed;

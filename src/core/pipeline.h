@@ -37,11 +37,11 @@ struct PipelineOptions {
   /// the trials, up to this many rounds (the paper "runs a larger number
   /// of trials" in that case).
   int max_retry_rounds = 3;
-  /// Thread pool for the parallel phases (trial recording/transformation
-  /// and similarity classification). nullptr = the process-wide
-  /// runtime::default_pool(). Results are bit-identical at any thread
-  /// count: every trial derives its randomness from (seed, trial index),
-  /// never from scheduling.
+  /// Thread pool for the parallel phases, trial recording and reading;
+  /// classification and generalization run serially on the calling
+  /// thread. nullptr = the process-wide runtime::default_pool(). Results
+  /// are bit-identical at any thread count: every trial derives its
+  /// randomness from (seed, trial index), never from scheduling.
   runtime::ThreadPool* pool = nullptr;
   /// Simulated wall-clock wait per recording trial, in seconds. The real
   /// recorders spend most of each trial *waiting* — daemon start/stop,
@@ -117,14 +117,11 @@ struct BenchmarkResult {
   int transient_properties = 0;  ///< stripped during generalization
   int threads_used = 1;  ///< pool width the run executed on
 
-  /// similar() memo-cache traffic during similarity classification
-  /// (matcher::SimilarityMemo; hits are instances never re-solved —
-  /// retry rounds re-partition all trials, so every round after the
-  /// first runs almost entirely from cache). Counters are read from the
-  /// memo exactly once, after the retry loop: worker-thread increments
-  /// land on the memo's atomics, never on this struct, so a parallel
-  /// run can neither double-count nor tear them.
+  /// Compat, always 0: provbench pipeline_bench.cpp:546; ROADMAP item 9.
   std::uint64_t similarity_cache_hits = 0;
+  /// Compat name (provbench pipeline_bench.cpp:547; ROADMAP item 9): the
+  /// matcher::similar calls that similarity classification made, over
+  /// both variants and all retry rounds. No pair is posed twice.
   std::uint64_t similarity_cache_lookups = 0;
 
   /// Branch-and-bound assignment attempts across the generalization

@@ -115,11 +115,7 @@ class RecordReader {
 };
 
 std::size_t parse_size(const std::string& s) {
-  return static_cast<std::size_t>(std::strtoull(s.c_str(), nullptr, 10));
-}
-
-std::uint64_t parse_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
+  return static_cast<std::size_t>(util::parse_u64(s));
 }
 
 /// %.17g round-trips every IEEE double, so merged artifacts reprint the
@@ -310,13 +306,13 @@ ShardSpec parse_shard_manifest(const std::string& text, bool* complete,
   tokens = reader.expect("shard", 3);
   spec.shard_id = std::atoi(tokens[1].c_str());
   spec.shard_count = std::atoi(tokens[2].c_str());
-  spec.seed = parse_u64(reader.expect("seed", 2)[1]);
+  spec.seed = util::parse_u64(reader.expect("seed", 2)[1]);
   spec.result_type = reader.expect("result-type", 2)[1];
   spec.deterministic_timings =
       reader.expect("deterministic-timings", 2)[1] == "1";
   tokens = reader.expect("matrix", 3);
   spec.matrix_cells = parse_size(tokens[1]);
-  spec.matrix_hash = parse_u64(tokens[2]);
+  spec.matrix_hash = util::parse_u64(tokens[2]);
   const std::size_t cells = parse_size(reader.expect("cells", 2)[1]);
   for (std::size_t i = 0; i < cells; ++i) {
     tokens = reader.expect("cell", 4);
@@ -327,8 +323,8 @@ ShardSpec parse_shard_manifest(const std::string& text, bool* complete,
   for (std::size_t i = 0; i < files; ++i) {
     tokens = reader.expect("f", 4);
     if (digests != nullptr) {
-      (*digests)[tokens[3]] =
-          ArtifactDigest{parse_u64(tokens[1]), parse_u64(tokens[2])};
+      (*digests)[tokens[3]] = ArtifactDigest{util::parse_u64(tokens[1]),
+                                             util::parse_u64(tokens[2])};
     }
   }
   // Complete means the marker line *and* its terminating newline made
@@ -579,9 +575,9 @@ BenchmarkResult decode_cell_record(const std::string& text,
   result.transient_properties = std::atoi(tokens[4].c_str());
   result.threads_used = std::atoi(tokens[5].c_str());
   tokens = reader.expect("cache", 4);
-  result.similarity_cache_hits = parse_u64(tokens[1]);
-  result.similarity_cache_lookups = parse_u64(tokens[2]);
-  result.matcher_steps = parse_u64(tokens[3]);
+  result.similarity_cache_hits = util::parse_u64(tokens[1]);
+  result.similarity_cache_lookups = util::parse_u64(tokens[2]);
+  result.matcher_steps = util::parse_u64(tokens[3]);
   const std::size_t dummies = parse_size(reader.expect("dummies", 2)[1]);
   for (std::size_t i = 0; i < dummies; ++i) {
     result.dummy_nodes.push_back(reader.expect("d", 2)[1]);

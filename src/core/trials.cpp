@@ -104,35 +104,16 @@ int read_trials(int first, int count, const TransformOptions& transform,
   return unparseable;
 }
 
-std::pair<std::optional<GeneralizeResult>, std::optional<GeneralizeResult>>
-generalize_variants(TrialSet& background, TrialSet& foreground,
-                    graph::SymbolTable& symbols,
-                    matcher::SimilarityMemo* memo, runtime::ThreadPool& pool) {
-  // The two variants are independent problems; each side runs on one
-  // worker and fans its similarity buckets out over the pool (a nested
-  // parallel_for runs inline on that worker). Sharing one memo is safe
-  // and deterministic: entries are per concrete snapshot pair, so
-  // equal-digest buckets on the two sides never read each other's
-  // verdicts.
-  TrialSet* sides[2] = {&background, &foreground};
-  const std::vector<const matcher::InternedGraph*> trials[2] = {
-      background.pointers(), foreground.pointers()};
-  TrialClasses classes[2];
-  pool.parallel_for(2, [&](std::size_t side) {
-    classes[side] = classify_trials(trials[side], sides[side]->digests, memo,
-                                    &pool);
-  });
-  // The one serial step: the symbol table is shared by the whole run.
-  for (std::size_t side = 0; side < 2; ++side) {
-    if (!classes[side].pair.has_value()) continue;
-    sides[side]->intern_properties(classes[side].pair->first, symbols);
-    sides[side]->intern_properties(classes[side].pair->second, symbols);
+std::optional<GeneralizeResult> TrialSet::generalize(
+    graph::SymbolTable& symbols) {
+  const std::vector<const matcher::InternedGraph*> trials = pointers();
+  classes.add(trials, digests);
+  const TrialClasses chosen = choose_pair(classes, trials);
+  if (chosen.pair.has_value()) {
+    intern_properties(chosen.pair->first, symbols);
+    intern_properties(chosen.pair->second, symbols);
   }
-  std::optional<GeneralizeResult> general[2];
-  pool.parallel_for(2, [&](std::size_t side) {
-    general[side] = generalize_chosen(classes[side], trials[side]);
-  });
-  return {std::move(general[0]), std::move(general[1])};
+  return generalize_chosen(chosen, trials);
 }
 
 }  // namespace provmark::core

@@ -1,7 +1,8 @@
 // The trial path shared by run_benchmark and run_nondeterministic_benchmark:
 // stage (1) records a range of trials of both program variants on the
 // pool, stage (2) reads them and interns and digests their structure,
-// and stage (3) interns the properties of only the trials a
+// and stage (3), TrialSet::generalize, classifies the new trials
+// serially and interns the properties of only the trials a
 // generalization reads. Internal to core/.
 //
 // Memory: each readable trial has a region of its own (util/region.h).
@@ -32,10 +33,11 @@
 namespace provmark::core {
 
 /// One variant's trials, carried across retry rounds: every native
-/// document recorded (garbled ones too), and per readable trial its
-/// region, its view of the document, its interned graph (structure
-/// interned exactly once, against the run-wide symbol table; properties
-/// only once a generalization reads them) and its WL structural digest.
+/// document recorded (garbled ones too), per readable trial its region,
+/// its view of the document, its interned graph (structure interned
+/// exactly once, against the run-wide symbol table; properties only once
+/// a generalization reads them) and its WL structural digest, and the
+/// similarity classes of the trials classified so far.
 /// std::deque keeps documents and views at stable addresses: views point
 /// into documents, interned graphs' ids point into both, and a trial's
 /// properties are interned from its view. The regions are declared
@@ -47,6 +49,7 @@ struct TrialSet {
   std::deque<graph::GraphView> views;
   std::deque<matcher::InternedGraph> interned;
   std::vector<std::uint64_t> digests;
+  SimilarityClasses classes;
 
   /// Intern the properties of readable trial `i`, once, into the trial's
   /// region: later calls for the same trial do nothing. Serial only:
@@ -61,6 +64,11 @@ struct TrialSet {
     for (const matcher::InternedGraph& g : interned) out.push_back(&g);
     return out;
   }
+
+  /// Stage (3), serial: classify the trials read since the last call,
+  /// choose the pair, intern its properties against `symbols` and
+  /// generalize it. std::nullopt when no two trials are similar.
+  std::optional<GeneralizeResult> generalize(graph::SymbolTable& symbols);
 };
 
 /// Stage (1): records trials [first, first + count) of both variants of
@@ -85,15 +93,5 @@ std::string record_trials(const bench_suite::BenchmarkProgram& program,
 int read_trials(int first, int count, const TransformOptions& transform,
                 graph::SymbolTable& symbols, TrialSet& background,
                 TrialSet& foreground, runtime::ThreadPool& pool);
-
-/// Stage (3) for both variants, in three steps: classify each side's
-/// trials on `pool` (structure only), intern the properties of each
-/// side's chosen pair serially against `symbols`, then generalize both
-/// pairs on `pool`. Returns the background and foreground results, each
-/// std::nullopt when its side has no two similar trials.
-std::pair<std::optional<GeneralizeResult>, std::optional<GeneralizeResult>>
-generalize_variants(TrialSet& background, TrialSet& foreground,
-                    graph::SymbolTable& symbols,
-                    matcher::SimilarityMemo* memo, runtime::ThreadPool& pool);
 
 }  // namespace provmark::core

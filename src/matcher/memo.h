@@ -1,77 +1,12 @@
-// Memo cache for repeated similar() calls.
-//
-// Similarity classification re-poses the same Listing 3 instances many
-// times: every retry round re-partitions *all* trials recorded so far,
-// so the pair (class representative, trial) that round N already solved
-// is solved again in round N+1. The memo keys verdicts on the operands'
-// WL structural digests (digest₁, digest₂) — the same digests the
-// pipeline already computes once per trial to pre-partition the
-// classes — with entries inside a digest bucket disambiguated by
-// operand identity (snapshot addresses). That keeps the cache *exact*:
-// a hit is only ever returned for the very pair it was computed on, so
-// WL-digest collisions behave bit-identically with and without the
-// memo, and the bucket-splitting loop in similarity_classes keeps
-// working. Unequal digests short-circuit to dissimilar outright (a
-// digest mismatch proves dissimilarity; no entry needed).
-//
-// Callers must keep the InternedGraph snapshots alive and
-// address-stable for the memo's lifetime — the pipeline stores them in
-// per-variant deques, so retry rounds re-pose identical pairs and run
-// almost entirely from cache.
-//
-// Thread safety: safe for concurrent use; the underlying similar() call
-// runs outside the lock. Distinct pairs sharing a digest key (e.g. one
-// background and one foreground bucket with equal digests, classified
-// concurrently) occupy distinct entries, so hit/lookup totals are
-// deterministic at any thread count — the pipeline exposes them as
-// BenchmarkResult::similarity_cache_*. When two workers race on the
-// *same* pair (both miss, both solve), the insert path re-checks under
-// the lock and keeps a single entry: each pair is stored exactly once,
-// so entries() and the hit counters merged into BenchmarkResult never
-// double-count a verdict, whatever pool the callers run on.
+// Compat, empty: provbench pipeline_bench.cpp:26,438,446-447 still names
+// this type; ROADMAP item 9. Similarity classification grows with its
+// trials (core::SimilarityClasses) and never poses a pair twice, so
+// there is nothing to remember.
 #pragma once
-
-#include <atomic>
-#include <cstdint>
-#include <map>
-#include <mutex>
-#include <utility>
-#include <vector>
 
 namespace provmark::matcher {
 
-struct InternedGraph;
-
-class SimilarityMemo {
- public:
-  /// similar(a, b), memoized. Digests must be the
-  /// graph::structural_digest values of a and b.
-  bool similar(std::uint64_t digest_a, std::uint64_t digest_b,
-               const InternedGraph& a, const InternedGraph& b);
-
-  /// Calls answered without running the matcher (cached pair verdicts
-  /// and digest-inequality short-circuits).
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t lookups() const { return lookups_.load(); }
-  /// Distinct pairs with a stored verdict — exactly one per pair ever
-  /// solved, even when concurrent callers raced on the same pair.
-  std::uint64_t entries() const { return entries_.load(); }
-
- private:
-  struct Entry {
-    const InternedGraph* a;
-    const InternedGraph* b;
-    bool verdict;
-  };
-  std::mutex mutex_;
-  /// (digest₁, digest₂) -> verdicts for the concrete pairs posed under
-  /// that key. Buckets are tiny: one entry per exact matcher call ever
-  /// made, and collisions beyond the digest level are rare by design.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<Entry>>
-      verdicts_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> lookups_{0};
-  std::atomic<std::uint64_t> entries_{0};
-};
+/// Compat, unread: provbench pipeline_bench.cpp:438,446-447; ROADMAP item 9.
+class SimilarityMemo {};
 
 }  // namespace provmark::matcher

@@ -28,27 +28,12 @@ constexpr const char* kHeaderVersion = "v1";
 }
 
 std::uint64_t parse_u64_strict(const std::string& field,
-                               const std::string& what) {
-  if (field.empty()) corrupt(what + " is empty");
-  char* end = nullptr;
-  errno = 0;
-  std::uint64_t value = std::strtoull(field.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') {
-    corrupt(what + " is not a number: '" + field + "'");
+                               const std::string& what, int base = 10) {
+  try {
+    return util::parse_u64(field, base);
+  } catch (const std::invalid_argument& e) {
+    corrupt(what + ": " + e.what());
   }
-  return value;
-}
-
-std::uint64_t parse_hex_strict(const std::string& field,
-                               const std::string& what) {
-  if (field.empty()) corrupt(what + " is empty");
-  char* end = nullptr;
-  errno = 0;
-  std::uint64_t value = std::strtoull(field.c_str(), &end, 16);
-  if (errno != 0 || end == nullptr || *end != '\0') {
-    corrupt(what + " is not hex: '" + field + "'");
-  }
-  return value;
 }
 
 EventKind parse_kind_strict(const std::string& field) {
@@ -95,7 +80,7 @@ JournalRecord parse_record(std::string_view line) {
   record.kind = parse_kind_strict(fields[2]);
   record.priority = parse_priority_strict(fields[3]);
   const std::uint64_t bytes = parse_u64_strict(fields[4], "record length");
-  const std::uint64_t fnv = parse_hex_strict(fields[5], "record checksum");
+  const std::uint64_t fnv = parse_u64_strict(fields[5], "record checksum", 16);
   const std::string& escaped = fields[6];
   if (escaped.size() != bytes) {
     corrupt(util::format("record length mismatch: header %llu, field %zu",

@@ -30,9 +30,11 @@ Priority parse_priority(const std::string& name) {
 
 double parse_deadline(const std::string& text) {
   char* end = nullptr;
-  double ms = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || ms < 0) {
-    fail("deadline-ms needs a non-negative number, got '" + text + "'");
+  const double ms = std::strtod(text.c_str(), &end);
+  // The range test also fails for NaN.
+  if (text.empty() || *end != '\0' || !(ms >= 0 && ms <= kMaxDeadlineMs)) {
+    fail(util::format("deadline-ms needs a number in [0, %.0f], got '%s'",
+                      kMaxDeadlineMs, text.c_str()));
   }
   return ms;
 }
@@ -250,7 +252,11 @@ Response parse_response(std::string_view line) {
   if (verb == "ok") {
     if (fields.size() != 2) fail("ok needs a sequence number");
     response.status = Status::Ok;
-    response.seq = std::strtoull(fields[1].c_str(), nullptr, 10);
+    try {
+      response.seq = util::parse_u64(fields[1]);
+    } catch (const std::invalid_argument& e) {
+      fail(std::string("ok sequence number: ") + e.what());
+    }
     return response;
   }
   if ((verb == "shed" || verb == "busy") && fields.size() == 1) {

@@ -54,6 +54,11 @@ enum class QueryKind { Query, Digest, Dump, Stats, Ping, Promote };
 /// silently shed — it gets `busy` backpressure instead.
 enum class Priority { Low = 0, Normal = 1, High = 2 };
 
+/// The largest deadline-ms a request may carry: one day. Larger, infinite
+/// or NaN deadlines are bad requests, since the lock wait converts the
+/// deadline to integer nanoseconds.
+constexpr double kMaxDeadlineMs = 86'400'000;
+
 struct Request {
   bool is_event = false;
   EventKind event = EventKind::Fact;

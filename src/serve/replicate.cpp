@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -28,28 +27,13 @@ std::vector<std::string> split_fields(const std::string& line) {
   return out;
 }
 
-std::uint64_t parse_u64(const std::string& text, const char* what) {
-  if (text.empty()) throw std::invalid_argument(std::string(what) + " is empty");
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) {
-    throw std::invalid_argument(std::string(what) + " '" + text +
-                                "' is not a number");
+std::uint64_t parse_u64(const std::string& text, const char* what,
+                        int base = 10) {
+  try {
+    return util::parse_u64(text, base);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string(what) + ": " + e.what());
   }
-  return static_cast<std::uint64_t>(value);
-}
-
-std::uint64_t parse_hex64(const std::string& text, const char* what) {
-  if (text.empty()) throw std::invalid_argument(std::string(what) + " is empty");
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = std::strtoull(text.c_str(), &end, 16);
-  if (errno != 0 || end != text.c_str() + text.size()) {
-    throw std::invalid_argument(std::string(what) + " '" + text +
-                                "' is not hex");
-  }
-  return static_cast<std::uint64_t>(value);
 }
 
 void check_fields(const std::vector<std::string>& fields, std::size_t n,
@@ -198,7 +182,7 @@ void PrimaryReplicator::handle_line(const std::string& line) {
       }
       have_.push_back(HaveEntry{fields[1], parse_u64(fields[2], "last seq"),
                                 parse_u64(fields[3], "checkpoint seq"),
-                                parse_hex64(fields[4], "records digest")});
+                                parse_u64(fields[4], "records digest", 16)});
       finish = have_.size() == have_expected_;
     } else if (verb == "repl-ack") {
       check_fields(fields, 3, "repl-ack");

@@ -1,9 +1,11 @@
 #include "util/strings.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <new>
+#include <stdexcept>
 #include <utility>
 
 namespace provmark::util {
@@ -60,6 +62,21 @@ std::string join(const std::vector<std::string>& pieces,
     out += pieces[i];
   }
   return out;
+}
+
+std::uint64_t parse_u64(std::string_view text, int base) {
+  // std::from_chars takes no sign for an unsigned type, skips no
+  // whitespace, fails on no digits and reports overflow, so a full,
+  // error-free parse is exactly the grammar above.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [at, error] = std::from_chars(text.data(), end, value, base);
+  if (error != std::errc() || at != end) {
+    throw std::invalid_argument("'" + std::string(text) +
+                                "' is not a base-" + std::to_string(base) +
+                                " number below 2^64");
+  }
+  return value;
 }
 
 std::string replace_all(std::string_view s, std::string_view from,

@@ -30,6 +30,11 @@ bool ends_with(std::string_view s, std::string_view suffix);
 std::string join(const std::vector<std::string>& pieces,
                  std::string_view sep);
 
+/// The unsigned number `text` spells in `base` (2..36): digits only, so no
+/// sign, no whitespace and nothing after them, and at most 2^64 - 1.
+/// Throws std::invalid_argument for anything else, the empty text too.
+std::uint64_t parse_u64(std::string_view text, int base = 10);
+
 /// Replace every occurrence of `from` with `to`.
 std::string replace_all(std::string_view s, std::string_view from,
                         std::string_view to);

@@ -17,7 +17,6 @@
 #include "core/trials.h"
 #include "graph/property_graph.h"
 #include "matcher/interned.h"
-#include "matcher/memo.h"
 #include "runtime/thread_pool.h"
 #include "systems/recorder.h"
 
@@ -48,7 +47,9 @@ struct InternedTrials {
 std::vector<std::vector<std::size_t>> classes_of(
     std::vector<PropertyGraph> trials) {
   InternedTrials in(std::move(trials));
-  return similarity_classes(in.pointers, in.digests);
+  SimilarityClasses classes;
+  classes.add(in.pointers, in.digests);
+  return classes.sorted();
 }
 
 std::optional<PropertyGraph> generalize(const PropertyGraph& a,
@@ -237,6 +238,15 @@ const std::pair<const char*, const char*> kTrialCells[] = {
     {"spade-camflow", "dup"}, {"camflow", "gen3x32"}, {"opus", "gen5x16"},
     {"audit", "gen7x12"},    {"ebpf", "close"}};
 
+/// `trials` classified in one pass.
+SimilarityClasses classify(
+    const std::vector<const matcher::InternedGraph*>& trials,
+    const std::vector<std::uint64_t>& digests) {
+  SimilarityClasses classes;
+  classes.add(trials, digests);
+  return classes;
+}
+
 TEST(TrialPath, StructureOnlyTrialsClassifyLikeFullyInternedOnes) {
   for (const auto& [system, program] : kTrialCells) {
     RecordedCell cell(system, program);
@@ -247,14 +257,39 @@ TEST(TrialPath, StructureOnlyTrialsClassifyLikeFullyInternedOnes) {
       for (const matcher::InternedGraph* g : structure) {
         ASSERT_FALSE(g->g.has_properties()) << system << " " << program;
       }
-      EXPECT_EQ(similarity_classes(structure, set->digests),
-                similarity_classes(full.pointers, set->digests))
-          << system << " " << program;
-      TrialClasses a = classify_trials(structure, set->digests);
-      TrialClasses b = classify_trials(full.pointers, set->digests);
-      EXPECT_EQ(a.classes, b.classes) << system << " " << program;
-      EXPECT_EQ(a.discarded, b.discarded) << system << " " << program;
-      EXPECT_EQ(a.pair, b.pair) << system << " " << program;
+      const SimilarityClasses a = classify(structure, set->digests);
+      const SimilarityClasses b = classify(full.pointers, set->digests);
+      EXPECT_EQ(a.sorted(), b.sorted()) << system << " " << program;
+      TrialClasses pa = choose_pair(a, structure);
+      TrialClasses pb = choose_pair(b, full.pointers);
+      EXPECT_EQ(pa.classes, pb.classes) << system << " " << program;
+      EXPECT_EQ(pa.discarded, pb.discarded) << system << " " << program;
+      EXPECT_EQ(pa.pair, pb.pair) << system << " " << program;
+    }
+  }
+}
+
+// Classes grown batch by batch, as run_benchmark's retry rounds grow
+// them (n trials, then n more, then 2n), are the classes of one pass over
+// all trials, found with the same matcher calls: no pair is posed twice.
+TEST(TrialPath, ClassesGrownInRetryBatchesEqualOnePass) {
+  for (const auto& [system, program] : kTrialCells) {
+    RecordedCell cell(system, program);
+    SimilarityClasses grown[2];
+    TrialSet* sides[2] = {&cell.background, &cell.foreground};
+    for (int batch = 0; batch < 3; ++batch) {
+      if (batch > 0) cell.record(cell.recorded, program);
+      for (int side = 0; side < 2; ++side) {
+        grown[side].add(sides[side]->pointers(), sides[side]->digests);
+      }
+    }
+    for (int side = 0; side < 2; ++side) {
+      const std::string context = std::string(system) + " " + program +
+                                  " side " + std::to_string(side);
+      const SimilarityClasses once =
+          classify(sides[side]->pointers(), sides[side]->digests);
+      EXPECT_EQ(grown[side].sorted(), once.sorted()) << context;
+      EXPECT_EQ(grown[side].comparisons(), once.comparisons()) << context;
     }
   }
 }
@@ -262,27 +297,24 @@ TEST(TrialPath, StructureOnlyTrialsClassifyLikeFullyInternedOnes) {
 TEST(TrialPath, InternsPropertiesOfExactlyTheGeneralizedPairs) {
   for (const auto& [system, program] : kTrialCells) {
     RecordedCell cell(system, program);
-    matcher::SimilarityMemo memo;
+    TrialSet* sides[2] = {&cell.background, &cell.foreground};
     std::set<std::size_t> read[2];
     // Two rounds, as run_benchmark's retry loop runs them: the second
     // round adds trials and may choose another pair.
     for (int round = 0; round < 2; ++round) {
       if (round == 1) cell.record(cell.recorded, program);
-      const TrialSet* sides[2] = {&cell.background, &cell.foreground};
-      TrialClasses expected[2];
       for (int side = 0; side < 2; ++side) {
-        expected[side] = classify_trials(sides[side]->pointers(),
-                                         sides[side]->digests);
-        if (expected[side].pair.has_value()) {
-          read[side].insert(expected[side].pair->first);
-          read[side].insert(expected[side].pair->second);
+        TrialSet& set = *sides[side];
+        const std::vector<const matcher::InternedGraph*> trials =
+            set.pointers();
+        const TrialClasses expected =
+            choose_pair(classify(trials, set.digests), trials);
+        if (expected.pair.has_value()) {
+          read[side].insert(expected.pair->first);
+          read[side].insert(expected.pair->second);
         }
-      }
-      auto [bg, fg] = generalize_variants(cell.background, cell.foreground,
-                                          cell.symbols, &memo, cell.pool);
-      const std::optional<GeneralizeResult>* results[2] = {&bg, &fg};
-      for (int side = 0; side < 2; ++side) {
-        const TrialSet& set = *sides[side];
+        const std::optional<GeneralizeResult> got =
+            set.generalize(cell.symbols);
         for (std::size_t i = 0; i < set.interned.size(); ++i) {
           EXPECT_EQ(set.interned[i].g.has_properties(),
                     read[side].count(i) > 0)
@@ -293,15 +325,16 @@ TEST(TrialPath, InternsPropertiesOfExactlyTheGeneralizedPairs) {
         FullyInterned full(set);
         std::optional<GeneralizeResult> reference =
             generalize_trials(full.pointers, set.digests);
-        ASSERT_EQ(results[side]->has_value(), reference.has_value())
+        ASSERT_EQ(got.has_value(), reference.has_value())
             << system << " " << program;
         if (!reference.has_value()) continue;
-        const GeneralizeResult& got = **results[side];
-        EXPECT_TRUE(got.graph == reference->graph) << system << " " << program;
-        EXPECT_EQ(got.classes, reference->classes);
-        EXPECT_EQ(got.discarded, reference->discarded);
-        EXPECT_EQ(got.transient_properties, reference->transient_properties);
-        EXPECT_EQ(got.search_stats.steps, reference->search_stats.steps);
+        EXPECT_TRUE(got->graph == reference->graph)
+            << system << " " << program;
+        EXPECT_EQ(got->classes, reference->classes);
+        EXPECT_EQ(got->discarded, reference->discarded);
+        EXPECT_EQ(got->transient_properties,
+                  reference->transient_properties);
+        EXPECT_EQ(got->search_stats.steps, reference->search_stats.steps);
       }
     }
   }
@@ -358,9 +391,10 @@ TEST(TrialPath, GeneralizedGraphIsItsResolvedGraphInterned) {
   int checked = 0;
   for (const auto& [system, program] : kTrialCells) {
     RecordedCell cell(system, program);
-    matcher::SimilarityMemo memo;
-    auto [bg, fg] = generalize_variants(cell.background, cell.foreground,
-                                        cell.symbols, &memo, cell.pool);
+    const std::optional<GeneralizeResult> bg =
+        cell.background.generalize(cell.symbols);
+    const std::optional<GeneralizeResult> fg =
+        cell.foreground.generalize(cell.symbols);
     for (const std::optional<GeneralizeResult>* result : {&bg, &fg}) {
       const std::string context =
           std::string(system) + " " + program +
@@ -378,7 +412,8 @@ TEST(TrialPath, GeneralizingAStructureOnlyPairThrows) {
   RecordedCell cell("camflow", "close");
   const std::vector<const matcher::InternedGraph*> trials =
       cell.foreground.pointers();
-  TrialClasses classes = classify_trials(trials, cell.foreground.digests);
+  TrialClasses classes =
+      choose_pair(classify(trials, cell.foreground.digests), trials);
   ASSERT_TRUE(classes.pair.has_value());
   EXPECT_THROW(generalize_chosen(classes, trials), std::logic_error);
   cell.foreground.intern_properties(classes.pair->first, cell.symbols);

@@ -3,12 +3,12 @@
 // The provbench digests cover a cell's status, result graph and dummy
 // nodes. This test pins what they leave out: how many trials a cell ran,
 // discarded and could not parse, how many properties generalization
-// removed, how many matcher steps the run took and how the similarity
-// memo was used. A change to how trials are interned, classified or
-// generalized that moves any of these numbers fails here, naming the
-// cell. Cells are the 54 Table-1 programs on all six recorders plus the
-// generated programs gen1..20 on audit x12, opus x16 and camflow x32, at
-// seed 42.
+// removed, how many matcher steps the run took and how many similar()
+// calls classification made (the hits column is a compat field, always
+// 0). A change to how trials are interned, classified or generalized
+// that moves any of these numbers fails here, naming the cell. Cells
+// are the 54 Table-1 programs on all six recorders plus the generated
+// programs gen1..20 on audit x12, opus x16 and camflow x32, at seed 42.
 //
 // On a mismatch the test prints the whole computed table; a deliberate
 // change of these counters replaces pipeline_counters.tsv with it.

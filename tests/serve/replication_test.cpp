@@ -24,6 +24,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -349,6 +350,33 @@ TEST(Replication, ReplicaAheadIsQuarantinedNotMerged) {
       << pair.primary->stats_text();
   // Nothing flowed: the standby's journal is untouched.
   EXPECT_EQ(pair.replica_svc->journal_position(session)->last_seq, 3u);
+}
+
+// In sync mode a client's ack is released once the standby's cumulative
+// ack covers its seq, so an ack seq must be a plain decimal number: a
+// malformed one is refused and releases nothing.
+TEST(Replication, MalformedAckSeqIsRefusedAndReleasesNothing) {
+  TempDir root("bad_ack");
+  Service service(test_options(root.path));
+  ReplicationConfig config;
+  config.sync_mode = true;
+  PrimaryReplicator primary(service, config);
+  for (const char* seq :
+       {"-1", "+1", "\t1", "1x", "18446744073709551616", "0x10", ""}) {
+    EXPECT_THROW(primary.handle_line(std::string("repl-ack s ") + seq),
+                 std::invalid_argument)
+        << "'" << seq << "'";
+    EXPECT_EQ(primary.ack_state("s", 1'000'000),
+              PrimaryReplicator::AckState::Pending)
+        << "'" << seq << "'";
+  }
+  primary.handle_line("repl-ack s 18446744073709551615");
+  EXPECT_EQ(primary.ack_state("s", 1'000'000),
+            PrimaryReplicator::AckState::Acked);
+
+  EXPECT_THROW(parse_response("ok abc"), std::invalid_argument);
+  EXPECT_THROW(parse_response("ok -1"), std::invalid_argument);
+  EXPECT_EQ(parse_response("ok 7").seq, 7u);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -170,6 +171,33 @@ TEST(ServiceQueries, FixpointAndDigestAndUnknownSession) {
       service.submit(query("alice", QueryKind::Query, "(((")).status,
       Status::BadRequest);
   EXPECT_EQ(service.stats().quarantined_sessions, 0u);
+}
+
+// A query's deadline bounds its wait for the session's apply lock, which
+// converts it to integer nanoseconds: inf, nan and 1e300 would overflow
+// there, so the request line is refused as bad-request instead.
+TEST(ServiceQueries, UnboundedDeadlineIsABadRequest) {
+  TempDir tmp("deadline");
+  Service service(test_options(tmp.path));
+  service.submit(event("s", "edge(a,b)."));
+  service.pump();
+  // A request line as the daemon serves it: parse, then submit.
+  auto serve_line = [&service](const std::string& line) {
+    Request request;
+    try {
+      request = parse_request(line);
+    } catch (const std::invalid_argument& e) {
+      return Response{Status::BadRequest, 0, e.what()};
+    }
+    return service.submit(request);
+  };
+  for (const char* deadline : {"inf", "nan", "1e300", "-1", "86400001"}) {
+    EXPECT_EQ(serve_line(std::string("digest s ") + deadline).status,
+              Status::BadRequest)
+        << deadline;
+  }
+  EXPECT_EQ(serve_line("digest s 86400000").status, Status::Result);
+  EXPECT_EQ(serve_line("digest s 0").status, Status::Result);
 }
 
 TEST(ServiceQuarantine, PoisonedSessionIsolatedFromNeighbours) {

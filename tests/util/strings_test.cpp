@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +47,20 @@ TEST(ReplaceAll, Basics) {
   EXPECT_EQ(replace_all("aXbXc", "X", "--"), "a--b--c");
   EXPECT_EQ(replace_all("aaa", "aa", "b"), "ba");  // non-overlapping
   EXPECT_EQ(replace_all("abc", "", "x"), "abc");   // empty needle is no-op
+}
+
+TEST(ParseU64, DigitsOnlyUpTo2To64Minus1) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("0042"), 42u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615u);
+  EXPECT_EQ(parse_u64("ff", 16), 255u);
+  EXPECT_EQ(parse_u64("FFFFFFFFFFFFFFFF", 16), 18446744073709551615u);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "\t1", "1x", "12x",
+                          "18446744073709551616", "0x10", "1.0"}) {
+    EXPECT_THROW(parse_u64(bad), std::invalid_argument) << "'" << bad << "'";
+  }
+  EXPECT_THROW(parse_u64("10000000000000000", 16), std::invalid_argument);
+  EXPECT_THROW(parse_u64("g", 16), std::invalid_argument);
 }
 
 TEST(Format, Printf) {
