@@ -144,24 +144,12 @@ std::string quote_token(const std::string& value) {
   return out;
 }
 
-/// std::stol with whole-string and range checking, reported with the line
-/// number instead of a bare std::invalid_argument from deep inside stol.
+/// util::parse_number<long>, its failure reported with the line number.
 long parse_long(const std::string& value, std::size_t line_no,
                 int base = 10) {
-  std::size_t pos = 0;
-  long v = 0;
-  bool ok = !value.empty();
-  if (ok) {
-    try {
-      v = std::stol(value, &pos, base);
-    } catch (const std::exception&) {
-      ok = false;
-    }
-  }
-  if (!ok || pos != value.size()) {
-    fail(line_no, "invalid number '" + value + "'");
-  }
-  return v;
+  const std::optional<long> v = util::parse_number<long>(value, base);
+  if (!v) fail(line_no, "invalid number '" + value + "'");
+  return *v;
 }
 
 int parse_flags(const std::string& text, std::size_t line_no) {

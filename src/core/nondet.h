@@ -61,8 +61,8 @@ struct NondetBenchmarkResult {
 /// trial count (default: 8x the per-system default, since trials spread
 /// over schedules). Trials are recorded and read on run_benchmark's path
 /// over `options.pool`; the schedules are identical at any pool width.
-/// All trials run in one round: `max_retry_rounds` and `cancel` do not
-/// apply.
+/// All trials run in one round: run_benchmark's retry rounds and `cancel`
+/// do not apply.
 NondetBenchmarkResult run_nondeterministic_benchmark(
     const bench_suite::BenchmarkProgram& program,
     const PipelineOptions& options = {});

@@ -11,6 +11,11 @@
 
 namespace provmark::core {
 
+/// If generalization cannot find two consistent runs, retry with twice
+/// the trials, up to this many rounds (the paper "runs a larger number
+/// of trials" in that case).
+constexpr int kMaxRetryRounds = 3;
+
 const char* status_name(BenchmarkStatus status) {
   switch (status) {
     case BenchmarkStatus::Ok: return "ok";
@@ -115,7 +120,7 @@ BenchmarkResult run_benchmark(const bench_suite::BenchmarkProgram& program,
   // the background does not embed into the foreground (inconsistently
   // chosen representative classes — the §3.4 failure mode), run more
   // trials, as the paper's recording subsystem does.
-  for (int round = 0; round <= options.max_retry_rounds; ++round) {
+  for (int round = 0; round <= kMaxRetryRounds; ++round) {
     int already = trials_recorded;
     int want = round == 0 ? trials : already;  // double on each retry
 

@@ -33,10 +33,6 @@ struct PipelineOptions {
   /// stable so 2 suffice; SPADE and CamFlow need more, §3.2).
   int trials = 0;
   std::uint64_t seed = 42;
-  /// If generalization cannot find two consistent runs, retry with twice
-  /// the trials, up to this many rounds (the paper "runs a larger number
-  /// of trials" in that case).
-  int max_retry_rounds = 3;
   /// Thread pool for the parallel phases, trial recording and reading;
   /// classification and generalization run serially on the calling
   /// thread. nullptr = the process-wide runtime::default_pool(). Results

@@ -4,20 +4,16 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "bench_suite/program.h"
 #include "core/report.h"
-#include "datalog/escape.h"
 #include "datalog/fact_io.h"
 #include "runtime/thread_pool.h"
 #include "util/atomic_io.h"
@@ -29,93 +25,59 @@ namespace provmark::core {
 
 namespace {
 
-constexpr const char* kCellHeader = "provmark-cell v1";
-constexpr const char* kManifestHeader = "provmark-shard v3";
+constexpr const char* kCellHeader = "provmark-cell v2";
+constexpr const char* kManifestHeader = "provmark-shard v4";
 constexpr const char* kManifestName = "shard.manifest";
 
 // -- record syntax ------------------------------------------------------------
-// Line-based, space-separated tokens; string fields are quoted with the
-// Datalog escape table (escape.h), so ids/labels/values containing
-// spaces, quotes or newlines round-trip exactly.
+// One line per record, read by util::FieldReader: fields separated by
+// spaces, string fields escaped with util::escape_field, so ids, labels
+// and values containing spaces, tabs or newlines round-trip exactly.
 
-void append_quoted(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) datalog::append_escaped(out, c);
-  out += '"';
+/// Appends ' ' and `s` as one escaped field.
+void append_field(std::string& out, std::string_view s) {
+  out += ' ';
+  out += util::escape_field(s);
 }
 
-/// Tokenize one record line: bare tokens split on spaces, quoted tokens
-/// unescaped. Throws on unterminated quotes.
-std::vector<std::string> record_tokens(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    if (line[i] == ' ') {
-      ++i;
-      continue;
-    }
-    std::string token;
-    if (line[i] == '"') {
-      ++i;
-      bool closed = false;
-      while (i < line.size()) {
-        char c = line[i++];
-        if (c == '"') {
-          closed = true;
-          break;
-        }
-        if (c == '\\') {
-          if (i >= line.size()) break;
-          token += datalog::decode_escape(line[i++]);
-        } else {
-          token += c;
-        }
-      }
-      if (!closed) {
-        throw std::runtime_error("shard record: unterminated string in: " +
-                                 line);
-      }
-    } else {
-      while (i < line.size() && line[i] != ' ') token += line[i++];
-    }
-    out.push_back(std::move(token));
-  }
-  return out;
-}
-
-/// Sequential line reader with a one-line failure context.
-class RecordReader {
+/// The lines of a cell record or manifest, in order.
+class Lines {
  public:
-  explicit RecordReader(const std::string& text) : in_(text) {}
+  explicit Lines(std::string_view text) : rest_(text) {}
 
-  bool next(std::vector<std::string>* tokens) {
-    std::string line;
-    while (std::getline(in_, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      *tokens = record_tokens(line);
-      return true;
-    }
-    return false;
+  /// The next line; empty once the text is used up.
+  std::string_view line() {
+    const std::size_t nl = std::min(rest_.find('\n'), rest_.size());
+    const std::string_view line = rest_.substr(0, nl);
+    rest_.remove_prefix(std::min(nl + 1, rest_.size()));
+    return line;
   }
 
-  std::vector<std::string> expect(const std::string& keyword,
-                                  std::size_t min_tokens) {
-    std::vector<std::string> tokens;
-    if (!next(&tokens) || tokens.empty() || tokens[0] != keyword ||
-        tokens.size() < min_tokens) {
-      throw std::runtime_error("shard record: expected '" + keyword +
-                               "' line");
+  /// The next line, `<keyword>` and then exactly `values` fields, read
+  /// up to its values.
+  util::FieldReader next(std::string_view keyword, std::size_t values) {
+    util::FieldReader fields(line());
+    fields.expect(keyword);
+    if (fields.left() != values) {
+      throw std::invalid_argument(util::format(
+          "'%s' line has %zu values, not %zu", std::string(keyword).c_str(),
+          fields.left(), values));
     }
-    return tokens;
+    return fields;
   }
 
  private:
-  std::istringstream in_;
+  std::string_view rest_;
 };
 
-std::size_t parse_size(const std::string& s) {
-  return static_cast<std::size_t>(util::parse_u64(s));
+/// A count or id stored as an int: an unsigned number up to INT_MAX.
+int read_int(util::FieldReader& fields, std::string_view what) {
+  const auto value = fields.number<unsigned>(what);
+  if (!std::in_range<int>(value)) {
+    throw std::invalid_argument(std::string(what) + " '" +
+                                std::to_string(value) + "' is out of range");
+  }
+  return static_cast<int>(value);
 }
 
 /// %.17g round-trips every IEEE double, so merged artifacts reprint the
@@ -124,11 +86,20 @@ void append_double(std::string& out, double value) {
   out += util::format("%.17g", value);
 }
 
-BenchmarkStatus parse_status(const std::string& name) {
+BenchmarkStatus parse_status(std::string_view name) {
   if (name == "ok") return BenchmarkStatus::Ok;
   if (name == "empty") return BenchmarkStatus::Empty;
   if (name == "failed") return BenchmarkStatus::Failed;
-  throw std::runtime_error("shard record: unknown status " + name);
+  throw std::invalid_argument("unknown status '" + std::string(name) + "'");
+}
+
+void encode_properties(std::string& out, const graph::Properties& props) {
+  for (const auto& [key, value] : props) {
+    out += 'p';
+    append_field(out, key);
+    append_field(out, value);
+    out += '\n';
+  }
 }
 
 void encode_graph(std::string& out, const char* tag,
@@ -138,67 +109,55 @@ void encode_graph(std::string& out, const char* tag,
   // Insertion order, not id order: result_dot and the html report render
   // in this order, so the round-trip must preserve it byte-for-byte.
   for (const graph::Node& n : g.nodes()) {
-    out += util::format("n %zu ", n.props.size());
-    append_quoted(out, n.id);
-    out += ' ';
-    append_quoted(out, n.label);
+    out += util::format("n %zu", n.props.size());
+    append_field(out, n.id);
+    append_field(out, n.label);
     out += '\n';
-    for (const auto& [key, value] : n.props) {
-      out += "p ";
-      append_quoted(out, key);
-      out += ' ';
-      append_quoted(out, value);
-      out += '\n';
-    }
+    encode_properties(out, n.props);
   }
   for (const graph::Edge& e : g.edges()) {
-    out += util::format("e %zu ", e.props.size());
-    append_quoted(out, e.id);
-    out += ' ';
-    append_quoted(out, e.src);
-    out += ' ';
-    append_quoted(out, e.tgt);
-    out += ' ';
-    append_quoted(out, e.label);
+    out += util::format("e %zu", e.props.size());
+    append_field(out, e.id);
+    append_field(out, e.src);
+    append_field(out, e.tgt);
+    append_field(out, e.label);
     out += '\n';
-    for (const auto& [key, value] : e.props) {
-      out += "p ";
-      append_quoted(out, key);
-      out += ' ';
-      append_quoted(out, value);
-      out += '\n';
-    }
+    encode_properties(out, e.props);
   }
 }
 
-graph::Properties decode_props(RecordReader& reader, std::size_t count) {
+graph::Properties decode_props(Lines& lines, std::size_t count) {
   graph::Properties props;
   for (std::size_t i = 0; i < count; ++i) {
-    std::vector<std::string> tokens = reader.expect("p", 3);
-    props.emplace(tokens[1], tokens[2]);
+    util::FieldReader fields = lines.next("p", 2);
+    std::string key = fields.text("property key");
+    props.emplace(std::move(key), fields.text("property value"));
   }
   return props;
 }
 
-graph::PropertyGraph decode_graph(RecordReader& reader, const char* tag) {
-  std::vector<std::string> header = reader.expect("graph", 4);
-  if (header[1] != tag) {
-    throw std::runtime_error("shard record: expected graph " +
-                             std::string(tag) + ", got " + header[1]);
-  }
-  const std::size_t nodes = parse_size(header[2]);
-  const std::size_t edges = parse_size(header[3]);
+graph::PropertyGraph decode_graph(Lines& lines, const char* tag) {
+  util::FieldReader header = lines.next("graph", 3);
+  header.expect(tag);
+  const auto nodes = header.number<std::size_t>("node count");
+  const auto edges = header.number<std::size_t>("edge count");
   graph::PropertyGraph g;
   for (std::size_t i = 0; i < nodes; ++i) {
-    std::vector<std::string> tokens = reader.expect("n", 4);
-    g.add_node(tokens[2], tokens[3],
-               decode_props(reader, parse_size(tokens[1])));
+    util::FieldReader fields = lines.next("n", 3);
+    const auto props = fields.number<std::size_t>("property count");
+    std::string id = fields.text("node id");
+    std::string label = fields.text("node label");
+    g.add_node(std::move(id), std::move(label), decode_props(lines, props));
   }
   for (std::size_t i = 0; i < edges; ++i) {
-    std::vector<std::string> tokens = reader.expect("e", 6);
-    std::size_t props = parse_size(tokens[1]);
-    g.add_edge(tokens[2], tokens[3], tokens[4], tokens[5],
-               decode_props(reader, props));
+    util::FieldReader fields = lines.next("e", 5);
+    const auto props = fields.number<std::size_t>("property count");
+    std::string id = fields.text("edge id");
+    std::string src = fields.text("edge source");
+    std::string tgt = fields.text("edge target");
+    std::string label = fields.text("edge label");
+    g.add_edge(std::move(id), std::move(src), std::move(tgt),
+               std::move(label), decode_props(lines, props));
   }
   return g;
 }
@@ -227,32 +186,24 @@ void publish_file(const std::filesystem::path& dir, const std::string& name,
   write_file_atomic(dir / name, content);
 }
 
-std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw std::runtime_error("cannot read " + path.string());
-  }
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
 std::string manifest_text(const ShardSpec& spec,
                           const ArtifactDigests& digests) {
   std::string out = std::string(kManifestHeader) + "\n";
   out += util::format("shard %d %d\n", spec.shard_id, spec.shard_count);
   out += util::format("seed %llu\n",
                       static_cast<unsigned long long>(spec.seed));
-  out += "result-type " + spec.result_type + "\n";
+  out += "result-type";
+  append_field(out, spec.result_type);
+  out += '\n';
   out += util::format("deterministic-timings %d\n",
                       spec.deterministic_timings ? 1 : 0);
   out += util::format("matrix %zu %llu\n", spec.matrix_cells,
                       static_cast<unsigned long long>(spec.matrix_hash));
   out += util::format("cells %zu\n", spec.cells.size());
   for (const BatchCell& cell : spec.cells) {
-    out += util::format("cell %zu ", cell.index);
-    append_quoted(out, cell.system);
-    out += ' ';
-    append_quoted(out, cell.benchmark);
+    out += util::format("cell %zu", cell.index);
+    append_field(out, cell.system);
+    append_field(out, cell.benchmark);
     out += '\n';
   }
   // The integrity section: the intended content digest of every
@@ -260,10 +211,10 @@ std::string manifest_text(const ShardSpec& spec,
   // digest — its own torn tail reads as incomplete.
   out += util::format("files %zu\n", digests.size());
   for (const auto& [name, digest] : digests) {
-    out += util::format("f %llu %llu ",
+    out += util::format("f %llu %llu",
                         static_cast<unsigned long long>(digest.hash),
                         static_cast<unsigned long long>(digest.size));
-    append_quoted(out, name);
+    append_field(out, name);
     out += '\n';
   }
   out += "complete\n";
@@ -278,7 +229,7 @@ std::string verify_artifacts(const std::filesystem::path& dir,
   for (const auto& [name, digest] : digests) {
     std::string bytes;
     try {
-      bytes = read_file(dir / name);
+      bytes = util::read_file(dir / name);
     } catch (const std::exception&) {
       return name + " is missing";
     }
@@ -296,43 +247,48 @@ std::string verify_artifacts(const std::filesystem::path& dir,
 
 ShardSpec parse_shard_manifest(const std::string& text, bool* complete,
                                ArtifactDigests* digests) {
-  RecordReader reader(text);
-  std::vector<std::string> tokens;
-  if (!reader.next(&tokens) || tokens.size() != 2 ||
-      tokens[0] + " " + tokens[1] != kManifestHeader) {
+  Lines lines(text);
+  if (lines.line() != kManifestHeader) {
     throw std::runtime_error("not a shard manifest");
   }
   ShardSpec spec;
-  tokens = reader.expect("shard", 3);
-  spec.shard_id = std::atoi(tokens[1].c_str());
-  spec.shard_count = std::atoi(tokens[2].c_str());
-  spec.seed = util::parse_u64(reader.expect("seed", 2)[1]);
-  spec.result_type = reader.expect("result-type", 2)[1];
-  spec.deterministic_timings =
-      reader.expect("deterministic-timings", 2)[1] == "1";
-  tokens = reader.expect("matrix", 3);
-  spec.matrix_cells = parse_size(tokens[1]);
-  spec.matrix_hash = util::parse_u64(tokens[2]);
-  const std::size_t cells = parse_size(reader.expect("cells", 2)[1]);
-  for (std::size_t i = 0; i < cells; ++i) {
-    tokens = reader.expect("cell", 4);
-    spec.cells.push_back(BatchCell{parse_size(tokens[1]), tokens[2],
-                                   tokens[3]});
-  }
-  const std::size_t files = parse_size(reader.expect("files", 2)[1]);
-  for (std::size_t i = 0; i < files; ++i) {
-    tokens = reader.expect("f", 4);
-    if (digests != nullptr) {
-      (*digests)[tokens[3]] = ArtifactDigest{util::parse_u64(tokens[1]),
-                                             util::parse_u64(tokens[2])};
+  const bool whole = util::read_fields<std::runtime_error>(
+      "shard manifest", [&] {
+    util::FieldReader fields = lines.next("shard", 2);
+    spec.shard_id = read_int(fields, "shard id");
+    spec.shard_count = read_int(fields, "shard count");
+    spec.seed = lines.next("seed", 1).number<std::uint64_t>("seed");
+    spec.result_type = lines.next("result-type", 1).text("result type");
+    const auto timings = lines.next("deterministic-timings", 1)
+                             .number<unsigned>("deterministic-timings");
+    if (timings > 1) {
+      throw std::invalid_argument("deterministic-timings must be 0 or 1");
     }
-  }
-  // Complete means the marker line *and* its terminating newline made
-  // it to disk: manifest_text always ends "complete\n", so truncation
-  // at every byte offset — including mid-marker — reads as incomplete.
-  const bool whole = reader.next(&tokens) && !tokens.empty() &&
-                     tokens[0] == "complete" && !text.empty() &&
-                     text.back() == '\n';
+    spec.deterministic_timings = timings == 1;
+    fields = lines.next("matrix", 2);
+    spec.matrix_cells = fields.number<std::size_t>("matrix cells");
+    spec.matrix_hash = fields.number<std::uint64_t>("matrix hash");
+    const auto cells = lines.next("cells", 1).number<std::size_t>("cells");
+    for (std::size_t i = 0; i < cells; ++i) {
+      fields = lines.next("cell", 3);
+      // A braced list reads its fields left to right.
+      spec.cells.push_back(BatchCell{fields.number<std::size_t>("cell index"),
+                                     fields.text("system"),
+                                     fields.text("benchmark")});
+    }
+    const auto files = lines.next("files", 1).number<std::size_t>("files");
+    for (std::size_t i = 0; i < files; ++i) {
+      fields = lines.next("f", 3);
+      const ArtifactDigest digest{fields.number<std::uint64_t>("file hash"),
+                                  fields.number<std::uint64_t>("file size")};
+      std::string name = fields.text("file name");
+      if (digests != nullptr) (*digests)[std::move(name)] = digest;
+    }
+    // Complete means the marker line *and* its terminating newline made
+    // it to disk: manifest_text always ends "complete\n", so truncation
+    // at every byte offset — including mid-marker — reads as incomplete.
+    return lines.line() == "complete" && text.back() == '\n';
+  });
   if (complete != nullptr) {
     *complete = whole;
   } else if (!whole) {
@@ -474,7 +430,7 @@ void write_batch_outputs(const std::string& dir,
     // artifacts describe the current sweep and replace wholesale.
     std::string log;
     try {
-      log = read_file(std::filesystem::path(dir) / "time.log");
+      log = util::read_file(std::filesystem::path(dir) / "time.log");
     } catch (const std::exception&) {
       // First sweep into this directory: nothing to carry forward.
     }
@@ -510,14 +466,12 @@ void write_batch_outputs(const std::string& dir,
 std::string encode_cell_record(std::size_t cell_index,
                                const BenchmarkResult& result) {
   std::string out = std::string(kCellHeader) + "\n";
-  out += util::format("cell %zu\n", cell_index);
-  out += "system ";
-  append_quoted(out, result.system);
-  out += "\nbenchmark ";
-  append_quoted(out, result.benchmark);
-  out += util::format("\nstatus %s\nfailure ",
-                      status_name(result.status));
-  append_quoted(out, result.failure_reason);
+  out += util::format("cell %zu\nsystem", cell_index);
+  append_field(out, result.system);
+  out += "\nbenchmark";
+  append_field(out, result.benchmark);
+  out += util::format("\nstatus %s\nfailure", status_name(result.status));
+  append_field(out, result.failure_reason);
   out += "\ntimings ";
   append_double(out, result.timings.recording);
   out += ' ';
@@ -537,8 +491,8 @@ std::string encode_cell_record(std::size_t cell_index,
       static_cast<unsigned long long>(result.matcher_steps));
   out += util::format("dummies %zu\n", result.dummy_nodes.size());
   for (const graph::Id& id : result.dummy_nodes) {
-    out += "d ";
-    append_quoted(out, id);
+    out += 'd';
+    append_field(out, id);
     out += '\n';
   }
   encode_graph(out, "result", result.result);
@@ -550,47 +504,51 @@ std::string encode_cell_record(std::size_t cell_index,
 
 BenchmarkResult decode_cell_record(const std::string& text,
                                    std::size_t* cell_index) {
-  RecordReader reader(text);
-  std::vector<std::string> tokens;
-  if (!reader.next(&tokens) || tokens.size() != 2 ||
-      tokens[0] + " " + tokens[1] != kCellHeader) {
+  Lines lines(text);
+  if (lines.line() != kCellHeader) {
     throw std::runtime_error("not a shard cell record");
   }
   BenchmarkResult result;
-  std::size_t index = parse_size(reader.expect("cell", 2)[1]);
-  if (cell_index != nullptr) *cell_index = index;
-  result.system = reader.expect("system", 2)[1];
-  result.benchmark = reader.expect("benchmark", 2)[1];
-  result.status = parse_status(reader.expect("status", 2)[1]);
-  result.failure_reason = reader.expect("failure", 2)[1];
-  tokens = reader.expect("timings", 5);
-  result.timings.recording = std::strtod(tokens[1].c_str(), nullptr);
-  result.timings.transformation = std::strtod(tokens[2].c_str(), nullptr);
-  result.timings.generalization = std::strtod(tokens[3].c_str(), nullptr);
-  result.timings.comparison = std::strtod(tokens[4].c_str(), nullptr);
-  tokens = reader.expect("counters", 6);
-  result.trials_run = std::atoi(tokens[1].c_str());
-  result.trials_discarded = std::atoi(tokens[2].c_str());
-  result.trials_unparseable = std::atoi(tokens[3].c_str());
-  result.transient_properties = std::atoi(tokens[4].c_str());
-  result.threads_used = std::atoi(tokens[5].c_str());
-  tokens = reader.expect("cache", 4);
-  result.similarity_cache_hits = util::parse_u64(tokens[1]);
-  result.similarity_cache_lookups = util::parse_u64(tokens[2]);
-  result.matcher_steps = util::parse_u64(tokens[3]);
-  const std::size_t dummies = parse_size(reader.expect("dummies", 2)[1]);
-  for (std::size_t i = 0; i < dummies; ++i) {
-    result.dummy_nodes.push_back(reader.expect("d", 2)[1]);
-  }
-  result.result = decode_graph(reader, "result");
-  result.generalized_foreground = decode_graph(reader, "foreground");
-  result.generalized_background = decode_graph(reader, "background");
-  reader.expect("end", 1);
+  util::read_fields<std::runtime_error>("shard record", [&] {
+    const auto index = lines.next("cell", 1).number<std::size_t>("cell");
+    if (cell_index != nullptr) *cell_index = index;
+    result.system = lines.next("system", 1).text("system");
+    result.benchmark = lines.next("benchmark", 1).text("benchmark");
+    result.status = parse_status(lines.next("status", 1).word("status"));
+    result.failure_reason = lines.next("failure", 1).text("failure");
+    util::FieldReader fields = lines.next("timings", 4);
+    result.timings.recording = fields.number<double>("recording time");
+    result.timings.transformation =
+        fields.number<double>("transformation time");
+    result.timings.generalization =
+        fields.number<double>("generalization time");
+    result.timings.comparison = fields.number<double>("comparison time");
+    fields = lines.next("counters", 5);
+    result.trials_run = read_int(fields, "trials run");
+    result.trials_discarded = read_int(fields, "trials discarded");
+    result.trials_unparseable = read_int(fields, "trials unparseable");
+    result.transient_properties = read_int(fields, "transient properties");
+    result.threads_used = read_int(fields, "threads used");
+    fields = lines.next("cache", 3);
+    result.similarity_cache_hits = fields.number<std::uint64_t>("cache hits");
+    result.similarity_cache_lookups =
+        fields.number<std::uint64_t>("cache lookups");
+    result.matcher_steps = fields.number<std::uint64_t>("matcher steps");
+    const auto dummies =
+        lines.next("dummies", 1).number<std::size_t>("dummies");
+    for (std::size_t i = 0; i < dummies; ++i) {
+      result.dummy_nodes.push_back(lines.next("d", 1).text("dummy node"));
+    }
+    result.result = decode_graph(lines, "result");
+    result.generalized_foreground = decode_graph(lines, "foreground");
+    result.generalized_background = decode_graph(lines, "background");
+    lines.next("end", 0);
+  });
   // encode_cell_record always terminates with "end\n"; requiring the
   // trailing newline makes truncation at *every* byte offset — even one
   // that only drops the final newline — a hard parse error instead of a
   // silently accepted record.
-  if (text.empty() || text.back() != '\n') {
+  if (text.back() != '\n') {
     throw std::runtime_error("shard record: truncated (no trailing newline)");
   }
   return result;
@@ -604,18 +562,13 @@ std::string shard_dir_path(const std::string& output_dir, int shard_id) {
 
 namespace {
 
-/// Parse the decimal pid suffix after the last '.' of a
-/// `...staging.<pid>` / `...tmp.<pid>` name; 0 when malformed.
+/// The decimal pid suffix after the last '.' of a `...staging.<pid>` /
+/// `...tmp.<pid>` name; 0 when malformed.
 pid_t pid_suffix(const std::string& name) {
   const std::size_t dot = name.rfind('.');
-  if (dot == std::string::npos || dot + 1 >= name.size()) return 0;
-  long long pid = 0;
-  for (std::size_t i = dot + 1; i < name.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(name[i]))) return 0;
-    pid = pid * 10 + (name[i] - '0');
-    if (pid > 1ll << 30) return 0;
-  }
-  return static_cast<pid_t>(pid);
+  if (dot == std::string::npos) return 0;
+  return util::parse_number<pid_t>(std::string_view(name).substr(dot + 1))
+      .value_or(0);
 }
 
 bool pid_is_dead(pid_t pid) {
@@ -712,7 +665,7 @@ bool shard_complete(const std::string& dir, const ShardSpec& spec) {
     bool complete = false;
     ArtifactDigests digests;
     ShardSpec recorded =
-        parse_shard_manifest(read_file(manifest), &complete, &digests);
+        parse_shard_manifest(util::read_file(manifest), &complete, &digests);
     if (!complete || !(recorded == spec)) return false;
     // The manifest alone is not enough: every artifact it vouches for
     // must still carry the exact bytes the worker intended — a torn or
@@ -738,7 +691,8 @@ std::vector<BenchmarkResult> read_shard_results(
     ArtifactDigests digests;
     try {
       spec = parse_shard_manifest(
-          read_file(std::filesystem::path(dir) / kManifestName), &complete,
+          util::read_file(std::filesystem::path(dir) / kManifestName),
+          &complete,
           &digests);
     } catch (const std::exception& e) {
       throw ShardRetryableError(-1, dir, dir + ": " + e.what());
@@ -809,7 +763,7 @@ std::vector<BenchmarkResult> read_shard_results(
       const std::string path =
           dirs[s] + util::format("/cell-%zu.result", cell.index);
       try {
-        result = decode_cell_record(read_file(path), &recorded_index);
+        result = decode_cell_record(util::read_file(path), &recorded_index);
       } catch (const std::exception& e) {
         // Digest verification passed, so this is vanishingly rare
         // (file replaced between the checks) — still repairable by

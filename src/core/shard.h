@@ -201,13 +201,15 @@ void write_batch_outputs(const std::string& dir,
 // -- shard artifact directories ----------------------------------------------
 
 /// Serialize one cell's BenchmarkResult as a self-contained record
-/// (quoted/escaped strings, graphs in insertion order, timings at full
-/// double precision — the exact fields the batch writers consume).
+/// (one line per field group, strings as util::escape_field fields,
+/// graphs in insertion order, timings at full double precision — the
+/// exact fields the batch writers consume).
 std::string encode_cell_record(std::size_t cell_index,
                                const BenchmarkResult& result);
 
-/// Inverse of encode_cell_record; throws std::runtime_error on malformed
-/// input. `cell_index` receives the recorded matrix position.
+/// Inverse of encode_cell_record, read through util::FieldReader; throws
+/// std::runtime_error on malformed input, a number that is not digits
+/// only (or, for timings, not finite) included. `cell_index` receives the recorded matrix position.
 BenchmarkResult decode_cell_record(const std::string& text,
                                    std::size_t* cell_index);
 

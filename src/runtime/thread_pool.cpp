@@ -10,6 +10,8 @@
 #include <mutex>
 #include <thread>
 
+#include "util/strings.h"
+
 namespace provmark::runtime {
 
 namespace {
@@ -136,15 +138,11 @@ void ThreadPool::parallel_for(std::size_t n,
 
 int default_thread_count() {
   if (const char* env = std::getenv("PROVMARK_THREADS")) {
-    int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
+    const std::optional<int> parsed = util::parse_number<int>(env);
+    if (parsed && *parsed > 0) return *parsed;
   }
-#if defined(PROVMARK_THREADS) && PROVMARK_THREADS > 0
-  return PROVMARK_THREADS;
-#else
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-#endif
 }
 
 ThreadPool& default_pool() {

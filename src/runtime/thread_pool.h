@@ -37,8 +37,8 @@ namespace provmark::runtime {
 class ThreadPool {
  public:
   /// A pool with `threads` workers; values < 1 clamp to 1. A 1-thread
-  /// pool spawns no workers at all: every parallel_for runs inline, so
-  /// `-DPROVMARK_THREADS=1` builds are genuinely serial programs.
+  /// pool spawns no workers at all: every parallel_for runs inline, so a
+  /// run with PROVMARK_THREADS=1 is a genuinely serial program.
   explicit ThreadPool(int threads);
   ~ThreadPool();
 
@@ -74,10 +74,9 @@ class ThreadPool {
   int threads_;
 };
 
-/// The number of threads a default-constructed runtime uses, resolved in
-/// priority order: the PROVMARK_THREADS environment variable (if set and
-/// > 0), the compile-time PROVMARK_THREADS definition (if defined and
-/// > 0, e.g. the CI serial job's -DPROVMARK_THREADS=1), then
+/// The number of threads a default-constructed runtime uses: the
+/// PROVMARK_THREADS environment variable when it is a positive decimal
+/// integer (digits only; anything else is ignored), else
 /// std::thread::hardware_concurrency().
 int default_thread_count();
 

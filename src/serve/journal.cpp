@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <vector>
 
@@ -27,40 +26,36 @@ constexpr const char* kHeaderVersion = "v1";
   throw std::runtime_error("serve journal: " + message);
 }
 
-std::uint64_t parse_u64_strict(const std::string& field,
-                               const std::string& what, int base = 10) {
-  try {
-    return util::parse_u64(field, base);
-  } catch (const std::invalid_argument& e) {
-    corrupt(what + ": " + e.what());
-  }
+/// `read(fields)` over the fields of `line`; a malformed field is
+/// corruption.
+template <class Read>
+auto read_line(std::string_view line, Read read) {
+  return util::read_fields<std::runtime_error>("serve journal", [&] {
+    util::FieldReader fields(line);
+    return read(fields);
+  });
 }
 
-EventKind parse_kind_strict(const std::string& field) {
-  if (field == "fact") return EventKind::Fact;
-  if (field == "rule") return EventKind::Rule;
-  if (field == "run") return EventKind::Run;
-  corrupt("unknown record kind '" + field + "'");
-}
-
-Priority parse_priority_strict(const std::string& field) {
-  if (field == "low") return Priority::Low;
-  if (field == "normal") return Priority::Normal;
-  if (field == "high") return Priority::High;
-  corrupt("unknown record priority '" + field + "'");
-}
-
-std::string read_whole_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) corrupt("cannot read " + path.string());
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+/// Reads the header line ("H <magic> <version> <session> <seed>") of the
+/// `what` file at `path` and returns its seed.
+std::uint64_t read_header(std::string_view line, const std::string& session,
+                          const std::string& what,
+                          const std::filesystem::path& path) {
+  return read_line(line, [&](util::FieldReader& fields) {
+    if (fields.left() != 5 || fields.word("header") != "H" ||
+        fields.word("magic") != kHeaderMagic ||
+        fields.word("version") != kHeaderVersion ||
+        fields.word("session") != session) {
+      corrupt(what + " header mismatch in " + path.string());
+    }
+    return fields.number<std::uint64_t>(what + " seed");
+  });
 }
 
 }  // namespace
 
 std::string format_record(const JournalRecord& record) {
-  const std::string escaped = escape_field(record.payload);
+  const std::string escaped = util::escape_field(record.payload);
   return util::format("R %llu %s %s %zu %016llx ",
                       static_cast<unsigned long long>(record.seq),
                       event_kind_name(record.kind),
@@ -71,25 +66,27 @@ std::string format_record(const JournalRecord& record) {
 }
 
 JournalRecord parse_record(std::string_view line) {
-  std::vector<std::string> fields = util::split_nonempty(line, ' ');
-  if (fields.size() != 7 || fields[0] != "R") {
-    corrupt("malformed record line");
-  }
-  JournalRecord record;
-  record.seq = parse_u64_strict(fields[1], "record seq");
-  record.kind = parse_kind_strict(fields[2]);
-  record.priority = parse_priority_strict(fields[3]);
-  const std::uint64_t bytes = parse_u64_strict(fields[4], "record length");
-  const std::uint64_t fnv = parse_u64_strict(fields[5], "record checksum", 16);
-  const std::string& escaped = fields[6];
-  if (escaped.size() != bytes) {
-    corrupt(util::format("record length mismatch: header %llu, field %zu",
-                         static_cast<unsigned long long>(bytes),
-                         escaped.size()));
-  }
-  if (util::stable_hash(escaped) != fnv) corrupt("record checksum mismatch");
-  record.payload = unescape_field(escaped);
-  return record;
+  return read_line(line, [](util::FieldReader& fields) {
+    if (fields.left() != 7) corrupt("malformed record line");
+    fields.expect("R");
+    JournalRecord record;
+    record.seq = fields.number<std::uint64_t>("record seq");
+    record.kind = parse_event_kind(fields.word("record kind"));
+    record.priority = parse_priority(fields.word("record priority"));
+    const auto bytes = fields.number<std::uint64_t>("record length");
+    const auto fnv = fields.number<std::uint64_t>("record checksum", 16);
+    const std::string_view escaped = fields.word("record payload");
+    if (escaped.size() != bytes) {
+      corrupt(util::format("record length mismatch: header %llu, field %zu",
+                           static_cast<unsigned long long>(bytes),
+                           escaped.size()));
+    }
+    if (util::stable_hash(escaped) != fnv) {
+      corrupt("record checksum mismatch");
+    }
+    record.payload = util::unescape_field(escaped);
+    return record;
+  });
 }
 
 Journal::Journal(const std::filesystem::path& root,
@@ -139,31 +136,28 @@ RecoveredSession Journal::recover() {
     // Format: header line, "C <seq>" line, then the program text. The
     // checkpoint was published atomically, so it is all-or-nothing; a
     // malformed one is a hard error, not a torn tail.
-    const std::string text = read_whole_file(ckpt);
+    const std::string text = util::read_file(ckpt);
     std::size_t first_nl = text.find('\n');
     std::size_t second_nl =
         first_nl == std::string::npos ? std::string::npos
                                       : text.find('\n', first_nl + 1);
     if (second_nl == std::string::npos) corrupt("checkpoint too short");
-    std::vector<std::string> header =
-        util::split_nonempty(text.substr(0, first_nl), ' ');
-    if (header.size() != 5 || header[0] != "H" || header[1] != kHeaderMagic ||
-        header[2] != kHeaderVersion || header[3] != session_) {
-      corrupt("checkpoint header mismatch in " + ckpt.string());
-    }
-    out.seed = parse_u64_strict(header[4], "checkpoint seed");
-    std::vector<std::string> cline = util::split_nonempty(
-        text.substr(first_nl + 1, second_nl - first_nl - 1), ' ');
-    if (cline.size() != 2 || cline[0] != "C") {
-      corrupt("checkpoint seq line mismatch");
-    }
-    out.checkpoint_seq = parse_u64_strict(cline[1], "checkpoint seq");
+    const std::string_view view(text);
+    out.seed =
+        read_header(view.substr(0, first_nl), session_, "checkpoint", ckpt);
+    out.checkpoint_seq = read_line(
+        view.substr(first_nl + 1, second_nl - first_nl - 1),
+        [](util::FieldReader& fields) {
+          if (fields.left() != 2) corrupt("checkpoint seq line mismatch");
+          fields.expect("C");
+          return fields.number<std::uint64_t>("checkpoint seq");
+        });
     out.checkpoint_program = text.substr(second_nl + 1);
   }
 
   // -- journal ----------------------------------------------------------------
   const std::filesystem::path log = dir_ / kJournalName;
-  const std::string text = read_whole_file(log);
+  const std::string text = util::read_file(log);
   std::size_t pos = 0;
   std::size_t good_end = 0;  ///< byte offset past the last intact record
   bool header_seen = false;
@@ -172,13 +166,7 @@ RecoveredSession Journal::recover() {
     if (nl == std::string::npos) break;  // unterminated tail: torn
     const std::string_view line(text.data() + pos, nl - pos);
     if (!header_seen) {
-      std::vector<std::string> header = util::split_nonempty(line, ' ');
-      if (header.size() != 5 || header[0] != "H" ||
-          header[1] != kHeaderMagic || header[2] != kHeaderVersion ||
-          header[3] != session_) {
-        corrupt("journal header mismatch in " + log.string());
-      }
-      const std::uint64_t seed = parse_u64_strict(header[4], "journal seed");
+      const std::uint64_t seed = read_header(line, session_, "journal", log);
       if (!out.checkpoint_program.empty() && out.seed != seed) {
         corrupt("checkpoint/journal seed mismatch");
       }
@@ -253,7 +241,7 @@ std::optional<std::uint64_t> Journal::records_digest(
 std::string Journal::checkpoint_program() const {
   const std::filesystem::path ckpt = dir_ / kCheckpointName;
   if (!std::filesystem::exists(ckpt)) return "";
-  const std::string text = read_whole_file(ckpt);
+  const std::string text = util::read_file(ckpt);
   const std::size_t first_nl = text.find('\n');
   const std::size_t second_nl =
       first_nl == std::string::npos ? std::string::npos

@@ -1,8 +1,10 @@
 // Wire protocol of the streaming provenance service (docs/serve.md).
 //
-// A request is one line of space-separated fields; payload fields are
-// escaped so any byte sequence — clause text with spaces and newlines,
-// whole benchmark programs — rides in a single field. The same framing
+// A request is one line of fields, read by util::FieldReader: runs of
+// bytes other than ' ', separated by one or more spaces. Payload fields
+// are escaped (util::escape_field) so any byte sequence — clause text
+// with spaces and newlines, whole benchmark programs — rides in a single
+// field. The same framing
 // is used on the AF_UNIX socket (`provmark serve` / `provmark feed`),
 // in the in-process Service API tests, and for the journal's record
 // payloads, so a journaled event replays through exactly the code path
@@ -54,9 +56,9 @@ enum class QueryKind { Query, Digest, Dump, Stats, Ping, Promote };
 /// silently shed — it gets `busy` backpressure instead.
 enum class Priority { Low = 0, Normal = 1, High = 2 };
 
-/// The largest deadline-ms a request may carry: one day. Larger, infinite
-/// or NaN deadlines are bad requests, since the lock wait converts the
-/// deadline to integer nanoseconds.
+/// The largest deadline-ms a request may carry: one day. Service::submit
+/// answers a negative, larger or NaN deadline with `bad-request` before
+/// the lock wait, which converts the deadline to integer nanoseconds.
 constexpr double kMaxDeadlineMs = 86'400'000;
 
 struct Request {
@@ -91,14 +93,10 @@ const char* query_kind_name(QueryKind kind);
 const char* priority_name(Priority priority);
 const char* status_name(Status status);
 
-/// Escape a payload into one space-free field: '\\'->"\\\\", ' '->"\\s",
-/// '\t'->"\\t", '\n'->"\\n", '\r'->"\\r". Empty payloads encode as "\\0".
-std::string escape_field(std::string_view s);
-
-/// Inverse of escape_field. Throws std::invalid_argument on a dangling
-/// or unknown escape — strictness the journal relies on to detect torn
-/// tails.
-std::string unescape_field(std::string_view s);
+/// Inverses of event_kind_name and priority_name. Throw
+/// std::invalid_argument naming the accepted values.
+EventKind parse_event_kind(std::string_view name);
+Priority parse_priority(std::string_view name);
 
 /// Serialize a request as one line (no trailing newline).
 std::string format_request(const Request& request);

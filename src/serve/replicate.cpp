@@ -12,45 +12,16 @@ namespace provmark::serve {
 
 namespace {
 
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : line) {
-    if (c == ' ') {
-      out.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  out.push_back(std::move(cur));
-  return out;
-}
-
-std::uint64_t parse_u64(const std::string& text, const char* what,
-                        int base = 10) {
-  try {
-    return util::parse_u64(text, base);
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(std::string(what) + ": " + e.what());
-  }
-}
-
-void check_fields(const std::vector<std::string>& fields, std::size_t n,
-                  const char* verb) {
-  if (fields.size() != n) {
-    throw std::invalid_argument(util::format(
-        "%s expects %zu fields, got %zu", verb, n, fields.size()));
-  }
-}
-
-void check_session(const std::string& id) {
+/// Reads a session id field and re-validates it.
+std::string read_session(util::FieldReader& fields) {
+  std::string id(fields.word("session"));
   // Session ids off the replication wire become journal directory
   // names — re-validate before anything touches the filesystem.
   if (!valid_session_id(id)) {
     throw std::invalid_argument("illegal session id '" + id +
                                 "' on replication link");
   }
+  return id;
 }
 
 long long ms_since(bool heard, std::chrono::steady_clock::time_point last) {
@@ -114,7 +85,7 @@ void PrimaryReplicator::forward_record_locked(const std::string& session,
                                               Stream& stream,
                                               const JournalRecord& record) {
   emit_locked(util::format("repl-rec %s %s", session.c_str(),
-                           escape_field(format_record(record)).c_str()));
+                           util::escape_field(format_record(record)).c_str()));
   stream.sent = record.seq;
   ++forwarded_records_;
   // Link faults fire at forwarded records; the daemon loop enacts them.
@@ -142,7 +113,7 @@ void PrimaryReplicator::reset_stream_locked(
     const Service::ResyncSnapshot& snapshot) {
   emit_locked(util::format("repl-reset %s %" PRIu64 " %" PRIu64 " %s",
                            session.c_str(), snapshot.seed, snapshot.base_seq,
-                           escape_field(snapshot.base_program).c_str()));
+                           util::escape_field(snapshot.base_program).c_str()));
   stream.sent = snapshot.base_seq;
   stream.acked = snapshot.base_seq;
   for (const JournalRecord& record : snapshot.records) {
@@ -156,51 +127,55 @@ void PrimaryReplicator::reset_stream_locked(
 }
 
 void PrimaryReplicator::handle_line(const std::string& line) {
-  std::vector<std::string> fields = split_fields(line);
-  const std::string& verb = fields[0];
+  util::FieldReader fields(line);
   bool finish = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     heard_from_replica_ = true;
     last_inbound_ = std::chrono::steady_clock::now();
+    const std::string verb(fields.word("verb"));
     if (verb == "repl-hello") {
-      check_fields(fields, 3, "repl-hello");
-      if (fields[1] != "v1") {
+      const std::string_view version = fields.word("version");
+      if (version != "v1") {
         throw std::invalid_argument("unsupported replication version '" +
-                                    fields[1] + "'");
+                                    std::string(version) + "'");
       }
+      const auto sessions = fields.number<std::size_t>("session count");
+      fields.end();
       handshaking_ = true;
-      have_expected_ =
-          static_cast<std::size_t>(parse_u64(fields[2], "session count"));
+      have_expected_ = sessions;
       have_.clear();
       finish = have_.size() == have_expected_;
     } else if (verb == "repl-have") {
-      check_fields(fields, 5, "repl-have");
-      check_session(fields[1]);
+      HaveEntry entry;
+      entry.session = read_session(fields);
+      entry.last = fields.number<std::uint64_t>("last seq");
+      entry.ckpt = fields.number<std::uint64_t>("checkpoint seq");
+      entry.digest = fields.number<std::uint64_t>("records digest", 16);
+      fields.end();
       if (!handshaking_) {
         throw std::invalid_argument("repl-have outside a handshake");
       }
-      have_.push_back(HaveEntry{fields[1], parse_u64(fields[2], "last seq"),
-                                parse_u64(fields[3], "checkpoint seq"),
-                                parse_u64(fields[4], "records digest", 16)});
+      have_.push_back(std::move(entry));
       finish = have_.size() == have_expected_;
     } else if (verb == "repl-ack") {
-      check_fields(fields, 3, "repl-ack");
-      check_session(fields[1]);
-      Stream& stream = streams_[fields[1]];
-      const std::uint64_t seq = parse_u64(fields[2], "ack seq");
+      const std::string session = read_session(fields);
+      const auto seq = fields.number<std::uint64_t>("ack seq");
+      fields.end();
+      Stream& stream = streams_[session];
       if (seq > stream.acked) stream.acked = seq;
     } else if (verb == "repl-ping") {
-      check_fields(fields, 2, "repl-ping");
-      parse_u64(fields[1], "ping counter");
-      emit_locked("repl-pong " + fields[1]);
+      const auto counter = fields.number<std::uint64_t>("ping counter");
+      fields.end();
+      emit_locked(util::format("repl-pong %" PRIu64, counter));
     } else if (verb == "repl-diverged") {
-      check_fields(fields, 4, "repl-diverged");
-      check_session(fields[1]);
-      parse_u64(fields[2], "diverged seq");
-      quarantine_locked(fields[1], streams_[fields[1]],
-                        "standby reported divergence at seq " + fields[2] +
-                            ": " + unescape_field(fields[3]));
+      const std::string session = read_session(fields);
+      const auto seq = fields.number<std::uint64_t>("diverged seq");
+      const std::string reason = fields.text("reason");
+      fields.end();
+      quarantine_locked(session, streams_[session],
+                        "standby reported divergence at seq " +
+                            std::to_string(seq) + ": " + reason);
     } else {
       throw std::invalid_argument("unknown replication verb '" + verb + "'");
     }
@@ -505,7 +480,7 @@ void ReplicaReplicator::quarantine(const std::string& session,
   std::fprintf(stderr, "serve: replication stream '%s' quarantined: %s\n",
                session.c_str(), reason.c_str());
   emit_locked(util::format("repl-diverged %s %" PRIu64 " %s", session.c_str(),
-                           seq, escape_field(reason).c_str()));
+                           seq, util::escape_field(reason).c_str()));
 }
 
 void ReplicaReplicator::compare_digest_locked(const std::string& session,
@@ -522,28 +497,28 @@ void ReplicaReplicator::compare_digest_locked(const std::string& session,
   std::fprintf(stderr, "serve: replication stream '%s' quarantined: %s\n",
                session.c_str(), stream.reason.c_str());
   emit_locked(util::format("repl-diverged %s %" PRIu64 " %s", session.c_str(),
-                           seq, escape_field(stream.reason).c_str()));
+                           seq, util::escape_field(stream.reason).c_str()));
 }
 
 void ReplicaReplicator::handle_line(const std::string& line) {
-  std::vector<std::string> fields = split_fields(line);
-  const std::string& verb = fields[0];
+  util::FieldReader fields(line);
   {
     std::lock_guard<std::mutex> lock(mu_);
     note_inbound_locked();
   }
+  const std::string verb(fields.word("verb"));
 
   if (verb == "repl-pong") {
-    check_fields(fields, 2, "repl-pong");
+    fields.word("ping counter");
+    fields.end();
     return;
   }
 
   if (verb == "repl-resume") {
-    check_fields(fields, 4, "repl-resume");
-    const std::string& session = fields[1];
-    check_session(session);
-    const std::uint64_t seed = parse_u64(fields[2], "session seed");
-    const std::uint64_t from = parse_u64(fields[3], "resume seq");
+    const std::string session = read_session(fields);
+    const auto seed = fields.number<std::uint64_t>("session seed");
+    const auto from = fields.number<std::uint64_t>("resume seq");
+    fields.end();
     auto position = service_.journal_position(session);
     const std::uint64_t local_last = position ? position->last_seq : 0;
     if (position && position->seed != seed) {
@@ -569,12 +544,11 @@ void ReplicaReplicator::handle_line(const std::string& line) {
   }
 
   if (verb == "repl-reset") {
-    check_fields(fields, 5, "repl-reset");
-    const std::string& session = fields[1];
-    check_session(session);
-    const std::uint64_t seed = parse_u64(fields[2], "session seed");
-    const std::uint64_t base = parse_u64(fields[3], "base seq");
-    const std::string program = unescape_field(fields[4]);
+    const std::string session = read_session(fields);
+    const auto seed = fields.number<std::uint64_t>("session seed");
+    const auto base = fields.number<std::uint64_t>("base seq");
+    const std::string program = fields.text("program");
+    fields.end();
     // flush() first: reset_session refuses while applies are pending.
     service_.flush();
     service_.reset_session(session, seed, base, program);
@@ -592,10 +566,10 @@ void ReplicaReplicator::handle_line(const std::string& line) {
   }
 
   if (verb == "repl-rec") {
-    check_fields(fields, 3, "repl-rec");
-    const std::string& session = fields[1];
-    check_session(session);
-    JournalRecord record = parse_record(unescape_field(fields[2]));
+    const std::string session = read_session(fields);
+    const std::string record_line = fields.text("record");
+    fields.end();
+    JournalRecord record = parse_record(record_line);
     std::uint64_t seed = 0;
     std::uint64_t next = 0;
     bool known = false;
@@ -652,11 +626,10 @@ void ReplicaReplicator::handle_line(const std::string& line) {
   }
 
   if (verb == "repl-check") {
-    check_fields(fields, 4, "repl-check");
-    const std::string& session = fields[1];
-    check_session(session);
-    const std::uint64_t seq = parse_u64(fields[2], "check seq");
-    const std::string& digest = fields[3];
+    const std::string session = read_session(fields);
+    const auto seq = fields.number<std::uint64_t>("check seq");
+    const std::string digest(fields.word("digest"));
+    fields.end();
     std::lock_guard<std::mutex> lock(mu_);
     auto applied_it = last_applied_.find(session);
     const std::uint64_t applied =

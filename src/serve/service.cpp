@@ -204,6 +204,13 @@ Response Service::handle_query(const Request& request) {
     default:
       break;
   }
+  // The range test also fails for NaN.
+  if (!(request.deadline_ms >= 0 && request.deadline_ms <= kMaxDeadlineMs)) {
+    return Response{
+        Status::BadRequest, 0,
+        util::format("deadline-ms needs a number in [0, %.0f], got %g",
+                     kMaxDeadlineMs, request.deadline_ms)};
+  }
 
   SessionState* state = nullptr;
   {

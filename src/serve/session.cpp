@@ -114,7 +114,7 @@ std::string Session::dump() {
       out += '(';
       for (std::size_t i = 0; i < tuple.size(); ++i) {
         if (i > 0) out += ',';
-        out += escape_field(tuple[i]);
+        out += util::escape_field(tuple[i]);
       }
       out += ")\n";
     }
@@ -133,7 +133,7 @@ std::string Session::query(const std::string& pattern_text) {
     std::string line;
     for (const auto& [var, value] : binding) {
       if (!line.empty()) line += ' ';
-      line += var + "=" + escape_field(value);
+      line += var + "=" + util::escape_field(value);
     }
     if (line.empty()) line = "match";
     out += line + "\n";

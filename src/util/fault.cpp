@@ -4,9 +4,7 @@
 
 #include <array>
 #include <atomic>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
@@ -125,25 +123,21 @@ std::array<std::atomic<int>, std::size(kSiteNouns)> g_hits{};
 }
 
 int parse_int(std::string_view key, std::string_view value) {
-  int parsed = 0;
-  const char* end = value.data() + value.size();
-  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
-  if (error != std::errc() || stop != end) {
+  const std::optional<int> parsed = parse_number<int>(value);
+  if (!parsed) {
     reject(std::string(key) + " needs a decimal integer, got '" +
            std::string(value) + "'");
   }
-  return parsed;
+  return *parsed;
 }
 
-double parse_number(std::string_view key, std::string_view value) {
-  double parsed = 0;
-  const char* end = value.data() + value.size();
-  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
-  if (error != std::errc() || stop != end || !std::isfinite(parsed)) {
+double parse_real(std::string_view key, std::string_view value) {
+  const std::optional<double> parsed = parse_number<double>(value);
+  if (!parsed) {
     reject(std::string(key) + " needs a finite number, got '" +
            std::string(value) + "'");
   }
-  return parsed;
+  return *parsed;
 }
 
 int parse_count(std::string_view key, std::string_view value) {
@@ -167,7 +161,7 @@ void set_extra(FaultRule& rule, const Key& key, std::string_view value) {
     rule.window = parse_count(name, value);
     return;
   }
-  const double number = parse_number(name, value);
+  const double number = parse_real(name, value);
   if (key.value == Value::NonNegative && number < 0) {
     reject(name + " must be >= 0");
   }

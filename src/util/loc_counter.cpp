@@ -1,7 +1,6 @@
 #include "util/loc_counter.h"
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "util/strings.h"
@@ -75,10 +74,7 @@ LocCount count_directory(const std::string& dir,
       }
     }
     if (!matches) continue;
-    std::ifstream in(entry.path());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    LocCount file = count_source_lines(buffer.str());
+    LocCount file = count_source_lines(read_file(entry.path()));
     total.total += file.total;
     total.code += file.code;
     total.comment += file.comment;
@@ -88,11 +84,9 @@ LocCount count_directory(const std::string& dir,
 }
 
 LocCount count_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) return LocCount{};
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return count_source_lines(buffer.str());
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) return LocCount{};
+  return count_source_lines(read_file(path));
 }
 
 }  // namespace provmark::util

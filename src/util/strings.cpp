@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <new>
 #include <stdexcept>
 #include <utility>
@@ -62,21 +64,6 @@ std::string join(const std::vector<std::string>& pieces,
     out += pieces[i];
   }
   return out;
-}
-
-std::uint64_t parse_u64(std::string_view text, int base) {
-  // std::from_chars takes no sign for an unsigned type, skips no
-  // whitespace, fails on no digits and reports overflow, so a full,
-  // error-free parse is exactly the grammar above.
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [at, error] = std::from_chars(text.data(), end, value, base);
-  if (error != std::errc() || at != end) {
-    throw std::invalid_argument("'" + std::string(text) +
-                                "' is not a base-" + std::to_string(base) +
-                                " number below 2^64");
-  }
-  return value;
 }
 
 std::string replace_all(std::string_view s, std::string_view from,
@@ -148,6 +135,110 @@ void StringWriter::grow(std::size_t n) {
   out_.resize(std::max(out_.size() * 2, used + n));
   cur_ = out_.data() + used;
   end_ = out_.data() + out_.size();
+}
+
+std::string escape_field(std::string_view s) {
+  if (s.empty()) return "\\0";
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case ' ': out += "\\s"; break;
+      case '\t': out += "\\t"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
+
+std::string unescape_field(std::string_view s) {
+  if (s == "\\0") return "";
+  std::string out;
+  out.reserve(s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    char c = s[i];
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    if (++i >= s.size()) {
+      throw std::invalid_argument("dangling escape in field");
+    }
+    switch (s[i]) {
+      case '\\': out += '\\'; break;
+      case 's': out += ' '; break;
+      case 't': out += '\t'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      default:
+        throw std::invalid_argument(std::string("unknown escape '\\") + s[i] +
+                                    "'");
+    }
+  }
+  return out;
+}
+
+std::size_t FieldReader::left() const {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < rest_.size(); ++i) {
+    count += rest_[i] != ' ' && (i == 0 || rest_[i - 1] == ' ');
+  }
+  return count;
+}
+
+std::string_view FieldReader::word(std::string_view what) {
+  const std::size_t start = rest_.find_first_not_of(' ');
+  if (start == std::string_view::npos) {
+    throw std::invalid_argument("missing " + std::string(what));
+  }
+  rest_.remove_prefix(start);
+  const std::size_t stop = std::min(rest_.find(' '), rest_.size());
+  const std::string_view field = rest_.substr(0, stop);
+  rest_.remove_prefix(stop);
+  return field;
+}
+
+void FieldReader::expect(std::string_view keyword) {
+  const std::string_view field = word(keyword);
+  if (field != keyword) {
+    throw std::invalid_argument(
+        format("expected '%.*s', got '%.*s'", static_cast<int>(keyword.size()),
+               keyword.data(), static_cast<int>(field.size()), field.data()));
+  }
+}
+
+std::string FieldReader::text(std::string_view what) {
+  const std::string_view field = word(what);
+  try {
+    return unescape_field(field);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string(what) + " '" +
+                                std::string(field) + "': " + e.what());
+  }
+}
+
+void FieldReader::end() const {
+  FieldReader rest = *this;
+  if (rest.left() == 0) return;
+  throw std::invalid_argument("unexpected field '" +
+                              std::string(rest.word("field")) +
+                              "' after the last one");
+}
+
+void FieldReader::bad_number(std::string_view what, std::string_view field,
+                             const char* kind) {
+  throw std::invalid_argument(std::string(what) + " '" + std::string(field) +
+                              "' is not " + kind);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) throw std::runtime_error("cannot read " + path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 std::string format(const char* fmt, ...) {

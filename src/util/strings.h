@@ -3,12 +3,18 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory_resource>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,10 +36,100 @@ bool ends_with(std::string_view s, std::string_view suffix);
 std::string join(const std::vector<std::string>& pieces,
                  std::string_view sep);
 
-/// The unsigned number `text` spells in `base` (2..36): digits only, so no
-/// sign, no whitespace and nothing after them, and at most 2^64 - 1.
-/// Throws std::invalid_argument for anything else, the empty text too.
-std::uint64_t parse_u64(std::string_view text, int base = 10);
+/// The number `text` spells, or nothing. The whole text is the number: no
+/// whitespace, no '+' and nothing after it, and the empty text is none.
+/// An integer type reads digits in `base` (2..36) and must hold the value;
+/// an unsigned type takes no sign. A floating-point type reads decimal or
+/// exponent form (`base` is ignored) and takes only finite values, so
+/// `nan`, `inf` and `1e999` are none.
+template <class T>
+std::optional<T> parse_number(std::string_view text, int base = 10) {
+  // std::from_chars skips no whitespace, takes no '+', fails on no digits
+  // and reports overflow, so a full, error-free, finite parse is exactly
+  // the grammar above.
+  T value{};
+  const char* end = text.data() + text.size();
+  std::from_chars_result read;
+  if constexpr (std::is_floating_point_v<T>) {
+    read = std::from_chars(text.data(), end, value);
+    if (!std::isfinite(value)) return std::nullopt;
+  } else {
+    read = std::from_chars(text.data(), end, value, base);
+  }
+  if (read.ec != std::errc() || read.ptr != end) return std::nullopt;
+  return value;
+}
+
+/// Escape `s` into one field: '\\' -> "\\\\", ' ' -> "\\s", '\t' -> "\\t",
+/// '\n' -> "\\n", '\r' -> "\\r". The empty text is the field "\\0".
+std::string escape_field(std::string_view s);
+
+/// Inverse of escape_field. Throws std::invalid_argument on a dangling or
+/// unknown escape, which is how a torn serve journal tail is detected.
+std::string unescape_field(std::string_view s);
+
+/// Reads the fields of one record line in order: the serve wire, the
+/// serve journal, the replication link and shard records all read
+/// their lines through it. A field is a run of bytes other than ' ';
+/// fields are separated by one or more spaces, and no other byte (tab,
+/// '\r') separates or is trimmed. Each failure throws
+/// std::invalid_argument naming the field and quoting it.
+class FieldReader {
+ public:
+  /// Reads `line`, which must outlive the reader.
+  explicit FieldReader(std::string_view line) : rest_(line) {}
+
+  /// The number of fields not read yet.
+  std::size_t left() const;
+
+  /// The next field as written (not unescaped); `what` names it.
+  std::string_view word(std::string_view what);
+
+  /// Reads the next field, which must be `keyword`.
+  void expect(std::string_view keyword);
+
+  /// The next field as a T, by parse_number's rules.
+  template <class T>
+  T number(std::string_view what, int base = 10) {
+    const std::string_view field = word(what);
+    const std::optional<T> value = parse_number<T>(field, base);
+    if (!value) {
+      bad_number(what, field,
+                 std::is_floating_point_v<T> ? "a finite number"
+                 : std::is_unsigned_v<T>     ? "an unsigned integer in range"
+                                             : "an integer in range");
+    }
+    return *value;
+  }
+
+  /// The next field unescaped (unescape_field).
+  std::string text(std::string_view what);
+
+  /// Throws unless every field has been read.
+  void end() const;
+
+ private:
+  [[noreturn]] static void bad_number(std::string_view what,
+                                      std::string_view field,
+                                      const char* kind);
+
+  std::string_view rest_;
+};
+
+/// `read()`, with a std::invalid_argument it throws (a FieldReader
+/// failure, say) rethrown as an `Error` reading "<prefix>: <message>".
+template <class Error, class Read>
+auto read_fields(std::string_view prefix, Read read) {
+  try {
+    return read();
+  } catch (const std::invalid_argument& e) {
+    throw Error(std::string(prefix) + ": " + e.what());
+  }
+}
+
+/// The bytes of the file at `path`. Throws std::runtime_error("cannot read
+/// <path>") when it cannot be opened.
+std::string read_file(const std::string& path);
 
 /// Replace every occurrence of `from` with `to`.
 std::string replace_all(std::string_view s, std::string_view from,

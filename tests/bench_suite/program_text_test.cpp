@@ -103,6 +103,20 @@ TEST(ProgramText, ErrorsCarryLineNumbers) {
       std::invalid_argument);
 }
 
+TEST(ProgramText, NumbersAreReadWhole) {
+  // util::parse_number's rules: no '+', nothing after the digits; a
+  // signed value may carry '-'.
+  EXPECT_NO_THROW(parse_program("name x\ncreds 5\ntarget creat path=f\n"));
+  EXPECT_NO_THROW(parse_program("name x\ntarget creat path=f mode=600 a=-3\n"));
+  for (const std::string line :
+       {"creds +5", "creds 5x", "group 0x1", "target creat path=f mode=+600",
+        "target creat path=f a=+3", "target creat path=f mode=9"}) {
+    EXPECT_THROW(parse_program("name x\n" + line + "\ntarget creat path=g\n"),
+                 std::invalid_argument)
+        << line;
+  }
+}
+
 TEST(ProgramText, FlagsUseTheShortNamesOfTheFlagTable) {
   BenchmarkProgram p = parse_program(
       "name flags\n"

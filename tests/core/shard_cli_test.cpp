@@ -213,6 +213,25 @@ TEST_F(ShardCli, MalformedFlagsExitTwoNamingTheFlag) {
   }
 }
 
+TEST_F(ShardCli, ScaleNameNeedsAPositiveDecimalCount) {
+  // scale<K> runs the scalability program only for K a decimal integer
+  // >= 1; any other scale-prefixed name is an unknown benchmark, like
+  // every other unknown name (std::stoi ran scale3x as scale3, scale-1
+  // and scale0 as empty targets, and died on scale99999999999).
+  ASSERT_EQ(cli({"run", "spade", "scale2"}), 0) << slurp(log_);
+  for (const char* name :
+       {"scale3x", "scale-1", "scale0", "scale+1", "scale 1",
+        "scale99999999999", "scale"}) {
+    SCOPED_TRACE(name);
+    fs::remove(log_);
+    EXPECT_EQ(cli({"run", "spade", name}, 30), 1) << slurp(log_);
+    EXPECT_NE(slurp(log_).find(std::string("error: no benchmark named ") +
+                               name),
+              std::string::npos)
+        << slurp(log_);
+  }
+}
+
 TEST_F(ShardCli, DocsGrammarIsTheHelpText) {
   const std::string doc = slurp(fs::path(__FILE__).parent_path() / ".." /
                                 ".." / "docs" / "cli.md");

@@ -8,12 +8,16 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "core/shard.h"
 #include "runtime/thread_pool.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace provmark::core {
 namespace {
@@ -374,11 +378,11 @@ TEST(ShardResume, CompletenessDetection) {
 }
 
 TEST(ShardResume, PreviousManifestVersionIsRerunNotAccepted) {
-  // A shard written by an older build (format v2, which still carried a
-  // matcher-order line) must not be silently accepted: resume re-runs it
+  // A shard written by an older build (format v3, whose string fields
+  // were Datalog-quoted) must not be silently accepted: resume re-runs it
   // and merge reports it as retryable damage (CLI exit 3).
   ShardPlan plan = plan_batch({"spade"}, {"open", "fork"}, 2, 42, "rb", true);
-  TempDir tmp("v2");
+  TempDir tmp("v3");
   std::vector<std::string> shard_dirs;
   for (int k = 0; k < 2; ++k) {
     ShardSpec spec = plan.shard(k);
@@ -390,22 +394,36 @@ TEST(ShardResume, PreviousManifestVersionIsRerunNotAccepted) {
   }
   ASSERT_EQ(read_shard_results(shard_dirs).size(), plan.cells.size());
 
-  // Rewrite shard 1's manifest in the v2 layout.
+  // Rewrite shard 1's manifest in the v3 layout: the same lines, with
+  // the names on `cell` and `f` lines in double quotes.
   const fs::path manifest = fs::path(shard_dirs[1]) / "shard.manifest";
-  std::string text = slurp(manifest);
-  const std::string v3 = "provmark-shard v3\n";
-  ASSERT_EQ(text.rfind(v3, 0), 0u);
-  text = "provmark-shard v2\n" + text.substr(v3.size());
-  const std::size_t matrix = text.find("\nmatrix ");
-  ASSERT_NE(matrix, std::string::npos);
-  text.insert(matrix + 1, "matcher-order \"\"\n");
+  std::istringstream v4(slurp(manifest));
+  std::string line;
+  ASSERT_TRUE(std::getline(v4, line));
+  ASSERT_EQ(line, "provmark-shard v4");
+  std::string text = "provmark-shard v3\n";
+  while (std::getline(v4, line)) {
+    const bool cell = line.rfind("cell ", 0) == 0;
+    if (cell || line.rfind("f ", 0) == 0) {
+      std::istringstream fields(line);
+      std::string field;
+      for (int i = 0; fields >> field; ++i) {
+        text += i == 0 ? "" : " ";
+        text += i >= (cell ? 2 : 3) ? "\"" + field + "\"" : field;
+      }
+      text += '\n';
+    } else {
+      text += line + "\n";
+    }
+  }
+  ASSERT_NE(text.find("\ncell 1 \"spade\" \"fork\"\n"), std::string::npos);
   std::ofstream(manifest, std::ios::binary | std::ios::trunc) << text;
 
   EXPECT_TRUE(shard_complete(shard_dirs[0], plan.shard(0)));
   EXPECT_FALSE(shard_complete(shard_dirs[1], plan.shard(1)));
   try {
     read_shard_results(shard_dirs);
-    FAIL() << "v2 manifest merged";
+    FAIL() << "v3 manifest merged";
   } catch (const ShardRetryableError& e) {
     EXPECT_EQ(e.dir, shard_dirs[1]);
     EXPECT_NE(std::string(e.what()).find("not a shard manifest"),
@@ -530,6 +548,92 @@ TEST(ShardIntegrity, TornArtifactFailsResumeAndMergesRetryable) {
         }
       },
       std::runtime_error);
+}
+
+/// `text` with the first value of its line `<keyword> <value> ...`
+/// replaced by `value`.
+std::string with_first_value(const std::string& text,
+                             const std::string& keyword,
+                             const std::string& value) {
+  const std::size_t line = text.find("\n" + keyword + " ");
+  EXPECT_NE(line, std::string::npos) << keyword;
+  const std::size_t at = line + 2 + keyword.size();
+  const std::size_t stop = text.find_first_of(" \n", at);
+  return text.substr(0, at) + value + text.substr(stop);
+}
+
+TEST(ShardIntegrity, LaxNumbersInRecordsAndManifestsAreRefused) {
+  // A count or id is digits only and a timing a finite number: a record
+  // or manifest that spells anything else is damage, never a plausible
+  // value (std::atoi read "6x" as 6 and "-7" as -7, std::strtod read
+  // "0.25abc" as 0.25 and "1e999" as inf).
+  ShardPlan plan = plan_batch({"spade"}, {"open", "fork"}, 2, 42, "rb", true);
+  TempDir tmp("lax");
+  std::vector<std::string> shard_dirs;
+  for (int k = 0; k < 2; ++k) {
+    ShardSpec spec = plan.shard(k);
+    CellRunOptions options;
+    options.seed = spec.seed;
+    options.deterministic_timings = spec.deterministic_timings;
+    write_shard_dir(tmp.str(), spec, run_batch_cells(spec.cells, options));
+    shard_dirs.push_back(shard_dir_path(tmp.str(), k));
+  }
+  ASSERT_EQ(read_shard_results(shard_dirs).size(), plan.cells.size());
+  const fs::path dir = shard_dirs[1];
+  const fs::path record_path = dir / "cell-1.result";
+  const fs::path manifest_path = dir / "shard.manifest";
+  const std::string record = slurp(record_path);
+  const std::string manifest = slurp(manifest_path);
+  auto put = [](const fs::path& path, const std::string& text) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  };
+  auto merge_error = [&]() -> std::string {
+    try {
+      read_shard_results(shard_dirs);
+    } catch (const ShardRetryableError& e) {
+      EXPECT_EQ(e.dir, dir.string());
+      return e.what();
+    }
+    return "merged";
+  };
+
+  const std::pair<const char*, const char*> record_rows[] = {
+      {"counters", "6x"},      {"counters", "-7"},  {"timings", "0.25abc"},
+      {"timings", "nan"},      {"timings", "1e999"},
+  };
+  for (const auto& [keyword, value] : record_rows) {
+    const std::string bad = with_first_value(record, keyword, value);
+    EXPECT_THROW(decode_cell_record(bad, nullptr), std::runtime_error)
+        << keyword << " " << value;
+    // Vouch for the edited bytes in the manifest, so the digest check
+    // passes and only the record reader can refuse them.
+    const std::size_t entry = manifest.find(" cell-1.result\n");
+    ASSERT_NE(entry, std::string::npos);
+    const std::size_t line = manifest.rfind("\nf ", entry) + 1;
+    put(record_path, bad);
+    put(manifest_path,
+        manifest.substr(0, line) +
+            util::format("f %llu %zu",
+                         static_cast<unsigned long long>(
+                             util::stable_hash(bad)),
+                         bad.size()) +
+            manifest.substr(entry));
+    EXPECT_NE(merge_error().find("cell-1.result: shard record: "),
+              std::string::npos)
+        << keyword << " " << value;
+  }
+  put(record_path, record);
+
+  for (const char* value : {"1x", "-1"}) {
+    const std::string bad = with_first_value(manifest, "shard", value);
+    EXPECT_THROW(parse_shard_manifest(bad), std::runtime_error) << value;
+    put(manifest_path, bad);
+    EXPECT_NE(merge_error().find("shard manifest: shard id '"),
+              std::string::npos)
+        << value;
+  }
+  put(manifest_path, manifest);
+  EXPECT_EQ(read_shard_results(shard_dirs).size(), plan.cells.size());
 }
 
 TEST(ShardIntegrity, DuplicatePublishIsBenign) {

@@ -4,9 +4,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -104,6 +106,28 @@ TEST(ThreadPool, TaskSeedDecorrelatesNeighbours) {
 TEST(ThreadPool, DefaultThreadCountIsPositive) {
   EXPECT_GE(default_thread_count(), 1);
   EXPECT_GE(default_pool().thread_count(), 1);
+}
+
+TEST(ThreadPool, EnvironmentCountsOnlyAsAPositiveDecimalInteger) {
+  const char* saved = std::getenv("PROVMARK_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::unsetenv("PROVMARK_THREADS");
+  const int fallback = default_thread_count();
+  // A count the hardware default never is, so a fallback shows.
+  const int chosen = fallback + 3;
+  const std::string digits = std::to_string(chosen);
+  ::setenv("PROVMARK_THREADS", digits.c_str(), 1);
+  EXPECT_EQ(default_thread_count(), chosen);
+  for (const std::string& ignored : std::vector<std::string>{
+           digits + "x", " " + digits, "+" + digits, "0", "-2", "abc", ""}) {
+    ::setenv("PROVMARK_THREADS", ignored.c_str(), 1);
+    EXPECT_EQ(default_thread_count(), fallback) << "'" << ignored << "'";
+  }
+  if (saved != nullptr) {
+    ::setenv("PROVMARK_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("PROVMARK_THREADS");
+  }
 }
 
 }  // namespace

@@ -379,6 +379,20 @@ TEST(Replication, MalformedAckSeqIsRefusedAndReleasesNothing) {
   EXPECT_EQ(parse_response("ok 7").seq, 7u);
 }
 
+TEST(Replication, RunsOfSpacesSeparateFieldsOnTheLink) {
+  // The link reads its lines by the same field rule as the wire: a run of
+  // spaces is one separator (an empty field used to refuse the line).
+  TempDir root("spaced_ack");
+  Service service(test_options(root.path));
+  ReplicationConfig config;
+  config.sync_mode = true;
+  PrimaryReplicator primary(service, config);
+  primary.handle_line("repl-ack  s   5 ");
+  EXPECT_EQ(primary.ack_state("s", 5), PrimaryReplicator::AckState::Acked);
+  EXPECT_THROW(primary.handle_line("repl-ack s 6 7"), std::invalid_argument);
+  EXPECT_EQ(primary.ack_state("s", 6), PrimaryReplicator::AckState::Pending);
+}
+
 // ---------------------------------------------------------------------------
 // Service-level apply_replicated contract
 

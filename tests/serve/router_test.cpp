@@ -216,7 +216,7 @@ TEST_F(Router, SigkilledMembersLoseNoAckedEvent) {
     const std::string line =
         feed_one(socket_, "dump " + session + " 5000", retrying());
     ASSERT_EQ(line.rfind("result ", 0), 0u) << line;
-    const std::string dump = unescape_field(line.substr(7));
+    const std::string dump = util::unescape_field(line.substr(7));
     for (const auto& [kind, payload] : streams_[session]) {
       if (kind != EventKind::Fact) continue;
       // A fed "edge(a1,b1)." dumps as "edge(a1,b1)".

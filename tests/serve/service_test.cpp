@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -198,6 +199,42 @@ TEST(ServiceQueries, UnboundedDeadlineIsABadRequest) {
   }
   EXPECT_EQ(serve_line("digest s 86400000").status, Status::Result);
   EXPECT_EQ(serve_line("digest s 0").status, Status::Result);
+}
+
+TEST(ServiceQueries, InProcessUnboundedDeadlineIsABadRequest) {
+  // The in-process API checks the deadline too, before the lock wait
+  // converts it to integer nanoseconds.
+  TempDir tmp("deadline_in_process");
+  Service service(test_options(tmp.path));
+  service.submit(event("s", "edge(a,b)."));
+  service.pump();
+  Request digest = query("s", QueryKind::Digest);
+  for (double ms : {std::numeric_limits<double>::infinity(),
+                    -std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::quiet_NaN(), 1e300, -1.0,
+                    kMaxDeadlineMs + 1}) {
+    digest.deadline_ms = ms;
+    const Response response = service.submit(digest);
+    EXPECT_EQ(response.status, Status::BadRequest) << ms;
+    EXPECT_NE(response.body.find("deadline-ms"), std::string::npos) << ms;
+  }
+  for (double ms : {0.0, kMaxDeadlineMs}) {
+    digest.deadline_ms = ms;
+    EXPECT_EQ(service.submit(digest).status, Status::Result) << ms;
+  }
+}
+
+TEST(ServiceProtocol, FieldsAreSeparatedBySpacesOnly) {
+  // util::FieldReader's rule on the wire: runs of spaces separate
+  // fields; a tab is part of its field, so it is neither trimmed nor a
+  // separator.
+  EXPECT_EQ(parse_response("ok 5").seq, 5u);
+  EXPECT_EQ(parse_response("ok   5").seq, 5u);
+  EXPECT_THROW(parse_response("ok \t5"), std::invalid_argument);
+  EXPECT_THROW(parse_response("ok 5\t"), std::invalid_argument);
+  EXPECT_EQ(parse_request("  digest  s  250 ").deadline_ms, 250);
+  EXPECT_THROW(parse_request("ping\t"), std::invalid_argument);
+  EXPECT_THROW(parse_request("digest s\t250"), std::invalid_argument);
 }
 
 TEST(ServiceQuarantine, PoisonedSessionIsolatedFromNeighbours) {

@@ -44,7 +44,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -103,17 +102,15 @@ bench_suite::BenchmarkProgram find_program(
     std::size_t max_bytes = util::kDefaultMaxInputBytes) {
   if (!name.empty() && name.front() == '@') {
     // @path/to/file.prog: a user-supplied textual benchmark program.
-    std::ifstream in(name.substr(1));
-    if (!in.good()) {
-      throw std::runtime_error("cannot read program file " +
-                               name.substr(1));
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    return bench_suite::parse_program(text, max_bytes);
+    return bench_suite::parse_program(util::read_file(name.substr(1)),
+                                      max_bytes);
   }
-  if (name.rfind("scale", 0) == 0 && name.size() > 5) {
-    return bench_suite::scale_benchmark(std::stoi(name.substr(5)));
+  // scale<K>: K a decimal integer >= 1; any other name that starts with
+  // "scale" is looked up like every other benchmark name.
+  if (name.rfind("scale", 0) == 0) {
+    const std::optional<int> k =
+        util::parse_number<int>(std::string_view(name).substr(5));
+    if (k && *k >= 1) return bench_suite::scale_benchmark(*k);
   }
   if (name == "rename-fail") return bench_suite::failed_rename_benchmark();
   for (const bench_suite::BenchmarkProgram& p :
@@ -380,23 +377,14 @@ int run_merge(const std::string& output_dir,
   return 0;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    throw std::runtime_error("cannot read " + path);
-  }
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
 int run_query(const std::string& facts_path, const std::string& pattern,
               const std::string& rules_path, std::size_t max_bytes) {
   datalog::Engine engine;
-  std::string facts = read_file(facts_path);
+  std::string facts = util::read_file(facts_path);
   util::check_input_size(facts_path.c_str(), facts.size(), max_bytes);
   engine.load_program(facts);
   if (!rules_path.empty()) {
-    std::string rules = read_file(rules_path);
+    std::string rules = util::read_file(rules_path);
     util::check_input_size(rules_path.c_str(), rules.size(), max_bytes);
     engine.load_program(rules);
   }
@@ -770,17 +758,10 @@ int usage() {
   return 2;
 }
 
-template <typename Number>
-bool parse_number(const std::string& text, Number& out) {
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, out);
-  return error == std::errc() && stop == end;
-}
-
 int read_int(const std::string& what, const std::string& text, int min,
              int max) {
-  int value = 0;
-  if (!parse_number(text, value) || value < min || value > max) {
+  const std::optional<int> value = util::parse_number<int>(text);
+  if (!value || *value < min || *value > max) {
     fail(what, "expects an integer " +
                    (max == kIntMax
                         ? ">= " + std::to_string(min)
@@ -788,7 +769,7 @@ int read_int(const std::string& what, const std::string& text, int min,
                               std::to_string(max) + "]") +
                    ", got '" + text + "'");
   }
-  return value;
+  return *value;
 }
 
 Value read_value(const OptionRow& row, const std::string& text) {
@@ -798,17 +779,22 @@ Value read_value(const OptionRow& row, const std::string& text) {
     case Kind::Int:
       value.integer = read_int(row.flag, text, row.min, row.max);
       break;
-    case Kind::Unsigned:
-      if (!parse_number(text, value.count)) {
+    case Kind::Unsigned: {
+      const auto count = util::parse_number<std::uint64_t>(text);
+      if (!count) {
         fail(row.flag, "expects an unsigned integer, got '" + text + "'");
       }
+      value.count = *count;
       break;
-    case Kind::Probability:
-      if (!parse_number(text, value.probability) ||
-          !(value.probability >= 0 && value.probability <= 1)) {
+    }
+    case Kind::Probability: {
+      const auto probability = util::parse_number<double>(text);
+      if (!probability || *probability < 0 || *probability > 1) {
         fail(row.flag, "expects a probability in [0, 1], got '" + text + "'");
       }
+      value.probability = *probability;
       break;
+    }
     case Kind::Enum:
       if (("|" + std::string(row.metavar) + "|").find("|" + text + "|") ==
           std::string::npos) {
